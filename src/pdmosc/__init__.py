@@ -2,9 +2,11 @@
 position-dependent mass, with every typeset closed form audited against
 independent numerical oracles."""
 
-from .errors import DomainEdge, NonConvergence, NonDecaying, PdmoscError, SingularLimit
+from .errors import (DomainEdge, NonConvergence, NonDecaying, PdmoscError, SingularLimit,
+                     Underflow)
 from .numerics import (QuadratureResult, Tolerance, derivative, erf, erfc, erfcx,
-                       integrate_finite, integrate_semi_infinite, sum_decaying)
+                       integrate_finite, integrate_semi_infinite,
+                       integrate_semi_infinite_batch, richardson, stencil, sum_decaying)
 from .spectrum import OscillatorParams, SpectrumCoefficients, coefficients, energy_level
 from .thermo import (B_MIN, Beta, ThermoPoint, energy_moments, free_energy_closed,
                      heat_capacity_closed, log_partition, log_partition_closed,

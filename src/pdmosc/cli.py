@@ -5,7 +5,8 @@ presets with the quoted parameter values), ``audit`` (the printed-vs-oracle
 discrepancy atlas), ``point`` (one thermodynamic or superstatistical state
 as key=value lines).
 
-Exit codes: 0 success, 2 invalid arguments, 3 numerical non-convergence.
+Exit codes: 0 success, 2 invalid arguments or any other package error,
+3 numerical non-convergence.
 A plain ``key = value`` config file can seed any flag; flags override it.
 """
 
@@ -15,7 +16,7 @@ import argparse
 import json
 import sys
 
-from .errors import NonConvergence, NonDecaying, SingularLimit
+from .errors import NonConvergence, NonDecaying, PdmoscError
 from .numerics import Tolerance
 from .spectrum import OscillatorParams, coefficients
 from . import superstat, sweeps, thermo, verify
@@ -241,12 +242,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         args = _apply_config(args)
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError, SingularLimit) as exc:
-        print(f"pdmosc: error: {exc}", file=sys.stderr)
-        return 2
     except (NonConvergence, NonDecaying) as exc:
         print(f"pdmosc: numerical non-convergence: {exc}", file=sys.stderr)
         return 3
+    except (ValueError, OSError, PdmoscError) as exc:
+        print(f"pdmosc: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ Everything here is pure and deterministic; no shared mutable state.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -172,21 +173,85 @@ def _eval_vectorized(f, x: np.ndarray) -> np.ndarray:
     return np.array([float(f(float(xi))) for xi in x])
 
 
-def _gk15(f, lo: float, hi: float):
-    """One Gauss-Kronrod panel: (kronrod value, error estimate, |f| integral)."""
+def _one_row(f):
+    """f(x) of one integrand as the row-family integrand of a single row."""
+    return lambda x, rows: _eval_vectorized(f, x.ravel()).reshape(x.shape)
+
+
+_kronrod_dot = _WGK.dot
+
+
+def _gk15(fx: np.ndarray, half: np.ndarray):
+    """Gauss-Kronrod panels from their node values: fx holds one panel's 15
+    values per row, half the panels' half-widths.  Returns the Kronrod
+    values (list) and the error estimates (array).  Each panel's results
+    depend on its own row only, never on the batch it is evaluated in."""
+    # Each Kronrod sum stays its own 15-term dot product.  A matrix-vector
+    # product (fx @ _WGK) accumulates in another order and moves the last
+    # bit of panel values; the second-difference C_s oracle magnifies that
+    # by ~1e8, past the atlas tolerance.  The Gauss and |f| sums only feed
+    # the error estimate, so they are vectorised, as sequential running
+    # sums: BLAS gemv rounds a row differently depending on the batch size.
+    resk = [h * float(_kronrod_dot(row)) for h, row in zip(half.tolist(), fx)]
+    resg = half * np.add.accumulate(fx[:, 1::2] * _WG, axis=1)[:, -1]
+    resabs = half * np.add.accumulate(np.abs(fx * _WGK), axis=1)[:, -1]
+    diff = np.abs(np.array(resk) - resg)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = 200.0 * diff / resabs
+        err = resabs * np.fmin(1.0, ratio * np.sqrt(ratio))
+    err = np.where(resabs > 0.0, np.maximum(err, 50.0 * _EPS * resabs), diff)
+    return resk, err
+
+
+def _adaptive_rows(g, nrows: int, lo: float, hi: float,
+                   tol: Tolerance) -> list[QuadratureResult]:
+    """Adaptive bisection with an embedded 15-point Gauss-Kronrod rule, run
+    in lockstep over nrows integrands on [lo, hi].
+
+    g(x, rows) evaluates integrand rows[j] at the nodes x[j] (rows is an
+    int array, x has shape (len(rows), m)).  Each row keeps its own panel
+    heap, totals and evaluation budget; every step, each unconverged row
+    bisects its worst panel and all new nodes go through one call of g.
+    A row that exhausts tol.max_evals raises NonConvergence.
+    """
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    fx = _eval_vectorized(f, mid + half * _XGK)
-    resk = half * float(_WGK @ fx)
-    resg = half * float(_WG @ fx[1::2])
-    resabs = half * float(_WGK @ np.abs(fx))
-    diff = abs(resk - resg)
-    if resabs > 0.0:
-        err = resabs * min(1.0, (200.0 * diff / resabs) ** 1.5)
-        err = max(err, 50.0 * _EPS * resabs)
-    else:
-        err = diff
-    return resk, err, resabs
+    fx = g(np.tile(mid + half * _XGK, (nrows, 1)), np.arange(nrows))
+    vals, errs = _gk15(fx, np.full(nrows, half))
+    # per row: heap of (-error, seq, lo, hi, value, error), worst panel on top
+    heaps = [[(-e, 0, lo, hi, v, e)] for v, e in zip(vals, errs.tolist())]
+    total_val = vals
+    total_err = errs.tolist()
+    evals = [15] * nrows
+    tick = itertools.count(1)  # heap tie-break: insertion order within each row
+    active = [r for r in range(nrows) if total_err[r] > tol.target(total_val[r])]
+    while active:
+        popped, ends = [], []
+        for r in active:
+            if evals[r] + 30 > tol.max_evals:
+                raise NonConvergence(
+                    f"quadrature error {total_err[r]:.3e} above tolerance "
+                    f"after {evals[r]} evaluations")
+            _, _, a, b, v, e = heapq.heappop(heaps[r])
+            m = 0.5 * (a + b)
+            popped.append((a, m, b, v, e))
+            ends += (a, m, m, b)
+        ends = np.array(ends).reshape(-1, 2)
+        half = 0.5 * (ends[:, 1] - ends[:, 0])
+        mid = 0.5 * (ends[:, 1] + ends[:, 0])
+        x = (mid[:, None] + half[:, None] * _XGK).reshape(len(active), 30)
+        vals, errs = _gk15(g(x, np.array(active)).reshape(-1, 15), half)
+        errs = errs.tolist()
+        for j, (r, (a, m, b, v, e)) in enumerate(zip(active, popped)):
+            v1, v2 = vals[2 * j], vals[2 * j + 1]
+            e1, e2 = errs[2 * j], errs[2 * j + 1]
+            evals[r] += 30
+            total_val[r] += v1 + v2 - v
+            total_err[r] += e1 + e2 - e
+            heapq.heappush(heaps[r], (-e1, next(tick), a, m, v1, e1))
+            heapq.heappush(heaps[r], (-e2, next(tick), m, b, v2, e2))
+        active = [r for r in active if total_err[r] > tol.target(total_val[r])]
+    return [QuadratureResult(v, e, n) for v, e, n in zip(total_val, total_err, evals)]
 
 
 def integrate_finite(f: Callable[[float], float], lo: float, hi: float,
@@ -201,32 +266,33 @@ def integrate_finite(f: Callable[[float], float], lo: float, hi: float,
         raise ValueError("lo must not exceed hi")
     if lo == hi:
         return QuadratureResult(0.0, 0.0, 0)
-
-    evals = 15
-    val, err, _ = _gk15(f, lo, hi)
-    # heap of (-error, seq, lo, hi, value, error); worst panel on top
-    seq = 0
-    heap = [(-err, seq, lo, hi, val, err)]
-    total_val, total_err = val, err
-    while total_err > tol.target(total_val):
-        if evals + 30 > tol.max_evals:
-            raise NonConvergence(
-                f"quadrature error {total_err:.3e} above tolerance after {evals} evaluations")
-        neg_err, _, a, b, v, e = heapq.heappop(heap)
-        m = 0.5 * (a + b)
-        v1, e1, _ = _gk15(f, a, m)
-        v2, e2, _ = _gk15(f, m, b)
-        evals += 30
-        total_val += v1 + v2 - v
-        total_err += e1 + e2 - e
-        seq += 1
-        heapq.heappush(heap, (-e1, seq, a, m, v1, e1))
-        seq += 1
-        heapq.heappush(heap, (-e2, seq, m, b, v2, e2))
-    return QuadratureResult(total_val, total_err, evals)
+    return _adaptive_rows(_one_row(f), 1, lo, hi, tol)[0]
 
 
 _TAIL_PROBES = (0.90, 0.93, 0.96, 0.99)
+
+
+def integrate_semi_infinite_batch(f, nrows: int, lo: float,
+                                  tol: Tolerance = Tolerance()) -> list[QuadratureResult]:
+    """Integrate nrows integrands over [lo, inf) in one lockstep adaptive
+    run; row r of the result is exactly integrate_semi_infinite of
+    integrand r alone.
+
+    f(n, rows) evaluates integrand rows[j] at n[j] for an int array rows
+    and n of shape (len(rows), m).  Raises NonDecaying or NonConvergence
+    as the single-row call of the first failing row would.
+    """
+    t = np.array(_TAIL_PROBES)
+    probes = np.abs(f(np.tile(lo + t / (1.0 - t), (nrows, 1)), np.arange(nrows)))
+    if np.all(probes[:, 1:] > probes[:, :-1], axis=1).any():
+        raise NonDecaying("integrand increases along the tail of the transform")
+
+    def g(t, rows):
+        w = 1.0 - t
+        return f(lo + t / w, rows) / (w * w)
+
+    return [QuadratureResult(r.value, r.error_estimate, r.evals + len(_TAIL_PROBES))
+            for r in _adaptive_rows(g, nrows, 0.0, 1.0, tol)]
 
 
 def integrate_semi_infinite(f: Callable[[float], float], lo: float,
@@ -236,17 +302,7 @@ def integrate_semi_infinite(f: Callable[[float], float], lo: float,
     Requires f to decay faster than 1/n^2; raises NonDecaying when the
     sampled values increase across the last decade of the map.
     """
-    probes = [abs(float(f(lo + t / (1.0 - t)))) for t in _TAIL_PROBES]
-    if all(b > a for a, b in zip(probes, probes[1:])):
-        raise NonDecaying("integrand increases along the tail of the transform")
-
-    def g(t):
-        t = np.asarray(t, dtype=float)
-        w = 1.0 - t
-        return f(lo + t / w) / (w * w)
-
-    res = integrate_finite(g, 0.0, 1.0, tol)
-    return QuadratureResult(res.value, res.error_estimate, res.evals + len(probes))
+    return integrate_semi_infinite_batch(_one_row(f), 1, lo, tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -281,13 +337,14 @@ def sum_decaying(term: Callable[[int], float], tail_bound: Callable[[int], float
 # Numerical differentiation
 # ---------------------------------------------------------------------------
 
-def derivative(f: Callable[[float], float], x: float, order: int,
-               scale: float, positive_only: bool = False) -> float:
-    """First or second derivative by central differences with two levels of
-    Richardson extrapolation.
+def stencil(x: float, order: int, scale: float,
+            positive_only: bool = False) -> tuple[float, list[float]]:
+    """Step h and abscissae of the derivative stencil at x: the pairs
+    x +- 4h, x +- 2h, x +- h in that order, preceded by x itself for
+    order 2.
 
-    The step is initialized at scale*eps^(1/5) (order 1) or scale*eps^(1/6)
-    (order 2): the optimal truncation/roundoff balance for the twice
+    The step is scale*eps^(1/5) (order 1) or scale*eps^(1/6) (order 2):
+    the optimal truncation/roundoff balance for the twice
     Richardson-extrapolated stencil, whose truncation error is O(h^6) --
     the familiar eps^(1/3), eps^(1/4) exponents are the optima of the bare
     stencil and leave ~100x more roundoff noise here.  The two refinement
@@ -302,17 +359,30 @@ def derivative(f: Callable[[float], float], x: float, order: int,
     h = scale * (_EPS ** 0.2 if order == 1 else _EPS ** (1.0 / 6.0))
     if positive_only and x - 4.0 * h <= 0.0:
         raise DomainEdge(f"stencil of width {4 * h:.3e} leaves the positive domain at x={x:.3e}")
+    h2, h4 = 2.0 * h, 4.0 * h
+    xs = [x + h4, x - h4, x + h2, x - h2, x + h, x - h]
+    return h, ([x] + xs if order == 2 else xs)
 
+
+def richardson(fx: list[float], order: int, h: float) -> float:
+    """First or second derivative from f sampled at the abscissae of
+    stencil(), in its order: central differences at steps 4h, 2h and h,
+    extrapolated twice."""
+    steps = (4.0 * h, 2.0 * h, h)
     if order == 1:
-        def d0(step):
-            return (f(x + step) - f(x - step)) / (2.0 * step)
+        a0, a1, a2 = [(p - m) / (2.0 * s) for p, m, s in zip(fx[0::2], fx[1::2], steps)]
     else:
-        f0 = f(x)
-
-        def d0(step):
-            return (f(x + step) - 2.0 * f0 + f(x - step)) / (step * step)
-
-    a0, a1, a2 = d0(4.0 * h), d0(2.0 * h), d0(h)
+        f0 = fx[0]
+        a0, a1, a2 = [(p - 2.0 * f0 + m) / (s * s)
+                      for p, m, s in zip(fx[1::2], fx[2::2], steps)]
     r0 = (4.0 * a1 - a0) / 3.0
     r1 = (4.0 * a2 - a1) / 3.0
     return (16.0 * r1 - r0) / 15.0
+
+
+def derivative(f: Callable[[float], float], x: float, order: int,
+               scale: float, positive_only: bool = False) -> float:
+    """First or second derivative by central differences with two levels of
+    Richardson extrapolation, f sampled on the stencil() abscissae."""
+    h, xs = stencil(x, order, scale, positive_only)
+    return richardson([f(xi) for xi in xs], order, h)

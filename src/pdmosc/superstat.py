@@ -23,14 +23,14 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import Tolerance, derivative, erfcx, integrate_semi_infinite
+from .errors import Underflow
+from .numerics import (Tolerance, derivative, erfcx, integrate_semi_infinite,
+                       integrate_semi_infinite_batch, richardson, stencil)
 from .spectrum import SpectrumCoefficients
 from .thermo import (B_MIN, Beta, _check_transcription, _exp,
                      _require_regular, as_beta)
 
 _SQRT_PI = math.sqrt(math.pi)
-
-SUPERSTAT_METHODS = ("closed", "quad", "engine")
 
 
 @dataclass(frozen=True)
@@ -68,8 +68,11 @@ def boltzmann_factor_q(E, beta, q) -> float:
     Equals the classical factor at q = 0 and never falls below it.
     Accepts numpy arrays in E transparently.
     """
-    bv = as_beta(beta).value
-    qv = as_q(q).q
+    return _factor_q(E, as_beta(beta).value, as_q(q).q)
+
+
+def _factor_q(E, bv, qv: float):
+    """boltzmann_factor_q unchecked; bv may be an array broadcasting with E."""
     be = bv * E
     return np.exp(-be) * (1.0 + 0.5 * qv * be * be)
 
@@ -81,11 +84,7 @@ def superstat_partition_quadrature(c: SpectrumCoefficients, beta, q,
     This is the ground truth for the superstatistics layer."""
     bv = as_beta(beta).value
     qv = as_q(q).q
-
-    def f(n):
-        return boltzmann_factor_q(c.energy(np.asarray(n, dtype=float)), bv, qv)
-
-    return integrate_semi_infinite(f, 0.0, tol).value
+    return integrate_semi_infinite(lambda n: _factor_q(c.energy(n), bv, qv), 0.0, tol).value
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +254,9 @@ def superstat_thermo(c: SpectrumCoefficients, beta, q, kB: float = 1.0,
                      transcription: str = "verbatim") -> SuperstatPoint:
     """All superstatistical quantities at one (beta, q).
 
-    method 'engine' differentiates ln of the quadrature Z_s (ground truth);
+    method 'engine' differentiates ln of the quadrature Z_s (ground truth),
+    integrating all 13 stencil points in one batched quadrature; its Zs is
+    the quadrature value at beta itself.
     method 'closed' evaluates the typeset U_s, S_s, F_s and obtains C_s by
     numerical second derivative of ln of the closed Z_s (no closed C_s was
     ever typeset, only its defining identity).
@@ -264,18 +265,22 @@ def superstat_thermo(c: SpectrumCoefficients, beta, q, kB: float = 1.0,
     qt = as_q(q)
     bv, qv = bt.value, qt.q
     if method == "engine":
-        cache: dict[float, float] = {}
-
-        def logZs(x: float) -> float:
-            if x not in cache:
-                cache[x] = math.log(superstat_partition_quadrature(c, x, qv, tol))
-            return cache[x]
-
-        dln = derivative(logZs, bv, order=1, scale=bv, positive_only=True)
-        d2ln = derivative(logZs, bv, order=2, scale=bv, positive_only=True)
-        lnZs = logZs(bv)
-        Us = -dln
-        return SuperstatPoint(beta=bt, q=qt, Zs=math.exp(lnZs), Us=Us,
+        h1, xs1 = stencil(bv, 1, bv, positive_only=True)
+        h2, xs2 = stencil(bv, 2, bv, positive_only=True)
+        betas = list(dict.fromkeys(xs2 + xs1))  # bv first, 13 distinct points
+        bcol = np.array(betas)[:, None]
+        # row r is superstat_partition_quadrature at betas[r], bit for bit
+        zs = [r.value for r in integrate_semi_infinite_batch(
+            lambda n, rows: _factor_q(c.energy(n), bcol[rows], qv), len(betas), 0.0, tol)]
+        for x, z in zip(betas, zs):
+            if z == 0.0:
+                raise Underflow(f"Z_s underflows to 0 at beta={x:.6g} in the derivative "
+                                f"stencil of beta={bv:.6g}; ln Z_s is not representable")
+        lnz = {x: math.log(z) for x, z in zip(betas, zs)}
+        lnZs = lnz[bv]
+        Us = -richardson([lnz[x] for x in xs1], 1, h1)
+        d2ln = richardson([lnz[x] for x in xs2], 2, h2)
+        return SuperstatPoint(beta=bt, q=qt, Zs=zs[0], Us=Us,
                               Ss=kB * (lnZs + bv * Us), Fs=-lnZs / bv,
                               Cs=kB * bv * bv * d2ln, method="engine")
     if method == "closed":

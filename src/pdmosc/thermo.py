@@ -48,6 +48,16 @@ def _exp(x: float) -> float:
         return math.inf
 
 
+def _div(num: float, den: float) -> float:
+    """num/den with IEEE semantics: a zero denominator gives +-inf (nan for
+    0/0) instead of raising, so typo'd verbatim forms overflow honestly."""
+    if den != 0.0:
+        return num / den
+    if num == 0.0 or num != num:
+        return math.nan
+    return math.copysign(math.inf, num) * math.copysign(1.0, den)
+
+
 @dataclass(frozen=True)
 class Beta:
     """Inverse temperature 1/(kB*T), strictly positive and finite."""
@@ -336,7 +346,7 @@ def heat_capacity_closed(c: SpectrumCoefficients, beta, kB: float = 1.0,
     t3 = -bv * _SQRT_PI * e2 * (pc_sym * _exp(-x2 * x2) + pe_sym * _exp(-x1 * x1))
     t5 = bv * _SQRT_PI * e1 * (pc_asym * _exp(-x2 * x2) + pe_asym * _exp(-x1 * x1))
     num = bv * (t1 + t2 + t3 + t4 + t5 + t6)
-    return kB * num / (8.0 * (b * bv) ** 1.5 * math.pi * d * d)
+    return _div(kB * num, 8.0 * (b * bv) ** 1.5 * math.pi * d * d)
 
 
 def entropy_closed(c: SpectrumCoefficients, beta, kB: float = 1.0,

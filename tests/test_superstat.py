@@ -6,13 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from pdmosc import (DeformationQ, OscillatorParams, SingularLimit,
-                    SpectrumCoefficients, Tolerance, boltzmann_factor_q,
-                    coefficients, entropy_superstat_closed,
+from pdmosc import (DeformationQ, DomainEdge, OscillatorParams, PdmoscError,
+                    SingularLimit, SpectrumCoefficients, Tolerance, Underflow,
+                    boltzmann_factor_q, coefficients, entropy_superstat_closed,
                     free_energy_superstat_closed, log_superstat_partition_closed,
-                    mean_energy_superstat_closed, partition_quadrature,
-                    superstat_partition_closed, superstat_partition_quadrature,
-                    superstat_thermo)
+                    mean_energy_superstat_closed, numerics, partition_quadrature,
+                    richardson, stencil, superstat, superstat_partition_closed,
+                    superstat_partition_quadrature, superstat_thermo)
 
 from helpers import mp_quad
 
@@ -169,6 +169,36 @@ def test_closed_point_has_finite_cs():
     for tr in ("verbatim", "corrected"):
         pt = superstat_thermo(C01, 1.0, 0.5, method="closed", transcription=tr)
         assert math.isfinite(pt.Cs)
+
+
+def test_engine_stencil_rows_equal_single_quadratures():
+    """The engine's batched rows are bit for bit the single quadratures:
+    Zs directly, and every stencil row through the exact U_s and C_s."""
+    for c, beta, q in [(C01, 0.1, 0.0), (C03, 1.0, 0.5), (C09, 7.5, 1.0)]:
+        pt = superstat_thermo(c, beta, q, 1.0, TOL, method="engine")
+        assert pt.Zs == superstat_partition_quadrature(c, beta, q, TOL)
+        lnzs = lambda x: math.log(superstat_partition_quadrature(c, x, q, TOL))
+        h1, xs1 = stencil(beta, 1, beta, positive_only=True)
+        h2, xs2 = stencil(beta, 2, beta, positive_only=True)
+        assert len(set(xs1 + xs2)) == 13
+        assert pt.Us == -richardson([lnzs(x) for x in xs1], 1, h1)
+        assert pt.Cs == beta * beta * richardson([lnzs(x) for x in xs2], 2, h2)
+
+
+def test_engine_domain_edge_before_any_quadrature(monkeypatch):
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("quadrature ran before the stencil check")
+
+    monkeypatch.setattr(superstat, "integrate_semi_infinite_batch", no_quadrature)
+    monkeypatch.setattr(numerics, "_EPS", 0.01)  # h = 0.4 beta, so beta - 4h < 0
+    with pytest.raises(DomainEdge):
+        superstat_thermo(C03, 1.0, 0.5, method="engine")
+
+
+def test_engine_underflow_is_typed():
+    with pytest.raises(Underflow, match="underflows"):
+        superstat_thermo(C03, 1e4, 0.5, method="engine")
+    assert issubclass(Underflow, PdmoscError)
 
 
 def test_method_validation():

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from pdmosc import cli, sweeps
+from pdmosc import DomainEdge, cli, superstat, sweeps
 from pdmosc.sweeps import FigurePreset, PRESETS, SweepSpec, figure_preset, run_sweep
 
 
@@ -98,6 +98,30 @@ def test_cli_point_superstat(capsys):
     assert code == 0
     fields = dict(line.split("=", 1) for line in out.strip().split("\n"))
     assert set(fields) == {"beta", "q", "Zs", "Us", "Ss", "Fs", "Cs", "method"}
+
+
+def test_cli_point_closed_overflow_is_a_value(capsys):
+    code, out = run_cli(["point", "--alpha", "0.3", "--beta", "800", "--method", "closed"],
+                        capsys)
+    assert code == 0
+    fields = dict(line.split("=", 1) for line in out.strip().split("\n"))
+    assert math.isinf(float(fields["C"]))
+
+
+def test_cli_point_superstat_underflow_exit_2(capsys):
+    code = cli.main(["point", "--alpha", "0.3", "--beta", "1e4", "--q", "0.5"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "underflows" in err and "math domain" not in err
+
+
+def test_cli_maps_every_package_error(monkeypatch, capsys):
+    def edge(*args, **kwargs):
+        raise DomainEdge("stencil leaves the positive domain")
+
+    monkeypatch.setattr(superstat, "superstat_thermo", edge)
+    assert cli.main(["point", "--beta", "1", "--q", "0.5"]) == 2
+    assert "positive domain" in capsys.readouterr().err
 
 
 def test_cli_sweep_csv(capsys):

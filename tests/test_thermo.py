@@ -213,6 +213,14 @@ def test_verbatim_entropy_finite_at_moderate_beta():
     assert math.isfinite(s)
 
 
+def test_verbatim_heat_capacity_overflows_honestly():
+    # the squared erf difference in the denominator underflows to 0 here;
+    # the typeset form then overflows instead of raising ZeroDivisionError
+    c = heat_capacity_closed(C03, 800.0, 1.0, "verbatim")
+    assert math.isinf(c)
+    assert math.isfinite(heat_capacity_closed(C03, 800.0, 1.0, "corrected"))
+
+
 def test_transcription_validation():
     with pytest.raises(ValueError):
         mean_energy_closed(C01, 1.0, "fixed")

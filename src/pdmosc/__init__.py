@@ -15,6 +15,7 @@ from .thermo import (B_MIN, Beta, ThermoPoint, energy_moments, free_energy_close
                      thermo_from_logZ)
 from .superstat import (DeformationQ, SuperstatPoint, boltzmann_factor_q,
                         entropy_superstat_closed, free_energy_superstat_closed,
+                        heat_capacity_superstat_closed,
                         log_superstat_partition_closed, mean_energy_superstat_closed,
                         superstat_partition_closed, superstat_partition_quadrature,
                         superstat_thermo)

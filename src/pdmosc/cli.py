@@ -7,7 +7,8 @@ as key=value lines).
 
 Exit codes: 0 success, 2 invalid arguments or any other package error,
 3 numerical non-convergence.
-A plain ``key = value`` config file can seed any flag; flags override it.
+A plain ``key = value`` config file can seed any flag; its values are
+validated like flags, and explicit flags always win.
 """
 
 from __future__ import annotations
@@ -15,11 +16,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .errors import NonConvergence, NonDecaying, PdmoscError
 from .numerics import Tolerance
-from .spectrum import OscillatorParams, coefficients
-from . import superstat, sweeps, thermo, verify
+from . import routes, sweeps, verify
 
 
 def _fmt(x) -> str:
@@ -42,19 +43,24 @@ def _parse_range(text: str) -> tuple[float, ...]:
     return sweeps.linear_range(lo, hi, count)
 
 
-def _read_config(path: str) -> dict:
-    """Plain 'key = value' lines; '#' starts a comment."""
-    conf = {}
-    with open(path) as fh:
+def _config_tokens(args: argparse.Namespace) -> list[str]:
+    """The config file's 'key = value' lines ('#' starts a comment) as
+    --key=value option tokens; a key that is no flag of the command is an
+    error."""
+    tokens = []
+    with open(args.config) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+                raise ValueError(f"{args.config}:{lineno}: expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
-            conf[key.replace("-", "_")] = value
-    return conf
+            dest = key.replace("-", "_")
+            if dest in ("command", "quantity", "id") or not hasattr(args, dest):
+                raise ValueError(f"unknown config key {dest.replace('_', '-')!r}")
+            tokens.append(f"--{dest.replace('_', '-')}={value}")
+    return tokens
 
 
 def _add_common(sub, *, point_flags=True):
@@ -63,8 +69,7 @@ def _add_common(sub, *, point_flags=True):
         sub.add_argument("--beta", type=float, default=1.0)
         sub.add_argument("--q", type=float, default=None)
         sub.add_argument("--n", type=int, default=0)
-    sub.add_argument("--method", default=None,
-                     choices=["sum", "closed", "quad01", "quadinf", "engine"])
+    sub.add_argument("--method", default=None, choices=list(routes.METHODS))
     sub.add_argument("--transcription", default="verbatim",
                      choices=["verbatim", "corrected"])
     sub.add_argument("--units", default="natural", choices=["natural", "si"])
@@ -103,34 +108,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
-    if not args.config:
-        return args
-    conf = _read_config(args.config)
-    casts = {"alpha": float, "beta": float, "q": float, "n": int,
-             "tol_rel": float, "tol_abs": float}
-    parser_defaults = build_parser().parse_args([args.command] + _required_stub(args))
-    for key, value in conf.items():
-        if not hasattr(args, key):
-            raise ValueError(f"unknown config key {key.replace('_', '-')!r}")
-        # flags override config: only fill values still at their default
-        if getattr(args, key) == getattr(parser_defaults, key, None):
-            setattr(args, key, casts.get(key, str)(value))
-    return args
-
-
-def _required_stub(args) -> list[str]:
-    if args.command == "sweep":
-        return [args.quantity, "--vary", args.vary, "--range", args.range]
-    if args.command == "figure":
-        return [args.id]
-    return []
-
-
-def _tolerance(args) -> Tolerance:
-    rel = args.tol_rel if args.tol_rel is not None else 1e-10
-    abs_ = args.tol_abs if args.tol_abs is not None else 0.0
-    return Tolerance(rel=rel, abs=abs_, max_evals=400_000)
+def _tolerance(args, rel: float = 1e-10) -> Tolerance:
+    """--tol-rel/--tol-abs over the command's default relative tolerance."""
+    return Tolerance(rel=args.tol_rel if args.tol_rel is not None else rel,
+                     abs=args.tol_abs if args.tol_abs is not None else 0.0,
+                     max_evals=400_000)
 
 
 def _emit(text: str, out: str | None):
@@ -153,20 +135,20 @@ def _rows_json(header: list[str], rows: list[tuple]) -> str:
     return json.dumps([dict(zip(header, row)) for row in rows], indent=1) + "\n"
 
 
+def _values(args) -> dict:
+    """The point flags as routes.state values; q only when given."""
+    values = {"alpha": args.alpha, "beta": args.beta, "n": args.n}
+    if args.q is not None:
+        values["q"] = args.q
+    return values
+
+
 def _cmd_sweep(args) -> int:
-    values = _parse_range(args.range)
-    fixed = {}
-    if args.vary != "alpha":
-        fixed["alpha"] = args.alpha
-    if args.vary != "beta" and args.quantity not in ("Energy",):
-        fixed["beta"] = args.beta
-    if args.vary != "q" and args.q is not None:
-        fixed["q"] = args.q
-    if args.vary != "n" and args.quantity == "Energy":
-        fixed["n"] = args.n
+    fixed = _values(args)
+    fixed.pop(args.vary, None)
     spec = sweeps.SweepSpec(
-        quantity=args.quantity, vary=args.vary, values=values, fixed=fixed,
-        method=args.method or "sum", units=args.units,
+        quantity=args.quantity, vary=args.vary, values=_parse_range(args.range),
+        fixed=fixed, method=args.method or "sum", units=args.units,
         transcription=args.transcription, b_convention=args.b_convention)
     rows = [(r.x, r.y, r.warning) for r in sweeps.run_sweep(spec, _tolerance(args))]
     render = _rows_csv if args.format == "csv" else _rows_json
@@ -184,50 +166,24 @@ def _cmd_figure(args) -> int:
 
 def _cmd_audit(args) -> int:
     basis = "sum" if args.method == "sum" else "closed"
-    tol = Tolerance(rel=args.tol_rel if args.tol_rel is not None else 3e-13,
-                    abs=args.tol_abs if args.tol_abs is not None else 0.0,
-                    max_evals=400_000)
-    reports = verify.audit_grid(tol=tol, oracle_basis=basis)
+    reports = verify.audit_grid(tol=_tolerance(args, rel=3e-13), oracle_basis=basis)
     if args.format == "json":
-        payload = [{"quantity": r.quantity, "alpha": r.alpha, "beta": r.beta,
-                    "q": r.q, "transcription": r.transcription,
-                    "printed": r.printed, "oracle": r.oracle,
-                    "rel_diff": r.rel_diff, "classification": r.classification}
-                   for r in reports]
-        _emit(json.dumps(payload, indent=1) + "\n", args.out)
+        _emit(json.dumps([asdict(r) for r in reports], indent=1) + "\n", args.out)
     else:
         _emit(verify.render_audit_csv(reports), args.out)
     return 0
 
 
 def _cmd_point(args) -> int:
-    if args.units == "si":
-        p = OscillatorParams.si(alpha=args.alpha)
-    else:
-        p = OscillatorParams(alpha=args.alpha)
-    c = coefficients(p, args.b_convention)
-    tol = _tolerance(args)
-    lines = []
-    if args.q is None:
-        method = args.method or "sum"
-        if method == "closed":
-            pt = thermo.thermo_closed_point(c, args.beta, p.kB, args.transcription)
-        elif method in ("quad01", "quadinf"):
-            pt = thermo.thermo_from_logZ(thermo.log_partition(c, method, tol),
-                                         args.beta, p.kB, method)
-        else:
-            pt = thermo.thermo_sum_engine(c, args.beta, p.kB, tol)
-        lines += [f"beta={_fmt(pt.beta.value)}", f"Z={_fmt(pt.Z)}", f"U={_fmt(pt.U)}",
-                  f"C={_fmt(pt.C)}", f"S={_fmt(pt.S)}", f"F={_fmt(pt.F)}",
-                  f"method={pt.method}"]
-    else:
-        method = "closed" if args.method == "closed" else "engine"
-        spt = superstat.superstat_thermo(c, args.beta, args.q, p.kB, tol,
-                                         method=method,
-                                         transcription=args.transcription)
-        lines += [f"beta={_fmt(spt.beta.value)}", f"q={_fmt(spt.q.q)}",
-                  f"Zs={_fmt(spt.Zs)}", f"Us={_fmt(spt.Us)}", f"Ss={_fmt(spt.Ss)}",
-                  f"Fs={_fmt(spt.Fs)}", f"Cs={_fmt(spt.Cs)}", f"method={spt.method}"]
+    s = routes.state(_values(args), args.units, args.b_convention, args.transcription,
+                     _tolerance(args))
+    family = "thermo" if args.q is None else "superstat"
+    pt = routes.POINTS[family][args.method or "sum"](s)
+    lines = [f"beta={_fmt(pt.beta.value)}"]
+    if args.q is not None:
+        lines.append(f"q={_fmt(pt.q.q)}")
+    lines += [f"{qn}={_fmt(getattr(pt, qn))}" for qn in routes.FIELDS[family]]
+    lines.append(f"method={pt.method}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -238,9 +194,12 @@ _COMMANDS = {"sweep": _cmd_sweep, "figure": _cmd_figure,
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
-        args = _apply_config(args)
+        if args.config:  # config values go before the user's flags, which win
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + _config_tokens(args) + argv[at:])
         return _COMMANDS[args.command](args)
     except (NonConvergence, NonDecaying) as exc:
         print(f"pdmosc: numerical non-convergence: {exc}", file=sys.stderr)

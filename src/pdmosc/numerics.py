@@ -162,20 +162,10 @@ _WG = np.array([
 ])
 
 
-def _eval_vectorized(f, x: np.ndarray) -> np.ndarray:
-    """Evaluate f on an array, falling back to a scalar loop if needed."""
-    try:
-        y = np.asarray(f(x), dtype=float)
-        if y.shape == x.shape:
-            return y
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(f(float(xi))) for xi in x])
-
-
 def _one_row(f):
-    """f(x) of one integrand as the row-family integrand of a single row."""
-    return lambda x, rows: _eval_vectorized(f, x.ravel()).reshape(x.shape)
+    """f(x) of one array-valued integrand as the row-family integrand of a
+    single row; a scalar-valued f fails the reshape with ValueError."""
+    return lambda x, rows: np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
 
 
 _kronrod_dot = _WGK.dot
@@ -258,7 +248,8 @@ def integrate_finite(f: Callable[[float], float], lo: float, hi: float,
                      tol: Tolerance = Tolerance()) -> QuadratureResult:
     """Adaptive bisection with an embedded 15-point Gauss-Kronrod rule.
 
-    f may accept numpy arrays (preferred, much faster) or plain floats.
+    f must be array-valued: it maps an array of nodes to the array of its
+    values, elementwise.
     Raises NonConvergence when tol.max_evals evaluations are exhausted
     before the summed error estimate meets the tolerance.
     """

@@ -64,6 +64,12 @@ class SpectrumCoefficients:
         """Continuous-n energy; at integer n this is the level E_n."""
         return self.a * (n + 0.5) + self.b * (n * n + 2.0 * n + 0.5)
 
+    def level(self, n) -> float:
+        """Energy of level n, which must be a nonnegative integer."""
+        if not (n >= 0 and float(n).is_integer()):
+            raise ValueError("n must be a nonnegative integer")
+        return self.energy(int(n))
+
 
 def coefficients(p: OscillatorParams,
                  b_convention: str = "spectrum") -> SpectrumCoefficients:
@@ -90,6 +96,4 @@ def coefficients(p: OscillatorParams,
 def energy_level(p: OscillatorParams, n: int,
                  b_convention: str = "spectrum") -> float:
     """Energy of level n >= 0; strictly increasing and convex in n."""
-    if n < 0 or n != int(n):
-        raise ValueError("n must be a nonnegative integer")
-    return coefficients(p, b_convention).energy(int(n))
+    return coefficients(p, b_convention).level(n)

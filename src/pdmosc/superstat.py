@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -245,6 +244,17 @@ def free_energy_superstat_closed(c: SpectrumCoefficients, beta, q,
     return -log_superstat_partition_closed(c, bv, q, transcription, b_min) / bv
 
 
+def heat_capacity_superstat_closed(c: SpectrumCoefficients, beta, q, kB: float = 1.0,
+                                   transcription: str = "verbatim") -> float:
+    """kB beta^2 d^2 ln Z_s/d beta^2 of the closed Z_s, numerically: no
+    closed C_s was ever typeset, only this defining identity."""
+    bv = as_beta(beta).value
+    qv = as_q(q).q
+    return kB * bv * bv * derivative(
+        lambda x: log_superstat_partition_closed(c, x, qv, transcription), bv, order=2,
+        scale=bv, positive_only=True)
+
+
 # ---------------------------------------------------------------------------
 # Assembled superstatistical thermodynamics
 # ---------------------------------------------------------------------------
@@ -257,9 +267,8 @@ def superstat_thermo(c: SpectrumCoefficients, beta, q, kB: float = 1.0,
     method 'engine' differentiates ln of the quadrature Z_s (ground truth),
     integrating all 13 stencil points in one batched quadrature; its Zs is
     the quadrature value at beta itself.
-    method 'closed' evaluates the typeset U_s, S_s, F_s and obtains C_s by
-    numerical second derivative of ln of the closed Z_s (no closed C_s was
-    ever typeset, only its defining identity).
+    method 'closed' evaluates the typeset Z_s, U_s, S_s, F_s and
+    heat_capacity_superstat_closed.
     """
     bt = as_beta(beta)
     qt = as_q(q)
@@ -284,10 +293,7 @@ def superstat_thermo(c: SpectrumCoefficients, beta, q, kB: float = 1.0,
                               Ss=kB * (lnZs + bv * Us), Fs=-lnZs / bv,
                               Cs=kB * bv * bv * d2ln, method="engine")
     if method == "closed":
-        logZs_closed: Callable[[float], float] = \
-            lambda x: log_superstat_partition_closed(c, x, qv, transcription)
-        Cs = kB * bv * bv * derivative(logZs_closed, bv, order=2, scale=bv,
-                                       positive_only=True)
+        Cs = heat_capacity_superstat_closed(c, bv, qv, kB, transcription)
         return SuperstatPoint(
             beta=bt, q=qt,
             Zs=superstat_partition_closed(c, bv, qv, transcription),

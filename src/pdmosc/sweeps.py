@@ -14,13 +14,10 @@ import numpy as np
 
 from .errors import SingularLimit
 from .numerics import Tolerance
-from .spectrum import OscillatorParams, coefficients
-from . import superstat, thermo
+from . import routes
 
-QUANTITIES = ("Energy", "Z", "U", "C", "S", "F", "Zs", "Us", "Ss", "Fs", "Cs")
+QUANTITIES = routes.QUANTITIES
 VARY_CHOICES = ("n", "alpha", "beta", "q")
-THERMO_SET = ("Z", "U", "C", "S", "F")
-SUPERSTAT_SET = ("Zs", "Us", "Ss", "Fs", "Cs")
 
 #: default sweep/preset tolerance; plots do not need 1e-12
 PRESET_TOL = Tolerance(rel=1e-10, abs=0.0, max_evals=400_000)
@@ -60,6 +57,8 @@ class SweepSpec:
             raise ValueError(f"varied parameter {self.vary!r} also appears in fixed")
         if len(self.values) < 2:
             raise ValueError("sweep needs at least 2 grid values")
+        if self.method not in routes.METHODS:
+            raise ValueError(f"unknown method {self.method!r}")
         if self.units not in ("natural", "si"):
             raise ValueError("units must be 'natural' or 'si'")
 
@@ -71,66 +70,16 @@ class SweepRow:
     warning: str = ""
 
 
-def _params(spec_units: str, alpha: float, fixed: dict) -> OscillatorParams:
-    if spec_units == "si":
-        kwargs = {}
-        if "m0" in fixed:
-            kwargs["m0"] = float(fixed["m0"])
-        if "omega" in fixed:
-            kwargs["omega"] = float(fixed["omega"])
-        return OscillatorParams.si(alpha=alpha, **kwargs)
-    return OscillatorParams(alpha=alpha)
-
-
-def _evaluate(quantity: str, p: OscillatorParams, values: dict, method: str,
-              transcription: str, b_convention: str, tol: Tolerance) -> float:
-    """One quantity at one fully specified point."""
-    c = coefficients(p, b_convention)
-    kB = p.kB
-    if quantity == "Energy":
-        return c.energy(int(values["n"]))
-    beta = values["beta"]
-    if quantity in THERMO_SET:
-        if quantity == "Z":
-            if method in ("sum", "engine"):
-                return thermo.partition_sum(c, beta, tol)
-            if method == "closed":
-                return thermo.partition_closed(c, beta)
-            return thermo.partition_quadrature(c, beta, method, tol)
-        if method == "closed":
-            pt = thermo.thermo_closed_point(c, beta, kB, transcription)
-        elif method in ("quad01", "quadinf"):
-            pt = thermo.thermo_from_logZ(thermo.log_partition(c, method, tol),
-                                         beta, kB, method)
-        else:  # sum / engine: the physical route
-            pt = thermo.thermo_sum_engine(c, beta, kB, tol)
-        return getattr(pt, quantity)
-    # superstatistics
-    q = values.get("q", 0.0)
-    if quantity == "Zs":
-        if method == "closed":
-            return superstat.superstat_partition_closed(c, beta, q, transcription)
-        return superstat.superstat_partition_quadrature(c, beta, q, tol)
-    spt = superstat.superstat_thermo(
-        c, beta, q, kB, tol,
-        method="closed" if method == "closed" else "engine",
-        transcription=transcription)
-    return getattr(spt, quantity)
-
-
 def run_sweep(spec: SweepSpec, tol: Tolerance = PRESET_TOL) -> list[SweepRow]:
     """Evaluate the sweep; a SingularLimit at one grid point becomes a null
     row with a warning instead of a crash."""
+    route = routes.ROUTES[(spec.quantity, spec.method)]
     rows = []
     for x in spec.values:
-        point = dict(spec.fixed)
-        point[spec.vary] = x
-        alpha = float(point.get("alpha", 0.0))
-        p = _params(spec.units, alpha, spec.fixed)
+        s = routes.state({**spec.fixed, spec.vary: x}, spec.units, spec.b_convention,
+                         spec.transcription, tol)
         try:
-            y = _evaluate(spec.quantity, p, point, spec.method,
-                          spec.transcription, spec.b_convention, tol)
-            rows.append(SweepRow(x=float(x), y=float(y)))
+            rows.append(SweepRow(x=float(x), y=float(route(s))))
         except SingularLimit:
             rows.append(SweepRow(x=float(x), y=None, warning="SingularLimit"))
     return rows

@@ -10,19 +10,16 @@ suite and cover only provable facts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .numerics import Tolerance, derivative
+from .numerics import Tolerance
 from .spectrum import OscillatorParams, coefficients
-from . import thermo
-from . import superstat
+from . import routes, superstat, thermo
 
-QUANTITIES = ("Z", "U", "C", "S", "F", "Zs", "Us", "Ss", "Fs", "Cs")
-THERMO_QUANTITIES = QUANTITIES[:5]
-SUPERSTAT_QUANTITIES = QUANTITIES[5:]
+QUANTITIES = routes.THERMO + routes.SUPERSTAT
 CLASSIFICATIONS = ("Agree", "Close", "Disagree", "PrintedNonFinite", "OracleNonFinite")
 
 _REL_FLOOR = 1e-300
@@ -101,11 +98,10 @@ def audit_grid(params_grid: Iterable = DEFAULT_ALPHAS,
     if not params or not betas or not qs:
         raise ValueError("grids must be nonempty")
 
-    thermo_rows: dict[tuple, dict] = {}
-    superstat_rows: dict[tuple, dict] = {}
-    for ia, p in enumerate(params):
+    reports: list[DiscrepancyReport] = []
+    for p in params:
         c = coefficients(p)
-        for ib, bv in enumerate(betas):
+        for bv in betas:
             if oracle_basis == "closed":
                 z_oracle = thermo.partition_quadrature(c, bv, "quad01", tol)
                 pt = thermo.thermo_from_logZ(thermo.log_partition(c, "closed"),
@@ -113,57 +109,28 @@ def audit_grid(params_grid: Iterable = DEFAULT_ALPHAS,
             else:
                 z_oracle = thermo.partition_sum(c, bv, tol)
                 pt = thermo.thermo_sum_engine(c, bv, kB, tol)
-            oracle = {"Z": z_oracle, "U": pt.U, "C": pt.C, "S": pt.S, "F": pt.F}
-            printed = {}
+            oracle = replace(pt, Z=z_oracle)
             for tr in thermo.TRANSCRIPTIONS:
-                printed[tr] = {
-                    "Z": thermo.partition_closed(c, bv),
-                    "U": thermo.mean_energy_closed(c, bv, tr),
-                    "C": thermo.heat_capacity_closed(c, bv, kB, tr),
-                    "S": thermo.entropy_closed(c, bv, kB, tr),
-                    "F": thermo.free_energy_closed(c, bv),
-                }
-            thermo_rows[(ia, ib)] = {"alpha": p.alpha, "beta": bv,
-                                     "oracle": oracle, "printed": printed}
-            for iq, qv in enumerate(qs):
+                reports += _closed_reports("thermo", routes.State(c, kB, bv, transcription=tr),
+                                           p.alpha, None, oracle)
+            for qv in qs:
                 spt = superstat.superstat_thermo(c, bv, qv, kB, tol, method="engine")
-                oracle_s = {"Zs": spt.Zs,
-                            "Us": spt.Us, "Ss": spt.Ss, "Fs": spt.Fs, "Cs": spt.Cs}
-                printed_s = {}
                 for tr in thermo.TRANSCRIPTIONS:
-                    cs_closed = kB * bv * bv * derivative(
-                        lambda x, _tr=tr: superstat.log_superstat_partition_closed(c, x, qv, _tr),
-                        bv, order=2, scale=bv, positive_only=True)
-                    printed_s[tr] = {
-                        "Zs": superstat.superstat_partition_closed(c, bv, qv, tr),
-                        "Us": superstat.mean_energy_superstat_closed(c, bv, qv, tr),
-                        "Ss": superstat.entropy_superstat_closed(c, bv, qv, kB, tr),
-                        "Fs": superstat.free_energy_superstat_closed(c, bv, qv, tr),
-                        "Cs": cs_closed,
-                    }
-                superstat_rows[(ia, ib, iq)] = {"alpha": p.alpha, "beta": bv, "q": qv,
-                                                "oracle": oracle_s, "printed": printed_s}
+                    reports += _closed_reports(
+                        "superstat", routes.State(c, kB, bv, qv, transcription=tr),
+                        p.alpha, qv, spt)
+    # a stable sort: within one quantity the rows keep their grid order
+    order = {qn: i for i, qn in enumerate(QUANTITIES)}
+    return sorted(reports, key=lambda r: order[r.quantity])
 
-    reports: list[DiscrepancyReport] = []
-    for quantity in THERMO_QUANTITIES:
-        for ia in range(len(params)):
-            for ib in range(len(betas)):
-                row = thermo_rows[(ia, ib)]
-                for tr in thermo.TRANSCRIPTIONS:
-                    reports.append(_report(quantity, row["alpha"], row["beta"], None,
-                                           tr, row["printed"][tr][quantity],
-                                           row["oracle"][quantity]))
-    for quantity in SUPERSTAT_QUANTITIES:
-        for ia in range(len(params)):
-            for ib in range(len(betas)):
-                for iq in range(len(qs)):
-                    row = superstat_rows[(ia, ib, iq)]
-                    for tr in thermo.TRANSCRIPTIONS:
-                        reports.append(_report(quantity, row["alpha"], row["beta"],
-                                               row["q"], tr,
-                                               row["printed"][tr][quantity],
-                                               row["oracle"][quantity]))
-    return reports
+
+def _closed_reports(family: str, s: routes.State, alpha: float, q: float | None,
+                    oracle) -> list[DiscrepancyReport]:
+    """The closed-route point of the family at s, quantity by quantity,
+    against the oracle point."""
+    printed = routes.POINTS[family]["closed"](s)
+    return [_report(qn, alpha, s.beta, q, s.transcription, getattr(printed, qn),
+                    getattr(oracle, qn)) for qn in routes.FIELDS[family]]
 
 
 AUDIT_CSV_HEADER = "quantity,alpha,beta,q,transcription,printed,oracle,rel_diff,classification"

@@ -118,6 +118,14 @@ def test_integrate_nonconvergence():
                          Tolerance(rel=1e-30, abs=0.0, max_evals=200))
 
 
+def test_integrate_rejects_scalar_integrand():
+    # integrands must be array-valued; one value for all nodes is refused
+    with pytest.raises(ValueError):
+        integrate_finite(lambda x: 1.0, 0.0, 1.0, TOL)
+    with pytest.raises(ValueError):
+        integrate_semi_infinite(lambda n: 0.5, 0.0, TOL)
+
+
 def test_integrate_rejects_reversed_bounds():
     with pytest.raises(ValueError):
         integrate_finite(lambda x: x, 1.0, 0.0, TOL)

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from pdmosc import DomainEdge, cli, superstat, sweeps
+from pdmosc import DomainEdge, OscillatorParams, cli, energy_level, routes, superstat, sweeps
 from pdmosc.sweeps import FigurePreset, PRESETS, SweepSpec, figure_preset, run_sweep
 
 
@@ -18,6 +18,8 @@ def test_sweepspec_validation():
         SweepSpec(quantity="Z", vary="beta", values=(1.0,))
     with pytest.raises(ValueError):
         SweepSpec(quantity="Z", vary="temperature", values=(1.0, 2.0))
+    with pytest.raises(ValueError):
+        SweepSpec(quantity="U", vary="beta", values=(1.0, 2.0), method="bogus")
 
 
 def test_energy_sweep_increasing():
@@ -144,6 +146,42 @@ def test_cli_sweep_json(capsys):
     assert rows[3]["Energy"] > rows[0]["Energy"]
 
 
+@pytest.mark.parametrize("levels", ["0,1.5", "-1,0"])
+def test_cli_energy_sweep_rejects_non_levels(levels, capsys):
+    # n must be a nonnegative integer, as for energy_level
+    assert cli.main(["sweep", "Energy", "--vary", "n", f"--range={levels}"]) == 2
+    assert "nonnegative integer" in capsys.readouterr().err
+
+
+def _fields(out: str) -> dict:
+    return dict(line.split("=", 1) for line in out.strip().split("\n"))
+
+
+@pytest.mark.parametrize("quantity,method", sorted(routes.ROUTES))
+def test_route_table_sweep_matches_point(quantity, method, capsys):
+    # one state, every (quantity, method) the CLI accepts: the sweep row is
+    # the field point prints; a superstat point is closed or the engine
+    state = ["--alpha", "0.3"] + (["--q", "0.5"] if quantity in routes.SUPERSTAT else [])
+    code, out = run_cli(["sweep", quantity, "--vary", "beta", "--range", "2,3",
+                         "--method", method] + state, capsys)
+    assert code == 0
+    swept = out.split("\n")[1].split(",")[1]
+    if quantity == "Energy":
+        assert float(swept) == energy_level(OscillatorParams(alpha=0.3), 0)
+        return
+    if quantity in routes.SUPERSTAT and method != "closed":
+        method = "engine"
+    code, out = run_cli(["point", "--beta", "2", "--method", method] + state, capsys)
+    assert code == 0
+    printed = _fields(out)[quantity]
+    if quantity == "Z" and method != "closed":
+        # partition_sum and the engine's exp(g - beta E0), or the quadrature
+        # and thermo_from_logZ's exp(ln Z), differ in the last bits
+        assert float(swept) == pytest.approx(float(printed), rel=1e-12)
+    else:
+        assert swept == printed
+
+
 def test_cli_sweep_null_rows(capsys):
     code, out = run_cli(["sweep", "Z", "--vary", "beta", "--range", "1:2:3",
                          "--alpha", "0", "--method", "closed"], capsys)
@@ -180,6 +218,23 @@ def test_cli_config_file(tmp_path, capsys):
     fields2 = dict(line.split("=", 1) for line in out2.strip().split("\n"))
     assert float(fields2["beta"]) == 4.0
     assert float(fields2["Z"]) < float(fields["Z"])
+
+
+def test_cli_flag_at_its_default_beats_config(tmp_path, capsys):
+    conf = tmp_path / "pdmosc.conf"
+    conf.write_text("beta = 4\n")
+    code, out = run_cli(["point", "--config", str(conf), "--beta", "1"], capsys)
+    assert code == 0
+    assert "beta=1\n" in out
+
+
+def test_cli_config_values_validated_like_flags(tmp_path, capsys):
+    conf = tmp_path / "pdmosc.conf"
+    conf.write_text("method = bogus\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["point", "--config", str(conf)])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
 def test_cli_bad_config_key(tmp_path, capsys):

@@ -1,22 +1,26 @@
-"""Thermodynamics from the derivative engine, and the two transcriptions of
-the typeset closed forms.
+"""Thermodynamics from exact Boltzmann moments, and the two transcriptions
+of the typeset closed forms.
 
-The engine differentiates ln Z numerically and applies the standard
-identities; it is the ground truth.  The typeset closed forms for U, C, S
-carry typos, so each comes in a 'verbatim' reading (exactly as typeset) and
-a 'corrected' reading (the algebraically consistent one).  Watch them
-agree and disagree with the engine.
+The ground truth sums the level populations directly: U is the mean
+energy and C = beta^2 Var E, with no numerical differentiation.  The
+typeset closed forms for U, C, S carry typos, so each comes in a
+'verbatim' reading (exactly as typeset) and a 'corrected' reading (the
+algebraically consistent one).  Watch them agree and disagree with the
+derivative engine, which differentiates ln Z_closed numerically and so
+checks each closed form against its own Z.
 """
 
+from functools import partial
+
 from pdmosc import (OscillatorParams, Tolerance, coefficients, entropy_closed,
-                    heat_capacity_closed, log_partition, mean_energy_closed,
+                    heat_capacity_closed, log_partition_closed, mean_energy_closed,
                     thermo_from_logZ)
 from pdmosc.thermo import thermo_sum_engine
 
 tol = Tolerance(rel=1e-14, abs=0.0, max_evals=200_000)
 c = coefficients(OscillatorParams(alpha=0.3))
 
-print("physical route (sum + derivative engine), alpha = 0.3:")
+print("physical route (exact moments of the level sum), alpha = 0.3:")
 print(f"{'beta':>5} {'U':>12} {'C':>12} {'S':>12} {'F':>12}")
 for beta in (0.2, 0.5, 1.0, 2.0, 5.0):
     pt = thermo_sum_engine(c, beta, 1.0, tol)
@@ -24,7 +28,7 @@ for beta in (0.2, 0.5, 1.0, 2.0, 5.0):
 
 print("\nclosed-form transcriptions vs the engine on ln Z_closed, beta = 2:")
 beta = 2.0
-engine = thermo_from_logZ(log_partition(c, "closed"), beta, 1.0, "closed")
+engine = thermo_from_logZ(partial(log_partition_closed, c), beta, 1.0, "closed")
 rows = [
     ("U", mean_energy_closed(c, beta, "verbatim"),
      mean_energy_closed(c, beta, "corrected"), engine.U),

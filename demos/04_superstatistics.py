@@ -2,8 +2,10 @@
 
 B_E^(q) = e^{-beta E} (1 + (q/2) beta^2 E^2) weights high-energy states up;
 q = 0 recovers classical statistics.  Ground truth is semi-infinite
-quadrature of the deformed factor; the typeset closed Z_s turns out to be
-exact (in its standalone '-' sign variant), which the last table shows.
+quadrature of the deformed factor and of its exact beta-derivatives, which
+give U_s and C_s without numerical differentiation; the typeset closed Z_s
+turns out to be exact (in its standalone '-' sign variant), which the last
+table shows.
 """
 
 import math
@@ -27,7 +29,7 @@ for beta in (0.5, 1.0, 2.0):
     vals = [superstat_partition_quadrature(c, beta, q, tol) for q in (0.0, 0.5, 1.0)]
     print(f"{beta:5.1f} " + " ".join(f"{v:10.6f}" for v in vals))
 
-print("\nsuperstatistical thermodynamics via the derivative engine, q = 0.5:")
+print("\nsuperstatistical thermodynamics from exact moments, q = 0.5:")
 print(f"{'beta':>5} {'Zs':>12} {'Us':>12} {'Ss':>12} {'Fs':>12} {'Cs':>12}")
 for beta in (0.5, 1.0, 2.0, 5.0):
     pt = superstat_thermo(c, beta, 0.5, 1.0, tol, method="engine")

@@ -63,18 +63,23 @@ def _config_tokens(args: argparse.Namespace) -> list[str]:
     return tokens
 
 
-def _add_common(sub, *, point_flags=True):
-    if point_flags:
-        sub.add_argument("--alpha", type=float, default=0.0)
-        sub.add_argument("--beta", type=float, default=1.0)
-        sub.add_argument("--q", type=float, default=None)
-        sub.add_argument("--n", type=int, default=0)
+def _add_point_flags(sub):
+    """The flags that set one evaluation point and its route."""
+    sub.add_argument("--alpha", type=float, default=0.0)
+    sub.add_argument("--beta", type=float, default=1.0)
+    sub.add_argument("--q", type=float, default=None)
+    sub.add_argument("--n", type=int, default=0)
     sub.add_argument("--method", default=None, choices=list(routes.METHODS))
     sub.add_argument("--transcription", default="verbatim",
                      choices=["verbatim", "corrected"])
     sub.add_argument("--units", default="natural", choices=["natural", "si"])
     sub.add_argument("--b-convention", dest="b_convention", default="spectrum",
                      choices=["spectrum", "compact"])
+    _add_common(sub)
+
+
+def _add_common(sub):
+    """The output, tolerance and config flags every verb reads."""
     sub.add_argument("--out", default=None, help="output path (default stdout)")
     sub.add_argument("--format", dest="format", default="csv", choices=["csv", "json"])
     sub.add_argument("--tol-rel", dest="tol_rel", type=float, default=None)
@@ -94,17 +99,19 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--vary", required=True, choices=list(sweeps.VARY_CHOICES))
     sweep.add_argument("--range", dest="range", required=True,
                        help="lo:hi:count, log:lo:hi:count, or v1,v2,...")
-    _add_common(sweep)
+    _add_point_flags(sweep)
 
     figure = subs.add_parser("figure", help="emit one figure preset")
     figure.add_argument("id", choices=list(sweeps.FIGURE_IDS))
-    _add_common(figure, point_flags=False)
+    _add_common(figure)
 
     audit = subs.add_parser("audit", help="printed-vs-oracle discrepancy atlas")
-    _add_common(audit, point_flags=False)
+    audit.add_argument("--method", default="closed", choices=["closed", "sum"],
+                       help="oracle basis of the thermo quantities")
+    _add_common(audit)
 
     point = subs.add_parser("point", help="one state as key=value lines")
-    _add_common(point)
+    _add_point_flags(point)
     return parser
 
 
@@ -165,8 +172,7 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    basis = "sum" if args.method == "sum" else "closed"
-    reports = verify.audit_grid(tol=_tolerance(args, rel=3e-13), oracle_basis=basis)
+    reports = verify.audit_grid(tol=_tolerance(args, rel=3e-13), oracle_basis=args.method)
     if args.format == "json":
         _emit(json.dumps([asdict(r) for r in reports], indent=1) + "\n", args.out)
     else:

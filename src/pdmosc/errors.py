@@ -19,7 +19,3 @@ class SingularLimit(PdmoscError):
 
 class DomainEdge(PdmoscError):
     """A differentiation stencil would leave the function's positive domain."""
-
-
-class Underflow(PdmoscError):
-    """A quantity whose logarithm is needed underflowed to zero."""

@@ -177,11 +177,10 @@ def _gk15(fx: np.ndarray, half: np.ndarray):
     values (list) and the error estimates (array).  Each panel's results
     depend on its own row only, never on the batch it is evaluated in."""
     # Each Kronrod sum stays its own 15-term dot product.  A matrix-vector
-    # product (fx @ _WGK) accumulates in another order and moves the last
-    # bit of panel values; the second-difference C_s oracle magnifies that
-    # by ~1e8, past the atlas tolerance.  The Gauss and |f| sums only feed
-    # the error estimate, so they are vectorised, as sequential running
-    # sums: BLAS gemv rounds a row differently depending on the batch size.
+    # product (fx @ _WGK) rounds a row differently depending on the batch
+    # size, and each batch row must equal its single-row call bit for bit.
+    # The Gauss and |f| sums only feed the error estimate, so they are
+    # vectorised, as sequential running sums, which keep that property.
     resk = [h * float(_kronrod_dot(row)) for h, row in zip(half.tolist(), fx)]
     resg = half * np.add.accumulate(fx[:, 1::2] * _WG, axis=1)[:, -1]
     resabs = half * np.add.accumulate(np.abs(fx * _WGK), axis=1)[:, -1]
@@ -244,35 +243,28 @@ def _adaptive_rows(g, nrows: int, lo: float, hi: float,
     return [QuadratureResult(v, e, n) for v, e, n in zip(total_val, total_err, evals)]
 
 
-def integrate_finite(f: Callable[[float], float], lo: float, hi: float,
-                     tol: Tolerance = Tolerance()) -> QuadratureResult:
-    """Adaptive bisection with an embedded 15-point Gauss-Kronrod rule.
+_TAIL_PROBES = (0.90, 0.93, 0.96, 0.99)
 
-    f must be array-valued: it maps an array of nodes to the array of its
-    values, elementwise.
-    Raises NonConvergence when tol.max_evals evaluations are exhausted
-    before the summed error estimate meets the tolerance.
+
+def integrate_batch(f, nrows: int, lo: float, hi: float,
+                    tol: Tolerance = Tolerance()) -> list[QuadratureResult]:
+    """Integrate nrows integrands over [lo, hi] in one lockstep adaptive
+    run; hi = inf integrates [lo, inf) through the map n = lo + t/(1-t),
+    t in [0, 1).  Row r of the result is exactly the single-row call on
+    integrand r alone.
+
+    f(n, rows) evaluates integrand rows[j] at n[j] for an int array rows
+    and n of shape (len(rows), m).  On [lo, inf) the integrands must decay
+    faster than 1/n^2: NonDecaying is raised when a row's sampled values
+    increase across the last decade of the map.  NonConvergence is raised
+    as the single-row call of the first failing row would.
     """
     if lo > hi:
         raise ValueError("lo must not exceed hi")
     if lo == hi:
-        return QuadratureResult(0.0, 0.0, 0)
-    return _adaptive_rows(_one_row(f), 1, lo, hi, tol)[0]
-
-
-_TAIL_PROBES = (0.90, 0.93, 0.96, 0.99)
-
-
-def integrate_semi_infinite_batch(f, nrows: int, lo: float,
-                                  tol: Tolerance = Tolerance()) -> list[QuadratureResult]:
-    """Integrate nrows integrands over [lo, inf) in one lockstep adaptive
-    run; row r of the result is exactly integrate_semi_infinite of
-    integrand r alone.
-
-    f(n, rows) evaluates integrand rows[j] at n[j] for an int array rows
-    and n of shape (len(rows), m).  Raises NonDecaying or NonConvergence
-    as the single-row call of the first failing row would.
-    """
+        return [QuadratureResult(0.0, 0.0, 0)] * nrows
+    if hi < math.inf:
+        return _adaptive_rows(f, nrows, lo, hi, tol)
     t = np.array(_TAIL_PROBES)
     probes = np.abs(f(np.tile(lo + t / (1.0 - t), (nrows, 1)), np.arange(nrows)))
     if np.all(probes[:, 1:] > probes[:, :-1], axis=1).any():
@@ -286,6 +278,18 @@ def integrate_semi_infinite_batch(f, nrows: int, lo: float,
             for r in _adaptive_rows(g, nrows, 0.0, 1.0, tol)]
 
 
+def integrate_finite(f: Callable[[float], float], lo: float, hi: float,
+                     tol: Tolerance = Tolerance()) -> QuadratureResult:
+    """Adaptive bisection with an embedded 15-point Gauss-Kronrod rule.
+
+    f must be array-valued: it maps an array of nodes to the array of its
+    values, elementwise.
+    Raises NonConvergence when tol.max_evals evaluations are exhausted
+    before the summed error estimate meets the tolerance.
+    """
+    return integrate_batch(_one_row(f), 1, lo, hi, tol)[0]
+
+
 def integrate_semi_infinite(f: Callable[[float], float], lo: float,
                             tol: Tolerance = Tolerance()) -> QuadratureResult:
     """Integrate f over [lo, inf) via the map n = lo + t/(1-t), t in [0, 1).
@@ -293,7 +297,7 @@ def integrate_semi_infinite(f: Callable[[float], float], lo: float,
     Requires f to decay faster than 1/n^2; raises NonDecaying when the
     sampled values increase across the last decade of the map.
     """
-    return integrate_semi_infinite_batch(_one_row(f), 1, lo, tol)[0]
+    return integrate_batch(_one_row(f), 1, lo, math.inf, tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +311,7 @@ def sum_decaying(term: Callable[[int], float], tail_bound: Callable[[int], float
 
     tail_bound(N) must bound sum_{n>N} term(n) from above.  Terms are
     accumulated with Kahan compensation so the rounding error stays at
-    machine level regardless of term count (the derivative engine
-    differentiates these sums and is sensitive to evaluation noise).
+    machine level regardless of term count.
     """
     s = 0.0
     comp = 0.0
@@ -328,20 +331,15 @@ def sum_decaying(term: Callable[[int], float], tail_bound: Callable[[int], float
 # Numerical differentiation
 # ---------------------------------------------------------------------------
 
-def stencil(x: float, order: int, scale: float,
-            positive_only: bool = False) -> tuple[float, list[float]]:
-    """Step h and abscissae of the derivative stencil at x: the pairs
-    x +- 4h, x +- 2h, x +- h in that order, preceded by x itself for
-    order 2.
+def derivative(f: Callable[[float], float], x: float, order: int,
+               scale: float, positive_only: bool = False) -> float:
+    """First or second derivative by central differences at steps 4h, 2h
+    and h with two levels of Richardson extrapolation.
 
-    The step is scale*eps^(1/5) (order 1) or scale*eps^(1/6) (order 2):
-    the optimal truncation/roundoff balance for the twice
-    Richardson-extrapolated stencil, whose truncation error is O(h^6) --
-    the familiar eps^(1/3), eps^(1/4) exponents are the optima of the bare
-    stencil and leave ~100x more roundoff noise here.  The two refinement
-    levels extrapolate over the doubled steps 2h and 4h so the optimal h
-    stays the smallest one used.  With positive_only, refuses stencils
-    reaching x - 4h <= 0.
+    h = scale*eps^(1/5) (order 1) or scale*eps^(1/6) (order 2) balances
+    roundoff against the O(h^6) truncation of the extrapolated stencil
+    (the bare stencil's eps^(1/3), eps^(1/4) leave ~100x more noise).  With
+    positive_only, refuses stencils reaching x - 4h <= 0.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
@@ -350,30 +348,17 @@ def stencil(x: float, order: int, scale: float,
     h = scale * (_EPS ** 0.2 if order == 1 else _EPS ** (1.0 / 6.0))
     if positive_only and x - 4.0 * h <= 0.0:
         raise DomainEdge(f"stencil of width {4 * h:.3e} leaves the positive domain at x={x:.3e}")
-    h2, h4 = 2.0 * h, 4.0 * h
-    xs = [x + h4, x - h4, x + h2, x - h2, x + h, x - h]
-    return h, ([x] + xs if order == 2 else xs)
 
-
-def richardson(fx: list[float], order: int, h: float) -> float:
-    """First or second derivative from f sampled at the abscissae of
-    stencil(), in its order: central differences at steps 4h, 2h and h,
-    extrapolated twice."""
-    steps = (4.0 * h, 2.0 * h, h)
     if order == 1:
-        a0, a1, a2 = [(p - m) / (2.0 * s) for p, m, s in zip(fx[0::2], fx[1::2], steps)]
+        def d0(step):
+            return (f(x + step) - f(x - step)) / (2.0 * step)
     else:
-        f0 = fx[0]
-        a0, a1, a2 = [(p - 2.0 * f0 + m) / (s * s)
-                      for p, m, s in zip(fx[1::2], fx[2::2], steps)]
+        f0 = f(x)
+
+        def d0(step):
+            return (f(x + step) - 2.0 * f0 + f(x - step)) / (step * step)
+
+    a0, a1, a2 = d0(4.0 * h), d0(2.0 * h), d0(h)
     r0 = (4.0 * a1 - a0) / 3.0
     r1 = (4.0 * a2 - a1) / 3.0
     return (16.0 * r1 - r0) / 15.0
-
-
-def derivative(f: Callable[[float], float], x: float, order: int,
-               scale: float, positive_only: bool = False) -> float:
-    """First or second derivative by central differences with two levels of
-    Richardson extrapolation, f sampled on the stencil() abscissae."""
-    h, xs = stencil(x, order, scale, positive_only)
-    return richardson([f(xi) for xi in xs], order, h)

@@ -5,7 +5,7 @@
 State.  The alias policy lives here only: Energy is the level E_n on every
 method; for thermo, ``engine`` is the sum route; for superstat, every
 method but ``closed`` is the semi-infinite quadrature (Z_s) or its
-derivative engine (U_s, S_s, F_s, C_s).  A quantity uses its own function
+moment engine (U_s, S_s, F_s, C_s).  A quantity uses its own function
 where one exists (Z and Z_s on every route, each typeset closed form) and
 its field of the whole point otherwise.  Functions are looked up as module
 attributes (``thermo.partition_sum``) at call time, so wrappers installed
@@ -56,11 +56,6 @@ def state(values: dict, units: str = "natural", b_convention: str = "spectrum",
                  values.get("q", 0.0), values.get("n", 0), transcription, tol)
 
 
-def _quad_point(m: str) -> Callable:
-    return lambda s: thermo.thermo_from_logZ(thermo.log_partition(s.c, m, s.tol),
-                                             s.beta, s.kB, m)
-
-
 def _superstat_point(m: str) -> Callable:
     return lambda s: superstat.superstat_thermo(s.c, s.beta, s.q, s.kB, s.tol, method=m,
                                                 transcription=s.transcription)
@@ -80,8 +75,8 @@ POINTS: dict[str, dict[str, Callable]] = {
         "sum": _sum_point,
         "engine": _sum_point,
         "closed": lambda s: thermo.thermo_closed_point(s.c, s.beta, s.kB, s.transcription),
-        "quad01": _quad_point("quad01"),
-        "quadinf": _quad_point("quadinf"),
+        **{m: (lambda s, m=m: thermo.thermo_quadrature(s.c, s.beta, m, s.kB, s.tol))
+           for m in ("quad01", "quadinf")},
     },
     "superstat": {m: _superstat_point("closed" if m == "closed" else "engine")
                   for m in METHODS},

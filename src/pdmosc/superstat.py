@@ -2,13 +2,16 @@
 partition function (quadrature and typeset closed form), and the deformed
 thermodynamic quantities.
 
-Ground truth is the quadrature route; the typeset closed forms are
-reproduction targets.  The typeset Z_s appears twice in the source
-expressions with conflicting signs of its 2 a^3 sqrt(b) beta term;
-``verbatim`` carries the standalone variant (minus), ``corrected`` the
-variant restated inside the free energy (plus).  The typeset U_s and S_s
-restate each other with further conflicting monomials; again both readings
-are carried and the verify module adjudicates empirically.
+Ground truth is the quadrature route: Z_s, U_s and C_s come from the
+exact beta-moments of the deformed factor, integrated as one batch in the
+ground-state gauge (``superstat_thermo`` with method 'engine'); the
+typeset closed forms are reproduction targets.  The typeset Z_s appears
+twice in the source expressions with conflicting signs of its
+2 a^3 sqrt(b) beta term; ``verbatim`` carries the standalone variant
+(minus), ``corrected`` the variant restated inside the free energy (plus).
+The typeset U_s and S_s restate each other with further conflicting
+monomials; again both readings are carried and the verify module
+adjudicates empirically.
 
 All closed forms are arranged so that algebraically cancelling e^{x1^2}
 factors never appear; genuinely non-cancelling ones (transcription defects)
@@ -22,12 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Underflow
-from .numerics import (Tolerance, derivative, erfcx, integrate_semi_infinite,
-                       integrate_semi_infinite_batch, richardson, stencil)
+from .numerics import Tolerance, derivative, erfcx, integrate_semi_infinite
 from .spectrum import SpectrumCoefficients
-from .thermo import (B_MIN, Beta, _check_transcription, _exp,
-                     _require_regular, as_beta)
+from .thermo import (B_MIN, Beta, _check_transcription, _exp, _factor_q,
+                     _quadrature_moments, _require_regular, as_beta)
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -68,12 +69,6 @@ def boltzmann_factor_q(E, beta, q) -> float:
     Accepts numpy arrays in E transparently.
     """
     return _factor_q(E, as_beta(beta).value, as_q(q).q)
-
-
-def _factor_q(E, bv, qv: float):
-    """boltzmann_factor_q unchecked; bv may be an array broadcasting with E."""
-    be = bv * E
-    return np.exp(-be) * (1.0 + 0.5 * qv * be * be)
 
 
 def superstat_partition_quadrature(c: SpectrumCoefficients, beta, q,
@@ -264,9 +259,11 @@ def superstat_thermo(c: SpectrumCoefficients, beta, q, kB: float = 1.0,
                      transcription: str = "verbatim") -> SuperstatPoint:
     """All superstatistical quantities at one (beta, q).
 
-    method 'engine' differentiates ln of the quadrature Z_s (ground truth),
-    integrating all 13 stencil points in one batched quadrature; its Zs is
-    the quadrature value at beta itself.
+    method 'engine' (ground truth) takes Z_s, U_s and C_s from the exact
+    beta-moments of the deformed factor over n in [0, inf), rows of one
+    batched quadrature in the ground-state gauge, so U_s, S_s, F_s and C_s
+    stay finite where Z_s itself underflows; Z_s is the quadrature of the
+    factor, bit for bit superstat_partition_quadrature.
     method 'closed' evaluates the typeset Z_s, U_s, S_s, F_s and
     heat_capacity_superstat_closed.
     """
@@ -274,24 +271,8 @@ def superstat_thermo(c: SpectrumCoefficients, beta, q, kB: float = 1.0,
     qt = as_q(q)
     bv, qv = bt.value, qt.q
     if method == "engine":
-        h1, xs1 = stencil(bv, 1, bv, positive_only=True)
-        h2, xs2 = stencil(bv, 2, bv, positive_only=True)
-        betas = list(dict.fromkeys(xs2 + xs1))  # bv first, 13 distinct points
-        bcol = np.array(betas)[:, None]
-        # row r is superstat_partition_quadrature at betas[r], bit for bit
-        zs = [r.value for r in integrate_semi_infinite_batch(
-            lambda n, rows: _factor_q(c.energy(n), bcol[rows], qv), len(betas), 0.0, tol)]
-        for x, z in zip(betas, zs):
-            if z == 0.0:
-                raise Underflow(f"Z_s underflows to 0 at beta={x:.6g} in the derivative "
-                                f"stencil of beta={bv:.6g}; ln Z_s is not representable")
-        lnz = {x: math.log(z) for x, z in zip(betas, zs)}
-        lnZs = lnz[bv]
-        Us = -richardson([lnz[x] for x in xs1], 1, h1)
-        d2ln = richardson([lnz[x] for x in xs2], 2, h2)
-        return SuperstatPoint(beta=bt, q=qt, Zs=zs[0], Us=Us,
-                              Ss=kB * (lnZs + bv * Us), Fs=-lnZs / bv,
-                              Cs=kB * bv * bv * d2ln, method="engine")
+        Zs, Us, Cs, Ss, Fs = _quadrature_moments(c, bv, qv, math.inf, kB, tol)
+        return SuperstatPoint(bt, qt, Zs, Us, Ss, Fs, Cs, method="engine")
     if method == "closed":
         Cs = heat_capacity_superstat_closed(c, bv, qv, kB, transcription)
         return SuperstatPoint(

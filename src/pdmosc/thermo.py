@@ -4,9 +4,11 @@ S, F.
 
 Two evaluation families coexist deliberately:
 
-* the derivative engine (``thermo_from_logZ``) applies the standard
-  identities to any log-partition provider by numerical differentiation --
-  this is the ground-truth path;
+* the ground truth takes U = <E> and C = kB beta^2 Var E from exact
+  Boltzmann moments in the ground-state gauge, summed over the levels
+  (``thermo_sum_engine``, the physical route) or integrated over continuous
+  n (``thermo_quadrature``); ``thermo_from_logZ`` differentiates ln Z_closed
+  numerically instead, the audit's internal-consistency oracle;
 * the closed-form evaluators reproduce the typeset expressions for U, C, S,
   F.  Those expressions carry typesetting defects, so each is available in
   two transcriptions: ``verbatim`` (exactly as typeset, including suspected
@@ -21,14 +23,15 @@ n in [0, 1] -- not the full sum; ``partition_sum`` is the physical route.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import SingularLimit
-from .numerics import Tolerance, derivative, erf, erfcx, integrate_finite, \
-    integrate_semi_infinite, sum_decaying
+from .numerics import Tolerance, derivative, erf, erfcx, integrate_batch, \
+    integrate_finite, integrate_semi_infinite, sum_decaying
 from .spectrum import SpectrumCoefficients
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -121,12 +124,6 @@ def partition_sum(c: SpectrumCoefficients, beta, tol: Tolerance = Tolerance()) -
     return math.exp(-bv * c.energy(0)) * (1.0 + _reduced_sum_tail(c, bv, tol))
 
 
-def log_partition_sum(c: SpectrumCoefficients, beta, tol: Tolerance = Tolerance()) -> float:
-    """ln Z via the ground-state-reduced sum; immune to exp underflow."""
-    bv = as_beta(beta).value
-    return -bv * c.energy(0) + math.log1p(_reduced_sum_tail(c, bv, tol))
-
-
 def _xargs(c: SpectrumCoefficients, bv: float):
     """Common erf arguments x1 <= x2 and the stabilized difference
     Dx = e^{x1^2} (erf(x2) - erf(x1))."""
@@ -183,16 +180,103 @@ def partition_quadrature(c: SpectrumCoefficients, beta, range_: str = "quad01",
     raise ValueError("range_ must be 'quad01' or 'quadinf'")
 
 
-def log_partition(c: SpectrumCoefficients, method: str,
-                  tol: Tolerance = Tolerance()) -> Callable[[float], float]:
-    """A log-partition provider beta -> ln Z for the requested route."""
-    if method == "sum":
-        return lambda bv: log_partition_sum(c, bv, tol)
-    if method == "closed":
-        return lambda bv: log_partition_closed(c, bv)
-    if method in ("quad01", "quadinf"):
-        return lambda bv: math.log(partition_quadrature(c, bv, method, tol))
-    raise ValueError(f"unknown method {method!r}")
+# ---------------------------------------------------------------------------
+# Ground truth from exact Boltzmann moments
+# ---------------------------------------------------------------------------
+
+def thermo_sum_engine(c: SpectrumCoefficients, beta, kB: float = 1.0,
+                      tol: Tolerance = Tolerance()) -> ThermoPoint:
+    """Ground truth on the sum route: U = E_0 + <D> and C = kB beta^2 Var D
+    from the exact moments of D_n = E_n - E_0 >= 0 over the Boltzmann
+    distribution of the levels, by guarded summation, with
+    g = ln sum_n exp(-beta D_n) = ln Z + beta E_0 giving Z = exp(g - beta E_0),
+    S = kB (g + beta <D>) and F = E_0 - g/beta.  Moments of D never suffer
+    the <E^2> - <E>^2 cancellation, so C stays accurate where it is
+    exponentially small and |ln Z| is large.  The weighted sums' tail
+    bounds use the envelope D^k exp(-beta D) <= (2k/(e beta))^k exp(-beta D / 2)."""
+    bt = as_beta(beta)
+    bv = bt.value
+    e0 = c.energy(0)
+    tail = _reduced_sum_tail(c, bv, tol)
+    zred = 1.0 + tail
+
+    def reduced_moment(k: int) -> float:
+        cap = (2.0 * k / (math.e * bv)) ** k
+        bound = lambda N: cap * _tail_bound_reduced(c, bv / 2.0, N)
+        term = lambda n: (c.energy(n) - e0) ** k * math.exp(-bv * (c.energy(n) - e0))
+        return sum_decaying(term, bound, tol)
+
+    d1 = reduced_moment(1) / zred
+    var = reduced_moment(2) / zred - d1 * d1
+    g = math.log1p(tail)
+    return ThermoPoint(beta=bt, Z=math.exp(g - bv * e0), U=e0 + d1,
+                       C=kB * bv * bv * var, S=kB * (g + bv * d1),
+                       F=e0 - g / bv, method="sum")
+
+
+def _factor_q(E, bv, qv: float):
+    """The deformed Boltzmann factor e^{-beta E}(1 + (q/2) beta^2 E^2),
+    unchecked; bv may be an array broadcasting with E."""
+    be = bv * E
+    return np.exp(-be) * (1.0 + 0.5 * qv * be * be)
+
+
+#: row k < 3 of the moment integrand is e^{-beta D} E^k (1 + q (A_k + B_k x + x^2/2))
+_ROW_A = np.array([0.0, 0.0, 1.0, 0.0])
+_ROW_B = np.array([0.0, -1.0, -2.0, 0.0])
+
+
+def _quadrature_moments(c: SpectrumCoefficients, bv: float, qv: float, hi: float,
+                        kB: float, tol: Tolerance):
+    """(Z, U, C, S, F) of the weight e^{-beta E}(1 + (q/2) beta^2 E^2) over
+    n in [0, hi] (q = 0: the Boltzmann weight), from its exact moments
+    M_0, M_1 = -dM_0/dbeta, M_2 = d^2 M_0/dbeta^2: rows of one batched
+    quadrature in the ground-state gauge, e^{-beta D} with D = E - E_0 in
+    place of e^{-beta E}.  With x = beta E the rows are
+        e^{-beta D} (1 + q x^2/2),
+        e^{-beta D} E (1 - q x + q x^2/2),
+        e^{-beta D} E^2 (1 + q - 2 q x + q x^2/2),
+    each >= 0 for q in [0, 1], so each row's relative tolerance means
+    something.  Then U = M_1/M_0 and d^2 ln Z/d beta^2 = M_2/M_0 - U^2.
+    A fourth row integrates the weight itself, so that Z is bit for bit the
+    single quadrature of the weight (partition_quadrature,
+    superstat_partition_quadrature) and F = -ln(Z)/beta exactly; where Z
+    falls below the normal range, ln Z = ln M_0 - beta E_0 keeps S and F
+    finite.
+
+    The moment rows fall only once beta E exceeds about 5.3; at small beta
+    that lies beyond the tail probes of integrate_batch, so on [0, inf)
+    they are integrated over n = s m, with s >= 1 the smallest scale that
+    puts beta D = 8 at or before the probe m = 24."""
+    e0 = c.energy(0)
+    s = 1.0
+    if hi == math.inf:
+        lin, level = c.a + 2.0 * c.b, 8.0 / bv  # D(n) = b n^2 + (a + 2b) n
+        s = max(1.0, 2.0 * level / (lin + math.sqrt(lin * lin + 4.0 * c.b * level)) / 24.0)
+
+    def rows(n, r):
+        k = r[:, None]
+        e = c.energy(np.where(k == 3, n, s * n))
+        x = bv * e
+        moment = np.exp(-bv * (e - e0)) * e ** k \
+            * (1.0 + qv * (_ROW_A[k] + _ROW_B[k] * x + 0.5 * x * x))
+        return np.where(k == 3, _factor_q(e, bv, qv), s * moment)
+
+    m0, m1, m2, z = (r.value for r in integrate_batch(rows, 4, 0.0, hi, tol))
+    lnz = math.log(z) if z >= sys.float_info.min else math.log(m0) - bv * e0
+    u = m1 / m0
+    return z, u, kB * bv * bv * (m2 / m0 - u * u), kB * (lnz + bv * u), -lnz / bv
+
+
+def thermo_quadrature(c: SpectrumCoefficients, beta, range_: str = "quad01",
+                      kB: float = 1.0, tol: Tolerance = Tolerance()) -> ThermoPoint:
+    """Z, U, C, S, F of the partition_quadrature integral over [0, 1]
+    ("quad01") or [0, inf) ("quadinf"), from its exact beta-moments."""
+    if range_ not in ("quad01", "quadinf"):
+        raise ValueError("range_ must be 'quad01' or 'quadinf'")
+    bt = as_beta(beta)
+    hi = 1.0 if range_ == "quad01" else math.inf
+    return ThermoPoint(bt, *_quadrature_moments(c, bt.value, 0.0, hi, kB, tol), method=range_)
 
 
 # ---------------------------------------------------------------------------
@@ -203,63 +287,14 @@ def thermo_from_logZ(logZ: Callable[[float], float], beta, kB: float = 1.0,
                      method: str = "sum") -> ThermoPoint:
     """U, C, S, F from any smooth log-partition provider via the standard
     identities; U and C use Richardson-extrapolated numerical derivatives.
-    This is the ground-truth path for every thermodynamic quantity."""
+    The audit's internal-consistency oracle on ln Z_closed."""
     bt = as_beta(beta)
     bv = bt.value
-    dlnZ = derivative(logZ, bv, order=1, scale=bv, positive_only=True)
-    d2lnZ = derivative(logZ, bv, order=2, scale=bv, positive_only=True)
+    U = -derivative(logZ, bv, order=1, scale=bv, positive_only=True)
+    C = kB * bv * bv * derivative(logZ, bv, order=2, scale=bv, positive_only=True)
     lnZ = logZ(bv)
-    U = -dlnZ
-    C = kB * bv * bv * d2lnZ
-    S = kB * (lnZ + bv * U)
-    F = -lnZ / bv
-    return ThermoPoint(beta=bt, Z=math.exp(lnZ), U=U, C=C, S=S, F=F, method=method)
-
-
-def thermo_sum_engine(c: SpectrumCoefficients, beta, kB: float = 1.0,
-                      tol: Tolerance = Tolerance()) -> ThermoPoint:
-    """Derivative engine on the sum route, differentiated in the
-    ground-state-reduced gauge g(beta) = ln sum_n exp(-beta(E_n - E_0))
-    = ln Z + beta E_0.
-
-    The identities are gauge-invariant (U = E_0 - g', C = kB beta^2 g'',
-    S = kB (g - beta g'), F = E_0 - g/beta); evaluating them on g instead
-    of ln Z keeps C accurate even where it is exponentially small and
-    |ln Z| is large, which plain finite differences of ln Z cannot do in
-    double precision."""
-    bt = as_beta(beta)
-    bv = bt.value
-    e0 = c.energy(0)
-    g = lambda x: math.log1p(_reduced_sum_tail(c, x, tol))
-    dg = derivative(g, bv, order=1, scale=bv, positive_only=True)
-    d2g = derivative(g, bv, order=2, scale=bv, positive_only=True)
-    gv = g(bv)
-    U = e0 - dg
-    return ThermoPoint(beta=bt, Z=math.exp(gv - bv * e0), U=U,
-                       C=kB * bv * bv * d2g, S=kB * (gv - bv * dg),
-                       F=e0 - gv / bv, method="sum")
-
-
-def energy_moments(c: SpectrumCoefficients, beta, tol: Tolerance = Tolerance()):
-    """(Z, <E>, Var E) over the Boltzmann distribution, by guarded summation.
-
-    Mean and variance come from moments of D_n = E_n - E_0 >= 0, so the
-    variance never suffers the <E^2> - <E>^2 cancellation.  Tail bounds for
-    the weighted sums use the envelope
-    D^k exp(-beta D) <= (2k/(e beta))^k exp(-beta D / 2)."""
-    bv = as_beta(beta).value
-    e0 = c.energy(0)
-    zred = 1.0 + _reduced_sum_tail(c, bv, tol)
-
-    def reduced_moment(k: int) -> float:
-        cap = (2.0 * k / (math.e * bv)) ** k
-        bound = lambda N: cap * _tail_bound_reduced(c, bv / 2.0, N)
-        term = lambda n: (c.energy(n) - e0) ** k * math.exp(-bv * (c.energy(n) - e0))
-        return sum_decaying(term, bound, tol)
-
-    d1 = reduced_moment(1) / zred
-    d2 = reduced_moment(2) / zred
-    return math.exp(-bv * e0) * zred, e0 + d1, d2 - d1 * d1
+    return ThermoPoint(beta=bt, Z=math.exp(lnZ), U=U, C=C, S=kB * (lnZ + bv * U),
+                       F=-lnZ / bv, method=method)
 
 
 # ---------------------------------------------------------------------------
@@ -377,9 +412,10 @@ def entropy_closed(c: SpectrumCoefficients, beta, kB: float = 1.0,
 
 def free_energy_closed(c: SpectrumCoefficients, beta, b_min: float = B_MIN) -> float:
     """F(beta) = -ln(Z_closed)/beta; the typeset F is exactly this
-    composition, so there is nothing to transcribe."""
+    composition, so there is nothing to transcribe.  ln Z_closed is taken
+    stably, so F stays finite where Z_closed underflows."""
     bv = as_beta(beta).value
-    return -math.log(partition_closed(c, bv, b_min)) / bv
+    return -log_partition_closed(c, bv, b_min) / bv
 
 
 def thermo_closed_point(c: SpectrumCoefficients, beta, kB: float = 1.0,

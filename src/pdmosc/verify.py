@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -83,9 +84,9 @@ def audit_grid(params_grid: Iterable = DEFAULT_ALPHAS,
 
     Oracle assignments, basis "closed" (internal-consistency audit):
     Z -> quadrature over [0,1]; U/C/S/F -> derivative engine on ln of the
-    closed Z; Zs -> semi-infinite quadrature; Us/Ss/Fs/Cs -> derivative
-    engine on ln of the quadrature Zs.  Basis "sum" replaces the thermo
-    oracles with the physical sum route.
+    closed Z; Zs/Us/Ss/Fs/Cs -> the exact-moment engine on the
+    semi-infinite quadrature.  Basis "sum" replaces the thermo oracles with
+    the physical sum route.
 
     Reports come back sorted by quantity, then grid indices, then
     transcription; identical inputs produce identical lists.
@@ -104,7 +105,7 @@ def audit_grid(params_grid: Iterable = DEFAULT_ALPHAS,
         for bv in betas:
             if oracle_basis == "closed":
                 z_oracle = thermo.partition_quadrature(c, bv, "quad01", tol)
-                pt = thermo.thermo_from_logZ(thermo.log_partition(c, "closed"),
+                pt = thermo.thermo_from_logZ(partial(thermo.log_partition_closed, c),
                                              bv, kB, method="closed")
             else:
                 z_oracle = thermo.partition_sum(c, bv, tol)

@@ -45,3 +45,24 @@ def mp_quad(f, points) -> float:
     """High-precision quadrature oracle (tanh-sinh, mpmath)."""
     with mp.workdps(40):
         return float(mp.quad(f, points))
+
+
+def mp_weight_moments(c, beta, q, hi, dps: int = 40):
+    """(Z, U, C) of the weight w = e^{-beta E}(1 + (q/2) beta^2 E^2) over
+    n in [0, hi], E(n) = a(n+1/2) + b(n^2+2n+1/2): high-precision
+    quadratures of w, dw/dbeta and d^2w/dbeta^2 (product rule, written out),
+    then U = -Z'/Z and C = beta^2 (Z''/Z - (Z'/Z)^2)."""
+    with mp.workdps(dps):
+        bt, qm = mp.mpf(beta), mp.mpf(q)
+        a, b = mp.mpf(c.a), mp.mpf(c.b)
+
+        def w(n, k):
+            e = a * (n + mp.mpf(0.5)) + b * (n * n + 2 * n + mp.mpf(0.5))
+            g = mp.exp(-bt * e)
+            p, dp, d2p = 1 + qm * bt * bt * e * e / 2, qm * bt * e * e, qm * e * e
+            return (g * p, -e * g * p + g * dp, e * e * g * p - 2 * e * g * dp + g * d2p)[k]
+
+        points = [0, 1] if hi == 1 else [0, 1, 10, 100, mp.inf]
+        z, z1, z2 = (mp.quad(lambda n: w(n, k), points) for k in range(3))
+        u = -z1 / z
+        return float(z), float(u), float(bt * bt * (z2 / z - u * u))

@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 
 from pdmosc import (DomainEdge, NonConvergence, NonDecaying, Tolerance,
-                    derivative, erf, erfc, erfcx, integrate_finite,
-                    integrate_semi_infinite, integrate_semi_infinite_batch,
-                    richardson, stencil, sum_decaying)
+                    derivative, erf, erfc, erfcx, integrate_batch, integrate_finite,
+                    integrate_semi_infinite, sum_decaying)
 from pdmosc.numerics import _XGK, _gk15
 
 from helpers import erf_maclaurin
@@ -154,7 +153,7 @@ def test_semi_infinite_nondecaying():
         integrate_semi_infinite(lambda n: n * n, 0.0, TOL)
 
 
-# -- batched semi-infinite quadrature ----------------------------------------
+# -- batched quadrature ------------------------------------------------------
 
 def _damped_family(w):
     """Row r integrates exp(-n) (1 + cos(w[r] n)^2); larger w converges later."""
@@ -169,10 +168,15 @@ def test_batch_rows_equal_single_calls():
     family, single = _damped_family(w)
     for lo in (0.0, 0.7):
         for tol in (TOL, Tolerance(rel=1e-8)):
-            rows = integrate_semi_infinite_batch(family, len(w), lo, tol)
+            rows = integrate_batch(family, len(w), lo, math.inf, tol)
             assert len({r.evals for r in rows}) > 1  # rows really run different step counts
             for row, f in zip(rows, single):
                 assert row == integrate_semi_infinite(f, lo, tol)
+            # a finite upper limit: the rows are integrate_finite's
+            rows = integrate_batch(family, len(w), lo, 6.0, tol)
+            assert len({r.evals for r in rows}) > 1
+            for row, f in zip(rows, single):
+                assert row == integrate_finite(f, lo, 6.0, tol)
 
 
 def test_batch_nondecaying_row_raises_like_single():
@@ -181,7 +185,7 @@ def test_batch_nondecaying_row_raises_like_single():
     with pytest.raises(NonDecaying) as alone:
         integrate_semi_infinite(lambda n: np.exp(n), 0.0, TOL)
     with pytest.raises(NonDecaying) as batch:
-        integrate_semi_infinite_batch(family, 3, 0.0, TOL)
+        integrate_batch(family, 3, 0.0, math.inf, TOL)
     assert str(batch.value) == str(alone.value)
 
 
@@ -193,7 +197,7 @@ def test_batch_over_budget_row_raises_like_single():
     with pytest.raises(NonConvergence) as alone:
         integrate_semi_infinite(single[1], 0.0, tol)
     with pytest.raises(NonConvergence) as batch:
-        integrate_semi_infinite_batch(family, 3, 0.0, tol)
+        integrate_batch(family, 3, 0.0, math.inf, tol)
     assert str(batch.value) == str(alone.value)
 
 
@@ -259,23 +263,43 @@ def test_derivative_log_partition_frozen():
 
 
 def test_derivative_domain_edge():
-    with pytest.raises(DomainEdge):
-        derivative(math.log, 1e-9, 2, 1.0, positive_only=True)
+    for order in (1, 2):
+        with pytest.raises(DomainEdge):
+            derivative(math.log, 1e-9, order, 1.0, positive_only=True)
     # large x with the same scale is fine
     derivative(math.log, 5.0, 2, 1.0, positive_only=True)
+
+
+def test_stencil_is_the_derivative_step_rule():
+    # derivative samples f at x +- {4h, 2h, h} (and x for order 2), with
+    # h = scale*eps^(1/5) or scale*eps^(1/6), and extrapolates twice.
+    eps = float(np.finfo(float).eps)
+    for order in (1, 2):
+        xs = []
+
+        def f(x):
+            xs.append(x)
+            return math.log(x) * math.sin(3.0 * x)
+
+        d = derivative(f, 2.0, order, 2.0)
+        h = 2.0 * (eps ** 0.2 if order == 1 else eps ** (1.0 / 6.0))
+        assert len(xs) == (6 if order == 1 else 7)
+        assert xs[-2:] == [2.0 + h, 2.0 - h]
+        fx = [math.log(x) * math.sin(3.0 * x) for x in xs]
+        if order == 1:
+            a = [(fx[2 * i] - fx[2 * i + 1]) / (2.0 * s)
+                 for i, s in enumerate((4.0 * h, 2.0 * h, h))]
+        else:
+            a = [(fx[2 * i + 1] - 2.0 * fx[0] + fx[2 * i + 2]) / (s * s)
+                 for i, s in enumerate((4.0 * h, 2.0 * h, h))]
+        r0 = (4.0 * a[1] - a[0]) / 3.0
+        r1 = (4.0 * a[2] - a[1]) / 3.0
+        assert d == (16.0 * r1 - r0) / 15.0
+    with pytest.raises(DomainEdge):
+        derivative(math.log, 1e-9, 1, 1.0, positive_only=True)
 
 
 def test_derivative_rejects_bad_order():
     with pytest.raises(ValueError):
         derivative(math.exp, 0.0, 3, 1.0)
 
-
-def test_stencil_is_the_derivative_step_rule():
-    f = lambda x: math.log(x) * math.sin(3.0 * x)
-    for order in (1, 2):
-        h, xs = stencil(2.0, order, 2.0)
-        assert len(xs) == (6 if order == 1 else 7)
-        assert xs[-2:] == [2.0 + h, 2.0 - h]
-        assert richardson([f(x) for x in xs], order, h) == derivative(f, 2.0, order, 2.0)
-    with pytest.raises(DomainEdge):
-        stencil(1e-9, 1, 1.0, positive_only=True)

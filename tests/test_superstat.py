@@ -6,15 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from pdmosc import (DeformationQ, DomainEdge, OscillatorParams, PdmoscError,
-                    SingularLimit, SpectrumCoefficients, Tolerance, Underflow,
-                    boltzmann_factor_q, coefficients, entropy_superstat_closed,
-                    free_energy_superstat_closed, log_superstat_partition_closed,
-                    mean_energy_superstat_closed, numerics, partition_quadrature,
-                    richardson, stencil, superstat, superstat_partition_closed,
-                    superstat_partition_quadrature, superstat_thermo)
+from pdmosc import (DeformationQ, OscillatorParams, SingularLimit, SpectrumCoefficients,
+                    Tolerance, boltzmann_factor_q, coefficients, entropy_superstat_closed,
+                    free_energy_superstat_closed, integrate_semi_infinite,
+                    log_superstat_partition_closed, mean_energy_superstat_closed,
+                    partition_quadrature, superstat_partition_closed,
+                    superstat_partition_quadrature, superstat_thermo, thermo_quadrature)
 
-from helpers import mp_quad
+from helpers import mp_quad, mp_weight_moments
 
 TOL = Tolerance()
 
@@ -171,34 +170,61 @@ def test_closed_point_has_finite_cs():
         assert math.isfinite(pt.Cs)
 
 
-def test_engine_stencil_rows_equal_single_quadratures():
-    """The engine's batched rows are bit for bit the single quadratures:
-    Zs directly, and every stencil row through the exact U_s and C_s."""
+def test_engine_rows_equal_single_quadratures():
+    """The engine's rows, run as one batch, are bit for bit the single
+    quadratures of each row: the three moment rows in the ground-state gauge
+    on n = s m, and the deformed factor itself for Z_s."""
     for c, beta, q in [(C01, 0.1, 0.0), (C03, 1.0, 0.5), (C09, 7.5, 1.0)]:
         pt = superstat_thermo(c, beta, q, 1.0, TOL, method="engine")
+        e0 = c.energy(0)
+        lin, level = c.a + 2.0 * c.b, 8.0 / beta
+        s = max(1.0, 2.0 * level / (lin + math.sqrt(lin * lin + 4.0 * c.b * level)) / 24.0)
+        assert (s > 1.0) == (beta == 0.1)
+
+        def row(k):
+            a, b = (0.0, 0.0, 1.0)[k], (0.0, -1.0, -2.0)[k]
+
+            def f(n):
+                e = c.energy(s * n)
+                x = beta * e
+                return s * (np.exp(-beta * (e - e0)) * e ** k
+                            * (1.0 + q * (a + b * x + 0.5 * x * x)))
+            return f
+
+        m0, m1, m2 = (integrate_semi_infinite(row(k), 0.0, TOL).value for k in range(3))
         assert pt.Zs == superstat_partition_quadrature(c, beta, q, TOL)
-        lnzs = lambda x: math.log(superstat_partition_quadrature(c, x, q, TOL))
-        h1, xs1 = stencil(beta, 1, beta, positive_only=True)
-        h2, xs2 = stencil(beta, 2, beta, positive_only=True)
-        assert len(set(xs1 + xs2)) == 13
-        assert pt.Us == -richardson([lnzs(x) for x in xs1], 1, h1)
-        assert pt.Cs == beta * beta * richardson([lnzs(x) for x in xs2], 2, h2)
+        assert pt.Us == m1 / m0
+        assert pt.Cs == beta * beta * (m2 / m0 - (m1 / m0) ** 2)
+        assert pt.Fs == -math.log(pt.Zs) / beta
 
 
-def test_engine_domain_edge_before_any_quadrature(monkeypatch):
-    def no_quadrature(*args, **kwargs):
-        raise AssertionError("quadrature ran before the stencil check")
+def test_engine_against_mpmath_at_regime_corners():
+    # U_s and C_s against 40-digit quadratures of the weight's beta-derivatives;
+    # at beta <= 0.01 the moment rows peak past the tail probes at n ~ 9..99
+    corners = [(c, beta, q) for c in (C01, C09) for beta in (0.1, 10.0) for q in (0.0, 0.5, 1.0)]
+    for c, beta, q in corners + [(C00, 0.01, 0.5), (C01, 0.001, 1.0)]:
+        pt = superstat_thermo(c, beta, q, 1.0, TOL, method="engine")
+        z, u, cv = mp_weight_moments(c, beta, q, math.inf)
+        assert abs(pt.Zs - z) / z < 1e-12
+        assert abs(pt.Us - u) / abs(u) < 1e-10
+        assert abs(pt.Cs - cv) / abs(cv) < 1e-10
 
-    monkeypatch.setattr(superstat, "integrate_semi_infinite_batch", no_quadrature)
-    monkeypatch.setattr(numerics, "_EPS", 0.01)  # h = 0.4 beta, so beta - 4h < 0
-    with pytest.raises(DomainEdge):
-        superstat_thermo(C03, 1.0, 0.5, method="engine")
+
+def test_engine_finite_where_zs_underflows():
+    # beta E_0 ~ 5800: Z_s underflows, its moments in the ground-state gauge
+    # do not; for q > 0, ln Z_s ~ ln beta - beta E_0, so U_s -> E_0, C_s -> -1
+    pt = superstat_thermo(C03, 1e4, 0.5, method="engine")
+    assert pt.Zs == 0.0
+    assert all(math.isfinite(v) for v in (pt.Us, pt.Ss, pt.Fs, pt.Cs))
+    assert abs(pt.Us - C03.energy(0)) < 1e-3
+    assert abs(pt.Cs + 1.0) < 1e-2
 
 
-def test_engine_underflow_is_typed():
-    with pytest.raises(Underflow, match="underflows"):
-        superstat_thermo(C03, 1e4, 0.5, method="engine")
-    assert issubclass(Underflow, PdmoscError)
+def test_quadinf_point_is_the_engine_at_q0():
+    for c, beta in [(C01, 0.1), (C03, 2.0), (C09, 10.0)]:
+        pt = thermo_quadrature(c, beta, "quadinf", 1.0, TOL)
+        spt = superstat_thermo(c, beta, 0.0, 1.0, TOL, method="engine")
+        assert (pt.Z, pt.U, pt.C, pt.S, pt.F) == (spt.Zs, spt.Us, spt.Cs, spt.Ss, spt.Fs)
 
 
 def test_method_validation():

@@ -110,11 +110,43 @@ def test_cli_point_closed_overflow_is_a_value(capsys):
     assert math.isinf(float(fields["C"]))
 
 
-def test_cli_point_superstat_underflow_exit_2(capsys):
-    code = cli.main(["point", "--alpha", "0.3", "--beta", "1e4", "--q", "0.5"])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "underflows" in err and "math domain" not in err
+def test_cli_point_superstat_extreme_beta(capsys):
+    # Z_s underflows to 0; the moment engine's other fields stay finite
+    code, out = run_cli(["point", "--alpha", "0.3", "--beta", "1e4", "--q", "0.5"], capsys)
+    assert code == 0
+    fields = _fields(out)
+    assert float(fields["Zs"]) == 0.0
+    assert all(math.isfinite(float(fields[k])) for k in ("Us", "Ss", "Fs", "Cs"))
+
+
+def test_cli_point_closed_free_energy_where_z_underflows(capsys):
+    code, out = run_cli(["point", "--alpha", "0.3", "--beta", "2000", "--method", "closed"],
+                        capsys)
+    assert code == 0
+    fields = _fields(out)
+    assert float(fields["Z"]) == 0.0 and math.isfinite(float(fields["F"]))
+
+
+@pytest.mark.parametrize("flag", ["--method=sum", "--transcription=corrected",
+                                  "--units=si", "--b-convention=compact"])
+def test_cli_figure_refuses_flags_it_ignores(flag, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["figure", "Fig2a", flag])
+    assert exc.value.code == 2
+    conf = tmp_path / "figure.conf"
+    conf.write_text(flag[2:].replace("=", " = ") + "\n")
+    assert cli.main(["figure", "Fig2a", "--config", str(conf)]) == 2
+    assert "unknown config key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--method=quadinf", "--method=engine",
+                                  "--transcription=corrected", "--units=si",
+                                  "--b-convention=compact"])
+def test_cli_audit_refuses_flags_it_ignores(flag, capsys):
+    # audit reads --method as its thermo oracle basis, closed or sum only
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["audit", flag])
+    assert exc.value.code == 2
 
 
 def test_cli_maps_every_package_error(monkeypatch, capsys):
@@ -174,9 +206,8 @@ def test_route_table_sweep_matches_point(quantity, method, capsys):
     code, out = run_cli(["point", "--beta", "2", "--method", method] + state, capsys)
     assert code == 0
     printed = _fields(out)[quantity]
-    if quantity == "Z" and method != "closed":
-        # partition_sum and the engine's exp(g - beta E0), or the quadrature
-        # and thermo_from_logZ's exp(ln Z), differ in the last bits
+    if quantity == "Z" and method in ("sum", "engine"):
+        # partition_sum and the engine's exp(g - beta E0) differ in the last bits
         assert float(swept) == pytest.approx(float(printed), rel=1e-12)
     else:
         assert swept == printed

@@ -5,18 +5,19 @@ oracle-vs-oracle agreement); fidelity of the typeset closed forms is the
 verify module's business and is only sanity-checked here."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
 from pdmosc import (Beta, OscillatorParams, SingularLimit, SpectrumCoefficients,
-                    Tolerance, coefficients, energy_moments, entropy_closed,
-                    free_energy_closed, heat_capacity_closed, log_partition,
-                    log_partition_closed, mean_energy_closed, partition_closed,
-                    partition_quadrature, partition_sum, thermo_from_logZ)
-from pdmosc.thermo import log_partition_sum, thermo_sum_engine
+                    Tolerance, coefficients, entropy_closed,
+                    free_energy_closed, heat_capacity_closed, log_partition_closed,
+                    mean_energy_closed, partition_closed, partition_quadrature,
+                    partition_sum, thermo_from_logZ, thermo_quadrature)
+from pdmosc.thermo import thermo_sum_engine
 
-from helpers import brute_boltzmann_moments, brute_sum
+from helpers import brute_boltzmann_moments, brute_sum, mp_weight_moments
 
 TOL = Tolerance()
 TIGHT = Tolerance(rel=1e-15, abs=0.0, max_evals=100_000)
@@ -73,10 +74,12 @@ def test_partition_sum_monotonicity():
 
 
 def test_log_partition_sum_underflow_safe():
-    # beta*E_0 ~ 1300: Z underflows but ln Z must not
-    lz = log_partition_sum(C09, 1000.0, TOL)
-    assert math.isfinite(lz)
-    assert abs(lz + 1000.0 * C09.energy(0)) < 1e-9
+    # beta*E_0 ~ 770: Z underflows, but F = -ln Z/beta and S must not
+    pt = thermo_sum_engine(C09, 1000.0, 1.0, TOL)
+    assert pt.Z == 0.0
+    assert math.isfinite(pt.F) and math.isfinite(pt.S)
+    assert abs(1000.0 * (pt.F - C09.energy(0))) < 1e-9
+    assert 0.0 <= pt.S < 1e-9
 
 
 # -- closed form vs quadrature -----------------------------------------------
@@ -127,10 +130,10 @@ def test_sum_vs_integral_sandwich():
             assert integral <= s <= math.exp(-beta * c.energy(0)) + integral
 
 
-# -- derivative engine -------------------------------------------------------
+# -- ground truth from exact moments ----------------------------------------
 
 def test_engine_standard_oscillator():
-    pt = thermo_from_logZ(log_partition(C00, "sum", TIGHT), 1.0, 1.0, "sum")
+    pt = thermo_sum_engine(C00, 1.0, 1.0, TIGHT)
     assert abs(pt.U - 1.0819767068693264) / 1.0819767068693264 < 1e-7
     assert abs(pt.C - 0.92067359420779232) / 0.92067359420779232 < 1e-6
     assert pt.F == -math.log(pt.Z) / 1.0 or abs(pt.F + math.log(pt.Z)) < 1e-12
@@ -145,11 +148,12 @@ def test_engine_identities():
 
 
 def test_engine_gauge_equivalence():
-    # the reduced-gauge engine and the generic engine agree where both are
-    # well conditioned
+    # the reduced-gauge moments and the derivative engine on ln of the plain
+    # sum agree where both are well conditioned
     for beta in (0.2, 1.0, 3.0):
         a = thermo_sum_engine(C03, beta, 1.0, TIGHT)
-        b = thermo_from_logZ(log_partition(C03, "sum", TIGHT), beta, 1.0, "sum")
+        b = thermo_from_logZ(lambda x: math.log(partition_sum(C03, x, TIGHT)),
+                             beta, 1.0, "sum")
         assert abs(a.U - b.U) / abs(b.U) < 1e-9
         assert abs(a.C - b.C) / abs(b.C) < 1e-6
         assert abs(a.Z - b.Z) / b.Z < 1e-12
@@ -158,21 +162,46 @@ def test_engine_gauge_equivalence():
 def test_energy_moments_against_brute_force():
     for c in (C01, C09):
         for beta in (0.3, 1.0, 5.0):
-            z, mean, var = energy_moments(c, beta, TIGHT)
+            pt = thermo_sum_engine(c, beta, 1.0, TIGHT)
             energies = [c.energy(n) for n in range(400)]
             zb, mb, vb = brute_boltzmann_moments(energies, beta)
-            assert abs(z - zb) / zb < 1e-12
-            assert abs(mean - mb) / mb < 1e-12
-            assert abs(var - vb) / vb < 1e-10
+            assert abs(pt.Z - zb) / zb < 1e-12
+            assert abs(pt.U - mb) / mb < 1e-12
+            assert abs(pt.C / (beta * beta) - vb) / vb < 1e-10
 
 
 def test_engine_vs_moments():
     for c in (C01, C03, C09):
         for beta in (0.1, 1.0, 10.0):
             pt = thermo_sum_engine(c, beta, 1.0, TIGHT)
-            _, mean, var = energy_moments(c, beta, TIGHT)
-            assert abs(pt.U - mean) / abs(mean) < 1e-7
-            assert abs(pt.C - beta * beta * var) / (beta * beta * var) < 1e-5
+            energies = [c.energy(n) for n in range(400)]
+            _, mean, var = brute_boltzmann_moments(energies, beta)
+            assert abs(pt.U - mean) / abs(mean) < 1e-12
+            assert abs(pt.C - beta * beta * var) / (beta * beta * var) < 1e-12
+
+
+def test_engine_heat_capacity_exponentially_small():
+    # alpha = 0 at beta = 700: C = beta^2 e^{-beta} / (1 - e^{-beta})^2 ~ 5e-299,
+    # far below the roundoff of any finite difference of ln Z
+    beta = 700.0
+    pt = thermo_sum_engine(C00, beta, 1.0, TOL)
+    want = beta * beta * math.exp(-beta) / (1.0 - math.exp(-beta)) ** 2
+    assert abs(pt.C - want) / want < 1e-12
+
+
+def test_quadrature_point_against_mpmath():
+    # at beta = 0.001 the moment rows peak past the tail probes at n ~ 9..99
+    for c, beta in [(C01, 0.1), (C01, 10.0), (C09, 0.1), (C09, 10.0), (C00, 0.001)]:
+        for range_, hi in (("quad01", 1.0), ("quadinf", math.inf)):
+            pt = thermo_quadrature(c, beta, range_, 1.0, Tolerance(rel=1e-13))
+            z, u, cv = mp_weight_moments(c, beta, 0.0, hi)
+            assert pt.method == range_
+            assert abs(pt.Z - z) / z < 1e-13
+            assert abs(pt.U - u) / u < 1e-13
+            assert abs(pt.C - cv) / cv < 1e-12
+            assert pt.F == -math.log(pt.Z) / beta
+    with pytest.raises(ValueError):
+        thermo_quadrature(C01, 1.0, "everything")
 
 
 # -- typeset closed forms ----------------------------------------------------
@@ -181,11 +210,15 @@ def test_free_energy_closed_is_composition():
     for c in (C01, C09):
         for beta in (0.2, 1.0, 7.0):
             f = free_energy_closed(c, beta)
-            assert f == -math.log(partition_closed(c, beta)) / beta
+            assert f == -log_partition_closed(c, beta) / beta
+            assert f == pytest.approx(-math.log(partition_closed(c, beta)) / beta, rel=1e-13)
+    # Z_closed underflows to 0 here; F stays finite
+    assert partition_closed(C03, 2000.0) == 0.0
+    assert math.isfinite(free_energy_closed(C03, 2000.0))
 
 
 def test_corrected_mean_energy_matches_engine():
-    pt = thermo_from_logZ(log_partition(C03, "closed"), 2.0, 1.0, "closed")
+    pt = thermo_from_logZ(partial(log_partition_closed, C03), 2.0, 1.0, "closed")
     u = mean_energy_closed(C03, 2.0, "corrected")
     assert abs(u - pt.U) / abs(pt.U) < 1e-5
     # verbatim is a different expression; record that it deviates here
@@ -195,7 +228,7 @@ def test_corrected_mean_energy_matches_engine():
 
 def test_corrected_heat_capacity_matches_engine():
     for beta in (0.5, 2.0, 8.0):
-        pt = thermo_from_logZ(log_partition(C01, "closed"), beta, 1.0, "closed")
+        pt = thermo_from_logZ(partial(log_partition_closed, C01), beta, 1.0, "closed")
         cc = heat_capacity_closed(C01, beta, 1.0, "corrected")
         assert abs(cc - pt.C) <= 2e-5 * max(abs(pt.C), 1e-3)
 

@@ -304,27 +304,36 @@ def integrate_semi_infinite(f: Callable[[float], float], lo: float,
 # Guarded series summation
 # ---------------------------------------------------------------------------
 
-def sum_decaying(term: Callable[[int], float], tail_bound: Callable[[int], float],
-                 tol: Tolerance = Tolerance()) -> float:
-    """Sum term(0) + term(1) + ... until the caller's rigorous tail bound
-    certifies the truncation error below tolerance.
+def sum_decaying(terms: Callable[[np.ndarray], np.ndarray],
+                 tail_bound: Callable[[int], float | np.ndarray],
+                 tol: Tolerance = Tolerance(), n: int = 15):
+    """Sum the rows of terms over n = 0, 1, 2, ... until the caller's
+    rigorous tail bound certifies each row's truncation error below
+    tolerance.
 
-    tail_bound(N) must bound sum_{n>N} term(n) from above.  Terms are
-    accumulated with Kahan compensation so the rounding error stays at
-    machine level regardless of term count.
+    terms maps an int ndarray of indices to one row of term values, shape
+    (len,), or several, shape (rows, len).  tail_bound(N) bounds each row's
+    sum over indices > N from above: a scalar, or one value per row.  The
+    sum first covers 0..n, the caller's guess, then doubles the term count
+    until every row's bound meets tol.target of that row's sum; terms sees
+    only the new block of indices each time.  Each row is summed by
+    math.fsum, so the result is exactly rounded whatever the term count.
+    More than tol.max_evals terms raise NonConvergence.  Returns a float for
+    one row, else a list of floats.
     """
-    s = 0.0
-    comp = 0.0
-    for n in range(tol.max_evals):
-        y = term(n) - comp
-        t = s + y
-        comp = (t - s) - y
-        s = t
-        if n < 16 or (n & 7) == 7:
-            if tail_bound(n) <= tol.target(s):
-                return s
-    raise NonConvergence(
-        f"series tail bound not met within {tol.max_evals} terms")
+    blocks = []
+    lo, hi = 0, min(n + 1, tol.max_evals)
+    while True:
+        blocks.append(terms(np.arange(lo, hi)))
+        rows = np.concatenate(blocks, axis=-1)
+        sums = [math.fsum(row) for row in np.atleast_2d(rows).tolist()]
+        bounds = np.broadcast_to(tail_bound(hi - 1), len(sums)).tolist()
+        if all(bound <= tol.target(s) for bound, s in zip(bounds, sums)):
+            return sums if rows.ndim == 2 else sums[0]
+        if hi == tol.max_evals:
+            raise NonConvergence(
+                f"series tail bound not met within {tol.max_evals} terms")
+        lo, hi = hi, min(2 * hi, tol.max_evals)
 
 
 # ---------------------------------------------------------------------------

@@ -93,35 +93,85 @@ class ThermoPoint:
 # Partition function routes
 # ---------------------------------------------------------------------------
 
+def _excitation(c: SpectrumCoefficients, n):
+    """D_n = E_n - E_0 = n (a + b (n + 2)), free of the cancellation in
+    E_n - E_0; n may be an array."""
+    return n * (c.a + c.b * (n + 2.0))
+
+
 def _tail_bound_reduced(c: SpectrumCoefficients, beta: float, N: float) -> float:
-    """Upper bound on sum_{n>N} exp(-beta (E_n - E_0)).  The terms decrease,
-    so the tail is below the integral of exp(-beta (E(t) - E_0)) over
-    [N, inf); Gaussian integral bound for b > 0, geometric for b = 0."""
+    """Upper bound on sum_{n>N} exp(-beta D_n) for b > 0.  The terms
+    decrease, so the tail is below the integral of exp(-beta D(t)) over
+    [N, inf), the Gaussian integral
+        exp(-beta D_N) sqrt(pi) y erfcx(y) / (beta D'(N)),
+    D'(N) = a + 2b(N + 1), y = D'(N) sqrt(beta/b) / 2; the factor
+    sqrt(pi) y erfcx(y) < 1 tends to 1 as y grows (y = inf once b is
+    negligible)."""
+    slope = c.a + 2.0 * c.b * (N + 1.0)
+    y = 0.5 * slope * math.sqrt(beta / c.b)
+    h = 1.0 if y == math.inf else _SQRT_PI * y * erfcx(y)
+    return h * math.exp(-beta * _excitation(c, N)) / (beta * slope)
+
+
+#: x^2 e^{-x} = eps at x = 43.6
+_X_ROUNDING = 43.6
+
+
+def _boltzmann_levels(c: SpectrumCoefficients, bv: float, tol: Tolerance):
+    """(tail, <D>, Var D) of the Boltzmann distribution over the levels in
+    the ground-state gauge D_n = E_n - E_0, where tail sums
+    w_n = exp(-beta D_n) over n >= 1, so Z = exp(-beta E_0) (1 + tail).
+    Working relative to E_0 keeps every quantity derived from these sums
+    accurate near machine precision even where Z itself is tiny.
+
+    b = 0 is the geometric series: with r = e^{-beta a} and 1 - r taken as
+    -expm1(-beta a), tail = r/(1 - r), <D> = a r/(1 - r) and
+    Var D = a^2 r/(1 - r)^2.
+
+    For b > 0 the rows w, D w and D^2 w are summed over one level array,
+    formed in long double (80-bit where the platform has it) and rounded
+    once: in double, rounding beta D_n alone moves w_n by ~1e-15 at
+    beta D_n ~ 10.  Past level N, with x = beta (D_N - D_1), the integral
+    bound and erfcx(y) <= 1/(sqrt(pi) y) (Abramowitz & Stegun 7.1.13) put
+    row k's tail near x^k e^{-x} of its sum; the first guess is the N with
+    x = 43.6, so every row is truncated below rounding.  The exact bounds
+    then certify it against tol: one at beta for w, one at beta - delta
+    for both moments through the envelope D^k e^{-delta D} <= (k/(e delta))^k
+    with delta = min(beta/2, 2/D_N), which touches the D^2 w row at D_N."""
     a, b = c.a, c.b
-    e0 = c.energy(0)
-    if b > 0.0:
-        s = math.sqrt(b * beta)
-        cc = (a + 2.0 * b) / (2.0 * b)
-        return _SQRT_PI / (2.0 * s) * erfcx(s * (N + cc)) \
-            * math.exp(-beta * (c.energy(N) - e0))
-    r = math.exp(-beta * a)
-    return math.exp(-beta * a * (N + 1.0)) / (1.0 - r)
+    if b == 0.0:
+        om = -math.expm1(-bv * a)
+        tail = math.exp(-bv * a) / om
+        return tail, a * tail, a * tail * (a / om)
 
+    # the first guess: the root of b N^2 + (a + 2b) N = D_1 + 43.6/beta
+    lin, d_n = a + 2.0 * b, a + 3.0 * b + _X_ROUNDING / bv
+    level = 2.0 * d_n / (lin + math.sqrt(lin * lin + 4.0 * b * d_n))
+    start = math.ceil(level) - 1 if level < tol.max_evals else tol.max_evals
 
-def _reduced_sum_tail(c: SpectrumCoefficients, bv: float, tol: Tolerance) -> float:
-    """sum_{n>=1} exp(-beta (E_n - E_0)), the partition sum above the ground
-    state.  Working relative to E_0 keeps every quantity derived from this
-    sum accurate near machine precision even when Z itself is tiny."""
-    e0 = c.energy(0)
-    return sum_decaying(lambda n: math.exp(-bv * (c.energy(n + 1) - e0)),
-                        lambda N: _tail_bound_reduced(c, bv, N + 1), tol)
+    def rows(n):
+        d = _excitation(c, n + np.longdouble(1.0))
+        w = np.exp(-bv * d)
+        return np.array([w, d * w, d * d * w], dtype=float)
+
+    def bound(n):
+        delta = min(bv / 2.0, 2.0 / _excitation(c, n + 1.0))
+        t = _tail_bound_reduced(c, bv - delta, n + 1.0)
+        return (_tail_bound_reduced(c, bv, n + 1.0), t / (math.e * delta),
+                t * (2.0 / (math.e * delta)) ** 2)
+
+    tail, m1, m2 = sum_decaying(rows, bound, tol, start)
+    zred = 1.0 + tail
+    mean = m1 / zred
+    return tail, mean, m2 / zred - mean * mean
 
 
 def partition_sum(c: SpectrumCoefficients, beta, tol: Tolerance = Tolerance()) -> float:
-    """Z(beta) = sum_n exp(-beta E_n), truncated under a rigorous tail bound
-    (Gaussian integral bound for b > 0, geometric for b = 0)."""
+    """Z(beta) = sum_n exp(-beta E_n) = exp(-beta E_0) (1 + tail), the
+    reduced tail summed under rigorous tail bounds (exact geometric series
+    at b = 0), the same expression as thermo_sum_engine's Z."""
     bv = as_beta(beta).value
-    return math.exp(-bv * c.energy(0)) * (1.0 + _reduced_sum_tail(c, bv, tol))
+    return math.exp(-bv * c.energy(0)) * (1.0 + _boltzmann_levels(c, bv, tol)[0])
 
 
 def _xargs(c: SpectrumCoefficients, bv: float):
@@ -188,29 +238,19 @@ def thermo_sum_engine(c: SpectrumCoefficients, beta, kB: float = 1.0,
                       tol: Tolerance = Tolerance()) -> ThermoPoint:
     """Ground truth on the sum route: U = E_0 + <D> and C = kB beta^2 Var D
     from the exact moments of D_n = E_n - E_0 >= 0 over the Boltzmann
-    distribution of the levels, by guarded summation, with
-    g = ln sum_n exp(-beta D_n) = ln Z + beta E_0 giving Z = exp(g - beta E_0),
-    S = kB (g + beta <D>) and F = E_0 - g/beta.  Moments of D never suffer
-    the <E^2> - <E>^2 cancellation, so C stays accurate where it is
-    exponentially small and |ln Z| is large.  The weighted sums' tail
-    bounds use the envelope D^k exp(-beta D) <= (2k/(e beta))^k exp(-beta D / 2)."""
+    distribution of the levels (one guarded level-array sum, or the exact
+    geometric series at b = 0), with g = ln(1 + tail) = ln Z + beta E_0
+    giving S = kB (g + beta <D>) and F = E_0 - g/beta; Z is partition_sum's
+    exp(-beta E_0) (1 + tail).  Moments of D never suffer the
+    <E^2> - <E>^2 cancellation, so C stays accurate where it is
+    exponentially small and |ln Z| is large."""
     bt = as_beta(beta)
     bv = bt.value
     e0 = c.energy(0)
-    tail = _reduced_sum_tail(c, bv, tol)
-    zred = 1.0 + tail
-
-    def reduced_moment(k: int) -> float:
-        cap = (2.0 * k / (math.e * bv)) ** k
-        bound = lambda N: cap * _tail_bound_reduced(c, bv / 2.0, N)
-        term = lambda n: (c.energy(n) - e0) ** k * math.exp(-bv * (c.energy(n) - e0))
-        return sum_decaying(term, bound, tol)
-
-    d1 = reduced_moment(1) / zred
-    var = reduced_moment(2) / zred - d1 * d1
+    tail, mean, var = _boltzmann_levels(c, bv, tol)
     g = math.log1p(tail)
-    return ThermoPoint(beta=bt, Z=math.exp(g - bv * e0), U=e0 + d1,
-                       C=kB * bv * bv * var, S=kB * (g + bv * d1),
+    return ThermoPoint(beta=bt, Z=math.exp(-bv * e0) * (1.0 + tail), U=e0 + mean,
+                       C=kB * bv * bv * var, S=kB * (g + bv * mean),
                        F=e0 - g / bv, method="sum")
 
 

@@ -66,3 +66,27 @@ def mp_weight_moments(c, beta, q, hi, dps: int = 40):
         z, z1, z2 = (mp.quad(lambda n: w(n, k), points) for k in range(3))
         u = -z1 / z
         return float(z), float(u), float(bt * bt * (z2 / z - u * u))
+
+
+def brute_thermo(c, beta, dps: int = 50):
+    """(Z, U, C, S, F) at kB = 1 by direct high-precision summation over the
+    levels in the ground-state gauge D_n = E_n - E_0 (exact in mpmath from
+    the float a, b), until beta D_n exceeds 100; S and F come from
+    ln(1 + tail) so that they keep their digits where Z is tiny."""
+    with mp.workdps(dps):
+        a, b, bt = mp.mpf(c.a), mp.mpf(c.b), mp.mpf(beta)
+        e0 = (a + b) / 2
+        tail = m1 = m2 = mp.mpf(0)
+        n = 0
+        while True:
+            n += 1
+            d = a * n + b * (n * n + 2 * n)
+            w = mp.exp(-bt * d)
+            tail, m1, m2 = tail + w, m1 + d * w, m2 + d * d * w
+            if bt * d > 100:
+                break
+        mean = m1 / (1 + tail)
+        g = mp.log1p(tail)
+        return tuple(float(v) for v in (mp.exp(-bt * e0) * (1 + tail), e0 + mean,
+                                        bt * bt * (m2 / (1 + tail) - mean * mean),
+                                        g + bt * mean, e0 - g / bt))

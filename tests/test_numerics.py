@@ -204,14 +204,14 @@ def test_batch_over_budget_row_raises_like_single():
 # -- guarded summation -------------------------------------------------------
 
 def test_sum_geometric():
-    s = sum_decaying(lambda n: 0.5 ** (n + 1), lambda N: 0.5 ** (N + 1), TOL)
+    s = sum_decaying(lambda n: 0.5 ** (n + 1.0), lambda N: 0.5 ** (N + 1), TOL)
     assert abs(s - 1.0) < 1e-12
 
 
 def test_sum_shifted_exponential():
     # sum_{n>=0} e^{-(n+1/2)} = e^{-1/2}/(1-e^{-1}); geometric tail bound
     r = math.exp(-1.0)
-    s = sum_decaying(lambda n: math.exp(-(n + 0.5)),
+    s = sum_decaying(lambda n: np.exp(-(n + 0.5)),
                      lambda N: math.exp(-(N + 1.5)) / (1.0 - r), TOL)
     assert abs(s - 0.95951737566747186) < 1e-13
 
@@ -219,14 +219,31 @@ def test_sum_shifted_exponential():
 def test_sum_gaussian_terms():
     # brute-force oracle value of sum_{n>=0} e^{-n^2}
     bound = lambda N: math.sqrt(math.pi) / 2.0 * erfc(float(N))
-    s = sum_decaying(lambda n: math.exp(-float(n) ** 2), bound, TOL)
+    s = sum_decaying(lambda n: np.exp(-n.astype(float) ** 2), bound, TOL)
     assert abs(s - 1.3863186024133261) < 1e-12
 
 
 def test_sum_nonconvergence():
     with pytest.raises(NonConvergence):
-        sum_decaying(lambda n: math.exp(-n), lambda N: 1.0,
+        sum_decaying(lambda n: np.exp(-n), lambda N: 1.0,
                      Tolerance(rel=1e-10, abs=0.0, max_evals=100))
+
+
+def test_sum_terms_see_index_blocks():
+    # terms gets each new block of indices once, as an int ndarray; the
+    # rows of a 2-D result are summed and certified separately
+    blocks = []
+
+    def terms(n):
+        blocks.append(n)
+        return np.array([0.5 ** (n + 1.0), 0.25 ** (n + 1.0)])
+
+    bound = lambda N: np.array([0.5 ** (N + 1), 0.25 ** (N + 1) / 0.75])
+    s = sum_decaying(terms, bound, TOL, 3)
+    assert all(isinstance(b, np.ndarray) and b.dtype.kind == "i" for b in blocks)
+    assert [(int(b[0]), len(b)) for b in blocks] == [(0, 4), (4, 4), (8, 8), (16, 16),
+                                                     (32, 32)]
+    assert abs(s[0] - 1.0) < 1e-12 and abs(s[1] - 1.0 / 3.0) < 1e-12
 
 
 def test_tolerance_validation():

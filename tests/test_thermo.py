@@ -7,8 +7,10 @@ verify module's business and is only sanity-checked here."""
 import math
 from functools import partial
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from pdmosc import (Beta, OscillatorParams, SingularLimit, SpectrumCoefficients,
                     Tolerance, coefficients, entropy_closed,
@@ -17,10 +19,11 @@ from pdmosc import (Beta, OscillatorParams, SingularLimit, SpectrumCoefficients,
                     partition_sum, thermo_from_logZ, thermo_quadrature)
 from pdmosc.thermo import thermo_sum_engine
 
-from helpers import brute_boltzmann_moments, brute_sum, mp_weight_moments
+from helpers import brute_boltzmann_moments, brute_sum, brute_thermo, mp_weight_moments
 
 TOL = Tolerance()
 TIGHT = Tolerance(rel=1e-15, abs=0.0, max_evals=100_000)
+CLI_TOL = Tolerance(rel=1e-10, abs=0.0, max_evals=400_000)
 
 C01 = coefficients(OscillatorParams(alpha=0.1))
 C03 = coefficients(OscillatorParams(alpha=0.3))
@@ -187,6 +190,62 @@ def test_engine_heat_capacity_exponentially_small():
     pt = thermo_sum_engine(C00, beta, 1.0, TOL)
     want = beta * beta * math.exp(-beta) / (1.0 - math.exp(-beta)) ** 2
     assert abs(pt.C - want) / want < 1e-12
+
+
+def _within(got, want, rel=1e-11):
+    # below the normal range (|x| < 2.2e-308) a float has the fixed spacing
+    # 5e-324; a subnormal w_1 = e^{-beta D_1} carries that spacing into S
+    # times 1 + beta D_1, so allow 1e3 spacings there
+    return abs(got - want) <= rel * abs(want) + 1e3 * 5e-324
+
+
+@pytest.mark.parametrize("alpha", [0.02, 0.3, 0.95])
+@pytest.mark.parametrize("beta", [1e-3, 1.0, 10.0, 700.0])
+def test_sum_engine_against_brute_force(alpha, beta):
+    c = coefficients(OscillatorParams(alpha=alpha))
+    pt = thermo_sum_engine(c, beta, 1.0, TOL)
+    want = brute_thermo(c, beta)
+    got = (pt.Z, pt.U, pt.C, pt.S, pt.F)
+    assert all(_within(g, w) for g, w in zip(got, want)), (got, want)
+    assert partition_sum(c, beta, TOL) == pt.Z
+
+
+@pytest.mark.parametrize("beta", [1e-4, 1.0, 700.0])
+def test_sum_engine_geometric_series_at_alpha_zero(beta):
+    # b = 0: r = e^{-beta}, Z = e^{-beta/2}/(1 - r), <D> = r/(1 - r),
+    # Var D = r/(1 - r)^2; at beta = 1e-4 a level sum would need ~4e5 terms
+    with mp.workdps(50):
+        bt = mp.mpf(beta)
+        r = mp.exp(-bt)
+        mean, g = r / (1 - r), -mp.log1p(-r)
+        want = [float(v) for v in (mp.exp(-bt / 2) / (1 - r), mp.mpf(0.5) + mean,
+                                   bt * bt * r / (1 - r) ** 2, g + bt * mean,
+                                   mp.mpf(0.5) - g / bt)]
+    pt = thermo_sum_engine(C00, beta, 1.0, TOL)
+    got = (pt.Z, pt.U, pt.C, pt.S, pt.F)
+    assert all(_within(g, w) for g, w in zip(got, want)), (got, want)
+    assert partition_sum(C00, beta, TOL) == pt.Z
+
+
+_log_beta = st.floats(min_value=-4.0, max_value=4.0)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(alpha=st.floats(min_value=0.0, max_value=0.99), u1=_log_beta, u2=_log_beta)
+@example(alpha=0.0, u1=-4.0, u2=4.0)
+@example(alpha=1e-9, u1=-4.0, u2=0.0)
+def test_sum_engine_properties(alpha, u1, u2):
+    # never raises at the CLI tolerance over alpha in [0, 0.99] and
+    # beta in [1e-4, 1e4]; Z falls with beta (up to a few ulps of
+    # rounding); C, S >= 0 and U >= E_0
+    b1, b2 = sorted((10.0 ** u1, 10.0 ** u2))
+    assume(b1 < b2)
+    c = coefficients(OscillatorParams(alpha=alpha))
+    p1 = thermo_sum_engine(c, b1, 1.0, CLI_TOL)
+    p2 = thermo_sum_engine(c, b2, 1.0, CLI_TOL)
+    assert p2.Z <= p1.Z * (1.0 + 8 * np.finfo(float).eps)
+    for pt in (p1, p2):
+        assert pt.C >= 0.0 and pt.S >= 0.0 and pt.U >= c.energy(0)
 
 
 def test_quadrature_point_against_mpmath():

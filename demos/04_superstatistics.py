@@ -1,11 +1,12 @@
 """Superstatistics: the q-deformed Boltzmann factor and its thermodynamics.
 
 B_E^(q) = e^{-beta E} (1 + (q/2) beta^2 E^2) weights high-energy states up;
-q = 0 recovers classical statistics.  Ground truth is semi-infinite
-quadrature of the deformed factor and of its exact beta-derivatives, which
-give U_s and C_s without numerical differentiation; the typeset closed Z_s
-turns out to be exact (in its standalone '-' sign variant), which the last
-table shows.
+q = 0 recovers classical statistics.  Ground truth is the moment engine:
+Z_s and its exact beta-derivatives, which give U_s and C_s without
+numerical differentiation, are finite sums of closed-form moments of the
+excitation energy.  The typeset closed Z_s turns out to be exact (in its
+standalone '-' sign variant) against the semi-infinite quadrature, which
+the last table shows.
 """
 
 import math

@@ -14,6 +14,7 @@ validated like flags, and explicit flags always win.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -87,7 +88,10 @@ def _add_common(sub):
     sub.add_argument("--config", default=None, help="key = value config file")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every verb, built once per process: parse_args leaves
+    it unchanged, so every call starts from the defaults."""
     parser = argparse.ArgumentParser(
         prog="pdmosc",
         description="Thermodynamics and superstatistics of the deformed-mass "
@@ -184,7 +188,10 @@ def _cmd_point(args) -> int:
     s = routes.state(_values(args), args.units, args.b_convention, args.transcription,
                      _tolerance(args))
     family = "thermo" if args.q is None else "superstat"
-    pt = routes.POINTS[family][args.method or "sum"](s)
+    method = args.method or "sum"
+    if method not in routes.POINTS[family]:
+        raise ValueError(f"{family} points have no method {method!r}")
+    pt = routes.POINTS[family][method](s)
     lines = [f"beta={_fmt(pt.beta.value)}"]
     if args.q is not None:
         lines.append(f"q={_fmt(pt.q.q)}")

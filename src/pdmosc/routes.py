@@ -3,13 +3,14 @@
 ``ROUTES`` maps (quantity, method) to a single-quantity evaluator and
 ``POINTS`` maps (family, method) to a whole-point builder; both take a
 State.  The alias policy lives here only: Energy is the level E_n on every
-method; for thermo, ``engine`` is the sum route; for superstat, every
-method but ``closed`` is the semi-infinite quadrature (Z_s) or its
-moment engine (U_s, S_s, F_s, C_s).  A quantity uses its own function
-where one exists (Z and Z_s on every route, each typeset closed form) and
-its field of the whole point otherwise.  Functions are looked up as module
-attributes (``thermo.partition_sum``) at call time, so wrappers installed
-on the modules are seen.
+method; for thermo, ``engine`` is the sum route; for superstat, ``sum``
+is the moment engine, ``quadinf`` the batched semi-infinite quadrature,
+and ``quad01`` has no route (a pair missing from the table is refused).
+A quantity uses its own function where one exists (Z on every route, Z_s
+on ``quadinf``, each typeset closed form) and its field of the whole point
+otherwise.  Functions are looked up as module attributes
+(``thermo.partition_sum``) at call time, so wrappers installed on the
+modules are seen.
 """
 
 from __future__ import annotations
@@ -78,17 +79,19 @@ POINTS: dict[str, dict[str, Callable]] = {
         **{m: (lambda s, m=m: thermo.thermo_quadrature(s.c, s.beta, m, s.kB, s.tol))
            for m in ("quad01", "quadinf")},
     },
-    "superstat": {m: _superstat_point("closed" if m == "closed" else "engine")
-                  for m in METHODS},
+    "superstat": {"sum": _superstat_point("engine"),
+                  **{m: _superstat_point(m) for m in ("engine", "quadinf", "closed")}},
 }
 
 #: (quantity, method) -> evaluator; later entries override earlier ones
 ROUTES: dict[tuple[str, str], Callable[[State], float]] = {
-    **{(qn, m): (lambda s, build=POINTS[family][m], qn=qn: getattr(build(s), qn))
-       for family, quantities in FIELDS.items() for qn in quantities for m in METHODS},
+    **{(qn, m): (lambda s, build=build, qn=qn: getattr(build(s), qn))
+       for family, quantities in FIELDS.items() for qn in quantities
+       for m, build in POINTS[family].items()},
     **{("Energy", m): (lambda s: s.c.level(s.n)) for m in METHODS},
-    **{("Zs", m): (lambda s: superstat.superstat_partition_quadrature(s.c, s.beta, s.q, s.tol))
-       for m in METHODS},
+    # bit for bit the Z_s of the quadinf point, without its moment rows
+    ("Zs", "quadinf"):
+        lambda s: superstat.superstat_partition_quadrature(s.c, s.beta, s.q, s.tol),
     ("Z", "sum"): _z_sum,
     ("Z", "engine"): _z_sum,
     **{("Z", m): (lambda s, m=m: thermo.partition_quadrature(s.c, s.beta, m, s.tol))

@@ -57,8 +57,8 @@ class SweepSpec:
             raise ValueError(f"varied parameter {self.vary!r} also appears in fixed")
         if len(self.values) < 2:
             raise ValueError("sweep needs at least 2 grid values")
-        if self.method not in routes.METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
+        if (self.quantity, self.method) not in routes.ROUTES:
+            raise ValueError(f"{self.quantity} has no method {self.method!r}")
         if self.units not in ("natural", "si"):
             raise ValueError("units must be 'natural' or 'si'")
 

@@ -7,8 +7,9 @@ Two evaluation families coexist deliberately:
 * the ground truth takes U = <E> and C = kB beta^2 Var E from exact
   Boltzmann moments in the ground-state gauge, summed over the levels
   (``thermo_sum_engine``, the physical route) or integrated over continuous
-  n (``thermo_quadrature``); ``thermo_from_logZ`` differentiates ln Z_closed
-  numerically instead, the audit's internal-consistency oracle;
+  n (``thermo_quadrature``, whose 'quad01' point is the audit's oracle for
+  the closed forms); ``thermo_from_logZ`` differentiates ln Z_closed
+  numerically instead;
 * the closed-form evaluators reproduce the typeset expressions for U, C, S,
   F.  Those expressions carry typesetting defects, so each is available in
   two transcriptions: ``verbatim`` (exactly as typeset, including suspected
@@ -326,8 +327,7 @@ def thermo_quadrature(c: SpectrumCoefficients, beta, range_: str = "quad01",
 def thermo_from_logZ(logZ: Callable[[float], float], beta, kB: float = 1.0,
                      method: str = "sum") -> ThermoPoint:
     """U, C, S, F from any smooth log-partition provider via the standard
-    identities; U and C use Richardson-extrapolated numerical derivatives.
-    The audit's internal-consistency oracle on ln Z_closed."""
+    identities; U and C use Richardson-extrapolated numerical derivatives."""
     bt = as_beta(beta)
     bv = bt.value
     U = -derivative(logZ, bv, order=1, scale=bv, positive_only=True)

@@ -10,8 +10,7 @@ suite and cover only provable facts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from functools import partial
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -83,10 +82,10 @@ def audit_grid(params_grid: Iterable = DEFAULT_ALPHAS,
     """Audit every typeset closed form on the grid, both transcriptions.
 
     Oracle assignments, basis "closed" (internal-consistency audit):
-    Z -> quadrature over [0,1]; U/C/S/F -> derivative engine on ln of the
-    closed Z; Zs/Us/Ss/Fs/Cs -> the exact-moment engine on the
-    semi-infinite quadrature.  Basis "sum" replaces the thermo oracles with
-    the physical sum route.
+    Z/U/C/S/F -> the exact moments of the integral over n in [0, 1] that
+    the closed Z equals (thermo_quadrature 'quad01'); Zs/Us/Ss/Fs/Cs -> the
+    closed-form moment engine over [0, inf).  Basis "sum" replaces the
+    thermo oracles with the physical sum route (thermo_sum_engine).
 
     Reports come back sorted by quantity, then grid indices, then
     transcription; identical inputs produce identical lists.
@@ -104,13 +103,9 @@ def audit_grid(params_grid: Iterable = DEFAULT_ALPHAS,
         c = coefficients(p)
         for bv in betas:
             if oracle_basis == "closed":
-                z_oracle = thermo.partition_quadrature(c, bv, "quad01", tol)
-                pt = thermo.thermo_from_logZ(partial(thermo.log_partition_closed, c),
-                                             bv, kB, method="closed")
+                oracle = thermo.thermo_quadrature(c, bv, "quad01", kB, tol)
             else:
-                z_oracle = thermo.partition_sum(c, bv, tol)
-                pt = thermo.thermo_sum_engine(c, bv, kB, tol)
-            oracle = replace(pt, Z=z_oracle)
+                oracle = thermo.thermo_sum_engine(c, bv, kB, tol)
             for tr in thermo.TRANSCRIPTIONS:
                 reports += _closed_reports("thermo", routes.State(c, kB, bv, transcription=tr),
                                            p.alpha, None, oracle)

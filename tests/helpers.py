@@ -51,21 +51,27 @@ def mp_weight_moments(c, beta, q, hi, dps: int = 40):
     """(Z, U, C) of the weight w = e^{-beta E}(1 + (q/2) beta^2 E^2) over
     n in [0, hi], E(n) = a(n+1/2) + b(n^2+2n+1/2): high-precision
     quadratures of w, dw/dbeta and d^2w/dbeta^2 (product rule, written out),
-    then U = -Z'/Z and C = beta^2 (Z''/Z - (Z'/Z)^2)."""
+    then U = -Z'/Z and C = beta^2 (Z''/Z - (Z'/Z)^2).  The integrals run
+    over u = beta (E - E_0), dn = du / (beta sqrt(L^2 + 4 b u/beta)) with
+    L = a + 2b, where the integrands keep their width whatever beta is; the
+    constant factor e^{-beta E_0}/beta is applied after the quadratures."""
     with mp.workdps(dps):
         bt, qm = mp.mpf(beta), mp.mpf(q)
         a, b = mp.mpf(c.a), mp.mpf(c.b)
+        e0, lin = (a + b) / 2, a + 2 * b
 
-        def w(n, k):
-            e = a * (n + mp.mpf(0.5)) + b * (n * n + 2 * n + mp.mpf(0.5))
-            g = mp.exp(-bt * e)
+        def w(u, k):
+            e = e0 + u / bt
+            g = mp.exp(-u) / mp.sqrt(lin * lin + 4 * b * u / bt)
             p, dp, d2p = 1 + qm * bt * bt * e * e / 2, qm * bt * e * e, qm * e * e
             return (g * p, -e * g * p + g * dp, e * e * g * p - 2 * e * g * dp + g * d2p)[k]
 
-        points = [0, 1] if hi == 1 else [0, 1, 10, 100, mp.inf]
-        z, z1, z2 = (mp.quad(lambda n: w(n, k), points) for k in range(3))
-        u = -z1 / z
-        return float(z), float(u), float(bt * bt * (z2 / z - u * u))
+        top = mp.inf if hi == mp.inf else bt * (a + 3 * b)  # u at n = 1
+        points = [0] + [p for p in (1, 10, 100) if p < top] + [top]
+        z, z1, z2 = (mp.quad(lambda u: w(u, k), points) for k in range(3))
+        mean = -z1 / z
+        return (float(z * mp.exp(-bt * e0) / bt), float(mean),
+                float(bt * bt * (z2 / z - mean * mean)))
 
 
 def brute_thermo(c, beta, dps: int = 50):

@@ -1,10 +1,12 @@
-"""Superstatistics layer: deformed factor, quadrature ground truth, typeset
-closed forms, assembled points."""
+"""Superstatistics layer: deformed factor, its quadrature, the closed-form
+moment engine (ground truth), typeset closed forms, assembled points."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pdmosc import (DeformationQ, OscillatorParams, SingularLimit, SpectrumCoefficients,
                     Tolerance, boltzmann_factor_q, coefficients, entropy_superstat_closed,
@@ -12,6 +14,9 @@ from pdmosc import (DeformationQ, OscillatorParams, SingularLimit, SpectrumCoeff
                     log_superstat_partition_closed, mean_energy_superstat_closed,
                     partition_quadrature, superstat_partition_closed,
                     superstat_partition_quadrature, superstat_thermo, thermo_quadrature)
+
+from pdmosc.superstat import excitation_moments
+from pdmosc.verify import DEFAULT_ALPHAS, DEFAULT_BETAS, DEFAULT_QS
 
 from helpers import mp_quad, mp_weight_moments
 
@@ -171,11 +176,12 @@ def test_closed_point_has_finite_cs():
 
 
 def test_engine_rows_equal_single_quadratures():
-    """The engine's rows, run as one batch, are bit for bit the single
-    quadratures of each row: the three moment rows in the ground-state gauge
-    on n = s m, and the deformed factor itself for Z_s."""
+    """The quadinf point's Gauss-Kronrod rows, run as one batch, are bit for
+    bit the single quadratures of each row: the three moment rows in the
+    ground-state gauge on n = s m, and the deformed factor itself for Z_s."""
     for c, beta, q in [(C01, 0.1, 0.0), (C03, 1.0, 0.5), (C09, 7.5, 1.0)]:
-        pt = superstat_thermo(c, beta, q, 1.0, TOL, method="engine")
+        pt = superstat_thermo(c, beta, q, 1.0, TOL, method="quadinf")
+        assert pt.method == "quadinf"
         e0 = c.energy(0)
         lin, level = c.a + 2.0 * c.b, 8.0 / beta
         s = max(1.0, 2.0 * level / (lin + math.sqrt(lin * lin + 4.0 * c.b * level)) / 24.0)
@@ -199,15 +205,95 @@ def test_engine_rows_equal_single_quadratures():
 
 
 def test_engine_against_mpmath_at_regime_corners():
-    # U_s and C_s against 40-digit quadratures of the weight's beta-derivatives;
-    # at beta <= 0.01 the moment rows peak past the tail probes at n ~ 9..99
+    # U_s and C_s against 40-digit quadratures of the weight's beta-derivatives
     corners = [(c, beta, q) for c in (C01, C09) for beta in (0.1, 10.0) for q in (0.0, 0.5, 1.0)]
     for c, beta, q in corners + [(C00, 0.01, 0.5), (C01, 0.001, 1.0)]:
         pt = superstat_thermo(c, beta, q, 1.0, TOL, method="engine")
         z, u, cv = mp_weight_moments(c, beta, q, math.inf)
         assert abs(pt.Zs - z) / z < 1e-12
-        assert abs(pt.Us - u) / abs(u) < 1e-10
-        assert abs(pt.Cs - cv) / abs(cv) < 1e-10
+        assert abs(pt.Us - u) / abs(u) < 1e-12
+        assert abs(pt.Cs - cv) / abs(cv) < 1e-12
+
+
+@pytest.mark.parametrize("beta", [1e2, 1e3, 1e4])
+def test_engine_u_and_c_at_large_beta(beta):
+    # the E_0^2 cancellation of M_2/M_0 - U^2 in the Gauss-Kronrod moment
+    # rows cost C_s 1.5e-10 at beta = 1e3 and 1.3e-8 at 1e4; the engine's
+    # ground-state moments keep U_s and C_s near rounding
+    pt = superstat_thermo(C03, beta, 0.5, method="engine")
+    _, u, cv = mp_weight_moments(C03, beta, 0.5, math.inf, dps=50)
+    assert abs(pt.Us - u) / abs(u) < 1e-13
+    assert abs(pt.Cs - cv) / abs(cv) < 1e-13
+
+
+def _mp_excitation_moments(a, b, beta, dps=50):
+    """J_k = int_0^inf D^k e^{-beta D} dn, k = 0..4, at 50 digits from the
+    Tricomi function: J_k = k! (L^2/4b)^{k+1} U(k+1, k+3/2, y^2)/L with
+    L = a + 2b and y^2 = beta L^2/(4b) (DLMF 13.4.4); k!/(L beta)^{k+1} at b = 0."""
+    with mp.workdps(dps):
+        a, b, bt = mp.mpf(a), mp.mpf(b), mp.mpf(beta)
+        lin = a + 2 * b
+        if b == 0:
+            return [mp.factorial(k) / (lin * bt) ** (k + 1) for k in range(5)]
+        scale = lin * lin / (4 * b)
+        return [mp.factorial(k) * scale ** (k + 1) * mp.hyperu(k + 1, k + 1.5, bt * scale) / lin
+                for k in range(5)]
+
+
+@pytest.mark.parametrize("y", [0.015, 0.47, 1.38, 1.39, 1.41, 2.9, 5.35, 7.8, 24.6, 169.0,
+                               2.2e6])
+def test_excitation_moments_against_mpmath(y):
+    # both sides of the recurrence / Gauss-Laguerre switch at y = 1.4, the y
+    # where numerics.erfcx (1 - erf) would cost I_0 1.4e-14, and the y where
+    # Miller's backward recurrence failed (2.9..7.7)
+    for c in (C01, C09):
+        lin = c.a + 2.0 * c.b
+        beta = 4.0 * c.b * y * y / (lin * lin)
+        got = excitation_moments(c, beta)
+        want = _mp_excitation_moments(c.a, c.b, beta)
+        assert all(abs(g - w) <= 2e-15 * w for g, w in zip(got, want)), (got, want)
+
+
+@pytest.mark.parametrize("b", [0.0, 5e-324, 1e-310])
+def test_excitation_moments_at_vanishing_b(b):
+    # at b = 0 the rule's weight (1 + u/y^2)^{-1/2} is exactly 1, and
+    # J_k = k!/(L beta)^{k+1}; a subnormal b must not overflow y^2
+    c = SpectrumCoefficients(a=1.0, b=b)
+    got = excitation_moments(c, 2.5)
+    want = _mp_excitation_moments(c.a, c.b, 2.5)
+    assert all(abs(g - w) <= 2e-15 * w for g, w in zip(got, want)), (got, want)
+
+
+def test_engine_agrees_with_quadinf_on_atlas_grid():
+    # at the audit tolerance the two [0, inf) routes agree to the audit's
+    # precision; the Gauss-Kronrod side is the less accurate one
+    tol = Tolerance(rel=3e-13, abs=0.0, max_evals=400_000)
+    worst = dict.fromkeys(("Zs", "Us", "Ss", "Fs", "Cs"), 0.0)
+    for alpha in DEFAULT_ALPHAS:
+        c = coefficients(OscillatorParams(alpha=alpha))
+        for beta in DEFAULT_BETAS:
+            for q in DEFAULT_QS:
+                e = superstat_thermo(c, beta, q, 1.0, tol, method="engine")
+                g = superstat_thermo(c, beta, q, 1.0, tol, method="quadinf")
+                for name in worst:
+                    x, y = getattr(e, name), getattr(g, name)
+                    worst[name] = max(worst[name], abs(x - y) / abs(y))
+    print(f"  engine vs quadinf, worst relative: {worst}")
+    assert worst["Zs"] < 1e-13 and worst["Us"] < 1e-13
+    assert worst["Ss"] < 5e-12 and worst["Fs"] < 5e-12 and worst["Cs"] < 5e-12
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(alpha=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+       log_beta=st.floats(min_value=-4.0, max_value=4.0),
+       q=st.floats(min_value=0.0, max_value=1.0))
+@example(alpha=0.0, log_beta=-4.0, q=1.0)
+@example(alpha=1e-9, log_beta=4.0, q=0.0)
+def test_engine_never_raises_and_stays_finite(alpha, log_beta, q):
+    c = coefficients(OscillatorParams(alpha=alpha))
+    pt = superstat_thermo(c, 10.0 ** log_beta, q, method="engine")
+    assert pt.Zs >= 0.0
+    assert all(math.isfinite(v) for v in (pt.Us, pt.Ss, pt.Fs, pt.Cs))
 
 
 def test_engine_finite_where_zs_underflows():
@@ -221,15 +307,18 @@ def test_engine_finite_where_zs_underflows():
 
 
 def test_quadinf_point_is_the_engine_at_q0():
+    # the thermo and superstat quadinf points run the same Gauss-Kronrod
+    # moment rows, so at q = 0 they agree bit for bit
     for c, beta in [(C01, 0.1), (C03, 2.0), (C09, 10.0)]:
         pt = thermo_quadrature(c, beta, "quadinf", 1.0, TOL)
-        spt = superstat_thermo(c, beta, 0.0, 1.0, TOL, method="engine")
+        spt = superstat_thermo(c, beta, 0.0, 1.0, TOL, method="quadinf")
         assert (pt.Z, pt.U, pt.C, pt.S, pt.F) == (spt.Zs, spt.Us, spt.Cs, spt.Ss, spt.Fs)
 
 
 def test_method_validation():
-    with pytest.raises(ValueError):
-        superstat_thermo(C01, 1.0, 0.5, method="quad")
+    for method in ("quad", "quad01", "sum"):
+        with pytest.raises(ValueError):
+            superstat_thermo(C01, 1.0, 0.5, method=method)
 
 
 def test_cs_sign_reported_not_asserted():

@@ -1,5 +1,6 @@
 """Sweeps, figure presets, and the command-line interface."""
 
+import itertools
 import json
 import math
 
@@ -20,6 +21,8 @@ def test_sweepspec_validation():
         SweepSpec(quantity="Z", vary="temperature", values=(1.0, 2.0))
     with pytest.raises(ValueError):
         SweepSpec(quantity="U", vary="beta", values=(1.0, 2.0), method="bogus")
+    with pytest.raises(ValueError, match="no method 'quad01'"):
+        SweepSpec(quantity="Us", vary="beta", values=(1.0, 2.0), method="quad01")
 
 
 def test_energy_sweep_increasing():
@@ -189,24 +192,41 @@ def _fields(out: str) -> dict:
     return dict(line.split("=", 1) for line in out.strip().split("\n"))
 
 
-@pytest.mark.parametrize("quantity,method", sorted(routes.ROUTES))
+@pytest.mark.parametrize("quantity,method",
+                         sorted(itertools.product(routes.QUANTITIES, routes.METHODS)))
 def test_route_table_sweep_matches_point(quantity, method, capsys):
     # one state, every (quantity, method) the CLI accepts: the sweep row is
-    # the field point prints; a superstat point is closed or the engine
+    # the field point prints with the same method, bit for bit; a pair
+    # without a route (superstat quad01) is refused by both with exit 2
     state = ["--alpha", "0.3"] + (["--q", "0.5"] if quantity in routes.SUPERSTAT else [])
-    code, out = run_cli(["sweep", quantity, "--vary", "beta", "--range", "2,3",
-                         "--method", method] + state, capsys)
+    sweep = ["sweep", quantity, "--vary", "beta", "--range", "2,3", "--method", method]
+    point = ["point", "--beta", "2", "--method", method]
+    if (quantity, method) not in routes.ROUTES:
+        assert cli.main(sweep + state) == 2
+        assert cli.main(point + state) == 2
+        assert capsys.readouterr().err.count(f"no method {method!r}") == 2
+        return
+    code, out = run_cli(sweep + state, capsys)
     assert code == 0
     swept = out.split("\n")[1].split(",")[1]
     if quantity == "Energy":
         assert float(swept) == energy_level(OscillatorParams(alpha=0.3), 0)
         return
-    if quantity in routes.SUPERSTAT and method != "closed":
-        method = "engine"
-    code, out = run_cli(["point", "--beta", "2", "--method", method] + state, capsys)
+    code, out = run_cli(point + state, capsys)
     assert code == 0
     printed = _fields(out)[quantity]
     assert swept == printed
+
+
+def test_cli_parser_keeps_no_state_between_calls(capsys):
+    # the parser is built once per process; each call starts from defaults
+    assert cli.build_parser() is cli.build_parser()
+    code, out = run_cli(["point", "--beta", "2", "--q", "0.5"], capsys)
+    assert code == 0 and "beta=2\n" in out and "q=0.5\n" in out
+    code, out = run_cli(["point"], capsys)
+    assert code == 0
+    fields = _fields(out)
+    assert fields["beta"] == "1" and "q" not in fields and fields["method"] == "sum"
 
 
 def test_cli_sweep_null_rows(capsys):

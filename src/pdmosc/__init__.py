@@ -2,15 +2,15 @@
 position-dependent mass, with every typeset closed form audited against
 independent numerical oracles."""
 
-from .errors import DomainEdge, NonConvergence, NonDecaying, PdmoscError, SingularLimit
-from .numerics import (QuadratureResult, Tolerance, derivative, erf, erfc, erfcx,
-                       integrate_batch, integrate_finite, integrate_semi_infinite,
-                       sum_decaying)
+from .errors import NonConvergence, NonDecaying, PdmoscError, SingularLimit
+from .numerics import (QuadratureResult, Tolerance, erf, erfc, erfcx, erfcx_derivatives,
+                       exp_neg_product, integrate_batch, integrate_finite,
+                       integrate_semi_infinite, sum_decaying)
 from .spectrum import OscillatorParams, SpectrumCoefficients, coefficients, energy_level
 from .thermo import (B_MIN, Beta, ThermoPoint, free_energy_closed,
                      heat_capacity_closed, log_partition_closed, mean_energy_closed,
                      entropy_closed, partition_closed, partition_quadrature, partition_sum,
-                     thermo_closed_point, thermo_from_logZ, thermo_quadrature)
+                     thermo_closed_point, thermo_quadrature)
 from .superstat import (DeformationQ, SuperstatPoint, boltzmann_factor_q,
                         entropy_superstat_closed, free_energy_superstat_closed,
                         heat_capacity_superstat_closed,

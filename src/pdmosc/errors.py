@@ -15,7 +15,3 @@ class NonDecaying(PdmoscError):
 
 class SingularLimit(PdmoscError):
     """A closed form was evaluated too close to its b -> 0 singularity."""
-
-
-class DomainEdge(PdmoscError):
-    """A differentiation stencil would leave the function's positive domain."""

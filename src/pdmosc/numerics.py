@@ -1,6 +1,6 @@
-"""Self-contained numerical kernel: error function, adaptive Gauss-Kronrod
-quadrature on finite and semi-infinite intervals, guarded series summation,
-and Richardson-extrapolated numerical differentiation.
+"""Self-contained numerical kernel: the error function family (erfcx with
+its derivatives), an error-free e^{-ab}, adaptive Gauss-Kronrod quadrature
+on finite and semi-infinite intervals, and guarded series summation.
 
 Everything here is pure and deterministic; no shared mutable state.
 """
@@ -15,7 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainEdge, NonConvergence, NonDecaying
+from ._laguerre import NODES, WEIGHTS
+from .errors import NonConvergence, NonDecaying
 
 _SQRT_PI = math.sqrt(math.pi)
 _EPS = float(np.finfo(float).eps)
@@ -78,30 +79,64 @@ def _erf_series(x: float) -> float:
     return (2.0 / _SQRT_PI) * x * math.exp(-x2) * s
 
 
-def _erfcx_cf(x: float) -> float:
-    """Scaled complementary error function via the Laplace continued fraction.
+_SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitting constant
 
-    sqrt(pi) e^{x^2} erfc(x) = 1/(x + (1/2)/(x + 1/(x + (3/2)/(x + ...))))
-    Accurate to machine precision for x >= 2.
-    """
-    tiny = 1e-300
-    f = x if x != 0.0 else tiny
-    c = f
-    d = 0.0
-    for i in range(1, 400):
-        ai = 0.5 * i
-        d = x + ai * d
-        if d == 0.0:
-            d = tiny
-        c = x + ai / c
-        if c == 0.0:
-            c = tiny
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 1e-17:
-            break
-    return 1.0 / (_SQRT_PI * f)
+
+def exp_neg_product(a: float, b: float, b2: float = 0.0) -> float:
+    """e^{-a (b + b2)} to within ~1 ulp: b + b2 = s + e_s exactly (Knuth's
+    two-sum) and a s = p + e exactly (Dekker's two-product, Numer. Math. 18
+    (1971) 224), so e^{-p} (1 - e - a e_s) keeps the |ab| ulp that rounding
+    would cost.  Where the split overflows (|a| or |b| above ~1e300), e^{-p}."""
+    s = b + b2
+    t = s - b
+    e_s = (b - (s - t)) + (b2 - t)
+    p = a * s
+    t = _SPLIT * a
+    ah = t - (t - a)
+    al = a - ah
+    t = _SPLIT * s
+    sh = t - (t - s)
+    sl = s - sh
+    e = ((ah * sh - p) + ah * sl + al * sh) + al * sl + a * e_s
+    return math.exp(-p) * (1.0 - e) if math.isfinite(e) else math.exp(-p)
+
+
+#: from this x on, erfcx and its derivatives come from the Gauss-Laguerre
+#: rule, whose nodes lie far enough from the branch point u = -x^2
+_X_RULE = 1.4
+_LAG_U = np.array(NODES)
+_LAG_W = np.array(WEIGHTS)
+
+
+def erfcx(x: float) -> float:
+    """Scaled complementary error function e^{x^2} erfc(x), within 5e-16
+    relative wherever it does not overflow.  Below x = 1.4 it is
+    e^{x^2} math.erfc(x), x^2 carried exactly.  From 1.4 on, u = t^2 + 2xt in
+    erfcx(x) = (2/sqrt(pi)) int_0^inf e^{-t^2 - 2xt} dt (DLMF 7.2.2) gives
+        erfcx(x) = (1/(sqrt(pi) x)) int_0^inf e^{-u} (1 + u/x^2)^{-1/2} du,
+    a fixed 48-point Gauss-Laguerre sum of positive terms w_i/(x^2 + u_i)^{1/2}."""
+    if x < _X_RULE:
+        return exp_neg_product(-x, x) * math.erfc(x)
+    if x < 1e8:  # beyond, 1/(2x^2) is below rounding (and x^2 may overflow)
+        return float(_LAG_W.dot((x * x + _LAG_U) ** -0.5)) / _SQRT_PI
+    return 1.0 / (_SQRT_PI * x)
+
+
+def erfcx_derivatives(x: float) -> tuple[float, float, float]:
+    """(erfcx(x), erfcx'(x), erfcx''(x)), the first bit for bit erfcx(x).
+    Below x = 1.4, erfcx' = 2x erfcx - 2/sqrt(pi) and erfcx'' = 2 erfcx
+    + 2x erfcx' (DLMF 7.10); the second cancels ~70-fold near 1.4 (1e-14).
+    From 1.4 on, the same rule gives erfcx^(n)(x) = (1/sqrt(pi)) sum_i w_i
+    (-2 t_i)^n / r_i, r_i = sqrt(x^2 + u_i), t_i = u_i/(x + r_i):
+    terms of one sign (3e-15), where the recurrence would lose ~2x^2 ulp."""
+    e = erfcx(x)
+    if x < _X_RULE:
+        d1 = 2.0 * x * e - 2.0 / _SQRT_PI
+        return e, d1, 2.0 * e + 2.0 * x * d1
+    r = np.sqrt(x * x + _LAG_U)
+    t = _LAG_U / (x + r)
+    wt = _LAG_W * t / r
+    return e, -2.0 * float(wt.sum()) / _SQRT_PI, 4.0 * float(wt.dot(t)) / _SQRT_PI
 
 
 def erf(x: float) -> float:
@@ -113,26 +148,17 @@ def erf(x: float) -> float:
         return 1.0 if x > 0 else -1.0
     if ax < 2.0:
         return _erf_series(x)
-    v = 1.0 - math.exp(-ax * ax) * _erfcx_cf(ax)
+    v = 1.0 - math.exp(-ax * ax) * erfcx(ax)
     return v if x > 0 else -v
-
-
-def erfcx(x: float) -> float:
-    """Scaled complementary error function e^{x^2} erfc(x)."""
-    if x >= 2.0:
-        return _erfcx_cf(x)
-    if x >= 0.0:
-        return math.exp(x * x) * (1.0 - _erf_series(x))
-    return 2.0 * math.exp(x * x) - erfcx(-x)
 
 
 def erfc(x: float) -> float:
     """Complementary error function 1 - erf(x), accurate into the far tail."""
     if x >= 2.0:
-        return math.exp(-x * x) * _erfcx_cf(x)
+        return math.exp(-x * x) * erfcx(x)
     if x >= -2.0:
         return 1.0 - erf(x)
-    return 2.0 - math.exp(-x * x) * _erfcx_cf(-x)
+    return 2.0 - math.exp(-x * x) * erfcx(-x)
 
 
 # ---------------------------------------------------------------------------
@@ -334,40 +360,3 @@ def sum_decaying(terms: Callable[[np.ndarray], np.ndarray],
             raise NonConvergence(
                 f"series tail bound not met within {tol.max_evals} terms")
         lo, hi = hi, min(2 * hi, tol.max_evals)
-
-
-# ---------------------------------------------------------------------------
-# Numerical differentiation
-# ---------------------------------------------------------------------------
-
-def derivative(f: Callable[[float], float], x: float, order: int,
-               scale: float, positive_only: bool = False) -> float:
-    """First or second derivative by central differences at steps 4h, 2h
-    and h with two levels of Richardson extrapolation.
-
-    h = scale*eps^(1/5) (order 1) or scale*eps^(1/6) (order 2) balances
-    roundoff against the O(h^6) truncation of the extrapolated stencil
-    (the bare stencil's eps^(1/3), eps^(1/4) leave ~100x more noise).  With
-    positive_only, refuses stencils reaching x - 4h <= 0.
-    """
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    h = scale * (_EPS ** 0.2 if order == 1 else _EPS ** (1.0 / 6.0))
-    if positive_only and x - 4.0 * h <= 0.0:
-        raise DomainEdge(f"stencil of width {4 * h:.3e} leaves the positive domain at x={x:.3e}")
-
-    if order == 1:
-        def d0(step):
-            return (f(x + step) - f(x - step)) / (2.0 * step)
-    else:
-        f0 = f(x)
-
-        def d0(step):
-            return (f(x + step) - 2.0 * f0 + f(x - step)) / (step * step)
-
-    a0, a1, a2 = d0(4.0 * h), d0(2.0 * h), d0(h)
-    r0 = (4.0 * a1 - a0) / 3.0
-    r1 = (4.0 * a2 - a1) / 3.0
-    return (16.0 * r1 - r0) / 15.0

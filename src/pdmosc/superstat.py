@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._laguerre import NODES, WEIGHTS
-from .numerics import Tolerance, derivative, erfcx, integrate_semi_infinite
+from .numerics import (_LAG_U, _LAG_W, _X_RULE, Tolerance, erfcx, erfcx_derivatives,
+                       exp_neg_product, integrate_semi_infinite)
 from .spectrum import SpectrumCoefficients
 from .thermo import (B_MIN, Beta, _check_transcription, _exp, _factor_q,
                      _quadrature_moments, _require_regular, as_beta)
@@ -88,35 +88,44 @@ def superstat_partition_quadrature(c: SpectrumCoefficients, beta, q,
 
 
 # ---------------------------------------------------------------------------
-# Typeset closed form of Z_s and its restated brackets
+# Typeset closed forms of Z_s, U_s, S_s, F_s, and the exact C_s
 # ---------------------------------------------------------------------------
 
+def _closed_args(c: SpectrumCoefficients, beta, q, transcription: str, b_min: float = B_MIN):
+    """After the argument checks: beta, q, the sign of the 2 a^3 sqrt(b) beta
+    term (-1 verbatim, +1 corrected) and x1.  The forms below take x1 and
+    erfcx(x1) from their caller, so a whole point evaluates them once."""
+    _check_transcription(transcription)
+    _require_regular(c, b_min)
+    bv = as_beta(beta).value
+    x1 = 0.5 * (c.a + 2.0 * c.b) * math.sqrt(bv / c.b)
+    return bv, as_q(q).q, -1.0 if transcription == "verbatim" else 1.0, x1
+
+
 def _bracket_pieces(c: SpectrumCoefficients, bv: float, qv: float, sign_a3: float):
-    """P (no-exponential part) and R (erf-coefficient polynomial) of the big
-    bracket of the typeset Z_s; the bracket equals P + sqrt(pi) R erfcx(x1)
-    because its Gaussian and erf parts cancel exactly."""
+    """(P, P', P''), (R, R', R''): the no-exponential part P = q sqrt(b)
+    (c1 s + c3 s^3), s = sqrt(beta), and the erf-coefficient polynomial
+    R = r0 + r1 beta + r2 beta^2 of the big bracket of the typeset Z_s, with
+    their beta-derivatives.  The bracket is P + sqrt(pi) R erfcx(x1): its
+    Gaussian and erf parts cancel exactly."""
     a, b = c.a, c.b
-    sb = math.sqrt(b)
-    sbeta = math.sqrt(bv)
-    sbb = sb * sbeta
-    P = qv * (sbeta * (12.0 * a * b * sb + 24.0 * b * b * sb + sign_a3 * 2.0 * a ** 3 * sb * bv)
-              - 4.0 * a * a * b * bv * sbb)
-    R = (a ** 4 * bv * bv * qv + 4.0 * b ** 4 * bv * bv * qv
-         + 4.0 * a * a * b * bv * (-1.0 + a * bv) * qv
-         + 8.0 * b ** 3 * bv * (-1.0 + a * bv) * qv
-         + 4.0 * b * b * (8.0 + (3.0 - 2.0 * a * bv + 2.0 * a * a * bv * bv) * qv))
-    return P, R
+    s = math.sqrt(bv)
+    k = qv * math.sqrt(b)
+    c1 = k * (12.0 * a * b + 24.0 * b * b)
+    c3 = k * (sign_a3 * 2.0 * a ** 3 - 4.0 * a * a * b)
+    r0 = 4.0 * b * b * (8.0 + 3.0 * qv)
+    r1 = -qv * (4.0 * a * a * b + 8.0 * a * b * b + 8.0 * b ** 3)
+    r2 = qv * (a ** 4 + 4.0 * a ** 3 * b + 8.0 * a * a * b * b + 8.0 * a * b ** 3
+               + 4.0 * b ** 4)
+    return ((c1 + c3 * bv) * s, (c1 + 3.0 * c3 * bv) / (2.0 * s),
+            (3.0 * c3 * bv - c1) / (4.0 * s * bv)), \
+        (r0 + (r1 + r2 * bv) * bv, r1 + 2.0 * r2 * bv, 2.0 * r2)
 
 
-def _x1(c: SpectrumCoefficients, bv: float) -> float:
-    return 0.5 * (c.a + 2.0 * c.b) * math.sqrt(bv / c.b)
-
-
-def _bracket(c: SpectrumCoefficients, bv: float, qv: float, sign_a3: float,
-             den_b2_typo: bool = False) -> float:
-    P, R = _bracket_pieces(c, bv, qv, sign_a3)
-    x1 = _x1(c, bv)
-    val = P + _SQRT_PI * R * erfcx(x1)
+def _bracket(c: SpectrumCoefficients, bv: float, qv: float, sign_a3: float, x1: float,
+             ex: float, den_b2_typo: bool = False) -> float:
+    (P, _, _), (R, _, _) = _bracket_pieces(c, bv, qv, sign_a3)
+    val = P + _SQRT_PI * R * ex
     if den_b2_typo:
         # the U_s denominator restates the bracket with 8 b^2 beta instead of
         # 8 b^3 beta, leaving an uncancelled Gaussian of this size
@@ -126,41 +135,37 @@ def _bracket(c: SpectrumCoefficients, bv: float, qv: float, sign_a3: float,
     return val
 
 
+def _log_partition(c: SpectrumCoefficients, bv: float, bracket: float) -> float:
+    return (-(c.a + c.b) * bv / 2.0 - math.log(64.0 * c.b ** 2.5 * math.sqrt(bv))
+            + math.log(bracket))
+
+
 def superstat_partition_closed(c: SpectrumCoefficients, beta, q,
                                transcription: str = "verbatim",
                                b_min: float = B_MIN) -> float:
     """The typeset closed form of Z_s, overflow-stabilized exactly."""
-    _check_transcription(transcription)
-    _require_regular(c, b_min)
-    bv = as_beta(beta).value
-    qv = as_q(q).q
-    sign = -1.0 if transcription == "verbatim" else 1.0
-    pref = math.exp(-(c.a + c.b) * bv / 2.0) / (64.0 * c.b ** 2.5 * math.sqrt(bv))
-    return pref * _bracket(c, bv, qv, sign)
+    bv, qv, sign, x1 = _closed_args(c, beta, q, transcription, b_min)
+    return _partition(c, bv, _bracket(c, bv, qv, sign, x1, erfcx(x1)))
+
+
+def _partition(c: SpectrumCoefficients, bv: float, bracket: float) -> float:
+    return math.exp(-(c.a + c.b) * bv / 2.0) / (64.0 * c.b ** 2.5 * math.sqrt(bv)) * bracket
 
 
 def log_superstat_partition_closed(c: SpectrumCoefficients, beta, q,
                                    transcription: str = "verbatim",
                                    b_min: float = B_MIN) -> float:
     """ln Z_s (closed form), stable at large beta."""
-    _check_transcription(transcription)
-    _require_regular(c, b_min)
-    bv = as_beta(beta).value
-    qv = as_q(q).q
-    sign = -1.0 if transcription == "verbatim" else 1.0
-    return (-(c.a + c.b) * bv / 2.0 - math.log(64.0 * c.b ** 2.5 * math.sqrt(bv))
-            + math.log(_bracket(c, bv, qv, sign)))
+    bv, qv, sign, x1 = _closed_args(c, beta, q, transcription, b_min)
+    return _log_partition(c, bv, _bracket(c, bv, qv, sign, x1, erfcx(x1)))
 
 
-# ---------------------------------------------------------------------------
-# Typeset closed forms of U_s and S_s
-# ---------------------------------------------------------------------------
-
-def _numerator_pieces(c: SpectrumCoefficients, bv: float, qv: float, variant: str):
-    """P and R of the big fraction numerator shared by the typeset U_s and
-    S_s.  variant 'us' follows the U_s print (whose Gaussian/erf parts do
-    NOT cancel; the residue is returned as D), variant 'ss' the S_s print
-    (which cancels exactly, D = 0)."""
+def _numerator(c: SpectrumCoefficients, bv: float, qv: float, variant: str, x1: float,
+               ex: float) -> float:
+    """The big fraction numerator shared by the typeset U_s and S_s,
+    P + sqrt(pi) R erfcx(x1).  variant 'us' follows the U_s print, whose
+    Gaussian/erf parts do NOT cancel and leave sqrt(pi) D e^{x1^2}; variant
+    'ss' the S_s print, which cancels exactly (D = 0)."""
     a, b = c.a, c.b
     bb = b * bv
     sbb = math.sqrt(bb)
@@ -186,13 +191,7 @@ def _numerator_pieces(c: SpectrumCoefficients, bv: float, qv: float, variant: st
         + 4.0 * a * a * b * bv * (1.0 + a * bv) * qv
         + 8.0 * b ** 3 * bv * (1.0 + a * bv) * qv
         + 4.0 * b * b * (8.0 + (3.0 + 2.0 * a * bv + 2.0 * a * a * bv * bv) * qv))
-    return P, R, D
-
-
-def _numerator(c: SpectrumCoefficients, bv: float, qv: float, variant: str) -> float:
-    P, R, D = _numerator_pieces(c, bv, qv, variant)
-    x1 = _x1(c, bv)
-    val = P + _SQRT_PI * R * erfcx(x1)
+    val = P + _SQRT_PI * R * ex
     if D != 0.0:
         val += _SQRT_PI * D * _exp(x1 * x1)
     return val
@@ -206,16 +205,15 @@ def mean_energy_superstat_closed(c: SpectrumCoefficients, beta, q,
     verbatim follows the U_s print (numerator variant 'us', denominator
     bracket with the 8 b^2 beta monomial and the minus a^3 sign); corrected
     swaps every restated sub-term for its cross-stated alternative."""
-    _check_transcription(transcription)
-    _require_regular(c, b_min)
-    bv = as_beta(beta).value
-    qv = as_q(q).q
-    if transcription == "verbatim":
-        num = _numerator(c, bv, qv, "us")
-        den = 4.0 * (c.b * bv) ** 1.5 * _bracket(c, bv, qv, -1.0, den_b2_typo=True)
-    else:
-        num = _numerator(c, bv, qv, "ss")
-        den = 4.0 * (c.b * bv) ** 1.5 * _bracket(c, bv, qv, 1.0)
+    bv, qv, sign, x1 = _closed_args(c, beta, q, transcription, b_min)
+    return _mean_energy(c, bv, qv, sign, x1, erfcx(x1))
+
+
+def _mean_energy(c: SpectrumCoefficients, bv: float, qv: float, sign: float, x1: float,
+                 ex: float) -> float:
+    verbatim = sign < 0.0
+    num = _numerator(c, bv, qv, "us" if verbatim else "ss", x1, ex)
+    den = 4.0 * (c.b * bv) ** 1.5 * _bracket(c, bv, qv, sign, x1, ex, den_b2_typo=verbatim)
     return -num / den
 
 
@@ -223,18 +221,17 @@ def entropy_superstat_closed(c: SpectrumCoefficients, beta, q, kB: float = 1.0,
                              transcription: str = "verbatim",
                              b_min: float = B_MIN) -> float:
     """The typeset closed form of S_s = kB(-beta * fraction + ln Z_s)."""
-    _check_transcription(transcription)
-    _require_regular(c, b_min)
-    bv = as_beta(beta).value
-    qv = as_q(q).q
-    if transcription == "verbatim":
-        num = _numerator(c, bv, qv, "ss")
-        den = 4.0 * (c.b * bv) ** 1.5 * _bracket(c, bv, qv, -1.0)
-    else:
-        num = _numerator(c, bv, qv, "us")
-        den = 4.0 * (c.b * bv) ** 1.5 * _bracket(c, bv, qv, 1.0)
-    lnzs = log_superstat_partition_closed(c, bv, qv, transcription, b_min)
-    return kB * (-bv * num / den + lnzs)
+    bv, qv, sign, x1 = _closed_args(c, beta, q, transcription, b_min)
+    ex = erfcx(x1)
+    return _entropy(c, bv, qv, sign, x1, ex, _bracket(c, bv, qv, sign, x1, ex), kB)
+
+
+def _entropy(c: SpectrumCoefficients, bv: float, qv: float, sign: float, x1: float,
+             ex: float, bracket: float, kB: float) -> float:
+    """S_s: numerator 'ss' (verbatim) or 'us' (corrected) over the Z_s bracket."""
+    num = _numerator(c, bv, qv, "ss" if sign < 0.0 else "us", x1, ex)
+    den = 4.0 * (c.b * bv) ** 1.5 * bracket
+    return kB * (-bv * num / den + _log_partition(c, bv, bracket))
 
 
 def free_energy_superstat_closed(c: SpectrumCoefficients, beta, q,
@@ -247,25 +244,53 @@ def free_energy_superstat_closed(c: SpectrumCoefficients, beta, q,
 
 def heat_capacity_superstat_closed(c: SpectrumCoefficients, beta, q, kB: float = 1.0,
                                    transcription: str = "verbatim") -> float:
-    """kB beta^2 d^2 ln Z_s/d beta^2 of the closed Z_s, numerically: no
-    closed C_s was ever typeset, only this defining identity."""
-    bv = as_beta(beta).value
-    qv = as_q(q).q
-    return kB * bv * bv * derivative(
-        lambda x: log_superstat_partition_closed(c, x, qv, transcription), bv, order=2,
-        scale=bv, positive_only=True)
+    """kB beta^2 d^2 ln Z_s/d beta^2 of the closed Z_s, exactly: no closed
+    C_s was ever typeset, only this defining identity."""
+    bv, qv, sign, x1 = _closed_args(c, beta, q, transcription)
+    return _heat_capacity(c, bv, qv, sign, x1, erfcx_derivatives(x1), kB)
+
+
+def _heat_capacity(c: SpectrumCoefficients, bv: float, qv: float, sign: float, x1: float,
+                   eds: tuple[float, float, float], kB: float) -> float:
+    """ln Z_s = -(a+b) beta/2 - ln(64 b^{5/2}) - (1/2) ln beta + ln B with the
+    bracket B = P + sqrt(pi) R E, E = erfcx(x1), so C_s = kB (1/2 + beta^2
+    (B''/B - (B'/B)^2)); x1 grows as sqrt(beta), so with h = x1/(2 beta) and
+    eds = erfcx_derivatives(x1), E' = erfcx'(x1) h and
+    E'' = (erfcx''(x1) h - erfcx'(x1)/(2 beta)) h."""
+    (_, p1, p2), (r, r1, r2) = _bracket_pieces(c, bv, qv, sign)
+    e, d1, d2 = eds
+    big = _bracket(c, bv, qv, sign, x1, e)
+    h = x1 / (2.0 * bv)
+    e1 = d1 * h
+    e2 = (d2 * h - d1 / (2.0 * bv)) * h
+    g1 = (p1 + _SQRT_PI * (r1 * e + r * e1)) / big
+    g2 = (p2 + _SQRT_PI * (r2 * e + 2.0 * r1 * e1 + r * e2)) / big
+    return kB * (0.5 + bv * bv * (g2 - g1 * g1))
+
+
+def _closed_point(c: SpectrumCoefficients, bt: Beta, qt: DeformationQ, kB: float,
+                  transcription: str) -> SuperstatPoint:
+    """The five closed forms from one erfcx_derivatives(x1), each bit for bit
+    its single-quantity function."""
+    bv, qv, sign, x1 = _closed_args(c, bt, qt, transcription)
+    eds = erfcx_derivatives(x1)
+    ex = eds[0]
+    bracket = _bracket(c, bv, qv, sign, x1, ex)
+    lnzs = _log_partition(c, bv, bracket)
+    return SuperstatPoint(bt, qt, Zs=_partition(c, bv, bracket),
+                          Us=_mean_energy(c, bv, qv, sign, x1, ex),
+                          Ss=_entropy(c, bv, qv, sign, x1, ex, bracket, kB), Fs=-lnzs / bv,
+                          Cs=_heat_capacity(c, bv, qv, sign, x1, eds, kB), method="closed")
 
 
 # ---------------------------------------------------------------------------
 # Moment engine: closed-form Laplace moments of the excitation energy
 # ---------------------------------------------------------------------------
 
-#: the y = x1 from which the moments come from the Gauss-Laguerre rule
-#: instead of the forward recurrence
-_Y_RULE = 1.4
-_LAG_NODES = np.array(NODES)
-#: row k = 0..4: the rule's weights times node^k
-_LAG_ROWS = np.array(WEIGHTS) * _LAG_NODES ** np.arange(5)[:, None]
+#: row k = 0..4: the Gauss-Laguerre weights times node^k; from y = x1 = 1.4
+#: on (numerics._X_RULE, where erfcx switches to the same rule) the moments
+#: come from this rule instead of the forward recurrence
+_LAG_ROWS = _LAG_W * _LAG_U ** np.arange(5)[:, None]
 
 
 def _scaled_moments(c: SpectrumCoefficients, bv: float) -> list[float]:
@@ -283,12 +308,11 @@ def _scaled_moments(c: SpectrumCoefficients, bv: float) -> list[float]:
     loses at most a few ulp.  (Backward recurrence is stable only for
     k < y^2, and the forward one loses about y^2 per step above y ~ 3.)
     Here erfcx is the stdlib's e^{y^2} erfc(y), within 3.2e-16 relative on
-    [0, 1.4), where numerics.erfcx, formed as e^{y^2} (1 - erf y), loses up
-    to 1e-14."""
+    [0, 1.4), written out so that the moments keep their bits."""
     lin = c.a + 2.0 * c.b
     inv_y2 = 4.0 * c.b / (bv * lin * lin)
-    if inv_y2 * _Y_RULE * _Y_RULE <= 1.0:
-        return (_LAG_ROWS @ (1.0 / np.sqrt(1.0 + _LAG_NODES * inv_y2))).tolist()
+    if inv_y2 * _X_RULE * _X_RULE <= 1.0:
+        return (_LAG_ROWS @ (1.0 / np.sqrt(1.0 + _LAG_U * inv_y2))).tolist()
     y = 0.5 * lin * math.sqrt(bv / c.b)
     y2 = y * y
     moments = [_SQRT_PI * y * math.exp(y2) * math.erfc(y)]
@@ -333,7 +357,8 @@ def _engine_point(c: SpectrumCoefficients, bt: Beta, qt: DeformationQ,
     r1 = g1 / g0
     big_g = g0 / (bv * (c.a + 2.0 * c.b))
     log_g = math.log(big_g)
-    return SuperstatPoint(bt, qt, Zs=big_g * math.exp(-e), Us=e0 - r1 / bv,
+    zs = big_g * exp_neg_product(bv, 0.5 * c.a, 0.5 * c.b)
+    return SuperstatPoint(bt, qt, Zs=zs, Us=e0 - r1 / bv,
                           Ss=kB * (log_g - r1), Fs=e0 - log_g / bv,
                           Cs=kB * (g2 / g0 - r1 * r1), method="engine")
 
@@ -354,8 +379,8 @@ def superstat_thermo(c: SpectrumCoefficients, beta, q, kB: float = 1.0,
     deformed factor as rows of one batched Gauss-Kronrod quadrature in the
     ground-state gauge, whose Z_s is bit for bit
     superstat_partition_quadrature.
-    method 'closed' evaluates the typeset Z_s, U_s, S_s, F_s and
-    heat_capacity_superstat_closed.
+    method 'closed' evaluates the typeset Z_s, U_s, S_s, F_s and the exact
+    C_s of the closed Z_s from one erfcx_derivatives(x1) (_closed_point).
     """
     bt = as_beta(beta)
     qt = as_q(q)
@@ -366,12 +391,5 @@ def superstat_thermo(c: SpectrumCoefficients, beta, q, kB: float = 1.0,
         Zs, Us, Cs, Ss, Fs = _quadrature_moments(c, bv, qv, math.inf, kB, tol)
         return SuperstatPoint(bt, qt, Zs, Us, Ss, Fs, Cs, method="quadinf")
     if method == "closed":
-        Cs = heat_capacity_superstat_closed(c, bv, qv, kB, transcription)
-        return SuperstatPoint(
-            beta=bt, q=qt,
-            Zs=superstat_partition_closed(c, bv, qv, transcription),
-            Us=mean_energy_superstat_closed(c, bv, qv, transcription),
-            Ss=entropy_superstat_closed(c, bv, qv, kB, transcription),
-            Fs=free_energy_superstat_closed(c, bv, qv, transcription),
-            Cs=Cs, method="closed")
+        return _closed_point(c, bt, qt, kB, transcription)
     raise ValueError("method must be 'engine', 'quadinf' or 'closed'")

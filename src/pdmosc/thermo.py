@@ -8,8 +8,7 @@ Two evaluation families coexist deliberately:
   Boltzmann moments in the ground-state gauge, summed over the levels
   (``thermo_sum_engine``, the physical route) or integrated over continuous
   n (``thermo_quadrature``, whose 'quad01' point is the audit's oracle for
-  the closed forms); ``thermo_from_logZ`` differentiates ln Z_closed
-  numerically instead;
+  the closed forms);
 * the closed-form evaluators reproduce the typeset expressions for U, C, S,
   F.  Those expressions carry typesetting defects, so each is available in
   two transcriptions: ``verbatim`` (exactly as typeset, including suspected
@@ -26,12 +25,11 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import SingularLimit
-from .numerics import Tolerance, derivative, erf, erfcx, integrate_batch, \
+from .numerics import Tolerance, erf, erfcx, exp_neg_product, integrate_batch, \
     integrate_finite, integrate_semi_infinite, sum_decaying
 from .spectrum import SpectrumCoefficients
 
@@ -170,19 +168,11 @@ def _boltzmann_levels(c: SpectrumCoefficients, bv: float, tol: Tolerance):
 def partition_sum(c: SpectrumCoefficients, beta, tol: Tolerance = Tolerance()) -> float:
     """Z(beta) = sum_n exp(-beta E_n) = exp(-beta E_0) (1 + tail), the
     reduced tail summed under rigorous tail bounds (exact geometric series
-    at b = 0), the same expression as thermo_sum_engine's Z."""
+    at b = 0), the same expression as thermo_sum_engine's Z; beta E_0 =
+    beta (a/2 + b/2) is carried exactly (exp_neg_product)."""
     bv = as_beta(beta).value
-    return math.exp(-bv * c.energy(0)) * (1.0 + _boltzmann_levels(c, bv, tol)[0])
-
-
-def _xargs(c: SpectrumCoefficients, bv: float):
-    """Common erf arguments x1 <= x2 and the stabilized difference
-    Dx = e^{x1^2} (erf(x2) - erf(x1))."""
-    a, b = c.a, c.b
-    x1 = 0.5 * (a + 2.0 * b) * math.sqrt(bv / b)
-    x2 = 0.5 * (a + 4.0 * b) * math.sqrt(bv / b)
-    dx = erfcx(x1) - math.exp(-bv * (a + 3.0 * b)) * erfcx(x2)
-    return x1, x2, dx
+    tail = _boltzmann_levels(c, bv, tol)[0]
+    return exp_neg_product(bv, 0.5 * c.a, 0.5 * c.b) * (1.0 + tail)
 
 
 def _require_regular(c: SpectrumCoefficients, b_min: float):
@@ -191,14 +181,29 @@ def _require_regular(c: SpectrumCoefficients, b_min: float):
             f"closed form singular at b={c.b:.3e} <= b_min={b_min:.3e}; use the sum route")
 
 
+def _xargs(c: SpectrumCoefficients, beta, b_min: float, transcription: str = "verbatim"):
+    """beta's value and the common erf arguments x1 <= x2 with the stabilized
+    difference Dx = e^{x1^2} (erf(x2) - erf(x1)), after the argument checks;
+    the closed forms below take them, so a whole point forms them once."""
+    _check_transcription(transcription)
+    _require_regular(c, b_min)
+    bv = as_beta(beta).value
+    a, b = c.a, c.b
+    x1 = 0.5 * (a + 2.0 * b) * math.sqrt(bv / b)
+    x2 = 0.5 * (a + 4.0 * b) * math.sqrt(bv / b)
+    return bv, (x1, x2, erfcx(x1) - math.exp(-bv * (a + 3.0 * b)) * erfcx(x2))
+
+
 def partition_closed(c: SpectrumCoefficients, beta, b_min: float = B_MIN) -> float:
     """The closed erf form of Z, evaluated as typeset for small erf arguments
     and through the scaled complement (exact algebra) once cancellation in
     the erf difference would cost more than ~1e-13 relative."""
-    _require_regular(c, b_min)
-    bv = as_beta(beta).value
+    return _partition(c, *_xargs(c, beta, b_min))
+
+
+def _partition(c: SpectrumCoefficients, bv: float, xa) -> float:
     a, b = c.a, c.b
-    x1, x2, dx = _xargs(c, bv)
+    x1, x2, dx = xa
     if x1 < 2.0:
         pref = math.exp((a * a + 2.0 * a * b + 2.0 * b * b) * bv / (4.0 * b)) \
             * _SQRT_PI / (2.0 * math.sqrt(b * bv))
@@ -208,11 +213,13 @@ def partition_closed(c: SpectrumCoefficients, beta, b_min: float = B_MIN) -> flo
 
 def log_partition_closed(c: SpectrumCoefficients, beta, b_min: float = B_MIN) -> float:
     """ln of the closed-form Z, stable at any erf-argument size."""
-    _require_regular(c, b_min)
-    bv = as_beta(beta).value
+    return _log_partition(c, *_xargs(c, beta, b_min))
+
+
+def _log_partition(c: SpectrumCoefficients, bv: float, xa) -> float:
     a, b = c.a, c.b
-    _, _, dx = _xargs(c, bv)
-    return -bv * (a + b) / 2.0 + math.log(_SQRT_PI / (2.0 * math.sqrt(b * bv))) + math.log(dx)
+    return -bv * (a + b) / 2.0 + math.log(_SQRT_PI / (2.0 * math.sqrt(b * bv))) \
+        + math.log(xa[2])
 
 
 def partition_quadrature(c: SpectrumCoefficients, beta, range_: str = "quad01",
@@ -250,8 +257,8 @@ def thermo_sum_engine(c: SpectrumCoefficients, beta, kB: float = 1.0,
     e0 = c.energy(0)
     tail, mean, var = _boltzmann_levels(c, bv, tol)
     g = math.log1p(tail)
-    return ThermoPoint(beta=bt, Z=math.exp(-bv * e0) * (1.0 + tail), U=e0 + mean,
-                       C=kB * bv * bv * var, S=kB * (g + bv * mean),
+    z = exp_neg_product(bv, 0.5 * c.a, 0.5 * c.b) * (1.0 + tail)
+    return ThermoPoint(beta=bt, Z=z, U=e0 + mean, C=kB * bv * bv * var, S=kB * (g + bv * mean),
                        F=e0 - g / bv, method="sum")
 
 
@@ -321,23 +328,6 @@ def thermo_quadrature(c: SpectrumCoefficients, beta, range_: str = "quad01",
 
 
 # ---------------------------------------------------------------------------
-# Derivative engine
-# ---------------------------------------------------------------------------
-
-def thermo_from_logZ(logZ: Callable[[float], float], beta, kB: float = 1.0,
-                     method: str = "sum") -> ThermoPoint:
-    """U, C, S, F from any smooth log-partition provider via the standard
-    identities; U and C use Richardson-extrapolated numerical derivatives."""
-    bt = as_beta(beta)
-    bv = bt.value
-    U = -derivative(logZ, bv, order=1, scale=bv, positive_only=True)
-    C = kB * bv * bv * derivative(logZ, bv, order=2, scale=bv, positive_only=True)
-    lnZ = logZ(bv)
-    return ThermoPoint(beta=bt, Z=math.exp(lnZ), U=U, C=C, S=kB * (lnZ + bv * U),
-                       F=-lnZ / bv, method=method)
-
-
-# ---------------------------------------------------------------------------
 # Printed closed forms for U, C, S, F
 # ---------------------------------------------------------------------------
 
@@ -354,11 +344,12 @@ def mean_energy_closed(c: SpectrumCoefficients, beta, transcription: str = "verb
     e^{(a^2+2b)^2 beta/(4b)}; corrected restores e^{-3 a beta - ...} and
     e^{(a+2b)^2 beta/(4b)}, which makes the expression exactly
     -d ln Z / d beta of the closed-form Z."""
-    _check_transcription(transcription)
-    _require_regular(c, b_min)
-    bv = as_beta(beta).value
+    return _mean_energy(c, *_xargs(c, beta, b_min, transcription), transcription)
+
+
+def _mean_energy(c: SpectrumCoefficients, bv: float, xa, transcription: str) -> float:
     a, b = c.a, c.b
-    x1, x2, dx = _xargs(c, bv)
+    x1, x2, dx = xa
     delta = a + 3.0 * b
     if transcription == "corrected":
         K = (a * a + 2.0 * a * b + 2.0 * b * b) / (4.0 * b)
@@ -381,11 +372,13 @@ def heat_capacity_closed(c: SpectrumCoefficients, beta, kB: float = 1.0,
     erf(x1)*erf(x2) cross term its own square demands, so it diverges from
     the truth and can overflow).  corrected evaluates the algebraically
     consistent reading, which equals kB beta^2 d2 ln Z/d beta2 exactly."""
-    _check_transcription(transcription)
-    _require_regular(c, b_min)
-    bv = as_beta(beta).value
+    return _heat_capacity(c, *_xargs(c, beta, b_min, transcription), kB, transcription)
+
+
+def _heat_capacity(c: SpectrumCoefficients, bv: float, xa, kB: float,
+                   transcription: str) -> float:
     a, b = c.a, c.b
-    x1, x2, dx = _xargs(c, bv)
+    x1, x2, dx = xa
     delta = a + 3.0 * b
     if transcription == "corrected":
         sb = math.sqrt(b)
@@ -433,14 +426,16 @@ def entropy_closed(c: SpectrumCoefficients, beta, kB: float = 1.0,
     which the remaining terms keep a bare growing exponential.  No reading
     of the typeset S matches kB(lnZ - beta dlnZ/dbeta); corrected therefore
     evaluates that defining identity with the corrected U."""
-    _check_transcription(transcription)
-    _require_regular(c, b_min)
-    bv = as_beta(beta).value
-    a, b = c.a, c.b
-    lnz = log_partition_closed(c, bv, b_min)
+    bv, xa = _xargs(c, beta, b_min, transcription)
+    return _entropy(c, bv, xa, kB, transcription, _log_partition(c, bv, xa))
+
+
+def _entropy(c: SpectrumCoefficients, bv: float, xa, kB: float, transcription: str,
+             lnz: float) -> float:
     if transcription == "corrected":
-        return kB * (lnz + bv * mean_energy_closed(c, bv, "corrected", b_min))
-    x1, x2, dx = _xargs(c, bv)
+        return kB * (lnz + bv * _mean_energy(c, bv, xa, "corrected"))
+    a, b = c.a, c.b
+    _, _, dx = xa
     delta = a + 3.0 * b
     poly = a * a * bv + 2.0 * b * b * bv + 2.0 * b * (-1.0 + a * bv)
     frac1 = -math.sqrt(bv / b) * 2.0 * bv \
@@ -460,14 +455,13 @@ def free_energy_closed(c: SpectrumCoefficients, beta, b_min: float = B_MIN) -> f
 
 def thermo_closed_point(c: SpectrumCoefficients, beta, kB: float = 1.0,
                         transcription: str = "verbatim", b_min: float = B_MIN) -> ThermoPoint:
-    """All five quantities from the typeset closed forms at once."""
+    """All five typeset closed forms from one _xargs, each bit for bit its
+    single-quantity function."""
     bt = as_beta(beta)
-    return ThermoPoint(
-        beta=bt,
-        Z=partition_closed(c, bt, b_min),
-        U=mean_energy_closed(c, bt, transcription, b_min),
-        C=heat_capacity_closed(c, bt, kB, transcription, b_min),
-        S=entropy_closed(c, bt, kB, transcription, b_min),
-        F=free_energy_closed(c, bt, b_min),
-        method="closed",
-    )
+    bv, xa = _xargs(c, bt, b_min, transcription)
+    lnz = _log_partition(c, bv, xa)
+    return ThermoPoint(beta=bt, Z=_partition(c, bv, xa),
+                       U=_mean_energy(c, bv, xa, transcription),
+                       C=_heat_capacity(c, bv, xa, kB, transcription),
+                       S=_entropy(c, bv, xa, kB, transcription, lnz), F=-lnz / bv,
+                       method="closed")

@@ -1,7 +1,11 @@
 """Shared independent oracles: high-precision series, brute-force sums and
-quadratures that never touch the library's own evaluation paths."""
+quadratures, and Richardson differentiation, none of which touch the
+library's own evaluation paths."""
 
 import mpmath as mp
+import numpy as np
+
+_EPS = float(np.finfo(float).eps)
 
 
 def erf_maclaurin(x, dps: int = 40) -> float:
@@ -96,3 +100,59 @@ def brute_thermo(c, beta, dps: int = 50):
         return tuple(float(v) for v in (mp.exp(-bt * e0) * (1 + tail), e0 + mean,
                                         bt * bt * (m2 / (1 + tail) - mean * mean),
                                         g + bt * mean, e0 - g / bt))
+
+
+def derivative(f, x: float, order: int, scale: float, positive_only: bool = False) -> float:
+    """First or second derivative by central differences at steps 4h, 2h
+    and h with two levels of Richardson extrapolation.
+
+    h = scale*eps^(1/5) (order 1) or scale*eps^(1/6) (order 2) balances
+    roundoff against the O(h^6) truncation of the extrapolated stencil
+    (the bare stencil's eps^(1/3), eps^(1/4) leave ~100x more noise).  With
+    positive_only, refuses stencils reaching x - 4h <= 0 (ValueError).
+    """
+    if order not in (1, 2):
+        raise ValueError("order must be 1 or 2")
+    if scale <= 0:
+        raise ValueError("scale must be positive")
+    h = scale * (_EPS ** 0.2 if order == 1 else _EPS ** (1.0 / 6.0))
+    if positive_only and x - 4.0 * h <= 0.0:
+        raise ValueError(f"stencil of width {4 * h:.3e} leaves the positive domain at x={x:.3e}")
+
+    if order == 1:
+        def d0(step):
+            return (f(x + step) - f(x - step)) / (2.0 * step)
+    else:
+        f0 = f(x)
+
+        def d0(step):
+            return (f(x + step) - 2.0 * f0 + f(x - step)) / (step * step)
+
+    a0, a1, a2 = d0(4.0 * h), d0(2.0 * h), d0(h)
+    r0 = (4.0 * a1 - a0) / 3.0
+    r1 = (4.0 * a2 - a1) / 3.0
+    return (16.0 * r1 - r0) / 15.0
+
+
+def mp_log_superstat_closed(c, beta, q, sign_a3: float):
+    """ln of the typeset closed Z_s at mpmath's working precision, with its
+    bracket as printed, P + sqrt(pi) R e^{x1^2} erfc(x1); sign_a3 is the
+    sign of its 2 a^3 sqrt(b) beta term (-1 verbatim, +1 corrected)."""
+    a, b, qm, bt = mp.mpf(c.a), mp.mpf(c.b), mp.mpf(q), mp.mpf(beta)
+    sb, sbeta = mp.sqrt(b), mp.sqrt(bt)
+    p = qm * (sbeta * (12 * a * b * sb + 24 * b * b * sb + sign_a3 * 2 * a ** 3 * sb * bt)
+              - 4 * a * a * b * bt * sb * sbeta)
+    r = (a ** 4 * bt ** 2 * qm + 4 * b ** 4 * bt ** 2 * qm
+         + 4 * a * a * b * bt * (-1 + a * bt) * qm + 8 * b ** 3 * bt * (-1 + a * bt) * qm
+         + 4 * b * b * (8 + (3 - 2 * a * bt + 2 * a * a * bt * bt) * qm))
+    x1 = (a + 2 * b) * mp.sqrt(bt / (4 * b))
+    bracket = p + mp.sqrt(mp.pi) * r * mp.erfc(x1) * mp.exp(x1 * x1)
+    return -(a + b) * bt / 2 - mp.log(64 * b ** mp.mpf(2.5) * sbeta) + mp.log(bracket)
+
+
+def mp_closed_heat_capacity_superstat(c, beta, q, sign_a3: float, dps: int = 50) -> float:
+    """beta^2 d^2/dbeta^2 of mp_log_superstat_closed at dps digits, by
+    mpmath's numerical differentiation (which raises its own precision)."""
+    with mp.workdps(dps):
+        bt = mp.mpf(beta)
+        return float(bt * bt * mp.diff(lambda x: mp_log_superstat_closed(c, x, q, sign_a3), bt, 2))

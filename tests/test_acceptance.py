@@ -150,7 +150,7 @@ def test_criterion_5_superstat_q0_limit_and_identity():
 
 def test_criterion_6_superstat_spot_values():
     """b=0 route at beta=1: Z_s(q=0) = e^{-1/2}, U_s(q=0) = 3/2 via the
-    derivative engine, both to 1e-6."""
+    moment engine, both to 1e-6."""
     c = coefficients(OscillatorParams(alpha=0.0))
     pt = superstat_thermo(c, 1.0, 0.0, 1.0, QTOL, method="engine")
     z_ref = math.exp(-0.5)

@@ -1,18 +1,20 @@
-"""Kernel tests: error function, quadrature, guarded summation,
-differentiation.  Expected values are frozen from independent oracles
-(high-precision Maclaurin series, closed forms, brute-force sums)."""
+"""Kernel tests: error function, exact e^{-ab}, quadrature, guarded
+summation, and the suite's Richardson differentiation oracle.  Expected
+values are frozen from independent oracles (high-precision Maclaurin
+series, closed forms, brute-force sums)."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from pdmosc import (DomainEdge, NonConvergence, NonDecaying, Tolerance,
-                    derivative, erf, erfc, erfcx, integrate_batch, integrate_finite,
+from pdmosc import (NonConvergence, NonDecaying, Tolerance, erf, erfc, erfcx,
+                    erfcx_derivatives, exp_neg_product, integrate_batch, integrate_finite,
                     integrate_semi_infinite, sum_decaying)
 from pdmosc.numerics import _XGK, _gk15
 
-from helpers import erf_maclaurin
+from helpers import derivative, erf_maclaurin
 
 TOL = Tolerance()
 
@@ -51,8 +53,57 @@ def test_erfc_erfcx_cross_consistency():
         for x in [0.1, 0.7, 1.9, 2.0, 2.7, 4.0, 8.5, 15.0]:
             assert abs(erfc(x) / float(mp.erfc(x)) - 1) < 5e-14
         for x in [0.1, 0.7, 1.9, 2.0, 2.7, 4.0, 8.5, 15.0, 30.0, 200.0]:
-            assert abs(erfcx(x) / float(mp.erfc(x) * mp.e ** (x * x)) - 1) < 5e-14
+            assert abs(erfcx(x) / float(mp.erfc(x) * mp.e ** (x * x)) - 1) < 1e-15
         assert abs(erfc(-1.3) / float(mp.erfc(mp.mpf('-1.3'))) - 1) < 5e-14
+
+
+def _mp_erfcx(x):
+    """50-digit e^{x^2} erfc(x); from x = 1e4 on, its asymptotic series
+    (DLMF 7.12.1), whose twelve terms are exact to far beyond 50 digits
+    there."""
+    with mp.workdps(50):
+        xm = mp.mpf(x)
+        if x < 1e4:
+            return float(mp.erfc(xm) * mp.exp(xm * xm))
+        total = term = mp.mpf(1)
+        for n in range(1, 12):
+            term *= -(2 * n - 1) / (2 * xm * xm)
+            total += term
+        return float(total / (mp.sqrt(mp.pi) * xm))
+
+
+@pytest.mark.parametrize("xs", [
+    np.linspace(0.0, 3.0, 601),      # both branches and the switch at 1.4
+    np.logspace(-3.0, 300.0, 400),   # far into the tail
+    np.linspace(-26.0, 0.0, 261),    # e^{x^2} up to 1e293
+], ids=["dense-0-3", "log-to-1e300", "negative"])
+def test_erfcx_against_mpmath(xs):
+    for x in xs.tolist():
+        assert abs(erfcx(x) / _mp_erfcx(x) - 1) <= 1e-15, x
+
+
+def test_erfcx_derivatives_against_mpmath():
+    # E'' from the recurrence below x = 1.4 cancels ~70-fold near the switch
+    xs = np.concatenate([np.linspace(0.0, 3.0, 121), np.logspace(0.5, 4.0, 60)])
+    with mp.workdps(50):
+        for x in xs.tolist():
+            e, d1, d2 = erfcx_derivatives(x)
+            assert e == erfcx(x)
+            ref1, ref2 = (float(mp.diff(lambda t: mp.erfc(t) * mp.exp(t * t), mp.mpf(x), n))
+                          for n in (1, 2))
+            assert abs(d1 / ref1 - 1) <= 3e-15, x
+            assert abs(d2 / ref2 - 1) <= (3e-15 if x >= 1.4 else 1e-14), x
+
+
+def test_exp_neg_product_against_mpmath():
+    rng = np.random.default_rng(5)
+    with mp.workdps(50):
+        for _ in range(200):
+            a, b = rng.uniform(0.0, 700.0), rng.uniform(0.0, 1.0)
+            lo = b * 1e-17 * rng.uniform(-1.0, 1.0)
+            want = mp.exp(-mp.mpf(a) * (mp.mpf(b) + mp.mpf(lo)))
+            assert abs(exp_neg_product(a, b, lo) / float(want) - 1) <= 1e-15
+    assert exp_neg_product(1e305, 1.0) == 0.0  # the split overflows; e^{-p} remains
 
 
 # -- finite quadrature -------------------------------------------------------
@@ -255,7 +306,7 @@ def test_tolerance_validation():
         Tolerance(rel=-1e-3)
 
 
-# -- differentiation ---------------------------------------------------------
+# -- differentiation (the Richardson oracle in tests/helpers.py) ---------------
 
 def test_derivative_polynomials_exact():
     assert abs(derivative(lambda x: x * x, 3.0, 1, 1.0) - 6.0) < 6e-10
@@ -281,7 +332,7 @@ def test_derivative_log_partition_frozen():
 
 def test_derivative_domain_edge():
     for order in (1, 2):
-        with pytest.raises(DomainEdge):
+        with pytest.raises(ValueError, match="positive domain"):
             derivative(math.log, 1e-9, order, 1.0, positive_only=True)
     # large x with the same scale is fine
     derivative(math.log, 5.0, 2, 1.0, positive_only=True)
@@ -312,7 +363,7 @@ def test_stencil_is_the_derivative_step_rule():
         r0 = (4.0 * a[1] - a[0]) / 3.0
         r1 = (4.0 * a[2] - a[1]) / 3.0
         assert d == (16.0 * r1 - r0) / 15.0
-    with pytest.raises(DomainEdge):
+    with pytest.raises(ValueError, match="positive domain"):
         derivative(math.log, 1e-9, 1, 1.0, positive_only=True)
 
 

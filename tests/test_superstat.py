@@ -10,7 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from pdmosc import (DeformationQ, OscillatorParams, SingularLimit, SpectrumCoefficients,
                     Tolerance, boltzmann_factor_q, coefficients, entropy_superstat_closed,
-                    free_energy_superstat_closed, integrate_semi_infinite,
+                    free_energy_superstat_closed, heat_capacity_superstat_closed,
+                    integrate_semi_infinite,
                     log_superstat_partition_closed, mean_energy_superstat_closed,
                     partition_quadrature, superstat_partition_closed,
                     superstat_partition_quadrature, superstat_thermo, thermo_quadrature)
@@ -18,7 +19,7 @@ from pdmosc import (DeformationQ, OscillatorParams, SingularLimit, SpectrumCoeff
 from pdmosc.superstat import excitation_moments
 from pdmosc.verify import DEFAULT_ALPHAS, DEFAULT_BETAS, DEFAULT_QS
 
-from helpers import mp_quad, mp_weight_moments
+from helpers import derivative, mp_closed_heat_capacity_superstat, mp_quad, mp_weight_moments
 
 TOL = Tolerance()
 
@@ -175,6 +176,58 @@ def test_closed_point_has_finite_cs():
         assert math.isfinite(pt.Cs)
 
 
+SIGNS = {"verbatim": -1.0, "corrected": 1.0}
+
+
+@pytest.mark.parametrize("tr", ["verbatim", "corrected"])
+def test_closed_cs_is_the_exact_second_derivative(tr):
+    """The closed C_s is kB beta^2 d^2 ln Z_s/d beta^2 of the same closed
+    Z_s exactly: against 50-digit differentiation of the printed bracket
+    (a Richardson stencil is 2.6e-6 off at alpha = 0.1, beta = 8.25)."""
+    for alpha in (0.02, 0.1, 0.3, 0.9):
+        c = coefficients(OscillatorParams(alpha=alpha))
+        for beta in np.logspace(-1.0, 3.0, 9).tolist():
+            for q in (0.0, 0.25, 1.0):
+                want = mp_closed_heat_capacity_superstat(c, beta, q, SIGNS[tr])
+                got = heat_capacity_superstat_closed(c, beta, q, 1.0, tr)
+                assert abs(got - want) <= 1e-10 * abs(want), (alpha, beta, q)
+    want = mp_closed_heat_capacity_superstat(C03, 1e4, 0.5, SIGNS[tr])
+    assert abs(heat_capacity_superstat_closed(C03, 1e4, 0.5, 1.0, tr) - want) \
+        <= 1e-13 * abs(want)
+
+
+@pytest.mark.parametrize("alpha,beta,q", [(0.1, 8.2540418526801815, 1.0), (0.1, 10.0, 0.5),
+                                          (0.3, 1.0, 0.5), (0.9, 0.3, 0.25)])
+def test_richardson_agrees_with_closed_cs_within_its_spread(alpha, beta, q):
+    # the stencil at step scales beta and beta/3 brackets its own error
+    c = coefficients(OscillatorParams(alpha=alpha))
+    for tr in ("verbatim", "corrected"):
+        def lnzs(x):
+            return log_superstat_partition_closed(c, x, q, tr)
+
+        r1, r3 = (beta * beta * derivative(lnzs, beta, 2, scale, positive_only=True)
+                  for scale in (beta, beta / 3.0))
+        exact = heat_capacity_superstat_closed(c, beta, q, 1.0, tr)
+        assert abs(r1 - exact) <= abs(r1 - r3) + 1e-12 * abs(exact)
+
+
+@pytest.mark.parametrize("tr", ["verbatim", "corrected"])
+def test_closed_point_equals_single_closed_functions(tr):
+    # one x1 and one erfcx per point, bit for bit the five single routes
+    for c in (C01, C03, C09):
+        for beta in (0.1, 1.0, 8.25, 300.0):
+            for q in (0.0, 0.5, 1.0):
+                pt = superstat_thermo(c, beta, q, method="closed", transcription=tr)
+                singles = (superstat_partition_closed(c, beta, q, tr),
+                           mean_energy_superstat_closed(c, beta, q, tr),
+                           entropy_superstat_closed(c, beta, q, 1.0, tr),
+                           free_energy_superstat_closed(c, beta, q, tr),
+                           heat_capacity_superstat_closed(c, beta, q, 1.0, tr))
+                # a verbatim U_s may overflow to nan, which equals itself here
+                assert np.array_equal([pt.Zs, pt.Us, pt.Ss, pt.Fs, pt.Cs], singles,
+                                      equal_nan=True)
+
+
 def test_engine_rows_equal_single_quadratures():
     """The quadinf point's Gauss-Kronrod rows, run as one batch, are bit for
     bit the single quadratures of each row: the three moment rows in the
@@ -224,6 +277,15 @@ def test_engine_u_and_c_at_large_beta(beta):
     _, u, cv = mp_weight_moments(C03, beta, 0.5, math.inf, dps=50)
     assert abs(pt.Us - u) / abs(u) < 1e-13
     assert abs(pt.Cs - cv) / abs(cv) < 1e-13
+
+
+@pytest.mark.parametrize("alpha", [1e-9, 0.3])
+def test_engine_zs_carries_beta_e0_exactly(alpha):
+    # Z_s = G e^{-beta E_0} with beta E_0 ~ 650: rounded in double, 4.9e-14 off
+    c = coefficients(OscillatorParams(alpha=alpha))
+    zs = superstat_thermo(c, 1e3, 0.5, method="engine").Zs
+    want = mp_weight_moments(c, 1e3, 0.5, math.inf, dps=50)[0]
+    assert abs(zs - want) <= 1e-15 * want
 
 
 def _mp_excitation_moments(a, b, beta, dps=50):

@@ -1,12 +1,16 @@
 """Sweeps, figure presets, and the command-line interface."""
 
+import contextlib
+import io
 import itertools
 import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pdmosc import DomainEdge, OscillatorParams, cli, energy_level, routes, superstat, sweeps
+from pdmosc import (OscillatorParams, SingularLimit, cli, energy_level, routes, superstat,
+                    sweeps)
 from pdmosc.sweeps import FigurePreset, PRESETS, SweepSpec, figure_preset, run_sweep
 
 
@@ -153,12 +157,29 @@ def test_cli_audit_refuses_flags_it_ignores(flag, capsys):
 
 
 def test_cli_maps_every_package_error(monkeypatch, capsys):
-    def edge(*args, **kwargs):
-        raise DomainEdge("stencil leaves the positive domain")
+    def singular(*args, **kwargs):
+        raise SingularLimit("closed form singular at b=0")
 
-    monkeypatch.setattr(superstat, "superstat_thermo", edge)
+    monkeypatch.setattr(superstat, "superstat_thermo", singular)
     assert cli.main(["point", "--beta", "1", "--q", "0.5"]) == 2
-    assert "positive domain" in capsys.readouterr().err
+    assert "singular at b=0" in capsys.readouterr().err
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(alpha=st.floats(min_value=0.0, max_value=0.999),
+       log_beta=st.floats(min_value=-4.0, max_value=4.0),
+       q=st.one_of(st.none(), st.floats(min_value=0.0, max_value=1.0)),
+       method=st.sampled_from(routes.METHODS),
+       transcription=st.sampled_from(("verbatim", "corrected")))
+def test_cli_point_exits_cleanly(alpha, log_beta, q, method, transcription):
+    """Every point in the documented domain prints, or exits 2 or 3 with a
+    message; none raises out of cli.main (exit 1 with a traceback)."""
+    argv = ["point", "--alpha", repr(alpha), "--beta", repr(10.0 ** log_beta),
+            "--method", method, "--transcription", transcription]
+    if q is not None:
+        argv += ["--q", repr(q)]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(argv) in (0, 2, 3)
 
 
 def test_cli_sweep_csv(capsys):

@@ -16,10 +16,11 @@ from pdmosc import (Beta, OscillatorParams, SingularLimit, SpectrumCoefficients,
                     Tolerance, coefficients, entropy_closed,
                     free_energy_closed, heat_capacity_closed, log_partition_closed,
                     mean_energy_closed, partition_closed, partition_quadrature,
-                    partition_sum, thermo_from_logZ, thermo_quadrature)
+                    partition_sum, thermo_closed_point, thermo_quadrature)
 from pdmosc.thermo import thermo_sum_engine
 
-from helpers import brute_boltzmann_moments, brute_sum, brute_thermo, mp_weight_moments
+from helpers import (brute_boltzmann_moments, brute_sum, brute_thermo, derivative,
+                     mp_weight_moments)
 
 TOL = Tolerance()
 TIGHT = Tolerance(rel=1e-15, abs=0.0, max_evals=100_000)
@@ -151,15 +152,18 @@ def test_engine_identities():
 
 
 def test_engine_gauge_equivalence():
-    # the reduced-gauge moments and the derivative engine on ln of the plain
-    # sum agree where both are well conditioned
+    # the reduced-gauge moments and Richardson derivatives of ln of the
+    # plain sum agree where both are well conditioned
+    def logz(x):
+        return math.log(partition_sum(C03, x, TIGHT))
+
     for beta in (0.2, 1.0, 3.0):
         a = thermo_sum_engine(C03, beta, 1.0, TIGHT)
-        b = thermo_from_logZ(lambda x: math.log(partition_sum(C03, x, TIGHT)),
-                             beta, 1.0, "sum")
-        assert abs(a.U - b.U) / abs(b.U) < 1e-9
-        assert abs(a.C - b.C) / abs(b.C) < 1e-6
-        assert abs(a.Z - b.Z) / b.Z < 1e-12
+        u = -derivative(logz, beta, 1, beta, positive_only=True)
+        c = beta * beta * derivative(logz, beta, 2, beta, positive_only=True)
+        assert abs(a.U - u) / abs(u) < 1e-9
+        assert abs(a.C - c) / abs(c) < 1e-6
+        assert a.Z == partition_sum(C03, beta, TIGHT)
 
 
 def test_energy_moments_against_brute_force():
@@ -208,6 +212,16 @@ def test_sum_engine_against_brute_force(alpha, beta):
     got = (pt.Z, pt.U, pt.C, pt.S, pt.F)
     assert all(_within(g, w) for g, w in zip(got, want)), (got, want)
     assert partition_sum(c, beta, TOL) == pt.Z
+
+
+@pytest.mark.parametrize("alpha,beta", [(0.95, 700.0), (0.95, 300.0), (0.3, 500.0)])
+def test_sum_route_z_carries_beta_e0_exactly(alpha, beta):
+    # beta E_0 ~ 550 here: rounding E_0 or beta E_0 in double cost 4.9e-14
+    c = coefficients(OscillatorParams(alpha=alpha))
+    want = brute_thermo(c, beta)[0]
+    z = partition_sum(c, beta, TOL)
+    assert abs(z - want) <= 1e-15 * want
+    assert thermo_sum_engine(c, beta, 1.0, TOL).Z == z
 
 
 @pytest.mark.parametrize("beta", [1e-4, 1.0, 700.0])
@@ -277,19 +291,33 @@ def test_free_energy_closed_is_composition():
 
 
 def test_corrected_mean_energy_matches_engine():
-    pt = thermo_from_logZ(partial(log_partition_closed, C03), 2.0, 1.0, "closed")
+    want = -derivative(partial(log_partition_closed, C03), 2.0, 1, 2.0, positive_only=True)
     u = mean_energy_closed(C03, 2.0, "corrected")
-    assert abs(u - pt.U) / abs(pt.U) < 1e-5
+    assert abs(u - want) / abs(want) < 1e-5
     # verbatim is a different expression; record that it deviates here
     uv = mean_energy_closed(C03, 2.0, "verbatim")
-    assert math.isfinite(uv) and abs(uv - pt.U) / abs(pt.U) > 1e-3
+    assert math.isfinite(uv) and abs(uv - want) / abs(want) > 1e-3
 
 
 def test_corrected_heat_capacity_matches_engine():
     for beta in (0.5, 2.0, 8.0):
-        pt = thermo_from_logZ(partial(log_partition_closed, C01), beta, 1.0, "closed")
+        want = beta * beta * derivative(partial(log_partition_closed, C01), beta, 2, beta,
+                                        positive_only=True)
         cc = heat_capacity_closed(C01, beta, 1.0, "corrected")
-        assert abs(cc - pt.C) <= 2e-5 * max(abs(pt.C), 1e-3)
+        assert abs(cc - want) <= 2e-5 * max(abs(want), 1e-3)
+
+
+@pytest.mark.parametrize("tr", ["verbatim", "corrected"])
+def test_closed_point_equals_single_closed_functions(tr):
+    # one _xargs per point, bit for bit the five single routes
+    for c in (C01, C03, C09):
+        for beta in (0.1, 1.0, 8.0, 800.0):
+            pt = thermo_closed_point(c, beta, 1.0, tr)
+            singles = (partition_closed(c, beta), mean_energy_closed(c, beta, tr),
+                       heat_capacity_closed(c, beta, 1.0, tr),
+                       entropy_closed(c, beta, 1.0, tr), free_energy_closed(c, beta))
+            # verbatim forms may overflow to inf or nan, which equal themselves here
+            assert np.array_equal([pt.Z, pt.U, pt.C, pt.S, pt.F], singles, equal_nan=True)
 
 
 def test_corrected_entropy_is_identity_composition():

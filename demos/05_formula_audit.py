@@ -1,9 +1,12 @@
 """The formula audit: every typeset closed form against its oracle.
 
-Each grid point yields one DiscrepancyReport per quantity and transcription,
-classified Agree (<=1e-6), Close (<=1e-2), Disagree, or non-finite.  The
-full atlas is what `pdmosc audit` emits; here a reduced grid keeps the
-runtime down and the summary readable.
+Each grid point yields one DiscrepancyReport (a named tuple) per quantity
+and transcription, classified Agree (<=1e-6), Close (<=1e-2), Disagree, or
+non-finite.  The audit evaluates the closed superstat forms once per alpha
+and transcription over the whole beta x q mesh and classifies each
+quantity's column at once; the oracles run point by point.  The full atlas
+is what `pdmosc audit` emits; here a reduced grid keeps the summary
+readable.
 """
 
 import collections

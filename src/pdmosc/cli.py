@@ -17,7 +17,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import asdict
 
 from .errors import NonConvergence, NonDecaying, PdmoscError
 from .numerics import Tolerance
@@ -178,7 +177,7 @@ def _cmd_figure(args) -> int:
 def _cmd_audit(args) -> int:
     reports = verify.audit_grid(tol=_tolerance(args, rel=3e-13), oracle_basis=args.method)
     if args.format == "json":
-        _emit(json.dumps([asdict(r) for r in reports], indent=1) + "\n", args.out)
+        _emit(json.dumps([r._asdict() for r in reports], indent=1) + "\n", args.out)
     else:
         _emit(verify.render_audit_csv(reports), args.out)
     return 0

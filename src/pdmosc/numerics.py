@@ -108,13 +108,16 @@ _LAG_U = np.array(NODES)
 _LAG_W = np.array(WEIGHTS)
 
 
-def erfcx(x: float) -> float:
+def erfcx(x):
     """Scaled complementary error function e^{x^2} erfc(x), within 5e-16
     relative wherever it does not overflow.  Below x = 1.4 it is
     e^{x^2} math.erfc(x), x^2 carried exactly.  From 1.4 on, u = t^2 + 2xt in
     erfcx(x) = (2/sqrt(pi)) int_0^inf e^{-t^2 - 2xt} dt (DLMF 7.2.2) gives
         erfcx(x) = (1/(sqrt(pi) x)) int_0^inf e^{-u} (1 + u/x^2)^{-1/2} du,
-    a fixed 48-point Gauss-Laguerre sum of positive terms w_i/(x^2 + u_i)^{1/2}."""
+    a fixed 48-point Gauss-Laguerre sum of positive terms w_i/(x^2 + u_i)^{1/2}.
+    x may be an ndarray; each element is then bit for bit the float call."""
+    if isinstance(x, np.ndarray):
+        return _erfcx_array(x)
     if x < _X_RULE:
         return exp_neg_product(-x, x) * math.erfc(x)
     if x < 1e8:  # beyond, 1/(2x^2) is below rounding (and x^2 may overflow)
@@ -122,13 +125,31 @@ def erfcx(x: float) -> float:
     return 1.0 / (_SQRT_PI * x)
 
 
-def erfcx_derivatives(x: float) -> tuple[float, float, float]:
+def _erfcx_array(x: np.ndarray) -> np.ndarray:
+    """erfcx elementwise through the float call's three branches.  Each
+    Laguerre sum stays its own 48-term dot product, as in _gk15, so that no
+    element's rounding depends on the array around it."""
+    flat = np.asarray(x, dtype=float).ravel()
+    with np.errstate(divide="ignore"):  # x = 0 takes the first branch
+        out = 1.0 / (_SQRT_PI * flat)
+    low = flat < _X_RULE
+    out[low] = [exp_neg_product(-v, v) * math.erfc(v) for v in flat[low].tolist()]
+    rule = ~low & (flat < 1e8)
+    xs = flat[rule][:, None]
+    out[rule] = [float(_LAG_W.dot(row)) / _SQRT_PI for row in (xs * xs + _LAG_U) ** -0.5]
+    return out.reshape(np.shape(x))
+
+
+def erfcx_derivatives(x):
     """(erfcx(x), erfcx'(x), erfcx''(x)), the first bit for bit erfcx(x).
     Below x = 1.4, erfcx' = 2x erfcx - 2/sqrt(pi) and erfcx'' = 2 erfcx
     + 2x erfcx' (DLMF 7.10); the second cancels ~70-fold near 1.4 (1e-14).
     From 1.4 on, the same rule gives erfcx^(n)(x) = (1/sqrt(pi)) sum_i w_i
     (-2 t_i)^n / r_i, r_i = sqrt(x^2 + u_i), t_i = u_i/(x + r_i):
-    terms of one sign (3e-15), where the recurrence would lose ~2x^2 ulp."""
+    terms of one sign (3e-15), where the recurrence would lose ~2x^2 ulp.
+    x may be an ndarray; each element is then bit for bit the float call."""
+    if isinstance(x, np.ndarray):
+        return _erfcx_derivatives_array(x)
     e = erfcx(x)
     if x < _X_RULE:
         d1 = 2.0 * x * e - 2.0 / _SQRT_PI
@@ -137,6 +158,25 @@ def erfcx_derivatives(x: float) -> tuple[float, float, float]:
     t = _LAG_U / (x + r)
     wt = _LAG_W * t / r
     return e, -2.0 * float(wt.sum()) / _SQRT_PI, 4.0 * float(wt.dot(t)) / _SQRT_PI
+
+
+def _erfcx_derivatives_array(x: np.ndarray):
+    """erfcx_derivatives elementwise; each rule row keeps its own sums."""
+    shape = np.shape(x)
+    x = np.asarray(x, dtype=float).ravel()
+    e = _erfcx_array(x)
+    # the float call's arithmetic, including its overflow past x = 1e154
+    with np.errstate(over="ignore", invalid="ignore"):
+        d1 = 2.0 * x * e - 2.0 / _SQRT_PI
+        d2 = 2.0 * e + 2.0 * x * d1
+        rule = ~(x < _X_RULE)
+        xs = x[rule][:, None]
+        r = np.sqrt(xs * xs + _LAG_U)
+    t = _LAG_U / (xs + r)
+    wt = _LAG_W * t / r
+    d1[rule] = [-2.0 * float(w.sum()) / _SQRT_PI for w in wt]
+    d2[rule] = [4.0 * float(w.dot(tw)) / _SQRT_PI for w, tw in zip(wt, t)]
+    return e.reshape(shape), d1.reshape(shape), d2.reshape(shape)
 
 
 def erf(x: float) -> float:
@@ -153,11 +193,12 @@ def erf(x: float) -> float:
 
 
 def erfc(x: float) -> float:
-    """Complementary error function 1 - erf(x), accurate into the far tail."""
+    """Complementary error function 1 - erf(x), accurate into the far tail:
+    math.erfc(x) on [-2, 2), from erfcx(|x|) beyond."""
     if x >= 2.0:
         return math.exp(-x * x) * erfcx(x)
     if x >= -2.0:
-        return 1.0 - erf(x)
+        return math.erfc(x)
     return 2.0 - math.exp(-x * x) * erfcx(-x)
 
 

@@ -34,7 +34,7 @@ import numpy as np
 from .numerics import (_LAG_U, _LAG_W, _X_RULE, Tolerance, erfcx, erfcx_derivatives,
                        exp_neg_product, integrate_semi_infinite)
 from .spectrum import SpectrumCoefficients
-from .thermo import (B_MIN, Beta, _check_transcription, _exp, _factor_q,
+from .thermo import (B_MIN, Beta, _check_transcription, _factor_q,
                      _quadrature_moments, _require_regular, as_beta)
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -91,25 +91,43 @@ def superstat_partition_quadrature(c: SpectrumCoefficients, beta, q,
 # Typeset closed forms of Z_s, U_s, S_s, F_s, and the exact C_s
 # ---------------------------------------------------------------------------
 
+#: the typeset forms overflow, divide by zero and subtract infinities
+#: honestly: numpy's warnings are off inside them
+_saturating = np.errstate(over="ignore", divide="ignore", invalid="ignore")
+
+
 def _closed_args(c: SpectrumCoefficients, beta, q, transcription: str, b_min: float = B_MIN):
-    """After the argument checks: beta, q, the sign of the 2 a^3 sqrt(b) beta
-    term (-1 verbatim, +1 corrected) and x1.  The forms below take x1 and
-    erfcx(x1) from their caller, so a whole point evaluates them once."""
+    """After the argument checks: beta and q as float arrays of at least one
+    dimension, the sign of the 2 a^3 sqrt(b) beta term (-1 verbatim, +1
+    corrected) and x1.  beta and q broadcast against each other; a point is
+    a one-element array, so it rounds through the same numpy loops as a
+    grid.  The forms below take x1 and erfcx(x1) from their caller, so a
+    whole point or grid evaluates them once."""
     _check_transcription(transcription)
     _require_regular(c, b_min)
-    bv = as_beta(beta).value
-    x1 = 0.5 * (c.a + 2.0 * c.b) * math.sqrt(bv / c.b)
-    return bv, as_q(q).q, -1.0 if transcription == "verbatim" else 1.0, x1
+    bv = np.atleast_1d(np.asarray(beta.value if isinstance(beta, Beta) else beta, dtype=float))
+    if not np.all((bv > 0.0) & np.isfinite(bv)):
+        raise ValueError("beta must be positive and finite")
+    qv = np.atleast_1d(np.asarray(q.q if isinstance(q, DeformationQ) else q, dtype=float))
+    if not np.all((qv >= 0.0) & (qv <= 1.0)):
+        raise ValueError("q must lie in [0, 1]")
+    x1 = 0.5 * (c.a + 2.0 * c.b) * np.sqrt(bv / c.b)
+    return bv, qv, -1.0 if transcription == "verbatim" else 1.0, x1
 
 
-def _bracket_pieces(c: SpectrumCoefficients, bv: float, qv: float, sign_a3: float):
+def _shaped(value: np.ndarray, beta, q):
+    """A float for a float beta and q, else the array."""
+    return value.item() if np.ndim(beta) == np.ndim(q) == 0 else value
+
+
+def _bracket_pieces(c: SpectrumCoefficients, bv, qv, sign_a3: float):
     """(P, P', P''), (R, R', R''): the no-exponential part P = q sqrt(b)
     (c1 s + c3 s^3), s = sqrt(beta), and the erf-coefficient polynomial
     R = r0 + r1 beta + r2 beta^2 of the big bracket of the typeset Z_s, with
     their beta-derivatives.  The bracket is P + sqrt(pi) R erfcx(x1): its
     Gaussian and erf parts cancel exactly."""
     a, b = c.a, c.b
-    s = math.sqrt(bv)
+    s = np.sqrt(bv)
     k = qv * math.sqrt(b)
     c1 = k * (12.0 * a * b + 24.0 * b * b)
     c3 = k * (sign_a3 * 2.0 * a ** 3 - 4.0 * a * a * b)
@@ -122,8 +140,7 @@ def _bracket_pieces(c: SpectrumCoefficients, bv: float, qv: float, sign_a3: floa
         (r0 + (r1 + r2 * bv) * bv, r1 + 2.0 * r2 * bv, 2.0 * r2)
 
 
-def _bracket(c: SpectrumCoefficients, bv: float, qv: float, sign_a3: float, x1: float,
-             ex: float, den_b2_typo: bool = False) -> float:
+def _bracket(c: SpectrumCoefficients, bv, qv, sign_a3: float, x1, ex, den_b2_typo: bool = False):
     (P, _, _), (R, _, _) = _bracket_pieces(c, bv, qv, sign_a3)
     val = P + _SQRT_PI * R * ex
     if den_b2_typo:
@@ -131,44 +148,49 @@ def _bracket(c: SpectrumCoefficients, bv: float, qv: float, sign_a3: float, x1: 
         # 8 b^3 beta, leaving an uncancelled Gaussian of this size
         a, b = c.a, c.b
         d = -8.0 * qv * b * b * bv * (b - 1.0) * (a * bv - 1.0)
-        val += _SQRT_PI * d * _exp(x1 * x1)
+        val = val + _SQRT_PI * d * np.exp(x1 * x1)
     return val
 
 
-def _log_partition(c: SpectrumCoefficients, bv: float, bracket: float) -> float:
-    return (-(c.a + c.b) * bv / 2.0 - math.log(64.0 * c.b ** 2.5 * math.sqrt(bv))
-            + math.log(bracket))
+def _log_partition(c: SpectrumCoefficients, bv, bracket):
+    return (-(c.a + c.b) * bv / 2.0 - np.log(64.0 * c.b ** 2.5 * np.sqrt(bv))
+            + np.log(bracket))
 
 
+def _partition(c: SpectrumCoefficients, bv, bracket):
+    return np.exp(-(c.a + c.b) * bv / 2.0) / (64.0 * c.b ** 2.5 * np.sqrt(bv)) * bracket
+
+
+def _free_energy(c: SpectrumCoefficients, bv, bracket):
+    return -_log_partition(c, bv, bracket) / bv
+
+
+@_saturating
 def superstat_partition_closed(c: SpectrumCoefficients, beta, q,
                                transcription: str = "verbatim",
-                               b_min: float = B_MIN) -> float:
+                               b_min: float = B_MIN) -> float | np.ndarray:
     """The typeset closed form of Z_s, overflow-stabilized exactly."""
     bv, qv, sign, x1 = _closed_args(c, beta, q, transcription, b_min)
-    return _partition(c, bv, _bracket(c, bv, qv, sign, x1, erfcx(x1)))
+    return _shaped(_partition(c, bv, _bracket(c, bv, qv, sign, x1, erfcx(x1))), beta, q)
 
 
-def _partition(c: SpectrumCoefficients, bv: float, bracket: float) -> float:
-    return math.exp(-(c.a + c.b) * bv / 2.0) / (64.0 * c.b ** 2.5 * math.sqrt(bv)) * bracket
-
-
+@_saturating
 def log_superstat_partition_closed(c: SpectrumCoefficients, beta, q,
                                    transcription: str = "verbatim",
-                                   b_min: float = B_MIN) -> float:
+                                   b_min: float = B_MIN) -> float | np.ndarray:
     """ln Z_s (closed form), stable at large beta."""
     bv, qv, sign, x1 = _closed_args(c, beta, q, transcription, b_min)
-    return _log_partition(c, bv, _bracket(c, bv, qv, sign, x1, erfcx(x1)))
+    return _shaped(_log_partition(c, bv, _bracket(c, bv, qv, sign, x1, erfcx(x1))), beta, q)
 
 
-def _numerator(c: SpectrumCoefficients, bv: float, qv: float, variant: str, x1: float,
-               ex: float) -> float:
+def _numerator(c: SpectrumCoefficients, bv, qv, variant: str, x1, ex):
     """The big fraction numerator shared by the typeset U_s and S_s,
     P + sqrt(pi) R erfcx(x1).  variant 'us' follows the U_s print, whose
     Gaussian/erf parts do NOT cancel and leave sqrt(pi) D e^{x1^2}; variant
     'ss' the S_s print, which cancels exactly (D = 0)."""
     a, b = c.a, c.b
     bb = b * bv
-    sbb = math.sqrt(bb)
+    sbb = np.sqrt(bb)
     if variant == "us":
         a4_inner = -4.0 * bb
         ab_pow = 2
@@ -177,7 +199,6 @@ def _numerator(c: SpectrumCoefficients, bv: float, qv: float, variant: str, x1: 
     else:
         a4_inner = -6.0 * bb + bb
         ab_pow = 3
-        D = 0.0
     P = (4.0 * a ** 3 * (-2.0 * bb ** 1.5 * sbb + bb ** 2.5 * sbb
                          + 2.0 * bb * bb - 6.0 * bb ** 3) * qv
          + 2.0 * a ** 5 * b * bv ** 3 * (-1.0) * qv
@@ -192,66 +213,68 @@ def _numerator(c: SpectrumCoefficients, bv: float, qv: float, variant: str, x1: 
         + 8.0 * b ** 3 * bv * (1.0 + a * bv) * qv
         + 4.0 * b * b * (8.0 + (3.0 + 2.0 * a * bv + 2.0 * a * a * bv * bv) * qv))
     val = P + _SQRT_PI * R * ex
-    if D != 0.0:
-        val += _SQRT_PI * D * _exp(x1 * x1)
+    if variant == "us":  # where D = 0 no Gaussian is left, not even 0 * inf
+        val = np.where(D != 0.0, val + _SQRT_PI * D * np.exp(x1 * x1), val)
     return val
 
 
+@_saturating
 def mean_energy_superstat_closed(c: SpectrumCoefficients, beta, q,
                                  transcription: str = "verbatim",
-                                 b_min: float = B_MIN) -> float:
+                                 b_min: float = B_MIN) -> float | np.ndarray:
     """The typeset closed form of U_s.
 
     verbatim follows the U_s print (numerator variant 'us', denominator
     bracket with the 8 b^2 beta monomial and the minus a^3 sign); corrected
     swaps every restated sub-term for its cross-stated alternative."""
     bv, qv, sign, x1 = _closed_args(c, beta, q, transcription, b_min)
-    return _mean_energy(c, bv, qv, sign, x1, erfcx(x1))
+    return _shaped(_mean_energy(c, bv, qv, sign, x1, erfcx(x1)), beta, q)
 
 
-def _mean_energy(c: SpectrumCoefficients, bv: float, qv: float, sign: float, x1: float,
-                 ex: float) -> float:
+def _mean_energy(c: SpectrumCoefficients, bv, qv, sign: float, x1, ex):
     verbatim = sign < 0.0
     num = _numerator(c, bv, qv, "us" if verbatim else "ss", x1, ex)
     den = 4.0 * (c.b * bv) ** 1.5 * _bracket(c, bv, qv, sign, x1, ex, den_b2_typo=verbatim)
     return -num / den
 
 
+@_saturating
 def entropy_superstat_closed(c: SpectrumCoefficients, beta, q, kB: float = 1.0,
                              transcription: str = "verbatim",
-                             b_min: float = B_MIN) -> float:
+                             b_min: float = B_MIN) -> float | np.ndarray:
     """The typeset closed form of S_s = kB(-beta * fraction + ln Z_s)."""
     bv, qv, sign, x1 = _closed_args(c, beta, q, transcription, b_min)
     ex = erfcx(x1)
-    return _entropy(c, bv, qv, sign, x1, ex, _bracket(c, bv, qv, sign, x1, ex), kB)
+    return _shaped(_entropy(c, bv, qv, sign, x1, ex, _bracket(c, bv, qv, sign, x1, ex), kB),
+                   beta, q)
 
 
-def _entropy(c: SpectrumCoefficients, bv: float, qv: float, sign: float, x1: float,
-             ex: float, bracket: float, kB: float) -> float:
+def _entropy(c: SpectrumCoefficients, bv, qv, sign: float, x1, ex, bracket, kB: float):
     """S_s: numerator 'ss' (verbatim) or 'us' (corrected) over the Z_s bracket."""
     num = _numerator(c, bv, qv, "ss" if sign < 0.0 else "us", x1, ex)
     den = 4.0 * (c.b * bv) ** 1.5 * bracket
     return kB * (-bv * num / den + _log_partition(c, bv, bracket))
 
 
+@_saturating
 def free_energy_superstat_closed(c: SpectrumCoefficients, beta, q,
                                  transcription: str = "verbatim",
-                                 b_min: float = B_MIN) -> float:
+                                 b_min: float = B_MIN) -> float | np.ndarray:
     """F_s = -ln(Z_s)/beta of the same transcription's Z_s, exactly."""
-    bv = as_beta(beta).value
-    return -log_superstat_partition_closed(c, bv, q, transcription, b_min) / bv
+    bv, qv, sign, x1 = _closed_args(c, beta, q, transcription, b_min)
+    return _shaped(_free_energy(c, bv, _bracket(c, bv, qv, sign, x1, erfcx(x1))), beta, q)
 
 
+@_saturating
 def heat_capacity_superstat_closed(c: SpectrumCoefficients, beta, q, kB: float = 1.0,
-                                   transcription: str = "verbatim") -> float:
+                                   transcription: str = "verbatim") -> float | np.ndarray:
     """kB beta^2 d^2 ln Z_s/d beta^2 of the closed Z_s, exactly: no closed
     C_s was ever typeset, only this defining identity."""
     bv, qv, sign, x1 = _closed_args(c, beta, q, transcription)
-    return _heat_capacity(c, bv, qv, sign, x1, erfcx_derivatives(x1), kB)
+    return _shaped(_heat_capacity(c, bv, qv, sign, x1, erfcx_derivatives(x1), kB), beta, q)
 
 
-def _heat_capacity(c: SpectrumCoefficients, bv: float, qv: float, sign: float, x1: float,
-                   eds: tuple[float, float, float], kB: float) -> float:
+def _heat_capacity(c: SpectrumCoefficients, bv, qv, sign: float, x1, eds, kB: float):
     """ln Z_s = -(a+b) beta/2 - ln(64 b^{5/2}) - (1/2) ln beta + ln B with the
     bracket B = P + sqrt(pi) R E, E = erfcx(x1), so C_s = kB (1/2 + beta^2
     (B''/B - (B'/B)^2)); x1 grows as sqrt(beta), so with h = x1/(2 beta) and
@@ -268,19 +291,27 @@ def _heat_capacity(c: SpectrumCoefficients, bv: float, qv: float, sign: float, x
     return kB * (0.5 + bv * bv * (g2 - g1 * g1))
 
 
-def _closed_point(c: SpectrumCoefficients, bt: Beta, qt: DeformationQ, kB: float,
-                  transcription: str) -> SuperstatPoint:
-    """The five closed forms from one erfcx_derivatives(x1), each bit for bit
-    its single-quantity function."""
-    bv, qv, sign, x1 = _closed_args(c, bt, qt, transcription)
+@_saturating
+def _closed_columns(c: SpectrumCoefficients, beta, q, kB: float, transcription: str) -> dict:
+    """The five closed forms, quantity -> array over the broadcast of beta
+    and q, from one erfcx_derivatives(x1); each bit for bit its
+    single-quantity function on the same arrays."""
+    bv, qv, sign, x1 = _closed_args(c, beta, q, transcription)
     eds = erfcx_derivatives(x1)
     ex = eds[0]
     bracket = _bracket(c, bv, qv, sign, x1, ex)
-    lnzs = _log_partition(c, bv, bracket)
-    return SuperstatPoint(bt, qt, Zs=_partition(c, bv, bracket),
-                          Us=_mean_energy(c, bv, qv, sign, x1, ex),
-                          Ss=_entropy(c, bv, qv, sign, x1, ex, bracket, kB), Fs=-lnzs / bv,
-                          Cs=_heat_capacity(c, bv, qv, sign, x1, eds, kB), method="closed")
+    return {"Zs": _partition(c, bv, bracket), "Us": _mean_energy(c, bv, qv, sign, x1, ex),
+            "Ss": _entropy(c, bv, qv, sign, x1, ex, bracket, kB),
+            "Fs": _free_energy(c, bv, bracket),
+            "Cs": _heat_capacity(c, bv, qv, sign, x1, eds, kB)}
+
+
+def _closed_point(c: SpectrumCoefficients, bt: Beta, qt: DeformationQ, kB: float,
+                  transcription: str) -> SuperstatPoint:
+    """The closed columns at one point."""
+    columns = _closed_columns(c, bt, qt, kB, transcription)
+    return SuperstatPoint(bt, qt, method="closed",
+                          **{qn: v.item() for qn, v in columns.items()})
 
 
 # ---------------------------------------------------------------------------

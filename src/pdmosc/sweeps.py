@@ -72,7 +72,17 @@ class SweepRow:
 
 def run_sweep(spec: SweepSpec, tol: Tolerance = PRESET_TOL) -> list[SweepRow]:
     """Evaluate the sweep; a SingularLimit at one grid point becomes a null
-    row with a warning instead of a crash."""
+    row with a warning instead of a crash.  A beta sweep is one
+    routes.beta_curve call: SingularLimit depends on the coefficients only,
+    so there it nulls every row at once."""
+    if spec.vary == "beta":
+        s = routes.state({**spec.fixed, "beta": np.array(spec.values, dtype=float)},
+                         spec.units, spec.b_convention, spec.transcription, tol)
+        try:
+            ys = routes.beta_curve(spec.quantity, spec.method, s)
+        except SingularLimit:
+            return [SweepRow(x=float(x), y=None, warning="SingularLimit") for x in spec.values]
+        return [SweepRow(x=float(x), y=float(y)) for x, y in zip(spec.values, ys)]
     route = routes.ROUTES[(spec.quantity, spec.method)]
     rows = []
     for x in spec.values:

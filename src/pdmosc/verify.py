@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import product, repeat, starmap
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,8 +33,7 @@ DEFAULT_BETAS = tuple(float(x) for x in np.logspace(-1.0, 1.0, 25))
 DEFAULT_QS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
-@dataclass(frozen=True)
-class DiscrepancyReport:
+class DiscrepancyReport(NamedTuple):
     """One printed-vs-oracle comparison at one grid point."""
 
     quantity: str
@@ -47,24 +47,15 @@ class DiscrepancyReport:
     classification: str
 
 
-def _classify(printed: float, oracle: float) -> tuple[float, str]:
-    if not math.isfinite(oracle):
-        return math.nan, "OracleNonFinite"
-    rel = abs(printed - oracle) / max(abs(oracle), _REL_FLOOR)
-    if not math.isfinite(printed):
-        return rel, "PrintedNonFinite"
-    if rel <= _AGREE:
-        return rel, "Agree"
-    if rel <= _CLOSE:
-        return rel, "Close"
-    return rel, "Disagree"
-
-
-def _report(quantity, alpha, beta, q, transcription, printed, oracle) -> DiscrepancyReport:
-    rel, cls = _classify(printed, oracle)
-    return DiscrepancyReport(quantity=quantity, alpha=alpha, beta=beta, q=q,
-                             transcription=transcription, printed=float(printed),
-                             oracle=float(oracle), rel_diff=rel, classification=cls)
+def _classify(printed: np.ndarray, oracle: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Relative differences and classifications of two columns, elementwise;
+    rel_diff is nan where the oracle is not finite."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        rel = np.abs(printed - oracle) / np.maximum(np.abs(oracle), _REL_FLOOR)
+    oracle_ok = np.isfinite(oracle)
+    cls = np.select([~oracle_ok, ~np.isfinite(printed), rel <= _AGREE, rel <= _CLOSE],
+                    ["OracleNonFinite", "PrintedNonFinite", "Agree", "Close"], "Disagree")
+    return np.where(oracle_ok, rel, math.nan), cls
 
 
 def _as_params(entry) -> OscillatorParams:
@@ -87,8 +78,11 @@ def audit_grid(params_grid: Iterable = DEFAULT_ALPHAS,
     closed-form moment engine over [0, inf).  Basis "sum" replaces the
     thermo oracles with the physical sum route (thermo_sum_engine).
 
-    Reports come back sorted by quantity, then grid indices, then
-    transcription; identical inputs produce identical lists.
+    The oracles run point by point; the closed superstat forms run as one
+    call over the beta x q mesh per alpha and transcription, and each
+    quantity's column is classified at once.  Reports come ordered by
+    quantity, then grid indices, then transcription; identical inputs
+    produce identical lists.
     """
     if oracle_basis not in ("closed", "sum"):
         raise ValueError("oracle_basis must be 'closed' or 'sum'")
@@ -98,49 +92,70 @@ def audit_grid(params_grid: Iterable = DEFAULT_ALPHAS,
     if not params or not betas or not qs:
         raise ValueError("grids must be nonempty")
 
-    reports: list[DiscrepancyReport] = []
+    trs = thermo.TRANSCRIPTIONS
+    # quantity -> per-alpha chunks of the printed and the oracle column, each
+    # in grid order with the transcription innermost
+    printed = {qn: [] for qn in QUANTITIES}
+    oracles = {qn: [] for qn in QUANTITIES}
+    mesh = np.array(betas)[:, None], np.array(qs)
     for p in params:
         c = coefficients(p)
+        points = []
         for bv in betas:
             if oracle_basis == "closed":
                 oracle = thermo.thermo_quadrature(c, bv, "quad01", kB, tol)
             else:
                 oracle = thermo.thermo_sum_engine(c, bv, kB, tol)
-            for tr in thermo.TRANSCRIPTIONS:
-                reports += _closed_reports("thermo", routes.State(c, kB, bv, transcription=tr),
-                                           p.alpha, None, oracle)
-            for qv in qs:
-                spt = superstat.superstat_thermo(c, bv, qv, kB, tol, method="engine")
-                for tr in thermo.TRANSCRIPTIONS:
-                    reports += _closed_reports(
-                        "superstat", routes.State(c, kB, bv, qv, transcription=tr),
-                        p.alpha, qv, spt)
-    # a stable sort: within one quantity the rows keep their grid order
-    order = {qn: i for i, qn in enumerate(QUANTITIES)}
-    return sorted(reports, key=lambda r: order[r.quantity])
+            points += [(oracle, thermo.thermo_closed_point(c, bv, kB, tr)) for tr in trs]
+        for qn in routes.THERMO:
+            oracles[qn].append([getattr(o, qn) for o, _ in points])
+            printed[qn].append([getattr(pt, qn) for _, pt in points])
+        engine = [superstat.superstat_thermo(c, bv, qv, kB, tol, method="engine")
+                  for bv, qv in product(betas, qs)]
+        closed = [superstat._closed_columns(c, *mesh, kB, tr) for tr in trs]
+        for qn in routes.SUPERSTAT:
+            oracles[qn].append(np.repeat([getattr(pt, qn) for pt in engine], len(trs)))
+            printed[qn].append(np.stack([col[qn] for col in closed], axis=-1).ravel())
 
-
-def _closed_reports(family: str, s: routes.State, alpha: float, q: float | None,
-                    oracle) -> list[DiscrepancyReport]:
-    """The closed-route point of the family at s, quantity by quantity,
-    against the oracle point."""
-    printed = routes.POINTS[family]["closed"](s)
-    return [_report(qn, alpha, s.beta, q, s.transcription, getattr(printed, qn),
-                    getattr(oracle, qn)) for qn in routes.FIELDS[family]]
+    alphas = [p.alpha for p in params]
+    grids = {"thermo": list(zip(*product(alphas, betas, [None], trs))),
+             "superstat": list(zip(*product(alphas, betas, qs, trs)))}
+    reports: list[DiscrepancyReport] = []
+    for family, quantities in routes.FIELDS.items():
+        for qn in quantities:
+            p_col = np.concatenate(printed[qn])
+            o_col = np.concatenate(oracles[qn])
+            rel, cls = _classify(p_col, o_col)
+            reports += starmap(DiscrepancyReport, zip(
+                repeat(qn), *grids[family], p_col.tolist(), o_col.tolist(), rel.tolist(),
+                cls.tolist()))
+    return reports
 
 
 AUDIT_CSV_HEADER = "quantity,alpha,beta,q,transcription,printed,oracle,rel_diff,classification"
 
 
+class _Text(dict):
+    """x -> f"{x:.17g}", each distinct value formatted once.  A zero is
+    formatted every time: 0.0 and -0.0 are one key but two strings."""
+
+    def __missing__(self, x) -> str:
+        text = f"{x:.17g}"
+        if x:
+            self[x] = text
+        return text
+
+
 def render_audit_csv(reports: Sequence[DiscrepancyReport]) -> str:
     """One record per line, floats at 17 significant digits, q empty for
     the thermo quantities."""
+    # the grid values repeat from row to row, and each oracle value once
+    # per transcription
+    text = _Text({None: ""})
     lines = [AUDIT_CSV_HEADER]
-    for r in reports:
-        qfield = "" if r.q is None else f"{r.q:.17g}"
-        lines.append(f"{r.quantity},{r.alpha:.17g},{r.beta:.17g},{qfield},"
-                     f"{r.transcription},{r.printed:.17g},{r.oracle:.17g},"
-                     f"{r.rel_diff:.17g},{r.classification}")
+    lines += [f"{r.quantity},{text[r.alpha]},{text[r.beta]},{text[r.q]},{r.transcription},"
+              f"{r.printed:.17g},{text[r.oracle]},{r.rel_diff:.17g},{r.classification}"
+              for r in reports]
     return "\n".join(lines) + "\n"
 
 

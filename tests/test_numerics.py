@@ -49,12 +49,14 @@ def test_erf_bounds_and_saturation():
 
 def test_erfc_erfcx_cross_consistency():
     import mpmath as mp
+    # on [-2, 2) erfc is math.erfc; 1 - erf(x) was 2.1e-13 off at x = 1.997
+    dense = np.arange(-2000, 2000) / 1000.0
     with mp.workdps(60):
-        for x in [0.1, 0.7, 1.9, 2.0, 2.7, 4.0, 8.5, 15.0]:
-            assert abs(erfc(x) / float(mp.erfc(x)) - 1) < 5e-14
+        for x in [0.1, 0.7, 1.9, 2.0, 2.7, 4.0, 8.5, 15.0] + dense.tolist():
+            assert abs(erfc(x) / float(mp.erfc(x)) - 1) < 1e-15, x
         for x in [0.1, 0.7, 1.9, 2.0, 2.7, 4.0, 8.5, 15.0, 30.0, 200.0]:
             assert abs(erfcx(x) / float(mp.erfc(x) * mp.e ** (x * x)) - 1) < 1e-15
-        assert abs(erfc(-1.3) / float(mp.erfc(mp.mpf('-1.3'))) - 1) < 5e-14
+        assert abs(erfc(-1.3) / float(mp.erfc(mp.mpf('-1.3'))) - 1) < 1e-15
 
 
 def _mp_erfcx(x):
@@ -93,6 +95,20 @@ def test_erfcx_derivatives_against_mpmath():
                           for n in (1, 2))
             assert abs(d1 / ref1 - 1) <= 3e-15, x
             assert abs(d2 / ref2 - 1) <= (3e-15 if x >= 1.4 else 1e-14), x
+
+
+def test_erfcx_arrays_equal_float_calls():
+    # an array runs each element through the float call's branch and sums:
+    # below 1.4, the Gauss-Laguerre rule up to 1e8, 1/(sqrt(pi) x) beyond
+    xs = np.concatenate([np.linspace(-26.0, 3.0, 581), np.logspace(-3.0, 300.0, 200),
+                         [np.nextafter(1.4, 0.0), 1.4, np.nextafter(1e8, 0.0), 1e8]])
+    got = erfcx(xs.reshape(-1, 5))
+    assert got.shape == (len(xs) // 5, 5)
+    assert got.ravel().tolist() == [erfcx(x) for x in xs.tolist()]
+    columns = erfcx_derivatives(xs)
+    rows = [erfcx_derivatives(x) for x in xs.tolist()]
+    for k in range(3):
+        assert columns[k].tolist() == [row[k] for row in rows], k
 
 
 def test_exp_neg_product_against_mpmath():

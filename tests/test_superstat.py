@@ -6,17 +6,17 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from pdmosc import (DeformationQ, OscillatorParams, SingularLimit, SpectrumCoefficients,
                     Tolerance, boltzmann_factor_q, coefficients, entropy_superstat_closed,
                     free_energy_superstat_closed, heat_capacity_superstat_closed,
                     integrate_semi_infinite,
                     log_superstat_partition_closed, mean_energy_superstat_closed,
-                    partition_quadrature, superstat_partition_closed,
+                    partition_quadrature, partition_sum, superstat_partition_closed,
                     superstat_partition_quadrature, superstat_thermo, thermo_quadrature)
 
-from pdmosc.superstat import excitation_moments
+from pdmosc.superstat import _closed_columns, excitation_moments
 from pdmosc.verify import DEFAULT_ALPHAS, DEFAULT_BETAS, DEFAULT_QS
 
 from helpers import derivative, mp_closed_heat_capacity_superstat, mp_quad, mp_weight_moments
@@ -226,6 +226,60 @@ def test_closed_point_equals_single_closed_functions(tr):
                 # a verbatim U_s may overflow to nan, which equals itself here
                 assert np.array_equal([pt.Zs, pt.Us, pt.Ss, pt.Fs, pt.Cs], singles,
                                       equal_nan=True)
+
+
+@pytest.mark.parametrize("tr", ["verbatim", "corrected"])
+def test_closed_columns_equal_single_closed_functions_on_the_mesh(tr):
+    # the audit's beta x q mesh in one call per alpha: each column is bit for
+    # bit its single-quantity function called with the same arrays
+    betas, qs = np.array(DEFAULT_BETAS)[:, None], np.array(DEFAULT_QS)
+    for alpha in DEFAULT_ALPHAS:
+        c = coefficients(OscillatorParams(alpha=alpha))
+        columns = _closed_columns(c, betas, qs, 1.0, tr)
+        singles = {"Zs": superstat_partition_closed(c, betas, qs, tr),
+                   "Us": mean_energy_superstat_closed(c, betas, qs, tr),
+                   "Ss": entropy_superstat_closed(c, betas, qs, 1.0, tr),
+                   "Fs": free_energy_superstat_closed(c, betas, qs, tr),
+                   "Cs": heat_capacity_superstat_closed(c, betas, qs, 1.0, tr)}
+        for qn, single in singles.items():
+            assert single.shape == (len(DEFAULT_BETAS), len(DEFAULT_QS))
+            assert np.array_equal(columns[qn], single, equal_nan=True), (alpha, qn)
+
+
+def test_closed_forms_check_every_grid_value():
+    betas = np.array([0.5, 1.0, 2.0])
+    with pytest.raises(ValueError, match="beta must be positive and finite"):
+        superstat_partition_closed(C03, np.array([0.5, 0.0]), 0.5)
+    with pytest.raises(ValueError, match="beta must be positive and finite"):
+        heat_capacity_superstat_closed(C03, np.array([1.0, math.nan]), 0.5)
+    with pytest.raises(ValueError, match="q must lie in"):
+        mean_energy_superstat_closed(C03, betas, np.array([0.5, 1.5]))
+    with pytest.raises(SingularLimit):
+        entropy_superstat_closed(C00, betas, 0.5)
+    assert isinstance(free_energy_superstat_closed(C03, 1.0, 0.5), float)
+
+
+def _falls(z1: float, z2: float) -> bool:
+    """z1 > z2 within 1e-12 relative slack; both may underflow to 0."""
+    return z1 > z2 * (1.0 - 1e-12) or z1 == z2 == 0.0
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(alpha=st.floats(min_value=0.01, max_value=0.99),
+       u1=st.floats(min_value=-3.0, max_value=3.0), u2=st.floats(min_value=-3.0, max_value=3.0),
+       q=st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
+def test_partition_functions_fall_with_beta_and_rise_with_q(alpha, u1, u2, q):
+    """E > 0 on every level, and the deformed factor e^{-x} (1 + q x^2/2)
+    of x = beta E decreases in x for q <= 1 and is never below e^{-x}: so
+    the sum-route Z and the engine Z_s fall with beta, and Z_s(q) >= Z_s(0)."""
+    b1, b2 = sorted((10.0 ** u1, 10.0 ** u2))
+    assume(b1 < b2)
+    c = coefficients(OscillatorParams(alpha=alpha))
+    assert _falls(partition_sum(c, b1, TOL), partition_sum(c, b2, TOL))
+    zs1, zs2 = (superstat_thermo(c, b, q, method="engine").Zs for b in (b1, b2))
+    assert _falls(zs1, zs2)
+    for beta, zs in ((b1, zs1), (b2, zs2)):
+        assert zs >= superstat_thermo(c, beta, 0.0, method="engine").Zs * (1.0 - 1e-12)
 
 
 def test_engine_rows_equal_single_quadratures():

@@ -9,8 +9,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pdmosc import (OscillatorParams, SingularLimit, cli, energy_level, routes, superstat,
-                    sweeps)
+from pdmosc import (OscillatorParams, SingularLimit, cli, coefficients, energy_level, routes,
+                    superstat, sweeps)
 from pdmosc.sweeps import FigurePreset, PRESETS, SweepSpec, figure_preset, run_sweep
 
 
@@ -54,11 +54,27 @@ def test_zs_sweep_finite_positive():
 
 
 def test_singular_limit_becomes_warning_row():
-    # closed form at alpha=0 has b=0: every row degrades to a null + warning
-    spec = SweepSpec(quantity="Z", vary="beta", values=(0.5, 1.0, 2.0),
-                     fixed={"alpha": 0.0}, method="closed")
-    rows = run_sweep(spec)
-    assert all(r.y is None and r.warning == "SingularLimit" for r in rows)
+    # closed form at alpha=0 has b=0: every row degrades to a null + warning,
+    # on the per-beta thermo route and on the superstat route's one grid call
+    for quantity, fixed in (("Z", {}), ("Cs", {"q": 0.5})):
+        spec = SweepSpec(quantity=quantity, vary="beta", values=(0.5, 1.0, 2.0),
+                         fixed={"alpha": 0.0, **fixed}, method="closed")
+        rows = run_sweep(spec)
+        assert [r.x for r in rows] == [0.5, 1.0, 2.0]
+        assert all(r.y is None and r.warning == "SingularLimit" for r in rows)
+
+
+def test_closed_superstat_beta_sweep_matches_points():
+    # one closed call over the whole beta grid, each row within 1e-12 of
+    # its own point call
+    betas = sweeps.log_range(0.05, 40.0, 31)
+    for alpha, q, tr in [(0.1, 0.5, "verbatim"), (0.3, 1.0, "corrected"), (0.9, 0.0, "verbatim")]:
+        spec = SweepSpec(quantity="Cs", vary="beta", values=betas,
+                         fixed={"alpha": alpha, "q": q}, method="closed", transcription=tr)
+        c = coefficients(OscillatorParams(alpha=alpha))
+        for row, beta in zip(run_sweep(spec), betas):
+            want = superstat.heat_capacity_superstat_closed(c, beta, q, 1.0, tr)
+            assert row.x == beta and abs(row.y - want) <= 1e-12 * abs(want)
 
 
 def test_presets_complete():

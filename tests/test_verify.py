@@ -1,28 +1,30 @@
 """Audit harness: classification rules, determinism, coverage, trends."""
 
+import json
 import math
 
+import numpy as np
 import pytest
 
-from pdmosc import OscillatorParams, energy_level
+from pdmosc import OscillatorParams, cli, energy_level
 from pdmosc.verify import (AUDIT_CSV_HEADER, DEFAULT_BETAS, QUANTITIES,
-                           audit_grid, render_audit_csv, trend_check, _classify)
+                           DiscrepancyReport, audit_grid, render_audit_csv, trend_check,
+                           _classify)
 
 SMALL_GRID = dict(params_grid=(0.1, 0.3), beta_grid=DEFAULT_BETAS[::8],
                   q_grid=(0.0, 0.5))
 
 
 def test_classify_thresholds():
-    assert _classify(1.0, 1.0) == (0.0, "Agree")
-    assert _classify(1.0 + 5e-7, 1.0)[1] == "Agree"
-    assert _classify(1.001, 1.0)[1] == "Close"
-    assert _classify(1.5, 1.0)[1] == "Disagree"
-    assert _classify(math.inf, 1.0)[1] == "PrintedNonFinite"
-    assert _classify(math.nan, 1.0)[1] == "PrintedNonFinite"
-    assert _classify(1.0, math.inf)[1] == "OracleNonFinite"
+    # one column per call: the same cases, classified elementwise
+    printed = np.array([1.0, 1.0 + 5e-7, 1.001, 1.5, math.inf, math.nan, 1.0, 1e-10])
+    oracle = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0, math.inf, 0.0])
+    rel, cls = _classify(printed, oracle)
+    assert cls.tolist() == ["Agree", "Agree", "Close", "Disagree", "PrintedNonFinite",
+                            "PrintedNonFinite", "OracleNonFinite", "Disagree"]
+    assert rel[0] == 0.0 and math.isnan(rel[6])
     # floor keeps zero oracles well defined
-    rel, cls = _classify(1e-10, 0.0)
-    assert math.isfinite(rel) and cls == "Disagree"
+    assert math.isfinite(rel[7])
 
 
 def test_audit_coverage_and_order():
@@ -96,6 +98,35 @@ def test_csv_rendering():
     assert first[3] == ""
     last = lines[-1].split(",")
     assert last[0] == "Cs" and last[3] == "0"
+
+
+def test_csv_rendering_keeps_signed_zeros():
+    rows = [DiscrepancyReport("Zs", 0.5, 1.0, q, "verbatim", 1.0, 1.0, 0.0, "Agree")
+            for q in (0.0, -0.0, 0.0)]
+    assert [line.split(",")[3] for line in render_audit_csv(rows).split("\n")[1:4]] == \
+        ["0", "-0", "0"]
+
+
+def _same(json_value, csv_text: str) -> bool:
+    if json_value is None or isinstance(json_value, str):
+        return csv_text == ("" if json_value is None else json_value)
+    value = float(csv_text)
+    return value == json_value or (math.isnan(value) and math.isnan(json_value))
+
+
+def test_cli_audit_json_matches_csv(tmp_path):
+    # the JSON records are the report fields in order, each equal to the
+    # CSV row of the same audit
+    out_json, out_csv = tmp_path / "atlas.json", tmp_path / "atlas.csv"
+    assert cli.main(["audit", "--format", "json", "--out", str(out_json)]) == 0
+    assert cli.main(["audit", "--out", str(out_csv)]) == 0
+    records = json.loads(out_json.read_text())
+    header, *lines = out_csv.read_text().rstrip("\n").split("\n")
+    assert len(records) == len(lines) == 4500
+    assert header.split(",") == list(DiscrepancyReport._fields)
+    for record, line in zip(records, lines):
+        assert list(record) == list(DiscrepancyReport._fields)
+        assert all(_same(v, text) for v, text in zip(record.values(), line.split(","))), line
 
 
 # -- trend checks ------------------------------------------------------------

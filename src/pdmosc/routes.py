@@ -10,13 +10,13 @@ A quantity uses its own function where one exists (Z on every route, Z_s
 on ``quadinf``, each typeset closed form) and its field of the whole point
 otherwise.  Functions are looked up as module attributes
 (``thermo.partition_sum``) at call time, so wrappers installed on the
-modules are seen.  ``beta_curve`` evaluates one pair along a whole beta
-grid.
+modules are seen.  The closed superstat routes also take a State whose
+beta is an array.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 from .numerics import Tolerance
@@ -33,8 +33,7 @@ FIELDS = {"thermo": THERMO, "superstat": SUPERSTAT}
 
 @dataclass(frozen=True)
 class State:
-    """Every input a route reads at one evaluation point; beta_curve also
-    takes a State whose beta is a 1-d array."""
+    """Every input a route reads at one evaluation point."""
 
     c: SpectrumCoefficients
     kB: float = 1.0
@@ -114,13 +113,3 @@ ROUTES: dict[tuple[str, str], Callable[[State], float]] = {
     ("Cs", "closed"): lambda s: superstat.heat_capacity_superstat_closed(
         s.c, s.beta, s.q, s.kB, s.transcription),
 }
-
-
-def beta_curve(quantity: str, method: str, s: State) -> list[float]:
-    """The (quantity, method) route at every beta of s.beta, a 1-d array:
-    one call for the closed superstat forms, which take beta arrays, and
-    one call per beta, on the same coefficients, for every other route."""
-    route = ROUTES[(quantity, method)]
-    if method == "closed" and quantity in SUPERSTAT:
-        return route(s).tolist()
-    return [route(replace(s, beta=b)) for b in s.beta.tolist()]

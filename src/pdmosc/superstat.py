@@ -34,7 +34,7 @@ import numpy as np
 from .numerics import (_LAG_U, _LAG_W, _X_RULE, Tolerance, erfcx, erfcx_derivatives,
                        exp_neg_product, integrate_semi_infinite)
 from .spectrum import SpectrumCoefficients
-from .thermo import (B_MIN, Beta, _check_transcription, _factor_q,
+from .thermo import (B_MIN, Beta, _check_beta, _check_transcription, _factor_q,
                      _quadrature_moments, _require_regular, as_beta)
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -47,8 +47,15 @@ class DeformationQ:
     q: float
 
     def __post_init__(self):
-        if not 0.0 <= self.q <= 1.0:
-            raise ValueError("q must lie in [0, 1]")
+        _check_q(self.q)
+
+
+def _check_q(value):
+    """DeformationQ's domain rule, 0 <= q <= 1, for a float or for every
+    element of an array."""
+    ok = (value >= 0.0) & (value <= 1.0)
+    if not (ok.all() if isinstance(ok, np.ndarray) else ok):
+        raise ValueError("q must lie in [0, 1]")
 
 
 def as_q(q) -> DeformationQ:
@@ -57,7 +64,9 @@ def as_q(q) -> DeformationQ:
 
 @dataclass(frozen=True)
 class SuperstatPoint:
-    """Superstatistical state at one (beta, q), produced by one method."""
+    """Superstatistical state at one (beta, q), produced by one method.  A
+    closed point over beta and q arrays holds the arrays, and each quantity
+    as an array over their broadcast."""
 
     beta: Beta
     q: DeformationQ
@@ -106,11 +115,9 @@ def _closed_args(c: SpectrumCoefficients, beta, q, transcription: str, b_min: fl
     _check_transcription(transcription)
     _require_regular(c, b_min)
     bv = np.atleast_1d(np.asarray(beta.value if isinstance(beta, Beta) else beta, dtype=float))
-    if not np.all((bv > 0.0) & np.isfinite(bv)):
-        raise ValueError("beta must be positive and finite")
+    _check_beta(bv)
     qv = np.atleast_1d(np.asarray(q.q if isinstance(q, DeformationQ) else q, dtype=float))
-    if not np.all((qv >= 0.0) & (qv <= 1.0)):
-        raise ValueError("q must lie in [0, 1]")
+    _check_q(qv)
     x1 = 0.5 * (c.a + 2.0 * c.b) * np.sqrt(bv / c.b)
     return bv, qv, -1.0 if transcription == "verbatim" else 1.0, x1
 
@@ -292,26 +299,24 @@ def _heat_capacity(c: SpectrumCoefficients, bv, qv, sign: float, x1, eds, kB: fl
 
 
 @_saturating
-def _closed_columns(c: SpectrumCoefficients, beta, q, kB: float, transcription: str) -> dict:
-    """The five closed forms, quantity -> array over the broadcast of beta
-    and q, from one erfcx_derivatives(x1); each bit for bit its
-    single-quantity function on the same arrays."""
+def _closed_point(c: SpectrumCoefficients, beta, q, kB: float,
+                  transcription: str) -> SuperstatPoint:
+    """The five closed forms from one erfcx_derivatives(x1), each bit for
+    bit its single-quantity function.  Float beta and q give a point of
+    floats; arrays give a point that holds them and each quantity as an
+    array over their broadcast."""
+    if np.ndim(beta) == np.ndim(q) == 0:
+        beta, q = as_beta(beta), as_q(q)
     bv, qv, sign, x1 = _closed_args(c, beta, q, transcription)
     eds = erfcx_derivatives(x1)
     ex = eds[0]
     bracket = _bracket(c, bv, qv, sign, x1, ex)
-    return {"Zs": _partition(c, bv, bracket), "Us": _mean_energy(c, bv, qv, sign, x1, ex),
-            "Ss": _entropy(c, bv, qv, sign, x1, ex, bracket, kB),
-            "Fs": _free_energy(c, bv, bracket),
-            "Cs": _heat_capacity(c, bv, qv, sign, x1, eds, kB)}
-
-
-def _closed_point(c: SpectrumCoefficients, bt: Beta, qt: DeformationQ, kB: float,
-                  transcription: str) -> SuperstatPoint:
-    """The closed columns at one point."""
-    columns = _closed_columns(c, bt, qt, kB, transcription)
-    return SuperstatPoint(bt, qt, method="closed",
-                          **{qn: v.item() for qn, v in columns.items()})
+    columns = {"Zs": _partition(c, bv, bracket), "Us": _mean_energy(c, bv, qv, sign, x1, ex),
+               "Ss": _entropy(c, bv, qv, sign, x1, ex, bracket, kB),
+               "Fs": _free_energy(c, bv, bracket),
+               "Cs": _heat_capacity(c, bv, qv, sign, x1, eds, kB)}
+    return SuperstatPoint(beta, q, method="closed",
+                          **{qn: _shaped(v, beta, q) for qn, v in columns.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +416,11 @@ def superstat_thermo(c: SpectrumCoefficients, beta, q, kB: float = 1.0,
     ground-state gauge, whose Z_s is bit for bit
     superstat_partition_quadrature.
     method 'closed' evaluates the typeset Z_s, U_s, S_s, F_s and the exact
-    C_s of the closed Z_s from one erfcx_derivatives(x1) (_closed_point).
+    C_s of the closed Z_s from one erfcx_derivatives(x1) (_closed_point);
+    it also takes beta and q arrays, which broadcast against each other.
     """
+    if method == "closed":
+        return _closed_point(c, beta, q, kB, transcription)
     bt = as_beta(beta)
     qt = as_q(q)
     bv, qv = bt.value, qt.q
@@ -421,6 +429,4 @@ def superstat_thermo(c: SpectrumCoefficients, beta, q, kB: float = 1.0,
     if method == "quadinf":
         Zs, Us, Cs, Ss, Fs = _quadrature_moments(c, bv, qv, math.inf, kB, tol)
         return SuperstatPoint(bt, qt, Zs, Us, Ss, Fs, Cs, method="quadinf")
-    if method == "closed":
-        return _closed_point(c, bt, qt, kB, transcription)
     raise ValueError("method must be 'engine', 'quadinf' or 'closed'")

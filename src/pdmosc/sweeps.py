@@ -72,18 +72,19 @@ class SweepRow:
 
 def run_sweep(spec: SweepSpec, tol: Tolerance = PRESET_TOL) -> list[SweepRow]:
     """Evaluate the sweep; a SingularLimit at one grid point becomes a null
-    row with a warning instead of a crash.  A beta sweep is one
-    routes.beta_curve call: SingularLimit depends on the coefficients only,
-    so there it nulls every row at once."""
-    if spec.vary == "beta":
+    row with a warning instead of a crash.  A beta sweep of a closed
+    superstat form is one route call over the beta array, each row bit for
+    bit its point call; there SingularLimit, which depends on the
+    coefficients only, nulls every row."""
+    route = routes.ROUTES[(spec.quantity, spec.method)]
+    if spec.vary == "beta" and spec.method == "closed" and spec.quantity in routes.SUPERSTAT:
         s = routes.state({**spec.fixed, "beta": np.array(spec.values, dtype=float)},
                          spec.units, spec.b_convention, spec.transcription, tol)
         try:
-            ys = routes.beta_curve(spec.quantity, spec.method, s)
+            ys = route(s).tolist()
         except SingularLimit:
             return [SweepRow(x=float(x), y=None, warning="SingularLimit") for x in spec.values]
-        return [SweepRow(x=float(x), y=float(y)) for x, y in zip(spec.values, ys)]
-    route = routes.ROUTES[(spec.quantity, spec.method)]
+        return [SweepRow(x=float(x), y=y) for x, y in zip(spec.values, ys)]
     rows = []
     for x in spec.values:
         s = routes.state({**spec.fixed, spec.vary: x}, spec.units, spec.b_convention,

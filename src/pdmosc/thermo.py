@@ -67,8 +67,15 @@ class Beta:
     value: float
 
     def __post_init__(self):
-        if not (self.value > 0.0 and math.isfinite(self.value)):
-            raise ValueError("beta must be positive and finite")
+        _check_beta(self.value)
+
+
+def _check_beta(value):
+    """Beta's domain rule, 0 < beta < inf, for a float or for every element
+    of an array (the superstat closed forms take beta arrays)."""
+    ok = (value > 0.0) & (value < math.inf)
+    if not (ok.all() if isinstance(ok, np.ndarray) else ok):
+        raise ValueError("beta must be positive and finite")
 
 
 def as_beta(beta) -> Beta:

@@ -23,6 +23,10 @@ from . import routes, superstat, thermo
 QUANTITIES = routes.THERMO + routes.SUPERSTAT
 CLASSIFICATIONS = ("Agree", "Close", "Disagree", "PrintedNonFinite", "OracleNonFinite")
 
+#: each classification as a 0-d object array: np.select then fills a column
+#: with references to these five strings, not with a new string per row
+_CLASS = {name: np.array(name, dtype=object) for name in CLASSIFICATIONS}
+
 _REL_FLOOR = 1e-300
 _AGREE = 1e-6
 _CLOSE = 1e-2
@@ -54,7 +58,8 @@ def _classify(printed: np.ndarray, oracle: np.ndarray) -> tuple[np.ndarray, np.n
         rel = np.abs(printed - oracle) / np.maximum(np.abs(oracle), _REL_FLOOR)
     oracle_ok = np.isfinite(oracle)
     cls = np.select([~oracle_ok, ~np.isfinite(printed), rel <= _AGREE, rel <= _CLOSE],
-                    ["OracleNonFinite", "PrintedNonFinite", "Agree", "Close"], "Disagree")
+                    [_CLASS["OracleNonFinite"], _CLASS["PrintedNonFinite"], _CLASS["Agree"],
+                     _CLASS["Close"]], _CLASS["Disagree"])
     return np.where(oracle_ok, rel, math.nan), cls
 
 
@@ -112,10 +117,11 @@ def audit_grid(params_grid: Iterable = DEFAULT_ALPHAS,
             printed[qn].append([getattr(pt, qn) for _, pt in points])
         engine = [superstat.superstat_thermo(c, bv, qv, kB, tol, method="engine")
                   for bv, qv in product(betas, qs)]
-        closed = [superstat._closed_columns(c, *mesh, kB, tr) for tr in trs]
+        closed = [superstat.superstat_thermo(c, *mesh, kB, tol, method="closed",
+                                             transcription=tr) for tr in trs]
         for qn in routes.SUPERSTAT:
             oracles[qn].append(np.repeat([getattr(pt, qn) for pt in engine], len(trs)))
-            printed[qn].append(np.stack([col[qn] for col in closed], axis=-1).ravel())
+            printed[qn].append(np.stack([getattr(pt, qn) for pt in closed], axis=-1).ravel())
 
     alphas = [p.alpha for p in params]
     grids = {"thermo": list(zip(*product(alphas, betas, [None], trs))),
@@ -149,12 +155,11 @@ class _Text(dict):
 def render_audit_csv(reports: Sequence[DiscrepancyReport]) -> str:
     """One record per line, floats at 17 significant digits, q empty for
     the thermo quantities."""
-    # the grid values repeat from row to row, and each oracle value once
-    # per transcription
+    # the grid values repeat from row to row
     text = _Text({None: ""})
     lines = [AUDIT_CSV_HEADER]
     lines += [f"{r.quantity},{text[r.alpha]},{text[r.beta]},{text[r.q]},{r.transcription},"
-              f"{r.printed:.17g},{text[r.oracle]},{r.rel_diff:.17g},{r.classification}"
+              f"{r.printed:.17g},{r.oracle:.17g},{r.rel_diff:.17g},{r.classification}"
               for r in reports]
     return "\n".join(lines) + "\n"
 

@@ -16,7 +16,7 @@ from pdmosc import (DeformationQ, OscillatorParams, SingularLimit, SpectrumCoeff
                     partition_quadrature, partition_sum, superstat_partition_closed,
                     superstat_partition_quadrature, superstat_thermo, thermo_quadrature)
 
-from pdmosc.superstat import _closed_columns, excitation_moments
+from pdmosc.superstat import excitation_moments
 from pdmosc.verify import DEFAULT_ALPHAS, DEFAULT_BETAS, DEFAULT_QS
 
 from helpers import derivative, mp_closed_heat_capacity_superstat, mp_quad, mp_weight_moments
@@ -231,11 +231,14 @@ def test_closed_point_equals_single_closed_functions(tr):
 @pytest.mark.parametrize("tr", ["verbatim", "corrected"])
 def test_closed_columns_equal_single_closed_functions_on_the_mesh(tr):
     # the audit's beta x q mesh in one call per alpha: each column is bit for
-    # bit its single-quantity function called with the same arrays
+    # bit its single-quantity function called with the same arrays, and each
+    # element bit for bit the closed point at its own (beta, q)
     betas, qs = np.array(DEFAULT_BETAS)[:, None], np.array(DEFAULT_QS)
     for alpha in DEFAULT_ALPHAS:
         c = coefficients(OscillatorParams(alpha=alpha))
-        columns = _closed_columns(c, betas, qs, 1.0, tr)
+        mesh = superstat_thermo(c, betas, qs, method="closed", transcription=tr)
+        assert mesh.beta is betas and mesh.q is qs
+        columns = {qn: getattr(mesh, qn) for qn in ("Zs", "Us", "Ss", "Fs", "Cs")}
         singles = {"Zs": superstat_partition_closed(c, betas, qs, tr),
                    "Us": mean_energy_superstat_closed(c, betas, qs, tr),
                    "Ss": entropy_superstat_closed(c, betas, qs, 1.0, tr),
@@ -244,6 +247,11 @@ def test_closed_columns_equal_single_closed_functions_on_the_mesh(tr):
         for qn, single in singles.items():
             assert single.shape == (len(DEFAULT_BETAS), len(DEFAULT_QS))
             assert np.array_equal(columns[qn], single, equal_nan=True), (alpha, qn)
+        for i, j in ((0, 0), (7, 2), (24, 4)):
+            pt = superstat_thermo(c, float(betas[i, 0]), float(qs[j]), method="closed",
+                                  transcription=tr)
+            assert np.array_equal([getattr(pt, qn) for qn in columns],
+                                  [columns[qn][i, j] for qn in columns], equal_nan=True)
 
 
 def test_closed_forms_check_every_grid_value():

@@ -9,8 +9,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pdmosc import (OscillatorParams, SingularLimit, cli, coefficients, energy_level, routes,
-                    superstat, sweeps)
+from pdmosc import (OscillatorParams, SingularLimit, cli, energy_level, routes, superstat,
+                    sweeps)
 from pdmosc.sweeps import FigurePreset, PRESETS, SweepSpec, figure_preset, run_sweep
 
 
@@ -65,16 +65,20 @@ def test_singular_limit_becomes_warning_row():
 
 
 def test_closed_superstat_beta_sweep_matches_points():
-    # one closed call over the whole beta grid, each row within 1e-12 of
-    # its own point call
+    # one closed call over the whole beta grid, each row bit for bit the
+    # route at its own point: numpy rounds each element alike whatever the
+    # array length
     betas = sweeps.log_range(0.05, 40.0, 31)
     for alpha, q, tr in [(0.1, 0.5, "verbatim"), (0.3, 1.0, "corrected"), (0.9, 0.0, "verbatim")]:
-        spec = SweepSpec(quantity="Cs", vary="beta", values=betas,
-                         fixed={"alpha": alpha, "q": q}, method="closed", transcription=tr)
-        c = coefficients(OscillatorParams(alpha=alpha))
-        for row, beta in zip(run_sweep(spec), betas):
-            want = superstat.heat_capacity_superstat_closed(c, beta, q, 1.0, tr)
-            assert row.x == beta and abs(row.y - want) <= 1e-12 * abs(want)
+        for quantity in routes.SUPERSTAT:
+            spec = SweepSpec(quantity=quantity, vary="beta", values=betas,
+                             fixed={"alpha": alpha, "q": q}, method="closed", transcription=tr)
+            route = routes.ROUTES[(quantity, "closed")]
+            for row, beta in zip(run_sweep(spec), betas):
+                s = routes.state({"alpha": alpha, "q": q, "beta": beta}, transcription=tr)
+                want = route(s)
+                assert type(row.y) is float and row.x == beta
+                assert row.y == want or math.isnan(row.y) and math.isnan(want)
 
 
 def test_presets_complete():

@@ -8,16 +8,20 @@ is the moment engine, ``quadinf`` the batched semi-infinite quadrature,
 and ``quad01`` has no route (a pair missing from the table is refused).
 A quantity uses its own function where one exists (Z on every route, Z_s
 on ``quadinf``, each typeset closed form) and its field of the whole point
-otherwise.  Functions are looked up as module attributes
+otherwise.  ``CURVES`` names the routes that evaluate a whole sweep curve
+in one call, from a State holding the varied parameter as an array: the
+sum route's thermo quantities over alpha or beta, the closed superstat
+forms over beta.  Functions are looked up as module attributes
 (``thermo.partition_sum``) at call time, so wrappers installed on the
-modules are seen.  The closed superstat routes also take a State whose
-beta is an array.
+modules are seen.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 from .numerics import Tolerance
 from .spectrum import OscillatorParams, SpectrumCoefficients, coefficients
@@ -33,11 +37,12 @@ FIELDS = {"thermo": THERMO, "superstat": SUPERSTAT}
 
 @dataclass(frozen=True)
 class State:
-    """Every input a route reads at one evaluation point."""
+    """Every input a route reads at one evaluation point, or along one
+    curve (CURVES), where c or beta holds a value per point."""
 
-    c: SpectrumCoefficients
+    c: SpectrumCoefficients | tuple[SpectrumCoefficients, ...]
     kB: float = 1.0
-    beta: float = 1.0
+    beta: float | np.ndarray = 1.0
     q: float = 0.0
     n: float = 0
     transcription: str = "verbatim"
@@ -47,15 +52,25 @@ class State:
 def state(values: dict, units: str = "natural", b_convention: str = "spectrum",
           transcription: str = "verbatim", tol: Tolerance = Tolerance()) -> State:
     """The State at {alpha, beta, q, n, m0, omega} values; a missing entry
-    takes the CLI default, and m0/omega count in SI units only."""
-    alpha = float(values.get("alpha", 0.0))
-    if units == "si":
-        p = OscillatorParams.si(alpha=alpha, **{k: float(values[k])
-                                                 for k in ("m0", "omega") if k in values})
+    takes the CLI default, and m0/omega count in SI units only.  The State
+    of a whole curve (CURVES) holds its varied parameter as an array: a
+    beta array as given, an alpha array as the tuple of the coefficients at
+    each alpha in c."""
+    def params(alpha: float) -> OscillatorParams:
+        if units == "si":
+            return OscillatorParams.si(alpha=alpha, **{k: float(values[k]) for k in
+                                                       ("m0", "omega") if k in values})
+        return OscillatorParams(alpha=alpha)
+
+    alpha = values.get("alpha", 0.0)
+    if isinstance(alpha, np.ndarray):
+        ps = [params(al) for al in alpha.tolist()]
+        c = tuple(coefficients(p, b_convention) for p in ps)
     else:
-        p = OscillatorParams(alpha=alpha)
-    return State(coefficients(p, b_convention), p.kB, values.get("beta", 1.0),
-                 values.get("q", 0.0), values.get("n", 0), transcription, tol)
+        ps = [params(float(alpha))]
+        c = coefficients(ps[0], b_convention)
+    return State(c, ps[0].kB, values.get("beta", 1.0), values.get("q", 0.0),
+                 values.get("n", 0), transcription, tol)
 
 
 def _superstat_point(m: str) -> Callable:
@@ -112,4 +127,13 @@ ROUTES: dict[tuple[str, str], Callable[[State], float]] = {
         lambda s: superstat.free_energy_superstat_closed(s.c, s.beta, s.q, s.transcription),
     ("Cs", "closed"): lambda s: superstat.heat_capacity_superstat_closed(
         s.c, s.beta, s.q, s.kB, s.transcription),
+}
+
+#: (quantity, method) -> the parameters along which its route evaluates a
+#: whole curve in one call: given the State that holds the varied parameter
+#: as an array, it returns an array of the curve's values, each bit for bit
+#: the route at its own point
+CURVES: dict[tuple[str, str], tuple[str, ...]] = {
+    **{(qn, m): ("alpha", "beta") for qn in THERMO for m in ("sum", "engine")},
+    **{(qn, "closed"): ("beta",) for qn in SUPERSTAT},
 }

@@ -147,16 +147,10 @@ def _bracket_pieces(c: SpectrumCoefficients, bv, qv, sign_a3: float):
         (r0 + (r1 + r2 * bv) * bv, r1 + 2.0 * r2 * bv, 2.0 * r2)
 
 
-def _bracket(c: SpectrumCoefficients, bv, qv, sign_a3: float, x1, ex, den_b2_typo: bool = False):
-    (P, _, _), (R, _, _) = _bracket_pieces(c, bv, qv, sign_a3)
-    val = P + _SQRT_PI * R * ex
-    if den_b2_typo:
-        # the U_s denominator restates the bracket with 8 b^2 beta instead of
-        # 8 b^3 beta, leaving an uncancelled Gaussian of this size
-        a, b = c.a, c.b
-        d = -8.0 * qv * b * b * bv * (b - 1.0) * (a * bv - 1.0)
-        val = val + _SQRT_PI * d * np.exp(x1 * x1)
-    return val
+def _bracket(pieces, ex):
+    """The bracket P + sqrt(pi) R erfcx(x1) from _bracket_pieces."""
+    (P, _, _), (R, _, _) = pieces
+    return P + _SQRT_PI * R * ex
 
 
 def _log_partition(c: SpectrumCoefficients, bv, bracket):
@@ -178,7 +172,8 @@ def superstat_partition_closed(c: SpectrumCoefficients, beta, q,
                                b_min: float = B_MIN) -> float | np.ndarray:
     """The typeset closed form of Z_s, overflow-stabilized exactly."""
     bv, qv, sign, x1 = _closed_args(c, beta, q, transcription, b_min)
-    return _shaped(_partition(c, bv, _bracket(c, bv, qv, sign, x1, erfcx(x1))), beta, q)
+    bracket = _bracket(_bracket_pieces(c, bv, qv, sign), erfcx(x1))
+    return _shaped(_partition(c, bv, bracket), beta, q)
 
 
 @_saturating
@@ -187,7 +182,8 @@ def log_superstat_partition_closed(c: SpectrumCoefficients, beta, q,
                                    b_min: float = B_MIN) -> float | np.ndarray:
     """ln Z_s (closed form), stable at large beta."""
     bv, qv, sign, x1 = _closed_args(c, beta, q, transcription, b_min)
-    return _shaped(_log_partition(c, bv, _bracket(c, bv, qv, sign, x1, erfcx(x1))), beta, q)
+    bracket = _bracket(_bracket_pieces(c, bv, qv, sign), erfcx(x1))
+    return _shaped(_log_partition(c, bv, bracket), beta, q)
 
 
 def _numerator(c: SpectrumCoefficients, bv, qv, variant: str, x1, ex):
@@ -235,14 +231,23 @@ def mean_energy_superstat_closed(c: SpectrumCoefficients, beta, q,
     bracket with the 8 b^2 beta monomial and the minus a^3 sign); corrected
     swaps every restated sub-term for its cross-stated alternative."""
     bv, qv, sign, x1 = _closed_args(c, beta, q, transcription, b_min)
-    return _shaped(_mean_energy(c, bv, qv, sign, x1, erfcx(x1)), beta, q)
+    ex = erfcx(x1)
+    return _shaped(_mean_energy(c, bv, qv, sign, x1, ex,
+                                _bracket(_bracket_pieces(c, bv, qv, sign), ex)), beta, q)
 
 
-def _mean_energy(c: SpectrumCoefficients, bv, qv, sign: float, x1, ex):
+def _mean_energy(c: SpectrumCoefficients, bv, qv, sign: float, x1, ex, bracket):
+    """U_s: numerator 'us' over a restatement of the Z_s bracket (verbatim),
+    or numerator 'ss' over the bracket itself (corrected)."""
     verbatim = sign < 0.0
     num = _numerator(c, bv, qv, "us" if verbatim else "ss", x1, ex)
-    den = 4.0 * (c.b * bv) ** 1.5 * _bracket(c, bv, qv, sign, x1, ex, den_b2_typo=verbatim)
-    return -num / den
+    if verbatim:
+        # the U_s denominator restates the bracket with 8 b^2 beta instead of
+        # 8 b^3 beta, leaving an uncancelled Gaussian of this size
+        a, b = c.a, c.b
+        d = -8.0 * qv * b * b * bv * (b - 1.0) * (a * bv - 1.0)
+        bracket = bracket + _SQRT_PI * d * np.exp(x1 * x1)
+    return -num / (4.0 * (c.b * bv) ** 1.5 * bracket)
 
 
 @_saturating
@@ -252,8 +257,8 @@ def entropy_superstat_closed(c: SpectrumCoefficients, beta, q, kB: float = 1.0,
     """The typeset closed form of S_s = kB(-beta * fraction + ln Z_s)."""
     bv, qv, sign, x1 = _closed_args(c, beta, q, transcription, b_min)
     ex = erfcx(x1)
-    return _shaped(_entropy(c, bv, qv, sign, x1, ex, _bracket(c, bv, qv, sign, x1, ex), kB),
-                   beta, q)
+    bracket = _bracket(_bracket_pieces(c, bv, qv, sign), ex)
+    return _shaped(_entropy(c, bv, qv, sign, x1, ex, bracket, kB), beta, q)
 
 
 def _entropy(c: SpectrumCoefficients, bv, qv, sign: float, x1, ex, bracket, kB: float):
@@ -269,7 +274,8 @@ def free_energy_superstat_closed(c: SpectrumCoefficients, beta, q,
                                  b_min: float = B_MIN) -> float | np.ndarray:
     """F_s = -ln(Z_s)/beta of the same transcription's Z_s, exactly."""
     bv, qv, sign, x1 = _closed_args(c, beta, q, transcription, b_min)
-    return _shaped(_free_energy(c, bv, _bracket(c, bv, qv, sign, x1, erfcx(x1))), beta, q)
+    bracket = _bracket(_bracket_pieces(c, bv, qv, sign), erfcx(x1))
+    return _shaped(_free_energy(c, bv, bracket), beta, q)
 
 
 @_saturating
@@ -278,18 +284,20 @@ def heat_capacity_superstat_closed(c: SpectrumCoefficients, beta, q, kB: float =
     """kB beta^2 d^2 ln Z_s/d beta^2 of the closed Z_s, exactly: no closed
     C_s was ever typeset, only this defining identity."""
     bv, qv, sign, x1 = _closed_args(c, beta, q, transcription)
-    return _shaped(_heat_capacity(c, bv, qv, sign, x1, erfcx_derivatives(x1), kB), beta, q)
+    eds = erfcx_derivatives(x1)
+    pieces = _bracket_pieces(c, bv, qv, sign)
+    return _shaped(_heat_capacity(bv, x1, eds, pieces, _bracket(pieces, eds[0]), kB), beta, q)
 
 
-def _heat_capacity(c: SpectrumCoefficients, bv, qv, sign: float, x1, eds, kB: float):
+def _heat_capacity(bv, x1, eds, pieces, big, kB: float):
     """ln Z_s = -(a+b) beta/2 - ln(64 b^{5/2}) - (1/2) ln beta + ln B with the
     bracket B = P + sqrt(pi) R E, E = erfcx(x1), so C_s = kB (1/2 + beta^2
     (B''/B - (B'/B)^2)); x1 grows as sqrt(beta), so with h = x1/(2 beta) and
     eds = erfcx_derivatives(x1), E' = erfcx'(x1) h and
-    E'' = (erfcx''(x1) h - erfcx'(x1)/(2 beta)) h."""
-    (_, p1, p2), (r, r1, r2) = _bracket_pieces(c, bv, qv, sign)
+    E'' = (erfcx''(x1) h - erfcx'(x1)/(2 beta)) h; pieces and big are the
+    bracket's _bracket_pieces and its value."""
+    (_, p1, p2), (r, r1, r2) = pieces
     e, d1, d2 = eds
-    big = _bracket(c, bv, qv, sign, x1, e)
     h = x1 / (2.0 * bv)
     e1 = d1 * h
     e2 = (d2 * h - d1 / (2.0 * bv)) * h
@@ -301,20 +309,22 @@ def _heat_capacity(c: SpectrumCoefficients, bv, qv, sign: float, x1, eds, kB: fl
 @_saturating
 def _closed_point(c: SpectrumCoefficients, beta, q, kB: float,
                   transcription: str) -> SuperstatPoint:
-    """The five closed forms from one erfcx_derivatives(x1), each bit for
-    bit its single-quantity function.  Float beta and q give a point of
-    floats; arrays give a point that holds them and each quantity as an
-    array over their broadcast."""
+    """The five closed forms from one erfcx_derivatives(x1) and one
+    _bracket_pieces, each bit for bit its single-quantity function.  Float
+    beta and q give a point of floats; arrays give a point that holds them
+    and each quantity as an array over their broadcast."""
     if np.ndim(beta) == np.ndim(q) == 0:
         beta, q = as_beta(beta), as_q(q)
     bv, qv, sign, x1 = _closed_args(c, beta, q, transcription)
     eds = erfcx_derivatives(x1)
     ex = eds[0]
-    bracket = _bracket(c, bv, qv, sign, x1, ex)
-    columns = {"Zs": _partition(c, bv, bracket), "Us": _mean_energy(c, bv, qv, sign, x1, ex),
+    pieces = _bracket_pieces(c, bv, qv, sign)
+    bracket = _bracket(pieces, ex)
+    columns = {"Zs": _partition(c, bv, bracket),
+               "Us": _mean_energy(c, bv, qv, sign, x1, ex, bracket),
                "Ss": _entropy(c, bv, qv, sign, x1, ex, bracket, kB),
                "Fs": _free_energy(c, bv, bracket),
-               "Cs": _heat_capacity(c, bv, qv, sign, x1, eds, kB)}
+               "Cs": _heat_capacity(bv, x1, eds, pieces, bracket, kB)}
     return SuperstatPoint(beta, q, method="closed",
                           **{qn: _shaped(v, beta, q) for qn, v in columns.items()})
 

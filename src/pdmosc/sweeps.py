@@ -19,6 +19,11 @@ from . import routes
 QUANTITIES = routes.QUANTITIES
 VARY_CHOICES = ("n", "alpha", "beta", "q")
 
+#: the parameters each thermo and superstat quantity reads, the only ones
+#: its sweep may vary (Energy may vary any)
+DEPENDS_ON = {**dict.fromkeys(routes.THERMO, ("alpha", "beta")),
+              **dict.fromkeys(routes.SUPERSTAT, ("alpha", "beta", "q"))}
+
 #: default sweep/preset tolerance; plots do not need 1e-12
 PRESET_TOL = Tolerance(rel=1e-10, abs=0.0, max_evals=400_000)
 
@@ -53,6 +58,8 @@ class SweepSpec:
             raise ValueError(f"unknown quantity {self.quantity!r}")
         if self.vary not in VARY_CHOICES:
             raise ValueError(f"unknown vary parameter {self.vary!r}")
+        if self.vary not in DEPENDS_ON.get(self.quantity, VARY_CHOICES):
+            raise ValueError(f"{self.quantity} does not depend on {self.vary!r}")
         if self.vary in self.fixed:
             raise ValueError(f"varied parameter {self.vary!r} also appears in fixed")
         if len(self.values) < 2:
@@ -72,13 +79,14 @@ class SweepRow:
 
 def run_sweep(spec: SweepSpec, tol: Tolerance = PRESET_TOL) -> list[SweepRow]:
     """Evaluate the sweep; a SingularLimit at one grid point becomes a null
-    row with a warning instead of a crash.  A beta sweep of a closed
-    superstat form is one route call over the beta array, each row bit for
-    bit its point call; there SingularLimit, which depends on the
+    row with a warning instead of a crash.  A curve that routes.CURVES
+    covers (a sum-route thermo quantity over alpha or beta, a closed
+    superstat form over beta) is one call over the whole grid, each row bit
+    for bit its point call; there SingularLimit, which depends on the
     coefficients only, nulls every row."""
     route = routes.ROUTES[(spec.quantity, spec.method)]
-    if spec.vary == "beta" and spec.method == "closed" and spec.quantity in routes.SUPERSTAT:
-        s = routes.state({**spec.fixed, "beta": np.array(spec.values, dtype=float)},
+    if spec.vary in routes.CURVES.get((spec.quantity, spec.method), ()):
+        s = routes.state({**spec.fixed, spec.vary: np.array(spec.values, dtype=float)},
                          spec.units, spec.b_convention, spec.transcription, tol)
         try:
             ys = route(s).tolist()

@@ -84,7 +84,8 @@ def as_beta(beta) -> Beta:
 
 @dataclass(frozen=True)
 class ThermoPoint:
-    """Thermodynamic state at one beta, produced by one named method."""
+    """Thermodynamic state at one beta, produced by one named method.  A
+    sum-route point over a curve holds beta and each quantity as arrays."""
 
     beta: Beta
     Z: float
@@ -99,87 +100,120 @@ class ThermoPoint:
 # Partition function routes
 # ---------------------------------------------------------------------------
 
-def _excitation(c: SpectrumCoefficients, n):
+def _excitation(a, b, n):
     """D_n = E_n - E_0 = n (a + b (n + 2)), free of the cancellation in
-    E_n - E_0; n may be an array."""
-    return n * (c.a + c.b * (n + 2.0))
+    E_n - E_0; a, b and n may be arrays."""
+    return n * (a + b * (n + 2.0))
 
 
-def _tail_bound_reduced(c: SpectrumCoefficients, beta: float, N: float) -> float:
-    """Upper bound on sum_{n>N} exp(-beta D_n) for b > 0.  The terms
-    decrease, so the tail is below the integral of exp(-beta D(t)) over
-    [N, inf), the Gaussian integral
+def _tail_bound_reduced(a, b, bv, N):
+    """Upper bound on sum_{n>N} exp(-beta D_n) for b > 0, elementwise over
+    arrays.  The terms decrease, so the tail is below the integral of
+    exp(-beta D(t)) over [N, inf), the Gaussian integral
         exp(-beta D_N) sqrt(pi) y erfcx(y) / (beta D'(N)),
     D'(N) = a + 2b(N + 1), y = D'(N) sqrt(beta/b) / 2; the factor
     sqrt(pi) y erfcx(y) < 1 tends to 1 as y grows (y = inf once b is
     negligible)."""
-    slope = c.a + 2.0 * c.b * (N + 1.0)
-    y = 0.5 * slope * math.sqrt(beta / c.b)
-    h = 1.0 if y == math.inf else _SQRT_PI * y * erfcx(y)
-    return h * math.exp(-beta * _excitation(c, N)) / (beta * slope)
+    slope = a + 2.0 * b * (N + 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # y = inf: h = 1, not inf * 0
+        y = 0.5 * slope * np.sqrt(bv / b)
+        h = np.where(y == math.inf, 1.0, _SQRT_PI * y * erfcx(y))
+    return h * np.exp(-bv * _excitation(a, b, N)) / (bv * slope)
 
 
 #: x^2 e^{-x} = eps at x = 43.6
 _X_ROUNDING = 43.6
 
 
-def _boltzmann_levels(c: SpectrumCoefficients, bv: float, tol: Tolerance):
+def _level_series(a, b, bv):
+    """sum_decaying's terms and tail_bound for the levels of the points
+    (a, b, beta): series i is point i, its index k level k + 1, and its
+    rows are w, D w and D^2 w."""
+    def terms(k):
+        a_k, b_k, bv_k = a[k[0]], b[k[0]], bv[k[0]]
+        d = _excitation(a_k, b_k, k[1] + np.longdouble(1.0))
+        w = np.exp(-bv_k * d)
+        return np.array([w, d * w, d * d * w], dtype=float)
+
+    def tail_bound(k):
+        a_k, b_k, bv_k = a[k[0]], b[k[0]], bv[k[0]]
+        n = k[1] + 1.0
+        delta = np.minimum(bv_k / 2.0, 2.0 / _excitation(a_k, b_k, n))
+        t = _tail_bound_reduced(a_k, b_k, bv_k - delta, n)
+        return np.array([_tail_bound_reduced(a_k, b_k, bv_k, n), t / (math.e * delta),
+                         t * (2.0 / (math.e * delta)) ** 2])
+
+    return terms, tail_bound
+
+
+def _boltzmann_levels(a, b, bv, tol: Tolerance):
     """(tail, <D>, Var D) of the Boltzmann distribution over the levels in
-    the ground-state gauge D_n = E_n - E_0, where tail sums
-    w_n = exp(-beta D_n) over n >= 1, so Z = exp(-beta E_0) (1 + tail).
-    Working relative to E_0 keeps every quantity derived from these sums
-    accurate near machine precision even where Z itself is tiny.
+    the ground-state gauge D_n = E_n - E_0, at every point i of equal-length
+    arrays a, b and beta, where tail sums w_n = exp(-beta D_n) over n >= 1,
+    so Z = exp(-beta E_0) (1 + tail).  Working relative to E_0 keeps every
+    quantity derived from these sums accurate near machine precision even
+    where Z itself is tiny.
 
     b = 0 is the geometric series: with r = e^{-beta a} and 1 - r taken as
     -expm1(-beta a), tail = r/(1 - r), <D> = a r/(1 - r) and
     Var D = a^2 r/(1 - r)^2.
 
-    For b > 0 the rows w, D w and D^2 w are summed over one level array,
-    formed in long double (80-bit where the platform has it) and rounded
-    once: in double, rounding beta D_n alone moves w_n by ~1e-15 at
-    beta D_n ~ 10.  Past level N, with x = beta (D_N - D_1), the integral
-    bound and erfcx(y) <= 1/(sqrt(pi) y) (Abramowitz & Stegun 7.1.13) put
-    row k's tail near x^k e^{-x} of its sum; the first guess is the N with
+    For b > 0 the rows w, D w and D^2 w are summed over one ragged level
+    array: point i contributes levels 1..N_i, formed in long double (80-bit
+    where the platform has it) and rounded once, since in double rounding
+    beta D_n alone moves w_n by ~1e-15 at beta D_n ~ 10.  Past level N,
+    with x = beta (D_N - D_1), the integral bound and
+    erfcx(y) <= 1/(sqrt(pi) y) (Abramowitz & Stegun 7.1.13) put row k's
+    tail near x^k e^{-x} of its sum; the first guess N_i is the N with
     x = 43.6, so every row is truncated below rounding.  The exact bounds
-    then certify it against tol: one at beta for w, one at beta - delta
-    for both moments through the envelope D^k e^{-delta D} <= (k/(e delta))^k
-    with delta = min(beta/2, 2/D_N), which touches the D^2 w row at D_N."""
-    a, b = c.a, c.b
-    if b == 0.0:
-        om = -math.expm1(-bv * a)
-        tail = math.exp(-bv * a) / om
-        return tail, a * tail, a * tail * (a / om)
-
+    then certify each point against tol: one at beta for w, one at
+    beta - delta for both moments through the envelope
+    D^k e^{-delta D} <= (k/(e delta))^k with delta = min(beta/2, 2/D_N),
+    which touches the D^2 w row at D_N.  A point that fails doubles its own
+    levels (sum_decaying), so each point sums exactly the levels, and gets
+    exactly the bits, of its one-point call.  Points are taken in order
+    into one sum_decaying call until the next first guess would take the
+    batch past tol.max_evals levels; only a point that fails its first
+    bound adds levels beyond that, within its own budget."""
+    tail, mean, var = (np.empty(len(bv)) for _ in range(3))
+    geometric = b == 0.0
+    for i in np.flatnonzero(geometric).tolist():
+        ai, bvi = float(a[i]), float(bv[i])
+        om = -math.expm1(-bvi * ai)
+        t = math.exp(-bvi * ai) / om
+        tail[i], mean[i], var[i] = t, ai * t, ai * t * (ai / om)
+    summed = np.flatnonzero(~geometric)
+    a, b, bv = a[summed], b[summed], bv[summed]
     # the first guess: the root of b N^2 + (a + 2b) N = D_1 + 43.6/beta
     lin, d_n = a + 2.0 * b, a + 3.0 * b + _X_ROUNDING / bv
-    level = 2.0 * d_n / (lin + math.sqrt(lin * lin + 4.0 * b * d_n))
-    start = math.ceil(level) - 1 if level < tol.max_evals else tol.max_evals
+    level = 2.0 * d_n / (lin + np.sqrt(lin * lin + 4.0 * b * d_n))
+    start = np.where(level < tol.max_evals, np.ceil(level) - 1.0,
+                     tol.max_evals).astype(np.int64)
 
-    def rows(n):
-        d = _excitation(c, n + np.longdouble(1.0))
-        w = np.exp(-bv * d)
-        return np.array([w, d * w, d * d * w], dtype=float)
+    sums = np.empty((3, len(summed)))
+    counts = np.minimum(start + 1, tol.max_evals).tolist()
+    first = 0
+    while first < len(counts):
+        last, levels = first + 1, counts[first]
+        while last < len(counts) and levels + counts[last] <= tol.max_evals:
+            levels += counts[last]
+            last += 1
+        part = slice(first, last)
+        sums[:, part] = sum_decaying(*_level_series(a[part], b[part], bv[part]), tol,
+                                     start[part])
+        first = last
+    zred = 1.0 + sums[0]
+    tail[summed] = sums[0]
+    mean[summed] = sums[1] / zred
+    var[summed] = sums[2] / zred - mean[summed] * mean[summed]
+    return tail, mean, var
 
-    def bound(n):
-        delta = min(bv / 2.0, 2.0 / _excitation(c, n + 1.0))
-        t = _tail_bound_reduced(c, bv - delta, n + 1.0)
-        return (_tail_bound_reduced(c, bv, n + 1.0), t / (math.e * delta),
-                t * (2.0 / (math.e * delta)) ** 2)
 
-    tail, m1, m2 = sum_decaying(rows, bound, tol, start)
-    zred = 1.0 + tail
-    mean = m1 / zred
-    return tail, mean, m2 / zred - mean * mean
-
-
-def partition_sum(c: SpectrumCoefficients, beta, tol: Tolerance = Tolerance()) -> float:
+def partition_sum(c, beta, tol: Tolerance = Tolerance()) -> float | np.ndarray:
     """Z(beta) = sum_n exp(-beta E_n) = exp(-beta E_0) (1 + tail), the
     reduced tail summed under rigorous tail bounds (exact geometric series
-    at b = 0), the same expression as thermo_sum_engine's Z; beta E_0 =
-    beta (a/2 + b/2) is carried exactly (exp_neg_product)."""
-    bv = as_beta(beta).value
-    tail = _boltzmann_levels(c, bv, tol)[0]
-    return exp_neg_product(bv, 0.5 * c.a, 0.5 * c.b) * (1.0 + tail)
+    at b = 0): thermo_sum_engine's Z, at one point or along a curve."""
+    return thermo_sum_engine(c, beta, 1.0, tol).Z
 
 
 def _require_regular(c: SpectrumCoefficients, b_min: float):
@@ -249,8 +283,7 @@ def partition_quadrature(c: SpectrumCoefficients, beta, range_: str = "quad01",
 # Ground truth from exact Boltzmann moments
 # ---------------------------------------------------------------------------
 
-def thermo_sum_engine(c: SpectrumCoefficients, beta, kB: float = 1.0,
-                      tol: Tolerance = Tolerance()) -> ThermoPoint:
+def thermo_sum_engine(c, beta, kB: float = 1.0, tol: Tolerance = Tolerance()) -> ThermoPoint:
     """Ground truth on the sum route: U = E_0 + <D> and C = kB beta^2 Var D
     from the exact moments of D_n = E_n - E_0 >= 0 over the Boltzmann
     distribution of the levels (one guarded level-array sum, or the exact
@@ -258,15 +291,28 @@ def thermo_sum_engine(c: SpectrumCoefficients, beta, kB: float = 1.0,
     giving S = kB (g + beta <D>) and F = E_0 - g/beta; Z is partition_sum's
     exp(-beta E_0) (1 + tail).  Moments of D never suffer the
     <E^2> - <E>^2 cancellation, so C stays accurate where it is
-    exponentially small and |ln Z| is large."""
-    bt = as_beta(beta)
-    bv = bt.value
-    e0 = c.energy(0)
-    tail, mean, var = _boltzmann_levels(c, bv, tol)
-    g = math.log1p(tail)
-    z = exp_neg_product(bv, 0.5 * c.a, 0.5 * c.b) * (1.0 + tail)
-    return ThermoPoint(beta=bt, Z=z, U=e0 + mean, C=kB * bv * bv * var, S=kB * (g + bv * mean),
-                       F=e0 - g / bv, method="sum")
+    exponentially small and |ln Z| is large.
+
+    c may also be a sequence of SpectrumCoefficients (an alpha curve) and
+    beta an array of floats (a beta curve), broadcast against each other:
+    the point then holds beta and each quantity as arrays over the points,
+    all from one ragged level sum (_boltzmann_levels), each element bit for
+    bit its one-point call."""
+    point = isinstance(c, SpectrumCoefficients) and np.ndim(beta) == 0
+    bt = as_beta(beta) if point else np.asarray(beta, dtype=float)
+    cs = (c,) if isinstance(c, SpectrumCoefficients) else tuple(c)
+    a, b, bv = np.broadcast_arrays(np.array([x.a for x in cs]), np.array([x.b for x in cs]),
+                                   np.atleast_1d(bt.value if point else bt))
+    _check_beta(bv)
+    tail, mean, var = _boltzmann_levels(a, b, bv, tol)
+    g = np.array([math.log1p(t) for t in tail.tolist()])
+    e0 = a * 0.5 + b * 0.5  # c.energy(0), bit for bit
+    z = np.array([exp_neg_product(x, 0.5 * ai, 0.5 * bi) * (1.0 + t)
+                  for x, ai, bi, t in zip(bv.tolist(), a.tolist(), b.tolist(), tail.tolist())])
+    columns = (z, e0 + mean, kB * bv * bv * var, kB * (g + bv * mean), e0 - g / bv)
+    if point:
+        return ThermoPoint(bt, *(float(col[0]) for col in columns), method="sum")
+    return ThermoPoint(bv, *columns, method="sum")
 
 
 def _factor_q(E, bv, qv: float):

@@ -83,9 +83,10 @@ def audit_grid(params_grid: Iterable = DEFAULT_ALPHAS,
     closed-form moment engine over [0, inf).  Basis "sum" replaces the
     thermo oracles with the physical sum route (thermo_sum_engine).
 
-    The oracles run point by point; the closed superstat forms run as one
-    call over the beta x q mesh per alpha and transcription, and each
-    quantity's column is classified at once.  Reports come ordered by
+    The sum-basis oracles run as one thermo_sum_engine call across beta
+    per alpha, the other oracles point by point; the closed superstat forms
+    run as one call over the beta x q mesh per alpha and transcription, and
+    each quantity's column is classified at once.  Reports come ordered by
     quantity, then grid indices, then transcription; identical inputs
     produce identical lists.
     """
@@ -105,16 +106,16 @@ def audit_grid(params_grid: Iterable = DEFAULT_ALPHAS,
     mesh = np.array(betas)[:, None], np.array(qs)
     for p in params:
         c = coefficients(p)
-        points = []
-        for bv in betas:
-            if oracle_basis == "closed":
-                oracle = thermo.thermo_quadrature(c, bv, "quad01", kB, tol)
-            else:
-                oracle = thermo.thermo_sum_engine(c, bv, kB, tol)
-            points += [(oracle, thermo.thermo_closed_point(c, bv, kB, tr)) for tr in trs]
+        if oracle_basis == "closed":
+            quad = [thermo.thermo_quadrature(c, bv, "quad01", kB, tol) for bv in betas]
+            thermo_oracles = {qn: [getattr(o, qn) for o in quad] for qn in routes.THERMO}
+        else:
+            curve = thermo.thermo_sum_engine(c, np.array(betas), kB, tol)
+            thermo_oracles = {qn: getattr(curve, qn) for qn in routes.THERMO}
+        typeset = [thermo.thermo_closed_point(c, bv, kB, tr) for bv in betas for tr in trs]
         for qn in routes.THERMO:
-            oracles[qn].append([getattr(o, qn) for o, _ in points])
-            printed[qn].append([getattr(pt, qn) for _, pt in points])
+            oracles[qn].append(np.repeat(thermo_oracles[qn], len(trs)))
+            printed[qn].append([getattr(pt, qn) for pt in typeset])
         engine = [superstat.superstat_thermo(c, bv, qv, kB, tol, method="engine")
                   for bv, qv in product(betas, qs)]
         closed = [superstat.superstat_thermo(c, *mesh, kB, tol, method="closed",

@@ -4,6 +4,7 @@ values are frozen from independent oracles (high-precision Maclaurin
 series, closed forms, brute-force sums)."""
 
 import math
+from functools import partial
 
 import mpmath as mp
 import numpy as np
@@ -311,6 +312,35 @@ def test_sum_terms_see_index_blocks():
     assert [(int(b[0]), len(b)) for b in blocks] == [(0, 4), (4, 4), (8, 8), (16, 16),
                                                      (32, 32)]
     assert abs(s[0] - 1.0) < 1e-12 and abs(s[1] - 1.0 / 3.0) < 1e-12
+
+
+def test_sum_ragged_series_equal_single_calls():
+    # an int array of guesses makes a ragged batch: series s sums its own
+    # indices 0..n[s] and doubles on its own, exactly as its one-series call,
+    # with every new term of a round from one call of terms on (series,
+    # index) pairs
+    ratios = np.array([0.5, 0.9, 0.25])
+    guesses = np.array([3, 1, 40])
+    calls = []
+
+    def rows(r, n):
+        return np.array([r ** (n + 1.0), (r * r) ** (n + 1.0)])
+
+    def bound(r, n):
+        return np.array([r ** (n + 2.0) / (1.0 - r), (r * r) ** (n + 2.0) / (1.0 - r * r)])
+
+    def terms(k):
+        calls.append(k)
+        return rows(ratios[k[0]], k[1])
+
+    sums = sum_decaying(terms, lambda k: bound(ratios[k[0]], k[1]), TOL, guesses)
+    for s, (r, n) in enumerate(zip(ratios.tolist(), guesses.tolist())):
+        alone = sum_decaying(partial(rows, r), partial(bound, r), TOL, n)
+        assert sums[:, s].tolist() == alone
+    first = calls[0]
+    assert first.shape[0] == 2 and first.dtype.kind == "i"
+    assert [int((first[0] == s).sum()) for s in range(3)] == [4, 2, 41]
+    assert all(set(k[0].tolist()) <= {0, 1} for k in calls[1:])
 
 
 def test_tolerance_validation():

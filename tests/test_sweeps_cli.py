@@ -9,8 +9,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pdmosc import (OscillatorParams, SingularLimit, cli, energy_level, routes, superstat,
-                    sweeps)
+from pdmosc import (OscillatorParams, SingularLimit, Tolerance, cli, energy_level, routes,
+                    superstat, sweeps, thermo)
 from pdmosc.sweeps import FigurePreset, PRESETS, SweepSpec, figure_preset, run_sweep
 
 
@@ -62,6 +62,55 @@ def test_singular_limit_becomes_warning_row():
         rows = run_sweep(spec)
         assert [r.x for r in rows] == [0.5, 1.0, 2.0]
         assert all(r.y is None and r.warning == "SingularLimit" for r in rows)
+
+
+#: the doubling fallback: at rel = 1e-18 the first guess at beta = 0.1
+#: leaves a bound above tolerance for alpha = 0.02, 0.3 and 0.9
+_TIGHT = Tolerance(rel=1e-18, abs=0.0, max_evals=400_000)
+_SUM_CURVES = [("beta", (0.1, 0.5, 2.0, 9.0), {"alpha": 0.0}, "natural"),
+               ("beta", (0.1, 0.5, 2.0, 9.0), {"alpha": 0.3}, "natural"),
+               ("alpha", (0.0, 0.02, 0.3, 0.9), {"beta": 0.1}, "natural"),
+               ("alpha", (0.0, 0.02, 0.3, 0.9), {"beta": 2.0}, "natural"),
+               ("alpha", (0.0, 0.3), {"beta": 1.0 / (1.380649e-23 * 300.0)}, "si")]
+
+
+@pytest.mark.parametrize("method", ["sum", "engine"])
+@pytest.mark.parametrize("quantity", routes.THERMO)
+def test_sum_route_sweep_rows_equal_points(quantity, method, monkeypatch):
+    # one batched level sum per curve, each row bit for bit the route at its
+    # own point, through the geometric series at alpha = 0 and, at
+    # rel = 1e-18, through a second doubling round
+    rounds = []
+    real = thermo.sum_decaying
+
+    def counted(terms, tail_bound, tol, n):
+        calls = []
+        rounds.append(calls)
+        return real(lambda k: calls.append(k) or terms(k), tail_bound, tol, n)
+
+    for tol in (sweeps.PRESET_TOL, _TIGHT):
+        for vary, values, fixed, units in _SUM_CURVES:
+            spec = SweepSpec(quantity=quantity, vary=vary, values=values, fixed=fixed,
+                             method=method, units=units)
+            rounds.clear()
+            monkeypatch.setattr(thermo, "sum_decaying", counted)
+            rows = run_sweep(spec, tol)
+            monkeypatch.undo()
+            assert len(rounds) == (0 if fixed.get("alpha") == 0.0 else 1)
+            if tol is _TIGHT and vary == "alpha" and fixed["beta"] == 0.1:
+                assert len(rounds[0]) == 2
+            for row in rows:
+                s = routes.state({**fixed, vary: row.x}, units, tol=tol)
+                assert row.y is not None and row.y == routes.ROUTES[(quantity, method)](s)
+
+
+@pytest.mark.parametrize("argv", [["Z", "--vary", "q", "--range", "0,0.5", "--alpha", "0.3"],
+                                  ["C", "--vary", "n", "--range", "0,1,2"],
+                                  ["Us", "--vary", "n", "--range", "0,1,2", "--q", "0.5"]])
+def test_sweep_refuses_a_parameter_the_quantity_does_not_read(argv, capsys):
+    # thermo quantities read alpha and beta, superstat ones also q
+    assert cli.main(["sweep"] + argv) == 2
+    assert f"{argv[0]} does not depend on '{argv[2]}'" in capsys.readouterr().err
 
 
 def test_closed_superstat_beta_sweep_matches_points():

@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from pdmosc import (Beta, OscillatorParams, SingularLimit, SpectrumCoefficients,
+from pdmosc import (Beta, NonConvergence, OscillatorParams, SingularLimit, SpectrumCoefficients,
                     Tolerance, coefficients, entropy_closed,
                     free_energy_closed, heat_capacity_closed, log_partition_closed,
                     mean_energy_closed, partition_closed, partition_quadrature,
-                    partition_sum, thermo_closed_point, thermo_quadrature)
+                    partition_sum, thermo, thermo_closed_point, thermo_quadrature)
 from pdmosc.thermo import thermo_sum_engine
 
 from helpers import (brute_boltzmann_moments, brute_sum, brute_thermo, derivative,
@@ -352,3 +352,61 @@ def test_alpha_to_zero_consistency():
         z = partition_sum(c, beta, TOL)
         z0 = math.exp(-beta * 0.5) / (1.0 - math.exp(-beta))
         assert abs(z - z0) / z0 < 1e-4
+
+
+# -- the batched level sum ----------------------------------------------------
+
+def _sum_calls(monkeypatch):
+    """Record, per sum_decaying call of the level sum, the term count of
+    each round."""
+    calls = []
+
+    def counted(terms, tail_bound, tol, n):
+        rounds = []
+        calls.append(rounds)
+        return real(lambda k: rounds.append(k.shape[1]) or terms(k), tail_bound, tol, n)
+
+    real = thermo.sum_decaying
+    monkeypatch.setattr(thermo, "sum_decaying", counted)
+    return calls
+
+
+def _assert_points(cs, betas, kB, tol, curve):
+    for i, (c, beta) in enumerate(zip(cs, betas)):
+        pt = thermo_sum_engine(c, beta, kB, tol)
+        assert [getattr(pt, qn) for qn in "ZUCSF"] == [getattr(curve, qn)[i] for qn in "ZUCSF"]
+        assert partition_sum(c, beta, tol) == curve.Z[i]
+
+
+def test_sum_batch_chunks_past_the_level_budget(monkeypatch):
+    # five first guesses of ~36k-54k levels exceed max_evals = 200k
+    # together: the batch splits in order, and every point stays its own call
+    c = coefficients(OscillatorParams(alpha=1e-6))
+    betas = [0.8e-3, 0.9e-3, 1e-3, 1.1e-3, 1.2e-3]
+    calls = _sum_calls(monkeypatch)
+    curve = thermo_sum_engine(c, np.array(betas), 1.0, TOL)
+    assert len(calls) > 1
+    assert all(rounds[0] <= TOL.max_evals for rounds in calls)
+    _assert_points([c] * len(betas), betas, 1.0, TOL, curve)
+    assert curve.beta.tolist() == betas
+
+
+def test_sum_alpha_curve_equals_its_points():
+    # a sequence of coefficients with one beta: an alpha curve, through the
+    # geometric series at alpha = 0, in SI units with their kB
+    p = [OscillatorParams.si(alpha=alpha) for alpha in (0.0, 0.3, 0.9)]
+    cs = [coefficients(x) for x in p]
+    beta = 1.0 / (p[0].kB * 300.0)
+    curve = thermo_sum_engine(cs, beta, p[0].kB, TOL)
+    _assert_points(cs, [beta] * 3, p[0].kB, TOL, curve)
+    assert partition_sum(cs, beta, TOL).tolist() == curve.Z.tolist()
+
+
+def test_sum_batch_raises_where_its_point_does():
+    c = coefficients(OscillatorParams(alpha=1e-9))
+    with pytest.raises(NonConvergence):
+        thermo_sum_engine(c, 1e-4, 1.0, TOL)
+    with pytest.raises(NonConvergence):
+        thermo_sum_engine((C03, c, C09), np.array([1.0, 1e-4, 2.0]), 1.0, TOL)
+    with pytest.raises(ValueError, match="beta must be positive"):
+        thermo_sum_engine(C03, np.array([1.0, 0.0]), 1.0, TOL)

@@ -23,9 +23,7 @@ from .numerics import Tolerance
 from . import routes, sweeps, verify
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
+def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
@@ -133,16 +131,27 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
-def _rows_csv(header: list[str], rows: list[tuple]) -> str:
+def _rows_csv(header: list[str], template: str, rows: list[tuple]) -> str:
+    """One line per row, formatted by template: its comma-separated fields
+    are %.17g for a number and %s for a string.  A row holding None is
+    formatted field by field, None as the empty field."""
+    fields = template.split(",")
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, (int, float)) or v is None
-                              else str(v) for v in row))
+    lines += [template % row if None not in row else
+              ",".join("" if v is None else f % v for f, v in zip(fields, row))
+              for row in rows]
     return "\n".join(lines) + "\n"
 
 
 def _rows_json(header: list[str], rows: list[tuple]) -> str:
     return json.dumps([dict(zip(header, row)) for row in rows], indent=1) + "\n"
+
+
+def _emit_rows(args, header: list[str], template: str, rows: list[tuple]):
+    """rows as CSV (through template, see _rows_csv) or as JSON."""
+    text = _rows_csv(header, template, rows) if args.format == "csv" else \
+        _rows_json(header, rows)
+    _emit(text, args.out)
 
 
 def _values(args) -> dict:
@@ -161,16 +170,14 @@ def _cmd_sweep(args) -> int:
         fixed=fixed, method=args.method or "sum", units=args.units,
         transcription=args.transcription, b_convention=args.b_convention)
     rows = [(r.x, r.y, r.warning) for r in sweeps.run_sweep(spec, _tolerance(args))]
-    render = _rows_csv if args.format == "csv" else _rows_json
-    _emit(render([args.vary, args.quantity, "warning"], rows), args.out)
+    _emit_rows(args, [args.vary, args.quantity, "warning"], "%.17g,%.17g,%s", rows)
     return 0
 
 
 def _cmd_figure(args) -> int:
     rows = [(r.curve, r.x, r.y, r.warning)
             for r in sweeps.figure_preset(args.id, _tolerance(args))]
-    render = _rows_csv if args.format == "csv" else _rows_json
-    _emit(render(["curve", "x", "y", "warning"], rows), args.out)
+    _emit_rows(args, ["curve", "x", "y", "warning"], "%s,%.17g,%.17g,%s", rows)
     return 0
 
 

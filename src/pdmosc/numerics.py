@@ -59,26 +59,6 @@ class QuadratureResult:
 # Error function family
 # ---------------------------------------------------------------------------
 
-def _erf_series(x: float) -> float:
-    """erf via the all-positive-terms series, accurate for |x| <~ 3.
-
-    erf(x) = (2/sqrt(pi)) x e^{-x^2} sum_k (2x^2)^k / (2k+1)!!
-    """
-    x2 = x * x
-    term = 1.0
-    s = 1.0
-    k = 0
-    while True:
-        k += 1
-        term *= 2.0 * x2 / (2 * k + 1)
-        s += term
-        if term < 1e-17 * s:
-            break
-        if k > 300:  # unreachable for |x| <= 3
-            break
-    return (2.0 / _SQRT_PI) * x * math.exp(-x2) * s
-
-
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitting constant
 
 
@@ -179,27 +159,54 @@ def _erfcx_derivatives_array(x: np.ndarray):
     return e.reshape(shape), d1.reshape(shape), d2.reshape(shape)
 
 
-def erf(x: float) -> float:
-    """Standard error function; absolute error <= 1e-14 on |x| <= 6."""
-    if x != x:
-        return x
+def erf(x):
+    """Standard error function: math.erf outside 2 <= |x| < 6 (within
+    1.4e-16 relative of 40-digit mpmath on [-2, 2]; exactly +-1 from 6 on),
+    1 - e^{-x^2} erfcx(|x|) with the sign of x inside.  x may be an ndarray;
+    each element is then bit for bit the float call."""
+    if isinstance(x, np.ndarray):
+        return _erf_array(x)
     ax = abs(x)
-    if ax >= 6.0:
-        return 1.0 if x > 0 else -1.0
-    if ax < 2.0:
-        return _erf_series(x)
+    if not 2.0 <= ax < 6.0:
+        return math.erf(x)
     v = 1.0 - math.exp(-ax * ax) * erfcx(ax)
     return v if x > 0 else -v
 
 
-def erfc(x: float) -> float:
+def _erf_array(x: np.ndarray) -> np.ndarray:
+    """erf elementwise through the float call's two branches."""
+    flat = np.asarray(x, dtype=float).ravel()
+    out = np.array([math.erf(v) for v in flat.tolist()])
+    ax = np.abs(flat)
+    mid = (ax >= 2.0) & (ax < 6.0)
+    a = ax[mid]
+    v = 1.0 - np.array([math.exp(-t * t) for t in a.tolist()]) * erfcx(a)
+    out[mid] = np.copysign(v, flat[mid])
+    return out.reshape(np.shape(x))
+
+
+def erfc(x):
     """Complementary error function 1 - erf(x), accurate into the far tail:
-    math.erfc(x) on [-2, 2), from erfcx(|x|) beyond."""
+    math.erfc(x) on [-2, 2), from erfcx(|x|) beyond.  x may be an ndarray;
+    each element is then bit for bit the float call."""
+    if isinstance(x, np.ndarray):
+        return _erfc_array(x)
     if x >= 2.0:
         return math.exp(-x * x) * erfcx(x)
     if x >= -2.0:
         return math.erfc(x)
     return 2.0 - math.exp(-x * x) * erfcx(-x)
+
+
+def _erfc_array(x: np.ndarray) -> np.ndarray:
+    """erfc elementwise through the float call's three branches."""
+    flat = np.asarray(x, dtype=float).ravel()
+    out = np.array([math.erfc(v) for v in flat.tolist()])
+    tail = ~(flat >= -2.0) | (flat >= 2.0)  # nan takes the x < -2 branch
+    a = np.abs(flat[tail])
+    v = np.array([math.exp(-t * t) for t in a.tolist()]) * erfcx(a)
+    out[tail] = np.where(flat[tail] >= 2.0, v, 2.0 - v)
+    return out.reshape(np.shape(x))
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ A quantity uses its own function where one exists (Z on every route, Z_s
 on ``quadinf``, each typeset closed form) and its field of the whole point
 otherwise.  ``CURVES`` names the routes that evaluate a whole sweep curve
 in one call, from a State holding the varied parameter as an array: the
-sum route's thermo quantities over alpha or beta, the closed superstat
-forms over beta.  Functions are looked up as module attributes
+sum route's thermo quantities over alpha or beta, and every typeset closed
+form, thermo and superstat, over beta.  Functions are looked up as module attributes
 (``thermo.partition_sum``) at call time, so wrappers installed on the
 modules are seen.
 """
@@ -132,8 +132,9 @@ ROUTES: dict[tuple[str, str], Callable[[State], float]] = {
 #: (quantity, method) -> the parameters along which its route evaluates a
 #: whole curve in one call: given the State that holds the varied parameter
 #: as an array, it returns an array of the curve's values, each bit for bit
-#: the route at its own point
+#: the route at its own point.  The sum route batches its level sums over
+#: alpha and beta; the closed forms broadcast over beta.
 CURVES: dict[tuple[str, str], tuple[str, ...]] = {
     **{(qn, m): ("alpha", "beta") for qn in THERMO for m in ("sum", "engine")},
-    **{(qn, "closed"): ("beta",) for qn in SUPERSTAT},
+    **{(qn, "closed"): ("beta",) for qn in THERMO + SUPERSTAT},
 }

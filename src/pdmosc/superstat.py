@@ -34,8 +34,8 @@ import numpy as np
 from .numerics import (_LAG_U, _LAG_W, _X_RULE, Tolerance, erfcx, erfcx_derivatives,
                        exp_neg_product, integrate_semi_infinite)
 from .spectrum import SpectrumCoefficients
-from .thermo import (B_MIN, Beta, _check_beta, _check_transcription, _factor_q,
-                     _quadrature_moments, _require_regular, as_beta)
+from .thermo import (B_MIN, Beta, _beta_values, _check_transcription, _factor_q,
+                     _quadrature_moments, _require_regular, _saturating, _shaped, as_beta)
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -65,8 +65,8 @@ def as_q(q) -> DeformationQ:
 @dataclass(frozen=True)
 class SuperstatPoint:
     """Superstatistical state at one (beta, q), produced by one method.  A
-    closed point over beta and q arrays holds the arrays, and each quantity
-    as an array over their broadcast."""
+    closed or engine point over beta and q arrays holds the arrays, and each
+    quantity as an array over their broadcast."""
 
     beta: Beta
     q: DeformationQ
@@ -100,31 +100,27 @@ def superstat_partition_quadrature(c: SpectrumCoefficients, beta, q,
 # Typeset closed forms of Z_s, U_s, S_s, F_s, and the exact C_s
 # ---------------------------------------------------------------------------
 
-#: the typeset forms overflow, divide by zero and subtract infinities
-#: honestly: numpy's warnings are off inside them
-_saturating = np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _mesh(beta, q):
+    """beta and q (floats, a Beta and a DeformationQ, or arrays that
+    broadcast against each other) as checked float arrays of at least one
+    dimension; a point is a one-element array, so it rounds through the
+    same numpy loops as a grid."""
+    bv = _beta_values(beta)
+    qv = np.atleast_1d(np.asarray(q.q if isinstance(q, DeformationQ) else q, dtype=float))
+    _check_q(qv)
+    return bv, qv
 
 
 def _closed_args(c: SpectrumCoefficients, beta, q, transcription: str, b_min: float = B_MIN):
-    """After the argument checks: beta and q as float arrays of at least one
-    dimension, the sign of the 2 a^3 sqrt(b) beta term (-1 verbatim, +1
-    corrected) and x1.  beta and q broadcast against each other; a point is
-    a one-element array, so it rounds through the same numpy loops as a
-    grid.  The forms below take x1 and erfcx(x1) from their caller, so a
-    whole point or grid evaluates them once."""
+    """After the argument checks: beta and q as _mesh arrays, the sign of
+    the 2 a^3 sqrt(b) beta term (-1 verbatim, +1 corrected) and x1.  The
+    forms below take x1 and erfcx(x1) from their caller, so a whole point
+    or grid evaluates them once."""
     _check_transcription(transcription)
     _require_regular(c, b_min)
-    bv = np.atleast_1d(np.asarray(beta.value if isinstance(beta, Beta) else beta, dtype=float))
-    _check_beta(bv)
-    qv = np.atleast_1d(np.asarray(q.q if isinstance(q, DeformationQ) else q, dtype=float))
-    _check_q(qv)
+    bv, qv = _mesh(beta, q)
     x1 = 0.5 * (c.a + 2.0 * c.b) * np.sqrt(bv / c.b)
     return bv, qv, -1.0 if transcription == "verbatim" else 1.0, x1
-
-
-def _shaped(value: np.ndarray, beta, q):
-    """A float for a float beta and q, else the array."""
-    return value.item() if np.ndim(beta) == np.ndim(q) == 0 else value
 
 
 def _bracket_pieces(c: SpectrumCoefficients, bv, qv, sign_a3: float):
@@ -378,8 +374,7 @@ def excitation_moments(c: SpectrumCoefficients, beta) -> tuple[float, ...]:
                  for k, m in enumerate(_scaled_moments(c, bv)))
 
 
-def _engine_point(c: SpectrumCoefficients, bt: Beta, qt: DeformationQ,
-                  kB: float) -> SuperstatPoint:
+def _engine_point(c: SpectrumCoefficients, beta, q, kB: float) -> SuperstatPoint:
     """The superstat point from the moments of D in the ground-state gauge.
     With G = e^{beta E_0} Z_s = int e^{-beta D} p dn, p = 1 + (q/2) beta^2 E^2,
         G'  = int e^{-beta D} (-D p + q beta E^2),
@@ -389,9 +384,14 @@ def _engine_point(c: SpectrumCoefficients, bt: Beta, qt: DeformationQ,
     g0, g1, g2 with the scaled moments.  Then U_s = E_0 - g1/(beta g0),
     C_s = kB (g2/g0 - (g1/g0)^2), and with ln G = ln(g0/(beta L)),
     S_s = kB (ln G - g1/g0) and F_s = E_0 - ln(G)/beta never meet beta E_0,
-    so they stay finite where Z_s = G e^{-beta E_0} underflows."""
-    bv, qv = bt.value, qt.q
-    i0, i1, i2, i3, i4 = _scaled_moments(c, bv)
+    so they stay finite where Z_s = G e^{-beta E_0} underflows.
+
+    beta and q broadcast against each other (_mesh): the moments are taken
+    once per beta element and g0, g1, g2 assembled over the whole mesh, with
+    the float call's arithmetic, so each element is bit for bit its point."""
+    bv, qv = _mesh(beta, q)
+    i0, i1, i2, i3, i4 = np.array([_scaled_moments(c, b) for b in bv.ravel().tolist()]) \
+        .T.reshape((5,) + bv.shape)
     e0 = c.energy(0)
     e = bv * e0
     qe = qv * e
@@ -402,11 +402,14 @@ def _engine_point(c: SpectrumCoefficients, bt: Beta, qt: DeformationQ,
           + qv * (e - 2.0) * i3 + p2 * i4)
     r1 = g1 / g0
     big_g = g0 / (bv * (c.a + 2.0 * c.b))
-    log_g = math.log(big_g)
-    zs = big_g * exp_neg_product(bv, 0.5 * c.a, 0.5 * c.b)
-    return SuperstatPoint(bt, qt, Zs=zs, Us=e0 - r1 / bv,
-                          Ss=kB * (log_g - r1), Fs=e0 - log_g / bv,
-                          Cs=kB * (g2 / g0 - r1 * r1), method="engine")
+    log_g = np.array([math.log(v) for v in big_g.ravel().tolist()]).reshape(big_g.shape)
+    ground = np.array([exp_neg_product(b, 0.5 * c.a, 0.5 * c.b) for b in bv.ravel().tolist()])
+    columns = {"Zs": big_g * ground.reshape(bv.shape), "Us": e0 - r1 / bv,
+               "Ss": kB * (log_g - r1), "Fs": e0 - log_g / bv, "Cs": kB * (g2 / g0 - r1 * r1)}
+    if np.ndim(beta) == np.ndim(q) == 0:
+        beta, q = as_beta(beta), as_q(q)
+    return SuperstatPoint(beta, q, method="engine",
+                          **{qn: _shaped(v, beta, q) for qn, v in columns.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +424,7 @@ def superstat_thermo(c: SpectrumCoefficients, beta, q, kB: float = 1.0,
     method 'engine' (ground truth) assembles Z_s, U_s, S_s, F_s and C_s
     from the closed-form moments J_0..J_4 of the excitation energy over
     n in [0, inf) (_engine_point); it runs no quadrature, and tol is unused.
+    It also takes beta and q arrays, which broadcast against each other.
     method 'quadinf' is the numerical route: the exact beta-moments of the
     deformed factor as rows of one batched Gauss-Kronrod quadrature in the
     ground-state gauge, whose Z_s is bit for bit
@@ -431,12 +435,11 @@ def superstat_thermo(c: SpectrumCoefficients, beta, q, kB: float = 1.0,
     """
     if method == "closed":
         return _closed_point(c, beta, q, kB, transcription)
-    bt = as_beta(beta)
-    qt = as_q(q)
-    bv, qv = bt.value, qt.q
     if method == "engine":
-        return _engine_point(c, bt, qt, kB)
+        return _engine_point(c, beta, q, kB)
     if method == "quadinf":
-        Zs, Us, Cs, Ss, Fs = _quadrature_moments(c, bv, qv, math.inf, kB, tol)
+        bt, qt = as_beta(beta), as_q(q)
+        Zs, Us, Cs, Ss, Fs = (col.item() for col in _quadrature_moments(
+            c, np.array([bt.value]), qt.q, math.inf, kB, tol))
         return SuperstatPoint(bt, qt, Zs, Us, Ss, Fs, Cs, method="quadinf")
     raise ValueError("method must be 'engine', 'quadinf' or 'closed'")

@@ -80,10 +80,10 @@ class SweepRow:
 def run_sweep(spec: SweepSpec, tol: Tolerance = PRESET_TOL) -> list[SweepRow]:
     """Evaluate the sweep; a SingularLimit at one grid point becomes a null
     row with a warning instead of a crash.  A curve that routes.CURVES
-    covers (a sum-route thermo quantity over alpha or beta, a closed
-    superstat form over beta) is one call over the whole grid, each row bit
-    for bit its point call; there SingularLimit, which depends on the
-    coefficients only, nulls every row."""
+    covers (a sum-route thermo quantity over alpha or beta, any closed form
+    over beta) is one call over the whole grid, each row bit for bit its
+    point call; there SingularLimit, which depends on the coefficients
+    only, nulls every row."""
     route = routes.ROUTES[(spec.quantity, spec.method)]
     if spec.vary in routes.CURVES.get((spec.quantity, spec.method), ()):
         s = routes.state({**spec.fixed, spec.vary: np.array(spec.values, dtype=float)},

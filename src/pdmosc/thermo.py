@@ -41,23 +41,9 @@ B_MIN = 1e-8
 TRANSCRIPTIONS = ("verbatim", "corrected")
 
 
-def _exp(x: float) -> float:
-    """exp that saturates to inf instead of raising; typo'd verbatim forms
-    are allowed to overflow honestly."""
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
-
-
-def _div(num: float, den: float) -> float:
-    """num/den with IEEE semantics: a zero denominator gives +-inf (nan for
-    0/0) instead of raising, so typo'd verbatim forms overflow honestly."""
-    if den != 0.0:
-        return num / den
-    if num == 0.0 or num != num:
-        return math.nan
-    return math.copysign(math.inf, num) * math.copysign(1.0, den)
+#: the typeset forms overflow, divide by zero and subtract infinities
+#: honestly: numpy's warnings are off inside them
+_saturating = np.errstate(over="ignore", divide="ignore", invalid="ignore")
 
 
 @dataclass(frozen=True)
@@ -82,10 +68,26 @@ def as_beta(beta) -> Beta:
     return beta if isinstance(beta, Beta) else Beta(float(beta))
 
 
+def _beta_values(beta) -> np.ndarray:
+    """beta (a float, a Beta or an array) as a float array of at least one
+    dimension, every element checked: the closed forms and the batched
+    quadrature evaluate a point as a one-element array, so that it rounds
+    through the same numpy loops as a curve."""
+    bv = np.atleast_1d(np.asarray(beta.value if isinstance(beta, Beta) else beta, dtype=float))
+    _check_beta(bv)
+    return bv
+
+
+def _shaped(value: np.ndarray, *params):
+    """A float where every parameter (beta, and q for superstat) is a
+    float, else the array."""
+    return value.item() if all(np.ndim(p) == 0 for p in params) else value
+
+
 @dataclass(frozen=True)
 class ThermoPoint:
     """Thermodynamic state at one beta, produced by one named method.  A
-    sum-route point over a curve holds beta and each quantity as arrays."""
+    point over a curve holds beta and each quantity as arrays."""
 
     beta: Beta
     Z: float
@@ -223,44 +225,48 @@ def _require_regular(c: SpectrumCoefficients, b_min: float):
 
 
 def _xargs(c: SpectrumCoefficients, beta, b_min: float, transcription: str = "verbatim"):
-    """beta's value and the common erf arguments x1 <= x2 with the stabilized
-    difference Dx = e^{x1^2} (erf(x2) - erf(x1)), after the argument checks;
-    the closed forms below take them, so a whole point forms them once."""
+    """beta as a checked array (_beta_values) and the common erf arguments
+    x1 <= x2 with the stabilized difference Dx = e^{x1^2} (erf(x2) - erf(x1)),
+    after the argument checks; the closed forms below take them, so a whole
+    point or curve forms them once."""
     _check_transcription(transcription)
     _require_regular(c, b_min)
-    bv = as_beta(beta).value
+    bv = _beta_values(beta)
     a, b = c.a, c.b
-    x1 = 0.5 * (a + 2.0 * b) * math.sqrt(bv / b)
-    x2 = 0.5 * (a + 4.0 * b) * math.sqrt(bv / b)
-    return bv, (x1, x2, erfcx(x1) - math.exp(-bv * (a + 3.0 * b)) * erfcx(x2))
+    x1 = 0.5 * (a + 2.0 * b) * np.sqrt(bv / b)
+    x2 = 0.5 * (a + 4.0 * b) * np.sqrt(bv / b)
+    return bv, (x1, x2, erfcx(x1) - np.exp(-bv * (a + 3.0 * b)) * erfcx(x2))
 
 
-def partition_closed(c: SpectrumCoefficients, beta, b_min: float = B_MIN) -> float:
+@_saturating
+def partition_closed(c: SpectrumCoefficients, beta,
+                     b_min: float = B_MIN) -> float | np.ndarray:
     """The closed erf form of Z, evaluated as typeset for small erf arguments
     and through the scaled complement (exact algebra) once cancellation in
-    the erf difference would cost more than ~1e-13 relative."""
-    return _partition(c, *_xargs(c, beta, b_min))
+    the erf difference would cost more than ~1e-13 relative.  Like every
+    closed form below it takes a float beta or an array, elementwise."""
+    return _shaped(_partition(c, *_xargs(c, beta, b_min)), beta)
 
 
-def _partition(c: SpectrumCoefficients, bv: float, xa) -> float:
+def _partition(c: SpectrumCoefficients, bv, xa):
     a, b = c.a, c.b
     x1, x2, dx = xa
-    if x1 < 2.0:
-        pref = math.exp((a * a + 2.0 * a * b + 2.0 * b * b) * bv / (4.0 * b)) \
-            * _SQRT_PI / (2.0 * math.sqrt(b * bv))
-        return pref * (erf(x2) - erf(x1))
-    return _SQRT_PI / (2.0 * math.sqrt(b * bv)) * math.exp(-bv * (a + b) / 2.0) * dx
+    typeset = np.exp((a * a + 2.0 * a * b + 2.0 * b * b) * bv / (4.0 * b)) \
+        * _SQRT_PI / (2.0 * np.sqrt(b * bv)) * (erf(x2) - erf(x1))
+    scaled = _SQRT_PI / (2.0 * np.sqrt(b * bv)) * np.exp(-bv * (a + b) / 2.0) * dx
+    return np.where(x1 < 2.0, typeset, scaled)
 
 
-def log_partition_closed(c: SpectrumCoefficients, beta, b_min: float = B_MIN) -> float:
+@_saturating
+def log_partition_closed(c: SpectrumCoefficients, beta,
+                         b_min: float = B_MIN) -> float | np.ndarray:
     """ln of the closed-form Z, stable at any erf-argument size."""
-    return _log_partition(c, *_xargs(c, beta, b_min))
+    return _shaped(_log_partition(c, *_xargs(c, beta, b_min)), beta)
 
 
-def _log_partition(c: SpectrumCoefficients, bv: float, xa) -> float:
+def _log_partition(c: SpectrumCoefficients, bv, xa):
     a, b = c.a, c.b
-    return -bv * (a + b) / 2.0 + math.log(_SQRT_PI / (2.0 * math.sqrt(b * bv))) \
-        + math.log(xa[2])
+    return -bv * (a + b) / 2.0 + np.log(_SQRT_PI / (2.0 * np.sqrt(b * bv))) + np.log(xa[2])
 
 
 def partition_quadrature(c: SpectrumCoefficients, beta, range_: str = "quad01",
@@ -299,11 +305,9 @@ def thermo_sum_engine(c, beta, kB: float = 1.0, tol: Tolerance = Tolerance()) ->
     all from one ragged level sum (_boltzmann_levels), each element bit for
     bit its one-point call."""
     point = isinstance(c, SpectrumCoefficients) and np.ndim(beta) == 0
-    bt = as_beta(beta) if point else np.asarray(beta, dtype=float)
     cs = (c,) if isinstance(c, SpectrumCoefficients) else tuple(c)
     a, b, bv = np.broadcast_arrays(np.array([x.a for x in cs]), np.array([x.b for x in cs]),
-                                   np.atleast_1d(bt.value if point else bt))
-    _check_beta(bv)
+                                   _beta_values(beta))
     tail, mean, var = _boltzmann_levels(a, b, bv, tol)
     g = np.array([math.log1p(t) for t in tail.tolist()])
     e0 = a * 0.5 + b * 0.5  # c.energy(0), bit for bit
@@ -311,7 +315,7 @@ def thermo_sum_engine(c, beta, kB: float = 1.0, tol: Tolerance = Tolerance()) ->
                   for x, ai, bi, t in zip(bv.tolist(), a.tolist(), b.tolist(), tail.tolist())])
     columns = (z, e0 + mean, kB * bv * bv * var, kB * (g + bv * mean), e0 - g / bv)
     if point:
-        return ThermoPoint(bt, *(float(col[0]) for col in columns), method="sum")
+        return ThermoPoint(as_beta(beta), *(float(col[0]) for col in columns), method="sum")
     return ThermoPoint(bv, *columns, method="sum")
 
 
@@ -327,13 +331,14 @@ _ROW_A = np.array([0.0, 0.0, 1.0, 0.0])
 _ROW_B = np.array([0.0, -1.0, -2.0, 0.0])
 
 
-def _quadrature_moments(c: SpectrumCoefficients, bv: float, qv: float, hi: float,
+def _quadrature_moments(c: SpectrumCoefficients, bv: np.ndarray, qv: float, hi: float,
                         kB: float, tol: Tolerance):
-    """(Z, U, C, S, F) of the weight e^{-beta E}(1 + (q/2) beta^2 E^2) over
-    n in [0, hi] (q = 0: the Boltzmann weight), from its exact moments
-    M_0, M_1 = -dM_0/dbeta, M_2 = d^2 M_0/dbeta^2: rows of one batched
-    quadrature in the ground-state gauge, e^{-beta D} with D = E - E_0 in
-    place of e^{-beta E}.  With x = beta E the rows are
+    """(Z, U, C, S, F), each an array over the 1-d beta array bv, of the
+    weight e^{-beta E}(1 + (q/2) beta^2 E^2) over n in [0, hi] (q = 0: the
+    Boltzmann weight), from its exact moments M_0, M_1 = -dM_0/dbeta,
+    M_2 = d^2 M_0/dbeta^2: rows of one batched quadrature in the
+    ground-state gauge, e^{-beta D} with D = E - E_0 in place of e^{-beta E}.
+    With x = beta E the rows are
         e^{-beta D} (1 + q x^2/2),
         e^{-beta D} E (1 - q x + q x^2/2),
         e^{-beta D} E^2 (1 + q - 2 q x + q x^2/2),
@@ -343,28 +348,36 @@ def _quadrature_moments(c: SpectrumCoefficients, bv: float, qv: float, hi: float
     single quadrature of the weight (partition_quadrature,
     superstat_partition_quadrature) and F = -ln(Z)/beta exactly; where Z
     falls below the normal range, ln Z = ln M_0 - beta E_0 keeps S and F
-    finite.
+    finite.  Every beta contributes its four rows to one integrate_batch
+    call, whose rows each equal their single-row call, so each beta gets
+    the bits of its one-point call.
 
     The moment rows fall only once beta E exceeds about 5.3; at small beta
     that lies beyond the tail probes of integrate_batch, so on [0, inf)
     they are integrated over n = s m, with s >= 1 the smallest scale that
     puts beta D = 8 at or before the probe m = 24."""
     e0 = c.energy(0)
-    s = 1.0
+    s = np.ones_like(bv)
     if hi == math.inf:
         lin, level = c.a + 2.0 * c.b, 8.0 / bv  # D(n) = b n^2 + (a + 2b) n
-        s = max(1.0, 2.0 * level / (lin + math.sqrt(lin * lin + 4.0 * c.b * level)) / 24.0)
+        s = np.maximum(1.0, 2.0 * level / (lin + np.sqrt(lin * lin + 4.0 * c.b * level)) / 24.0)
 
     def rows(n, r):
-        k = r[:, None]
-        e = c.energy(np.where(k == 3, n, s * n))
-        x = bv * e
-        moment = np.exp(-bv * (e - e0)) * e ** k \
+        i, k = np.divmod(r[:, None], 4)  # row r is moment k of beta i
+        b, sk = bv[i], s[i]
+        e = c.energy(np.where(k == 3, n, sk * n))
+        x = b * e
+        # E^k as a product: numpy's power can round an element differently
+        # depending on where it sits in the array
+        ek = np.where(k == 0, 1.0, e) * np.where(k == 2, e, 1.0)
+        moment = np.exp(-b * (e - e0)) * ek \
             * (1.0 + qv * (_ROW_A[k] + _ROW_B[k] * x + 0.5 * x * x))
-        return np.where(k == 3, _factor_q(e, bv, qv), s * moment)
+        return np.where(k == 3, _factor_q(e, b, qv), sk * moment)
 
-    m0, m1, m2, z = (r.value for r in integrate_batch(rows, 4, 0.0, hi, tol))
-    lnz = math.log(z) if z >= sys.float_info.min else math.log(m0) - bv * e0
+    values = [r.value for r in integrate_batch(rows, 4 * len(bv), 0.0, hi, tol)]
+    m0, m1, m2, z = np.array(values).reshape(-1, 4).T
+    lnz = np.array([math.log(zi) if zi >= sys.float_info.min else math.log(mi) - bi * e0
+                    for zi, mi, bi in zip(z.tolist(), m0.tolist(), bv.tolist())])
     u = m1 / m0
     return z, u, kB * bv * bv * (m2 / m0 - u * u), kB * (lnz + bv * u), -lnz / bv
 
@@ -372,12 +385,18 @@ def _quadrature_moments(c: SpectrumCoefficients, bv: float, qv: float, hi: float
 def thermo_quadrature(c: SpectrumCoefficients, beta, range_: str = "quad01",
                       kB: float = 1.0, tol: Tolerance = Tolerance()) -> ThermoPoint:
     """Z, U, C, S, F of the partition_quadrature integral over [0, 1]
-    ("quad01") or [0, inf) ("quadinf"), from its exact beta-moments."""
+    ("quad01") or [0, inf) ("quadinf"), from its exact beta-moments.  A
+    beta array gives a point that holds it and each quantity as an array,
+    all from one batched quadrature, each element bit for bit its float
+    call."""
     if range_ not in ("quad01", "quadinf"):
         raise ValueError("range_ must be 'quad01' or 'quadinf'")
-    bt = as_beta(beta)
+    bv = _beta_values(beta)
     hi = 1.0 if range_ == "quad01" else math.inf
-    return ThermoPoint(bt, *_quadrature_moments(c, bt.value, 0.0, hi, kB, tol), method=range_)
+    columns = _quadrature_moments(c, bv.ravel(), 0.0, hi, kB, tol)
+    if np.ndim(beta) == 0:
+        return ThermoPoint(as_beta(beta), *(col.item() for col in columns), method=range_)
+    return ThermoPoint(bv, *(col.reshape(bv.shape) for col in columns), method=range_)
 
 
 # ---------------------------------------------------------------------------
@@ -389,47 +408,50 @@ def _check_transcription(transcription: str):
         raise ValueError("transcription must be 'verbatim' or 'corrected'")
 
 
+@_saturating
 def mean_energy_closed(c: SpectrumCoefficients, beta, transcription: str = "verbatim",
-                       b_min: float = B_MIN) -> float:
+                       b_min: float = B_MIN) -> float | np.ndarray:
     """The typeset closed form of U(beta).
 
     verbatim keeps the typeset exponents e^{-3 beta - ...} and
     e^{(a^2+2b)^2 beta/(4b)}; corrected restores e^{-3 a beta - ...} and
     e^{(a+2b)^2 beta/(4b)}, which makes the expression exactly
     -d ln Z / d beta of the closed-form Z."""
-    return _mean_energy(c, *_xargs(c, beta, b_min, transcription), transcription)
+    return _shaped(_mean_energy(c, *_xargs(c, beta, b_min, transcription), transcription), beta)
 
 
-def _mean_energy(c: SpectrumCoefficients, bv: float, xa, transcription: str) -> float:
+def _mean_energy(c: SpectrumCoefficients, bv, xa, transcription: str):
     a, b = c.a, c.b
     x1, x2, dx = xa
     delta = a + 3.0 * b
     if transcription == "corrected":
         K = (a * a + 2.0 * a * b + 2.0 * b * b) / (4.0 * b)
-        return -K + 0.5 / bv + (x1 - x2 * math.exp(-bv * delta)) / (bv * _SQRT_PI * dx)
+        return -K + 0.5 / bv + (x1 - x2 * np.exp(-bv * delta)) / (bv * _SQRT_PI * dx)
     # verbatim: exponents as typeset, combined against each other exactly
     poly = a * a * bv + 2.0 * b * b * bv + 2.0 * b * (-1.0 + a * bv)
     e1 = bv * ((a * a + 2.0 * b) ** 2 / (4.0 * b) - 3.0 - a * a / (2.0 * b) - 5.0 * b)
-    t1 = 2.0 * math.sqrt(b * bv) * ((a + 2.0 * b) * _exp(e1 + bv * delta + x1 * x1)
-                                    - (a + 4.0 * b) * _exp(e1 + x1 * x1)) \
+    t1 = 2.0 * np.sqrt(b * bv) * ((a + 2.0 * b) * np.exp(e1 + bv * delta + x1 * x1)
+                                  - (a + 4.0 * b) * np.exp(e1 + x1 * x1)) \
         / (4.0 * b * bv * _SQRT_PI * dx)
-    t2 = -_exp(3.0 * (a - 1.0) * bv) * poly / (4.0 * b * bv)
+    t2 = -np.exp(3.0 * (a - 1.0) * bv) * poly / (4.0 * b * bv)
     return t1 + t2
 
 
+@_saturating
 def heat_capacity_closed(c: SpectrumCoefficients, beta, kB: float = 1.0,
-                         transcription: str = "verbatim", b_min: float = B_MIN) -> float:
+                         transcription: str = "verbatim",
+                         b_min: float = B_MIN) -> float | np.ndarray:
     """The typeset closed form of C(beta).
 
     The verbatim expression is transcribed literally (it lacks the
     erf(x1)*erf(x2) cross term its own square demands, so it diverges from
     the truth and can overflow).  corrected evaluates the algebraically
     consistent reading, which equals kB beta^2 d2 ln Z/d beta2 exactly."""
-    return _heat_capacity(c, *_xargs(c, beta, b_min, transcription), kB, transcription)
+    return _shaped(_heat_capacity(c, *_xargs(c, beta, b_min, transcription), kB,
+                                  transcription), beta)
 
 
-def _heat_capacity(c: SpectrumCoefficients, bv: float, xa, kB: float,
-                   transcription: str) -> float:
+def _heat_capacity(c: SpectrumCoefficients, bv, xa, kB: float, transcription: str):
     a, b = c.a, c.b
     x1, x2, dx = xa
     delta = a + 3.0 * b
@@ -437,20 +459,20 @@ def _heat_capacity(c: SpectrumCoefficients, bv: float, xa, kB: float,
         sb = math.sqrt(b)
         c1 = (a + 2.0 * b) / (2.0 * sb)
         c2 = (a + 4.0 * b) / (2.0 * sb)
-        edec = math.exp(-bv * delta)
-        w1 = math.sqrt(bv / math.pi) * (c2 * edec - c1) / dx
+        edec = np.exp(-bv * delta)
+        w1 = np.sqrt(bv / math.pi) * (c2 * edec - c1) / dx
         return kB * (0.5 - 0.5 * w1 - w1 * w1
                      + bv ** 1.5 / _SQRT_PI * (c1 ** 3 - c2 ** 3 * edec) / dx)
     # verbatim transcription; prefactor exponent folded into each term
     e1 = erf(x1)
     e2 = erf(x2)
-    d = math.exp(-x1 * x1) * dx
-    sbb = math.sqrt(b * bv)
+    d = np.exp(-x1 * x1) * dx
+    sbb = np.sqrt(b * bv)
     ap2, ap4 = a + 2.0 * b, a + 4.0 * b
-    t1 = 2.0 * b * bv * math.sqrt(bv / b) * (
-        ap4 * ap4 * _exp(-2.0 * x2 * x2)
-        - 2.0 * ap4 * ap2 * _exp(-(x1 * x1 + x2 * x2))
-        + ap2 * ap2 * _exp(-2.0 * x1 * x1))
+    t1 = 2.0 * b * bv * np.sqrt(bv / b) * (
+        ap4 * ap4 * np.exp(-2.0 * x2 * x2)
+        - 2.0 * ap4 * ap2 * np.exp(-(x1 * x1 + x2 * x2))
+        + ap2 * ap2 * np.exp(-2.0 * x1 * x1))
     t2 = -4.0 * b * sbb * math.pi * e1 * e1
     t4 = -4.0 * b * sbb * math.pi * e2 * e2
     t6 = 8.0 * b * sbb * _SQRT_PI * e2
@@ -464,14 +486,16 @@ def _heat_capacity(c: SpectrumCoefficients, bv: float, xa, kB: float,
         + 2.0 * a * b + 6.0 * b * bv
     pc_asym = -12.0 * a * a * b * bv - a ** 3 * bv - 8.0 * b * b - 64.0 * b ** 3 * bv \
         - 2.0 * a * b - 24.0 * b * bv
-    t3 = -bv * _SQRT_PI * e2 * (pc_sym * _exp(-x2 * x2) + pe_sym * _exp(-x1 * x1))
-    t5 = bv * _SQRT_PI * e1 * (pc_asym * _exp(-x2 * x2) + pe_asym * _exp(-x1 * x1))
+    t3 = -bv * _SQRT_PI * e2 * (pc_sym * np.exp(-x2 * x2) + pe_sym * np.exp(-x1 * x1))
+    t5 = bv * _SQRT_PI * e1 * (pc_asym * np.exp(-x2 * x2) + pe_asym * np.exp(-x1 * x1))
     num = bv * (t1 + t2 + t3 + t4 + t5 + t6)
-    return _div(kB * num, 8.0 * (b * bv) ** 1.5 * math.pi * d * d)
+    return kB * num / (8.0 * (b * bv) ** 1.5 * math.pi * d * d)
 
 
+@_saturating
 def entropy_closed(c: SpectrumCoefficients, beta, kB: float = 1.0,
-                   transcription: str = "verbatim", b_min: float = B_MIN) -> float:
+                   transcription: str = "verbatim",
+                   b_min: float = B_MIN) -> float | np.ndarray:
     """The typeset closed form of S(beta).
 
     The verbatim expression follows the typeset parenthesization (the
@@ -480,41 +504,43 @@ def entropy_closed(c: SpectrumCoefficients, beta, kB: float = 1.0,
     of the typeset S matches kB(lnZ - beta dlnZ/dbeta); corrected therefore
     evaluates that defining identity with the corrected U."""
     bv, xa = _xargs(c, beta, b_min, transcription)
-    return _entropy(c, bv, xa, kB, transcription, _log_partition(c, bv, xa))
+    return _shaped(_entropy(c, bv, xa, kB, transcription, _log_partition(c, bv, xa)), beta)
 
 
-def _entropy(c: SpectrumCoefficients, bv: float, xa, kB: float, transcription: str,
-             lnz: float) -> float:
+def _entropy(c: SpectrumCoefficients, bv, xa, kB: float, transcription: str, lnz):
     if transcription == "corrected":
         return kB * (lnz + bv * _mean_energy(c, bv, xa, "corrected"))
     a, b = c.a, c.b
     _, _, dx = xa
     delta = a + 3.0 * b
     poly = a * a * bv + 2.0 * b * b * bv + 2.0 * b * (-1.0 + a * bv)
-    frac1 = -math.sqrt(bv / b) * 2.0 * bv \
-        * ((a + 4.0 * b) * math.exp(-bv * delta) - (a + 2.0 * b)) / (4.0 * bv * math.pi * dx)
+    frac1 = -np.sqrt(bv / b) * 2.0 * bv \
+        * ((a + 4.0 * b) * np.exp(-bv * delta) - (a + 2.0 * b)) / (4.0 * bv * math.pi * dx)
     big = bv * (3.0 * a + a * a / (2.0 * b) + 5.0 * b)
-    frac2 = -math.sqrt(bv / b) * poly * _exp(big) / (4.0 * bv * _SQRT_PI)
+    frac2 = -np.sqrt(bv / b) * poly * np.exp(big) / (4.0 * bv * _SQRT_PI)
     return kB * (frac1 + frac2 + lnz)
 
 
-def free_energy_closed(c: SpectrumCoefficients, beta, b_min: float = B_MIN) -> float:
+@_saturating
+def free_energy_closed(c: SpectrumCoefficients, beta,
+                       b_min: float = B_MIN) -> float | np.ndarray:
     """F(beta) = -ln(Z_closed)/beta; the typeset F is exactly this
     composition, so there is nothing to transcribe.  ln Z_closed is taken
     stably, so F stays finite where Z_closed underflows."""
-    bv = as_beta(beta).value
-    return -log_partition_closed(c, bv, b_min) / bv
+    bv, xa = _xargs(c, beta, b_min)
+    return _shaped(-_log_partition(c, bv, xa) / bv, beta)
 
 
+@_saturating
 def thermo_closed_point(c: SpectrumCoefficients, beta, kB: float = 1.0,
                         transcription: str = "verbatim", b_min: float = B_MIN) -> ThermoPoint:
     """All five typeset closed forms from one _xargs, each bit for bit its
-    single-quantity function."""
-    bt = as_beta(beta)
-    bv, xa = _xargs(c, bt, b_min, transcription)
+    single-quantity function.  A float beta gives a point of floats; a beta
+    array gives a point that holds it and each quantity as an array."""
+    bv, xa = _xargs(c, beta, b_min, transcription)
     lnz = _log_partition(c, bv, xa)
-    return ThermoPoint(beta=bt, Z=_partition(c, bv, xa),
-                       U=_mean_energy(c, bv, xa, transcription),
-                       C=_heat_capacity(c, bv, xa, kB, transcription),
-                       S=_entropy(c, bv, xa, kB, transcription, lnz), F=-lnz / bv,
-                       method="closed")
+    columns = {"Z": _partition(c, bv, xa), "U": _mean_energy(c, bv, xa, transcription),
+               "C": _heat_capacity(c, bv, xa, kB, transcription),
+               "S": _entropy(c, bv, xa, kB, transcription, lnz), "F": -lnz / bv}
+    return ThermoPoint(as_beta(beta) if np.ndim(beta) == 0 else bv, method="closed",
+                       **{qn: _shaped(v, beta) for qn, v in columns.items()})

@@ -83,12 +83,13 @@ def audit_grid(params_grid: Iterable = DEFAULT_ALPHAS,
     closed-form moment engine over [0, inf).  Basis "sum" replaces the
     thermo oracles with the physical sum route (thermo_sum_engine).
 
-    The sum-basis oracles run as one thermo_sum_engine call across beta
-    per alpha, the other oracles point by point; the closed superstat forms
-    run as one call over the beta x q mesh per alpha and transcription, and
-    each quantity's column is classified at once.  Reports come ordered by
-    quantity, then grid indices, then transcription; identical inputs
-    produce identical lists.
+    Every oracle runs as one call per alpha, across beta (thermo_quadrature
+    or thermo_sum_engine) or over the beta x q mesh (the superstat engine);
+    the typeset forms run as one call per alpha and transcription, across
+    beta (thermo_closed_point) or over the mesh (the closed superstat
+    point).  Each quantity's column is then classified at once.  Reports
+    come ordered by quantity, then grid indices, then transcription;
+    identical inputs produce identical lists.
     """
     if oracle_basis not in ("closed", "sum"):
         raise ValueError("oracle_basis must be 'closed' or 'sum'")
@@ -103,26 +104,25 @@ def audit_grid(params_grid: Iterable = DEFAULT_ALPHAS,
     # in grid order with the transcription innermost
     printed = {qn: [] for qn in QUANTITIES}
     oracles = {qn: [] for qn in QUANTITIES}
-    mesh = np.array(betas)[:, None], np.array(qs)
+    beta_col = np.array(betas)
+    mesh = beta_col[:, None], np.array(qs)
     for p in params:
         c = coefficients(p)
         if oracle_basis == "closed":
-            quad = [thermo.thermo_quadrature(c, bv, "quad01", kB, tol) for bv in betas]
-            thermo_oracles = {qn: [getattr(o, qn) for o in quad] for qn in routes.THERMO}
+            thermo_oracle = thermo.thermo_quadrature(c, beta_col, "quad01", kB, tol)
         else:
-            curve = thermo.thermo_sum_engine(c, np.array(betas), kB, tol)
-            thermo_oracles = {qn: getattr(curve, qn) for qn in routes.THERMO}
-        typeset = [thermo.thermo_closed_point(c, bv, kB, tr) for bv in betas for tr in trs]
-        for qn in routes.THERMO:
-            oracles[qn].append(np.repeat(thermo_oracles[qn], len(trs)))
-            printed[qn].append([getattr(pt, qn) for pt in typeset])
-        engine = [superstat.superstat_thermo(c, bv, qv, kB, tol, method="engine")
-                  for bv, qv in product(betas, qs)]
-        closed = [superstat.superstat_thermo(c, *mesh, kB, tol, method="closed",
-                                             transcription=tr) for tr in trs]
-        for qn in routes.SUPERSTAT:
-            oracles[qn].append(np.repeat([getattr(pt, qn) for pt in engine], len(trs)))
-            printed[qn].append(np.stack([getattr(pt, qn) for pt in closed], axis=-1).ravel())
+            thermo_oracle = thermo.thermo_sum_engine(c, beta_col, kB, tol)
+        # family -> (oracle point, typeset point per transcription)
+        points = {
+            "thermo": (thermo_oracle,
+                       [thermo.thermo_closed_point(c, beta_col, kB, tr) for tr in trs]),
+            "superstat": (superstat.superstat_thermo(c, *mesh, kB, method="engine"),
+                          [superstat.superstat_thermo(c, *mesh, kB, method="closed",
+                                                      transcription=tr) for tr in trs])}
+        for family, (oracle, typeset) in points.items():
+            for qn in routes.FIELDS[family]:
+                oracles[qn].append(np.repeat(getattr(oracle, qn), len(trs)))
+                printed[qn].append(np.stack([getattr(pt, qn) for pt in typeset], axis=-1).ravel())
 
     alphas = [p.alpha for p in params]
     grids = {"thermo": list(zip(*product(alphas, betas, [None], trs))),

@@ -254,6 +254,32 @@ def test_closed_columns_equal_single_closed_functions_on_the_mesh(tr):
                                   [columns[qn][i, j] for qn in columns], equal_nan=True)
 
 
+def test_engine_mesh_equals_its_points():
+    # the moments once per beta, g0, g1, g2 over the whole beta x q mesh:
+    # each element bit for bit its float call, Z_s underflowing at
+    # beta = 2000 and the geometric case b = 0 included
+    betas, qs = np.array(DEFAULT_BETAS + (2000.0,))[:, None], np.array(DEFAULT_QS)
+    fields = ("Zs", "Us", "Ss", "Fs", "Cs")
+    for c in (C00, C01, C03, C09):
+        mesh = superstat_thermo(c, betas, qs, method="engine")
+        assert mesh.beta is betas and mesh.q is qs and mesh.method == "engine"
+        columns = [getattr(mesh, qn) for qn in fields]
+        assert all(col.shape == (len(betas), len(qs)) for col in columns)
+        for i, j in np.ndindex(len(betas), len(qs)):
+            pt = superstat_thermo(c, float(betas[i, 0]), float(qs[j]), method="engine")
+            got = [getattr(pt, qn) for qn in fields]
+            assert all(type(v) is float for v in got)
+            assert got == [col[i, j] for col in columns], (c, i, j)
+        # a float beta against a q array, and paired beta and q arrays
+        row = superstat_thermo(c, float(betas[3, 0]), qs, method="engine")
+        pairs = superstat_thermo(c, betas[:5, 0], qs, method="engine")
+        for k, qn in enumerate(fields):
+            assert getattr(row, qn).tolist() == columns[k][3].tolist()
+            assert getattr(pairs, qn).tolist() == [columns[k][j, j] for j in range(5)]
+    with pytest.raises(ValueError, match="q must lie in"):
+        superstat_thermo(C03, betas, np.array([0.5, 1.5]), method="engine")
+
+
 def test_closed_forms_check_every_grid_value():
     betas = np.array([0.5, 1.0, 2.0])
     with pytest.raises(ValueError, match="beta must be positive and finite"):

@@ -55,7 +55,7 @@ def test_zs_sweep_finite_positive():
 
 def test_singular_limit_becomes_warning_row():
     # closed form at alpha=0 has b=0: every row degrades to a null + warning,
-    # on the per-beta thermo route and on the superstat route's one grid call
+    # on the thermo and the superstat route's one call over the grid
     for quantity, fixed in (("Z", {}), ("Cs", {"q": 0.5})):
         spec = SweepSpec(quantity=quantity, vary="beta", values=(0.5, 1.0, 2.0),
                          fixed={"alpha": 0.0, **fixed}, method="closed")
@@ -114,12 +114,13 @@ def test_sweep_refuses_a_parameter_the_quantity_does_not_read(argv, capsys):
 
 
 def test_closed_superstat_beta_sweep_matches_points():
-    # one closed call over the whole beta grid, each row bit for bit the
-    # route at its own point: numpy rounds each element alike whatever the
-    # array length
-    betas = sweeps.log_range(0.05, 40.0, 31)
+    # one closed call over the whole beta grid, thermo and superstat, each
+    # row bit for bit the route at its own point: numpy rounds each element
+    # alike whatever the array length; past beta = 800 verbatim forms overflow
+    betas = sweeps.log_range(0.05, 40.0, 31) + (800.0, 2000.0)
     for alpha, q, tr in [(0.1, 0.5, "verbatim"), (0.3, 1.0, "corrected"), (0.9, 0.0, "verbatim")]:
-        for quantity in routes.SUPERSTAT:
+        for quantity in routes.THERMO + routes.SUPERSTAT:
+            assert "beta" in routes.CURVES[(quantity, "closed")]
             spec = SweepSpec(quantity=quantity, vary="beta", values=betas,
                              fixed={"alpha": alpha, "q": q}, method="closed", transcription=tr)
             route = routes.ROUTES[(quantity, "closed")]
@@ -128,6 +129,24 @@ def test_closed_superstat_beta_sweep_matches_points():
                 want = route(s)
                 assert type(row.y) is float and row.x == beta
                 assert row.y == want or math.isnan(row.y) and math.isnan(want)
+
+
+def test_csv_rows_print_each_value_as_17_digits():
+    # one %.17g template per row; a row holding None goes field by field,
+    # None as the empty field
+    rows = [(0.5, None, "SingularLimit"), (-0.0, math.inf, ""), (math.nan, -math.inf, "note"),
+            (1e-300, 1.0 / 3.0, ""), (2.0, -0.0, "")]
+
+    def reference(row):
+        return ",".join("" if v is None else v if isinstance(v, str) else f"{v:.17g}"
+                        for v in row)
+
+    text = cli._rows_csv(["beta", "Z", "warning"], "%.17g,%.17g,%s", rows)
+    assert text == "\n".join(["beta,Z,warning"] + [reference(r) for r in rows]) + "\n"
+    assert text.split("\n")[1:3] == ["0.5,,SingularLimit", "-0,inf,"]
+    labelled = [("alpha=0.1",) + row for row in rows]
+    text = cli._rows_csv(["curve", "x", "y", "warning"], "%s,%.17g,%.17g,%s", labelled)
+    assert text == "\n".join(["curve,x,y,warning"] + [reference(r) for r in labelled]) + "\n"
 
 
 def test_presets_complete():

@@ -17,7 +17,8 @@ from pdmosc import (Beta, NonConvergence, OscillatorParams, SingularLimit, Spect
                     free_energy_closed, heat_capacity_closed, log_partition_closed,
                     mean_energy_closed, partition_closed, partition_quadrature,
                     partition_sum, thermo, thermo_closed_point, thermo_quadrature)
-from pdmosc.thermo import thermo_sum_engine
+from pdmosc.thermo import TRANSCRIPTIONS, thermo_sum_engine
+from pdmosc.verify import DEFAULT_BETAS
 
 from helpers import (brute_boltzmann_moments, brute_sum, brute_thermo, derivative,
                      mp_weight_moments)
@@ -318,6 +319,72 @@ def test_closed_point_equals_single_closed_functions(tr):
                        entropy_closed(c, beta, 1.0, tr), free_energy_closed(c, beta))
             # verbatim forms may overflow to inf or nan, which equal themselves here
             assert np.array_equal([pt.Z, pt.U, pt.C, pt.S, pt.F], singles, equal_nan=True)
+
+
+#: the audit grid and two betas where verbatim forms overflow
+_CURVE_BETAS = np.array(DEFAULT_BETAS + (800.0, 2000.0))
+
+#: name -> one closed form as f(c, beta, transcription)
+_CLOSED_FORMS = {
+    "Z": lambda c, beta, tr: partition_closed(c, beta),
+    "lnZ": lambda c, beta, tr: log_partition_closed(c, beta),
+    "U": lambda c, beta, tr: mean_energy_closed(c, beta, tr),
+    "C": lambda c, beta, tr: heat_capacity_closed(c, beta, 1.0, tr),
+    "S": lambda c, beta, tr: entropy_closed(c, beta, 1.0, tr),
+    "F": lambda c, beta, tr: free_energy_closed(c, beta),
+}
+
+
+@pytest.mark.parametrize("tr", TRANSCRIPTIONS)
+def test_closed_forms_over_beta_equal_their_points(tr):
+    # a beta array runs the float call's arithmetic elementwise: each element
+    # is bit for bit its float call (nan equals nan here), through the
+    # verbatim forms' overflow at beta = 800 and 2000
+    for c in (C01, C03, C09):
+        curve = thermo_closed_point(c, _CURVE_BETAS, 1.0, tr)
+        assert np.array_equal(curve.beta, _CURVE_BETAS) and curve.method == "closed"
+        for name, form in _CLOSED_FORMS.items():
+            column = form(c, _CURVE_BETAS, tr)
+            points = [form(c, beta, tr) for beta in _CURVE_BETAS.tolist()]
+            assert all(type(v) is float for v in points)
+            assert np.array_equal(column, points, equal_nan=True), (c, name)
+            if name != "lnZ":
+                assert np.array_equal(getattr(curve, name), column, equal_nan=True)
+        for beta in (0.5, 2000.0):
+            pt = thermo_closed_point(c, beta, 1.0, tr)
+            assert pt.beta == Beta(beta)
+            assert all(type(getattr(pt, qn)) is float for qn in "ZUCSF")
+    # the verbatim overflow is kept: inf, not an exception
+    assert math.isinf(heat_capacity_closed(C03, np.array([2000.0]), 1.0, "verbatim")[0])
+    assert math.isinf(mean_energy_closed(C09, 2000.0, "verbatim"))
+
+
+def test_closed_curves_raise_where_their_points_do():
+    tiny = SpectrumCoefficients(a=1.0, b=thermo.B_MIN)  # b <= B_MIN: singular
+    for form in _CLOSED_FORMS.values():
+        for beta in (1.0, np.array([0.5, 1.0])):
+            with pytest.raises(SingularLimit):
+                form(tiny, beta, "corrected")
+            with pytest.raises(ValueError, match="beta must be positive"):
+                form(C03, beta * np.array([1.0, -1.0]), "verbatim")
+    with pytest.raises(SingularLimit):
+        thermo_closed_point(tiny, np.array([0.5, 1.0]))
+
+
+@pytest.mark.parametrize("range_", ["quad01", "quadinf"])
+def test_quadrature_over_beta_equals_its_points(range_):
+    # every beta's four moment rows in one integrate_batch: each element bit
+    # for bit its float call, at the audit tolerance and at the default one
+    for tol in (Tolerance(rel=3e-13, abs=0.0, max_evals=400_000), TOL):
+        for c in (C01, C09):
+            curve = thermo_quadrature(c, _CURVE_BETAS, range_, 1.0, tol)
+            assert np.array_equal(curve.beta, _CURVE_BETAS) and curve.method == range_
+            for i, beta in enumerate(_CURVE_BETAS.tolist()):
+                pt = thermo_quadrature(c, beta, range_, 1.0, tol)
+                assert pt.beta == Beta(beta)
+                got = [getattr(pt, qn) for qn in "ZUCSF"]
+                assert all(type(v) is float for v in got)
+                assert got == [getattr(curve, qn)[i] for qn in "ZUCSF"], (c, beta)
 
 
 def test_corrected_entropy_is_identity_composition():

@@ -32,13 +32,13 @@ def _parse_range(text: str) -> tuple[float, ...]:
     if "," in text:
         return tuple(float(v) for v in text.split(","))
     parts = text.split(":")
-    if parts and parts[0] == "log":
-        lo, hi, count = float(parts[1]), float(parts[2]), int(parts[3])
-        return sweeps.log_range(lo, hi, count)
+    log = parts[0] == "log"
+    if log:
+        parts = parts[1:]
     if len(parts) != 3:
         raise ValueError(f"bad range {text!r}: expected lo:hi:count, log:lo:hi:count or v1,v2,...")
     lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-    return sweeps.linear_range(lo, hi, count)
+    return (sweeps.log_range if log else sweeps.linear_range)(lo, hi, count)
 
 
 def _config_tokens(args: argparse.Namespace) -> list[str]:

@@ -7,6 +7,7 @@ Everything here is pure and deterministic; no shared mutable state.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -62,24 +63,50 @@ class QuadratureResult:
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitting constant
 
 
-def exp_neg_product(a: float, b: float, b2: float = 0.0) -> float:
+def exp_neg_product(a, b, b2=0.0):
     """e^{-a (b + b2)} to within ~1 ulp: b + b2 = s + e_s exactly (Knuth's
     two-sum) and a s = p + e exactly (Dekker's two-product, Numer. Math. 18
     (1971) 224), so e^{-p} (1 - e - a e_s) keeps the |ab| ulp that rounding
-    would cost.  Where the split overflows (|a| or |b| above ~1e300), e^{-p}."""
-    s = b + b2
-    t = s - b
-    e_s = (b - (s - t)) + (b2 - t)
-    p = a * s
-    t = _SPLIT * a
-    ah = t - (t - a)
-    al = a - ah
-    t = _SPLIT * s
-    sh = t - (t - s)
-    sl = s - sh
-    e = ((ah * sh - p) + ah * sl + al * sh) + al * sl + a * e_s
-    return math.exp(-p) * (1.0 - e) if math.isfinite(e) else math.exp(-p)
+    would cost.  Where the split overflows (|a| or |b| above ~1e300), e^{-p}.
+    a, b and b2 may be arrays that broadcast together, elementwise; floats
+    give a float."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = b + b2
+        t = s - b
+        e_s = (b - (s - t)) + (b2 - t)
+        p = a * s
+        t = _SPLIT * a
+        ah = t - (t - a)
+        al = a - ah
+        t = _SPLIT * s
+        sh = t - (t - s)
+        sl = s - sh
+        e = ((ah * sh - p) + ah * sl + al * sh) + al * sl + a * e_s
+        ep = np.exp(-p)
+        out = np.where(np.isfinite(e), ep * (1.0 - e), ep)
+    return out if out.ndim else out.item()
 
+
+def _elementwise(kernel):
+    """kernel, written over a 1-d float array, as an elementwise function:
+    an array gives arrays of its shape, a float gives floats.  Each kernel
+    below splits its argument by branch and evaluates each branch with
+    numpy's elementwise ufuncs and row sums, so no element's bits depend
+    on the array around it."""
+    @functools.wraps(kernel)
+    def call(x):
+        x = np.asarray(x, dtype=float)
+        out = kernel(x.ravel())
+        if isinstance(out, tuple):
+            return tuple(o.reshape(x.shape) if x.ndim else o.item() for o in out)
+        return out.reshape(x.shape) if x.ndim else out.item()
+    return call
+
+
+#: the stdlib's erf and erfc, elementwise over an array: without scipy the
+#: only accurate source below |x| = 2
+_math_erf = np.frompyfunc(math.erf, 1, 1)
+_math_erfc = np.frompyfunc(math.erfc, 1, 1)
 
 #: from this x on, erfcx and its derivatives come from the Gauss-Laguerre
 #: rule, whose nodes lie far enough from the branch point u = -x^2
@@ -88,38 +115,33 @@ _LAG_U = np.array(NODES)
 _LAG_W = np.array(WEIGHTS)
 
 
+@_elementwise
 def erfcx(x):
     """Scaled complementary error function e^{x^2} erfc(x), within 5e-16
     relative wherever it does not overflow.  Below x = 1.4 it is
-    e^{x^2} math.erfc(x), x^2 carried exactly.  From 1.4 on, u = t^2 + 2xt in
+    e^{x^2} math.erfc(x), x^2 carried exactly below 0, where e^{x^2}
+    reaches 1e293 by x = -26 (on [0, 1.4) rounding x^2 costs at most
+    2.2e-16).  From 1.4 on, u = t^2 + 2xt in
     erfcx(x) = (2/sqrt(pi)) int_0^inf e^{-t^2 - 2xt} dt (DLMF 7.2.2) gives
         erfcx(x) = (1/(sqrt(pi) x)) int_0^inf e^{-u} (1 + u/x^2)^{-1/2} du,
-    a fixed 48-point Gauss-Laguerre sum of positive terms w_i/(x^2 + u_i)^{1/2}.
-    x may be an ndarray; each element is then bit for bit the float call."""
-    if isinstance(x, np.ndarray):
-        return _erfcx_array(x)
-    if x < _X_RULE:
-        return exp_neg_product(-x, x) * math.erfc(x)
-    if x < 1e8:  # beyond, 1/(2x^2) is below rounding (and x^2 may overflow)
-        return float(_LAG_W.dot((x * x + _LAG_U) ** -0.5)) / _SQRT_PI
-    return 1.0 / (_SQRT_PI * x)
+    a fixed 48-point Gauss-Laguerre sum of positive terms w_i/(x^2 + u_i)^{1/2},
+    one row sum per element.  Elementwise over an array."""
+    low = x < _X_RULE
+    xl = x[low]
+    with np.errstate(divide="ignore", over="ignore"):  # at x = 0 and x < -26.6 replaced below
+        out = 1.0 / (_SQRT_PI * x)
+        ex2 = np.exp(xl * xl)
+    neg = xl < 0.0
+    if neg.any():  # the exact product costs some 20 array operations
+        ex2[neg] = exp_neg_product(-xl[neg], xl[neg])
+    out[low] = ex2 * _math_erfc(xl).astype(float)
+    rule = ~low & (x < 1e8)  # beyond, 1/(2x^2) is below rounding (and x^2 may overflow)
+    xs = x[rule][:, None]
+    out[rule] = (_LAG_W * (xs * xs + _LAG_U) ** -0.5).sum(axis=-1) / _SQRT_PI
+    return out
 
 
-def _erfcx_array(x: np.ndarray) -> np.ndarray:
-    """erfcx elementwise through the float call's three branches.  Each
-    Laguerre sum stays its own 48-term dot product, as in _gk15, so that no
-    element's rounding depends on the array around it."""
-    flat = np.asarray(x, dtype=float).ravel()
-    with np.errstate(divide="ignore"):  # x = 0 takes the first branch
-        out = 1.0 / (_SQRT_PI * flat)
-    low = flat < _X_RULE
-    out[low] = [exp_neg_product(-v, v) * math.erfc(v) for v in flat[low].tolist()]
-    rule = ~low & (flat < 1e8)
-    xs = flat[rule][:, None]
-    out[rule] = [float(_LAG_W.dot(row)) / _SQRT_PI for row in (xs * xs + _LAG_U) ** -0.5]
-    return out.reshape(np.shape(x))
-
-
+@_elementwise
 def erfcx_derivatives(x):
     """(erfcx(x), erfcx'(x), erfcx''(x)), the first bit for bit erfcx(x).
     Below x = 1.4, erfcx' = 2x erfcx - 2/sqrt(pi) and erfcx'' = 2 erfcx
@@ -127,26 +149,9 @@ def erfcx_derivatives(x):
     From 1.4 on, the same rule gives erfcx^(n)(x) = (1/sqrt(pi)) sum_i w_i
     (-2 t_i)^n / r_i, r_i = sqrt(x^2 + u_i), t_i = u_i/(x + r_i):
     terms of one sign (3e-15), where the recurrence would lose ~2x^2 ulp.
-    x may be an ndarray; each element is then bit for bit the float call."""
-    if isinstance(x, np.ndarray):
-        return _erfcx_derivatives_array(x)
+    Elementwise over an array."""
     e = erfcx(x)
-    if x < _X_RULE:
-        d1 = 2.0 * x * e - 2.0 / _SQRT_PI
-        return e, d1, 2.0 * e + 2.0 * x * d1
-    r = np.sqrt(x * x + _LAG_U)
-    t = _LAG_U / (x + r)
-    wt = _LAG_W * t / r
-    return e, -2.0 * float(wt.sum()) / _SQRT_PI, 4.0 * float(wt.dot(t)) / _SQRT_PI
-
-
-def _erfcx_derivatives_array(x: np.ndarray):
-    """erfcx_derivatives elementwise; each rule row keeps its own sums."""
-    shape = np.shape(x)
-    x = np.asarray(x, dtype=float).ravel()
-    e = _erfcx_array(x)
-    # the float call's arithmetic, including its overflow past x = 1e154
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # x^2 overflows past 1e154
         d1 = 2.0 * x * e - 2.0 / _SQRT_PI
         d2 = 2.0 * e + 2.0 * x * d1
         rule = ~(x < _X_RULE)
@@ -154,59 +159,36 @@ def _erfcx_derivatives_array(x: np.ndarray):
         r = np.sqrt(xs * xs + _LAG_U)
     t = _LAG_U / (xs + r)
     wt = _LAG_W * t / r
-    d1[rule] = [-2.0 * float(w.sum()) / _SQRT_PI for w in wt]
-    d2[rule] = [4.0 * float(w.dot(tw)) / _SQRT_PI for w, tw in zip(wt, t)]
-    return e.reshape(shape), d1.reshape(shape), d2.reshape(shape)
+    d1[rule] = -2.0 * wt.sum(axis=-1) / _SQRT_PI
+    d2[rule] = 4.0 * (wt * t).sum(axis=-1) / _SQRT_PI
+    return e, d1, d2
 
 
+@_elementwise
 def erf(x):
     """Standard error function: math.erf outside 2 <= |x| < 6 (within
     1.4e-16 relative of 40-digit mpmath on [-2, 2]; exactly +-1 from 6 on),
-    1 - e^{-x^2} erfcx(|x|) with the sign of x inside.  x may be an ndarray;
-    each element is then bit for bit the float call."""
-    if isinstance(x, np.ndarray):
-        return _erf_array(x)
-    ax = abs(x)
-    if not 2.0 <= ax < 6.0:
-        return math.erf(x)
-    v = 1.0 - math.exp(-ax * ax) * erfcx(ax)
-    return v if x > 0 else -v
-
-
-def _erf_array(x: np.ndarray) -> np.ndarray:
-    """erf elementwise through the float call's two branches."""
-    flat = np.asarray(x, dtype=float).ravel()
-    out = np.array([math.erf(v) for v in flat.tolist()])
-    ax = np.abs(flat)
+    1 - e^{-x^2} erfcx(|x|) with the sign of x inside.  Elementwise over an
+    array."""
+    out = _math_erf(x).astype(float)
+    ax = np.abs(x)
     mid = (ax >= 2.0) & (ax < 6.0)
     a = ax[mid]
-    v = 1.0 - np.array([math.exp(-t * t) for t in a.tolist()]) * erfcx(a)
-    out[mid] = np.copysign(v, flat[mid])
-    return out.reshape(np.shape(x))
+    out[mid] = np.copysign(1.0 - np.exp(-a * a) * erfcx(a), x[mid])
+    return out
 
 
+@_elementwise
 def erfc(x):
     """Complementary error function 1 - erf(x), accurate into the far tail:
-    math.erfc(x) on [-2, 2), from erfcx(|x|) beyond.  x may be an ndarray;
-    each element is then bit for bit the float call."""
-    if isinstance(x, np.ndarray):
-        return _erfc_array(x)
-    if x >= 2.0:
-        return math.exp(-x * x) * erfcx(x)
-    if x >= -2.0:
-        return math.erfc(x)
-    return 2.0 - math.exp(-x * x) * erfcx(-x)
-
-
-def _erfc_array(x: np.ndarray) -> np.ndarray:
-    """erfc elementwise through the float call's three branches."""
-    flat = np.asarray(x, dtype=float).ravel()
-    out = np.array([math.erfc(v) for v in flat.tolist()])
-    tail = ~(flat >= -2.0) | (flat >= 2.0)  # nan takes the x < -2 branch
-    a = np.abs(flat[tail])
-    v = np.array([math.exp(-t * t) for t in a.tolist()]) * erfcx(a)
-    out[tail] = np.where(flat[tail] >= 2.0, v, 2.0 - v)
-    return out.reshape(np.shape(x))
+    math.erfc(x) on (-2, 2), from erfcx(|x|) beyond.  Elementwise over an
+    array."""
+    out = _math_erfc(x).astype(float)
+    tail = np.abs(x) >= 2.0
+    xt = x[tail]
+    v = np.exp(-xt * xt) * erfcx(np.abs(xt))
+    out[tail] = np.where(xt > 0.0, v, 2.0 - v)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -242,28 +224,21 @@ def _one_row(f):
     return lambda x, rows: np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
 
 
-_kronrod_dot = _WGK.dot
-
-
 def _gk15(fx: np.ndarray, half: np.ndarray):
     """Gauss-Kronrod panels from their node values: fx holds one panel's 15
     values per row, half the panels' half-widths.  Returns the Kronrod
-    values (list) and the error estimates (array).  Each panel's results
-    depend on its own row only, never on the batch it is evaluated in."""
-    # Each Kronrod sum stays its own 15-term dot product.  A matrix-vector
-    # product (fx @ _WGK) rounds a row differently depending on the batch
-    # size, and each batch row must equal its single-row call bit for bit.
-    # The Gauss and |f| sums only feed the error estimate, so they are
-    # vectorised, as sequential running sums, which keep that property.
-    resk = [h * float(_kronrod_dot(row)) for h, row in zip(half.tolist(), fx)]
-    resg = half * np.add.accumulate(fx[:, 1::2] * _WG, axis=1)[:, -1]
-    resabs = half * np.add.accumulate(np.abs(fx * _WGK), axis=1)[:, -1]
-    diff = np.abs(np.array(resk) - resg)
+    values (list) and the error estimates (array).  Each sum is a row sum,
+    so each panel's results depend on its own row only, never on the batch
+    it is evaluated in."""
+    resk = half * (fx * _WGK).sum(axis=-1)
+    resg = half * (fx[:, 1::2] * _WG).sum(axis=-1)
+    resabs = half * np.abs(fx * _WGK).sum(axis=-1)
+    diff = np.abs(resk - resg)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio = 200.0 * diff / resabs
         err = resabs * np.fmin(1.0, ratio * np.sqrt(ratio))
     err = np.where(resabs > 0.0, np.maximum(err, 50.0 * _EPS * resabs), diff)
-    return resk, err
+    return resk.tolist(), err
 
 
 def _adaptive_rows(g, nrows: int, lo: float, hi: float,

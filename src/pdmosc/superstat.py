@@ -335,32 +335,34 @@ def _closed_point(c: SpectrumCoefficients, beta, q, kB: float,
 _LAG_ROWS = _LAG_W * _LAG_U ** np.arange(5)[:, None]
 
 
-def _scaled_moments(c: SpectrumCoefficients, bv: float) -> list[float]:
-    """I_k = L beta^{k+1} J_k for k = 0..4, where J_k is the integral over
-    n in [0, inf) of D^k e^{-beta D}, D = E(n) - E_0 = b n^2 + L n and
-    L = a + 2b.  In u = beta D,
+def _scaled_moments(c: SpectrumCoefficients, bv: np.ndarray) -> np.ndarray:
+    """I_k = L beta^{k+1} J_k for k = 0..4 (rows) at each beta of the 1-d
+    array bv (columns), where J_k is the integral over n in [0, inf) of
+    D^k e^{-beta D}, D = E(n) - E_0 = b n^2 + L n and L = a + 2b.  In
+    u = beta D,
         I_k = int_0^inf u^k e^{-u} (1 + u/y^2)^{-1/2} du,  y = L sqrt(beta/(4b)),
     so I_k = k! at b = 0.
 
-    For y >= 1.4 the 48-point Gauss-Laguerre rule integrates it; the branch
-    point u = -y^2 lies far enough from the nodes.  Below, the forward
-    recurrence from integration by parts,
+    For y >= 1.4 the 48-point Gauss-Laguerre rule integrates it, one row
+    sum per beta and k; the branch point u = -y^2 lies far enough from the
+    nodes.  Below, the forward recurrence from integration by parts,
         I_0 = sqrt(pi) y erfcx(y),  I_1 = (1/2 - y^2) I_0 + y^2,
         I_{k+1} = (k + 1/2 - y^2) I_k + k y^2 I_{k-1},
     loses at most a few ulp.  (Backward recurrence is stable only for
-    k < y^2, and the forward one loses about y^2 per step above y ~ 3.)
-    Here erfcx is the stdlib's e^{y^2} erfc(y), within 3.2e-16 relative on
-    [0, 1.4), written out so that the moments keep their bits."""
+    k < y^2, and the forward one loses about y^2 per step above y ~ 3.)"""
     lin = c.a + 2.0 * c.b
     inv_y2 = 4.0 * c.b / (bv * lin * lin)
-    if inv_y2 * _X_RULE * _X_RULE <= 1.0:
-        return (_LAG_ROWS @ (1.0 / np.sqrt(1.0 + _LAG_U * inv_y2))).tolist()
-    y = 0.5 * lin * math.sqrt(bv / c.b)
+    rule = inv_y2 * _X_RULE * _X_RULE <= 1.0
+    moments = np.empty((5, len(bv)))
+    weight = 1.0 / np.sqrt(1.0 + _LAG_U * inv_y2[rule][:, None])
+    moments[:, rule] = (_LAG_ROWS * weight[:, None, :]).sum(axis=-1).T
+    y = 0.5 * lin * np.sqrt(bv[~rule] / c.b)
     y2 = y * y
-    moments = [_SQRT_PI * y * math.exp(y2) * math.erfc(y)]
-    moments.append((0.5 - y2) * moments[0] + y2)
+    recurrence = [_SQRT_PI * y * erfcx(y)]
+    recurrence.append((0.5 - y2) * recurrence[0] + y2)
     for k in range(1, 4):
-        moments.append((k + 0.5 - y2) * moments[k] + k * y2 * moments[k - 1])
+        recurrence.append((k + 0.5 - y2) * recurrence[k] + k * y2 * recurrence[k - 1])
+    moments[:, ~rule] = recurrence
     return moments
 
 
@@ -371,7 +373,7 @@ def excitation_moments(c: SpectrumCoefficients, beta) -> tuple[float, ...]:
     bv = as_beta(beta).value
     lin = c.a + 2.0 * c.b
     return tuple(m / (lin * bv ** (k + 1))
-                 for k, m in enumerate(_scaled_moments(c, bv)))
+                 for k, m in enumerate(_scaled_moments(c, np.array([bv]))[:, 0].tolist()))
 
 
 def _engine_point(c: SpectrumCoefficients, beta, q, kB: float) -> SuperstatPoint:
@@ -387,11 +389,10 @@ def _engine_point(c: SpectrumCoefficients, beta, q, kB: float) -> SuperstatPoint
     so they stay finite where Z_s = G e^{-beta E_0} underflows.
 
     beta and q broadcast against each other (_mesh): the moments are taken
-    once per beta element and g0, g1, g2 assembled over the whole mesh, with
-    the float call's arithmetic, so each element is bit for bit its point."""
+    once over the beta array and g0, g1, g2 assembled over the whole mesh,
+    elementwise, so each element is bit for bit its point."""
     bv, qv = _mesh(beta, q)
-    i0, i1, i2, i3, i4 = np.array([_scaled_moments(c, b) for b in bv.ravel().tolist()]) \
-        .T.reshape((5,) + bv.shape)
+    i0, i1, i2, i3, i4 = _scaled_moments(c, bv.ravel()).reshape((5,) + bv.shape)
     e0 = c.energy(0)
     e = bv * e0
     qe = qv * e
@@ -402,9 +403,8 @@ def _engine_point(c: SpectrumCoefficients, beta, q, kB: float) -> SuperstatPoint
           + qv * (e - 2.0) * i3 + p2 * i4)
     r1 = g1 / g0
     big_g = g0 / (bv * (c.a + 2.0 * c.b))
-    log_g = np.array([math.log(v) for v in big_g.ravel().tolist()]).reshape(big_g.shape)
-    ground = np.array([exp_neg_product(b, 0.5 * c.a, 0.5 * c.b) for b in bv.ravel().tolist()])
-    columns = {"Zs": big_g * ground.reshape(bv.shape), "Us": e0 - r1 / bv,
+    log_g = np.log(big_g)
+    columns = {"Zs": big_g * exp_neg_product(bv, 0.5 * c.a, 0.5 * c.b), "Us": e0 - r1 / bv,
                "Ss": kB * (log_g - r1), "Fs": e0 - log_g / bv, "Cs": kB * (g2 / g0 - r1 * r1)}
     if np.ndim(beta) == np.ndim(q) == 0:
         beta, q = as_beta(beta), as_q(q)

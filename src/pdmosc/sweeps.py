@@ -152,7 +152,10 @@ PRESETS: dict[str, FigurePreset] = {pr.figure_id: pr for pr in [
             trend="nonnegative"),
     _preset("Fig4a", "S", "beta", _BETA_GRID, "alpha", _ALPHAS3, "sum",
             trend="decreasing"),
-    _preset("Fig4b", "S", "alpha", _ALPHA_GRID, "beta", (0.2, 0.5, 1.0), "sum"),
+    # dS/dalpha = -kB beta^2 Cov(E, dE/dalpha) < 0: E_n and dE_n/dalpha both
+    # increase with n, so Chebyshev's association inequality fixes the sign
+    _preset("Fig4b", "S", "alpha", _ALPHA_GRID, "beta", (0.2, 0.5, 1.0), "sum",
+            trend="decreasing"),
     _preset("Fig5a", "F", "beta", _BETA_GRID, "alpha", _ALPHAS3, "sum",
             trend="increasing"),
     _preset("Fig5b", "F", "alpha", _ALPHA_GRID, "beta", (0.2, 0.5, 1.0), "sum",

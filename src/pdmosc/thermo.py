@@ -179,11 +179,10 @@ def _boltzmann_levels(a, b, bv, tol: Tolerance):
     bound adds levels beyond that, within its own budget."""
     tail, mean, var = (np.empty(len(bv)) for _ in range(3))
     geometric = b == 0.0
-    for i in np.flatnonzero(geometric).tolist():
-        ai, bvi = float(a[i]), float(bv[i])
-        om = -math.expm1(-bvi * ai)
-        t = math.exp(-bvi * ai) / om
-        tail[i], mean[i], var[i] = t, ai * t, ai * t * (ai / om)
+    ag, x = a[geometric], -bv[geometric] * a[geometric]
+    om = -np.expm1(x)
+    t = np.exp(x) / om
+    tail[geometric], mean[geometric], var[geometric] = t, ag * t, ag * t * (ag / om)
     summed = np.flatnonzero(~geometric)
     a, b, bv = a[summed], b[summed], bv[summed]
     # the first guess: the root of b N^2 + (a + 2b) N = D_1 + 43.6/beta
@@ -309,10 +308,9 @@ def thermo_sum_engine(c, beta, kB: float = 1.0, tol: Tolerance = Tolerance()) ->
     a, b, bv = np.broadcast_arrays(np.array([x.a for x in cs]), np.array([x.b for x in cs]),
                                    _beta_values(beta))
     tail, mean, var = _boltzmann_levels(a, b, bv, tol)
-    g = np.array([math.log1p(t) for t in tail.tolist()])
+    g = np.log1p(tail)
     e0 = a * 0.5 + b * 0.5  # c.energy(0), bit for bit
-    z = np.array([exp_neg_product(x, 0.5 * ai, 0.5 * bi) * (1.0 + t)
-                  for x, ai, bi, t in zip(bv.tolist(), a.tolist(), b.tolist(), tail.tolist())])
+    z = exp_neg_product(bv, 0.5 * a, 0.5 * b) * (1.0 + tail)
     columns = (z, e0 + mean, kB * bv * bv * var, kB * (g + bv * mean), e0 - g / bv)
     if point:
         return ThermoPoint(as_beta(beta), *(float(col[0]) for col in columns), method="sum")
@@ -376,8 +374,8 @@ def _quadrature_moments(c: SpectrumCoefficients, bv: np.ndarray, qv: float, hi: 
 
     values = [r.value for r in integrate_batch(rows, 4 * len(bv), 0.0, hi, tol)]
     m0, m1, m2, z = np.array(values).reshape(-1, 4).T
-    lnz = np.array([math.log(zi) if zi >= sys.float_info.min else math.log(mi) - bi * e0
-                    for zi, mi, bi in zip(z.tolist(), m0.tolist(), bv.tolist())])
+    with np.errstate(divide="ignore"):  # Z may underflow to 0
+        lnz = np.where(z >= sys.float_info.min, np.log(z), np.log(m0) - bv * e0)
     u = m1 / m0
     return z, u, kB * bv * bv * (m2 / m0 - u * u), kB * (lnz + bv * u), -lnz / bv
 

@@ -141,13 +141,23 @@ def test_erfcx_arrays_equal_float_calls():
 
 def test_exp_neg_product_against_mpmath():
     rng = np.random.default_rng(5)
+    samples = []
     with mp.workdps(50):
         for _ in range(200):
             a, b = rng.uniform(0.0, 700.0), rng.uniform(0.0, 1.0)
             lo = b * 1e-17 * rng.uniform(-1.0, 1.0)
-            want = mp.exp(-mp.mpf(a) * (mp.mpf(b) + mp.mpf(lo)))
-            assert abs(exp_neg_product(a, b, lo) / float(want) - 1) <= 1e-15
+            want = float(mp.exp(-mp.mpf(a) * (mp.mpf(b) + mp.mpf(lo))))
+            got = exp_neg_product(a, b, lo)
+            assert type(got) is float
+            assert abs(got / want - 1) <= 1e-15
+            samples.append((a, b, lo, got, want))
     assert exp_neg_product(1e305, 1.0) == 0.0  # the split overflows; e^{-p} remains
+    # one array call: every element is its float call, within the same bound
+    a, b, lo, got, want = (np.array(col) for col in zip(*samples))
+    batch = exp_neg_product(a, b, lo)
+    assert batch.tolist() == got.tolist()
+    assert (abs(batch / want - 1) <= 1e-15).all()
+    assert exp_neg_product(np.array([1e305, a[0]]), np.array([1.0, b[0]]))[0] == 0.0
 
 
 # -- finite quadrature -------------------------------------------------------

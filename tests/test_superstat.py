@@ -394,7 +394,7 @@ def _mp_excitation_moments(a, b, beta, dps=50):
                                2.2e6])
 def test_excitation_moments_against_mpmath(y):
     # both sides of the recurrence / Gauss-Laguerre switch at y = 1.4, the y
-    # where numerics.erfcx (1 - erf) would cost I_0 1.4e-14, and the y where
+    # where e^{y^2} (1 - erf y) would cost I_0 1.4e-14, and the y where
     # Miller's backward recurrence failed (2.9..7.7)
     for c in (C01, C09):
         lin = c.a + 2.0 * c.b

@@ -403,7 +403,8 @@ def test_cli_invalid_arguments_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["sweep", "Z", "--vary", "volume", "--range", "1:2:3"])
     assert exc.value.code == 2
-    assert cli.main(["sweep", "Z", "--vary", "beta", "--range", "nonsense"]) == 2
+    for bad in ("nonsense", "log:1:2", "log", "log:1:2:3:4"):
+        assert cli.main(["sweep", "Z", "--vary", "beta", "--range", bad]) == 2, bad
 
 
 def test_cli_nonconvergence_exit_3(capsys):

@@ -15,3 +15,6 @@ class NonDecaying(PdmoscError):
 
 class SingularLimit(PdmoscError):
     """A closed form was evaluated too close to its b -> 0 singularity."""
+
+    #: the points at fault: all of them, or on an alpha curve one bool per alpha
+    singular = True

@@ -27,8 +27,9 @@ _EPS = float(np.finfo(float).eps)
 class Tolerance:
     """Accuracy request for adaptive routines.
 
-    rel/abs must not both be zero; convergence means the error estimate is
-    below max(abs, rel*|result|).  max_evals caps function evaluations.
+    rel/abs are finite and must not both be zero; convergence means the
+    error estimate is below max(abs, rel*|result|).  max_evals caps
+    function evaluations.
     """
 
     rel: float = 1e-12
@@ -36,8 +37,8 @@ class Tolerance:
     max_evals: int = 200_000
 
     def __post_init__(self):
-        if self.rel < 0 or self.abs < 0:
-            raise ValueError("tolerances must be nonnegative")
+        if not (0 <= self.rel < math.inf and 0 <= self.abs < math.inf):
+            raise ValueError("tolerances must be nonnegative and finite")
         if self.rel == 0 and self.abs == 0:
             raise ValueError("rel and abs tolerance cannot both be zero")
         if self.max_evals < 15:

@@ -6,13 +6,13 @@ State.  The alias policy lives here only: Energy is the level E_n on every
 method; for thermo, ``engine`` is the sum route; for superstat, ``sum``
 is the moment engine, ``quadinf`` the batched semi-infinite quadrature,
 and ``quad01`` has no route (a pair missing from the table is refused).
-A quantity uses its own function where one exists (Z on every route, Z_s
-on ``quadinf``, each typeset closed form) and its field of the whole point
-otherwise.  ``CURVES`` names the routes that evaluate a whole sweep curve
-in one call, from a State holding the varied parameter as an array: the
-sum route's thermo quantities over alpha or beta, and every typeset closed
-form, thermo and superstat, over beta.  Functions are looked up as module attributes
-(``thermo.partition_sum``) at call time, so wrappers installed on the
+A quantity uses its own function where one exists (Z on ``quad01`` and
+``quadinf``, Z_s on ``quadinf``, each typeset closed form) and its field of
+the whole point otherwise.  Every route evaluates a whole curve in one
+call: from a State that holds the varied parameter as an array it returns
+the array of the curve's values, each bit for bit the route at its own
+point.  Functions are looked up as module attributes
+(``thermo.thermo_sum_engine``) at call time, so wrappers installed on the
 modules are seen.
 """
 
@@ -38,13 +38,13 @@ FIELDS = {"thermo": THERMO, "superstat": SUPERSTAT}
 @dataclass(frozen=True)
 class State:
     """Every input a route reads at one evaluation point, or along one
-    curve (CURVES), where c or beta holds a value per point."""
+    curve, where the coefficients, beta, q or n hold a value per point."""
 
-    c: SpectrumCoefficients | tuple[SpectrumCoefficients, ...]
+    c: SpectrumCoefficients
     kB: float = 1.0
     beta: float | np.ndarray = 1.0
-    q: float = 0.0
-    n: float = 0
+    q: float | np.ndarray = 0.0
+    n: float | np.ndarray = 0
     transcription: str = "verbatim"
     tol: Tolerance = Tolerance()
 
@@ -53,9 +53,8 @@ def state(values: dict, units: str = "natural", b_convention: str = "spectrum",
           transcription: str = "verbatim", tol: Tolerance = Tolerance()) -> State:
     """The State at {alpha, beta, q, n, m0, omega} values; a missing entry
     takes the CLI default, and m0/omega count in SI units only.  The State
-    of a whole curve (CURVES) holds its varied parameter as an array: a
-    beta array as given, an alpha array as the tuple of the coefficients at
-    each alpha in c."""
+    of a whole curve holds its varied parameter as an array, an alpha array
+    as coefficient arrays."""
     def params(alpha: float) -> OscillatorParams:
         if units == "si":
             return OscillatorParams.si(alpha=alpha, **{k: float(values[k]) for k in
@@ -63,12 +62,11 @@ def state(values: dict, units: str = "natural", b_convention: str = "spectrum",
         return OscillatorParams(alpha=alpha)
 
     alpha = values.get("alpha", 0.0)
-    if isinstance(alpha, np.ndarray):
-        ps = [params(al) for al in alpha.tolist()]
-        c = tuple(coefficients(p, b_convention) for p in ps)
-    else:
-        ps = [params(float(alpha))]
-        c = coefficients(ps[0], b_convention)
+    curve = isinstance(alpha, np.ndarray)
+    ps = [params(al) for al in alpha.tolist()] if curve else [params(float(alpha))]
+    cs = [coefficients(p, b_convention) for p in ps]
+    c = SpectrumCoefficients(np.array([x.a for x in cs]), np.array([x.b for x in cs])) \
+        if curve else cs[0]
     return State(c, ps[0].kB, values.get("beta", 1.0), values.get("q", 0.0),
                  values.get("n", 0), transcription, tol)
 
@@ -80,10 +78,6 @@ def _superstat_point(m: str) -> Callable:
 
 def _sum_point(s: State) -> thermo.ThermoPoint:
     return thermo.thermo_sum_engine(s.c, s.beta, s.kB, s.tol)
-
-
-def _z_sum(s: State) -> float:
-    return thermo.partition_sum(s.c, s.beta, s.tol)
 
 
 #: family -> method -> builder of the whole point
@@ -100,7 +94,7 @@ POINTS: dict[str, dict[str, Callable]] = {
 }
 
 #: (quantity, method) -> evaluator; later entries override earlier ones
-ROUTES: dict[tuple[str, str], Callable[[State], float]] = {
+ROUTES: dict[tuple[str, str], Callable[[State], float | np.ndarray]] = {
     **{(qn, m): (lambda s, build=build, qn=qn: getattr(build(s), qn))
        for family, quantities in FIELDS.items() for qn in quantities
        for m, build in POINTS[family].items()},
@@ -108,8 +102,6 @@ ROUTES: dict[tuple[str, str], Callable[[State], float]] = {
     # bit for bit the Z_s of the quadinf point, without its moment rows
     ("Zs", "quadinf"):
         lambda s: superstat.superstat_partition_quadrature(s.c, s.beta, s.q, s.tol),
-    ("Z", "sum"): _z_sum,
-    ("Z", "engine"): _z_sum,
     **{("Z", m): (lambda s, m=m: thermo.partition_quadrature(s.c, s.beta, m, s.tol))
        for m in ("quad01", "quadinf")},
     ("Z", "closed"): lambda s: thermo.partition_closed(s.c, s.beta),
@@ -127,14 +119,4 @@ ROUTES: dict[tuple[str, str], Callable[[State], float]] = {
         lambda s: superstat.free_energy_superstat_closed(s.c, s.beta, s.q, s.transcription),
     ("Cs", "closed"): lambda s: superstat.heat_capacity_superstat_closed(
         s.c, s.beta, s.q, s.kB, s.transcription),
-}
-
-#: (quantity, method) -> the parameters along which its route evaluates a
-#: whole curve in one call: given the State that holds the varied parameter
-#: as an array, it returns an array of the curve's values, each bit for bit
-#: the route at its own point.  The sum route batches its level sums over
-#: alpha and beta; the closed forms broadcast over beta.
-CURVES: dict[tuple[str, str], tuple[str, ...]] = {
-    **{(qn, m): ("alpha", "beta") for qn in THERMO for m in ("sum", "engine")},
-    **{(qn, "closed"): ("beta",) for qn in THERMO + SUPERSTAT},
 }

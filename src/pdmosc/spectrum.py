@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 # CODATA 2018 exact/recommended values, used by the SI unit mode.
 HBAR_SI = 1.054571817e-34   # J s
 KB_SI = 1.380649e-23        # J/K
@@ -51,24 +53,28 @@ class SpectrumCoefficients:
 
     a >= hbar*omega is the renormalized level spacing (equality iff alpha=0);
     b >= 0 is the anharmonic quadratic coefficient (zero iff alpha=0).
+    a and b may be float arrays, one checked element per point of an alpha
+    curve, which each method broadcasts against n.
     """
 
-    a: float
-    b: float
+    a: float | np.ndarray
+    b: float | np.ndarray
 
     def __post_init__(self):
-        if self.a <= 0 or self.b < 0:
+        bad = (self.a <= 0) | (self.b < 0)
+        if bad.any() if isinstance(bad, np.ndarray) else bad:
             raise ValueError("require a > 0 and b >= 0")
 
-    def energy(self, n) -> float:
+    def energy(self, n) -> float | np.ndarray:
         """Continuous-n energy; at integer n this is the level E_n."""
         return self.a * (n + 0.5) + self.b * (n * n + 2.0 * n + 0.5)
 
-    def level(self, n) -> float:
-        """Energy of level n, which must be a nonnegative integer."""
-        if not (n >= 0 and float(n).is_integer()):
+    def level(self, n) -> float | np.ndarray:
+        """Energy of level n, a nonnegative integer (each element of an array)."""
+        nv = np.asarray(n, dtype=float)
+        if not np.all((nv >= 0) & (nv < math.inf) & (nv == np.floor(nv))):
             raise ValueError("n must be a nonnegative integer")
-        return self.energy(int(n))
+        return self.energy(nv if nv.ndim else int(n))
 
 
 def coefficients(p: OscillatorParams,

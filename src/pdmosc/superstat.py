@@ -32,10 +32,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import (_LAG_U, _LAG_W, _X_RULE, Tolerance, erfcx, erfcx_derivatives,
-                       exp_neg_product, integrate_semi_infinite)
+                       exp_neg_product)
 from .spectrum import SpectrumCoefficients
 from .thermo import (B_MIN, Beta, _beta_values, _check_transcription, _factor_q,
-                     _quadrature_moments, _require_regular, _saturating, _shaped, as_beta)
+                     _quadrature_moments, _require_regular, _saturating, _shaped,
+                     _weight_integrals, as_beta)
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -65,8 +66,8 @@ def as_q(q) -> DeformationQ:
 @dataclass(frozen=True)
 class SuperstatPoint:
     """Superstatistical state at one (beta, q), produced by one method.  A
-    closed or engine point over beta and q arrays holds the arrays, and each
-    quantity as an array over their broadcast."""
+    point over beta, q or coefficient arrays holds beta and q as given, and
+    each quantity as an array over the broadcast."""
 
     beta: Beta
     q: DeformationQ
@@ -88,12 +89,12 @@ def boltzmann_factor_q(E, beta, q) -> float:
 
 
 def superstat_partition_quadrature(c: SpectrumCoefficients, beta, q,
-                                   tol: Tolerance = Tolerance()) -> float:
+                                   tol: Tolerance = Tolerance()) -> float | np.ndarray:
     """Z_s = integral over n in [0, inf) of the deformed factor at E(n), by
-    adaptive Gauss-Kronrod quadrature: the numerical route ('quadinf')."""
-    bv = as_beta(beta).value
-    qv = as_q(q).q
-    return integrate_semi_infinite(lambda n: _factor_q(c.energy(n), bv, qv), 0.0, tol).value
+    adaptive Gauss-Kronrod quadrature: the numerical route ('quadinf').  A
+    curve is one batched quadrature, each element bit for bit its point."""
+    bv, qv = _mesh(beta, q)
+    return _shaped(_weight_integrals(c, bv, qv, math.inf, tol), beta, q, c.a)
 
 
 # ---------------------------------------------------------------------------
@@ -130,14 +131,15 @@ def _bracket_pieces(c: SpectrumCoefficients, bv, qv, sign_a3: float):
     their beta-derivatives.  The bracket is P + sqrt(pi) R erfcx(x1): its
     Gaussian and erf parts cancel exactly."""
     a, b = c.a, c.b
+    a2, b2 = a * a, b * b  # powers as products, see thermo._heat_capacity
     s = np.sqrt(bv)
-    k = qv * math.sqrt(b)
-    c1 = k * (12.0 * a * b + 24.0 * b * b)
-    c3 = k * (sign_a3 * 2.0 * a ** 3 - 4.0 * a * a * b)
-    r0 = 4.0 * b * b * (8.0 + 3.0 * qv)
-    r1 = -qv * (4.0 * a * a * b + 8.0 * a * b * b + 8.0 * b ** 3)
-    r2 = qv * (a ** 4 + 4.0 * a ** 3 * b + 8.0 * a * a * b * b + 8.0 * a * b ** 3
-               + 4.0 * b ** 4)
+    k = qv * np.sqrt(b)
+    c1 = k * (12.0 * a * b + 24.0 * b2)
+    c3 = k * (sign_a3 * 2.0 * a2 * a - 4.0 * a2 * b)
+    r0 = 4.0 * b2 * (8.0 + 3.0 * qv)
+    r1 = -qv * (4.0 * a2 * b + 8.0 * a * b2 + 8.0 * b2 * b)
+    r2 = qv * (a2 * a2 + 4.0 * a2 * a * b + 8.0 * a2 * b2 + 8.0 * a * b2 * b
+               + 4.0 * b2 * b2)
     return ((c1 + c3 * bv) * s, (c1 + 3.0 * c3 * bv) / (2.0 * s),
             (3.0 * c3 * bv - c1) / (4.0 * s * bv)), \
         (r0 + (r1 + r2 * bv) * bv, r1 + 2.0 * r2 * bv, 2.0 * r2)
@@ -150,12 +152,13 @@ def _bracket(pieces, ex):
 
 
 def _log_partition(c: SpectrumCoefficients, bv, bracket):
-    return (-(c.a + c.b) * bv / 2.0 - np.log(64.0 * c.b ** 2.5 * np.sqrt(bv))
+    return (-(c.a + c.b) * bv / 2.0 - np.log(64.0 * c.b * c.b * np.sqrt(c.b) * np.sqrt(bv))
             + np.log(bracket))
 
 
 def _partition(c: SpectrumCoefficients, bv, bracket):
-    return np.exp(-(c.a + c.b) * bv / 2.0) / (64.0 * c.b ** 2.5 * np.sqrt(bv)) * bracket
+    scale = 64.0 * c.b * c.b * np.sqrt(c.b) * np.sqrt(bv)  # b^{5/2} as a product
+    return np.exp(-(c.a + c.b) * bv / 2.0) / scale * bracket
 
 
 def _free_energy(c: SpectrumCoefficients, bv, bracket):
@@ -169,7 +172,7 @@ def superstat_partition_closed(c: SpectrumCoefficients, beta, q,
     """The typeset closed form of Z_s, overflow-stabilized exactly."""
     bv, qv, sign, x1 = _closed_args(c, beta, q, transcription, b_min)
     bracket = _bracket(_bracket_pieces(c, bv, qv, sign), erfcx(x1))
-    return _shaped(_partition(c, bv, bracket), beta, q)
+    return _shaped(_partition(c, bv, bracket), beta, q, c.a)
 
 
 @_saturating
@@ -179,7 +182,7 @@ def log_superstat_partition_closed(c: SpectrumCoefficients, beta, q,
     """ln Z_s (closed form), stable at large beta."""
     bv, qv, sign, x1 = _closed_args(c, beta, q, transcription, b_min)
     bracket = _bracket(_bracket_pieces(c, bv, qv, sign), erfcx(x1))
-    return _shaped(_log_partition(c, bv, bracket), beta, q)
+    return _shaped(_log_partition(c, bv, bracket), beta, q, c.a)
 
 
 def _numerator(c: SpectrumCoefficients, bv, qv, variant: str, x1, ex):
@@ -188,28 +191,29 @@ def _numerator(c: SpectrumCoefficients, bv, qv, variant: str, x1, ex):
     Gaussian/erf parts do NOT cancel and leave sqrt(pi) D e^{x1^2}; variant
     'ss' the S_s print, which cancels exactly (D = 0)."""
     a, b = c.a, c.b
+    a2, b2 = a * a, b * b  # powers as products, see thermo._heat_capacity
     bb = b * bv
     sbb = np.sqrt(bb)
     if variant == "us":
         a4_inner = -4.0 * bb
-        ab_pow = 2
-        D = -8.0 * a * b ** 2.5 * bv ** 1.5 * (b - 1.0) * (
+        b_ab = b2
+        D = -8.0 * a * (b2 * np.sqrt(b)) * bv ** 1.5 * (b - 1.0) * (
             8.0 + qv * (1.0 + 2.0 * bb + 3.0 * bb * bb))
     else:
         a4_inner = -6.0 * bb + bb
-        ab_pow = 3
-    P = (4.0 * a ** 3 * (-2.0 * bb ** 1.5 * sbb + bb ** 2.5 * sbb
+        b_ab = b2 * b
+    P = (4.0 * a2 * a * (-2.0 * bb ** 1.5 * sbb + bb ** 2.5 * sbb
                          + 2.0 * bb * bb - 6.0 * bb ** 3) * qv
-         + 2.0 * a ** 5 * b * bv ** 3 * (-1.0) * qv
-         + 2.0 * a ** 4 * b * bv * bv * a4_inner * qv
-         + 8.0 * a * b ** ab_pow * bv * (-8.0 - (3.0 + 3.0 * bb + 5.0 * bb * bb) * qv)
+         + 2.0 * a2 * a2 * a * b * bv ** 3 * (-1.0) * qv
+         + 2.0 * a2 * a2 * b * bv * bv * a4_inner * qv
+         + 8.0 * a * b_ab * bv * (-8.0 - (3.0 + 3.0 * bb + 5.0 * bb * bb) * qv)
          + 4.0 * a * a * b * b * bv * (-2.0 * bb - 10.0 * bb * bb) * qv
-         + 8.0 * b ** 3 * (-6.0 * bb ** 1.5 * sbb * qv - 2.0 * bb ** 3 * qv
+         + 8.0 * b2 * b * (-6.0 * bb ** 1.5 * sbb * qv - 2.0 * bb ** 3 * qv
                            + 4.0 * bb * bb * qv - 2.0 * bb * (8.0 + 3.0 * qv)))
     R = sbb * (a * a * bv + 2.0 * b * b * bv + 2.0 * b * (-1.0 + a * bv)) * (
-        a ** 4 * bv * bv * qv + 4.0 * b ** 4 * bv * bv * qv
+        a2 * a2 * bv * bv * qv + 4.0 * b2 * b2 * bv * bv * qv
         + 4.0 * a * a * b * bv * (1.0 + a * bv) * qv
-        + 8.0 * b ** 3 * bv * (1.0 + a * bv) * qv
+        + 8.0 * b2 * b * bv * (1.0 + a * bv) * qv
         + 4.0 * b * b * (8.0 + (3.0 + 2.0 * a * bv + 2.0 * a * a * bv * bv) * qv))
     val = P + _SQRT_PI * R * ex
     if variant == "us":  # where D = 0 no Gaussian is left, not even 0 * inf
@@ -229,7 +233,7 @@ def mean_energy_superstat_closed(c: SpectrumCoefficients, beta, q,
     bv, qv, sign, x1 = _closed_args(c, beta, q, transcription, b_min)
     ex = erfcx(x1)
     return _shaped(_mean_energy(c, bv, qv, sign, x1, ex,
-                                _bracket(_bracket_pieces(c, bv, qv, sign), ex)), beta, q)
+                                _bracket(_bracket_pieces(c, bv, qv, sign), ex)), beta, q, c.a)
 
 
 def _mean_energy(c: SpectrumCoefficients, bv, qv, sign: float, x1, ex, bracket):
@@ -254,7 +258,7 @@ def entropy_superstat_closed(c: SpectrumCoefficients, beta, q, kB: float = 1.0,
     bv, qv, sign, x1 = _closed_args(c, beta, q, transcription, b_min)
     ex = erfcx(x1)
     bracket = _bracket(_bracket_pieces(c, bv, qv, sign), ex)
-    return _shaped(_entropy(c, bv, qv, sign, x1, ex, bracket, kB), beta, q)
+    return _shaped(_entropy(c, bv, qv, sign, x1, ex, bracket, kB), beta, q, c.a)
 
 
 def _entropy(c: SpectrumCoefficients, bv, qv, sign: float, x1, ex, bracket, kB: float):
@@ -271,7 +275,7 @@ def free_energy_superstat_closed(c: SpectrumCoefficients, beta, q,
     """F_s = -ln(Z_s)/beta of the same transcription's Z_s, exactly."""
     bv, qv, sign, x1 = _closed_args(c, beta, q, transcription, b_min)
     bracket = _bracket(_bracket_pieces(c, bv, qv, sign), erfcx(x1))
-    return _shaped(_free_energy(c, bv, bracket), beta, q)
+    return _shaped(_free_energy(c, bv, bracket), beta, q, c.a)
 
 
 @_saturating
@@ -282,7 +286,8 @@ def heat_capacity_superstat_closed(c: SpectrumCoefficients, beta, q, kB: float =
     bv, qv, sign, x1 = _closed_args(c, beta, q, transcription)
     eds = erfcx_derivatives(x1)
     pieces = _bracket_pieces(c, bv, qv, sign)
-    return _shaped(_heat_capacity(bv, x1, eds, pieces, _bracket(pieces, eds[0]), kB), beta, q)
+    return _shaped(_heat_capacity(bv, x1, eds, pieces, _bracket(pieces, eds[0]), kB),
+                   beta, q, c.a)
 
 
 def _heat_capacity(bv, x1, eds, pieces, big, kB: float):
@@ -303,26 +308,20 @@ def _heat_capacity(bv, x1, eds, pieces, big, kB: float):
 
 
 @_saturating
-def _closed_point(c: SpectrumCoefficients, beta, q, kB: float,
-                  transcription: str) -> SuperstatPoint:
+def _closed_columns(c: SpectrumCoefficients, beta, q, kB: float, transcription: str) -> dict:
     """The five closed forms from one erfcx_derivatives(x1) and one
-    _bracket_pieces, each bit for bit its single-quantity function.  Float
-    beta and q give a point of floats; arrays give a point that holds them
-    and each quantity as an array over their broadcast."""
-    if np.ndim(beta) == np.ndim(q) == 0:
-        beta, q = as_beta(beta), as_q(q)
+    _bracket_pieces, each bit for bit its single-quantity function, as
+    arrays over the broadcast of the coefficients, beta and q."""
     bv, qv, sign, x1 = _closed_args(c, beta, q, transcription)
     eds = erfcx_derivatives(x1)
     ex = eds[0]
     pieces = _bracket_pieces(c, bv, qv, sign)
     bracket = _bracket(pieces, ex)
-    columns = {"Zs": _partition(c, bv, bracket),
-               "Us": _mean_energy(c, bv, qv, sign, x1, ex, bracket),
-               "Ss": _entropy(c, bv, qv, sign, x1, ex, bracket, kB),
-               "Fs": _free_energy(c, bv, bracket),
-               "Cs": _heat_capacity(bv, x1, eds, pieces, bracket, kB)}
-    return SuperstatPoint(beta, q, method="closed",
-                          **{qn: _shaped(v, beta, q) for qn, v in columns.items()})
+    return {"Zs": _partition(c, bv, bracket),
+            "Us": _mean_energy(c, bv, qv, sign, x1, ex, bracket),
+            "Ss": _entropy(c, bv, qv, sign, x1, ex, bracket, kB),
+            "Fs": _free_energy(c, bv, bracket),
+            "Cs": _heat_capacity(bv, x1, eds, pieces, bracket, kB)}
 
 
 # ---------------------------------------------------------------------------
@@ -335,11 +334,11 @@ def _closed_point(c: SpectrumCoefficients, beta, q, kB: float,
 _LAG_ROWS = _LAG_W * _LAG_U ** np.arange(5)[:, None]
 
 
-def _scaled_moments(c: SpectrumCoefficients, bv: np.ndarray) -> np.ndarray:
-    """I_k = L beta^{k+1} J_k for k = 0..4 (rows) at each beta of the 1-d
-    array bv (columns), where J_k is the integral over n in [0, inf) of
-    D^k e^{-beta D}, D = E(n) - E_0 = b n^2 + L n and L = a + 2b.  In
-    u = beta D,
+def _scaled_moments(a: np.ndarray, b: np.ndarray, bv: np.ndarray) -> np.ndarray:
+    """I_k = L beta^{k+1} J_k for k = 0..4 (rows) at each point (a, b, beta)
+    of the equal-length 1-d arrays (columns), where J_k is the integral
+    over n in [0, inf) of D^k e^{-beta D}, D = E(n) - E_0 = b n^2 + L n and
+    L = a + 2b.  In u = beta D,
         I_k = int_0^inf u^k e^{-u} (1 + u/y^2)^{-1/2} du,  y = L sqrt(beta/(4b)),
     so I_k = k! at b = 0.
 
@@ -350,19 +349,20 @@ def _scaled_moments(c: SpectrumCoefficients, bv: np.ndarray) -> np.ndarray:
         I_{k+1} = (k + 1/2 - y^2) I_k + k y^2 I_{k-1},
     loses at most a few ulp.  (Backward recurrence is stable only for
     k < y^2, and the forward one loses about y^2 per step above y ~ 3.)"""
-    lin = c.a + 2.0 * c.b
-    inv_y2 = 4.0 * c.b / (bv * lin * lin)
+    lin = a + 2.0 * b
+    inv_y2 = 4.0 * b / (bv * lin * lin)
     rule = inv_y2 * _X_RULE * _X_RULE <= 1.0
     moments = np.empty((5, len(bv)))
     weight = 1.0 / np.sqrt(1.0 + _LAG_U * inv_y2[rule][:, None])
     moments[:, rule] = (_LAG_ROWS * weight[:, None, :]).sum(axis=-1).T
-    y = 0.5 * lin * np.sqrt(bv[~rule] / c.b)
+    slow = ~rule
+    y = 0.5 * lin[slow] * np.sqrt(bv[slow] / b[slow])
     y2 = y * y
     recurrence = [_SQRT_PI * y * erfcx(y)]
     recurrence.append((0.5 - y2) * recurrence[0] + y2)
     for k in range(1, 4):
         recurrence.append((k + 0.5 - y2) * recurrence[k] + k * y2 * recurrence[k - 1])
-    moments[:, ~rule] = recurrence
+    moments[:, slow] = recurrence
     return moments
 
 
@@ -372,12 +372,12 @@ def excitation_moments(c: SpectrumCoefficients, beta) -> tuple[float, ...]:
     rule); no adaptive quadrature."""
     bv = as_beta(beta).value
     lin = c.a + 2.0 * c.b
-    return tuple(m / (lin * bv ** (k + 1))
-                 for k, m in enumerate(_scaled_moments(c, np.array([bv]))[:, 0].tolist()))
+    moments = _scaled_moments(np.array([c.a]), np.array([c.b]), np.array([bv]))
+    return tuple(m / (lin * bv ** (k + 1)) for k, m in enumerate(moments[:, 0].tolist()))
 
 
-def _engine_point(c: SpectrumCoefficients, beta, q, kB: float) -> SuperstatPoint:
-    """The superstat point from the moments of D in the ground-state gauge.
+def _engine_columns(c: SpectrumCoefficients, bv, qv, kB: float) -> dict:
+    """The quantities from the moments of D in the ground-state gauge.
     With G = e^{beta E_0} Z_s = int e^{-beta D} p dn, p = 1 + (q/2) beta^2 E^2,
         G'  = int e^{-beta D} (-D p + q beta E^2),
         G'' = int e^{-beta D} (D^2 p - 2 q beta D E^2 + q E^2);
@@ -388,11 +388,13 @@ def _engine_point(c: SpectrumCoefficients, beta, q, kB: float) -> SuperstatPoint
     S_s = kB (ln G - g1/g0) and F_s = E_0 - ln(G)/beta never meet beta E_0,
     so they stay finite where Z_s = G e^{-beta E_0} underflows.
 
-    beta and q broadcast against each other (_mesh): the moments are taken
-    once over the beta array and g0, g1, g2 assembled over the whole mesh,
+    The coefficients, the beta array bv and the q array qv broadcast
+    against each other: the moments are taken once over the broadcast of
+    the coefficients and bv, and g0, g1, g2 assembled over the whole mesh,
     elementwise, so each element is bit for bit its point."""
-    bv, qv = _mesh(beta, q)
-    i0, i1, i2, i3, i4 = _scaled_moments(c, bv.ravel()).reshape((5,) + bv.shape)
+    a, b, bvs = np.broadcast_arrays(c.a, c.b, bv)
+    i0, i1, i2, i3, i4 = _scaled_moments(a.ravel(), b.ravel(), bvs.ravel()).reshape(
+        (5,) + bvs.shape)
     e0 = c.energy(0)
     e = bv * e0
     qe = qv * e
@@ -404,12 +406,8 @@ def _engine_point(c: SpectrumCoefficients, beta, q, kB: float) -> SuperstatPoint
     r1 = g1 / g0
     big_g = g0 / (bv * (c.a + 2.0 * c.b))
     log_g = np.log(big_g)
-    columns = {"Zs": big_g * exp_neg_product(bv, 0.5 * c.a, 0.5 * c.b), "Us": e0 - r1 / bv,
-               "Ss": kB * (log_g - r1), "Fs": e0 - log_g / bv, "Cs": kB * (g2 / g0 - r1 * r1)}
-    if np.ndim(beta) == np.ndim(q) == 0:
-        beta, q = as_beta(beta), as_q(q)
-    return SuperstatPoint(beta, q, method="engine",
-                          **{qn: _shaped(v, beta, q) for qn, v in columns.items()})
+    return {"Zs": big_g * exp_neg_product(bv, 0.5 * c.a, 0.5 * c.b), "Us": e0 - r1 / bv,
+            "Ss": kB * (log_g - r1), "Fs": e0 - log_g / bv, "Cs": kB * (g2 / g0 - r1 * r1)}
 
 
 # ---------------------------------------------------------------------------
@@ -419,27 +417,31 @@ def _engine_point(c: SpectrumCoefficients, beta, q, kB: float) -> SuperstatPoint
 def superstat_thermo(c: SpectrumCoefficients, beta, q, kB: float = 1.0,
                      tol: Tolerance = Tolerance(), method: str = "engine",
                      transcription: str = "verbatim") -> SuperstatPoint:
-    """All superstatistical quantities at one (beta, q).
+    """All superstatistical quantities at one (beta, q), or along a curve:
+    the coefficients, beta and q may each be arrays, which broadcast
+    against each other, and every element is bit for bit its point.
 
     method 'engine' (ground truth) assembles Z_s, U_s, S_s, F_s and C_s
     from the closed-form moments J_0..J_4 of the excitation energy over
-    n in [0, inf) (_engine_point); it runs no quadrature, and tol is unused.
-    It also takes beta and q arrays, which broadcast against each other.
+    n in [0, inf) (_engine_columns); it runs no quadrature, and tol is
+    unused.
     method 'quadinf' is the numerical route: the exact beta-moments of the
     deformed factor as rows of one batched Gauss-Kronrod quadrature in the
     ground-state gauge, whose Z_s is bit for bit
     superstat_partition_quadrature.
     method 'closed' evaluates the typeset Z_s, U_s, S_s, F_s and the exact
-    C_s of the closed Z_s from one erfcx_derivatives(x1) (_closed_point);
-    it also takes beta and q arrays, which broadcast against each other.
+    C_s of the closed Z_s from one erfcx_derivatives(x1) (_closed_columns).
     """
     if method == "closed":
-        return _closed_point(c, beta, q, kB, transcription)
-    if method == "engine":
-        return _engine_point(c, beta, q, kB)
-    if method == "quadinf":
-        bt, qt = as_beta(beta), as_q(q)
-        Zs, Us, Cs, Ss, Fs = (col.item() for col in _quadrature_moments(
-            c, np.array([bt.value]), qt.q, math.inf, kB, tol))
-        return SuperstatPoint(bt, qt, Zs, Us, Ss, Fs, Cs, method="quadinf")
-    raise ValueError("method must be 'engine', 'quadinf' or 'closed'")
+        columns = _closed_columns(c, beta, q, kB, transcription)
+    elif method == "engine":
+        columns = _engine_columns(c, *_mesh(beta, q), kB)
+    elif method == "quadinf":
+        columns = dict(zip(("Zs", "Us", "Cs", "Ss", "Fs"),
+                           _quadrature_moments(c, *_mesh(beta, q), math.inf, kB, tol)))
+    else:
+        raise ValueError("method must be 'engine', 'quadinf' or 'closed'")
+    if np.ndim(c.a) == np.ndim(beta) == np.ndim(q) == 0:
+        return SuperstatPoint(as_beta(beta), as_q(q), method=method,
+                              **{qn: v.item() for qn, v in columns.items()})
+    return SuperstatPoint(beta, q, method=method, **columns)

@@ -19,9 +19,8 @@ from . import routes
 QUANTITIES = routes.QUANTITIES
 VARY_CHOICES = ("n", "alpha", "beta", "q")
 
-#: the parameters each thermo and superstat quantity reads, the only ones
-#: its sweep may vary (Energy may vary any)
-DEPENDS_ON = {**dict.fromkeys(routes.THERMO, ("alpha", "beta")),
+#: the parameters each quantity reads, the only ones its sweep may vary
+DEPENDS_ON = {"Energy": ("n", "alpha"), **dict.fromkeys(routes.THERMO, ("alpha", "beta")),
               **dict.fromkeys(routes.SUPERSTAT, ("alpha", "beta", "q"))}
 
 #: default sweep/preset tolerance; plots do not need 1e-12
@@ -58,7 +57,7 @@ class SweepSpec:
             raise ValueError(f"unknown quantity {self.quantity!r}")
         if self.vary not in VARY_CHOICES:
             raise ValueError(f"unknown vary parameter {self.vary!r}")
-        if self.vary not in DEPENDS_ON.get(self.quantity, VARY_CHOICES):
+        if self.vary not in DEPENDS_ON[self.quantity]:
             raise ValueError(f"{self.quantity} does not depend on {self.vary!r}")
         if self.vary in self.fixed:
             raise ValueError(f"varied parameter {self.vary!r} also appears in fixed")
@@ -78,30 +77,26 @@ class SweepRow:
 
 
 def run_sweep(spec: SweepSpec, tol: Tolerance = PRESET_TOL) -> list[SweepRow]:
-    """Evaluate the sweep; a SingularLimit at one grid point becomes a null
-    row with a warning instead of a crash.  A curve that routes.CURVES
-    covers (a sum-route thermo quantity over alpha or beta, any closed form
-    over beta) is one call over the whole grid, each row bit for bit its
-    point call; there SingularLimit, which depends on the coefficients
-    only, nulls every row."""
+    """Evaluate the sweep as one route call over the whole grid (the State
+    holds the varied parameter as an array), each row bit for bit the route
+    at its own point.  Where a closed form is singular (SingularLimit marks
+    every point of a beta or q curve, the alphas with b <= B_MIN of an
+    alpha curve) the rows are null with a warning, not a crash, and one
+    more call of the route evaluates the rest."""
     route = routes.ROUTES[(spec.quantity, spec.method)]
-    if spec.vary in routes.CURVES.get((spec.quantity, spec.method), ()):
-        s = routes.state({**spec.fixed, spec.vary: np.array(spec.values, dtype=float)},
-                         spec.units, spec.b_convention, spec.transcription, tol)
-        try:
-            ys = route(s).tolist()
-        except SingularLimit:
-            return [SweepRow(x=float(x), y=None, warning="SingularLimit") for x in spec.values]
-        return [SweepRow(x=float(x), y=y) for x, y in zip(spec.values, ys)]
-    rows = []
-    for x in spec.values:
-        s = routes.state({**spec.fixed, spec.vary: x}, spec.units, spec.b_convention,
-                         spec.transcription, tol)
-        try:
-            rows.append(SweepRow(x=float(x), y=float(route(s))))
-        except SingularLimit:
-            rows.append(SweepRow(x=float(x), y=None, warning="SingularLimit"))
-    return rows
+    xs = np.array(spec.values, dtype=float)
+
+    def curve(at) -> list[float]:
+        return route(routes.state({**spec.fixed, spec.vary: xs[at]}, spec.units,
+                                  spec.b_convention, spec.transcription, tol)).tolist()
+
+    try:
+        return [SweepRow(x, y) for x, y in zip(xs.tolist(), curve(slice(None)))]
+    except SingularLimit as exc:
+        regular = np.broadcast_to(np.logical_not(exc.singular), xs.shape)
+    ys = iter(curve(regular) if regular.any() else [])
+    return [SweepRow(x, next(ys)) if ok else SweepRow(x, None, "SingularLimit")
+            for x, ok in zip(xs.tolist(), regular.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -129,57 +124,49 @@ class FigurePreset:
     trend: str | None = None  # asserted by tests only where provable
 
 
-def _preset(fig, quantity, vary, values, curve_param, curve_values, method,
-            fixed=None, trend=None):
-    return FigurePreset(figure_id=fig, quantity=quantity, vary=vary,
-                        values=values, curve_param=curve_param,
-                        curve_values=curve_values, method=method,
-                        fixed=fixed or {}, trend=trend)
-
-
 PRESETS: dict[str, FigurePreset] = {pr.figure_id: pr for pr in [
-    _preset("Fig1a", "Energy", "n", _N_GRID, "alpha", _ALPHAS3, "sum",
-            trend="increasing"),
-    _preset("Fig1b", "Energy", "alpha", _ALPHA_GRID, "n", (1.0, 3.0, 5.0), "sum",
-            trend="increasing"),
-    _preset("Fig2a", "Z", "beta", _BETA_GRID, "alpha", _ALPHAS3, "sum",
-            trend="decreasing"),
-    _preset("Fig2b", "Z", "alpha", _ALPHA_GRID, "beta", (2.0, 5.0, 8.0), "sum",
-            trend="decreasing"),
-    _preset("Fig3a", "C", "beta", _BETA_GRID, "alpha", _ALPHAS3, "sum",
-            trend="nonnegative"),
-    _preset("Fig3b", "C", "alpha", _ALPHA_GRID, "beta", (0.5, 1.0, 2.0), "sum",
-            trend="nonnegative"),
-    _preset("Fig4a", "S", "beta", _BETA_GRID, "alpha", _ALPHAS3, "sum",
-            trend="decreasing"),
+    FigurePreset("Fig1a", "Energy", "n", _N_GRID, "alpha", _ALPHAS3, "sum",
+                 trend="increasing"),
+    FigurePreset("Fig1b", "Energy", "alpha", _ALPHA_GRID, "n", (1.0, 3.0, 5.0), "sum",
+                 trend="increasing"),
+    FigurePreset("Fig2a", "Z", "beta", _BETA_GRID, "alpha", _ALPHAS3, "sum",
+                 trend="decreasing"),
+    FigurePreset("Fig2b", "Z", "alpha", _ALPHA_GRID, "beta", (2.0, 5.0, 8.0), "sum",
+                 trend="decreasing"),
+    FigurePreset("Fig3a", "C", "beta", _BETA_GRID, "alpha", _ALPHAS3, "sum",
+                 trend="nonnegative"),
+    FigurePreset("Fig3b", "C", "alpha", _ALPHA_GRID, "beta", (0.5, 1.0, 2.0), "sum",
+                 trend="nonnegative"),
+    FigurePreset("Fig4a", "S", "beta", _BETA_GRID, "alpha", _ALPHAS3, "sum",
+                 trend="decreasing"),
     # dS/dalpha = -kB beta^2 Cov(E, dE/dalpha) < 0: E_n and dE_n/dalpha both
     # increase with n, so Chebyshev's association inequality fixes the sign
-    _preset("Fig4b", "S", "alpha", _ALPHA_GRID, "beta", (0.2, 0.5, 1.0), "sum",
-            trend="decreasing"),
-    _preset("Fig5a", "F", "beta", _BETA_GRID, "alpha", _ALPHAS3, "sum",
-            trend="increasing"),
-    _preset("Fig5b", "F", "alpha", _ALPHA_GRID, "beta", (0.2, 0.5, 1.0), "sum",
-            trend="increasing"),
-    _preset("Fig6a", "Zs", "beta", _BETA_GRID, "alpha", _ALPHAS3, "quadinf",
-            fixed={"q": _Q_PRESET}, trend="decreasing"),
-    _preset("Fig6b", "Zs", "alpha", _ALPHA_GRID, "beta", _SUPER_BETAS, "quadinf",
-            fixed={"q": _Q_PRESET}, trend="decreasing"),
-    _preset("Fig7a", "Us", "beta", _BETA_GRID, "alpha", _ALPHAS3, "engine",
-            fixed={"q": _Q_PRESET}),
-    _preset("Fig7b", "Us", "alpha", _ALPHA_GRID, "beta", _SUPER_BETAS, "engine",
-            fixed={"q": _Q_PRESET}),
-    _preset("Fig8a", "Ss", "beta", _BETA_GRID, "alpha", _ALPHAS3, "engine",
-            fixed={"q": _Q_PRESET}),
-    _preset("Fig8b", "Ss", "alpha", _ALPHA_GRID, "beta", _SUPER_BETAS, "engine",
-            fixed={"q": _Q_PRESET}),
-    _preset("Fig9a", "Fs", "beta", _BETA_GRID, "alpha", _ALPHAS3, "engine",
-            fixed={"q": _Q_PRESET}),
-    _preset("Fig9b", "Fs", "alpha", _ALPHA_GRID, "beta", _SUPER_BETAS, "engine",
-            fixed={"q": _Q_PRESET}),
-    _preset("Fig10a", "Cs", "beta", _BETA_GRID, "alpha", _ALPHAS3, "engine",
-            fixed={"q": _Q_PRESET}),
-    _preset("Fig10b", "Cs", "alpha", _ALPHA_GRID, "beta", _SUPER_BETAS, "engine",
-            fixed={"q": _Q_PRESET}),
+    FigurePreset("Fig4b", "S", "alpha", _ALPHA_GRID, "beta", (0.2, 0.5, 1.0), "sum",
+                 trend="decreasing"),
+    FigurePreset("Fig5a", "F", "beta", _BETA_GRID, "alpha", _ALPHAS3, "sum",
+                 trend="increasing"),
+    FigurePreset("Fig5b", "F", "alpha", _ALPHA_GRID, "beta", (0.2, 0.5, 1.0), "sum",
+                 trend="increasing"),
+    FigurePreset("Fig6a", "Zs", "beta", _BETA_GRID, "alpha", _ALPHAS3, "quadinf",
+                 fixed={"q": _Q_PRESET}, trend="decreasing"),
+    FigurePreset("Fig6b", "Zs", "alpha", _ALPHA_GRID, "beta", _SUPER_BETAS, "quadinf",
+                 fixed={"q": _Q_PRESET}, trend="decreasing"),
+    FigurePreset("Fig7a", "Us", "beta", _BETA_GRID, "alpha", _ALPHAS3, "engine",
+                 fixed={"q": _Q_PRESET}),
+    FigurePreset("Fig7b", "Us", "alpha", _ALPHA_GRID, "beta", _SUPER_BETAS, "engine",
+                 fixed={"q": _Q_PRESET}),
+    FigurePreset("Fig8a", "Ss", "beta", _BETA_GRID, "alpha", _ALPHAS3, "engine",
+                 fixed={"q": _Q_PRESET}),
+    FigurePreset("Fig8b", "Ss", "alpha", _ALPHA_GRID, "beta", _SUPER_BETAS, "engine",
+                 fixed={"q": _Q_PRESET}),
+    FigurePreset("Fig9a", "Fs", "beta", _BETA_GRID, "alpha", _ALPHAS3, "engine",
+                 fixed={"q": _Q_PRESET}),
+    FigurePreset("Fig9b", "Fs", "alpha", _ALPHA_GRID, "beta", _SUPER_BETAS, "engine",
+                 fixed={"q": _Q_PRESET}),
+    FigurePreset("Fig10a", "Cs", "beta", _BETA_GRID, "alpha", _ALPHAS3, "engine",
+                 fixed={"q": _Q_PRESET}),
+    FigurePreset("Fig10b", "Cs", "alpha", _ALPHA_GRID, "beta", _SUPER_BETAS, "engine",
+                 fixed={"q": _Q_PRESET}),
 ]}
 
 FIGURE_IDS = tuple(PRESETS)
@@ -201,15 +188,8 @@ def figure_preset(figure_id: str, tol: Tolerance = PRESET_TOL) -> list[FigureRow
     pr = PRESETS[figure_id]
     rows: list[FigureRow] = []
     for cv in pr.curve_values:
-        fixed = dict(pr.fixed)
-        if pr.curve_param == "n":
-            fixed["n"] = cv
-            label = f"n={int(cv)}"
-        else:
-            fixed[pr.curve_param] = cv
-            label = f"{pr.curve_param}={cv:g}"
+        label = f"n={int(cv)}" if pr.curve_param == "n" else f"{pr.curve_param}={cv:g}"
         spec = SweepSpec(quantity=pr.quantity, vary=pr.vary, values=pr.values,
-                         fixed=fixed, method=pr.method)
-        for row in run_sweep(spec, tol):
-            rows.append(FigureRow(curve=label, x=row.x, y=row.y, warning=row.warning))
+                         fixed={**pr.fixed, pr.curve_param: cv}, method=pr.method)
+        rows += (FigureRow(label, row.x, row.y, row.warning) for row in run_sweep(spec, tol))
     return rows

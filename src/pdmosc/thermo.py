@@ -29,8 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularLimit
-from .numerics import Tolerance, erf, erfcx, exp_neg_product, integrate_batch, \
-    integrate_finite, integrate_semi_infinite, sum_decaying
+from .numerics import Tolerance, erf, erfcx, exp_neg_product, integrate_batch, sum_decaying
 from .spectrum import SpectrumCoefficients
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -79,15 +78,16 @@ def _beta_values(beta) -> np.ndarray:
 
 
 def _shaped(value: np.ndarray, *params):
-    """A float where every parameter (beta, and q for superstat) is a
-    float, else the array."""
+    """A float where every parameter (beta, q for superstat, and the
+    coefficient a) is a float, else the array."""
     return value.item() if all(np.ndim(p) == 0 for p in params) else value
 
 
 @dataclass(frozen=True)
 class ThermoPoint:
     """Thermodynamic state at one beta, produced by one named method.  A
-    point over a curve holds beta and each quantity as arrays."""
+    point over a curve (of alpha or beta) holds the beta array and each
+    quantity as an array."""
 
     beta: Beta
     Z: float
@@ -96,6 +96,14 @@ class ThermoPoint:
     S: float
     F: float
     method: str
+
+
+def _thermo_point(c: SpectrumCoefficients, beta, bv, columns, method: str) -> ThermoPoint:
+    """The ThermoPoint of the (Z, U, C, S, F) columns: floats where the
+    coefficients and beta are floats, else the arrays."""
+    if np.ndim(beta) == np.ndim(c.a) == 0:
+        return ThermoPoint(as_beta(beta), *(col.item() for col in columns), method=method)
+    return ThermoPoint(bv, *columns, method=method)
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +226,12 @@ def partition_sum(c, beta, tol: Tolerance = Tolerance()) -> float | np.ndarray:
 
 
 def _require_regular(c: SpectrumCoefficients, b_min: float):
-    if c.b <= b_min:
-        raise SingularLimit(
-            f"closed form singular at b={c.b:.3e} <= b_min={b_min:.3e}; use the sum route")
+    singular = c.b <= b_min
+    if singular.any() if isinstance(singular, np.ndarray) else singular:
+        exc = SingularLimit(f"closed form singular at b={np.min(c.b):.3e} <= "
+                            f"b_min={b_min:.3e}; use the sum route")
+        exc.singular = singular
+        raise exc
 
 
 def _xargs(c: SpectrumCoefficients, beta, b_min: float, transcription: str = "verbatim"):
@@ -243,8 +254,9 @@ def partition_closed(c: SpectrumCoefficients, beta,
     """The closed erf form of Z, evaluated as typeset for small erf arguments
     and through the scaled complement (exact algebra) once cancellation in
     the erf difference would cost more than ~1e-13 relative.  Like every
-    closed form below it takes a float beta or an array, elementwise."""
-    return _shaped(_partition(c, *_xargs(c, beta, b_min)), beta)
+    closed form below it takes a float beta or an array, and float
+    coefficients or arrays (an alpha curve), elementwise."""
+    return _shaped(_partition(c, *_xargs(c, beta, b_min)), beta, c.a)
 
 
 def _partition(c: SpectrumCoefficients, bv, xa):
@@ -260,7 +272,7 @@ def _partition(c: SpectrumCoefficients, bv, xa):
 def log_partition_closed(c: SpectrumCoefficients, beta,
                          b_min: float = B_MIN) -> float | np.ndarray:
     """ln of the closed-form Z, stable at any erf-argument size."""
-    return _shaped(_log_partition(c, *_xargs(c, beta, b_min)), beta)
+    return _shaped(_log_partition(c, *_xargs(c, beta, b_min)), beta, c.a)
 
 
 def _log_partition(c: SpectrumCoefficients, bv, xa):
@@ -268,20 +280,21 @@ def _log_partition(c: SpectrumCoefficients, bv, xa):
     return -bv * (a + b) / 2.0 + np.log(_SQRT_PI / (2.0 * np.sqrt(b * bv))) + np.log(xa[2])
 
 
+def _upper(range_: str) -> float:
+    """The upper end of the n range: 1 for "quad01", inf for "quadinf"."""
+    if range_ not in ("quad01", "quadinf"):
+        raise ValueError("range_ must be 'quad01' or 'quadinf'")
+    return 1.0 if range_ == "quad01" else math.inf
+
+
 def partition_quadrature(c: SpectrumCoefficients, beta, range_: str = "quad01",
-                         tol: Tolerance = Tolerance()) -> float:
+                         tol: Tolerance = Tolerance()) -> float | np.ndarray:
     """Integral of exp(-beta E(n)) dn over [0,1] ("quad01") or [0,inf)
-    ("quadinf"), E(n) the compact form with continuous n."""
-    bv = as_beta(beta).value
-
-    def f(n):
-        return np.exp(-bv * c.energy(np.asarray(n, dtype=float)))
-
-    if range_ == "quad01":
-        return integrate_finite(f, 0.0, 1.0, tol).value
-    if range_ == "quadinf":
-        return integrate_semi_infinite(f, 0.0, tol).value
-    raise ValueError("range_ must be 'quad01' or 'quadinf'")
+    ("quadinf"), E(n) the compact form with continuous n.  A curve (beta
+    or coefficient arrays) is one batched quadrature, each element bit for
+    bit its point."""
+    bv = _beta_values(beta)
+    return _shaped(_weight_integrals(c, bv, 0.0, _upper(range_), tol), beta, c.a)
 
 
 # ---------------------------------------------------------------------------
@@ -298,23 +311,17 @@ def thermo_sum_engine(c, beta, kB: float = 1.0, tol: Tolerance = Tolerance()) ->
     <E^2> - <E>^2 cancellation, so C stays accurate where it is
     exponentially small and |ln Z| is large.
 
-    c may also be a sequence of SpectrumCoefficients (an alpha curve) and
-    beta an array of floats (a beta curve), broadcast against each other:
-    the point then holds beta and each quantity as arrays over the points,
-    all from one ragged level sum (_boltzmann_levels), each element bit for
-    bit its one-point call."""
-    point = isinstance(c, SpectrumCoefficients) and np.ndim(beta) == 0
-    cs = (c,) if isinstance(c, SpectrumCoefficients) else tuple(c)
-    a, b, bv = np.broadcast_arrays(np.array([x.a for x in cs]), np.array([x.b for x in cs]),
-                                   _beta_values(beta))
+    The coefficients may be arrays (an alpha curve) and beta an array (a
+    beta curve), broadcast against each other: the point then holds beta
+    and each quantity as arrays over the points, all from one ragged level
+    sum (_boltzmann_levels), each element bit for bit its one-point call."""
+    a, b, bv = np.broadcast_arrays(c.a, c.b, _beta_values(beta))
     tail, mean, var = _boltzmann_levels(a, b, bv, tol)
     g = np.log1p(tail)
     e0 = a * 0.5 + b * 0.5  # c.energy(0), bit for bit
     z = exp_neg_product(bv, 0.5 * a, 0.5 * b) * (1.0 + tail)
     columns = (z, e0 + mean, kB * bv * bv * var, kB * (g + bv * mean), e0 - g / bv)
-    if point:
-        return ThermoPoint(as_beta(beta), *(float(col[0]) for col in columns), method="sum")
-    return ThermoPoint(bv, *columns, method="sum")
+    return _thermo_point(c, beta, bv, columns, "sum")
 
 
 def _factor_q(E, bv, qv: float):
@@ -329,13 +336,30 @@ _ROW_A = np.array([0.0, 0.0, 1.0, 0.0])
 _ROW_B = np.array([0.0, -1.0, -2.0, 0.0])
 
 
-def _quadrature_moments(c: SpectrumCoefficients, bv: np.ndarray, qv: float, hi: float,
+def _weight_integrals(c: SpectrumCoefficients, bv, qv, hi: float,
+                      tol: Tolerance) -> np.ndarray:
+    """The integral over n in [0, hi] of the weight e^{-beta E}(1 + (q/2)
+    beta^2 E^2) (q = 0: the Boltzmann weight) at each element of the
+    broadcast of c, bv and qv: rows of one integrate_batch call, each equal
+    to its single-row call."""
+    shape = np.broadcast(c.a, c.b, bv, qv).shape
+    a, b, bv, qv = (np.broadcast_to(x, shape).reshape(-1, 1) for x in (c.a, c.b, bv, qv))
+
+    def rows(n, r):
+        return _factor_q(SpectrumCoefficients(a[r], b[r]).energy(n), bv[r], qv[r])
+
+    return np.array([res.value for res in integrate_batch(rows, bv.size, 0.0, hi, tol)]
+                    ).reshape(shape)
+
+
+def _quadrature_moments(c: SpectrumCoefficients, bv: np.ndarray, qv, hi: float,
                         kB: float, tol: Tolerance):
-    """(Z, U, C, S, F), each an array over the 1-d beta array bv, of the
-    weight e^{-beta E}(1 + (q/2) beta^2 E^2) over n in [0, hi] (q = 0: the
-    Boltzmann weight), from its exact moments M_0, M_1 = -dM_0/dbeta,
-    M_2 = d^2 M_0/dbeta^2: rows of one batched quadrature in the
-    ground-state gauge, e^{-beta D} with D = E - E_0 in place of e^{-beta E}.
+    """(Z, U, C, S, F), each an array over the broadcast of c, bv and qv,
+    of the weight e^{-beta E}(1 + (q/2) beta^2 E^2) over n in [0, hi]
+    (q = 0: the Boltzmann weight), from its exact moments M_0,
+    M_1 = -dM_0/dbeta, M_2 = d^2 M_0/dbeta^2: rows of one batched
+    quadrature in the ground-state gauge, e^{-beta D} with D = E - E_0 in
+    place of e^{-beta E}.
     With x = beta E the rows are
         e^{-beta D} (1 + q x^2/2),
         e^{-beta D} E (1 - q x + q x^2/2),
@@ -343,58 +367,55 @@ def _quadrature_moments(c: SpectrumCoefficients, bv: np.ndarray, qv: float, hi: 
     each >= 0 for q in [0, 1], so each row's relative tolerance means
     something.  Then U = M_1/M_0 and d^2 ln Z/d beta^2 = M_2/M_0 - U^2.
     A fourth row integrates the weight itself, so that Z is bit for bit the
-    single quadrature of the weight (partition_quadrature,
-    superstat_partition_quadrature) and F = -ln(Z)/beta exactly; where Z
-    falls below the normal range, ln Z = ln M_0 - beta E_0 keeps S and F
-    finite.  Every beta contributes its four rows to one integrate_batch
-    call, whose rows each equal their single-row call, so each beta gets
-    the bits of its one-point call.
+    single quadrature of the weight (_weight_integrals) and F = -ln(Z)/beta
+    exactly; where Z falls below the normal range, ln Z = ln M_0 - beta E_0
+    keeps S and F finite.  Every element contributes its four rows to one
+    integrate_batch call, whose rows each equal their single-row call, so
+    each element gets the bits of its one-point call.
 
     The moment rows fall only once beta E exceeds about 5.3; at small beta
     that lies beyond the tail probes of integrate_batch, so on [0, inf)
     they are integrated over n = s m, with s >= 1 the smallest scale that
     puts beta D = 8 at or before the probe m = 24."""
-    e0 = c.energy(0)
+    shape = np.broadcast(c.a, c.b, bv, qv).shape
+    a, b, bv, qv = (np.broadcast_to(x, shape).ravel() for x in (c.a, c.b, bv, qv))
+    e0 = a * 0.5 + b * 0.5  # c.energy(0), bit for bit
     s = np.ones_like(bv)
     if hi == math.inf:
-        lin, level = c.a + 2.0 * c.b, 8.0 / bv  # D(n) = b n^2 + (a + 2b) n
-        s = np.maximum(1.0, 2.0 * level / (lin + np.sqrt(lin * lin + 4.0 * c.b * level)) / 24.0)
+        lin, level = a + 2.0 * b, 8.0 / bv  # D(n) = b n^2 + (a + 2b) n
+        s = np.maximum(1.0, 2.0 * level / (lin + np.sqrt(lin * lin + 4.0 * b * level)) / 24.0)
 
     def rows(n, r):
-        i, k = np.divmod(r[:, None], 4)  # row r is moment k of beta i
-        b, sk = bv[i], s[i]
-        e = c.energy(np.where(k == 3, n, sk * n))
-        x = b * e
+        i, k = np.divmod(r[:, None], 4)  # row r is moment k of element i
+        bi, qi, sk = bv[i], qv[i], s[i]
+        e = SpectrumCoefficients(a[i], b[i]).energy(np.where(k == 3, n, sk * n))
+        x = bi * e
         # E^k as a product: numpy's power can round an element differently
         # depending on where it sits in the array
         ek = np.where(k == 0, 1.0, e) * np.where(k == 2, e, 1.0)
-        moment = np.exp(-b * (e - e0)) * ek \
-            * (1.0 + qv * (_ROW_A[k] + _ROW_B[k] * x + 0.5 * x * x))
-        return np.where(k == 3, _factor_q(e, b, qv), sk * moment)
+        moment = np.exp(-bi * (e - e0[i])) * ek \
+            * (1.0 + qi * (_ROW_A[k] + _ROW_B[k] * x + 0.5 * x * x))
+        return np.where(k == 3, _factor_q(e, bi, qi), sk * moment)
 
     values = [r.value for r in integrate_batch(rows, 4 * len(bv), 0.0, hi, tol)]
     m0, m1, m2, z = np.array(values).reshape(-1, 4).T
     with np.errstate(divide="ignore"):  # Z may underflow to 0
         lnz = np.where(z >= sys.float_info.min, np.log(z), np.log(m0) - bv * e0)
     u = m1 / m0
-    return z, u, kB * bv * bv * (m2 / m0 - u * u), kB * (lnz + bv * u), -lnz / bv
+    return tuple(col.reshape(shape) for col in (
+        z, u, kB * bv * bv * (m2 / m0 - u * u), kB * (lnz + bv * u), -lnz / bv))
 
 
 def thermo_quadrature(c: SpectrumCoefficients, beta, range_: str = "quad01",
                       kB: float = 1.0, tol: Tolerance = Tolerance()) -> ThermoPoint:
     """Z, U, C, S, F of the partition_quadrature integral over [0, 1]
     ("quad01") or [0, inf) ("quadinf"), from its exact beta-moments.  A
-    beta array gives a point that holds it and each quantity as an array,
-    all from one batched quadrature, each element bit for bit its float
-    call."""
-    if range_ not in ("quad01", "quadinf"):
-        raise ValueError("range_ must be 'quad01' or 'quadinf'")
+    curve (beta or coefficient arrays) gives a point that holds beta and
+    each quantity as arrays, all from one batched quadrature, each element
+    bit for bit its float call."""
     bv = _beta_values(beta)
-    hi = 1.0 if range_ == "quad01" else math.inf
-    columns = _quadrature_moments(c, bv.ravel(), 0.0, hi, kB, tol)
-    if np.ndim(beta) == 0:
-        return ThermoPoint(as_beta(beta), *(col.item() for col in columns), method=range_)
-    return ThermoPoint(bv, *(col.reshape(bv.shape) for col in columns), method=range_)
+    return _thermo_point(c, beta, bv, _quadrature_moments(c, bv, 0.0, _upper(range_), kB, tol),
+                         range_)
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +436,8 @@ def mean_energy_closed(c: SpectrumCoefficients, beta, transcription: str = "verb
     e^{(a^2+2b)^2 beta/(4b)}; corrected restores e^{-3 a beta - ...} and
     e^{(a+2b)^2 beta/(4b)}, which makes the expression exactly
     -d ln Z / d beta of the closed-form Z."""
-    return _shaped(_mean_energy(c, *_xargs(c, beta, b_min, transcription), transcription), beta)
+    return _shaped(_mean_energy(c, *_xargs(c, beta, b_min, transcription), transcription),
+                   beta, c.a)
 
 
 def _mean_energy(c: SpectrumCoefficients, bv, xa, transcription: str):
@@ -427,7 +449,8 @@ def _mean_energy(c: SpectrumCoefficients, bv, xa, transcription: str):
         return -K + 0.5 / bv + (x1 - x2 * np.exp(-bv * delta)) / (bv * _SQRT_PI * dx)
     # verbatim: exponents as typeset, combined against each other exactly
     poly = a * a * bv + 2.0 * b * b * bv + 2.0 * b * (-1.0 + a * bv)
-    e1 = bv * ((a * a + 2.0 * b) ** 2 / (4.0 * b) - 3.0 - a * a / (2.0 * b) - 5.0 * b)
+    a2b = a * a + 2.0 * b
+    e1 = bv * (a2b * a2b / (4.0 * b) - 3.0 - a * a / (2.0 * b) - 5.0 * b)
     t1 = 2.0 * np.sqrt(b * bv) * ((a + 2.0 * b) * np.exp(e1 + bv * delta + x1 * x1)
                                   - (a + 4.0 * b) * np.exp(e1 + x1 * x1)) \
         / (4.0 * b * bv * _SQRT_PI * dx)
@@ -446,21 +469,22 @@ def heat_capacity_closed(c: SpectrumCoefficients, beta, kB: float = 1.0,
     the truth and can overflow).  corrected evaluates the algebraically
     consistent reading, which equals kB beta^2 d2 ln Z/d beta2 exactly."""
     return _shaped(_heat_capacity(c, *_xargs(c, beta, b_min, transcription), kB,
-                                  transcription), beta)
+                                  transcription), beta, c.a)
 
 
 def _heat_capacity(c: SpectrumCoefficients, bv, xa, kB: float, transcription: str):
+    # coefficient powers are products, which round alike as floats and arrays
     a, b = c.a, c.b
     x1, x2, dx = xa
     delta = a + 3.0 * b
     if transcription == "corrected":
-        sb = math.sqrt(b)
+        sb = np.sqrt(b)
         c1 = (a + 2.0 * b) / (2.0 * sb)
         c2 = (a + 4.0 * b) / (2.0 * sb)
         edec = np.exp(-bv * delta)
         w1 = np.sqrt(bv / math.pi) * (c2 * edec - c1) / dx
         return kB * (0.5 - 0.5 * w1 - w1 * w1
-                     + bv ** 1.5 / _SQRT_PI * (c1 ** 3 - c2 ** 3 * edec) / dx)
+                     + bv ** 1.5 / _SQRT_PI * (c1 * c1 * c1 - c2 * c2 * c2 * edec) / dx)
     # verbatim transcription; prefactor exponent folded into each term
     e1 = erf(x1)
     e2 = erf(x2)
@@ -475,14 +499,15 @@ def _heat_capacity(c: SpectrumCoefficients, bv, xa, kB: float, transcription: st
     t4 = -4.0 * b * sbb * math.pi * e2 * e2
     t6 = 8.0 * b * sbb * _SQRT_PI * e2
     # polynomial multiplying Erf[x2], split into constant and e^{delta beta} parts
-    pe_sym = 6.0 * a * a * b * bv + a ** 3 * bv + 4.0 * b * b + 8.0 * b ** 3 * bv \
+    a3, b3 = a * a * a, b * b * b
+    pe_sym = 6.0 * a * a * b * bv + a3 * bv + 4.0 * b * b + 8.0 * b3 * bv \
         + 2.0 * a * b + 12.0 * a * b * b * bv
-    pc_sym = -12.0 * a * a * b * bv - a ** 3 * bv - 8.0 * b * b - 64.0 * b ** 3 * bv \
+    pc_sym = -12.0 * a * a * b * bv - a3 * bv - 8.0 * b * b - 64.0 * b3 * bv \
         - 2.0 * a * b - 48.0 * a * b * b * bv
     # the Erf[x1] polynomial as typeset (its 6 b beta group sits outside the 2ab factor)
-    pe_asym = 6.0 * a * a * b * bv + a ** 3 * bv + 4.0 * b * b + 8.0 * b ** 3 * bv \
+    pe_asym = 6.0 * a * a * b * bv + a3 * bv + 4.0 * b * b + 8.0 * b3 * bv \
         + 2.0 * a * b + 6.0 * b * bv
-    pc_asym = -12.0 * a * a * b * bv - a ** 3 * bv - 8.0 * b * b - 64.0 * b ** 3 * bv \
+    pc_asym = -12.0 * a * a * b * bv - a3 * bv - 8.0 * b * b - 64.0 * b3 * bv \
         - 2.0 * a * b - 24.0 * b * bv
     t3 = -bv * _SQRT_PI * e2 * (pc_sym * np.exp(-x2 * x2) + pe_sym * np.exp(-x1 * x1))
     t5 = bv * _SQRT_PI * e1 * (pc_asym * np.exp(-x2 * x2) + pe_asym * np.exp(-x1 * x1))
@@ -502,7 +527,8 @@ def entropy_closed(c: SpectrumCoefficients, beta, kB: float = 1.0,
     of the typeset S matches kB(lnZ - beta dlnZ/dbeta); corrected therefore
     evaluates that defining identity with the corrected U."""
     bv, xa = _xargs(c, beta, b_min, transcription)
-    return _shaped(_entropy(c, bv, xa, kB, transcription, _log_partition(c, bv, xa)), beta)
+    return _shaped(_entropy(c, bv, xa, kB, transcription, _log_partition(c, bv, xa)),
+                   beta, c.a)
 
 
 def _entropy(c: SpectrumCoefficients, bv, xa, kB: float, transcription: str, lnz):
@@ -526,19 +552,19 @@ def free_energy_closed(c: SpectrumCoefficients, beta,
     composition, so there is nothing to transcribe.  ln Z_closed is taken
     stably, so F stays finite where Z_closed underflows."""
     bv, xa = _xargs(c, beta, b_min)
-    return _shaped(-_log_partition(c, bv, xa) / bv, beta)
+    return _shaped(-_log_partition(c, bv, xa) / bv, beta, c.a)
 
 
 @_saturating
 def thermo_closed_point(c: SpectrumCoefficients, beta, kB: float = 1.0,
                         transcription: str = "verbatim", b_min: float = B_MIN) -> ThermoPoint:
     """All five typeset closed forms from one _xargs, each bit for bit its
-    single-quantity function.  A float beta gives a point of floats; a beta
-    array gives a point that holds it and each quantity as an array."""
+    single-quantity function.  Float coefficients and beta give a point of
+    floats; a curve gives a point that holds beta and each quantity as an
+    array."""
     bv, xa = _xargs(c, beta, b_min, transcription)
     lnz = _log_partition(c, bv, xa)
-    columns = {"Z": _partition(c, bv, xa), "U": _mean_energy(c, bv, xa, transcription),
-               "C": _heat_capacity(c, bv, xa, kB, transcription),
-               "S": _entropy(c, bv, xa, kB, transcription, lnz), "F": -lnz / bv}
-    return ThermoPoint(as_beta(beta) if np.ndim(beta) == 0 else bv, method="closed",
-                       **{qn: _shaped(v, beta) for qn, v in columns.items()})
+    return _thermo_point(c, beta, bv, (
+        _partition(c, bv, xa), _mean_energy(c, bv, xa, transcription),
+        _heat_capacity(c, bv, xa, kB, transcription),
+        _entropy(c, bv, xa, kB, transcription, lnz), -lnz / bv), "closed")

@@ -51,8 +51,9 @@ def test_erf_against_mpmath_on_the_math_erf_band():
 
 
 def test_erf_and_erfc_arrays_equal_float_calls():
-    # an array runs each element through the float call's branch: every
-    # element bit for bit, signed zeros and nan included
+    # one elementwise path: no element depends on the batch around it, so
+    # every element of an array is bit for bit its float call, signed zeros
+    # and nan included
     edges = [np.nextafter(2.0, 0.0), 2.0, np.nextafter(6.0, 0.0), 6.0]
     xs = np.concatenate([np.linspace(-8.0, 8.0, 1601), edges, np.negative(edges),
                          [math.nan, math.inf, -math.inf, -0.0, 37.5, -1e-300]])
@@ -126,8 +127,9 @@ def test_erfcx_derivatives_against_mpmath():
 
 
 def test_erfcx_arrays_equal_float_calls():
-    # an array runs each element through the float call's branch and sums:
-    # below 1.4, the Gauss-Laguerre rule up to 1e8, 1/(sqrt(pi) x) beyond
+    # one elementwise path whose branches (below 1.4, the Gauss-Laguerre
+    # rule up to 1e8, 1/(sqrt(pi) x) beyond) are elementwise ufuncs and row
+    # sums: no element depends on its batch
     xs = np.concatenate([np.linspace(-26.0, 3.0, 581), np.logspace(-3.0, 300.0, 200),
                          [np.nextafter(1.4, 0.0), 1.4, np.nextafter(1e8, 0.0), 1e8]])
     got = erfcx(xs.reshape(-1, 5))
@@ -387,6 +389,11 @@ def test_tolerance_validation():
         Tolerance(max_evals=10)
     with pytest.raises(ValueError):
         Tolerance(rel=-1e-3)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            Tolerance(rel=bad)
+        with pytest.raises(ValueError):
+            Tolerance(abs=bad)
 
 
 # -- differentiation (the Richardson oracle in tests/helpers.py) ---------------

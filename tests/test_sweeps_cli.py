@@ -106,11 +106,56 @@ def test_sum_route_sweep_rows_equal_points(quantity, method, monkeypatch):
 
 @pytest.mark.parametrize("argv", [["Z", "--vary", "q", "--range", "0,0.5", "--alpha", "0.3"],
                                   ["C", "--vary", "n", "--range", "0,1,2"],
-                                  ["Us", "--vary", "n", "--range", "0,1,2", "--q", "0.5"]])
+                                  ["Us", "--vary", "n", "--range", "0,1,2", "--q", "0.5"],
+                                  ["Energy", "--vary", "beta", "--range", "0.5,1,2",
+                                   "--alpha", "0.3", "--n", "2"],
+                                  ["Energy", "--vary", "q", "--range", "0,0.5"]])
 def test_sweep_refuses_a_parameter_the_quantity_does_not_read(argv, capsys):
-    # thermo quantities read alpha and beta, superstat ones also q
+    # Energy reads n and alpha, thermo quantities alpha and beta, superstat
+    # ones also q
     assert cli.main(["sweep"] + argv) == 2
     assert f"{argv[0]} does not depend on '{argv[2]}'" in capsys.readouterr().err
+
+
+#: the grids of every varied parameter: alpha = 0 is singular for the closed
+#: forms, so an alpha curve mixes null and regular rows; past beta = 800
+#: the verbatim closed forms overflow; at beta = 0.5 the engine's moments
+#: of alpha 0.02 come from the Laguerre rule, of 0.3 and 0.9 from the
+#: recurrence
+_GRIDS = {"alpha": (0.0, 0.02, 0.3, 0.9), "beta": (0.1, 0.5, 2.0, 9.0, 800.0, 2000.0),
+          "q": (0.0, 0.25, 1.0), "n": (0.0, 1.0, 2.0, 5.0)}
+_FIXED = {"alpha": 0.3, "beta": 0.5, "q": 0.5, "n": 2.0}
+_CURVE_CASES = [(qn, m, vary) for qn, m in sorted(routes.ROUTES)
+                for vary in sweeps.DEPENDS_ON[qn]]
+
+
+@pytest.mark.parametrize("quantity,method,vary", _CURVE_CASES)
+def test_every_route_sweep_row_equals_its_point(quantity, method, vary):
+    # one route call per curve (and one more for the regular points of a
+    # mixed alpha curve): each row is bit for bit the route at its own
+    # routes.state point, and null with SingularLimit exactly where that
+    # point raises SingularLimit; in natural units and along an SI alpha curve
+    cases = [({k: v for k, v in _FIXED.items() if k != vary}, "natural")]
+    if vary != "alpha":
+        cases.append(({**cases[0][0], "alpha": 0.0}, "natural"))
+    else:
+        cases.append(({"beta": 1.0 / (1.380649e-23 * 300.0), "q": 0.5, "n": 2.0}, "si"))
+    route = routes.ROUTES[(quantity, method)]
+    for (fixed, units), tr in itertools.product(cases, thermo.TRANSCRIPTIONS):
+        spec = SweepSpec(quantity=quantity, vary=vary, values=_GRIDS[vary], fixed=fixed,
+                         method=method, units=units, transcription=tr)
+        rows = run_sweep(spec)
+        assert [row.x for row in rows] == list(_GRIDS[vary])
+        for row in rows:
+            s = routes.state({**fixed, vary: row.x}, units, transcription=tr,
+                             tol=sweeps.PRESET_TOL)
+            try:
+                want = route(s)
+            except SingularLimit:
+                assert row.y is None and row.warning == "SingularLimit"
+                continue
+            assert type(row.y) is float and row.warning == ""
+            assert row.y == want or math.isnan(row.y) and math.isnan(want)
 
 
 def test_closed_superstat_beta_sweep_matches_points():
@@ -120,7 +165,6 @@ def test_closed_superstat_beta_sweep_matches_points():
     betas = sweeps.log_range(0.05, 40.0, 31) + (800.0, 2000.0)
     for alpha, q, tr in [(0.1, 0.5, "verbatim"), (0.3, 1.0, "corrected"), (0.9, 0.0, "verbatim")]:
         for quantity in routes.THERMO + routes.SUPERSTAT:
-            assert "beta" in routes.CURVES[(quantity, "closed")]
             spec = SweepSpec(quantity=quantity, vary="beta", values=betas,
                              fixed={"alpha": alpha, "q": q}, method="closed", transcription=tr)
             route = routes.ROUTES[(quantity, "closed")]
@@ -270,6 +314,38 @@ def test_cli_point_exits_cleanly(alpha, log_beta, q, method, transcription):
         assert cli.main(argv) in (0, 2, 3)
 
 
+#: the documented domain of each varied parameter
+_DOMAIN = {"alpha": st.floats(min_value=0.0, max_value=0.999),
+           "beta": st.floats(min_value=-4.0, max_value=4.0).map(lambda e: 10.0 ** e),
+           "q": st.floats(min_value=0.0, max_value=1.0),
+           "n": st.integers(min_value=0, max_value=20).map(float)}
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_cli_sweep_exits_cleanly(data):
+    """Every sweep in the documented domain prints one row per grid value,
+    in grid order, or exits 2 or 3 with a message; none raises out of
+    cli.main.  A grid may mix singular and regular closed-form points."""
+    quantity = data.draw(st.sampled_from(routes.QUANTITIES))
+    method = data.draw(st.sampled_from(routes.METHODS))
+    vary = data.draw(st.sampled_from(sweeps.DEPENDS_ON[quantity]))
+    grid = data.draw(st.lists(_DOMAIN[vary], min_size=2, max_size=5))
+    argv = ["sweep", quantity, "--vary", vary, "--range", ",".join(map(repr, grid)),
+            "--method", method]
+    for param in sweeps.DEPENDS_ON[quantity]:
+        if param != vary:
+            value = data.draw(_DOMAIN[param])
+            argv += [f"--{param}", repr(int(value) if param == "n" else value)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    assert code in (0, 2, 3)
+    if code == 0:
+        lines = out.getvalue().strip().split("\n")
+        assert [float(line.split(",")[0]) for line in lines[1:]] == grid
+
+
 def test_cli_sweep_csv(capsys):
     code, out = run_cli(["sweep", "Z", "--vary", "beta", "--range", "log:0.5:8:6",
                          "--alpha", "0.3"], capsys)
@@ -305,10 +381,13 @@ def _fields(out: str) -> dict:
                          sorted(itertools.product(routes.QUANTITIES, routes.METHODS)))
 def test_route_table_sweep_matches_point(quantity, method, capsys):
     # one state, every (quantity, method) the CLI accepts: the sweep row is
-    # the field point prints with the same method, bit for bit; a pair
-    # without a route (superstat quad01) is refused by both with exit 2
+    # the field point prints with the same method, bit for bit (Energy,
+    # which reads no beta, sweeps n); a pair without a route (superstat
+    # quad01) is refused by both with exit 2
     state = ["--alpha", "0.3"] + (["--q", "0.5"] if quantity in routes.SUPERSTAT else [])
-    sweep = ["sweep", quantity, "--vary", "beta", "--range", "2,3", "--method", method]
+    grid = ["--vary", "n", "--range", "0,1"] if quantity == "Energy" else \
+        ["--vary", "beta", "--range", "2,3"]
+    sweep = ["sweep", quantity, *grid, "--method", method]
     point = ["point", "--beta", "2", "--method", method]
     if (quantity, method) not in routes.ROUTES:
         assert cli.main(sweep + state) == 2
@@ -405,6 +484,9 @@ def test_cli_invalid_arguments_exit_2(capsys):
     assert exc.value.code == 2
     for bad in ("nonsense", "log:1:2", "log", "log:1:2:3:4"):
         assert cli.main(["sweep", "Z", "--vary", "beta", "--range", bad]) == 2, bad
+    # a tolerance that is not finite certifies nothing
+    for flag in (["--tol-rel", "nan"], ["--tol-abs", "inf"]):
+        assert cli.main(["point", "--alpha", "0.3", "--method", "quad01"] + flag) == 2, flag
 
 
 def test_cli_nonconvergence_exit_3(capsys):

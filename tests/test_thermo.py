@@ -458,15 +458,21 @@ def test_sum_batch_chunks_past_the_level_budget(monkeypatch):
     assert curve.beta.tolist() == betas
 
 
+def _curve(cs):
+    """The coefficients cs of an alpha curve as one SpectrumCoefficients of
+    arrays."""
+    return SpectrumCoefficients(np.array([c.a for c in cs]), np.array([c.b for c in cs]))
+
+
 def test_sum_alpha_curve_equals_its_points():
-    # a sequence of coefficients with one beta: an alpha curve, through the
+    # coefficient arrays with one beta: an alpha curve, through the
     # geometric series at alpha = 0, in SI units with their kB
     p = [OscillatorParams.si(alpha=alpha) for alpha in (0.0, 0.3, 0.9)]
     cs = [coefficients(x) for x in p]
     beta = 1.0 / (p[0].kB * 300.0)
-    curve = thermo_sum_engine(cs, beta, p[0].kB, TOL)
+    curve = thermo_sum_engine(_curve(cs), beta, p[0].kB, TOL)
     _assert_points(cs, [beta] * 3, p[0].kB, TOL, curve)
-    assert partition_sum(cs, beta, TOL).tolist() == curve.Z.tolist()
+    assert partition_sum(_curve(cs), beta, TOL).tolist() == curve.Z.tolist()
 
 
 def test_sum_batch_raises_where_its_point_does():
@@ -474,6 +480,6 @@ def test_sum_batch_raises_where_its_point_does():
     with pytest.raises(NonConvergence):
         thermo_sum_engine(c, 1e-4, 1.0, TOL)
     with pytest.raises(NonConvergence):
-        thermo_sum_engine((C03, c, C09), np.array([1.0, 1e-4, 2.0]), 1.0, TOL)
+        thermo_sum_engine(_curve((C03, c, C09)), np.array([1.0, 1e-4, 2.0]), 1.0, TOL)
     with pytest.raises(ValueError, match="beta must be positive"):
         thermo_sum_engine(C03, np.array([1.0, 0.0]), 1.0, TOL)

@@ -169,15 +169,14 @@ def _cmd_sweep(args) -> int:
         quantity=args.quantity, vary=args.vary, values=_parse_range(args.range),
         fixed=fixed, method=args.method or "sum", units=args.units,
         transcription=args.transcription, b_convention=args.b_convention)
-    rows = [(r.x, r.y, r.warning) for r in sweeps.run_sweep(spec, _tolerance(args))]
-    _emit_rows(args, [args.vary, args.quantity, "warning"], "%.17g,%.17g,%s", rows)
+    _emit_rows(args, [args.vary, args.quantity, "warning"], "%.17g,%.17g,%s",
+               sweeps.run_sweep(spec, _tolerance(args)))
     return 0
 
 
 def _cmd_figure(args) -> int:
-    rows = [(r.curve, r.x, r.y, r.warning)
-            for r in sweeps.figure_preset(args.id, _tolerance(args))]
-    _emit_rows(args, ["curve", "x", "y", "warning"], "%s,%.17g,%.17g,%s", rows)
+    _emit_rows(args, ["curve", "x", "y", "warning"], "%s,%.17g,%.17g,%s",
+               sweeps.figure_preset(args.id, _tolerance(args)))
     return 0
 
 

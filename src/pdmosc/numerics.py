@@ -174,8 +174,9 @@ def erf(x):
     out = _math_erf(x).astype(float)
     ax = np.abs(x)
     mid = (ax >= 2.0) & (ax < 6.0)
-    a = ax[mid]
-    out[mid] = np.copysign(1.0 - np.exp(-a * a) * erfcx(a), x[mid])
+    if mid.any():  # an erfcx call has a fixed cost even on no elements
+        a = ax[mid]
+        out[mid] = np.copysign(1.0 - np.exp(-a * a) * erfcx(a), x[mid])
     return out
 
 
@@ -186,9 +187,10 @@ def erfc(x):
     array."""
     out = _math_erfc(x).astype(float)
     tail = np.abs(x) >= 2.0
-    xt = x[tail]
-    v = np.exp(-xt * xt) * erfcx(np.abs(xt))
-    out[tail] = np.where(xt > 0.0, v, 2.0 - v)
+    if tail.any():
+        xt = x[tail]
+        v = np.exp(-xt * xt) * erfcx(np.abs(xt))
+        out[tail] = np.where(xt > 0.0, v, 2.0 - v)
     return out
 
 
@@ -306,8 +308,10 @@ def integrate_batch(f, nrows: int, lo: float, hi: float,
     f(n, rows) evaluates integrand rows[j] at n[j] for an int array rows
     and n of shape (len(rows), m).  On [lo, inf) the integrands must decay
     faster than 1/n^2: NonDecaying is raised when a row's sampled values
-    increase across the last decade of the map.  NonConvergence is raised
-    as the single-row call of the first failing row would.
+    increase across the last decade of the map, or, before any node at t = 1
+    is evaluated, when bisection reaches one (a row undecayed by n ~ 9e15).
+    NonConvergence is raised as the single-row call of the first failing
+    row would.
     """
     if lo > hi:
         raise ValueError("lo must not exceed hi")
@@ -322,6 +326,8 @@ def integrate_batch(f, nrows: int, lo: float, hi: float,
 
     def g(t, rows):
         w = 1.0 - t
+        if not w.all():  # a node at t = 1, n = inf: the map has no resolution left
+            raise NonDecaying("integrand not decayed by n = 1/eps, where the map ends")
         return f(lo + t / w, rows) / (w * w)
 
     return [QuadratureResult(r.value, r.error_estimate, r.evals + len(_TAIL_PROBES))

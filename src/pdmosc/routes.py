@@ -9,11 +9,11 @@ and ``quad01`` has no route (a pair missing from the table is refused).
 A quantity uses its own function where one exists (Z on ``quad01`` and
 ``quadinf``, Z_s on ``quadinf``, each typeset closed form) and its field of
 the whole point otherwise.  Every route evaluates a whole curve in one
-call: from a State that holds the varied parameter as an array it returns
-the array of the curve's values, each bit for bit the route at its own
-point.  Functions are looked up as module attributes
-(``thermo.thermo_sum_engine``) at call time, so wrappers installed on the
-modules are seen.
+call, or a figure's whole (curve x x) grid: from a State that holds each
+varied parameter as an array of one value per point it returns the array
+of the values, each bit for bit the route at its own point.  Functions are
+looked up as module attributes (``thermo.thermo_sum_engine``) at call
+time, so wrappers installed on the modules are seen.
 """
 
 from __future__ import annotations
@@ -53,22 +53,18 @@ def state(values: dict, units: str = "natural", b_convention: str = "spectrum",
           transcription: str = "verbatim", tol: Tolerance = Tolerance()) -> State:
     """The State at {alpha, beta, q, n, m0, omega} values; a missing entry
     takes the CLI default, and m0/omega count in SI units only.  The State
-    of a whole curve holds its varied parameter as an array, an alpha array
-    as coefficient arrays."""
-    def params(alpha: float) -> OscillatorParams:
-        if units == "si":
-            return OscillatorParams.si(alpha=alpha, **{k: float(values[k]) for k in
-                                                       ("m0", "omega") if k in values})
-        return OscillatorParams(alpha=alpha)
-
+    of a curve, or of a whole (curve x x) grid, holds each varied parameter
+    as an array of one value per point, all of equal length; an alpha array
+    gives coefficient arrays from one coefficients call."""
     alpha = values.get("alpha", 0.0)
-    curve = isinstance(alpha, np.ndarray)
-    ps = [params(al) for al in alpha.tolist()] if curve else [params(float(alpha))]
-    cs = [coefficients(p, b_convention) for p in ps]
-    c = SpectrumCoefficients(np.array([x.a for x in cs]), np.array([x.b for x in cs])) \
-        if curve else cs[0]
-    return State(c, ps[0].kB, values.get("beta", 1.0), values.get("q", 0.0),
-                 values.get("n", 0), transcription, tol)
+    alpha = alpha if isinstance(alpha, np.ndarray) else float(alpha)
+    if units == "si":
+        p = OscillatorParams.si(alpha=alpha, **{k: float(values[k]) for k in
+                                                ("m0", "omega") if k in values})
+    else:
+        p = OscillatorParams(alpha=alpha)
+    return State(coefficients(p, b_convention), p.kB, values.get("beta", 1.0),
+                 values.get("q", 0.0), values.get("n", 0), transcription, tol)
 
 
 def _superstat_point(m: str) -> Callable:

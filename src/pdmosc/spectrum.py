@@ -25,6 +25,7 @@ class OscillatorParams:
 
     alpha is the mass-deformation knob, 0 <= alpha < 1 (alpha = 0 is the
     undeformed oscillator, admitted here as the standard-oscillator oracle).
+    alpha may be a float array, one checked element per point of a curve.
     """
 
     m0: float = 1.0
@@ -36,7 +37,8 @@ class OscillatorParams:
     def __post_init__(self):
         if self.m0 <= 0 or self.omega <= 0 or self.hbar <= 0 or self.kB <= 0:
             raise ValueError("m0, omega, hbar, kB must all be positive")
-        if not 0.0 <= self.alpha < 1.0:
+        ok = (0.0 <= self.alpha) & (self.alpha < 1.0)
+        if not (ok.all() if isinstance(ok, np.ndarray) else ok):
             raise ValueError("alpha must satisfy 0 <= alpha < 1")
 
     @classmethod
@@ -86,17 +88,19 @@ def coefficients(p: OscillatorParams,
     source material: b = alpha*hbar^2/(2 m0) ("spectrum", the value that
     makes the compact form identical to the full spectrum; default) and
     b = alpha*hbar^2/(2 m0 omega) ("compact").  They coincide in natural
-    units; both are exposed so the discrepancy stays testable.
+    units; both are exposed so the discrepancy stays testable.  An alpha
+    array gives arrays, each element bit for bit its float call (np.sqrt is
+    correctly rounded, like math.sqrt); a float alpha gives floats.
     """
     m0, w, hb, al = p.m0, p.omega, p.hbar, p.alpha
-    a = hb * w * math.sqrt(1.0 + al * al * hb * hb / (4.0 * m0 * m0 * w * w))
+    a = hb * w * np.sqrt(1.0 + al * al * hb * hb / (4.0 * m0 * m0 * w * w))
     if b_convention == "spectrum":
         b = al * hb * hb / (2.0 * m0)
     elif b_convention == "compact":
         b = al * hb * hb / (2.0 * m0 * w)
     else:
         raise ValueError("b_convention must be 'spectrum' or 'compact'")
-    return SpectrumCoefficients(a=a, b=b)
+    return SpectrumCoefficients(a=a if np.ndim(a) else float(a), b=b)
 
 
 def energy_level(p: OscillatorParams, n: int,

@@ -9,6 +9,7 @@ Trends are attached to presets only where mathematically provable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,34 +70,42 @@ class SweepSpec:
             raise ValueError("units must be 'natural' or 'si'")
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     x: float
     y: float | None
     warning: str = ""
 
 
-def run_sweep(spec: SweepSpec, tol: Tolerance = PRESET_TOL) -> list[SweepRow]:
-    """Evaluate the sweep as one route call over the whole grid (the State
-    holds the varied parameter as an array), each row bit for bit the route
-    at its own point.  Where a closed form is singular (SingularLimit marks
-    every point of a beta or q curve, the alphas with b <= B_MIN of an
-    alpha curve) the rows are null with a warning, not a crash, and one
-    more call of the route evaluates the rest."""
+def _evaluate(spec: SweepSpec, values: dict, tol: Tolerance) -> tuple[list, list]:
+    """spec's route in one call over a grid, values holding each varied
+    parameter as an array of one value per point: (values, warnings), one
+    of each per point, each value bit for bit the route at its own point.
+    Where a closed form is singular (SingularLimit marks the points with
+    b <= B_MIN) the value is None with the warning "SingularLimit", not a
+    crash, and one more route call evaluates the regular points."""
     route = routes.ROUTES[(spec.quantity, spec.method)]
-    xs = np.array(spec.values, dtype=float)
+    size = len(values[spec.vary])
 
-    def curve(at) -> list[float]:
-        return route(routes.state({**spec.fixed, spec.vary: xs[at]}, spec.units,
+    def call(at) -> list[float]:
+        return route(routes.state({k: v[at] if isinstance(v, np.ndarray) else v
+                                   for k, v in values.items()}, spec.units,
                                   spec.b_convention, spec.transcription, tol)).tolist()
 
     try:
-        return [SweepRow(x, y) for x, y in zip(xs.tolist(), curve(slice(None)))]
+        return call(slice(None)), [""] * size
     except SingularLimit as exc:
-        regular = np.broadcast_to(np.logical_not(exc.singular), xs.shape)
-    ys = iter(curve(regular) if regular.any() else [])
-    return [SweepRow(x, next(ys)) if ok else SweepRow(x, None, "SingularLimit")
-            for x, ok in zip(xs.tolist(), regular.tolist())]
+        regular = np.broadcast_to(np.logical_not(exc.singular), (size,))
+    ys = iter(call(regular) if regular.any() else [])
+    oks = regular.tolist()
+    return [next(ys) if ok else None for ok in oks], ["" if ok else "SingularLimit" for ok in oks]
+
+
+def run_sweep(spec: SweepSpec, tol: Tolerance = PRESET_TOL) -> list[SweepRow]:
+    """The sweep's rows from one route call over its grid (_evaluate), each
+    bit for bit the route at its own point."""
+    xs = np.array(spec.values, dtype=float)
+    ys, warnings = _evaluate(spec, {**spec.fixed, spec.vary: xs}, tol)
+    return list(map(SweepRow._make, zip(xs.tolist(), ys, warnings)))
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +181,7 @@ PRESETS: dict[str, FigurePreset] = {pr.figure_id: pr for pr in [
 FIGURE_IDS = tuple(PRESETS)
 
 
-@dataclass(frozen=True)
-class FigureRow:
+class FigureRow(NamedTuple):
     curve: str
     x: float
     y: float | None
@@ -182,14 +190,18 @@ class FigureRow:
 
 def figure_preset(figure_id: str, tol: Tolerance = PRESET_TOL) -> list[FigureRow]:
     """Long-format (curve_label, x, y) rows for one preset, one curve per
-    quoted fixed-parameter value."""
+    quoted fixed-parameter value.  The whole (curve x x) grid is one route
+    call (_evaluate): the State holds the varied parameter tiled over the
+    curves and the curve parameter repeated over x, so each row is bit for
+    bit the row of that curve's own run_sweep."""
     if figure_id not in PRESETS:
         raise ValueError(f"unknown figure id {figure_id!r}; known: {', '.join(FIGURE_IDS)}")
     pr = PRESETS[figure_id]
-    rows: list[FigureRow] = []
-    for cv in pr.curve_values:
-        label = f"n={int(cv)}" if pr.curve_param == "n" else f"{pr.curve_param}={cv:g}"
-        spec = SweepSpec(quantity=pr.quantity, vary=pr.vary, values=pr.values,
-                         fixed={**pr.fixed, pr.curve_param: cv}, method=pr.method)
-        rows += (FigureRow(label, row.x, row.y, row.warning) for row in run_sweep(spec, tol))
-    return rows
+    m, k = len(pr.values), len(pr.curve_values)
+    spec = SweepSpec(pr.quantity, pr.vary, pr.values, pr.fixed, pr.method)
+    ys, warnings = _evaluate(spec, {**pr.fixed, pr.vary: np.tile(pr.values, k),
+                                    pr.curve_param: np.repeat(pr.curve_values, m)}, tol)
+    labels = [f"n={int(cv)}" if pr.curve_param == "n" else f"{pr.curve_param}={cv:g}"
+              for cv in pr.curve_values]
+    return list(map(FigureRow._make, zip([label for label in labels for _ in range(m)],
+                                         pr.values * k, ys, warnings)))

@@ -13,6 +13,7 @@ import pytest
 from pdmosc import (NonConvergence, NonDecaying, Tolerance, erf, erfc, erfcx,
                     erfcx_derivatives, exp_neg_product, integrate_batch, integrate_finite,
                     integrate_semi_infinite, sum_decaying)
+from pdmosc import numerics
 from pdmosc.numerics import _XGK, _gk15
 
 from helpers import derivative, erf_maclaurin
@@ -65,6 +66,20 @@ def test_erf_and_erfc_arrays_equal_float_calls():
         assert np.array_equal(got.ravel(), want, equal_nan=True)
         assert np.array_equal(np.signbit(got.ravel()), np.signbit(want))
         assert f(np.array([])).shape == (0,)
+
+
+def test_erf_and_erfc_skip_erfcx_on_an_empty_band(monkeypatch):
+    # erf's 2 <= |x| < 6 band and erfc's |x| >= 2 tail are empty here, so
+    # neither pays the fixed cost of an erfcx call
+    def unreachable(x):
+        raise AssertionError("erfcx called")
+
+    monkeypatch.setattr(numerics, "erfcx", unreachable)
+    xs = np.linspace(-1.99, 1.99, 25)
+    for f in (erf, erfc):
+        assert f(xs).shape == xs.shape
+        assert type(f(0.5)) is float
+    assert erf(np.array([-7.0, 6.0, 40.0])).tolist() == [-1.0, 1.0, 1.0]
 
 
 def test_erf_bounds_and_saturation():
@@ -258,6 +273,21 @@ def test_semi_infinite_completed_square():
 def test_semi_infinite_nondecaying():
     with pytest.raises(NonDecaying):
         integrate_semi_infinite(lambda n: n * n, 0.0, TOL)
+
+
+def test_semi_infinite_undecayed_at_the_end_of_the_map():
+    # flat across the tail probes and decaying only near n = 1e18, beyond
+    # the last node of the map below t = 1 (n ~ 9e15): NonDecaying, raised
+    # before any node at t = 1 (n = inf) reaches the integrand
+    seen = []
+
+    def f(n):
+        seen.append(n.max())
+        return np.exp(-1e-18 * n)
+
+    with pytest.raises(NonDecaying):
+        integrate_semi_infinite(f, 0.0, TOL)
+    assert 1e14 < max(seen) < math.inf
 
 
 # -- batched quadrature ------------------------------------------------------

@@ -47,6 +47,25 @@ def test_b_conventions():
         coefficients(p, "other")
 
 
+@pytest.mark.parametrize("b_convention", ["spectrum", "compact"])
+def test_alpha_array_coefficients_equal_float_calls(b_convention):
+    alphas = np.concatenate([[0.0, 5e-324, 1e-9, 0.02], np.linspace(0.0, 0.999, 97),
+                             [np.nextafter(1.0, 0.0)]])
+    for make in (lambda al: OscillatorParams(alpha=al),
+                 lambda al: OscillatorParams(m0=0.7, omega=2.5, alpha=al),
+                 lambda al: OscillatorParams.si(alpha=al)):
+        curve = coefficients(make(alphas), b_convention)
+        points = [coefficients(make(al), b_convention) for al in alphas.tolist()]
+        assert all(type(c.a) is float and type(c.b) is float for c in points)
+        # a > 0 and b >= 0 (b = +0.0 only at alpha = 0): equal means same bits
+        assert curve.a.tolist() == [c.a for c in points]
+        assert curve.b.tolist() == [c.b for c in points]
+    for bad in (1.0, -0.1):
+        for make in (OscillatorParams, OscillatorParams.si):
+            with pytest.raises(ValueError, match="alpha"):
+                make(alpha=np.array([0.1, bad, 0.3]))
+
+
 def test_energy_frozen_values():
     assert energy_level(OscillatorParams(), 0) == 0.5
     p = OscillatorParams(alpha=0.1)

@@ -210,6 +210,30 @@ def test_figure_preset_shapes():
         figure_preset("Fig11a")
 
 
+@pytest.mark.parametrize("figure_id", list(PRESETS))
+def test_figure_preset_rows_equal_one_sweep_per_curve(figure_id, monkeypatch, capsys):
+    # a preset is one route call over its whole (curve x x) grid, and each
+    # row must be bit for bit the row of its curve's own sweep, as a loop of
+    # one run_sweep per curve value builds it; the CLI's JSON carries the
+    # same values
+    pr = PRESETS[figure_id]
+    want = []
+    for cv in pr.curve_values:
+        label = f"n={int(cv)}" if pr.curve_param == "n" else f"{pr.curve_param}={cv:g}"
+        spec = SweepSpec(quantity=pr.quantity, vary=pr.vary, values=pr.values,
+                         fixed={**pr.fixed, pr.curve_param: cv}, method=pr.method)
+        want += [(label, *row) for row in run_sweep(spec)]
+    assert len(want) == len(pr.values) * len(pr.curve_values)
+    route, calls = routes.ROUTES[(pr.quantity, pr.method)], []
+    monkeypatch.setitem(routes.ROUTES, (pr.quantity, pr.method),
+                        lambda s: calls.append(s) or route(s))
+    assert [repr(tuple(row)) for row in figure_preset(figure_id)] == list(map(repr, want))
+    assert len(calls) == 1
+    code, out = run_cli(["figure", figure_id, "--format", "json"], capsys)
+    assert code == 0
+    assert [repr(tuple(row.values())) for row in json.loads(out)] == list(map(repr, want))
+
+
 def test_figure_preset_trend_fig2b():
     rows = figure_preset("Fig2b")
     for label in ("beta=2", "beta=5", "beta=8"):
@@ -494,6 +518,17 @@ def test_cli_nonconvergence_exit_3(capsys):
                      "--alpha", "0.3", "--method", "quadinf",
                      "--tol-rel", "1e-30"])
     assert code == 3
+
+
+@pytest.mark.parametrize("quantity", ["Z", "C"])
+def test_cli_quadinf_sweep_that_never_decays_exits_3(quantity, capsys):
+    # SI levels (~1e-20 J) at beta ~ 0.1/J decay only near n ~ 1e20, past
+    # n ~ 9e15 where the map n = t/(1-t) runs out of resolution: no row is
+    # printed, and no RuntimeWarning (an error under this suite) escapes
+    code, out = run_cli(["sweep", quantity, "--vary", "beta", "--range", "0.05,0.5",
+                         "--method", "quadinf", "--units", "si"], capsys)
+    assert code == 3
+    assert out == ""
 
 
 def test_si_units_entropy_scale(capsys):

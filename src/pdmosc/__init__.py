@@ -7,11 +7,11 @@ from .numerics import (QuadratureResult, Tolerance, erf, erfc, erfcx, erfcx_deri
                        exp_neg_product, integrate_batch, integrate_finite,
                        integrate_semi_infinite, sum_decaying)
 from .spectrum import OscillatorParams, SpectrumCoefficients, coefficients, energy_level
-from .thermo import (B_MIN, Beta, ThermoPoint, free_energy_closed,
+from .thermo import (B_MIN, ThermoPoint, free_energy_closed,
                      heat_capacity_closed, log_partition_closed, mean_energy_closed,
                      entropy_closed, partition_closed, partition_quadrature, partition_sum,
                      thermo_closed_point, thermo_quadrature)
-from .superstat import (DeformationQ, SuperstatPoint, boltzmann_factor_q,
+from .superstat import (SuperstatPoint, boltzmann_factor_q,
                         entropy_superstat_closed, free_energy_superstat_closed,
                         heat_capacity_superstat_closed,
                         log_superstat_partition_closed, mean_energy_superstat_closed,

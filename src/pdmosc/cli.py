@@ -197,9 +197,9 @@ def _cmd_point(args) -> int:
     if method not in routes.POINTS[family]:
         raise ValueError(f"{family} points have no method {method!r}")
     pt = routes.POINTS[family][method](s)
-    lines = [f"beta={_fmt(pt.beta.value)}"]
+    lines = [f"beta={_fmt(pt.beta)}"]
     if args.q is not None:
-        lines.append(f"q={_fmt(pt.q.q)}")
+        lines.append(f"q={_fmt(pt.q)}")
     lines += [f"{qn}={_fmt(getattr(pt, qn))}" for qn in routes.FIELDS[family]]
     lines.append(f"method={pt.method}")
     _emit("\n".join(lines) + "\n", args.out)

@@ -35,8 +35,8 @@ class OscillatorParams:
     kB: float = 1.0
 
     def __post_init__(self):
-        if self.m0 <= 0 or self.omega <= 0 or self.hbar <= 0 or self.kB <= 0:
-            raise ValueError("m0, omega, hbar, kB must all be positive")
+        if not all(0.0 < x < math.inf for x in (self.m0, self.omega, self.hbar, self.kB)):
+            raise ValueError("m0, omega, hbar, kB must all be positive and finite")
         ok = (0.0 <= self.alpha) & (self.alpha < 1.0)
         if not (ok.all() if isinstance(ok, np.ndarray) else ok):
             raise ValueError("alpha must satisfy 0 <= alpha < 1")
@@ -63,9 +63,9 @@ class SpectrumCoefficients:
     b: float | np.ndarray
 
     def __post_init__(self):
-        bad = (self.a <= 0) | (self.b < 0)
-        if bad.any() if isinstance(bad, np.ndarray) else bad:
-            raise ValueError("require a > 0 and b >= 0")
+        ok = (0.0 < self.a) & (self.a < math.inf) & (0.0 <= self.b) & (self.b < math.inf)
+        if not (ok.all() if isinstance(ok, np.ndarray) else ok):
+            raise ValueError("require 0 < a < inf and 0 <= b < inf")
 
     def energy(self, n) -> float | np.ndarray:
         """Continuous-n energy; at integer n this is the level E_n."""

@@ -34,43 +34,21 @@ import numpy as np
 from .numerics import (_LAG_U, _LAG_W, _X_RULE, Tolerance, erfcx, erfcx_derivatives,
                        exp_neg_product)
 from .spectrum import SpectrumCoefficients
-from .thermo import (B_MIN, Beta, _beta_values, _check_transcription, _factor_q,
-                     _quadrature_moments, _require_regular, _saturating, _shaped,
-                     _weight_integrals, as_beta)
+from .thermo import (_beta_values, _check_transcription, _factor_q, _quadrature_moments,
+                     _require_regular, _saturating, _shaped, _weight_integrals)
 
 _SQRT_PI = math.sqrt(math.pi)
 
 
 @dataclass(frozen=True)
-class DeformationQ:
-    """Departure from Boltzmann-Gibbs statistics; q = 0 is classical."""
-
-    q: float
-
-    def __post_init__(self):
-        _check_q(self.q)
-
-
-def _check_q(value):
-    """DeformationQ's domain rule, 0 <= q <= 1, for a float or for every
-    element of an array."""
-    ok = (value >= 0.0) & (value <= 1.0)
-    if not (ok.all() if isinstance(ok, np.ndarray) else ok):
-        raise ValueError("q must lie in [0, 1]")
-
-
-def as_q(q) -> DeformationQ:
-    return q if isinstance(q, DeformationQ) else DeformationQ(float(q))
-
-
-@dataclass(frozen=True)
 class SuperstatPoint:
-    """Superstatistical state at one (beta, q), produced by one method.  A
-    point over beta, q or coefficient arrays holds beta and q as given, and
-    each quantity as an array over the broadcast."""
+    """Superstatistical state at one (beta, q), produced by one method:
+    beta, q and each quantity a float.  A point over beta, q or coefficient
+    arrays holds beta and q as the checked arrays of _mesh, and each
+    quantity as an array over the broadcast."""
 
-    beta: Beta
-    q: DeformationQ
+    beta: float | np.ndarray
+    q: float | np.ndarray
     Zs: float
     Us: float
     Ss: float
@@ -79,13 +57,13 @@ class SuperstatPoint:
     method: str
 
 
-def boltzmann_factor_q(E, beta, q) -> float:
+def boltzmann_factor_q(E, beta, q) -> float | np.ndarray:
     """Generalized Boltzmann factor e^{-beta E} (1 + (q/2) beta^2 E^2).
 
-    Equals the classical factor at q = 0 and never falls below it.
-    Accepts numpy arrays in E transparently.
+    Equals the classical factor at q = 0 and never falls below it.  E, beta
+    and q may be arrays that broadcast together; floats give a float.
     """
-    return _factor_q(E, as_beta(beta).value, as_q(q).q)
+    return _shaped(_factor_q(E, *_mesh(beta, q)), E, beta, q)
 
 
 def superstat_partition_quadrature(c: SpectrumCoefficients, beta, q,
@@ -102,23 +80,25 @@ def superstat_partition_quadrature(c: SpectrumCoefficients, beta, q,
 # ---------------------------------------------------------------------------
 
 def _mesh(beta, q):
-    """beta and q (floats, a Beta and a DeformationQ, or arrays that
-    broadcast against each other) as checked float arrays of at least one
-    dimension; a point is a one-element array, so it rounds through the
-    same numpy loops as a grid."""
+    """beta and q (floats, or arrays that broadcast against each other) as
+    float arrays of at least one dimension, every element checked:
+    0 < beta < inf (_beta_values) and 0 <= q <= 1, NaN failing both.  A
+    point is a one-element array, so it rounds through the same numpy loops
+    as a grid."""
     bv = _beta_values(beta)
-    qv = np.atleast_1d(np.asarray(q.q if isinstance(q, DeformationQ) else q, dtype=float))
-    _check_q(qv)
+    qv = np.atleast_1d(np.asarray(q, dtype=float))
+    if not ((qv >= 0.0) & (qv <= 1.0)).all():
+        raise ValueError("q must lie in [0, 1]")
     return bv, qv
 
 
-def _closed_args(c: SpectrumCoefficients, beta, q, transcription: str, b_min: float = B_MIN):
+def _closed_args(c: SpectrumCoefficients, beta, q, transcription: str):
     """After the argument checks: beta and q as _mesh arrays, the sign of
     the 2 a^3 sqrt(b) beta term (-1 verbatim, +1 corrected) and x1.  The
     forms below take x1 and erfcx(x1) from their caller, so a whole point
     or grid evaluates them once."""
     _check_transcription(transcription)
-    _require_regular(c, b_min)
+    _require_regular(c)
     bv, qv = _mesh(beta, q)
     x1 = 0.5 * (c.a + 2.0 * c.b) * np.sqrt(bv / c.b)
     return bv, qv, -1.0 if transcription == "verbatim" else 1.0, x1
@@ -167,20 +147,18 @@ def _free_energy(c: SpectrumCoefficients, bv, bracket):
 
 @_saturating
 def superstat_partition_closed(c: SpectrumCoefficients, beta, q,
-                               transcription: str = "verbatim",
-                               b_min: float = B_MIN) -> float | np.ndarray:
+                               transcription: str = "verbatim") -> float | np.ndarray:
     """The typeset closed form of Z_s, overflow-stabilized exactly."""
-    bv, qv, sign, x1 = _closed_args(c, beta, q, transcription, b_min)
+    bv, qv, sign, x1 = _closed_args(c, beta, q, transcription)
     bracket = _bracket(_bracket_pieces(c, bv, qv, sign), erfcx(x1))
     return _shaped(_partition(c, bv, bracket), beta, q, c.a)
 
 
 @_saturating
 def log_superstat_partition_closed(c: SpectrumCoefficients, beta, q,
-                                   transcription: str = "verbatim",
-                                   b_min: float = B_MIN) -> float | np.ndarray:
+                                   transcription: str = "verbatim") -> float | np.ndarray:
     """ln Z_s (closed form), stable at large beta."""
-    bv, qv, sign, x1 = _closed_args(c, beta, q, transcription, b_min)
+    bv, qv, sign, x1 = _closed_args(c, beta, q, transcription)
     bracket = _bracket(_bracket_pieces(c, bv, qv, sign), erfcx(x1))
     return _shaped(_log_partition(c, bv, bracket), beta, q, c.a)
 
@@ -223,14 +201,13 @@ def _numerator(c: SpectrumCoefficients, bv, qv, variant: str, x1, ex):
 
 @_saturating
 def mean_energy_superstat_closed(c: SpectrumCoefficients, beta, q,
-                                 transcription: str = "verbatim",
-                                 b_min: float = B_MIN) -> float | np.ndarray:
+                                 transcription: str = "verbatim") -> float | np.ndarray:
     """The typeset closed form of U_s.
 
     verbatim follows the U_s print (numerator variant 'us', denominator
     bracket with the 8 b^2 beta monomial and the minus a^3 sign); corrected
     swaps every restated sub-term for its cross-stated alternative."""
-    bv, qv, sign, x1 = _closed_args(c, beta, q, transcription, b_min)
+    bv, qv, sign, x1 = _closed_args(c, beta, q, transcription)
     ex = erfcx(x1)
     return _shaped(_mean_energy(c, bv, qv, sign, x1, ex,
                                 _bracket(_bracket_pieces(c, bv, qv, sign), ex)), beta, q, c.a)
@@ -252,10 +229,9 @@ def _mean_energy(c: SpectrumCoefficients, bv, qv, sign: float, x1, ex, bracket):
 
 @_saturating
 def entropy_superstat_closed(c: SpectrumCoefficients, beta, q, kB: float = 1.0,
-                             transcription: str = "verbatim",
-                             b_min: float = B_MIN) -> float | np.ndarray:
+                             transcription: str = "verbatim") -> float | np.ndarray:
     """The typeset closed form of S_s = kB(-beta * fraction + ln Z_s)."""
-    bv, qv, sign, x1 = _closed_args(c, beta, q, transcription, b_min)
+    bv, qv, sign, x1 = _closed_args(c, beta, q, transcription)
     ex = erfcx(x1)
     bracket = _bracket(_bracket_pieces(c, bv, qv, sign), ex)
     return _shaped(_entropy(c, bv, qv, sign, x1, ex, bracket, kB), beta, q, c.a)
@@ -270,10 +246,9 @@ def _entropy(c: SpectrumCoefficients, bv, qv, sign: float, x1, ex, bracket, kB: 
 
 @_saturating
 def free_energy_superstat_closed(c: SpectrumCoefficients, beta, q,
-                                 transcription: str = "verbatim",
-                                 b_min: float = B_MIN) -> float | np.ndarray:
+                                 transcription: str = "verbatim") -> float | np.ndarray:
     """F_s = -ln(Z_s)/beta of the same transcription's Z_s, exactly."""
-    bv, qv, sign, x1 = _closed_args(c, beta, q, transcription, b_min)
+    bv, qv, sign, x1 = _closed_args(c, beta, q, transcription)
     bracket = _bracket(_bracket_pieces(c, bv, qv, sign), erfcx(x1))
     return _shaped(_free_energy(c, bv, bracket), beta, q, c.a)
 
@@ -370,10 +345,10 @@ def excitation_moments(c: SpectrumCoefficients, beta) -> tuple[float, ...]:
     """J_k = int_0^inf D^k e^{-beta D} dn for k = 0..4, D = E(n) - E_0,
     in closed form (erfcx and a recurrence, or a fixed Gauss-Laguerre
     rule); no adaptive quadrature."""
-    bv = as_beta(beta).value
+    bv = _beta_values(beta)
     lin = c.a + 2.0 * c.b
-    moments = _scaled_moments(np.array([c.a]), np.array([c.b]), np.array([bv]))
-    return tuple(m / (lin * bv ** (k + 1)) for k, m in enumerate(moments[:, 0].tolist()))
+    moments = _scaled_moments(np.array([c.a]), np.array([c.b]), bv)
+    return tuple(m / (lin * bv.item() ** (k + 1)) for k, m in enumerate(moments[:, 0].tolist()))
 
 
 def _engine_columns(c: SpectrumCoefficients, bv, qv, kB: float) -> dict:
@@ -432,16 +407,17 @@ def superstat_thermo(c: SpectrumCoefficients, beta, q, kB: float = 1.0,
     method 'closed' evaluates the typeset Z_s, U_s, S_s, F_s and the exact
     C_s of the closed Z_s from one erfcx_derivatives(x1) (_closed_columns).
     """
+    bv, qv = _mesh(beta, q)
     if method == "closed":
-        columns = _closed_columns(c, beta, q, kB, transcription)
+        columns = _closed_columns(c, bv, qv, kB, transcription)
     elif method == "engine":
-        columns = _engine_columns(c, *_mesh(beta, q), kB)
+        columns = _engine_columns(c, bv, qv, kB)
     elif method == "quadinf":
         columns = dict(zip(("Zs", "Us", "Cs", "Ss", "Fs"),
-                           _quadrature_moments(c, *_mesh(beta, q), math.inf, kB, tol)))
+                           _quadrature_moments(c, bv, qv, math.inf, kB, tol)))
     else:
         raise ValueError("method must be 'engine', 'quadinf' or 'closed'")
     if np.ndim(c.a) == np.ndim(beta) == np.ndim(q) == 0:
-        return SuperstatPoint(as_beta(beta), as_q(q), method=method,
+        return SuperstatPoint(bv.item(), qv.item(), method=method,
                               **{qn: v.item() for qn, v in columns.items()})
-    return SuperstatPoint(beta, q, method=method, **columns)
+    return SuperstatPoint(bv, qv, method=method, **columns)

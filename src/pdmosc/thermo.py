@@ -45,35 +45,15 @@ TRANSCRIPTIONS = ("verbatim", "corrected")
 _saturating = np.errstate(over="ignore", divide="ignore", invalid="ignore")
 
 
-@dataclass(frozen=True)
-class Beta:
-    """Inverse temperature 1/(kB*T), strictly positive and finite."""
-
-    value: float
-
-    def __post_init__(self):
-        _check_beta(self.value)
-
-
-def _check_beta(value):
-    """Beta's domain rule, 0 < beta < inf, for a float or for every element
-    of an array (the superstat closed forms take beta arrays)."""
-    ok = (value > 0.0) & (value < math.inf)
-    if not (ok.all() if isinstance(ok, np.ndarray) else ok):
-        raise ValueError("beta must be positive and finite")
-
-
-def as_beta(beta) -> Beta:
-    return beta if isinstance(beta, Beta) else Beta(float(beta))
-
-
 def _beta_values(beta) -> np.ndarray:
-    """beta (a float, a Beta or an array) as a float array of at least one
-    dimension, every element checked: the closed forms and the batched
-    quadrature evaluate a point as a one-element array, so that it rounds
-    through the same numpy loops as a curve."""
-    bv = np.atleast_1d(np.asarray(beta.value if isinstance(beta, Beta) else beta, dtype=float))
-    _check_beta(bv)
+    """beta (a float or an array) as a float array of at least one
+    dimension, every element checked, 0 < beta < inf (NaN fails): the
+    closed forms and the batched quadrature evaluate a point as a
+    one-element array, so that it rounds through the same numpy loops as a
+    curve."""
+    bv = np.atleast_1d(np.asarray(beta, dtype=float))
+    if not ((bv > 0.0) & (bv < math.inf)).all():
+        raise ValueError("beta must be positive and finite")
     return bv
 
 
@@ -85,11 +65,11 @@ def _shaped(value: np.ndarray, *params):
 
 @dataclass(frozen=True)
 class ThermoPoint:
-    """Thermodynamic state at one beta, produced by one named method.  A
-    point over a curve (of alpha or beta) holds the beta array and each
-    quantity as an array."""
+    """Thermodynamic state at one beta, produced by one named method: beta
+    and each quantity a float.  A point over a curve (of alpha or beta)
+    holds the checked beta array and each quantity as an array."""
 
-    beta: Beta
+    beta: float | np.ndarray
     Z: float
     U: float
     C: float
@@ -102,7 +82,7 @@ def _thermo_point(c: SpectrumCoefficients, beta, bv, columns, method: str) -> Th
     """The ThermoPoint of the (Z, U, C, S, F) columns: floats where the
     coefficients and beta are floats, else the arrays."""
     if np.ndim(beta) == np.ndim(c.a) == 0:
-        return ThermoPoint(as_beta(beta), *(col.item() for col in columns), method=method)
+        return ThermoPoint(bv.item(), *(col.item() for col in columns), method=method)
     return ThermoPoint(bv, *columns, method=method)
 
 
@@ -225,22 +205,22 @@ def partition_sum(c, beta, tol: Tolerance = Tolerance()) -> float | np.ndarray:
     return thermo_sum_engine(c, beta, 1.0, tol).Z
 
 
-def _require_regular(c: SpectrumCoefficients, b_min: float):
-    singular = c.b <= b_min
+def _require_regular(c: SpectrumCoefficients):
+    singular = c.b <= B_MIN
     if singular.any() if isinstance(singular, np.ndarray) else singular:
         exc = SingularLimit(f"closed form singular at b={np.min(c.b):.3e} <= "
-                            f"b_min={b_min:.3e}; use the sum route")
+                            f"B_MIN={B_MIN:.3e}; use the sum route")
         exc.singular = singular
         raise exc
 
 
-def _xargs(c: SpectrumCoefficients, beta, b_min: float, transcription: str = "verbatim"):
+def _xargs(c: SpectrumCoefficients, beta, transcription: str = "verbatim"):
     """beta as a checked array (_beta_values) and the common erf arguments
     x1 <= x2 with the stabilized difference Dx = e^{x1^2} (erf(x2) - erf(x1)),
     after the argument checks; the closed forms below take them, so a whole
     point or curve forms them once."""
     _check_transcription(transcription)
-    _require_regular(c, b_min)
+    _require_regular(c)
     bv = _beta_values(beta)
     a, b = c.a, c.b
     x1 = 0.5 * (a + 2.0 * b) * np.sqrt(bv / b)
@@ -249,14 +229,13 @@ def _xargs(c: SpectrumCoefficients, beta, b_min: float, transcription: str = "ve
 
 
 @_saturating
-def partition_closed(c: SpectrumCoefficients, beta,
-                     b_min: float = B_MIN) -> float | np.ndarray:
+def partition_closed(c: SpectrumCoefficients, beta) -> float | np.ndarray:
     """The closed erf form of Z, evaluated as typeset for small erf arguments
     and through the scaled complement (exact algebra) once cancellation in
     the erf difference would cost more than ~1e-13 relative.  Like every
     closed form below it takes a float beta or an array, and float
     coefficients or arrays (an alpha curve), elementwise."""
-    return _shaped(_partition(c, *_xargs(c, beta, b_min)), beta, c.a)
+    return _shaped(_partition(c, *_xargs(c, beta)), beta, c.a)
 
 
 def _partition(c: SpectrumCoefficients, bv, xa):
@@ -269,10 +248,9 @@ def _partition(c: SpectrumCoefficients, bv, xa):
 
 
 @_saturating
-def log_partition_closed(c: SpectrumCoefficients, beta,
-                         b_min: float = B_MIN) -> float | np.ndarray:
+def log_partition_closed(c: SpectrumCoefficients, beta) -> float | np.ndarray:
     """ln of the closed-form Z, stable at any erf-argument size."""
-    return _shaped(_log_partition(c, *_xargs(c, beta, b_min)), beta, c.a)
+    return _shaped(_log_partition(c, *_xargs(c, beta)), beta, c.a)
 
 
 def _log_partition(c: SpectrumCoefficients, bv, xa):
@@ -428,15 +406,15 @@ def _check_transcription(transcription: str):
 
 
 @_saturating
-def mean_energy_closed(c: SpectrumCoefficients, beta, transcription: str = "verbatim",
-                       b_min: float = B_MIN) -> float | np.ndarray:
+def mean_energy_closed(c: SpectrumCoefficients, beta,
+                       transcription: str = "verbatim") -> float | np.ndarray:
     """The typeset closed form of U(beta).
 
     verbatim keeps the typeset exponents e^{-3 beta - ...} and
     e^{(a^2+2b)^2 beta/(4b)}; corrected restores e^{-3 a beta - ...} and
     e^{(a+2b)^2 beta/(4b)}, which makes the expression exactly
     -d ln Z / d beta of the closed-form Z."""
-    return _shaped(_mean_energy(c, *_xargs(c, beta, b_min, transcription), transcription),
+    return _shaped(_mean_energy(c, *_xargs(c, beta, transcription), transcription),
                    beta, c.a)
 
 
@@ -460,15 +438,14 @@ def _mean_energy(c: SpectrumCoefficients, bv, xa, transcription: str):
 
 @_saturating
 def heat_capacity_closed(c: SpectrumCoefficients, beta, kB: float = 1.0,
-                         transcription: str = "verbatim",
-                         b_min: float = B_MIN) -> float | np.ndarray:
+                         transcription: str = "verbatim") -> float | np.ndarray:
     """The typeset closed form of C(beta).
 
     The verbatim expression is transcribed literally (it lacks the
     erf(x1)*erf(x2) cross term its own square demands, so it diverges from
     the truth and can overflow).  corrected evaluates the algebraically
     consistent reading, which equals kB beta^2 d2 ln Z/d beta2 exactly."""
-    return _shaped(_heat_capacity(c, *_xargs(c, beta, b_min, transcription), kB,
+    return _shaped(_heat_capacity(c, *_xargs(c, beta, transcription), kB,
                                   transcription), beta, c.a)
 
 
@@ -517,8 +494,7 @@ def _heat_capacity(c: SpectrumCoefficients, bv, xa, kB: float, transcription: st
 
 @_saturating
 def entropy_closed(c: SpectrumCoefficients, beta, kB: float = 1.0,
-                   transcription: str = "verbatim",
-                   b_min: float = B_MIN) -> float | np.ndarray:
+                   transcription: str = "verbatim") -> float | np.ndarray:
     """The typeset closed form of S(beta).
 
     The verbatim expression follows the typeset parenthesization (the
@@ -526,7 +502,7 @@ def entropy_closed(c: SpectrumCoefficients, beta, kB: float = 1.0,
     which the remaining terms keep a bare growing exponential.  No reading
     of the typeset S matches kB(lnZ - beta dlnZ/dbeta); corrected therefore
     evaluates that defining identity with the corrected U."""
-    bv, xa = _xargs(c, beta, b_min, transcription)
+    bv, xa = _xargs(c, beta, transcription)
     return _shaped(_entropy(c, bv, xa, kB, transcription, _log_partition(c, bv, xa)),
                    beta, c.a)
 
@@ -546,23 +522,22 @@ def _entropy(c: SpectrumCoefficients, bv, xa, kB: float, transcription: str, lnz
 
 
 @_saturating
-def free_energy_closed(c: SpectrumCoefficients, beta,
-                       b_min: float = B_MIN) -> float | np.ndarray:
+def free_energy_closed(c: SpectrumCoefficients, beta) -> float | np.ndarray:
     """F(beta) = -ln(Z_closed)/beta; the typeset F is exactly this
     composition, so there is nothing to transcribe.  ln Z_closed is taken
     stably, so F stays finite where Z_closed underflows."""
-    bv, xa = _xargs(c, beta, b_min)
+    bv, xa = _xargs(c, beta)
     return _shaped(-_log_partition(c, bv, xa) / bv, beta, c.a)
 
 
 @_saturating
 def thermo_closed_point(c: SpectrumCoefficients, beta, kB: float = 1.0,
-                        transcription: str = "verbatim", b_min: float = B_MIN) -> ThermoPoint:
+                        transcription: str = "verbatim") -> ThermoPoint:
     """All five typeset closed forms from one _xargs, each bit for bit its
     single-quantity function.  Float coefficients and beta give a point of
     floats; a curve gives a point that holds beta and each quantity as an
     array."""
-    bv, xa = _xargs(c, beta, b_min, transcription)
+    bv, xa = _xargs(c, beta, transcription)
     lnz = _log_partition(c, bv, xa)
     return _thermo_point(c, beta, bv, (
         _partition(c, bv, xa), _mean_energy(c, bv, xa, transcription),

@@ -63,19 +63,13 @@ def _classify(printed: np.ndarray, oracle: np.ndarray) -> tuple[np.ndarray, np.n
     return np.where(oracle_ok, rel, math.nan), cls
 
 
-def _as_params(entry) -> OscillatorParams:
-    if isinstance(entry, OscillatorParams):
-        return entry
-    return OscillatorParams(alpha=float(entry))
-
-
 def audit_grid(params_grid: Iterable = DEFAULT_ALPHAS,
                beta_grid: Sequence[float] = DEFAULT_BETAS,
                q_grid: Sequence[float] = DEFAULT_QS,
                tol: Tolerance = Tolerance(rel=3e-13, abs=0.0, max_evals=400_000),
-               oracle_basis: str = "closed",
-               kB: float = 1.0) -> list[DiscrepancyReport]:
-    """Audit every typeset closed form on the grid, both transcriptions.
+               oracle_basis: str = "closed") -> list[DiscrepancyReport]:
+    """Audit every typeset closed form on the grid of alpha values
+    (params_grid), beta and q, both transcriptions, in natural units.
 
     Oracle assignments, basis "closed" (internal-consistency audit):
     Z/U/C/S/F -> the exact moments of the integral over n in [0, 1] that
@@ -93,10 +87,10 @@ def audit_grid(params_grid: Iterable = DEFAULT_ALPHAS,
     """
     if oracle_basis not in ("closed", "sum"):
         raise ValueError("oracle_basis must be 'closed' or 'sum'")
-    params = [_as_params(p) for p in params_grid]
+    alphas = [float(a) for a in params_grid]
     betas = [float(b) for b in beta_grid]
     qs = [float(q) for q in q_grid]
-    if not params or not betas or not qs:
+    if not alphas or not betas or not qs:
         raise ValueError("grids must be nonempty")
 
     trs = thermo.TRANSCRIPTIONS
@@ -106,25 +100,25 @@ def audit_grid(params_grid: Iterable = DEFAULT_ALPHAS,
     oracles = {qn: [] for qn in QUANTITIES}
     beta_col = np.array(betas)
     mesh = beta_col[:, None], np.array(qs)
-    for p in params:
-        c = coefficients(p)
+    for alpha in alphas:
+        c = coefficients(OscillatorParams(alpha=alpha))
         if oracle_basis == "closed":
-            thermo_oracle = thermo.thermo_quadrature(c, beta_col, "quad01", kB, tol)
+            thermo_oracle = thermo.thermo_quadrature(c, beta_col, "quad01", tol=tol)
         else:
-            thermo_oracle = thermo.thermo_sum_engine(c, beta_col, kB, tol)
+            thermo_oracle = thermo.thermo_sum_engine(c, beta_col, tol=tol)
         # family -> (oracle point, typeset point per transcription)
         points = {
             "thermo": (thermo_oracle,
-                       [thermo.thermo_closed_point(c, beta_col, kB, tr) for tr in trs]),
-            "superstat": (superstat.superstat_thermo(c, *mesh, kB, method="engine"),
-                          [superstat.superstat_thermo(c, *mesh, kB, method="closed",
+                       [thermo.thermo_closed_point(c, beta_col, transcription=tr)
+                        for tr in trs]),
+            "superstat": (superstat.superstat_thermo(c, *mesh, method="engine"),
+                          [superstat.superstat_thermo(c, *mesh, method="closed",
                                                       transcription=tr) for tr in trs])}
         for family, (oracle, typeset) in points.items():
             for qn in routes.FIELDS[family]:
                 oracles[qn].append(np.repeat(getattr(oracle, qn), len(trs)))
                 printed[qn].append(np.stack([getattr(pt, qn) for pt in typeset], axis=-1).ravel())
 
-    alphas = [p.alpha for p in params]
     grids = {"thermo": list(zip(*product(alphas, betas, [None], trs))),
              "superstat": list(zip(*product(alphas, betas, qs, trs)))}
     reports: list[DiscrepancyReport] = []

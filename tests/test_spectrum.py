@@ -1,5 +1,7 @@
 """Spectrum tests: compact coefficients and level structure."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,20 @@ def test_params_validation():
     with pytest.raises(ValueError):
         OscillatorParams(m0=0.0)
     OscillatorParams(alpha=0.0)  # undeformed limit admitted
+
+
+def test_nan_and_inf_parameters_are_refused():
+    # written as 0 < x < inf, the checks fail NaN and inf as they fail 0
+    for bad in (dict(m0=math.nan), dict(omega=math.inf, kB=math.inf), dict(hbar=-math.inf),
+                dict(alpha=math.nan)):
+        with pytest.raises(ValueError):
+            OscillatorParams(**bad)
+    for a, b in ((math.nan, 0.1), (math.inf, 0.1), (1.0, math.nan), (1.0, math.inf),
+                 (np.array([1.0, math.nan]), np.array([0.1, 0.1])),
+                 (np.array([1.0, 1.0]), np.array([0.1, math.inf]))):
+        with pytest.raises(ValueError):
+            SpectrumCoefficients(a=a, b=b)
+    SpectrumCoefficients(a=1.0, b=0.0)
 
 
 def test_coefficients_frozen_values():

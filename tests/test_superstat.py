@@ -2,13 +2,14 @@
 moment engine (ground truth), typeset closed forms, assembled points."""
 
 import math
+from functools import partial
 
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from pdmosc import (DeformationQ, OscillatorParams, SingularLimit, SpectrumCoefficients,
+from pdmosc import (B_MIN, OscillatorParams, SingularLimit, SpectrumCoefficients,
                     Tolerance, boltzmann_factor_q, coefficients, entropy_superstat_closed,
                     free_energy_superstat_closed, heat_capacity_superstat_closed,
                     integrate_semi_infinite,
@@ -30,12 +31,38 @@ C09 = coefficients(OscillatorParams(alpha=0.9))
 
 
 def test_q_validation():
-    with pytest.raises(ValueError):
-        DeformationQ(-0.01)
-    with pytest.raises(ValueError):
-        DeformationQ(1.01)
-    DeformationQ(0.0)
-    DeformationQ(1.0)
+    # 0 <= q <= 1, NaN refused, at every entry point that takes q
+    for q in (-0.01, 1.01, math.nan):
+        with pytest.raises(ValueError, match="q must lie in"):
+            boltzmann_factor_q(1.0, 1.0, q)
+        with pytest.raises(ValueError, match="q must lie in"):
+            superstat_partition_quadrature(C03, 1.0, q)
+        for method in ("engine", "quadinf", "closed"):
+            with pytest.raises(ValueError, match="q must lie in"):
+                superstat_thermo(C03, 1.0, q, method=method)
+    for q in (0.0, 1.0):
+        assert boltzmann_factor_q(1.0, 1.0, q) >= boltzmann_factor_q(1.0, 1.0, 0.0)
+        assert superstat_thermo(C03, 1.0, q).q == q
+
+
+def test_points_hold_floats_or_checked_float_arrays():
+    for method in ("engine", "quadinf", "closed"):
+        pt = superstat_thermo(C03, 2, 1, method=method)
+        assert type(pt.beta) is float and type(pt.q) is float
+        assert (pt.beta, pt.q) == (2.0, 1.0)
+        curve = superstat_thermo(C03, [0.5, 2.0], [0.0, 1.0], method=method)
+        for got, given in ((curve.beta, [0.5, 2.0]), (curve.q, [0.0, 1.0])):
+            assert isinstance(got, np.ndarray) and got.dtype == np.float64
+            assert got.tolist() == given
+    # beta and q arrays: each element is its float call
+    energies = np.array([0.0, 0.7, 3.0])
+    betas, qs = np.array([0.5, 1.0, 7.0]), np.array([0.0, 0.3, 1.0])
+    points = [boltzmann_factor_q(e, b, q) for e, b, q in
+              zip(energies.tolist(), betas.tolist(), qs.tolist())]
+    assert all(type(v) is float for v in points)
+    assert boltzmann_factor_q(energies, betas, qs).tolist() == points
+    assert boltzmann_factor_q(0.7, betas, qs).tolist() == [
+        boltzmann_factor_q(0.7, b, q) for b, q in zip(betas.tolist(), qs.tolist())]
 
 
 def test_boltzmann_factor_values():
@@ -126,6 +153,23 @@ def test_closed_singular_guard():
         superstat_partition_closed(tiny, 1.0, 0.5)
     with pytest.raises(SingularLimit):
         mean_energy_superstat_closed(tiny, 1.0, 0.5)
+    # b = B_MIN is singular and b = 2 B_MIN is not, for a float beta and an array
+    at_limit = SpectrumCoefficients(a=1.0, b=B_MIN)
+    above = SpectrumCoefficients(a=1.0, b=2.0 * B_MIN)
+    forms = (log_superstat_partition_closed, free_energy_superstat_closed,
+             heat_capacity_superstat_closed)
+    for beta in (1.0, np.array([0.5, 1.0])):
+        for tr in ("verbatim", "corrected"):
+            point = partial(superstat_thermo, method="closed", transcription=tr)
+            for form in forms + (point,):
+                with pytest.raises(SingularLimit):
+                    form(at_limit, beta, 0.5)
+            for form in forms:
+                assert np.isfinite(form(above, beta, 0.5)).all()
+            # the typeset U_s and S_s keep a Gaussian e^{x1^2}, x1 ~ 3500 here,
+            # that overflows honestly; the other three fields stay finite
+            pt = point(above, beta, 0.5)
+            assert np.isfinite([pt.Zs, pt.Fs, pt.Cs]).all()
 
 
 def test_log_closed_consistency():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from pdmosc import (Beta, NonConvergence, OscillatorParams, SingularLimit, SpectrumCoefficients,
+from pdmosc import (NonConvergence, OscillatorParams, SingularLimit, SpectrumCoefficients,
                     Tolerance, coefficients, entropy_closed,
                     free_energy_closed, heat_capacity_closed, log_partition_closed,
                     mean_energy_closed, partition_closed, partition_quadrature,
@@ -34,12 +34,21 @@ C00 = coefficients(OscillatorParams(alpha=0.0))
 
 
 def test_beta_validation():
-    with pytest.raises(ValueError):
-        Beta(0.0)
-    with pytest.raises(ValueError):
-        Beta(-2.0)
-    with pytest.raises(ValueError):
-        Beta(math.inf)
+    # 0 < beta < inf, NaN refused, at every route's entry point
+    for beta in (0.0, -2.0, math.inf, math.nan):
+        for route in (partition_sum, partition_closed, partition_quadrature,
+                      thermo_closed_point, thermo_quadrature, thermo_sum_engine):
+            with pytest.raises(ValueError, match="beta must be positive and finite"):
+                route(C03, beta)
+
+
+def test_points_hold_float_beta_and_curves_checked_float_arrays():
+    for point in (thermo_sum_engine, thermo_closed_point, thermo_quadrature):
+        pt = point(C03, 2)
+        assert type(pt.beta) is float and pt.beta == 2.0
+        curve = point(C03, [0.5, 2.0])
+        assert isinstance(curve.beta, np.ndarray) and curve.beta.dtype == np.float64
+        assert curve.beta.tolist() == [0.5, 2.0]
 
 
 # -- partition_sum -----------------------------------------------------------
@@ -352,7 +361,7 @@ def test_closed_forms_over_beta_equal_their_points(tr):
                 assert np.array_equal(getattr(curve, name), column, equal_nan=True)
         for beta in (0.5, 2000.0):
             pt = thermo_closed_point(c, beta, 1.0, tr)
-            assert pt.beta == Beta(beta)
+            assert pt.beta == beta
             assert all(type(getattr(pt, qn)) is float for qn in "ZUCSF")
     # the verbatim overflow is kept: inf, not an exception
     assert math.isinf(heat_capacity_closed(C03, np.array([2000.0]), 1.0, "verbatim")[0])
@@ -381,7 +390,7 @@ def test_quadrature_over_beta_equals_its_points(range_):
             assert np.array_equal(curve.beta, _CURVE_BETAS) and curve.method == range_
             for i, beta in enumerate(_CURVE_BETAS.tolist()):
                 pt = thermo_quadrature(c, beta, range_, 1.0, tol)
-                assert pt.beta == Beta(beta)
+                assert pt.beta == beta
                 got = [getattr(pt, qn) for qn in "ZUCSF"]
                 assert all(type(v) is float for v in got)
                 assert got == [getattr(curve, qn)[i] for qn in "ZUCSF"], (c, beta)

@@ -5,8 +5,9 @@ presets with the quoted parameter values), ``audit`` (the printed-vs-oracle
 discrepancy atlas), ``point`` (one thermodynamic or superstatistical state
 as key=value lines).
 
-Exit codes: 0 success, 2 invalid arguments or any other package error,
-3 numerical non-convergence.
+Exit codes: 0 success, 2 invalid arguments (a sweep also refuses a point
+flag its quantity does not read) or any other package error, 3 numerical
+non-convergence.
 A plain ``key = value`` config file can seed any flag; its values are
 validated like flags, and explicit flags always win.
 """
@@ -30,7 +31,7 @@ def _fmt(x: float) -> str:
 def _parse_range(text: str) -> tuple[float, ...]:
     """lo:hi:count (linear), log:lo:hi:count, or a comma-separated list."""
     if "," in text:
-        return tuple(float(v) for v in text.split(","))
+        return tuple(map(float, text.split(",")))
     parts = text.split(":")
     log = parts[0] == "log"
     if log:
@@ -61,12 +62,11 @@ def _config_tokens(args: argparse.Namespace) -> list[str]:
     return tokens
 
 
-def _add_point_flags(sub):
-    """The flags that set one evaluation point and its route."""
-    sub.add_argument("--alpha", type=float, default=0.0)
-    sub.add_argument("--beta", type=float, default=1.0)
-    sub.add_argument("--q", type=float, default=None)
-    sub.add_argument("--n", type=int, default=0)
+def _add_point_flags(sub, params: tuple[str, ...]):
+    """The flags of the point parameters params and of the route; a
+    parameter not given stays None, and routes.state fills in its default."""
+    for name in params:
+        sub.add_argument(f"--{name}", type=int if name == "n" else float, default=None)
     sub.add_argument("--method", default=None, choices=list(routes.METHODS))
     sub.add_argument("--transcription", default="verbatim",
                      choices=["verbatim", "corrected"])
@@ -86,9 +86,10 @@ def _add_common(sub):
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser of every verb, built once per process: parse_args leaves
-    it unchanged, so every call starts from the defaults."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and the {verb: parser} map of its subparsers,
+    built once per process: parse_args leaves them unchanged, so every call
+    starts from the defaults."""
     parser = argparse.ArgumentParser(
         prog="pdmosc",
         description="Thermodynamics and superstatistics of the deformed-mass "
@@ -100,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--vary", required=True, choices=list(sweeps.VARY_CHOICES))
     sweep.add_argument("--range", dest="range", required=True,
                        help="lo:hi:count, log:lo:hi:count, or v1,v2,...")
-    _add_point_flags(sweep)
+    _add_point_flags(sweep, ("alpha", "beta", "q", "n"))
 
     figure = subs.add_parser("figure", help="emit one figure preset")
     figure.add_argument("id", choices=list(sweeps.FIGURE_IDS))
@@ -112,8 +113,29 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(audit)
 
     point = subs.add_parser("point", help="one state as key=value lines")
-    _add_point_flags(point)
-    return parser
+    _add_point_flags(point, ("alpha", "beta", "q"))  # a point reads no level n
+    return parser, {"sweep": sweep, "figure": figure, "audit": audit, "point": point}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser of every verb, built once per process."""
+    return _parsers()[0]
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """argv as build_parser() parses it, with the values of a --config file
+    put before the command's own flags, which win.  A command that starts
+    with its verb is parsed by that verb's parser alone; anything else (-h,
+    a missing or unknown verb) goes to the top-level parser, which exits."""
+    parser, verbs = _parsers()
+    if not argv or argv[0] not in verbs:
+        parser.parse_args(argv)  # prints help or the usage error and exits
+    verb, rest = argv[0], argv[1:]
+    args = verbs[verb].parse_args(rest, argparse.Namespace(command=verb))
+    if args.config:
+        args = verbs[verb].parse_args(_config_tokens(args) + rest,
+                                      argparse.Namespace(command=verb))
+    return args
 
 
 def _tolerance(args, rel: float = 1e-10) -> Tolerance:
@@ -155,15 +177,19 @@ def _emit_rows(args, header: list[str], template: str, rows: list[tuple]):
 
 
 def _values(args) -> dict:
-    """The point flags as routes.state values; q only when given."""
-    values = {"alpha": args.alpha, "beta": args.beta, "n": args.n}
-    if args.q is not None:
-        values["q"] = args.q
-    return values
+    """The point parameters given as flags (or by the config file), as
+    routes.state values."""
+    return {k: v for k in ("alpha", "beta", "q", "n")
+            if (v := getattr(args, k, None)) is not None}
 
 
 def _cmd_sweep(args) -> int:
     fixed = _values(args)
+    reads = sweeps.DEPENDS_ON[args.quantity]
+    ignored = [f"--{k}" for k in fixed if k not in reads]
+    if ignored:
+        raise ValueError(f"{args.quantity} does not read {', '.join(ignored)}; "
+                         f"its sweep takes only --{', --'.join(reads)}")
     fixed.pop(args.vary, None)
     spec = sweeps.SweepSpec(
         quantity=args.quantity, vary=args.vary, values=_parse_range(args.range),
@@ -211,13 +237,9 @@ _COMMANDS = {"sweep": _cmd_sweep, "figure": _cmd_figure,
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-        if args.config:  # config values go before the user's flags, which win
-            at = argv.index(args.command) + 1
-            args = parser.parse_args(argv[:at] + _config_tokens(args) + argv[at:])
+        args = parse_args(argv)
         return _COMMANDS[args.command](args)
     except (NonConvergence, NonDecaying) as exc:
         print(f"pdmosc: numerical non-convergence: {exc}", file=sys.stderr)

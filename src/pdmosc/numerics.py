@@ -104,10 +104,11 @@ def _elementwise(kernel):
     return call
 
 
-#: the stdlib's erf and erfc, elementwise over an array: without scipy the
-#: only accurate source below |x| = 2
-_math_erf = np.frompyfunc(math.erf, 1, 1)
-_math_erfc = np.frompyfunc(math.erfc, 1, 1)
+def _stdlib(f, x: np.ndarray) -> np.ndarray:
+    """The stdlib's math.erf or math.erfc over a 1-d array: without scipy
+    the only accurate source below |x| = 2."""
+    return np.fromiter(map(f, x.tolist()), float, len(x))
+
 
 #: from this x on, erfcx and its derivatives come from the Gauss-Laguerre
 #: rule, whose nodes lie far enough from the branch point u = -x^2
@@ -126,19 +127,28 @@ def erfcx(x):
     erfcx(x) = (2/sqrt(pi)) int_0^inf e^{-t^2 - 2xt} dt (DLMF 7.2.2) gives
         erfcx(x) = (1/(sqrt(pi) x)) int_0^inf e^{-u} (1 + u/x^2)^{-1/2} du,
     a fixed 48-point Gauss-Laguerre sum of positive terms w_i/(x^2 + u_i)^{1/2},
-    one row sum per element.  Elementwise over an array."""
+    one row sum per element; from 1e8 on (and at NaN) 1/(sqrt(pi) x), as
+    1/(2x^2) is below rounding there and x^2 may overflow.  Elementwise
+    over an array; a branch without elements costs nothing."""
+    out = np.empty_like(x)
     low = x < _X_RULE
-    xl = x[low]
-    with np.errstate(divide="ignore", over="ignore"):  # at x = 0 and x < -26.6 replaced below
-        out = 1.0 / (_SQRT_PI * x)
-        ex2 = np.exp(xl * xl)
-    neg = xl < 0.0
-    if neg.any():  # the exact product costs some 20 array operations
-        ex2[neg] = exp_neg_product(-xl[neg], xl[neg])
-    out[low] = ex2 * _math_erfc(xl).astype(float)
-    rule = ~low & (x < 1e8)  # beyond, 1/(2x^2) is below rounding (and x^2 may overflow)
-    xs = x[rule][:, None]
-    out[rule] = (_LAG_W * (xs * xs + _LAG_U) ** -0.5).sum(axis=-1) / _SQRT_PI
+    inside = x < 1e8  # beyond, and at NaN, 1/(sqrt(pi) x)
+    n_low, n_inside = np.count_nonzero(low), np.count_nonzero(inside)
+    if n_low:
+        xl = x[low]
+        xp = np.maximum(xl, 0.0)  # x < 0, where e^{x^2} may overflow: replaced next
+        ex2 = np.exp(xp * xp)
+        neg = xl < 0.0
+        if np.count_nonzero(neg):  # the exact product costs some 20 array operations
+            ex2[neg] = exp_neg_product(-xl[neg], xl[neg])
+        out[low] = ex2 * _stdlib(math.erfc, xl)
+    if n_inside > n_low:
+        rule = inside ^ low  # low lies inside
+        xs = x[rule][:, None]
+        out[rule] = (_LAG_W * (xs * xs + _LAG_U) ** -0.5).sum(axis=-1) / _SQRT_PI
+    if n_inside < len(x):
+        far = ~inside
+        out[far] = 1.0 / (_SQRT_PI * x[far])
     return out
 
 
@@ -156,12 +166,13 @@ def erfcx_derivatives(x):
         d1 = 2.0 * x * e - 2.0 / _SQRT_PI
         d2 = 2.0 * e + 2.0 * x * d1
         rule = ~(x < _X_RULE)
-        xs = x[rule][:, None]
-        r = np.sqrt(xs * xs + _LAG_U)
-    t = _LAG_U / (xs + r)
-    wt = _LAG_W * t / r
-    d1[rule] = -2.0 * wt.sum(axis=-1) / _SQRT_PI
-    d2[rule] = 4.0 * (wt * t).sum(axis=-1) / _SQRT_PI
+        if np.count_nonzero(rule):
+            xs = x[rule][:, None]
+            r = np.sqrt(xs * xs + _LAG_U)
+            t = _LAG_U / (xs + r)
+            wt = _LAG_W * t / r
+            d1[rule] = -2.0 * wt.sum(axis=-1) / _SQRT_PI
+            d2[rule] = 4.0 * (wt * t).sum(axis=-1) / _SQRT_PI
     return e, d1, d2
 
 
@@ -171,10 +182,10 @@ def erf(x):
     1.4e-16 relative of 40-digit mpmath on [-2, 2]; exactly +-1 from 6 on),
     1 - e^{-x^2} erfcx(|x|) with the sign of x inside.  Elementwise over an
     array."""
-    out = _math_erf(x).astype(float)
+    out = _stdlib(math.erf, x)
     ax = np.abs(x)
     mid = (ax >= 2.0) & (ax < 6.0)
-    if mid.any():  # an erfcx call has a fixed cost even on no elements
+    if np.count_nonzero(mid):  # an erfcx call has a fixed cost even on no elements
         a = ax[mid]
         out[mid] = np.copysign(1.0 - np.exp(-a * a) * erfcx(a), x[mid])
     return out
@@ -185,9 +196,9 @@ def erfc(x):
     """Complementary error function 1 - erf(x), accurate into the far tail:
     math.erfc(x) on (-2, 2), from erfcx(|x|) beyond.  Elementwise over an
     array."""
-    out = _math_erfc(x).astype(float)
+    out = _stdlib(math.erfc, x)
     tail = np.abs(x) >= 2.0
-    if tail.any():
+    if np.count_nonzero(tail):
         xt = x[tail]
         v = np.exp(-xt * xt) * erfcx(np.abs(xt))
         out[tail] = np.where(xt > 0.0, v, 2.0 - v)

@@ -9,7 +9,7 @@ physical parameters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -19,8 +19,29 @@ KB_SI = 1.380649e-23        # J/K
 ELECTRON_MASS_SI = 9.1093837015e-31  # kg
 
 
-@dataclass(frozen=True)
-class OscillatorParams:
+class _ArrayFields:
+    """== and hash of a frozen dataclass whose fields may hold arrays (an
+    alpha curve): == compares field by field with np.array_equal and gives a
+    plain bool; hash is that of the field tuple, and an instance that holds
+    an array is unhashable (TypeError), like the array itself."""
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f.name) for f in fields(self))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(map(np.array_equal, self._values(), other._values()))
+
+    def __hash__(self):
+        values = self._values()
+        if any(isinstance(v, np.ndarray) for v in values):
+            raise TypeError(f"unhashable {type(self).__name__}: it holds an array")
+        return hash(values)
+
+
+@dataclass(frozen=True, eq=False)
+class OscillatorParams(_ArrayFields):
     """Physical inputs.  Defaults are natural units m0 = omega = hbar = kB = 1.
 
     alpha is the mass-deformation knob, 0 <= alpha < 1 (alpha = 0 is the
@@ -49,8 +70,8 @@ class OscillatorParams:
         return cls(m0=m0, omega=omega, hbar=HBAR_SI, alpha=alpha, kB=KB_SI)
 
 
-@dataclass(frozen=True)
-class SpectrumCoefficients:
+@dataclass(frozen=True, eq=False)
+class SpectrumCoefficients(_ArrayFields):
     """Compact parameterization of the spectrum: E_n = a(n+1/2) + b(n^2+2n+1/2).
 
     a >= hbar*omega is the renormalized level spacing (equality iff alpha=0);

@@ -84,7 +84,8 @@ def _mesh(beta, q):
     float arrays of at least one dimension, every element checked:
     0 < beta < inf (_beta_values) and 0 <= q <= 1, NaN failing both.  A
     point is a one-element array, so it rounds through the same numpy loops
-    as a grid."""
+    as a grid; only the closed forms take a one-element q back to a float
+    (_closed_args)."""
     bv = _beta_values(beta)
     qv = np.atleast_1d(np.asarray(q, dtype=float))
     if not ((qv >= 0.0) & (qv <= 1.0)).all():
@@ -96,10 +97,19 @@ def _closed_args(c: SpectrumCoefficients, beta, q, transcription: str):
     """After the argument checks: beta and q as _mesh arrays, the sign of
     the 2 a^3 sqrt(b) beta term (-1 verbatim, +1 corrected) and x1.  The
     forms below take x1 and erfcx(x1) from their caller, so a whole point
-    or grid evaluates them once."""
+    or grid evaluates them once.
+
+    A one-element q (a point's, or a beta or alpha curve's) is returned as a
+    float, so that the parameter-only algebra of _bracket_pieces runs on
+    floats, not on one-element arrays.  The bits stay: the forms touch q
+    only through +, -, x and products with sqrt(b), which round alike on a
+    float and on a one-element array, and beta, at least one-dimensional,
+    keeps the shape of every result."""
     _check_transcription(transcription)
     _require_regular(c)
     bv, qv = _mesh(beta, q)
+    if qv.shape == (1,):
+        qv = qv.item()
     x1 = 0.5 * (c.a + 2.0 * c.b) * np.sqrt(bv / c.b)
     return bv, qv, -1.0 if transcription == "verbatim" else 1.0, x1
 
@@ -172,6 +182,7 @@ def _numerator(c: SpectrumCoefficients, bv, qv, variant: str, x1, ex):
     a2, b2 = a * a, b * b  # powers as products, see thermo._heat_capacity
     bb = b * bv
     sbb = np.sqrt(bb)
+    bb15, bb3 = bb ** 1.5, bb ** 3
     if variant == "us":
         a4_inner = -4.0 * bb
         b_ab = b2
@@ -180,13 +191,13 @@ def _numerator(c: SpectrumCoefficients, bv, qv, variant: str, x1, ex):
     else:
         a4_inner = -6.0 * bb + bb
         b_ab = b2 * b
-    P = (4.0 * a2 * a * (-2.0 * bb ** 1.5 * sbb + bb ** 2.5 * sbb
-                         + 2.0 * bb * bb - 6.0 * bb ** 3) * qv
+    P = (4.0 * a2 * a * (-2.0 * bb15 * sbb + bb ** 2.5 * sbb
+                         + 2.0 * bb * bb - 6.0 * bb3) * qv
          + 2.0 * a2 * a2 * a * b * bv ** 3 * (-1.0) * qv
          + 2.0 * a2 * a2 * b * bv * bv * a4_inner * qv
          + 8.0 * a * b_ab * bv * (-8.0 - (3.0 + 3.0 * bb + 5.0 * bb * bb) * qv)
          + 4.0 * a * a * b * b * bv * (-2.0 * bb - 10.0 * bb * bb) * qv
-         + 8.0 * b2 * b * (-6.0 * bb ** 1.5 * sbb * qv - 2.0 * bb ** 3 * qv
+         + 8.0 * b2 * b * (-6.0 * bb15 * sbb * qv - 2.0 * bb3 * qv
                            + 4.0 * bb * bb * qv - 2.0 * bb * (8.0 + 3.0 * qv)))
     R = sbb * (a * a * bv + 2.0 * b * b * bv + 2.0 * b * (-1.0 + a * bv)) * (
         a2 * a2 * bv * bv * qv + 4.0 * b2 * b2 * bv * bv * qv

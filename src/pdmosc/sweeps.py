@@ -105,7 +105,7 @@ def run_sweep(spec: SweepSpec, tol: Tolerance = PRESET_TOL) -> list[SweepRow]:
     bit for bit the route at its own point."""
     xs = np.array(spec.values, dtype=float)
     ys, warnings = _evaluate(spec, {**spec.fixed, spec.vary: xs}, tol)
-    return list(map(SweepRow._make, zip(xs.tolist(), ys, warnings)))
+    return list(map(SweepRow, xs.tolist(), ys, warnings))
 
 
 # ---------------------------------------------------------------------------
@@ -203,5 +203,5 @@ def figure_preset(figure_id: str, tol: Tolerance = PRESET_TOL) -> list[FigureRow
                                     pr.curve_param: np.repeat(pr.curve_values, m)}, tol)
     labels = [f"n={int(cv)}" if pr.curve_param == "n" else f"{pr.curve_param}={cv:g}"
               for cv in pr.curve_values]
-    return list(map(FigureRow._make, zip([label for label in labels for _ in range(m)],
-                                         pr.values * k, ys, warnings)))
+    return list(map(FigureRow, [label for label in labels for _ in range(m)],
+                    pr.values * k, ys, warnings))

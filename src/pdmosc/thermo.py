@@ -214,18 +214,26 @@ def _require_regular(c: SpectrumCoefficients):
         raise exc
 
 
+def _pair(kernel, x1, x2):
+    """kernel(x1) and kernel(x2), arrays of one shape, from one call of the
+    elementwise kernel over both: no element of a kernel's output depends on
+    the rest of its batch, so each keeps the bits of its own call."""
+    return kernel(np.concatenate((x1, x2))).reshape((2,) + x1.shape)
+
+
 def _xargs(c: SpectrumCoefficients, beta, transcription: str = "verbatim"):
     """beta as a checked array (_beta_values) and the common erf arguments
     x1 <= x2 with the stabilized difference Dx = e^{x1^2} (erf(x2) - erf(x1)),
     after the argument checks; the closed forms below take them, so a whole
-    point or curve forms them once."""
+    point or curve forms them once, from one erfcx call (_pair)."""
     _check_transcription(transcription)
     _require_regular(c)
     bv = _beta_values(beta)
     a, b = c.a, c.b
     x1 = 0.5 * (a + 2.0 * b) * np.sqrt(bv / b)
     x2 = 0.5 * (a + 4.0 * b) * np.sqrt(bv / b)
-    return bv, (x1, x2, erfcx(x1) - np.exp(-bv * (a + 3.0 * b)) * erfcx(x2))
+    ex1, ex2 = _pair(erfcx, x1, x2)
+    return bv, (x1, x2, ex1 - np.exp(-bv * (a + 3.0 * b)) * ex2)
 
 
 @_saturating
@@ -241,8 +249,9 @@ def partition_closed(c: SpectrumCoefficients, beta) -> float | np.ndarray:
 def _partition(c: SpectrumCoefficients, bv, xa):
     a, b = c.a, c.b
     x1, x2, dx = xa
+    e1, e2 = _pair(erf, x1, x2)
     typeset = np.exp((a * a + 2.0 * a * b + 2.0 * b * b) * bv / (4.0 * b)) \
-        * _SQRT_PI / (2.0 * np.sqrt(b * bv)) * (erf(x2) - erf(x1))
+        * _SQRT_PI / (2.0 * np.sqrt(b * bv)) * (e2 - e1)
     scaled = _SQRT_PI / (2.0 * np.sqrt(b * bv)) * np.exp(-bv * (a + b) / 2.0) * dx
     return np.where(x1 < 2.0, typeset, scaled)
 
@@ -463,8 +472,7 @@ def _heat_capacity(c: SpectrumCoefficients, bv, xa, kB: float, transcription: st
         return kB * (0.5 - 0.5 * w1 - w1 * w1
                      + bv ** 1.5 / _SQRT_PI * (c1 * c1 * c1 - c2 * c2 * c2 * edec) / dx)
     # verbatim transcription; prefactor exponent folded into each term
-    e1 = erf(x1)
-    e2 = erf(x2)
+    e1, e2 = _pair(erf, x1, x2)
     d = np.exp(-x1 * x1) * dx
     sbb = np.sqrt(b * bv)
     ap2, ap4 = a + 2.0 * b, a + 4.0 * b

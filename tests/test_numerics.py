@@ -156,6 +156,49 @@ def test_erfcx_arrays_equal_float_calls():
         assert columns[k].tolist() == [row[k] for row in rows], k
 
 
+#: erfcx's branches: below 1.4 (math.erfc, negatives through the exact
+#: product), the Gauss-Laguerre rule up to 1e8, 1/(sqrt(pi) x) from 1e8
+#: and at nan; erf's: math.erf, and erfcx on 2 <= |x| < 6
+_BRANCH_MIXES = {
+    "empty": [],
+    "low-only": [-0.0, 0.0, 0.3, 1.39, np.nextafter(1.4, 0.0)],
+    "negative-only": [-30.0, -26.7, -1.0, -1e-300, -0.0],
+    "rule-only": [1.4, 2.0, 5.5, 7e7, np.nextafter(1e8, 0.0)],
+    "far-only": [1e8, 3e150, 1e300, math.inf, math.nan],
+    "erf-mid-only": [2.0, -2.5, 5.9, -np.nextafter(6.0, 0.0)],
+    "all": [math.nan, -math.inf, -40.0, -5.0, -2.0, -0.0, 0.0, 1e-300, 1.0, 1.4, 2.0,
+            3.0, 6.0, 1e7, 1e8, 1e200, math.inf],
+}
+
+
+@pytest.mark.parametrize("mix", list(_BRANCH_MIXES))
+def test_kernels_on_arrays_of_any_branch_mix_equal_float_calls(mix):
+    # a branch is evaluated only where it has elements; whichever branches
+    # an array hits, each element is bit for bit its float call, signed
+    # zeros and nan included
+    xs = np.array(_BRANCH_MIXES[mix], dtype=float)
+    for kernel in (erfcx, erf, lambda x: erfcx_derivatives(x)[1],
+                   lambda x: erfcx_derivatives(x)[2]):
+        got = kernel(xs)
+        assert got.shape == xs.shape
+        want = np.array([kernel(x) for x in xs.tolist()], dtype=float)
+        assert np.array_equal(got, want, equal_nan=True), mix
+        assert np.array_equal(np.signbit(got), np.signbit(want)), mix
+    assert np.array_equal(erfcx_derivatives(xs)[0], erfcx(xs), equal_nan=True)
+
+
+def test_erfcx_skips_its_stdlib_branch_without_elements(monkeypatch):
+    # from x = 1.4 on no element needs math.erfc, so erfcx does not pay for
+    # the (empty) conversion
+    def unreachable(f, x):
+        raise AssertionError("stdlib branch evaluated")
+
+    monkeypatch.setattr(numerics, "_stdlib", unreachable)
+    xs = np.array([1.4, 3.0, 1e9, math.nan])
+    assert np.isfinite(erfcx(xs)[:3]).all()
+    assert np.isfinite(erfcx_derivatives(xs)[2][:3]).all()
+
+
 def test_exp_neg_product_against_mpmath():
     rng = np.random.default_rng(5)
     samples = []

@@ -82,6 +82,32 @@ def test_alpha_array_coefficients_equal_float_calls(b_convention):
                 make(alpha=np.array([0.1, bad, 0.3]))
 
 
+def test_params_and_coefficients_compare_and_hash_with_arrays():
+    # == compares field by field and gives a plain bool; an instance that
+    # holds an array is unhashable and says which class it is
+    alphas = np.array([0.1, 0.2])
+    p = OscillatorParams(alpha=alphas)
+    for x, same, other in ((p, OscillatorParams(alpha=alphas.copy()),
+                            OscillatorParams(alpha=np.array([0.1, 0.3]))),
+                           (coefficients(p), coefficients(OscillatorParams(alpha=alphas)),
+                            coefficients(OscillatorParams(alpha=0.1)))):
+        assert (x == same) is True and (x != same) is False
+        assert (x == other) is False and (x != other) is True
+        assert (x == 0.1) is False
+        with pytest.raises(TypeError, match=type(x).__name__):
+            hash(x)
+
+
+def test_float_params_and_coefficients_compare_and_hash_as_field_tuples():
+    p = OscillatorParams(alpha=0.3)
+    c = coefficients(p)
+    assert p == OscillatorParams(alpha=0.3) and p != OscillatorParams(alpha=0.2)
+    assert c == SpectrumCoefficients(c.a, c.b) and c != SpectrumCoefficients(c.a, 0.0)
+    assert hash(p) == hash((1.0, 1.0, 1.0, 0.3, 1.0))
+    assert hash(c) == hash((c.a, c.b))
+    assert len({p, OscillatorParams(alpha=0.3), c, SpectrumCoefficients(c.a, c.b)}) == 2
+
+
 def test_energy_frozen_values():
     assert energy_level(OscillatorParams(), 0) == 0.5
     p = OscillatorParams(alpha=0.1)

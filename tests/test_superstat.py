@@ -298,6 +298,24 @@ def test_closed_columns_equal_single_closed_functions_on_the_mesh(tr):
                                   [columns[qn][i, j] for qn in columns], equal_nan=True)
 
 
+@pytest.mark.parametrize("tr", ["verbatim", "corrected"])
+def test_closed_forms_with_a_float_q_equal_a_q_array(tr):
+    # a one-element q runs the closed forms' parameter-only algebra on
+    # floats, a q array on arrays: both round alike, through the verbatim
+    # overflow at beta = 800 and 2000
+    betas = np.array(DEFAULT_BETAS + (800.0, 2000.0))
+    forms = (superstat_partition_closed, log_superstat_partition_closed,
+             mean_energy_superstat_closed, free_energy_superstat_closed,
+             lambda c, beta, q, tr: entropy_superstat_closed(c, beta, q, 1.0, tr),
+             lambda c, beta, q, tr: heat_capacity_superstat_closed(c, beta, q, 1.0, tr))
+    for c in (C01, C03, C09):
+        for q in (0.0, 0.5, 1.0):
+            for form in forms:
+                assert np.array_equal(form(c, betas, q, tr),
+                                      form(c, betas, np.full(len(betas), q), tr),
+                                      equal_nan=True), (c, q, form)
+
+
 def test_engine_mesh_equals_its_points():
     # the moments once per beta, g0, g1, g2 over the whole beta x q mesh:
     # each element bit for bit its float call, Z_s underflowing at

@@ -540,3 +540,90 @@ def test_si_units_entropy_scale(capsys):
     from pdmosc.thermo import thermo_sum_engine
     pt = thermo_sum_engine(c, beta, p.kB)
     assert 1e-24 < abs(pt.S) < 1e-21
+
+
+@pytest.mark.parametrize("quantity,flag", [("Z", "--q"), ("C", "--n"), ("Us", "--n"),
+                                           ("Cs", "--n"), ("Energy", "--beta"),
+                                           ("Energy", "--q")])
+def test_sweep_refuses_a_point_flag_its_quantity_does_not_read(quantity, flag, tmp_path,
+                                                               capsys):
+    # a flag the quantity never reads would be silently dropped: exit 2
+    # naming it, whether given on the command line or by the config file
+    vary = "n" if quantity == "Energy" else "alpha"
+    argv = ["sweep", quantity, "--vary", vary, "--range", "1,2"]
+    value = "1" if flag == "--n" else "0.5"
+    assert cli.main(argv + [flag, value]) == 2
+    assert f"{quantity} does not read {flag}" in capsys.readouterr().err
+    conf = tmp_path / "sweep.conf"
+    conf.write_text(f"{flag[2:]} = {value}\n")
+    assert cli.main(argv + ["--config", str(conf)]) == 2
+    assert f"{quantity} does not read {flag}" in capsys.readouterr().err
+
+
+def test_point_refuses_a_level(tmp_path, capsys):
+    # a point reads no level n: --n is no flag of point
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["point", "--n", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --n 3" in capsys.readouterr().err
+    conf = tmp_path / "point.conf"
+    conf.write_text("n = 3\n")
+    assert cli.main(["point", "--config", str(conf)]) == 2
+    assert "unknown config key 'n'" in capsys.readouterr().err
+
+
+def test_sweep_flag_at_its_default_beats_config(tmp_path, capsys):
+    # alpha = 0, the default, given as a flag: the closed forms are singular
+    # there, so every row is null, not the config file's alpha = 0.5
+    conf = tmp_path / "sweep.conf"
+    conf.write_text("alpha = 0.5\nq = 0.5\n")
+    argv = ["sweep", "Zs", "--vary", "beta", "--range", "1,2", "--method", "closed",
+            "--config", str(conf)]
+    code, out = run_cli(argv, capsys)
+    assert code == 0 and "SingularLimit" not in out
+    code, out = run_cli(argv + ["--alpha", "0"], capsys)
+    assert code == 0 and out.count(",,SingularLimit") == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "Zs", "--vary", "beta", "--range", "1,2", "--alpha", "0.3", "--q=0.5",
+     "--method", "closed", "--transcription", "corrected", "--format", "json"],
+    ["sweep", "Energy", "--vary", "n", "--range", "0:3:4", "--n", "2", "--units", "si",
+     "--b-convention", "compact", "--tol-rel", "1e-9", "--tol-abs", "0"],
+    ["figure", "Fig3b", "--out", "fig.csv"],
+    ["audit", "--method", "sum"],
+    ["point"],
+    ["point", "--beta", "2", "--alpha=0.3", "--q", "0.5", "--method", "quadinf"],
+])
+@pytest.mark.parametrize("with_config", [False, True])
+def test_verb_dispatch_parses_as_the_top_level_parser(argv, with_config, tmp_path):
+    # the verb's own parser, with the config values put before the command's
+    # flags, gives the Namespace of the top-level parser on the same tokens
+    expanded = argv
+    if with_config:  # every verb reads --tol-rel, only sweep and point --alpha
+        keys = {"tol-rel": "1e-8", **({} if argv[0] in ("figure", "audit") else
+                                      {"alpha": "0.7"})}
+        conf = tmp_path / "pdmosc.conf"
+        conf.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
+        argv = argv + ["--config", str(conf)]
+        expanded = argv[:1] + [f"--{k}={v}" for k, v in keys.items()] + argv[1:]
+    args = cli.parse_args(argv)
+    assert args == cli.build_parser().parse_args(expanded)
+    assert args.command == argv[0]
+
+
+@pytest.mark.parametrize("argv,code,stream,token", [
+    ([], 2, "err", "command"),
+    (["-h"], 0, "out", "usage: pdmosc"),
+    (["bogus"], 2, "err", "'bogus'"),
+    (["sweep", "Z", "--vary", "beta", "--range", "1,2", "--bogus"], 2, "err",
+     "pdmosc sweep: error: unrecognized arguments: --bogus"),
+    (["figure", "Fig2a", "--alpha", "0.3"], 2, "err",
+     "pdmosc figure: error: unrecognized arguments: --alpha 0.3"),
+])
+def test_cli_usage_exits(argv, code, stream, token, capsys):
+    # argparse exits: help with 0, a usage error with 2, naming what is wrong
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == code
+    assert token in getattr(capsys.readouterr(), stream)

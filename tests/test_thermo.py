@@ -368,6 +368,34 @@ def test_closed_forms_over_beta_equal_their_points(tr):
     assert math.isinf(mean_energy_closed(C09, 2000.0, "verbatim"))
 
 
+@pytest.mark.parametrize("tr", TRANSCRIPTIONS)
+def test_closed_routes_make_one_kernel_call_per_curve(tr, monkeypatch):
+    # x1 and x2 go through one erfcx call, and where a form needs erf (Z and
+    # the verbatim C), through one erf call: no element of a kernel's output
+    # depends on the rest of its batch, so this keeps every bit
+    calls = {"erfcx": 0, "erf": 0}
+
+    def counted(name):
+        kernel = getattr(thermo, name)
+
+        def call(x):
+            calls[name] += 1
+            return kernel(x)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(thermo, name, counted(name))
+    erf_calls = {"Z": 1, "U": 0, "C": 1 if tr == "verbatim" else 0, "S": 0, "F": 0}
+    for c in (C03, coefficients(OscillatorParams(alpha=np.array([0.1, 0.3, 0.9])))):
+        for qn in "ZUCSF":
+            calls.update(erfcx=0, erf=0)
+            assert _CLOSED_FORMS[qn](c, _CURVE_BETAS[:3], tr).shape == (3,)
+            assert calls == {"erfcx": 1, "erf": erf_calls[qn]}, (qn, c)
+        calls.update(erfcx=0, erf=0)
+        thermo_closed_point(c, _CURVE_BETAS[:3], 1.0, tr)
+        assert calls == {"erfcx": 1, "erf": 1 + erf_calls["C"]}
+
+
 def test_closed_curves_raise_where_their_points_do():
     tiny = SpectrumCoefficients(a=1.0, b=thermo.B_MIN)  # b <= B_MIN: singular
     for form in _CLOSED_FORMS.values():

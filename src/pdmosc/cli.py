@@ -190,7 +190,6 @@ def _cmd_sweep(args) -> int:
     if ignored:
         raise ValueError(f"{args.quantity} does not read {', '.join(ignored)}; "
                          f"its sweep takes only --{', --'.join(reads)}")
-    fixed.pop(args.vary, None)
     spec = sweeps.SweepSpec(
         quantity=args.quantity, vary=args.vary, values=_parse_range(args.range),
         fixed=fixed, method=args.method or "sum", units=args.units,

@@ -232,12 +232,6 @@ _WG = np.array([
 ])
 
 
-def _one_row(f):
-    """f(x) of one array-valued integrand as the row-family integrand of a
-    single row; a scalar-valued f fails the reshape with ValueError."""
-    return lambda x, rows: np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
-
-
 def _gk15(fx: np.ndarray, half: np.ndarray):
     """Gauss-Kronrod panels from their node values: fx holds one panel's 15
     values per row, half the panels' half-widths.  Returns the Kronrod
@@ -261,14 +255,15 @@ def _adaptive_rows(g, nrows: int, lo: float, hi: float,
     in lockstep over nrows integrands on [lo, hi].
 
     g(x, rows) evaluates integrand rows[j] at the nodes x[j] (rows is an
-    int array, x has shape (len(rows), m)).  Each row keeps its own panel
+    ascending int array, x has shape (len(rows), m)).  Each row keeps its own panel
     heap, totals and evaluation budget; every step, each unconverged row
     bisects its worst panel and all new nodes go through one call of g.
     A row that exhausts tol.max_evals raises NonConvergence.
     """
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    fx = g(np.tile(mid + half * _XGK, (nrows, 1)), np.arange(nrows))
+    x = np.tile(mid + half * _XGK, (nrows, 1))
+    fx = np.reshape(g(x, np.arange(nrows)), x.shape)  # ValueError: one value for all nodes
     vals, errs = _gk15(fx, np.full(nrows, half))
     # per row: heap of (-error, seq, lo, hi, value, error), worst panel on top
     heaps = [[(-e, 0, lo, hi, v, e)] for v, e in zip(vals, errs.tolist())]
@@ -316,8 +311,9 @@ def integrate_batch(f, nrows: int, lo: float, hi: float,
     t in [0, 1).  Row r of the result is exactly the single-row call on
     integrand r alone.
 
-    f(n, rows) evaluates integrand rows[j] at n[j] for an int array rows
-    and n of shape (len(rows), m).  On [lo, inf) the integrands must decay
+    f(n, rows) evaluates integrand rows[j] at n[j] for an ascending int
+    array rows and n of shape (len(rows), m); an f that returns one value for all
+    nodes raises ValueError.  On [lo, inf) the integrands must decay
     faster than 1/n^2: NonDecaying is raised when a row's sampled values
     increase across the last decade of the map, or, before any node at t = 1
     is evaluated, when bisection reaches one (a row undecayed by n ~ 9e15).
@@ -331,7 +327,8 @@ def integrate_batch(f, nrows: int, lo: float, hi: float,
     if hi < math.inf:
         return _adaptive_rows(f, nrows, lo, hi, tol)
     t = np.array(_TAIL_PROBES)
-    probes = np.abs(f(np.tile(lo + t / (1.0 - t), (nrows, 1)), np.arange(nrows)))
+    n = np.tile(lo + t / (1.0 - t), (nrows, 1))
+    probes = np.abs(np.reshape(f(n, np.arange(nrows)), n.shape))
     if np.all(probes[:, 1:] > probes[:, :-1], axis=1).any():
         raise NonDecaying("integrand increases along the tail of the transform")
 
@@ -343,28 +340,6 @@ def integrate_batch(f, nrows: int, lo: float, hi: float,
 
     return [QuadratureResult(r.value, r.error_estimate, r.evals + len(_TAIL_PROBES))
             for r in _adaptive_rows(g, nrows, 0.0, 1.0, tol)]
-
-
-def integrate_finite(f: Callable[[float], float], lo: float, hi: float,
-                     tol: Tolerance = Tolerance()) -> QuadratureResult:
-    """Adaptive bisection with an embedded 15-point Gauss-Kronrod rule.
-
-    f must be array-valued: it maps an array of nodes to the array of its
-    values, elementwise.
-    Raises NonConvergence when tol.max_evals evaluations are exhausted
-    before the summed error estimate meets the tolerance.
-    """
-    return integrate_batch(_one_row(f), 1, lo, hi, tol)[0]
-
-
-def integrate_semi_infinite(f: Callable[[float], float], lo: float,
-                            tol: Tolerance = Tolerance()) -> QuadratureResult:
-    """Integrate f over [lo, inf) via the map n = lo + t/(1-t), t in [0, 1).
-
-    Requires f to decay faster than 1/n^2; raises NonDecaying when the
-    sampled values increase across the last decade of the map.
-    """
-    return integrate_batch(_one_row(f), 1, lo, math.inf, tol)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ finite combinations of the closed-form moments J_0..J_4 of the excitation
 energy, taken from erfcx and a recurrence or a fixed Gauss-Laguerre rule,
 with no adaptive quadrature.  The Gauss-Kronrod quadrature of the same
 integrals (method 'quadinf', ``superstat_partition_quadrature``) is the
-independent numerical route; the typeset closed forms are reproduction
-targets.
+independent numerical route; both turn their moments into Z_s..C_s by the
+one assembly ``thermo._assemble``.  The typeset closed forms are
+reproduction targets.
 
 The typeset Z_s appears twice in the source expressions with conflicting
 signs of its 2 a^3 sqrt(b) beta term; ``verbatim`` carries the standalone
@@ -31,11 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (_LAG_U, _LAG_W, _X_RULE, Tolerance, erfcx, erfcx_derivatives,
-                       exp_neg_product)
+from .numerics import _LAG_U, _LAG_W, _X_RULE, Tolerance, erfcx, erfcx_derivatives
 from .spectrum import SpectrumCoefficients
-from .thermo import (_beta_values, _check_transcription, _factor_q, _quadrature_moments,
-                     _require_regular, _saturating, _shaped, _weight_integrals)
+from .thermo import (_assemble, _beta_values, _check_transcription, _factor_q,
+                     _quadrature_moments, _require_regular, _saturating, _shaped,
+                     _weight_integrals)
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -362,38 +363,13 @@ def excitation_moments(c: SpectrumCoefficients, beta) -> tuple[float, ...]:
     return tuple(m / (lin * bv.item() ** (k + 1)) for k, m in enumerate(moments[:, 0].tolist()))
 
 
-def _engine_columns(c: SpectrumCoefficients, bv, qv, kB: float) -> dict:
-    """The quantities from the moments of D in the ground-state gauge.
-    With G = e^{beta E_0} Z_s = int e^{-beta D} p dn, p = 1 + (q/2) beta^2 E^2,
-        G'  = int e^{-beta D} (-D p + q beta E^2),
-        G'' = int e^{-beta D} (D^2 p - 2 q beta D E^2 + q E^2);
-    in u = beta D with e = beta E_0 each integrand is a polynomial of degree
-    <= 4 in u, so beta L G, beta^2 L G' and beta^3 L G'' are dot products
-    g0, g1, g2 with the scaled moments.  Then U_s = E_0 - g1/(beta g0),
-    C_s = kB (g2/g0 - (g1/g0)^2), and with ln G = ln(g0/(beta L)),
-    S_s = kB (ln G - g1/g0) and F_s = E_0 - ln(G)/beta never meet beta E_0,
-    so they stay finite where Z_s = G e^{-beta E_0} underflows.
-
-    The coefficients, the beta array bv and the q array qv broadcast
-    against each other: the moments are taken once over the broadcast of
-    the coefficients and bv, and g0, g1, g2 assembled over the whole mesh,
-    elementwise, so each element is bit for bit its point."""
+def _engine_columns(c: SpectrumCoefficients, bv, qv, kB: float):
+    """(Z_s, U_s, C_s, S_s, F_s) assembled (thermo._assemble) from the
+    closed-form moments, taken once over the broadcast of the coefficients
+    and the beta array bv, whatever the q array qv."""
     a, b, bvs = np.broadcast_arrays(c.a, c.b, bv)
-    i0, i1, i2, i3, i4 = _scaled_moments(a.ravel(), b.ravel(), bvs.ravel()).reshape(
-        (5,) + bvs.shape)
-    e0 = c.energy(0)
-    e = bv * e0
-    qe = qv * e
-    p0, p1, p2 = 1.0 + 0.5 * qe * e, qe, 0.5 * qv  # p = p0 + p1 u + p2 u^2
-    g0 = p0 * i0 + p1 * i1 + p2 * i2
-    g1 = qe * e * i0 + (2.0 * qe - p0) * i1 + qv * (1.0 - e) * i2 - p2 * i3
-    g2 = (qe * e * i0 + 2.0 * qe * (1.0 - e) * i1 + (p0 - 4.0 * qe + qv) * i2
-          + qv * (e - 2.0) * i3 + p2 * i4)
-    r1 = g1 / g0
-    big_g = g0 / (bv * (c.a + 2.0 * c.b))
-    log_g = np.log(big_g)
-    return {"Zs": big_g * exp_neg_product(bv, 0.5 * c.a, 0.5 * c.b), "Us": e0 - r1 / bv,
-            "Ss": kB * (log_g - r1), "Fs": e0 - log_g / bv, "Cs": kB * (g2 / g0 - r1 * r1)}
+    moments = _scaled_moments(a.ravel(), b.ravel(), bvs.ravel()).reshape((5,) + bvs.shape)
+    return _assemble(c, bv, qv, kB, moments)
 
 
 # ---------------------------------------------------------------------------
@@ -408,24 +384,22 @@ def superstat_thermo(c: SpectrumCoefficients, beta, q, kB: float = 1.0,
     against each other, and every element is bit for bit its point.
 
     method 'engine' (ground truth) assembles Z_s, U_s, S_s, F_s and C_s
-    from the closed-form moments J_0..J_4 of the excitation energy over
-    n in [0, inf) (_engine_columns); it runs no quadrature, and tol is
-    unused.
-    method 'quadinf' is the numerical route: the exact beta-moments of the
-    deformed factor as rows of one batched Gauss-Kronrod quadrature in the
-    ground-state gauge, whose Z_s is bit for bit
-    superstat_partition_quadrature.
+    (thermo._assemble) from the closed-form moments J_0..J_4 of the
+    excitation energy over n in [0, inf) (_engine_columns); it runs no
+    quadrature, and tol is unused.
+    method 'quadinf' is the numerical route: the same assembly of the same
+    moments, taken as rows of one batched Gauss-Kronrod quadrature that do
+    not read q, and a Z_s bit for bit superstat_partition_quadrature.
     method 'closed' evaluates the typeset Z_s, U_s, S_s, F_s and the exact
     C_s of the closed Z_s from one erfcx_derivatives(x1) (_closed_columns).
     """
     bv, qv = _mesh(beta, q)
     if method == "closed":
         columns = _closed_columns(c, bv, qv, kB, transcription)
-    elif method == "engine":
-        columns = _engine_columns(c, bv, qv, kB)
-    elif method == "quadinf":
+    elif method in ("engine", "quadinf"):
         columns = dict(zip(("Zs", "Us", "Cs", "Ss", "Fs"),
-                           _quadrature_moments(c, bv, qv, math.inf, kB, tol)))
+                           _engine_columns(c, bv, qv, kB) if method == "engine"
+                           else _quadrature_moments(c, bv, qv, math.inf, kB, tol)))
     else:
         raise ValueError("method must be 'engine', 'quadinf' or 'closed'")
     if np.ndim(c.a) == np.ndim(beta) == np.ndim(q) == 0:

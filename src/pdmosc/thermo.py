@@ -8,7 +8,9 @@ Two evaluation families coexist deliberately:
   Boltzmann moments in the ground-state gauge, summed over the levels
   (``thermo_sum_engine``, the physical route) or integrated over continuous
   n (``thermo_quadrature``, whose 'quad01' point is the audit's oracle for
-  the closed forms);
+  the closed forms).  The integrated moments of D = E - E_0 become the
+  columns through ``_assemble``, the one moment assembly that the
+  superstat engine and quadrature share;
 * the closed-form evaluators reproduce the typeset expressions for U, C, S,
   F.  Those expressions carry typesetting defects, so each is available in
   two transcriptions: ``verbatim`` (exactly as typeset, including suspected
@@ -23,7 +25,6 @@ n in [0, 1] -- not the full sum; ``partition_sum`` is the physical route.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -301,7 +302,12 @@ def thermo_sum_engine(c, beta, kB: float = 1.0, tol: Tolerance = Tolerance()) ->
     The coefficients may be arrays (an alpha curve) and beta an array (a
     beta curve), broadcast against each other: the point then holds beta
     and each quantity as arrays over the points, all from one ragged level
-    sum (_boltzmann_levels), each element bit for bit its one-point call."""
+    sum (_boltzmann_levels), each element bit for bit its one-point call.
+
+    The columns are not _assemble's: its ln G = ln(g0/(beta L)) takes the
+    log of the rounded zeroth moment 1 + tail, where S and F need
+    log1p(tail).  At (alpha, beta) = (0.02, 700) S = 5.2e-311 rests on the
+    tail alone, and the shared ln G would drop it."""
     a, b, bv = np.broadcast_arrays(c.a, c.b, _beta_values(beta))
     tail, mean, var = _boltzmann_levels(a, b, bv, tol)
     g = np.log1p(tail)
@@ -318,79 +324,117 @@ def _factor_q(E, bv, qv: float):
     return np.exp(-be) * (1.0 + 0.5 * qv * be * be)
 
 
-#: row k < 3 of the moment integrand is e^{-beta D} E^k (1 + q (A_k + B_k x + x^2/2))
-_ROW_A = np.array([0.0, 0.0, 1.0, 0.0])
-_ROW_B = np.array([0.0, -1.0, -2.0, 0.0])
-
-
-def _weight_integrals(c: SpectrumCoefficients, bv, qv, hi: float,
-                      tol: Tolerance) -> np.ndarray:
-    """The integral over n in [0, hi] of the weight e^{-beta E}(1 + (q/2)
-    beta^2 E^2) (q = 0: the Boltzmann weight) at each element of the
-    broadcast of c, bv and qv: rows of one integrate_batch call, each equal
-    to its single-row call."""
+def _weight_rows(c: SpectrumCoefficients, bv, qv):
+    """The shape of the broadcast of c, bv and qv, and integrate_batch's
+    rows(n, r) of the weight e^{-beta E}(1 + (q/2) beta^2 E^2) (q = 0: the
+    Boltzmann weight), row r at element r of the flattened broadcast."""
     shape = np.broadcast(c.a, c.b, bv, qv).shape
     a, b, bv, qv = (np.broadcast_to(x, shape).reshape(-1, 1) for x in (c.a, c.b, bv, qv))
 
     def rows(n, r):
         return _factor_q(SpectrumCoefficients(a[r], b[r]).energy(n), bv[r], qv[r])
 
-    return np.array([res.value for res in integrate_batch(rows, bv.size, 0.0, hi, tol)]
+    return shape, rows
+
+
+def _weight_integrals(c: SpectrumCoefficients, bv, qv, hi: float,
+                      tol: Tolerance) -> np.ndarray:
+    """The integral over n in [0, hi] of the weight at each element of the
+    broadcast of c, bv and qv: rows of one integrate_batch call, each equal
+    to its single-row call."""
+    shape, rows = _weight_rows(c, bv, qv)
+    return np.array([res.value for res in integrate_batch(rows, math.prod(shape), 0.0, hi, tol)]
                     ).reshape(shape)
+
+
+def _assemble(c: SpectrumCoefficients, bv, qv, kB: float, moments):
+    """(Z, U, C, S, F) of the weight e^{-beta E}(1 + (q/2) beta^2 E^2)
+    over n, from the scaled moments I_k = L beta^{k+1} J_k (k = 0..4, the
+    rows of moments) of the excitation energy, J_k = int D^k e^{-beta D} dn
+    with D = E - E_0 >= 0 and L = a + 2b.
+    With G = e^{beta E_0} Z = int e^{-beta D} p dn, p = 1 + (q/2) beta^2 E^2,
+        G'  = int e^{-beta D} (-D p + q beta E^2),
+        G'' = int e^{-beta D} (D^2 p - 2 q beta D E^2 + q E^2);
+    in u = beta D with e = beta E_0 each integrand is a polynomial of degree
+    <= 4 in u, so beta L G, beta^2 L G' and beta^3 L G'' are dot products
+    g0, g1, g2 with the scaled moments.  Then U = E_0 - g1/(beta g0),
+    C = kB (g2/g0 - (g1/g0)^2), and with ln G = ln(g0/(beta L)),
+    S = kB (ln G - g1/g0) and F = E_0 - ln(G)/beta never meet beta E_0,
+    so they stay finite where Z = G e^{-beta E_0} underflows.  Moments of D
+    never suffer the <E^2> - <E>^2 cancellation.  Every I_3 and I_4
+    coefficient carries a factor q, so where q = 0 throughout those rows
+    may be zeros.
+
+    The moments have the shape of the broadcast of the coefficients and the
+    beta array bv; the q array qv broadcasts against them, and g0, g1, g2
+    are assembled over the whole mesh, elementwise, so each element is bit
+    for bit its point."""
+    i0, i1, i2, i3, i4 = moments
+    e0 = c.energy(0)
+    e = bv * e0
+    qe = qv * e
+    p0, p1, p2 = 1.0 + 0.5 * qe * e, qe, 0.5 * qv  # p = p0 + p1 u + p2 u^2
+    g0 = p0 * i0 + p1 * i1 + p2 * i2
+    g1 = qe * e * i0 + (2.0 * qe - p0) * i1 + qv * (1.0 - e) * i2 - p2 * i3
+    g2 = (qe * e * i0 + 2.0 * qe * (1.0 - e) * i1 + (p0 - 4.0 * qe + qv) * i2
+          + qv * (e - 2.0) * i3 + p2 * i4)
+    r1 = g1 / g0
+    big_g = g0 / (bv * (c.a + 2.0 * c.b))
+    log_g = np.log(big_g)
+    return (big_g * exp_neg_product(bv, 0.5 * c.a, 0.5 * c.b), e0 - r1 / bv,
+            kB * (g2 / g0 - r1 * r1), kB * (log_g - r1), e0 - log_g / bv)
 
 
 def _quadrature_moments(c: SpectrumCoefficients, bv: np.ndarray, qv, hi: float,
                         kB: float, tol: Tolerance):
     """(Z, U, C, S, F), each an array over the broadcast of c, bv and qv,
     of the weight e^{-beta E}(1 + (q/2) beta^2 E^2) over n in [0, hi]
-    (q = 0: the Boltzmann weight), from its exact moments M_0,
-    M_1 = -dM_0/dbeta, M_2 = d^2 M_0/dbeta^2: rows of one batched
-    quadrature in the ground-state gauge, e^{-beta D} with D = E - E_0 in
-    place of e^{-beta E}.
-    With x = beta E the rows are
-        e^{-beta D} (1 + q x^2/2),
-        e^{-beta D} E (1 - q x + q x^2/2),
-        e^{-beta D} E^2 (1 + q - 2 q x + q x^2/2),
-    each >= 0 for q in [0, 1], so each row's relative tolerance means
-    something.  Then U = M_1/M_0 and d^2 ln Z/d beta^2 = M_2/M_0 - U^2.
-    A fourth row integrates the weight itself, so that Z is bit for bit the
-    single quadrature of the weight (_weight_integrals) and F = -ln(Z)/beta
-    exactly; where Z falls below the normal range, ln Z = ln M_0 - beta E_0
-    keeps S and F finite.  Every element contributes its four rows to one
-    integrate_batch call, whose rows each equal their single-row call, so
-    each element gets the bits of its one-point call.
+    (q = 0: the Boltzmann weight).  Z is the quadrature of the weight
+    itself (_weight_rows); U, C, S and F are _assemble's, from the scaled
+    moments as Gauss-Kronrod integrals over n = s m,
+        I_k = int L beta s u^k e^{-u} dm,  u = beta D(s m).
+    The moment rows do not read q: a beta x q mesh integrates one set per
+    (coefficient, beta) element, and only k <= 2 where q = 0 throughout.
+    The weight rows, then the moment rows, run in one integrate_batch call,
+    whose rows each equal their single-row call, so Z is bit for bit
+    _weight_integrals and each element gets the bits of its one-point call.
 
-    The moment rows fall only once beta E exceeds about 5.3; at small beta
-    that lies beyond the tail probes of integrate_batch, so on [0, inf)
-    they are integrated over n = s m, with s >= 1 the smallest scale that
-    puts beta D = 8 at or before the probe m = 24."""
-    shape = np.broadcast(c.a, c.b, bv, qv).shape
-    a, b, bv, qv = (np.broadcast_to(x, shape).ravel() for x in (c.a, c.b, bv, qv))
-    e0 = a * 0.5 + b * 0.5  # c.energy(0), bit for bit
-    s = np.ones_like(bv)
+    The moment rows fall only once u exceeds k; at small beta that lies
+    beyond the tail probes of integrate_batch, so on [0, inf) s >= 1 is the
+    smallest scale that puts u = 8 at or before the probe m = 24 (s = 1 on
+    [0, 1])."""
+    zshape, weight = _weight_rows(c, bv, qv)
+    nz = math.prod(zshape)
+    shape = np.broadcast(c.a, c.b, bv).shape
+    a, b, bvs = (np.broadcast_to(x, shape).ravel() for x in (c.a, c.b, bv))
+    lin = a + 2.0 * b  # D(n) = b n^2 + L n
+    s = np.ones_like(bvs)
     if hi == math.inf:
-        lin, level = a + 2.0 * b, 8.0 / bv  # D(n) = b n^2 + (a + 2b) n
+        level = 8.0 / bvs
         s = np.maximum(1.0, 2.0 * level / (lin + np.sqrt(lin * lin + 4.0 * b * level)) / 24.0)
+    scale = lin * bvs * s
+    k_rows = 5 if np.any(qv) else 3
 
-    def rows(n, r):
-        i, k = np.divmod(r[:, None], 4)  # row r is moment k of element i
-        bi, qi, sk = bv[i], qv[i], s[i]
-        e = SpectrumCoefficients(a[i], b[i]).energy(np.where(k == 3, n, sk * n))
-        x = bi * e
-        # E^k as a product: numpy's power can round an element differently
-        # depending on where it sits in the array
-        ek = np.where(k == 0, 1.0, e) * np.where(k == 2, e, 1.0)
-        moment = np.exp(-bi * (e - e0[i])) * ek \
-            * (1.0 + qi * (_ROW_A[k] + _ROW_B[k] * x + 0.5 * x * x))
-        return np.where(k == 3, _factor_q(e, bi, qi), sk * moment)
+    def moment(m, r):
+        i, k = np.divmod(r[:, None], k_rows)  # row r is moment k of element i
+        u = bvs[i] * _excitation(a[i], b[i], s[i] * m)
+        row = scale[i] * np.exp(-u)
+        # u^k as k products, which round alike wherever the row sits in the
+        # batch; numpy's power need not
+        for j in range(1, k_rows):
+            row = np.where(k >= j, row * u, row)
+        return row
 
-    values = [r.value for r in integrate_batch(rows, 4 * len(bv), 0.0, hi, tol)]
-    m0, m1, m2, z = np.array(values).reshape(-1, 4).T
-    with np.errstate(divide="ignore"):  # Z may underflow to 0
-        lnz = np.where(z >= sys.float_info.min, np.log(z), np.log(m0) - bv * e0)
-    u = m1 / m0
-    return tuple(col.reshape(shape) for col in (
-        z, u, kB * bv * bv * (m2 / m0 - u * u), kB * (lnz + bv * u), -lnz / bv))
+    def rows(m, r):  # r ascending: the weight rows come first
+        j = np.searchsorted(r, nz)
+        return np.concatenate((weight(m[:j], r[:j]), moment(m[j:], r[j:] - nz)))
+
+    values = np.array([res.value for res in integrate_batch(
+        rows, nz + k_rows * bvs.size, 0.0, hi, tol)])
+    moments = np.zeros((5, bvs.size))
+    moments[:k_rows] = values[nz:].reshape(-1, k_rows).T
+    return ((values[:nz].reshape(zshape),)
+            + _assemble(c, bv, qv, kB, moments.reshape((5,) + shape))[1:])
 
 
 def thermo_quadrature(c: SpectrumCoefficients, beta, range_: str = "quad01",

@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 from pdmosc import (NonConvergence, NonDecaying, Tolerance, erf, erfc, erfcx,
-                    erfcx_derivatives, exp_neg_product, integrate_batch, integrate_finite,
-                    integrate_semi_infinite, sum_decaying)
+                    erfcx_derivatives, exp_neg_product, integrate_batch, sum_decaying)
 from pdmosc import numerics
 from pdmosc.numerics import _XGK, _gk15
 
@@ -222,20 +221,25 @@ def test_exp_neg_product_against_mpmath():
 
 # -- finite quadrature -------------------------------------------------------
 
+def _single(f, lo, hi, tol):
+    """The one-row integrate_batch call on the array-valued integrand f."""
+    return integrate_batch(lambda n, rows: f(n), 1, lo, hi, tol)[0]
+
+
 def test_integrate_constant():
-    res = integrate_finite(lambda x: np.ones_like(x), 0.0, 1.0, TOL)
+    res = _single(lambda x: np.ones_like(x), 0.0, 1.0, TOL)
     assert abs(res.value - 1.0) < 1e-14
     assert res.evals >= 15
 
 
 def test_integrate_empty_interval():
-    res = integrate_finite(lambda x: x, 2.0, 2.0, TOL)
+    res = _single(lambda x: x, 2.0, 2.0, TOL)
     assert res.value == 0.0 and res.error_estimate == 0.0 and res.evals == 0
 
 
 def test_integrate_gaussian_frozen():
     # equals (sqrt(pi)/2) erf(1), via the series oracle
-    res = integrate_finite(lambda x: np.exp(-x * x), 0.0, 1.0, TOL)
+    res = _single(lambda x: np.exp(-x * x), 0.0, 1.0, TOL)
     assert abs(res.value - 0.74682413281242702) < 1e-12
     assert res.error_estimate < 1e-10
 
@@ -269,53 +273,53 @@ def test_integrate_additivity():
         a, b, c = np.sort(rng.uniform(-2, 3, size=3))
         if b - a < 1e-3 or c - b < 1e-3:
             continue
-        whole = integrate_finite(f, a, c, TOL)
-        left = integrate_finite(f, a, b, TOL)
-        right = integrate_finite(f, b, c, TOL)
+        whole = _single(f, a, c, TOL)
+        left = _single(f, a, b, TOL)
+        right = _single(f, b, c, TOL)
         tol3 = 3.0 * max(TOL.abs, TOL.rel * abs(whole.value)) + 3e-15
         assert abs(whole.value - left.value - right.value) < tol3 + 1e-13
 
 
 def test_integrate_nonconvergence():
     with pytest.raises(NonConvergence):
-        integrate_finite(lambda x: np.exp(-x * x), 0.0, 1.0,
-                         Tolerance(rel=1e-30, abs=0.0, max_evals=200))
+        _single(lambda x: np.exp(-x * x), 0.0, 1.0,
+                Tolerance(rel=1e-30, abs=0.0, max_evals=200))
 
 
 def test_integrate_rejects_scalar_integrand():
     # integrands must be array-valued; one value for all nodes is refused
     with pytest.raises(ValueError):
-        integrate_finite(lambda x: 1.0, 0.0, 1.0, TOL)
+        _single(lambda x: 1.0, 0.0, 1.0, TOL)
     with pytest.raises(ValueError):
-        integrate_semi_infinite(lambda n: 0.5, 0.0, TOL)
+        _single(lambda n: 0.5, 0.0, math.inf, TOL)
 
 
 def test_integrate_rejects_reversed_bounds():
     with pytest.raises(ValueError):
-        integrate_finite(lambda x: x, 1.0, 0.0, TOL)
+        _single(lambda x: x, 1.0, 0.0, TOL)
 
 
 # -- semi-infinite quadrature ------------------------------------------------
 
 def test_semi_infinite_exponential():
-    res = integrate_semi_infinite(lambda n: np.exp(-n), 0.0, TOL)
+    res = _single(lambda n: np.exp(-n), 0.0, math.inf, TOL)
     assert abs(res.value - 1.0) < 1e-11
 
 
 def test_semi_infinite_gaussian():
-    res = integrate_semi_infinite(lambda n: np.exp(-n * n), 0.0, TOL)
+    res = _single(lambda n: np.exp(-n * n), 0.0, math.inf, TOL)
     assert abs(res.value - 0.88622692545275801) < 1e-12
 
 
 def test_semi_infinite_completed_square():
     # int_0^inf exp(-(n^2+n)) dn = e^{1/4} (sqrt(pi)/2) erfc(1/2)
-    res = integrate_semi_infinite(lambda n: np.exp(-(n * n + n)), 0.0, TOL)
+    res = _single(lambda n: np.exp(-(n * n + n)), 0.0, math.inf, TOL)
     assert abs(res.value - 0.54564136076504704) < 1e-12
 
 
 def test_semi_infinite_nondecaying():
     with pytest.raises(NonDecaying):
-        integrate_semi_infinite(lambda n: n * n, 0.0, TOL)
+        _single(lambda n: n * n, 0.0, math.inf, TOL)
 
 
 def test_semi_infinite_undecayed_at_the_end_of_the_map():
@@ -329,7 +333,7 @@ def test_semi_infinite_undecayed_at_the_end_of_the_map():
         return np.exp(-1e-18 * n)
 
     with pytest.raises(NonDecaying):
-        integrate_semi_infinite(f, 0.0, TOL)
+        _single(f, 0.0, math.inf, TOL)
     assert 1e14 < max(seen) < math.inf
 
 
@@ -351,19 +355,19 @@ def test_batch_rows_equal_single_calls():
             rows = integrate_batch(family, len(w), lo, math.inf, tol)
             assert len({r.evals for r in rows}) > 1  # rows really run different step counts
             for row, f in zip(rows, single):
-                assert row == integrate_semi_infinite(f, lo, tol)
-            # a finite upper limit: the rows are integrate_finite's
+                assert row == _single(f, lo, math.inf, tol)
+            # a finite upper limit
             rows = integrate_batch(family, len(w), lo, 6.0, tol)
             assert len({r.evals for r in rows}) > 1
             for row, f in zip(rows, single):
-                assert row == integrate_finite(f, lo, 6.0, tol)
+                assert row == _single(f, lo, 6.0, tol)
 
 
 def test_batch_nondecaying_row_raises_like_single():
     rate = np.array([1.0, -1.0, 2.0])  # row 1 grows along the tail
     family = lambda n, rows: np.exp(-rate[rows][:, None] * n)
     with pytest.raises(NonDecaying) as alone:
-        integrate_semi_infinite(lambda n: np.exp(n), 0.0, TOL)
+        _single(lambda n: np.exp(n), 0.0, math.inf, TOL)
     with pytest.raises(NonDecaying) as batch:
         integrate_batch(family, 3, 0.0, math.inf, TOL)
     assert str(batch.value) == str(alone.value)
@@ -373,9 +377,9 @@ def test_batch_over_budget_row_raises_like_single():
     w = [1.0, 40.0, 2.0]
     family, single = _damped_family(w)
     tol = Tolerance(rel=1e-12, max_evals=1000)
-    assert integrate_semi_infinite(single[0], 0.0, tol).evals < 1000
+    assert _single(single[0], 0.0, math.inf, tol).evals < 1000
     with pytest.raises(NonConvergence) as alone:
-        integrate_semi_infinite(single[1], 0.0, tol)
+        _single(single[1], 0.0, math.inf, tol)
     with pytest.raises(NonConvergence) as batch:
         integrate_batch(family, 3, 0.0, math.inf, tol)
     assert str(batch.value) == str(alone.value)

@@ -12,12 +12,13 @@ from hypothesis import assume, example, given, settings, strategies as st
 from pdmosc import (B_MIN, OscillatorParams, SingularLimit, SpectrumCoefficients,
                     Tolerance, boltzmann_factor_q, coefficients, entropy_superstat_closed,
                     free_energy_superstat_closed, heat_capacity_superstat_closed,
-                    integrate_semi_infinite,
+                    integrate_batch,
                     log_superstat_partition_closed, mean_energy_superstat_closed,
                     partition_quadrature, partition_sum, superstat_partition_closed,
                     superstat_partition_quadrature, superstat_thermo, thermo_quadrature)
 
 from pdmosc.superstat import excitation_moments
+from pdmosc.thermo import _assemble
 from pdmosc.verify import DEFAULT_ALPHAS, DEFAULT_BETAS, DEFAULT_QS
 
 from helpers import derivative, mp_closed_heat_capacity_superstat, mp_quad, mp_weight_moments
@@ -379,32 +380,44 @@ def test_partition_functions_fall_with_beta_and_rise_with_q(alpha, u1, u2, q):
 
 
 def test_engine_rows_equal_single_quadratures():
-    """The quadinf point's Gauss-Kronrod rows, run as one batch, are bit for
-    bit the single quadratures of each row: the three moment rows in the
-    ground-state gauge on n = s m, and the deformed factor itself for Z_s."""
+    """The quadinf point assembles U_s, C_s, S_s and F_s (thermo._assemble)
+    from Gauss-Kronrod moment rows L beta s u^k e^{-u}, u = beta D(s m),
+    each bit for bit its single-row integrate_batch call; q = 0 needs only
+    k <= 2.  Z_s is the single quadrature of the deformed factor itself.
+    The rows do not read q, so a beta x q mesh equals its per-q calls."""
     for c, beta, q in [(C01, 0.1, 0.0), (C03, 1.0, 0.5), (C09, 7.5, 1.0)]:
         pt = superstat_thermo(c, beta, q, 1.0, TOL, method="quadinf")
         assert pt.method == "quadinf"
-        e0 = c.energy(0)
         lin, level = c.a + 2.0 * c.b, 8.0 / beta
         s = max(1.0, 2.0 * level / (lin + math.sqrt(lin * lin + 4.0 * c.b * level)) / 24.0)
         assert (s > 1.0) == (beta == 0.1)
 
-        def row(k):
-            a, b = (0.0, 0.0, 1.0)[k], (0.0, -1.0, -2.0)[k]
+        def single(f):
+            return integrate_batch(f, 1, 0.0, math.inf, TOL)[0].value
 
-            def f(n):
-                e = c.energy(s * n)
-                x = beta * e
-                return s * (np.exp(-beta * (e - e0)) * e ** k
-                            * (1.0 + q * (a + b * x + 0.5 * x * x)))
+        def row(k):
+            def f(m, rows):
+                n = s * m
+                u = beta * (n * (c.a + c.b * (n + 2.0)))
+                value = lin * beta * s * np.exp(-u)
+                for _ in range(k):
+                    value = value * u
+                return value
             return f
 
-        m0, m1, m2 = (integrate_semi_infinite(row(k), 0.0, TOL).value for k in range(3))
-        assert pt.Zs == superstat_partition_quadrature(c, beta, q, TOL)
-        assert pt.Us == m1 / m0
-        assert pt.Cs == beta * beta * (m2 / m0 - (m1 / m0) ** 2)
-        assert pt.Fs == -math.log(pt.Zs) / beta
+        moments = [single(row(k)) if q or k < 3 else 0.0 for k in range(5)]
+        zs = single(lambda n, rows: boltzmann_factor_q(c.energy(n), beta, q))
+        assert pt.Zs == zs == superstat_partition_quadrature(c, beta, q, TOL)
+        want = _assemble(c, np.array([beta]), np.array([q]), 1.0, np.array(moments)[:, None])
+        assert [pt.Us, pt.Cs, pt.Ss, pt.Fs] == [col.item() for col in want[1:]]
+
+    betas, qs = np.array([0.1, 7.5])[:, None], np.array([0.0, 0.5, 1.0])
+    fields = ("Zs", "Us", "Ss", "Fs", "Cs")
+    mesh = superstat_thermo(C03, betas, qs, 1.0, TOL, method="quadinf")
+    for i, j in np.ndindex(len(betas), len(qs)):
+        pt = superstat_thermo(C03, float(betas[i, 0]), float(qs[j]), 1.0, TOL,
+                              method="quadinf")
+        assert [getattr(pt, qn) for qn in fields] == [getattr(mesh, qn)[i, j] for qn in fields]
 
 
 def test_engine_against_mpmath_at_regime_corners():
@@ -427,6 +440,15 @@ def test_engine_u_and_c_at_large_beta(beta):
     _, u, cv = mp_weight_moments(C03, beta, 0.5, math.inf, dps=50)
     assert abs(pt.Us - u) / abs(u) < 1e-13
     assert abs(pt.Cs - cv) / abs(cv) < 1e-13
+
+
+@pytest.mark.parametrize("beta,q", [(1e4, 0.5), (1e3, 1.0)])
+def test_quadinf_cs_is_the_engine_at_large_beta(beta, q):
+    # M_2/M_0 - U^2 of rows in E^k cancels to 3.3e-9 and 2.6e-10 of the
+    # engine here; quadinf's moments of D go through the engine's algebra
+    engine = superstat_thermo(C03, beta, q, method="engine").Cs
+    quadinf = superstat_thermo(C03, beta, q, method="quadinf").Cs
+    assert abs(quadinf - engine) <= 1e-14 * abs(engine)
 
 
 @pytest.mark.parametrize("alpha", [1e-9, 0.3])

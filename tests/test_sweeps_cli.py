@@ -560,6 +560,16 @@ def test_sweep_refuses_a_point_flag_its_quantity_does_not_read(quantity, flag, t
     assert f"{quantity} does not read {flag}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("quantity,flag,value", [("Z", "--beta", "5"), ("Us", "--q", "0.5"),
+                                                 ("Energy", "--n", "3")])
+def test_sweep_refuses_a_flag_for_the_varied_parameter(quantity, flag, value, capsys):
+    # the grid would replace the flag's value without a word: exit 2
+    argv = ["sweep", quantity, "--vary", flag[2:], "--range", "1,0.5" if flag == "--q" else "1,2",
+            flag, value]
+    assert cli.main(argv + (["--alpha", "0.3"] if quantity != "Energy" else [])) == 2
+    assert f"varied parameter {flag[2:]!r} also appears in fixed" in capsys.readouterr().err
+
+
 def test_point_refuses_a_level(tmp_path, capsys):
     # a point reads no level n: --n is no flag of point
     with pytest.raises(SystemExit) as exc:

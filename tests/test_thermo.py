@@ -282,7 +282,10 @@ def test_quadrature_point_against_mpmath():
             assert abs(pt.Z - z) / z < 1e-13
             assert abs(pt.U - u) / u < 1e-13
             assert abs(pt.C - cv) / cv < 1e-12
-            assert pt.F == -math.log(pt.Z) / beta
+            # ln Z carries the moments' relative error as an absolute one
+            lnz = math.log(z)
+            assert abs(pt.S - (lnz + beta * u)) <= 1e-13 * (1.0 + beta * u)
+            assert abs(pt.F + lnz / beta) * beta <= 1e-13
     with pytest.raises(ValueError):
         thermo_quadrature(C01, 1.0, "everything")
 

@@ -68,7 +68,8 @@ def exp_neg_product(a, b, b2=0.0):
     """e^{-a (b + b2)} to within ~1 ulp: b + b2 = s + e_s exactly (Knuth's
     two-sum) and a s = p + e exactly (Dekker's two-product, Numer. Math. 18
     (1971) 224), so e^{-p} (1 - e - a e_s) keeps the |ab| ulp that rounding
-    would cost.  Where the split overflows (|a| or |b| above ~1e300), e^{-p}.
+    would cost.  Where the split overflows (|a| or |b| above ~1e300), e^{-p};
+    where e^{-p} underflows, +0 (past p ~ 1e16, 1 - e may be negative).
     a, b and b2 may be arrays that broadcast together, elementwise; floats
     give a float."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -84,7 +85,7 @@ def exp_neg_product(a, b, b2=0.0):
         sl = s - sh
         e = ((ah * sh - p) + ah * sl + al * sh) + al * sl + a * e_s
         ep = np.exp(-p)
-        out = np.where(np.isfinite(e), ep * (1.0 - e), ep)
+        out = np.where(np.isfinite(e) & (ep > 0.0), ep * (1.0 - e), ep)
     return out if out.ndim else out.item()
 
 

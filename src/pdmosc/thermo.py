@@ -300,20 +300,24 @@ def thermo_sum_engine(c, beta, kB: float = 1.0, tol: Tolerance = Tolerance()) ->
     exponentially small and |ln Z| is large.
 
     The coefficients may be arrays (an alpha curve) and beta an array (a
-    beta curve), broadcast against each other: the point then holds beta
-    and each quantity as arrays over the points, all from one ragged level
-    sum (_boltzmann_levels), each element bit for bit its one-point call.
+    beta curve), broadcast against each other to any shape (an alpha x beta
+    mesh): the point then holds beta and each quantity as arrays of it, all
+    from one ragged level sum (_boltzmann_levels), each element bit for bit
+    its one-point call.
 
     The columns are not _assemble's: its ln G = ln(g0/(beta L)) takes the
     log of the rounded zeroth moment 1 + tail, where S and F need
     log1p(tail).  At (alpha, beta) = (0.02, 700) S = 5.2e-311 rests on the
     tail alone, and the shared ln G would drop it."""
     a, b, bv = np.broadcast_arrays(c.a, c.b, _beta_values(beta))
-    tail, mean, var = _boltzmann_levels(a, b, bv, tol)
+    tail, mean, var = (x.reshape(bv.shape) for x in
+                       _boltzmann_levels(a.ravel(), b.ravel(), bv.ravel(), tol))
     g = np.log1p(tail)
     e0 = a * 0.5 + b * 0.5  # c.energy(0), bit for bit
     z = exp_neg_product(bv, 0.5 * a, 0.5 * b) * (1.0 + tail)
-    columns = (z, e0 + mean, kB * bv * bv * var, kB * (g + bv * mean), e0 - g / bv)
+    # where Var D has underflowed to 0, beta^2 may overflow: C is 0, not inf * 0
+    bc = np.where(var == 0.0, 0.0, bv)
+    columns = (z, e0 + mean, kB * bc * bc * var, kB * (g + bv * mean), e0 - g / bv)
     return _thermo_point(c, beta, bv, columns, "sum")
 
 

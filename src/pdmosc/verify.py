@@ -17,7 +17,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .numerics import Tolerance
-from .spectrum import OscillatorParams, coefficients
+from .spectrum import OscillatorParams, SpectrumCoefficients, coefficients
 from . import routes, superstat, thermo
 
 QUANTITIES = routes.THERMO + routes.SUPERSTAT
@@ -77,11 +77,13 @@ def audit_grid(params_grid: Iterable = DEFAULT_ALPHAS,
     closed-form moment engine over [0, inf).  Basis "sum" replaces the
     thermo oracles with the physical sum route (thermo_sum_engine).
 
-    Every oracle runs as one call per alpha, across beta (thermo_quadrature
-    or thermo_sum_engine) or over the beta x q mesh (the superstat engine);
-    the typeset forms run as one call per alpha and transcription, across
-    beta (thermo_closed_point) or over the mesh (the closed superstat
-    point).  Each quantity's column is then classified at once.  Reports
+    Each route runs once over the whole grid, whatever its size: the
+    coefficients of every alpha, from one coefficients call, are shaped
+    (A, 1) against the beta array (the thermo oracle, thermo_closed_point
+    per transcription) and (A, 1, 1) against the beta x q mesh (the
+    superstat engine, the closed point per transcription).  Each element is
+    bit for bit its one-point call, so a grid audits as the merge of its
+    one-alpha audits.  Each quantity's column is classified at once.  Reports
     come ordered by quantity, then grid indices, then transcription;
     identical inputs produce identical lists.
     """
@@ -94,38 +96,30 @@ def audit_grid(params_grid: Iterable = DEFAULT_ALPHAS,
         raise ValueError("grids must be nonempty")
 
     trs = thermo.TRANSCRIPTIONS
-    # quantity -> per-alpha chunks of the printed and the oracle column, each
-    # in grid order with the transcription innermost
-    printed = {qn: [] for qn in QUANTITIES}
-    oracles = {qn: [] for qn in QUANTITIES}
+    c_thermo = coefficients(OscillatorParams(alpha=np.array(alphas)[:, None]))
+    c_super = SpectrumCoefficients(c_thermo.a[..., None], c_thermo.b[..., None])
     beta_col = np.array(betas)
     mesh = beta_col[:, None], np.array(qs)
-    for alpha in alphas:
-        c = coefficients(OscillatorParams(alpha=alpha))
-        if oracle_basis == "closed":
-            thermo_oracle = thermo.thermo_quadrature(c, beta_col, "quad01", tol=tol)
-        else:
-            thermo_oracle = thermo.thermo_sum_engine(c, beta_col, tol=tol)
-        # family -> (oracle point, typeset point per transcription)
-        points = {
-            "thermo": (thermo_oracle,
-                       [thermo.thermo_closed_point(c, beta_col, transcription=tr)
-                        for tr in trs]),
-            "superstat": (superstat.superstat_thermo(c, *mesh, method="engine"),
-                          [superstat.superstat_thermo(c, *mesh, method="closed",
-                                                      transcription=tr) for tr in trs])}
-        for family, (oracle, typeset) in points.items():
-            for qn in routes.FIELDS[family]:
-                oracles[qn].append(np.repeat(getattr(oracle, qn), len(trs)))
-                printed[qn].append(np.stack([getattr(pt, qn) for pt in typeset], axis=-1).ravel())
-
+    thermo_oracle = (thermo.thermo_quadrature(c_thermo, beta_col, "quad01", tol=tol)
+                     if oracle_basis == "closed" else
+                     thermo.thermo_sum_engine(c_thermo, beta_col, tol=tol))
+    # family -> (oracle point, typeset point per transcription), each
+    # quantity an array over the grid, alpha-major
+    points = {
+        "thermo": (thermo_oracle,
+                   [thermo.thermo_closed_point(c_thermo, beta_col, transcription=tr)
+                    for tr in trs]),
+        "superstat": (superstat.superstat_thermo(c_super, *mesh, method="engine"),
+                      [superstat.superstat_thermo(c_super, *mesh, method="closed",
+                                                  transcription=tr) for tr in trs])}
     grids = {"thermo": list(zip(*product(alphas, betas, [None], trs))),
              "superstat": list(zip(*product(alphas, betas, qs, trs)))}
     reports: list[DiscrepancyReport] = []
-    for family, quantities in routes.FIELDS.items():
-        for qn in quantities:
-            p_col = np.concatenate(printed[qn])
-            o_col = np.concatenate(oracles[qn])
+    for family, (oracle, typeset) in points.items():
+        for qn in routes.FIELDS[family]:
+            # grid order with the transcription innermost
+            o_col = np.repeat(getattr(oracle, qn).ravel(), len(trs))
+            p_col = np.stack([getattr(pt, qn) for pt in typeset], axis=-1).ravel()
             rel, cls = _classify(p_col, o_col)
             reports += starmap(DiscrepancyReport, zip(
                 repeat(qn), *grids[family], p_col.tolist(), o_col.tolist(), rel.tolist(),

@@ -219,6 +219,17 @@ def test_exp_neg_product_against_mpmath():
     assert exp_neg_product(np.array([1e305, a[0]]), np.array([1.0, b[0]]))[0] == 0.0
 
 
+def test_exp_neg_product_underflows_to_positive_zero():
+    # past p ~ 1e16 the two-product error e of a b can exceed 1, so e^{-p}
+    # (1 - e) would be -0.0 where e^{-p} underflows
+    a = np.linspace(1e16, 1e18, 500)
+    b = np.full_like(a, 0.58059371040391705)
+    for lo in (0.0, 3e-17):
+        out = exp_neg_product(a, b, lo)
+        assert (out == 0.0).all() and not np.signbit(out).any()
+    assert not math.copysign(1.0, exp_neg_product(1e17, 0.3, 0.28059371040391705)) < 0.0
+
+
 # -- finite quadrature -------------------------------------------------------
 
 def _single(f, lo, hi, tol):

@@ -523,3 +523,29 @@ def test_sum_batch_raises_where_its_point_does():
         thermo_sum_engine(_curve((C03, c, C09)), np.array([1.0, 1e-4, 2.0]), 1.0, TOL)
     with pytest.raises(ValueError, match="beta must be positive"):
         thermo_sum_engine(C03, np.array([1.0, 0.0]), 1.0, TOL)
+
+
+def test_sum_alpha_by_beta_mesh_equals_its_points():
+    # coefficients shaped (A, 1) against a beta array broadcast to an
+    # (A, B) mesh: one ragged level sum, every element its one-point call
+    cs = (C00, C03, C09)
+    betas = [1e-3, 0.5, 2.0, 700.0]
+    c = _curve(cs)
+    mesh = thermo_sum_engine(SpectrumCoefficients(c.a[:, None], c.b[:, None]),
+                             np.array(betas), 1.0, TOL)
+    assert mesh.beta.shape == mesh.Z.shape == (3, 4)
+    for i, ci in enumerate(cs):
+        for j, beta in enumerate(betas):
+            pt = thermo_sum_engine(ci, beta, 1.0, TOL)
+            assert [getattr(pt, qn) for qn in "ZUCSF"] == \
+                [getattr(mesh, qn)[i, j] for qn in "ZUCSF"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("c", [C00, C03], ids=["geometric", "summed"])
+def test_sum_heat_capacity_is_zero_where_beta_squared_overflows(c):
+    # beta^2 = inf while Var D has underflowed to exactly 0: C is +0, not nan
+    pt = thermo_sum_engine(c, 1e155, 1.0, TOL)
+    assert pt.C == 0.0 and not math.copysign(1.0, pt.C) < 0.0
+    assert pt.Z == 0.0 and not math.copysign(1.0, pt.Z) < 0.0
+    assert math.isfinite(pt.U) and pt.S == 0.0

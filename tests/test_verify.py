@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from pdmosc import OscillatorParams, cli, energy_level
+from pdmosc import OscillatorParams, cli, energy_level, superstat, thermo
 from pdmosc.verify import (AUDIT_CSV_HEADER, DEFAULT_BETAS, QUANTITIES,
                            DiscrepancyReport, audit_grid, render_audit_csv, trend_check,
                            _classify)
@@ -83,6 +83,47 @@ def test_sum_basis_runs():
     # the typeset Z is the [0,1] integral, so against the sum it disagrees
     z_rows = [r for r in reports if r.quantity == "Z"]
     assert all(r.classification == "Disagree" for r in z_rows)
+
+
+@pytest.mark.parametrize("basis", ["closed", "sum"])
+def test_audit_grid_is_the_merge_of_its_one_alpha_audits(basis):
+    grid = dict(beta_grid=DEFAULT_BETAS[::6], q_grid=(0.0, 0.5, 1.0), oracle_basis=basis)
+    alphas = (0.1, 0.3, 0.9)
+    whole = audit_grid(params_grid=alphas, **grid)
+    parts = [audit_grid(params_grid=(alpha,), **grid) for alpha in alphas]
+    # each quantity's rows, alpha-major: the one-alpha audits' rows in turn
+    merged = [r for qn in QUANTITIES for part in parts for r in part if r.quantity == qn]
+    # bit for bit: repr tells nan, -0.0 and every float apart
+    assert list(map(repr, whole)) == list(map(repr, merged))
+
+
+@pytest.mark.parametrize("alphas", [(0.3,), (0.1, 0.3, 0.9)])
+@pytest.mark.parametrize("basis", ["closed", "sum"])
+def test_audit_grid_calls_each_route_once(alphas, basis, monkeypatch):
+    calls = []
+
+    def counted(module, name, key):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append((name,) + key(*args, **kwargs))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(thermo, "thermo_quadrature", lambda c, beta, range_, **kw: (range_,))
+    counted(thermo, "thermo_sum_engine", lambda *a, **kw: ())
+    counted(thermo, "thermo_closed_point", lambda *a, transcription, **kw: (transcription,))
+    counted(superstat, "superstat_thermo",
+            lambda *a, method, transcription="verbatim", **kw:
+            (method,) + ((transcription,) if method == "closed" else ()))
+    audit_grid(params_grid=alphas, beta_grid=DEFAULT_BETAS[::8], q_grid=(0.0, 0.5),
+               oracle_basis=basis)
+    oracle = ("thermo_quadrature", "quad01") if basis == "closed" else ("thermo_sum_engine",)
+    assert sorted(calls) == sorted([
+        oracle, ("thermo_closed_point", "verbatim"), ("thermo_closed_point", "corrected"),
+        ("superstat_thermo", "engine"), ("superstat_thermo", "closed", "verbatim"),
+        ("superstat_thermo", "closed", "corrected")])
 
 
 def test_csv_rendering():

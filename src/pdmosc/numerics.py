@@ -34,7 +34,7 @@ class Tolerance:
 
     rel: float = 1e-12
     abs: float = 0.0
-    max_evals: int = 200_000
+    max_evals: int = 400_000
 
     def __post_init__(self):
         if not (0 <= self.rel < math.inf and 0 <= self.abs < math.inf):

@@ -5,7 +5,7 @@ thermodynamic quantities.
 Ground truth is the moment engine (``superstat_thermo`` with method
 'engine'): E(n) is quadratic, so Z_s and its two beta-derivatives are
 finite combinations of the closed-form moments J_0..J_4 of the excitation
-energy, taken from erfcx and a recurrence or a fixed Gauss-Laguerre rule,
+energy (``thermo._scaled_moments``, which also bounds the level-sum tails),
 with no adaptive quadrature.  The Gauss-Kronrod quadrature of the same
 integrals (method 'quadinf', ``superstat_partition_quadrature``) is the
 independent numerical route; both turn their moments into Z_s..C_s by the
@@ -32,11 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _LAG_U, _LAG_W, _X_RULE, Tolerance, erfcx, erfcx_derivatives
+from .numerics import Tolerance, erfcx, erfcx_derivatives
 from .spectrum import SpectrumCoefficients
 from .thermo import (_assemble, _beta_values, _check_transcription, _factor_q,
-                     _quadrature_moments, _require_regular, _saturating, _shaped,
-                     _weight_integrals)
+                     _quadrature_moments, _require_regular, _saturating, _scaled_moments,
+                     _shaped, _weight_integrals)
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -315,61 +315,13 @@ def _closed_columns(c: SpectrumCoefficients, beta, q, kB: float, transcription: 
 # Moment engine: closed-form Laplace moments of the excitation energy
 # ---------------------------------------------------------------------------
 
-#: row k = 0..4: the Gauss-Laguerre weights times node^k; from y = x1 = 1.4
-#: on (numerics._X_RULE, where erfcx switches to the same rule) the moments
-#: come from this rule instead of the forward recurrence
-_LAG_ROWS = _LAG_W * _LAG_U ** np.arange(5)[:, None]
-
-
-def _scaled_moments(a: np.ndarray, b: np.ndarray, bv: np.ndarray) -> np.ndarray:
-    """I_k = L beta^{k+1} J_k for k = 0..4 (rows) at each point (a, b, beta)
-    of the equal-length 1-d arrays (columns), where J_k is the integral
-    over n in [0, inf) of D^k e^{-beta D}, D = E(n) - E_0 = b n^2 + L n and
-    L = a + 2b.  In u = beta D,
-        I_k = int_0^inf u^k e^{-u} (1 + u/y^2)^{-1/2} du,  y = L sqrt(beta/(4b)),
-    so I_k = k! at b = 0.
-
-    For y >= 1.4 the 48-point Gauss-Laguerre rule integrates it, one row
-    sum per beta and k; the branch point u = -y^2 lies far enough from the
-    nodes.  Below, the forward recurrence from integration by parts,
-        I_0 = sqrt(pi) y erfcx(y),  I_1 = (1/2 - y^2) I_0 + y^2,
-        I_{k+1} = (k + 1/2 - y^2) I_k + k y^2 I_{k-1},
-    loses at most a few ulp.  (Backward recurrence is stable only for
-    k < y^2, and the forward one loses about y^2 per step above y ~ 3.)"""
-    lin = a + 2.0 * b
-    inv_y2 = 4.0 * b / (bv * lin * lin)
-    rule = inv_y2 * _X_RULE * _X_RULE <= 1.0
-    moments = np.empty((5, len(bv)))
-    weight = 1.0 / np.sqrt(1.0 + _LAG_U * inv_y2[rule][:, None])
-    moments[:, rule] = (_LAG_ROWS * weight[:, None, :]).sum(axis=-1).T
-    slow = ~rule
-    y = 0.5 * lin[slow] * np.sqrt(bv[slow] / b[slow])
-    y2 = y * y
-    recurrence = [_SQRT_PI * y * erfcx(y)]
-    recurrence.append((0.5 - y2) * recurrence[0] + y2)
-    for k in range(1, 4):
-        recurrence.append((k + 0.5 - y2) * recurrence[k] + k * y2 * recurrence[k - 1])
-    moments[:, slow] = recurrence
-    return moments
-
-
 def excitation_moments(c: SpectrumCoefficients, beta) -> tuple[float, ...]:
     """J_k = int_0^inf D^k e^{-beta D} dn for k = 0..4, D = E(n) - E_0,
-    in closed form (erfcx and a recurrence, or a fixed Gauss-Laguerre
-    rule); no adaptive quadrature."""
+    in closed form (thermo._scaled_moments: erfcx and a recurrence, or a
+    fixed Gauss-Laguerre rule); no adaptive quadrature."""
     bv = _beta_values(beta)
-    lin = c.a + 2.0 * c.b
-    moments = _scaled_moments(np.array([c.a]), np.array([c.b]), bv)
-    return tuple(m / (lin * bv.item() ** (k + 1)) for k, m in enumerate(moments[:, 0].tolist()))
-
-
-def _engine_columns(c: SpectrumCoefficients, bv, qv, kB: float):
-    """(Z_s, U_s, C_s, S_s, F_s) assembled (thermo._assemble) from the
-    closed-form moments, taken once over the broadcast of the coefficients
-    and the beta array bv, whatever the q array qv."""
-    a, b, bvs = np.broadcast_arrays(c.a, c.b, bv)
-    moments = _scaled_moments(a.ravel(), b.ravel(), bvs.ravel()).reshape((5,) + bvs.shape)
-    return _assemble(c, bv, qv, kB, moments)
+    moments = _scaled_moments(c.a, c.b, bv)[:, 0].tolist()
+    return tuple(m / ((c.a + 2.0 * c.b) * bv.item() ** (k + 1)) for k, m in enumerate(moments))
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +337,9 @@ def superstat_thermo(c: SpectrumCoefficients, beta, q, kB: float = 1.0,
 
     method 'engine' (ground truth) assembles Z_s, U_s, S_s, F_s and C_s
     (thermo._assemble) from the closed-form moments J_0..J_4 of the
-    excitation energy over n in [0, inf) (_engine_columns); it runs no
-    quadrature, and tol is unused.
+    excitation energy over n in [0, inf) (thermo._scaled_moments), taken
+    once over the broadcast of the coefficients and beta, whatever q; it
+    runs no quadrature, and tol is unused.
     method 'quadinf' is the numerical route: the same assembly of the same
     moments, taken as rows of one batched Gauss-Kronrod quadrature that do
     not read q, and a Z_s bit for bit superstat_partition_quadrature.
@@ -398,7 +351,8 @@ def superstat_thermo(c: SpectrumCoefficients, beta, q, kB: float = 1.0,
         columns = _closed_columns(c, bv, qv, kB, transcription)
     elif method in ("engine", "quadinf"):
         columns = dict(zip(("Zs", "Us", "Cs", "Ss", "Fs"),
-                           _engine_columns(c, bv, qv, kB) if method == "engine"
+                           _assemble(c, bv, qv, kB, _scaled_moments(c.a, c.b, bv))
+                           if method == "engine"
                            else _quadrature_moments(c, bv, qv, math.inf, kB, tol)))
     else:
         raise ValueError("method must be 'engine', 'quadinf' or 'closed'")

@@ -25,7 +25,7 @@ DEPENDS_ON = {"Energy": ("n", "alpha"), **dict.fromkeys(routes.THERMO, ("alpha",
               **dict.fromkeys(routes.SUPERSTAT, ("alpha", "beta", "q"))}
 
 #: default sweep/preset tolerance; plots do not need 1e-12
-PRESET_TOL = Tolerance(rel=1e-10, abs=0.0, max_evals=400_000)
+PRESET_TOL = Tolerance(rel=1e-10)
 
 
 def linear_range(lo: float, hi: float, count: int) -> tuple[float, ...]:
@@ -58,8 +58,13 @@ class SweepSpec:
             raise ValueError(f"unknown quantity {self.quantity!r}")
         if self.vary not in VARY_CHOICES:
             raise ValueError(f"unknown vary parameter {self.vary!r}")
-        if self.vary not in DEPENDS_ON[self.quantity]:
+        reads = DEPENDS_ON[self.quantity]
+        if self.vary not in reads:
             raise ValueError(f"{self.quantity} does not depend on {self.vary!r}")
+        ignored = [k for k in self.fixed if k in VARY_CHOICES and k not in reads]
+        if ignored:
+            raise ValueError(f"{self.quantity} does not read {', '.join(ignored)}; "
+                             f"its sweep takes only {', '.join(reads)}")
         if self.vary in self.fixed:
             raise ValueError(f"varied parameter {self.vary!r} also appears in fixed")
         if len(self.values) < 2:

@@ -8,9 +8,9 @@ Two evaluation families coexist deliberately:
   Boltzmann moments in the ground-state gauge, summed over the levels
   (``thermo_sum_engine``, the physical route) or integrated over continuous
   n (``thermo_quadrature``, whose 'quad01' point is the audit's oracle for
-  the closed forms).  The integrated moments of D = E - E_0 become the
-  columns through ``_assemble``, the one moment assembly that the
-  superstat engine and quadrature share;
+  the closed forms).  Integrated moments of D = E - E_0 become columns by
+  one assembly (``_assemble``), and their one closed form over [0, inf)
+  (``_scaled_moments``) serves the superstat engine and the tail bounds;
 * the closed-form evaluators reproduce the typeset expressions for U, C, S,
   F.  Those expressions carry typesetting defects, so each is available in
   two transcriptions: ``verbatim`` (exactly as typeset, including suspected
@@ -29,8 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularLimit
-from .numerics import Tolerance, erf, erfcx, exp_neg_product, integrate_batch, sum_decaying
+from .errors import NonConvergence, SingularLimit
+from .numerics import (_LAG_U, _LAG_W, _X_RULE, Tolerance, erf, erfcx, exp_neg_product,
+                       integrate_batch, sum_decaying)
 from .spectrum import SpectrumCoefficients
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -97,19 +98,21 @@ def _excitation(a, b, n):
     return n * (a + b * (n + 2.0))
 
 
-def _tail_bound_reduced(a, b, bv, N):
-    """Upper bound on sum_{n>N} exp(-beta D_n) for b > 0, elementwise over
-    arrays.  The terms decrease, so the tail is below the integral of
-    exp(-beta D(t)) over [N, inf), the Gaussian integral
-        exp(-beta D_N) sqrt(pi) y erfcx(y) / (beta D'(N)),
-    D'(N) = a + 2b(N + 1), y = D'(N) sqrt(beta/b) / 2; the factor
-    sqrt(pi) y erfcx(y) < 1 tends to 1 as y grows (y = inf once b is
-    negligible)."""
-    slope = a + 2.0 * b * (N + 1.0)
-    with np.errstate(over="ignore", invalid="ignore"):  # y = inf: h = 1, not inf * 0
-        y = 0.5 * slope * np.sqrt(bv / b)
-        h = np.where(y == math.inf, 1.0, _SQRT_PI * y * erfcx(y))
-    return h * np.exp(-bv * _excitation(a, b, N)) / (bv * slope)
+def _tail_bounds(a, b, bv, N):
+    """Upper bounds on sum_{n>N} D_n^k e^{-beta D_n}, k = 0, 1, 2 (rows), for
+    b > 0, elementwise.  Where beta D_N >= k row k decreases from n = N on,
+    so its tail is below its integral over [N, inf) (the integral test);
+    elsewhere the bound is +inf.  In t = N + s, D = D_N + L_N s + b s^2 with
+    L_N = a + 2b(N + 1), and the moments J'_j of L_N s + b s^2
+    (_scaled_moments at the coefficient a + 2bN, divided one beta at a time,
+    as beta^2 may overflow) give row k as e^{-beta D_N} times the binomial
+    sum_j C(k, j) D_N^{k-j} J'_j."""
+    d_n = _excitation(a, b, N)
+    j0, j1, j2 = _scaled_moments(a + 2.0 * b * N, b, bv)[:3] / (bv * (a + 2.0 * b * (N + 1.0)))
+    j1, j2 = j1 / bv, j2 / bv / bv
+    bounds = np.exp(-bv * d_n) * np.array(
+        [j0, d_n * j0 + j1, d_n * d_n * j0 + 2.0 * d_n * j1 + j2])
+    return np.where(bv * d_n >= np.arange(3.0)[:, None], bounds, math.inf)
 
 
 #: x^2 e^{-x} = eps at x = 43.6
@@ -127,12 +130,7 @@ def _level_series(a, b, bv):
         return np.array([w, d * w, d * d * w], dtype=float)
 
     def tail_bound(k):
-        a_k, b_k, bv_k = a[k[0]], b[k[0]], bv[k[0]]
-        n = k[1] + 1.0
-        delta = np.minimum(bv_k / 2.0, 2.0 / _excitation(a_k, b_k, n))
-        t = _tail_bound_reduced(a_k, b_k, bv_k - delta, n)
-        return np.array([_tail_bound_reduced(a_k, b_k, bv_k, n), t / (math.e * delta),
-                         t * (2.0 / (math.e * delta)) ** 2])
+        return _tail_bounds(a[k[0]], b[k[0]], bv[k[0]], k[1] + 1.0)
 
     return terms, tail_bound
 
@@ -153,15 +151,12 @@ def _boltzmann_levels(a, b, bv, tol: Tolerance):
     array: point i contributes levels 1..N_i, formed in long double (80-bit
     where the platform has it) and rounded once, since in double rounding
     beta D_n alone moves w_n by ~1e-15 at beta D_n ~ 10.  Past level N,
-    with x = beta (D_N - D_1), the integral bound and
-    erfcx(y) <= 1/(sqrt(pi) y) (Abramowitz & Stegun 7.1.13) put row k's
-    tail near x^k e^{-x} of its sum; the first guess N_i is the N with
-    x = 43.6, so every row is truncated below rounding.  The exact bounds
-    then certify each point against tol: one at beta for w, one at
-    beta - delta for both moments through the envelope
-    D^k e^{-delta D} <= (k/(e delta))^k with delta = min(beta/2, 2/D_N),
-    which touches the D^2 w row at D_N.  A point that fails doubles its own
-    levels (sum_decaying), so each point sums exactly the levels, and gets
+    with x = beta (D_N - D_1), row k's tail is near x^k e^{-x} of its sum;
+    the first guess N_i is the N with x = 43.6, so every row is truncated
+    below rounding.  _tail_bounds then certifies each point against tol:
+    row k's tail is below its integral over [N, inf) wherever beta D_N >= k,
+    as at every first guess.  A point that fails doubles its own levels
+    (sum_decaying), so each point sums exactly the levels, and gets
     exactly the bits, of its one-point call.  Points are taken in order
     into one sum_decaying call until the next first guess would take the
     batch past tol.max_evals levels; only a point that fails its first
@@ -351,11 +346,51 @@ def _weight_integrals(c: SpectrumCoefficients, bv, qv, hi: float,
                     ).reshape(shape)
 
 
+#: row k = 0..4: the Gauss-Laguerre weights times node^k, the rule that takes
+#: over from the recurrence at y = 1.4, as in erfcx (numerics._X_RULE)
+_LAG_ROWS = _LAG_W * _LAG_U ** np.arange(5)[:, None]
+
+
+def _scaled_moments(a, b, bv) -> np.ndarray:
+    """I_k = L beta^{k+1} J_k for k = 0..4 (the leading axis) at each element
+    of the broadcast of a, b and beta (floats or arrays), J_k the integral
+    over n in [0, inf) of D^k e^{-beta D}, D = b n^2 + L n, L = a + 2b (with
+    the spectrum's coefficients, D = E(n) - E_0).  In u = beta D,
+        I_k = int_0^inf u^k e^{-u} (1 + u/y^2)^{-1/2} du,  y = L sqrt(beta/(4b)),
+    so I_k = k! at b = 0.
+
+    For y >= 1.4 the 48-point Gauss-Laguerre rule integrates it, one row
+    sum per element and k; the branch point u = -y^2 lies far enough from
+    the nodes.  Below, the forward recurrence from integration by parts,
+        I_0 = sqrt(pi) y erfcx(y),  I_1 = (1/2 - y^2) I_0 + y^2,
+        I_{k+1} = (k + 1/2 - y^2) I_k + k y^2 I_{k-1},
+    loses at most a few ulp.  (Backward recurrence is stable only for
+    k < y^2, and the forward one loses about y^2 per step above y ~ 3.)"""
+    a, b, bv = np.broadcast_arrays(a, b, bv)
+    shape, a, b, bv = bv.shape, a.ravel(), b.ravel(), bv.ravel()
+    lin = a + 2.0 * b
+    inv_y2 = 4.0 * b / (bv * lin * lin)
+    rule = inv_y2 * _X_RULE * _X_RULE <= 1.0
+    moments = np.empty((5, len(bv)))
+    weight = 1.0 / np.sqrt(1.0 + _LAG_U * inv_y2[rule][:, None])
+    moments[:, rule] = [(row * weight).sum(axis=-1) for row in _LAG_ROWS]
+    slow = ~rule
+    if slow.any():  # even empty, it costs an erfcx call: tail bounds seldom need it
+        y = 0.5 * lin[slow] * np.sqrt(bv[slow] / b[slow])
+        y2 = y * y
+        recurrence = [_SQRT_PI * y * erfcx(y)]
+        recurrence.append((0.5 - y2) * recurrence[0] + y2)
+        for k in range(1, 4):
+            recurrence.append((k + 0.5 - y2) * recurrence[k] + k * y2 * recurrence[k - 1])
+        moments[:, slow] = recurrence
+    return moments.reshape((5,) + shape)
+
+
 def _assemble(c: SpectrumCoefficients, bv, qv, kB: float, moments):
     """(Z, U, C, S, F) of the weight e^{-beta E}(1 + (q/2) beta^2 E^2)
     over n, from the scaled moments I_k = L beta^{k+1} J_k (k = 0..4, the
-    rows of moments) of the excitation energy, J_k = int D^k e^{-beta D} dn
-    with D = E - E_0 >= 0 and L = a + 2b.
+    rows of moments, _scaled_moments) of the excitation energy,
+    J_k = int D^k e^{-beta D} dn with D = E - E_0 >= 0 and L = a + 2b.
     With G = e^{beta E_0} Z = int e^{-beta D} p dn, p = 1 + (q/2) beta^2 E^2,
         G'  = int e^{-beta D} (-D p + q beta E^2),
         G'' = int e^{-beta D} (D^2 p - 2 q beta D E^2 + q E^2);
@@ -369,23 +404,31 @@ def _assemble(c: SpectrumCoefficients, bv, qv, kB: float, moments):
     coefficient carries a factor q, so where q = 0 throughout those rows
     may be zeros.
 
+    The coefficients of g0, g1, g2 are quadratic forms in (1, e), whose
+    q e^2 terms overflow from e ~ 1e154.  Taking 1 and e as h and e h,
+    h = 2^{-m} with the least m that puts e h below 2^511 (where 2 e^2 is
+    finite), scales g0, g1, g2 by h^2 exactly; 2m ln 2 goes back into ln G.
+    Below 2^511, m = 0 keeps every bit.
+
     The moments have the shape of the broadcast of the coefficients and the
     beta array bv; the q array qv broadcasts against them, and g0, g1, g2
     are assembled over the whole mesh, elementwise, so each element is bit
     for bit its point."""
     i0, i1, i2, i3, i4 = moments
     e0 = c.energy(0)
-    e = bv * e0
+    m = np.maximum(np.frexp(bv * e0)[1] - 511, 0)
+    h = np.ldexp(1.0, -m)
+    e = bv * e0 * h
     qe = qv * e
-    p0, p1, p2 = 1.0 + 0.5 * qe * e, qe, 0.5 * qv  # p = p0 + p1 u + p2 u^2
+    p0, p1, p2 = h * h + 0.5 * qe * e, qe * h, 0.5 * qv * h * h  # p = p0 + p1 u + p2 u^2
     g0 = p0 * i0 + p1 * i1 + p2 * i2
-    g1 = qe * e * i0 + (2.0 * qe - p0) * i1 + qv * (1.0 - e) * i2 - p2 * i3
-    g2 = (qe * e * i0 + 2.0 * qe * (1.0 - e) * i1 + (p0 - 4.0 * qe + qv) * i2
-          + qv * (e - 2.0) * i3 + p2 * i4)
+    g1 = qe * e * i0 + (2.0 * qe * h - p0) * i1 + qv * h * (h - e) * i2 - p2 * i3
+    g2 = (qe * e * i0 + 2.0 * qe * (h - e) * i1 + (p0 - 4.0 * qe * h + qv * h * h) * i2
+          + qv * h * (e - 2.0 * h) * i3 + p2 * i4)
     r1 = g1 / g0
     big_g = g0 / (bv * (c.a + 2.0 * c.b))
-    log_g = np.log(big_g)
-    return (big_g * exp_neg_product(bv, 0.5 * c.a, 0.5 * c.b), e0 - r1 / bv,
+    log_g = np.log(big_g) + 2.0 * math.log(2.0) * m
+    return (np.ldexp(big_g * exp_neg_product(bv, 0.5 * c.a, 0.5 * c.b), 2 * m), e0 - r1 / bv,
             kB * (g2 / g0 - r1 * r1), kB * (log_g - r1), e0 - log_g / bv)
 
 
@@ -406,7 +449,9 @@ def _quadrature_moments(c: SpectrumCoefficients, bv: np.ndarray, qv, hi: float,
     The moment rows fall only once u exceeds k; at small beta that lies
     beyond the tail probes of integrate_batch, so on [0, inf) s >= 1 is the
     smallest scale that puts u = 8 at or before the probe m = 24 (s = 1 on
-    [0, 1])."""
+    [0, 1]).  From beta ~ 3e5 on e^{-u} underflows to 0 at every node, so
+    the I_0 row integrates to exactly 0: that raises NonConvergence, naming
+    beta."""
     zshape, weight = _weight_rows(c, bv, qv)
     nz = math.prod(zshape)
     shape = np.broadcast(c.a, c.b, bv).shape
@@ -437,6 +482,8 @@ def _quadrature_moments(c: SpectrumCoefficients, bv: np.ndarray, qv, hi: float,
         rows, nz + k_rows * bvs.size, 0.0, hi, tol)])
     moments = np.zeros((5, bvs.size))
     moments[:k_rows] = values[nz:].reshape(-1, k_rows).T
+    if not moments[0].all():  # e^{-u} underflows at every node
+        raise NonConvergence(f"moment rows integrate to 0 at beta={bvs[moments[0] == 0][0]:.17g}")
     return ((values[:nz].reshape(zshape),)
             + _assemble(c, bv, qv, kB, moments.reshape((5,) + shape))[1:])
 

@@ -66,7 +66,7 @@ def _classify(printed: np.ndarray, oracle: np.ndarray) -> tuple[np.ndarray, np.n
 def audit_grid(params_grid: Iterable = DEFAULT_ALPHAS,
                beta_grid: Sequence[float] = DEFAULT_BETAS,
                q_grid: Sequence[float] = DEFAULT_QS,
-               tol: Tolerance = Tolerance(rel=3e-13, abs=0.0, max_evals=400_000),
+               tol: Tolerance = Tolerance(rel=3e-13),
                oracle_basis: str = "closed") -> list[DiscrepancyReport]:
     """Audit every typeset closed form on the grid of alpha values
     (params_grid), beta and q, both transcriptions, in natural units.

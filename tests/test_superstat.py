@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from pdmosc import (B_MIN, OscillatorParams, SingularLimit, SpectrumCoefficients,
+from pdmosc import (B_MIN, NonConvergence, OscillatorParams, SingularLimit, SpectrumCoefficients,
                     Tolerance, boltzmann_factor_q, coefficients, entropy_superstat_closed,
                     free_energy_superstat_closed, heat_capacity_superstat_closed,
                     integrate_batch,
@@ -458,6 +458,68 @@ def test_engine_zs_carries_beta_e0_exactly(alpha):
     zs = superstat_thermo(c, 1e3, 0.5, method="engine").Zs
     want = mp_weight_moments(c, 1e3, 0.5, math.inf, dps=50)[0]
     assert abs(zs - want) <= 1e-15 * want
+
+
+def _mp_engine_columns(c, beta, q, dps=40):
+    """(U_s, S_s, F_s, C_s) of the continuum integral over n in [0, inf) at
+    40 digits, through G = e^{beta E_0} Z_s and its beta-derivatives in
+    u = beta D with e = beta E_0, so no digit is spent on beta E_0:
+        G = int e^{-u} p w du,  beta G' = int e^{-u} (q (e+u)^2 - u p) w du,
+        beta^2 G'' = int e^{-u} (u^2 p - 2 q u (e+u)^2 + q (e+u)^2) w du,
+    p = 1 + (q/2)(e+u)^2 and w = 1/(beta sqrt(L^2 + 4 b u/beta)); then
+    U_s = E_0 - G'/G, C_s = beta^2 (G''/G - (G'/G)^2), S_s = ln G - beta G'/G
+    and F_s = E_0 - ln(G)/beta.  The integrands are taken without their
+    constant factor 1/(beta p(0)), which keeps them of order one at any e:
+    mpmath's quadrature stops on an absolute error estimate."""
+    with mp.workdps(dps):
+        a, b, bt, qm = mp.mpf(c.a), mp.mpf(c.b), mp.mpf(beta), mp.mpf(q)
+        e0, lin = (a + b) / 2, a + 2 * b
+        e = bt * e0
+        p0 = 1 + qm * e * e / 2
+
+        def integrand(k):
+            def f(u):
+                p, qe2 = (1 + qm * (e + u) ** 2 / 2) / p0, qm * (e + u) ** 2 / p0
+                poly = (p, qe2 - u * p, u * u * p - 2 * u * qe2 + qe2)[k]
+                return mp.exp(-u) * poly / mp.sqrt(lin * lin + 4 * b * u / bt)
+            return f
+
+        g, g1, g2 = (mp.quad(integrand(k), [0, 1, 10, 100, mp.inf]) for k in range(3))
+        r1, r2 = g1 / g, g2 / g
+        log_g = mp.log(p0 * g / bt)
+        return (float(e0 - r1 / bt), float(log_g - r1), float(e0 - log_g / bt),
+                float(r2 - r1 * r1))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("alpha", [0.0, 0.02, 0.3])
+@pytest.mark.parametrize("beta", [2e154, 1e155, 1e300])
+def test_engine_is_finite_where_beta_e0_squared_overflows(alpha, beta):
+    # q (beta E_0)^2 overflows from beta ~ 1e154; the assembly scales g0,
+    # g1, g2 by an exact power of two, so U_s, S_s, F_s and C_s stay the
+    # continuum integrals' values and Z_s underflows to +0
+    c = coefficients(OscillatorParams(alpha=alpha))
+    for q in (0.5, 1.0):
+        pt = superstat_thermo(c, beta, q, method="engine")
+        assert pt.Zs == 0.0 and math.copysign(1.0, pt.Zs) > 0.0
+        want = _mp_engine_columns(c, beta, q)
+        for got, w in zip((pt.Us, pt.Ss, pt.Fs, pt.Cs), want):
+            assert abs(got - w) <= 1e-14 * abs(w), (q, got, w)
+
+
+@pytest.mark.parametrize("beta", [3e5, 1e6])
+def test_quadrature_moments_raise_where_no_node_resolves_the_weight(beta):
+    # e^{-u} underflows at every Gauss-Kronrod node, so each moment row
+    # integrates to 0: the U..F routes raise, naming beta, and the Z routes,
+    # which integrate the weight alone, print the correct underflow 0
+    with pytest.raises(NonConvergence, match=f"beta={beta:.17g}"):
+        thermo_quadrature(C03, beta, "quad01")
+    with pytest.raises(NonConvergence, match=f"beta={beta:.17g}"):
+        thermo_quadrature(C03, np.array([1.0, beta]), "quadinf")
+    with pytest.raises(NonConvergence, match=f"beta={beta:.17g}"):
+        superstat_thermo(C03, beta, 0.5, method="quadinf")
+    assert partition_quadrature(C03, beta, "quad01") == 0.0
+    assert superstat_partition_quadrature(C03, beta, 0.5) == 0.0
 
 
 def _mp_excitation_moments(a, b, beta, dps=50):

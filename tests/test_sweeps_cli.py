@@ -134,13 +134,16 @@ def test_every_route_sweep_row_equals_its_point(quantity, method, vary):
     # one route call per curve (and one more for the regular points of a
     # mixed alpha curve): each row is bit for bit the route at its own
     # routes.state point, and null with SingularLimit exactly where that
-    # point raises SingularLimit; in natural units and along an SI alpha curve
+    # point raises SingularLimit; in natural units and along an SI alpha
+    # curve, with every other parameter the quantity reads fixed
     cases = [({k: v for k, v in _FIXED.items() if k != vary}, "natural")]
     if vary != "alpha":
         cases.append(({**cases[0][0], "alpha": 0.0}, "natural"))
     else:
         cases.append(({"beta": 1.0 / (1.380649e-23 * 300.0), "q": 0.5, "n": 2.0}, "si"))
     route = routes.ROUTES[(quantity, method)]
+    reads = sweeps.DEPENDS_ON[quantity]
+    cases = [({k: v for k, v in fixed.items() if k in reads}, units) for fixed, units in cases]
     for (fixed, units), tr in itertools.product(cases, thermo.TRANSCRIPTIONS):
         spec = SweepSpec(quantity=quantity, vary=vary, values=_GRIDS[vary], fixed=fixed,
                          method=method, units=units, transcription=tr)
@@ -165,8 +168,9 @@ def test_closed_superstat_beta_sweep_matches_points():
     betas = sweeps.log_range(0.05, 40.0, 31) + (800.0, 2000.0)
     for alpha, q, tr in [(0.1, 0.5, "verbatim"), (0.3, 1.0, "corrected"), (0.9, 0.0, "verbatim")]:
         for quantity in routes.THERMO + routes.SUPERSTAT:
+            fixed = {"alpha": alpha, "q": q} if quantity in routes.SUPERSTAT else {"alpha": alpha}
             spec = SweepSpec(quantity=quantity, vary="beta", values=betas,
-                             fixed={"alpha": alpha, "q": q}, method="closed", transcription=tr)
+                             fixed=fixed, method="closed", transcription=tr)
             route = routes.ROUTES[(quantity, "closed")]
             for row, beta in zip(run_sweep(spec), betas):
                 s = routes.state({"alpha": alpha, "q": q, "beta": beta}, transcription=tr)
@@ -542,6 +546,17 @@ def test_si_units_entropy_scale(capsys):
     assert 1e-24 < abs(pt.S) < 1e-21
 
 
+def test_sweep_spec_refuses_a_fixed_parameter_its_quantity_does_not_read():
+    # the spec, not the CLI, refuses a point parameter that would be
+    # silently dropped; m0 and omega are read in SI units
+    with pytest.raises(ValueError, match="Z does not read q, n; its sweep takes only alpha, beta"):
+        SweepSpec("Z", "beta", (1.0, 2.0), fixed={"q": 0.5, "n": 3})
+    with pytest.raises(ValueError, match="Energy does not read beta"):
+        SweepSpec("Energy", "n", (1.0, 2.0), fixed={"alpha": 0.3, "beta": 2.0})
+    SweepSpec("Z", "beta", (1.0, 2.0), fixed={"alpha": 0.3, "m0": 1e-30, "omega": 1e13},
+              units="si")
+
+
 @pytest.mark.parametrize("quantity,flag", [("Z", "--q"), ("C", "--n"), ("Us", "--n"),
                                            ("Cs", "--n"), ("Energy", "--beta"),
                                            ("Energy", "--q")])
@@ -553,11 +568,11 @@ def test_sweep_refuses_a_point_flag_its_quantity_does_not_read(quantity, flag, t
     argv = ["sweep", quantity, "--vary", vary, "--range", "1,2"]
     value = "1" if flag == "--n" else "0.5"
     assert cli.main(argv + [flag, value]) == 2
-    assert f"{quantity} does not read {flag}" in capsys.readouterr().err
+    assert f"{quantity} does not read {flag[2:]}" in capsys.readouterr().err
     conf = tmp_path / "sweep.conf"
     conf.write_text(f"{flag[2:]} = {value}\n")
     assert cli.main(argv + ["--config", str(conf)]) == 2
-    assert f"{quantity} does not read {flag}" in capsys.readouterr().err
+    assert f"{quantity} does not read {flag[2:]}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("quantity,flag,value", [("Z", "--beta", "5"), ("Us", "--q", "0.5"),

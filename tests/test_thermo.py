@@ -17,8 +17,9 @@ from pdmosc import (NonConvergence, OscillatorParams, SingularLimit, SpectrumCoe
                     free_energy_closed, heat_capacity_closed, log_partition_closed,
                     mean_energy_closed, partition_closed, partition_quadrature,
                     partition_sum, thermo, thermo_closed_point, thermo_quadrature)
+from pdmosc.sweeps import figure_preset
 from pdmosc.thermo import TRANSCRIPTIONS, thermo_sum_engine
-from pdmosc.verify import DEFAULT_BETAS
+from pdmosc.verify import DEFAULT_BETAS, audit_grid
 
 from helpers import (brute_boltzmann_moments, brute_sum, brute_thermo, derivative,
                      mp_weight_moments)
@@ -486,10 +487,10 @@ def _assert_points(cs, betas, kB, tol, curve):
 
 
 def test_sum_batch_chunks_past_the_level_budget(monkeypatch):
-    # five first guesses of ~36k-54k levels exceed max_evals = 200k
+    # five first guesses of ~73k-109k levels exceed max_evals = 400k
     # together: the batch splits in order, and every point stays its own call
     c = coefficients(OscillatorParams(alpha=1e-6))
-    betas = [0.8e-3, 0.9e-3, 1e-3, 1.1e-3, 1.2e-3]
+    betas = [0.4e-3, 0.45e-3, 0.5e-3, 0.55e-3, 0.6e-3]
     calls = _sum_calls(monkeypatch)
     curve = thermo_sum_engine(c, np.array(betas), 1.0, TOL)
     assert len(calls) > 1
@@ -518,9 +519,9 @@ def test_sum_alpha_curve_equals_its_points():
 def test_sum_batch_raises_where_its_point_does():
     c = coefficients(OscillatorParams(alpha=1e-9))
     with pytest.raises(NonConvergence):
-        thermo_sum_engine(c, 1e-4, 1.0, TOL)
+        thermo_sum_engine(c, 5e-5, 1.0, TOL)
     with pytest.raises(NonConvergence):
-        thermo_sum_engine(_curve((C03, c, C09)), np.array([1.0, 1e-4, 2.0]), 1.0, TOL)
+        thermo_sum_engine(_curve((C03, c, C09)), np.array([1.0, 5e-5, 2.0]), 1.0, TOL)
     with pytest.raises(ValueError, match="beta must be positive"):
         thermo_sum_engine(C03, np.array([1.0, 0.0]), 1.0, TOL)
 
@@ -549,3 +550,78 @@ def test_sum_heat_capacity_is_zero_where_beta_squared_overflows(c):
     assert pt.C == 0.0 and not math.copysign(1.0, pt.C) < 0.0
     assert pt.Z == 0.0 and not math.copysign(1.0, pt.Z) < 0.0
     assert math.isfinite(pt.U) and pt.S == 0.0
+
+
+# -- the level-sum tail bounds -------------------------------------------------
+
+def _mp_tail(a, b, beta, N, rows):
+    """Rows k = 0 .. rows - 1 of (integral over t in [N, inf), sum over n > N) of
+    D^k e^{-beta D} at 40 digits.  The integral runs over t = N + s,
+    D = D_N + L_N s + b s^2, with breakpoints at the decay length
+    1/(beta L_N) and e^{-beta D_N} taken out of the integrand (inside, it
+    costs mpmath's quadrature 1e-8 at beta = 40); the sum stops once a
+    term, past the peak of every row, falls below 1e-45 of its row."""
+    with mp.workdps(40):
+        a, b, bt = mp.mpf(a), mp.mpf(b), mp.mpf(beta)
+
+        def d(t):
+            return t * (a + b * (t + 2))
+
+        lin = a + 2 * b * (N + 1)
+        scale = 1 / (bt * lin)
+        integrals = [mp.exp(-bt * d(N)) * mp.quad(
+            lambda s: (d(N) + lin * s + b * s * s) ** k * mp.exp(-bt * (lin * s + b * s * s)),
+            [0, scale, 10 * scale, mp.inf]) for k in range(rows)]
+        sums, n = [mp.mpf(0)] * rows, N + 1
+        while True:
+            dn = d(n)
+            w = mp.exp(-bt * dn)
+            terms = [w, dn * w, dn * dn * w][:rows]
+            sums = [s + t for s, t in zip(sums, terms)]
+            if all(t < mp.mpf(10) ** -45 * s for t, s in zip(terms, sums)):
+                return integrals, sums
+            n += 1
+
+
+def test_tail_bounds_are_the_tail_integral_and_bound_the_tail_sum():
+    # the integral test, from one closed-form moment call: row k equals the
+    # integral of D^k e^{-beta D} over [N, inf), and lies above the sum it
+    # bounds, wherever beta D_N >= k makes the row decrease (at 35 of the
+    # 48 points every row, at 6 rows 0 and 1, at 7 row 0 alone); both as
+    # doubles, since past beta D_N ~ 745 (beta = 40, N = 20) the tails
+    # underflow
+    checked = 0
+    for alpha in (1e-6, 0.02, 0.3, 0.9):
+        c = coefficients(OscillatorParams(alpha=alpha))
+        for beta in (0.05, 0.5, 3.0, 40.0):
+            for n in (2, 5, 20):
+                rows = min(3, math.floor(beta * n * (c.a + c.b * (n + 2.0))) + 1)
+                bounds = thermo._tail_bounds(np.array([c.a]), np.array([c.b]), np.array([beta]),
+                                             np.array([float(n)]))[:rows, 0].tolist()
+                integrals, sums = _mp_tail(c.a, c.b, beta, n, rows)
+                for bound, integral, total in zip(bounds, integrals, sums):
+                    assert abs(bound - integral) <= 1e-13 * integral + 1e-320, (alpha, beta, n)
+                    assert bound >= float(total), (alpha, beta, n)
+                checked += rows
+    assert checked == 3 * 35 + 2 * 6 + 7
+
+
+def test_tail_bound_is_inf_where_the_terms_still_rise():
+    # D^k e^{-beta D} rises until beta D = k: below, the integral test does
+    # not hold, and the row is not certified
+    n = np.array([2.0, 2.0, 2.0])
+    bv = np.array([0.5, 1.5, 2.5]) / (2.0 * (C03.a + C03.b * 4.0))
+    bounds = thermo._tail_bounds(np.full(3, C03.a), np.full(3, C03.b), bv, n)
+    assert np.isfinite(bounds[0]).all()
+    assert bounds[1, 0] == math.inf and np.isfinite(bounds[1, 1:]).all()
+    assert (bounds[2, :2] == math.inf).all() and math.isfinite(bounds[2, 2])
+
+
+def test_sum_presets_and_audit_certify_every_series_at_its_first_guess(monkeypatch):
+    # the first guess already truncates every row below rounding: one round
+    # per level sum, on the eight sum presets and the sum-basis audit
+    calls = _sum_calls(monkeypatch)
+    for figure_id in ("Fig2a", "Fig2b", "Fig3a", "Fig3b", "Fig4a", "Fig4b", "Fig5a", "Fig5b"):
+        figure_preset(figure_id)
+    audit_grid(oracle_basis="sum")
+    assert len(calls) == 9 and all(len(rounds) == 1 for rounds in calls)

@@ -2,11 +2,11 @@
 
 Each grid point yields one DiscrepancyReport (a named tuple) per quantity
 and transcription, classified Agree (<=1e-6), Close (<=1e-2), Disagree, or
-non-finite.  The audit evaluates the closed superstat forms once per alpha
-and transcription over the whole beta x q mesh and classifies each
-quantity's column at once; the oracles run point by point.  The full atlas
-is what `pdmosc audit` emits; here a reduced grid keeps the summary
-readable.
+non-finite.  The audit makes six route calls over the whole alpha x beta x q
+grid: one oracle call and one typeset call per transcription for each of
+the thermo and superstat families, and classifies each quantity's column at
+once.  The full atlas is what `pdmosc audit` emits; here a reduced grid
+keeps the summary readable.
 """
 
 import collections

@@ -199,11 +199,10 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    reports = verify.audit_grid(tol=_tolerance(args, rel=3e-13), oracle_basis=args.method)
-    if args.format == "json":
-        _emit(json.dumps([r._asdict() for r in reports], indent=1) + "\n", args.out)
-    else:
-        _emit(verify.render_audit_csv(reports), args.out)
+    opts = dict(tol=_tolerance(args, rel=3e-13), oracle_basis=args.method)
+    _emit(json.dumps([r._asdict() for r in verify.audit_grid(**opts)], indent=1) + "\n"
+          if args.format == "json" else verify.render_audit_csv(verify.audit_columns(**opts)),
+          args.out)
     return 0
 
 

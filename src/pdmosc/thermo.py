@@ -317,10 +317,12 @@ def thermo_sum_engine(c, beta, kB: float = 1.0, tol: Tolerance = Tolerance()) ->
 
 
 def _factor_q(E, bv, qv: float):
-    """The deformed Boltzmann factor e^{-beta E}(1 + (q/2) beta^2 E^2),
-    unchecked; bv may be an array broadcasting with E."""
+    """The deformed Boltzmann factor e^{-beta E}(1 + (q/2) beta^2 E^2), unchecked, +0
+    wherever e^{-beta E} is (also where (beta E)^2 overflows); bv may broadcast with E."""
     be = bv * E
-    return np.exp(-be) * (1.0 + 0.5 * qv * be * be)
+    w = np.exp(-be)
+    be = np.where(w > 0.0, be, 0.0)
+    return w * (1.0 + 0.5 * qv * be * be)
 
 
 def _weight_rows(c: SpectrumCoefficients, bv, qv):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product, repeat, starmap
+from itertools import product, repeat
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -51,9 +51,21 @@ class DiscrepancyReport(NamedTuple):
     classification: str
 
 
+class AuditBlock(NamedTuple):
+    """One quantity's audit: its family's shared tuple of (alpha, beta, q) rows, q None
+    for thermo; the oracle one value per row, the rest shaped (row, transcription)."""
+
+    quantity: str
+    grid: tuple[tuple[float, float, float | None], ...]
+    printed: np.ndarray
+    oracle: np.ndarray
+    rel_diff: np.ndarray
+    classification: np.ndarray
+
+
 def _classify(printed: np.ndarray, oracle: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Relative differences and classifications of two columns, elementwise;
-    rel_diff is nan where the oracle is not finite."""
+    """Relative differences and classifications of two columns, elementwise
+    (they broadcast); rel_diff is nan where the oracle is not finite."""
     with np.errstate(invalid="ignore", over="ignore"):
         rel = np.abs(printed - oracle) / np.maximum(np.abs(oracle), _REL_FLOOR)
     oracle_ok = np.isfinite(oracle)
@@ -63,11 +75,11 @@ def _classify(printed: np.ndarray, oracle: np.ndarray) -> tuple[np.ndarray, np.n
     return np.where(oracle_ok, rel, math.nan), cls
 
 
-def audit_grid(params_grid: Iterable = DEFAULT_ALPHAS,
-               beta_grid: Sequence[float] = DEFAULT_BETAS,
-               q_grid: Sequence[float] = DEFAULT_QS,
-               tol: Tolerance = Tolerance(rel=3e-13),
-               oracle_basis: str = "closed") -> list[DiscrepancyReport]:
+def audit_columns(params_grid: Iterable = DEFAULT_ALPHAS,
+                  beta_grid: Sequence[float] = DEFAULT_BETAS,
+                  q_grid: Sequence[float] = DEFAULT_QS,
+                  tol: Tolerance = Tolerance(rel=3e-13),
+                  oracle_basis: str = "closed") -> list[AuditBlock]:
     """Audit every typeset closed form on the grid of alpha values
     (params_grid), beta and q, both transcriptions, in natural units.
 
@@ -83,9 +95,8 @@ def audit_grid(params_grid: Iterable = DEFAULT_ALPHAS,
     per transcription) and (A, 1, 1) against the beta x q mesh (the
     superstat engine, the closed point per transcription).  Each element is
     bit for bit its one-point call, so a grid audits as the merge of its
-    one-alpha audits.  Each quantity's column is classified at once.  Reports
-    come ordered by quantity, then grid indices, then transcription;
-    identical inputs produce identical lists.
+    one-alpha audits.  One AuditBlock per quantity, in QUANTITIES order,
+    each classified at once; grid rows alpha-major, then thermo.TRANSCRIPTIONS.
     """
     if oracle_basis not in ("closed", "sum"):
         raise ValueError("oracle_basis must be 'closed' or 'sum'")
@@ -103,28 +114,38 @@ def audit_grid(params_grid: Iterable = DEFAULT_ALPHAS,
     thermo_oracle = (thermo.thermo_quadrature(c_thermo, beta_col, "quad01", tol=tol)
                      if oracle_basis == "closed" else
                      thermo.thermo_sum_engine(c_thermo, beta_col, tol=tol))
-    # family -> (oracle point, typeset point per transcription), each
-    # quantity an array over the grid, alpha-major
+    # family -> (grid rows, oracle point, typeset point per transcription),
+    # each quantity an array over the grid, alpha-major
     points = {
-        "thermo": (thermo_oracle,
+        "thermo": (tuple(product(alphas, betas, [None])), thermo_oracle,
                    [thermo.thermo_closed_point(c_thermo, beta_col, transcription=tr)
                     for tr in trs]),
-        "superstat": (superstat.superstat_thermo(c_super, *mesh, method="engine"),
+        "superstat": (tuple(product(alphas, betas, qs)),
+                      superstat.superstat_thermo(c_super, *mesh, method="engine"),
                       [superstat.superstat_thermo(c_super, *mesh, method="closed",
                                                   transcription=tr) for tr in trs])}
-    grids = {"thermo": list(zip(*product(alphas, betas, [None], trs))),
-             "superstat": list(zip(*product(alphas, betas, qs, trs)))}
-    reports: list[DiscrepancyReport] = []
-    for family, (oracle, typeset) in points.items():
+    blocks = []
+    for family, (grid, oracle, typeset) in points.items():
         for qn in routes.FIELDS[family]:
-            # grid order with the transcription innermost
-            o_col = np.repeat(getattr(oracle, qn).ravel(), len(trs))
-            p_col = np.stack([getattr(pt, qn) for pt in typeset], axis=-1).ravel()
-            rel, cls = _classify(p_col, o_col)
-            reports += starmap(DiscrepancyReport, zip(
-                repeat(qn), *grids[family], p_col.tolist(), o_col.tolist(), rel.tolist(),
-                cls.tolist()))
-    return reports
+            o_col = getattr(oracle, qn).ravel()
+            p_col = np.stack([getattr(pt, qn) for pt in typeset], axis=-1).reshape(-1, len(trs))
+            blocks.append(AuditBlock(qn, grid, p_col, o_col, *_classify(p_col, o_col[:, None])))
+    return blocks
+
+
+def audit_grid(params_grid: Iterable = DEFAULT_ALPHAS,
+               beta_grid: Sequence[float] = DEFAULT_BETAS,
+               q_grid: Sequence[float] = DEFAULT_QS,
+               tol: Tolerance = Tolerance(rel=3e-13),
+               oracle_basis: str = "closed") -> list[DiscrepancyReport]:
+    """audit_columns as DiscrepancyReports, by quantity, grid row, transcription."""
+    trs = thermo.TRANSCRIPTIONS
+    return [DiscrepancyReport(qn, *row, tr, *cols)
+            for qn, grid, printed, oracle, rel, cls in audit_columns(
+                params_grid, beta_grid, q_grid, tol, oracle_basis)
+            for (row, tr), *cols in zip(product(grid, trs), printed.ravel().tolist(),
+                                        np.repeat(oracle, len(trs)).tolist(),
+                                        rel.ravel().tolist(), cls.ravel().tolist())]
 
 
 AUDIT_CSV_HEADER = "quantity,alpha,beta,q,transcription,printed,oracle,rel_diff,classification"
@@ -141,15 +162,18 @@ class _Text(dict):
         return text
 
 
-def render_audit_csv(reports: Sequence[DiscrepancyReport]) -> str:
-    """One record per line, floats at 17 significant digits, q empty for
-    the thermo quantities."""
-    # the grid values repeat from row to row
-    text = _Text({None: ""})
-    lines = [AUDIT_CSV_HEADER]
-    lines += [f"{r.quantity},{text[r.alpha]},{text[r.beta]},{text[r.q]},{r.transcription},"
-              f"{r.printed:.17g},{r.oracle:.17g},{r.rel_diff:.17g},{r.classification}"
-              for r in reports]
+def render_audit_csv(columns: Sequence[AuditBlock]) -> str:
+    """The CSV text of audit_columns' blocks: floats at 17 digits, q empty for thermo."""
+    text, trs = _Text({None: ""}), thermo.TRANSCRIPTIONS
+    lines, shared = [AUDIT_CSV_HEADER], None
+    for qn, grid, printed, oracle, rel, cls in columns:
+        if grid is not shared:  # the next family: its quantities share these prefixes
+            shared, prefixes = grid, [f"{text[a]},{text[b]},{text[q]},{tr}"
+                                      for a, b, q in grid for tr in trs]
+        o_text = [s for o in oracle.tolist() for s in repeat(f"{o:.17g}", len(trs))]
+        lines += [f"{qn},{pre},{p:.17g},{o},{r:.17g},{c}" for pre, p, o, r, c in zip(
+            prefixes, printed.ravel().tolist(), o_text, rel.ravel().tolist(),
+            cls.ravel().tolist())]
     return "\n".join(lines) + "\n"
 
 

@@ -72,6 +72,20 @@ def test_boltzmann_factor_values():
     assert abs(boltzmann_factor_q(1.0, 1.0, 1.0) - 0.55181916175716348) < 1e-15
 
 
+@pytest.mark.filterwarnings("error")
+def test_boltzmann_factor_is_zero_where_beta_e_squared_overflows():
+    # e^{-beta E} is +0 from beta E ~ 745, long before (beta E)^2 overflows
+    # at beta E ~ 1.3e154: the factor is +0 there, not 0 * inf = nan
+    for beta in (1e154, 1e155, 1e300):
+        v = boltzmann_factor_q(0.6, beta, 0.5)
+        assert v == 0.0 and math.copysign(1.0, v) > 0.0
+    assert superstat_partition_quadrature(C03, 1e155, 0.5) == 0.0
+    # where the weight is positive, every bit of the unguarded product stays
+    energies = np.array([0.0, 0.3, 2.0, 700.0, 1e150])
+    got = boltzmann_factor_q(energies, 1.0, 0.5).tolist()
+    assert got[:4] == [math.exp(-e) * (1.0 + 0.25 * e * e) for e in energies[:4].tolist()]
+    assert got[4] == 0.0
+
 def test_boltzmann_factor_dominates_classical():
     rng = np.random.default_rng(11)
     for _ in range(100):

@@ -286,6 +286,17 @@ def test_cli_point_superstat_extreme_beta(capsys):
     assert all(math.isfinite(float(fields[k])) for k in ("Us", "Ss", "Fs", "Cs"))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_quadinf_superstat_where_beta_e_squared_overflows(capsys):
+    # the deformed weight is +0 where (beta E)^2 overflows: the Z_s sweep
+    # prints 0, and the point, whose moment rows all integrate to 0, exits 3
+    code, out = run_cli(["sweep", "Zs", "--vary", "beta", "--range", "1e154,1e155",
+                         "--alpha", "0.3", "--q", "0.5", "--method", "quadinf"], capsys)
+    assert code == 0
+    assert [line.split(",")[1] for line in out.strip().split("\n")[1:]] == ["0", "0"]
+    assert cli.main(["point", "--alpha", "0.3", "--beta", "1e155", "--method", "quadinf",
+                     "--q", "0.5"]) == 3
+
 def test_cli_point_closed_free_energy_where_z_underflows(capsys):
     code, out = run_cli(["point", "--alpha", "0.3", "--beta", "2000", "--method", "closed"],
                         capsys)

@@ -8,8 +8,8 @@ import pytest
 
 from pdmosc import OscillatorParams, cli, energy_level, superstat, thermo
 from pdmosc.verify import (AUDIT_CSV_HEADER, DEFAULT_BETAS, QUANTITIES,
-                           DiscrepancyReport, audit_grid, render_audit_csv, trend_check,
-                           _classify)
+                           DiscrepancyReport, audit_columns, audit_grid, render_audit_csv,
+                           trend_check, _classify)
 
 SMALL_GRID = dict(params_grid=(0.1, 0.3), beta_grid=DEFAULT_BETAS[::8],
                   q_grid=(0.0, 0.5))
@@ -99,7 +99,7 @@ def test_audit_grid_is_the_merge_of_its_one_alpha_audits(basis):
 
 @pytest.mark.parametrize("alphas", [(0.3,), (0.1, 0.3, 0.9)])
 @pytest.mark.parametrize("basis", ["closed", "sum"])
-def test_audit_grid_calls_each_route_once(alphas, basis, monkeypatch):
+def test_audit_grid_calls_each_route_once(alphas, basis, monkeypatch, capsys):
     calls = []
 
     def counted(module, name, key):
@@ -117,18 +117,25 @@ def test_audit_grid_calls_each_route_once(alphas, basis, monkeypatch):
     counted(superstat, "superstat_thermo",
             lambda *a, method, transcription="verbatim", **kw:
             (method,) + ((transcription,) if method == "closed" else ()))
-    audit_grid(params_grid=alphas, beta_grid=DEFAULT_BETAS[::8], q_grid=(0.0, 0.5),
-               oracle_basis=basis)
     oracle = ("thermo_quadrature", "quad01") if basis == "closed" else ("thermo_sum_engine",)
-    assert sorted(calls) == sorted([
+    six = sorted([
         oracle, ("thermo_closed_point", "verbatim"), ("thermo_closed_point", "corrected"),
         ("superstat_thermo", "engine"), ("superstat_thermo", "closed", "verbatim"),
         ("superstat_thermo", "closed", "corrected")])
+    audit_grid(params_grid=alphas, beta_grid=DEFAULT_BETAS[::8], q_grid=(0.0, 0.5),
+               oracle_basis=basis)
+    assert sorted(calls) == six
+    # the CLI's CSV path, on the default grid
+    calls.clear()
+    assert cli.main(["audit", "--method", basis]) == 0
+    assert capsys.readouterr().out.count("\n") == 4501
+    assert sorted(calls) == six
 
 
 def test_csv_rendering():
-    reports = audit_grid(params_grid=(0.1,), beta_grid=(1.0, 2.0, 3.0), q_grid=(0.0,))
-    text = render_audit_csv(reports)
+    grid = dict(params_grid=(0.1,), beta_grid=(1.0, 2.0, 3.0), q_grid=(0.0,))
+    reports = audit_grid(**grid)
+    text = render_audit_csv(audit_columns(**grid))
     lines = text.strip().split("\n")
     assert lines[0] == AUDIT_CSV_HEADER
     assert len(lines) == len(reports) + 1
@@ -142,10 +149,31 @@ def test_csv_rendering():
 
 
 def test_csv_rendering_keeps_signed_zeros():
-    rows = [DiscrepancyReport("Zs", 0.5, 1.0, q, "verbatim", 1.0, 1.0, 0.0, "Agree")
-            for q in (0.0, -0.0, 0.0)]
-    assert [line.split(",")[3] for line in render_audit_csv(rows).split("\n")[1:4]] == \
-        ["0", "-0", "0"]
+    # 0.0 and -0.0 are one key of the grid-value cache but two strings
+    text = render_audit_csv(audit_columns(params_grid=(0.5,), beta_grid=(1.0,),
+                                          q_grid=(0.0, -0.0, 0.0)))
+    rows = [line.split(",") for line in text.split("\n")[1:-1]]
+    assert [r[3] for r in rows if r[0] == "Zs" and r[4] == "verbatim"] == ["0", "-0", "0"]
+
+
+def _report_line(r: DiscrepancyReport) -> str:
+    """The reference CSV record: each field of the report, floats at 17
+    significant digits, None empty."""
+    return ",".join("" if v is None else v if isinstance(v, str) else f"{v:.17g}" for v in r)
+
+
+@pytest.mark.parametrize("grid", [SMALL_GRID, {}], ids=["small", "default"])
+@pytest.mark.parametrize("basis", ["closed", "sum"])
+def test_csv_of_the_columns_is_the_csv_of_the_reports(grid, basis):
+    blocks = audit_columns(**grid, oracle_basis=basis)
+    # one oracle value per grid row, printed and rel_diff per transcription
+    assert [b.quantity for b in blocks] == list(QUANTITIES)
+    assert all(b.oracle.shape == (len(b.grid),) and
+               b.printed.shape == b.rel_diff.shape == b.classification.shape ==
+               (len(b.grid), 2) for b in blocks)
+    lines = render_audit_csv(blocks).split("\n")
+    reports = audit_grid(**grid, oracle_basis=basis)
+    assert lines == [AUDIT_CSV_HEADER] + list(map(_report_line, reports)) + [""]
 
 
 def _same(json_value, csv_text: str) -> bool:

@@ -1,7 +1,7 @@
 """The formula audit: every typeset closed form against its oracle.
 
-Each grid point yields one DiscrepancyReport (a named tuple) per quantity
-and transcription, classified Agree (<=1e-6), Close (<=1e-2), Disagree, or
+Each quantity yields one AuditBlock: its printed value per grid point and
+transcription, classified Agree (<=1e-6), Close (<=1e-2), Disagree, or
 non-finite.  The audit makes six route calls over the whole alpha x beta x q
 grid: one oracle call and one typeset call per transcription for each of
 the thermo and superstat families, and classifies each quantity's column at
@@ -11,16 +11,19 @@ keeps the summary readable.
 
 import collections
 
-from pdmosc.verify import DEFAULT_BETAS, QUANTITIES, audit_grid
+from pdmosc.verify import DEFAULT_BETAS, QUANTITIES, audit_columns
 
-reports = audit_grid(params_grid=(0.1, 0.3, 0.9),
-                     beta_grid=DEFAULT_BETAS[::4],
-                     q_grid=(0.0, 0.5, 1.0))
+blocks = audit_columns(params_grid=(0.1, 0.3, 0.9),
+                       beta_grid=DEFAULT_BETAS[::4],
+                       q_grid=(0.0, 0.5, 1.0))
 
-counts = collections.Counter((r.quantity, r.transcription, r.classification)
-                             for r in reports)
+# the classification column of each block has one column per transcription
+counts = collections.Counter((b.quantity, tr, cls) for b in blocks
+                             for tr, column in zip(("verbatim", "corrected"),
+                                                   b.classification.T)
+                             for cls in column)
 
-print(f"{len(reports)} reports on the reduced grid\n")
+print(f"{sum(b.classification.size for b in blocks)} reports on the reduced grid\n")
 print(f"{'quantity':>9} {'transcription':>13} {'Agree':>6} {'Close':>6} "
       f"{'Disagree':>9} {'NonFinite':>10}")
 for q in QUANTITIES:

@@ -199,10 +199,9 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    opts = dict(tol=_tolerance(args, rel=3e-13), oracle_basis=args.method)
-    _emit(json.dumps([r._asdict() for r in verify.audit_grid(**opts)], indent=1) + "\n"
-          if args.format == "json" else verify.render_audit_csv(verify.audit_columns(**opts)),
-          args.out)
+    render = verify.render_audit_json if args.format == "json" else verify.render_audit_csv
+    _emit(render(verify.audit_columns(tol=_tolerance(args, rel=3e-13),
+                                      oracle_basis=args.method)), args.out)
     return 0
 
 

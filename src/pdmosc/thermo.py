@@ -106,13 +106,16 @@ def _tail_bounds(a, b, bv, N):
     L_N = a + 2b(N + 1), and the moments J'_j of L_N s + b s^2
     (_scaled_moments at the coefficient a + 2bN, divided one beta at a time,
     as beta^2 may overflow) give row k as e^{-beta D_N} times the binomial
-    sum_j C(k, j) D_N^{k-j} J'_j."""
+    sum_j C(k, j) D_N^{k-j} J'_j.  Where beta L_N or beta D_N overflows
+    (beta ~ 1e308), the J'_j and e^{-beta D_N} are +0, and so is the bound."""
     d_n = _excitation(a, b, N)
-    j0, j1, j2 = _scaled_moments(a + 2.0 * b * N, b, bv)[:3] / (bv * (a + 2.0 * b * (N + 1.0)))
-    j1, j2 = j1 / bv, j2 / bv / bv
-    bounds = np.exp(-bv * d_n) * np.array(
-        [j0, d_n * j0 + j1, d_n * d_n * j0 + 2.0 * d_n * j1 + j2])
-    return np.where(bv * d_n >= np.arange(3.0)[:, None], bounds, math.inf)
+    with np.errstate(over="ignore"):
+        j0, j1, j2 = (_scaled_moments(a + 2.0 * b * N, b, bv)[:3]
+                      / (bv * (a + 2.0 * b * (N + 1.0))))
+        j1, j2 = j1 / bv, j2 / bv / bv
+        bounds = np.exp(-bv * d_n) * np.array(
+            [j0, d_n * j0 + j1, d_n * d_n * j0 + 2.0 * d_n * j1 + j2])
+        return np.where(bv * d_n >= np.arange(3.0)[:, None], bounds, math.inf)
 
 
 #: x^2 e^{-x} = eps at x = 43.6
@@ -318,8 +321,10 @@ def thermo_sum_engine(c, beta, kB: float = 1.0, tol: Tolerance = Tolerance()) ->
 
 def _factor_q(E, bv, qv: float):
     """The deformed Boltzmann factor e^{-beta E}(1 + (q/2) beta^2 E^2), unchecked, +0
-    wherever e^{-beta E} is (also where (beta E)^2 overflows); bv may broadcast with E."""
-    be = bv * E
+    wherever e^{-beta E} is (also where beta E or (beta E)^2 overflows); bv may
+    broadcast with E."""
+    with np.errstate(over="ignore"):
+        be = bv * E
     w = np.exp(-be)
     be = np.where(w > 0.0, be, 0.0)
     return w * (1.0 + 0.5 * qv * be * be)
@@ -371,7 +376,8 @@ def _scaled_moments(a, b, bv) -> np.ndarray:
     a, b, bv = np.broadcast_arrays(a, b, bv)
     shape, a, b, bv = bv.shape, a.ravel(), b.ravel(), bv.ravel()
     lin = a + 2.0 * b
-    inv_y2 = 4.0 * b / (bv * lin * lin)
+    with np.errstate(over="ignore"):  # 1/y^2 = +0 where beta L^2 overflows: y is inf
+        inv_y2 = 4.0 * b / (bv * lin * lin)
     rule = inv_y2 * _X_RULE * _X_RULE <= 1.0
     moments = np.empty((5, len(bv)))
     weight = 1.0 / np.sqrt(1.0 + _LAG_U * inv_y2[rule][:, None])
@@ -468,8 +474,10 @@ def _quadrature_moments(c: SpectrumCoefficients, bv: np.ndarray, qv, hi: float,
 
     def moment(m, r):
         i, k = np.divmod(r[:, None], k_rows)  # row r is moment k of element i
-        u = bvs[i] * _excitation(a[i], b[i], s[i] * m)
+        with np.errstate(over="ignore"):
+            u = bvs[i] * _excitation(a[i], b[i], s[i] * m)
         row = scale[i] * np.exp(-u)
+        u = np.where(row > 0.0, u, 0.0)  # u^k e^{-u} is +0 where e^{-u} is, also at u = inf
         # u^k as k products, which round alike wherever the row sits in the
         # batch; numpy's power need not
         for j in range(1, k_rows):

@@ -9,8 +9,9 @@ suite and cover only provable facts.
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product, repeat
 from typing import Iterable, NamedTuple, Sequence
 
@@ -18,7 +19,8 @@ import numpy as np
 
 from .numerics import Tolerance
 from .spectrum import OscillatorParams, SpectrumCoefficients, coefficients
-from . import routes, superstat, thermo
+from .thermo import TRANSCRIPTIONS
+from . import routes
 
 QUANTITIES = routes.THERMO + routes.SUPERSTAT
 CLASSIFICATIONS = ("Agree", "Close", "Disagree", "PrintedNonFinite", "OracleNonFinite")
@@ -36,19 +38,9 @@ DEFAULT_ALPHAS = (0.1, 0.3, 0.9)
 DEFAULT_BETAS = tuple(float(x) for x in np.logspace(-1.0, 1.0, 25))
 DEFAULT_QS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
-
-class DiscrepancyReport(NamedTuple):
-    """One printed-vs-oracle comparison at one grid point."""
-
-    quantity: str
-    alpha: float
-    beta: float
-    q: float | None
-    transcription: str
-    printed: float
-    oracle: float
-    rel_diff: float
-    classification: str
+#: oracle basis -> family -> the routes.POINTS method of its oracle
+_ORACLES = {"closed": {"thermo": "quad01", "superstat": "engine"},
+            "sum": {"thermo": "sum", "superstat": "engine"}}
 
 
 class AuditBlock(NamedTuple):
@@ -83,22 +75,23 @@ def audit_columns(params_grid: Iterable = DEFAULT_ALPHAS,
     """Audit every typeset closed form on the grid of alpha values
     (params_grid), beta and q, both transcriptions, in natural units.
 
-    Oracle assignments, basis "closed" (internal-consistency audit):
-    Z/U/C/S/F -> the exact moments of the integral over n in [0, 1] that
-    the closed Z equals (thermo_quadrature 'quad01'); Zs/Us/Ss/Fs/Cs -> the
-    closed-form moment engine over [0, inf).  Basis "sum" replaces the
-    thermo oracles with the physical sum route (thermo_sum_engine).
+    Oracle assignments (_ORACLES), basis "closed" (internal-consistency
+    audit): Z/U/C/S/F -> the exact moments of the integral over n in [0, 1]
+    that the closed Z equals (the thermo 'quad01' point); Zs/Us/Ss/Fs/Cs ->
+    the closed-form moment engine over [0, inf).  Basis "sum" replaces the
+    thermo oracles with the physical sum route (the thermo 'sum' point).
 
-    Each route runs once over the whole grid, whatever its size: the
-    coefficients of every alpha, from one coefficients call, are shaped
-    (A, 1) against the beta array (the thermo oracle, thermo_closed_point
-    per transcription) and (A, 1, 1) against the beta x q mesh (the
-    superstat engine, the closed point per transcription).  Each element is
-    bit for bit its one-point call, so a grid audits as the merge of its
-    one-alpha audits.  One AuditBlock per quantity, in QUANTITIES order,
-    each classified at once; grid rows alpha-major, then thermo.TRANSCRIPTIONS.
+    Both points of a family come from routes.POINTS: the oracle method, and
+    'closed' per transcription.  Each runs once over the whole grid,
+    whatever its size: the coefficients of every alpha, from one
+    coefficients call, are shaped (A, 1) against the beta array (the thermo
+    State) and (A, 1, 1) against the beta x q mesh (the superstat State).
+    Each element is bit for bit its one-point call, so a grid audits as the
+    merge of its one-alpha audits.  One AuditBlock per quantity, in
+    QUANTITIES order, each classified at once; grid rows alpha-major, then
+    TRANSCRIPTIONS.
     """
-    if oracle_basis not in ("closed", "sum"):
+    if oracle_basis not in _ORACLES:
         raise ValueError("oracle_basis must be 'closed' or 'sum'")
     alphas = [float(a) for a in params_grid]
     betas = [float(b) for b in beta_grid]
@@ -106,46 +99,25 @@ def audit_columns(params_grid: Iterable = DEFAULT_ALPHAS,
     if not alphas or not betas or not qs:
         raise ValueError("grids must be nonempty")
 
-    trs = thermo.TRANSCRIPTIONS
-    c_thermo = coefficients(OscillatorParams(alpha=np.array(alphas)[:, None]))
-    c_super = SpectrumCoefficients(c_thermo.a[..., None], c_thermo.b[..., None])
+    c = coefficients(OscillatorParams(alpha=np.array(alphas)[:, None]))
     beta_col = np.array(betas)
-    mesh = beta_col[:, None], np.array(qs)
-    thermo_oracle = (thermo.thermo_quadrature(c_thermo, beta_col, "quad01", tol=tol)
-                     if oracle_basis == "closed" else
-                     thermo.thermo_sum_engine(c_thermo, beta_col, tol=tol))
-    # family -> (grid rows, oracle point, typeset point per transcription),
-    # each quantity an array over the grid, alpha-major
-    points = {
-        "thermo": (tuple(product(alphas, betas, [None])), thermo_oracle,
-                   [thermo.thermo_closed_point(c_thermo, beta_col, transcription=tr)
-                    for tr in trs]),
+    # family -> (grid rows, the State of the whole grid), alpha-major
+    states = {
+        "thermo": (tuple(product(alphas, betas, [None])),
+                   routes.State(c, beta=beta_col, tol=tol)),
         "superstat": (tuple(product(alphas, betas, qs)),
-                      superstat.superstat_thermo(c_super, *mesh, method="engine"),
-                      [superstat.superstat_thermo(c_super, *mesh, method="closed",
-                                                  transcription=tr) for tr in trs])}
-    blocks = []
-    for family, (grid, oracle, typeset) in points.items():
+                      routes.State(SpectrumCoefficients(c.a[..., None], c.b[..., None]),
+                                   beta=beta_col[:, None], q=np.array(qs), tol=tol))}
+    blocks, trs = [], TRANSCRIPTIONS
+    for family, (grid, s) in states.items():
+        point = routes.POINTS[family]
+        oracle = point[_ORACLES[oracle_basis][family]](s)
+        typeset = [point["closed"](replace(s, transcription=tr)) for tr in trs]
         for qn in routes.FIELDS[family]:
             o_col = getattr(oracle, qn).ravel()
             p_col = np.stack([getattr(pt, qn) for pt in typeset], axis=-1).reshape(-1, len(trs))
             blocks.append(AuditBlock(qn, grid, p_col, o_col, *_classify(p_col, o_col[:, None])))
     return blocks
-
-
-def audit_grid(params_grid: Iterable = DEFAULT_ALPHAS,
-               beta_grid: Sequence[float] = DEFAULT_BETAS,
-               q_grid: Sequence[float] = DEFAULT_QS,
-               tol: Tolerance = Tolerance(rel=3e-13),
-               oracle_basis: str = "closed") -> list[DiscrepancyReport]:
-    """audit_columns as DiscrepancyReports, by quantity, grid row, transcription."""
-    trs = thermo.TRANSCRIPTIONS
-    return [DiscrepancyReport(qn, *row, tr, *cols)
-            for qn, grid, printed, oracle, rel, cls in audit_columns(
-                params_grid, beta_grid, q_grid, tol, oracle_basis)
-            for (row, tr), *cols in zip(product(grid, trs), printed.ravel().tolist(),
-                                        np.repeat(oracle, len(trs)).tolist(),
-                                        rel.ravel().tolist(), cls.ravel().tolist())]
 
 
 AUDIT_CSV_HEADER = "quantity,alpha,beta,q,transcription,printed,oracle,rel_diff,classification"
@@ -164,7 +136,7 @@ class _Text(dict):
 
 def render_audit_csv(columns: Sequence[AuditBlock]) -> str:
     """The CSV text of audit_columns' blocks: floats at 17 digits, q empty for thermo."""
-    text, trs = _Text({None: ""}), thermo.TRANSCRIPTIONS
+    text, trs = _Text({None: ""}), TRANSCRIPTIONS
     lines, shared = [AUDIT_CSV_HEADER], None
     for qn, grid, printed, oracle, rel, cls in columns:
         if grid is not shared:  # the next family: its quantities share these prefixes
@@ -175,6 +147,18 @@ def render_audit_csv(columns: Sequence[AuditBlock]) -> str:
             prefixes, printed.ravel().tolist(), o_text, rel.ravel().tolist(),
             cls.ravel().tolist())]
     return "\n".join(lines) + "\n"
+
+
+def render_audit_json(columns: Sequence[AuditBlock]) -> str:
+    """The JSON text of audit_columns' blocks: one record per CSV row, keyed
+    by AUDIT_CSV_HEADER's fields, q null for thermo."""
+    keys, trs = AUDIT_CSV_HEADER.split(","), TRANSCRIPTIONS
+    records = [dict(zip(keys, (qn, *row, tr, *cols)))
+               for qn, grid, printed, oracle, rel, cls in columns
+               for (row, tr), *cols in zip(product(grid, trs), printed.ravel().tolist(),
+                                           np.repeat(oracle, len(trs)).tolist(),
+                                           rel.ravel().tolist(), cls.ravel().tolist())]
+    return json.dumps(records, indent=1) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -201,22 +185,17 @@ def trend_check(curve: Sequence[tuple[float, float]], expected: str) -> TrendRes
     """
     if len(curve) < 3:
         raise ValueError("curve needs at least 3 points")
-    xs = [pt[0] for pt in curve]
-    ys = [pt[1] for pt in curve]
-    if any(x2 <= x1 for x1, x2 in zip(xs, xs[1:])):
+    xs, ys = np.array([(pt[0], pt[1]) for pt in curve], dtype=float).T
+    if (xs[1:] <= xs[:-1]).any():
         raise ValueError("x must be strictly increasing")
+    # ok[i]: point i keeps the trend (a nan never does)
     if expected == "increasing":
-        for i in range(1, len(ys)):
-            if not ys[i] > ys[i - 1] - _TREND_SLACK:
-                return TrendResult(False, i)
+        ok = np.r_[True, ys[1:] > ys[:-1] - _TREND_SLACK]
     elif expected == "decreasing":
-        for i in range(1, len(ys)):
-            if not ys[i] < ys[i - 1] + _TREND_SLACK:
-                return TrendResult(False, i)
+        ok = np.r_[True, ys[1:] < ys[:-1] + _TREND_SLACK]
     elif expected == "nonnegative":
-        for i, y in enumerate(ys):
-            if not y >= -_TREND_SLACK:
-                return TrendResult(False, i)
+        ok = ys >= -_TREND_SLACK
     else:
         raise ValueError("expected must be 'increasing', 'decreasing' or 'nonnegative'")
-    return TrendResult(True, None)
+    bad = np.flatnonzero(~ok)
+    return TrendResult(False, int(bad[0])) if bad.size else TrendResult(True)

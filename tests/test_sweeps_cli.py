@@ -297,6 +297,34 @@ def test_cli_quadinf_superstat_where_beta_e_squared_overflows(capsys):
     assert cli.main(["point", "--alpha", "0.3", "--beta", "1e155", "--method", "quadinf",
                      "--q", "0.5"]) == 3
 
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("beta", ["1e300", "1e308"])
+@pytest.mark.parametrize("family,method", [(f, m) for f, methods in routes.POINTS.items()
+                                           for m in methods])
+def test_cli_point_where_beta_e_overflows(family, method, beta, capsys):
+    # beta E and beta L^2 overflow at 1e308: each such product is a +0
+    # weight or a zero 1/y^2, never a warning; every quadrature node has
+    # underflowed, so the quadrature points exit 3
+    q = ["--q", "0.5"] if family == "superstat" else []
+    code, out = run_cli(["point", "--alpha", "0.3", "--beta", beta, "--method", method] + q,
+                        capsys)
+    assert code == (3 if method.startswith("quad") else 0)
+    if family == "thermo" and method in ("sum", "engine"):
+        assert {k: _fields(out)[k] for k in routes.THERMO} == dict(
+            Z="0", U="0.58059371040391705", C="0", S="0", F="0.58059371040391705")
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_sum_point_where_beta_l_overflows(capsys):
+    # at alpha = 0.9 and beta = 1e308 beta L overflows too: the tail bounds
+    # are +0, and the sum route prints the ground state
+    code, out = run_cli(["point", "--alpha", "0.9", "--beta", "1e308", "--method", "sum"],
+                        capsys)
+    assert code == 0
+    assert {k: _fields(out)[k] for k in routes.THERMO} == dict(
+        Z="0", U="0.77329280498653274", C="0", S="0", F="0.77329280498653274")
+
 def test_cli_point_closed_free_energy_where_z_underflows(capsys):
     code, out = run_cli(["point", "--alpha", "0.3", "--beta", "2000", "--method", "closed"],
                         capsys)

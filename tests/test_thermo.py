@@ -19,7 +19,7 @@ from pdmosc import (NonConvergence, OscillatorParams, SingularLimit, SpectrumCoe
                     partition_sum, thermo, thermo_closed_point, thermo_quadrature)
 from pdmosc.sweeps import figure_preset
 from pdmosc.thermo import TRANSCRIPTIONS, thermo_sum_engine
-from pdmosc.verify import DEFAULT_BETAS, audit_grid
+from pdmosc.verify import DEFAULT_BETAS, audit_columns
 
 from helpers import (brute_boltzmann_moments, brute_sum, brute_thermo, derivative,
                      mp_weight_moments)
@@ -623,5 +623,5 @@ def test_sum_presets_and_audit_certify_every_series_at_its_first_guess(monkeypat
     calls = _sum_calls(monkeypatch)
     for figure_id in ("Fig2a", "Fig2b", "Fig3a", "Fig3b", "Fig4a", "Fig4b", "Fig5a", "Fig5b"):
         figure_preset(figure_id)
-    audit_grid(oracle_basis="sum")
+    audit_columns(oracle_basis="sum")
     assert len(calls) == 9 and all(len(rounds) == 1 for rounds in calls)

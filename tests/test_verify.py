@@ -1,5 +1,7 @@
 """Audit harness: classification rules, determinism, coverage, trends."""
 
+import collections
+import inspect
 import json
 import math
 
@@ -7,12 +9,27 @@ import numpy as np
 import pytest
 
 from pdmosc import OscillatorParams, cli, energy_level, superstat, thermo
-from pdmosc.verify import (AUDIT_CSV_HEADER, DEFAULT_BETAS, QUANTITIES,
-                           DiscrepancyReport, audit_columns, audit_grid, render_audit_csv,
-                           trend_check, _classify)
+from pdmosc.verify import (AUDIT_CSV_HEADER, DEFAULT_BETAS, QUANTITIES, audit_columns,
+                           render_audit_csv, render_audit_json, trend_check, _classify)
 
 SMALL_GRID = dict(params_grid=(0.1, 0.3), beta_grid=DEFAULT_BETAS[::8],
                   q_grid=(0.0, 0.5))
+
+#: one audit row, its fields the CSV columns
+Row = collections.namedtuple("Row", AUDIT_CSV_HEADER)
+
+
+def _rows(blocks) -> list[Row]:
+    """The reference row-by-row reading of audit_columns' blocks: by
+    quantity, grid row, transcription, each value a Python float or str."""
+    return [Row(b.quantity, *row, tr, b.printed[i, j].item(), b.oracle[i].item(),
+                b.rel_diff[i, j].item(), b.classification[i, j])
+            for b in blocks for i, row in enumerate(b.grid)
+            for j, tr in enumerate(thermo.TRANSCRIPTIONS)]
+
+
+def _audit_rows(**kwargs) -> list[Row]:
+    return _rows(audit_columns(**kwargs))
 
 
 def test_classify_thresholds():
@@ -28,7 +45,7 @@ def test_classify_thresholds():
 
 
 def test_audit_coverage_and_order():
-    reports = audit_grid(**SMALL_GRID)
+    reports = _audit_rows(**SMALL_GRID)
     quantities = [r.quantity for r in reports]
     assert set(quantities) == set(QUANTITIES)
     # sorted by quantity (in enum order), grid indices, transcription
@@ -40,13 +57,14 @@ def test_audit_coverage_and_order():
 
 
 def test_audit_determinism():
-    a = audit_grid(**SMALL_GRID)
-    b = audit_grid(**SMALL_GRID)
-    assert a == b
+    a = _audit_rows(**SMALL_GRID)
+    b = _audit_rows(**SMALL_GRID)
+    # repr tells nan, -0.0 and every float apart
+    assert repr(a) == repr(b)
 
 
 def test_audit_known_agreements():
-    reports = audit_grid(**SMALL_GRID)
+    reports = _audit_rows(**SMALL_GRID)
     for r in reports:
         if r.quantity == "F":
             assert r.classification == "Agree"
@@ -62,7 +80,7 @@ def test_audit_known_agreements():
 
 
 def test_audit_rel_diff_definition():
-    reports = audit_grid(**SMALL_GRID)
+    reports = _audit_rows(**SMALL_GRID)
     for r in reports[::7]:
         if math.isfinite(r.printed) and math.isfinite(r.oracle):
             want = abs(r.printed - r.oracle) / max(abs(r.oracle), 1e-300)
@@ -71,14 +89,14 @@ def test_audit_rel_diff_definition():
 
 def test_audit_grid_validation():
     with pytest.raises(ValueError):
-        audit_grid(params_grid=(), beta_grid=(1.0,), q_grid=(0.0,))
+        audit_columns(params_grid=(), beta_grid=(1.0,), q_grid=(0.0,))
     with pytest.raises(ValueError):
-        audit_grid(oracle_basis="quadrature")
+        audit_columns(oracle_basis="quadrature")
 
 
 def test_sum_basis_runs():
-    reports = audit_grid(params_grid=(0.3,), beta_grid=(0.5, 2.0, 8.0),
-                         q_grid=(0.0,), oracle_basis="sum")
+    reports = _audit_rows(params_grid=(0.3,), beta_grid=(0.5, 2.0, 8.0),
+                          q_grid=(0.0,), oracle_basis="sum")
     assert all(math.isfinite(r.oracle) for r in reports)
     # the typeset Z is the [0,1] integral, so against the sum it disagrees
     z_rows = [r for r in reports if r.quantity == "Z"]
@@ -89,8 +107,8 @@ def test_sum_basis_runs():
 def test_audit_grid_is_the_merge_of_its_one_alpha_audits(basis):
     grid = dict(beta_grid=DEFAULT_BETAS[::6], q_grid=(0.0, 0.5, 1.0), oracle_basis=basis)
     alphas = (0.1, 0.3, 0.9)
-    whole = audit_grid(params_grid=alphas, **grid)
-    parts = [audit_grid(params_grid=(alpha,), **grid) for alpha in alphas]
+    whole = _audit_rows(params_grid=alphas, **grid)
+    parts = [_audit_rows(params_grid=(alpha,), **grid) for alpha in alphas]
     # each quantity's rows, alpha-major: the one-alpha audits' rows in turn
     merged = [r for qn in QUANTITIES for part in parts for r in part if r.quantity == qn]
     # bit for bit: repr tells nan, -0.0 and every float apart
@@ -103,38 +121,48 @@ def test_audit_grid_calls_each_route_once(alphas, basis, monkeypatch, capsys):
     calls = []
 
     def counted(module, name, key):
+        """Record each call of module.name as name + key(its arguments by
+        parameter name, defaults filled in), whether routes.POINTS passes
+        them by position or by keyword."""
         original = getattr(module, name)
+        sig = inspect.signature(original)
 
         def wrapper(*args, **kwargs):
-            calls.append((name,) + key(*args, **kwargs))
+            bound = sig.bind(*args, **kwargs)
+            bound.apply_defaults()
+            calls.append((name,) + key(bound.arguments))
             return original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(thermo, "thermo_quadrature", lambda c, beta, range_, **kw: (range_,))
-    counted(thermo, "thermo_sum_engine", lambda *a, **kw: ())
-    counted(thermo, "thermo_closed_point", lambda *a, transcription, **kw: (transcription,))
+    counted(thermo, "thermo_quadrature", lambda a: (a["range_"],))
+    counted(thermo, "thermo_sum_engine", lambda a: ())
+    counted(thermo, "thermo_closed_point", lambda a: (a["transcription"],))
     counted(superstat, "superstat_thermo",
-            lambda *a, method, transcription="verbatim", **kw:
-            (method,) + ((transcription,) if method == "closed" else ()))
+            lambda a: (a["method"],) + ((a["transcription"],) if a["method"] == "closed"
+                                        else ()))
     oracle = ("thermo_quadrature", "quad01") if basis == "closed" else ("thermo_sum_engine",)
     six = sorted([
         oracle, ("thermo_closed_point", "verbatim"), ("thermo_closed_point", "corrected"),
         ("superstat_thermo", "engine"), ("superstat_thermo", "closed", "verbatim"),
         ("superstat_thermo", "closed", "corrected")])
-    audit_grid(params_grid=alphas, beta_grid=DEFAULT_BETAS[::8], q_grid=(0.0, 0.5),
-               oracle_basis=basis)
+    audit_columns(params_grid=alphas, beta_grid=DEFAULT_BETAS[::8], q_grid=(0.0, 0.5),
+                  oracle_basis=basis)
     assert sorted(calls) == six
-    # the CLI's CSV path, on the default grid
+    # the CLI's CSV and JSON paths, on the default grid
     calls.clear()
     assert cli.main(["audit", "--method", basis]) == 0
     assert capsys.readouterr().out.count("\n") == 4501
+    assert sorted(calls) == six
+    calls.clear()
+    assert cli.main(["audit", "--format", "json", "--method", basis]) == 0
+    assert len(json.loads(capsys.readouterr().out)) == 4500
     assert sorted(calls) == six
 
 
 def test_csv_rendering():
     grid = dict(params_grid=(0.1,), beta_grid=(1.0, 2.0, 3.0), q_grid=(0.0,))
-    reports = audit_grid(**grid)
+    reports = _audit_rows(**grid)
     text = render_audit_csv(audit_columns(**grid))
     lines = text.strip().split("\n")
     assert lines[0] == AUDIT_CSV_HEADER
@@ -156,8 +184,8 @@ def test_csv_rendering_keeps_signed_zeros():
     assert [r[3] for r in rows if r[0] == "Zs" and r[4] == "verbatim"] == ["0", "-0", "0"]
 
 
-def _report_line(r: DiscrepancyReport) -> str:
-    """The reference CSV record: each field of the report, floats at 17
+def _report_line(r: Row) -> str:
+    """The reference CSV record: each field of the row, floats at 17
     significant digits, None empty."""
     return ",".join("" if v is None else v if isinstance(v, str) else f"{v:.17g}" for v in r)
 
@@ -172,8 +200,11 @@ def test_csv_of_the_columns_is_the_csv_of_the_reports(grid, basis):
                b.printed.shape == b.rel_diff.shape == b.classification.shape ==
                (len(b.grid), 2) for b in blocks)
     lines = render_audit_csv(blocks).split("\n")
-    reports = audit_grid(**grid, oracle_basis=basis)
+    reports = _rows(blocks)
     assert lines == [AUDIT_CSV_HEADER] + list(map(_report_line, reports)) + [""]
+    # the JSON text: one record per row, keyed by the CSV columns
+    assert render_audit_json(blocks) == json.dumps([r._asdict() for r in reports],
+                                                   indent=1) + "\n"
 
 
 def _same(json_value, csv_text: str) -> bool:
@@ -184,17 +215,17 @@ def _same(json_value, csv_text: str) -> bool:
 
 
 def test_cli_audit_json_matches_csv(tmp_path):
-    # the JSON records are the report fields in order, each equal to the
-    # CSV row of the same audit
+    # the JSON records are the CSV columns in order, each equal to the CSV
+    # row of the same audit
     out_json, out_csv = tmp_path / "atlas.json", tmp_path / "atlas.csv"
     assert cli.main(["audit", "--format", "json", "--out", str(out_json)]) == 0
     assert cli.main(["audit", "--out", str(out_csv)]) == 0
     records = json.loads(out_json.read_text())
     header, *lines = out_csv.read_text().rstrip("\n").split("\n")
     assert len(records) == len(lines) == 4500
-    assert header.split(",") == list(DiscrepancyReport._fields)
+    assert header == AUDIT_CSV_HEADER
     for record, line in zip(records, lines):
-        assert list(record) == list(DiscrepancyReport._fields)
+        assert list(record) == AUDIT_CSV_HEADER.split(",")
         assert all(_same(v, text) for v, text in zip(record.values(), line.split(","))), line
 
 

@@ -11,17 +11,16 @@ exact moments of the integral over n in [0, 1] that the closed Z equals
 own Z.
 """
 
-from pdmosc import (OscillatorParams, Tolerance, coefficients, entropy_closed,
+from pdmosc import (OscillatorParams, coefficients, entropy_closed,
                     heat_capacity_closed, mean_energy_closed)
 from pdmosc.thermo import thermo_quadrature, thermo_sum_engine
 
-tol = Tolerance(rel=1e-14, abs=0.0, max_evals=200_000)
 c = coefficients(OscillatorParams(alpha=0.3))
 
 print("physical route (exact moments of the level sum), alpha = 0.3:")
 print(f"{'beta':>5} {'U':>12} {'C':>12} {'S':>12} {'F':>12}")
 for beta in (0.2, 0.5, 1.0, 2.0, 5.0):
-    pt = thermo_sum_engine(c, beta, 1.0, tol)
+    pt = thermo_sum_engine(c, beta, 1.0)
     print(f"{beta:5.1f} {pt.U:12.6f} {pt.C:12.6f} {pt.S:12.6f} {pt.F:12.6f}")
 
 print("\nclosed-form transcriptions vs the exact moments of the closed Z, beta = 2:")

@@ -4,7 +4,7 @@ independent numerical oracles."""
 
 from .errors import NonConvergence, NonDecaying, PdmoscError, SingularLimit
 from .numerics import (QuadratureResult, Tolerance, erf, erfc, erfcx, erfcx_derivatives,
-                       exp_neg_product, integrate_batch, sum_decaying)
+                       exp_neg_product, integrate_batch)
 from .spectrum import OscillatorParams, SpectrumCoefficients, coefficients, energy_level
 from .thermo import (B_MIN, ThermoPoint, free_energy_closed,
                      heat_capacity_closed, log_partition_closed, mean_energy_closed,

@@ -1,6 +1,6 @@
 """Self-contained numerical kernel: the error function family (erfcx with
 its derivatives), an error-free e^{-ab}, adaptive Gauss-Kronrod quadrature
-on finite and semi-infinite intervals, and guarded series summation.
+on finite and semi-infinite intervals.
 
 Everything here is pure and deterministic; no shared mutable state.
 """
@@ -12,7 +12,6 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -28,8 +27,8 @@ class Tolerance:
     """Accuracy request for adaptive routines.
 
     rel/abs are finite and must not both be zero; convergence means the
-    error estimate is below max(abs, rel*|result|).  max_evals caps
-    function evaluations.
+    error estimate is below max(abs, rel*|result|).  max_evals caps the
+    function evaluations of each integrand (the quadrature budget).
     """
 
     rel: float = 1e-12
@@ -341,79 +340,3 @@ def integrate_batch(f, nrows: int, lo: float, hi: float,
 
     return [QuadratureResult(r.value, r.error_estimate, r.evals + len(_TAIL_PROBES))
             for r in _adaptive_rows(g, nrows, 0.0, 1.0, tol)]
-
-
-# ---------------------------------------------------------------------------
-# Guarded series summation
-# ---------------------------------------------------------------------------
-
-def sum_decaying(terms: Callable[[np.ndarray], np.ndarray],
-                 tail_bound: Callable[[np.ndarray], float | np.ndarray],
-                 tol: Tolerance = Tolerance(), n: int | np.ndarray = 15):
-    """Sum the rows of terms over n = 0, 1, 2, ... until the caller's
-    rigorous tail bound certifies each row's truncation error below
-    tolerance.
-
-    terms maps an int ndarray of indices to one row of term values, shape
-    (len,), or several, shape (rows, len).  tail_bound(N) bounds each row's
-    sum over indices > N from above: a scalar, or one value per row.  The
-    sum first covers 0..n, the caller's guess, then doubles the term count
-    until every row's bound meets tol.target of that row's sum; terms sees
-    only the new block of indices each time.  Each row is summed by
-    math.fsum, so the result is exactly rounded whatever the term count.
-    More than tol.max_evals terms raise NonConvergence.  Returns a float for
-    one row, else a list of floats.
-
-    n may instead be an int ndarray of guesses, one per series of a ragged
-    batch.  Series s then covers its own indices 0..n[s] and doubles on its
-    own, exactly as its one-series call would, while every new term of a
-    round comes from one call of terms.  Both callables then take a (2, m)
-    int array whose columns are (series, index) pairs: terms gets the pair
-    of every new term and returns shape (rows, m) or (m,); tail_bound gets
-    (series, last index) of each series not yet certified and returns one
-    bound per row and series.  The result is an ndarray of shape
-    (rows, series), or (series,) for one row.  A series that reaches
-    tol.max_evals terms uncertified raises NonConvergence; the size of the
-    whole batch is the caller's to bound.
-    """
-    if isinstance(n, np.ndarray):
-        return _sum_series(terms, tail_bound, tol, n)
-    sums = _sum_series(lambda k: terms(k[1]),
-                       lambda k: np.asarray(tail_bound(int(k[1, 0])))[..., None],
-                       tol, np.array([n]))
-    return float(sums[0]) if sums.ndim == 1 else sums[:, 0].tolist()
-
-
-def _sum_series(terms, tail_bound, tol: Tolerance, guesses: np.ndarray) -> np.ndarray:
-    """sum_decaying over a ragged batch of series, one call of terms and
-    one of tail_bound per doubling round."""
-    hi = np.minimum(guesses + 1, tol.max_evals)
-    lo = np.zeros_like(hi)
-    todo = np.arange(len(hi))  # the series not yet certified
-    kept: list[list[np.ndarray]] = [[] for _ in range(len(hi))]  # series -> its blocks
-    sums = None
-    while True:
-        counts = hi[todo] - lo[todo]
-        ends = np.cumsum(counts)
-        starts = ends - counts
-        index = np.arange(ends[-1]) + np.repeat(lo[todo] - starts, counts)
-        block = terms(np.stack([np.repeat(todo, counts), index]))
-        rows = np.atleast_2d(block)
-        if sums is None:
-            sums = np.empty((len(rows), len(hi)))
-        new = []
-        for s, i, j in zip(todo.tolist(), starts.tolist(), ends.tolist()):
-            kept[s].append(rows[:, i:j])
-            part = kept[s][0] if len(kept[s]) == 1 else np.concatenate(kept[s], axis=1)
-            new.append([math.fsum(row) for row in part.tolist()])
-        sums[:, todo] = np.array(new).T
-        bounds = tail_bound(np.stack([todo, hi[todo] - 1]))
-        met = (bounds <= np.fmax(tol.abs, tol.rel * np.abs(sums[:, todo]))).all(axis=0)
-        todo = todo[~met]
-        if not todo.size:
-            return sums if block.ndim == 2 else sums[0]
-        if (hi[todo] == tol.max_evals).any():
-            raise NonConvergence(
-                f"series tail bound not met within {tol.max_evals} terms")
-        lo[todo] = hi[todo]
-        hi[todo] = np.minimum(2 * hi[todo], tol.max_evals)

@@ -73,7 +73,7 @@ def _superstat_point(m: str) -> Callable:
 
 
 def _sum_point(s: State) -> thermo.ThermoPoint:
-    return thermo.thermo_sum_engine(s.c, s.beta, s.kB, s.tol)
+    return thermo.thermo_sum_engine(s.c, s.beta, s.kB)
 
 
 #: family -> method -> builder of the whole point

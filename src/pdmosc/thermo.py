@@ -1,6 +1,6 @@
-"""Partition function of the deformed oscillator via three routes (guarded
-series, closed erf form, quadrature) and the thermodynamic quantities U, C,
-S, F.
+"""Partition function of the deformed oscillator via three routes (level
+sums to rounding, closed erf form, quadrature) and the thermodynamic
+quantities U, C, S, F.
 
 Two evaluation families coexist deliberately:
 
@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import NonConvergence, SingularLimit
 from .numerics import (_LAG_U, _LAG_W, _X_RULE, Tolerance, erf, erfcx, exp_neg_product,
-                       integrate_batch, sum_decaying)
+                       integrate_batch)
 from .spectrum import SpectrumCoefficients
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -121,87 +121,135 @@ def _tail_bounds(a, b, bv, N):
 #: x^2 e^{-x} = eps at x = 43.6
 _X_ROUNDING = 43.6
 
+#: at and below this beta L (L = a + 2b) the level rows come from
+#: Euler-Maclaurin; above it the levels are summed directly
+_EM_THETA = 0.25
 
-def _level_series(a, b, bv):
-    """sum_decaying's terms and tail_bound for the levels of the points
-    (a, b, beta): series i is point i, its index k level k + 1, and its
-    rows are w, D w and D^2 w."""
-    def terms(k):
-        a_k, b_k, bv_k = a[k[0]], b[k[0]], bv[k[0]]
-        d = _excitation(a_k, b_k, k[1] + np.longdouble(1.0))
-        w = np.exp(-bv_k * d)
-        return np.array([w, d * w, d * d * w], dtype=float)
+#: B_2j/(2j) for j = 1..10, the Euler-Maclaurin order p = 10 (A&S 23.1.30):
+#: B_2j/(2j)! f^(2j-1)(0) is B_2j/(2j) times the Taylor coefficient of n^(2j-1)
+_EM_WEIGHTS = np.array([1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
+                        -3617 / 510, 43867 / 798, -174611 / 330]) / np.arange(2.0, 22.0, 2.0)
 
-    def tail_bound(k):
-        return _tail_bounds(a[k[0]], b[k[0]], bv[k[0]], k[1] + 1.0)
-
-    return terms, tail_bound
+#: past beta D_1 = 700 the leading level weight w_1 nears the subnormal range
+_X_SUBNORMAL = 700.0
 
 
-def _boltzmann_levels(a, b, bv, tol: Tolerance):
-    """(tail, <D>, Var D) of the Boltzmann distribution over the levels in
-    the ground-state gauge D_n = E_n - E_0, at every point i of equal-length
-    arrays a, b and beta, where tail sums w_n = exp(-beta D_n) over n >= 1,
-    so Z = exp(-beta E_0) (1 + tail).  Working relative to E_0 keeps every
-    quantity derived from these sums accurate near machine precision even
-    where Z itself is tiny.
+def _euler_maclaurin_rows(a, b, bv) -> np.ndarray:
+    """R_k = sum_{n>=1} u_n^k e^{-u_n}, k = 0, 1, 2 (rows), u_n = beta D_n
+    = c n^2 + l n with l = beta L, c = beta b, elementwise, by
+    Euler-Maclaurin from n = 0 (A&S 23.1.30; DLMF 2.10.1), less the n = 0
+    term f_k(0) = [k = 0]:
+        R_k = int_0^inf f_k - f_k(0)/2 - sum_{j=1}^{p} B_2j/(2j)! f_k^(2j-1)(0),
+    f_k = u^k e^{-u}.  The integral is I_k/l (_scaled_moments).  The Taylor
+    coefficients E_m of e^{-u} at n = 0 follow from (e^{-u})' = -u' e^{-u},
+    u' = l + 2c n: (m + 1) E_{m+1} = -(l E_m + 2c E_{m-1}); those of
+    u e^{-u} and u^2 e^{-u} are their products with l n + c n^2.  For
+    l <= _EM_THETA the remainder of p = 10 is below rounding (~1e-14 at
+    p = 8).  Each weighted sum runs over the last axis, so a point's bits do
+    not depend on the batch."""
+    lin, quad = bv * (a + 2.0 * b), bv * b
+    rows = _scaled_moments(a, b, bv)[:3] / lin
+    rows[0] -= 0.5
+    # row 4 + m holds E_m; the four zero rows before E_0 pad the products
+    taylor = np.zeros((4 + 2 * len(_EM_WEIGHTS), len(bv)))
+    taylor[4] = 1.0
+    step, skip = -lin, -2.0 * quad
+    for i in range(4, len(taylor) - 1):
+        taylor[i + 1] = (step * taylor[i] + skip * taylor[i - 1]) / (i - 3)
+    odd = np.arange(5, len(taylor), 2)
+    e, l, c = taylor.T, lin[:, None], quad[:, None]
+    for k, coeffs in enumerate((e[:, odd], l * e[:, odd - 1] + c * e[:, odd - 2],
+                                l * l * e[:, odd - 2] + 2.0 * l * c * e[:, odd - 3]
+                                + c * c * e[:, odd - 4])):
+        rows[k] -= (_EM_WEIGHTS * coeffs).sum(axis=-1)
+    return rows
 
-    b = 0 is the geometric series: with r = e^{-beta a} and 1 - r taken as
-    -expm1(-beta a), tail = r/(1 - r), <D> = a r/(1 - r) and
-    Var D = a^2 r/(1 - r)^2.
 
-    For b > 0 the rows w, D w and D^2 w are summed over one ragged level
-    array: point i contributes levels 1..N_i, formed in long double (80-bit
-    where the platform has it) and rounded once, since in double rounding
-    beta D_n alone moves w_n by ~1e-15 at beta D_n ~ 10.  Past level N,
-    with x = beta (D_N - D_1), row k's tail is near x^k e^{-x} of its sum;
-    the first guess N_i is the N with x = 43.6, so every row is truncated
-    below rounding.  _tail_bounds then certifies each point against tol:
-    row k's tail is below its integral over [N, inf) wherever beta D_N >= k,
-    as at every first guess.  A point that fails doubles its own levels
-    (sum_decaying), so each point sums exactly the levels, and gets
-    exactly the bits, of its one-point call.  Points are taken in order
-    into one sum_decaying call until the next first guess would take the
-    batch past tol.max_evals levels; only a point that fails its first
-    bound adds levels beyond that, within its own budget."""
-    tail, mean, var = (np.empty(len(bv)) for _ in range(3))
-    geometric = b == 0.0
-    ag, x = a[geometric], -bv[geometric] * a[geometric]
-    om = -np.expm1(x)
-    t = np.exp(x) / om
-    tail[geometric], mean[geometric], var[geometric] = t, ag * t, ag * t * (ag / om)
-    summed = np.flatnonzero(~geometric)
-    a, b, bv = a[summed], b[summed], bv[summed]
-    # the first guess: the root of b N^2 + (a + 2b) N = D_1 + 43.6/beta
+def _direct_rows(a, b, bv):
+    """(rows, m): sum_{n=1}^{N} D_n^k w_n 2^m, k = 0, 1, 2 (rows), w_n =
+    e^{-beta D_n}, elementwise, N the first level with x = beta (D_N - D_1)
+    >= 43.6, where row k's tail is near x^k e^{-x} of its sum, below rounding.
+    Each term is formed in long double (80-bit where the platform has it)
+    and rounded once, since in double rounding beta D_n alone moves w_n by
+    ~1e-15 at beta D_n ~ 10, and each row is summed exactly rounded
+    (math.fsum).  m = 0 unless beta D_1 > 700, where 2^m ~ 1/w_1 keeps the
+    terms normal: a subnormal w_1 would cost S and C their digits.  The
+    integral test (_tail_bounds) certifies the truncation: a row whose
+    bound exceeds 2^-52 of its sum raises NonConvergence."""
+    # N: the root of b N^2 + (a + 2b) N = D_1 + 43.6/beta, rounded up
     lin, d_n = a + 2.0 * b, a + 3.0 * b + _X_ROUNDING / bv
-    level = 2.0 * d_n / (lin + np.sqrt(lin * lin + 4.0 * b * d_n))
-    start = np.where(level < tol.max_evals, np.ceil(level) - 1.0,
-                     tol.max_evals).astype(np.int64)
+    counts = np.ceil(2.0 * d_n / (lin + np.sqrt(lin * lin + 4.0 * b * d_n))).astype(np.int64)
+    with np.errstate(over="ignore"):  # at beta ~ 1e308
+        x1 = bv * (a + 3.0 * b)
+    # capped where e^{-beta D} underflows in long double too
+    m = np.where(x1 > _X_SUBNORMAL, np.minimum(x1, 11000.0) / math.log(2.0), 0.0
+                 ).astype(np.int64)
+    ends = np.cumsum(counts)
+    point = np.repeat(np.arange(len(bv)), counts)
+    level = np.arange(ends[-1]) - np.repeat(ends - counts, counts) + np.longdouble(1.0)
+    d = _excitation(a[point], b[point], level)
+    w = np.ldexp(np.exp(-bv[point] * d), m[point])
+    terms = np.array([w, d * w, d * d * w], dtype=float).tolist()
+    rows = np.array([[math.fsum(row[i - n:i]) for i, n in zip(ends.tolist(), counts.tolist())]
+                     for row in terms])
+    uncertified = (np.ldexp(_tail_bounds(a, b, bv, counts.astype(float)), m)
+                   > np.ldexp(rows, -52)).any(axis=0)
+    if uncertified.any():
+        raise NonConvergence(
+            f"level sum tail bound above rounding at beta={bv[uncertified][0]:.17g}")
+    return rows, m
 
-    sums = np.empty((3, len(summed)))
-    counts = np.minimum(start + 1, tol.max_evals).tolist()
-    first = 0
-    while first < len(counts):
-        last, levels = first + 1, counts[first]
-        while last < len(counts) and levels + counts[last] <= tol.max_evals:
-            levels += counts[last]
-            last += 1
-        part = slice(first, last)
-        sums[:, part] = sum_decaying(*_level_series(a[part], b[part], bv[part]), tol,
-                                     start[part])
-        first = last
-    zred = 1.0 + sums[0]
-    tail[summed] = sums[0]
-    mean[summed] = sums[1] / zred
-    var[summed] = sums[2] / zred - mean[summed] * mean[summed]
-    return tail, mean, var
+
+def _boltzmann_levels(a, b, bv):
+    """(tail, <D>, Var D, m) of the Boltzmann distribution over the levels
+    in the ground-state gauge D_n = E_n - E_0, at every point i of
+    equal-length arrays a, b and beta, where tail sums w_n = exp(-beta D_n)
+    over n >= 1, so Z = exp(-beta E_0) (1 + tail); each of the three is
+    scaled by 2^m (an int array): the quantity is ldexp(value, -m).  Working
+    relative to E_0 keeps every quantity derived from these sums accurate
+    near machine precision even where Z itself is tiny.  Each point takes
+    one of three fixed branches from its own inputs, so it gets the bits of
+    its one-point call, always to rounding and with no level budget:
+
+    * b = 0 is the geometric series: with r = e^{-beta a} and 1 - r taken
+      as -expm1(-beta a), tail = r/(1 - r), <D> = a r/(1 - r) and
+      Var D = a^2 r/(1 - r)^2;
+    * where beta L <= _EM_THETA (L = a + 2b) the rows sum_{n>=1} D_n^k w_n
+      come from Euler-Maclaurin (_euler_maclaurin_rows), within ~1e-15;
+    * elsewhere from at most 176 levels summed directly (_direct_rows).
+
+    Where Var D overflows (beta below ~1e-154) NonConvergence is raised."""
+    rows = np.zeros((3, len(bv)))
+    m = np.zeros(len(bv), dtype=np.int64)
+    geometric = b == 0.0
+    with np.errstate(over="ignore"):  # beta L overflows at beta ~ 1e308
+        em = ~geometric & (bv * (a + 2.0 * b) <= _EM_THETA)
+    direct = ~(geometric | em)
+    if direct.any():
+        rows[:, direct], m[direct] = _direct_rows(a[direct], b[direct], bv[direct])
+    ag, x = a[geometric], -bv[geometric] * a[geometric]
+    # below beta ~ 1e-154 Var D overflows (inf, or inf - inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if em.any():
+            r, bve = _euler_maclaurin_rows(a[em], b[em], bv[em]), bv[em]
+            rows[:, em] = r[0], r[1] / bve, r[2] / bve / bve
+        zred = 1.0 + np.ldexp(rows[0], -m)
+        tail, mean = rows[0], rows[1] / zred
+        var = rows[2] / zred - np.ldexp(mean, -m) * mean
+        om = -np.expm1(x)
+        t = np.exp(x) / om
+        tail[geometric], mean[geometric], var[geometric] = t, ag * t, ag * t * (ag / om)
+    if not np.isfinite(var).all():
+        raise NonConvergence(f"Var D overflows at beta={bv[~np.isfinite(var)][0]:.17g}")
+    return tail, mean, var, m
 
 
-def partition_sum(c, beta, tol: Tolerance = Tolerance()) -> float | np.ndarray:
+def partition_sum(c, beta) -> float | np.ndarray:
     """Z(beta) = sum_n exp(-beta E_n) = exp(-beta E_0) (1 + tail), the
-    reduced tail summed under rigorous tail bounds (exact geometric series
-    at b = 0): thermo_sum_engine's Z, at one point or along a curve."""
-    return thermo_sum_engine(c, beta, 1.0, tol).Z
+    reduced tail summed to rounding (_boltzmann_levels: exact geometric
+    series at b = 0, Euler-Maclaurin at high temperature, a certified level
+    sum elsewhere): thermo_sum_engine's Z, at one point or along a curve."""
+    return thermo_sum_engine(c, beta, 1.0).Z
 
 
 def _require_regular(c: SpectrumCoefficients):
@@ -287,35 +335,41 @@ def partition_quadrature(c: SpectrumCoefficients, beta, range_: str = "quad01",
 # Ground truth from exact Boltzmann moments
 # ---------------------------------------------------------------------------
 
-def thermo_sum_engine(c, beta, kB: float = 1.0, tol: Tolerance = Tolerance()) -> ThermoPoint:
+def thermo_sum_engine(c, beta, kB: float = 1.0) -> ThermoPoint:
     """Ground truth on the sum route: U = E_0 + <D> and C = kB beta^2 Var D
     from the exact moments of D_n = E_n - E_0 >= 0 over the Boltzmann
-    distribution of the levels (one guarded level-array sum, or the exact
-    geometric series at b = 0), with g = ln(1 + tail) = ln Z + beta E_0
+    distribution of the levels (_boltzmann_levels: the exact geometric
+    series at b = 0, Euler-Maclaurin where beta (a + 2b) <= 0.25, a
+    certified sum of at most 176 levels elsewhere; always to rounding, so
+    there is no tolerance), with g = ln(1 + tail) = ln Z + beta E_0
     giving S = kB (g + beta <D>) and F = E_0 - g/beta; Z is partition_sum's
     exp(-beta E_0) (1 + tail).  Moments of D never suffer the
     <E^2> - <E>^2 cancellation, so C stays accurate where it is
-    exponentially small and |ln Z| is large.
+    exponentially small and |ln Z| is large.  Where the level sums carry a
+    scale 2^m (w_1 near the subnormal range), S and C are formed at that
+    scale and rounded once, and g = tail there.
 
     The coefficients may be arrays (an alpha curve) and beta an array (a
     beta curve), broadcast against each other to any shape (an alpha x beta
     mesh): the point then holds beta and each quantity as arrays of it, all
-    from one ragged level sum (_boltzmann_levels), each element bit for bit
-    its one-point call.
+    from one _boltzmann_levels call, each element bit for bit its one-point
+    call.
 
     The columns are not _assemble's: its ln G = ln(g0/(beta L)) takes the
     log of the rounded zeroth moment 1 + tail, where S and F need
     log1p(tail).  At (alpha, beta) = (0.02, 700) S = 5.2e-311 rests on the
     tail alone, and the shared ln G would drop it."""
     a, b, bv = np.broadcast_arrays(c.a, c.b, _beta_values(beta))
-    tail, mean, var = (x.reshape(bv.shape) for x in
-                       _boltzmann_levels(a.ravel(), b.ravel(), bv.ravel(), tol))
-    g = np.log1p(tail)
+    tail, mean, var, m = (x.reshape(bv.shape) for x in
+                          _boltzmann_levels(a.ravel(), b.ravel(), bv.ravel()))
+    unscaled = np.ldexp(tail, -m)
+    g = np.where(m > 0, tail, np.log1p(unscaled))  # at scale 2^m: tail < e^{-700} there
     e0 = a * 0.5 + b * 0.5  # c.energy(0), bit for bit
-    z = exp_neg_product(bv, 0.5 * a, 0.5 * b) * (1.0 + tail)
+    z = exp_neg_product(bv, 0.5 * a, 0.5 * b) * (1.0 + unscaled)
     # where Var D has underflowed to 0, beta^2 may overflow: C is 0, not inf * 0
     bc = np.where(var == 0.0, 0.0, bv)
-    columns = (z, e0 + mean, kB * bc * bc * var, kB * (g + bv * mean), e0 - g / bv)
+    columns = (z, e0 + np.ldexp(mean, -m), np.ldexp(kB * bc * bc * var, -m),
+               np.ldexp(kB * (g + bv * mean), -m), e0 - np.ldexp(g, -m) / bv)
     return _thermo_point(c, beta, bv, columns, "sum")
 
 
@@ -434,7 +488,11 @@ def _assemble(c: SpectrumCoefficients, bv, qv, kB: float, moments):
     g2 = (qe * e * i0 + 2.0 * qe * (h - e) * i1 + (p0 - 4.0 * qe * h + qv * h * h) * i2
           + qv * h * (e - 2.0 * h) * i3 + p2 * i4)
     r1 = g1 / g0
-    big_g = g0 / (bv * (c.a + 2.0 * c.b))
+    lin = c.a + 2.0 * c.b
+    # where beta L overflows (beta ~ 1e308), divide by beta and by L in turn
+    with np.errstate(over="ignore"):
+        bl = bv * lin
+        big_g = np.where(np.isinf(bl), g0 / bv / lin, g0 / bl)
     log_g = np.log(big_g) + 2.0 * math.log(2.0) * m
     return (np.ldexp(big_g * exp_neg_product(bv, 0.5 * c.a, 0.5 * c.b), 2 * m), e0 - r1 / bv,
             kB * (g2 / g0 - r1 * r1), kB * (log_g - r1), e0 - log_g / bv)
@@ -469,14 +527,19 @@ def _quadrature_moments(c: SpectrumCoefficients, bv: np.ndarray, qv, hi: float,
     if hi == math.inf:
         level = 8.0 / bvs
         s = np.maximum(1.0, 2.0 * level / (lin + np.sqrt(lin * lin + 4.0 * b * level)) / 24.0)
-    scale = lin * bvs * s
+    with np.errstate(over="ignore"):
+        scale = lin * bvs * s
+    # where L beta s overflows (beta ~ 1e308), beta multiplies e^{-u} first:
+    # e^{-u} is +0 at every node there
+    late = np.where(np.isinf(scale), bvs, 1.0)
+    scale = np.where(np.isinf(scale), lin * s, scale)
     k_rows = 5 if np.any(qv) else 3
 
     def moment(m, r):
         i, k = np.divmod(r[:, None], k_rows)  # row r is moment k of element i
         with np.errstate(over="ignore"):
             u = bvs[i] * _excitation(a[i], b[i], s[i] * m)
-        row = scale[i] * np.exp(-u)
+        row = scale[i] * (late[i] * np.exp(-u))
         u = np.where(row > 0.0, u, 0.0)  # u^k e^{-u} is +0 where e^{-u} is, also at u = inf
         # u^k as k products, which round alike wherever the row sits in the
         # batch; numpy's power need not

@@ -156,3 +156,57 @@ def mp_closed_heat_capacity_superstat(c, beta, q, sign_a3: float, dps: int = 50)
     with mp.workdps(dps):
         bt = mp.mpf(beta)
         return float(bt * bt * mp.diff(lambda x: mp_log_superstat_closed(c, x, q, sign_a3), bt, 2))
+
+
+def mp_level_rows(a, b, beta, dps: int = 40, p: int = 12, levels: int = 40):
+    """S_k = sum_{n>=1} D_n^k e^{-beta D_n}, k = 0, 1, 2, D_n = n (a + b (n + 2)),
+    at dps digits: levels 1 .. levels - 1 summed directly, the rest by
+    Euler-Maclaurin from N = levels to order p,
+        sum_{n>=N} f(n) = int_N^inf f + f(N)/2 - sum_{j=1}^{p} B_2j/(2j)! f^(2j-1)(N).
+    In t = N + s, D = D_N + L s + b s^2 (L = a + 2b (N + 1)).  The integral
+    is e^{-beta D_N} times binomial sums of K_i = int_0^inf s^i e^{-beta (L s + b s^2)}
+    ds, K_0 = sqrt(pi/(4 beta b)) erfcx(y), y = L sqrt(beta/(4b)), and by
+    parts K_{i+1} = (i K_{i-1} + [i = 0] - beta L K_i)/(2 beta b), which loses
+    about y^2 per step: the working precision grows to match.  The
+    derivatives f^(m)(N) = m! [s^m] of the product of the power series of
+    (D_N + L s + b s^2)^k, e^{-beta L s} and e^{-beta b s^2}.  b = 0 is the
+    geometric series in closed form.  mpmath's nsum is wrong at beta = 1e-8,
+    so this is the reference for the level sums."""
+    with mp.workdps(dps):
+        a, b, bt = mp.mpf(a), mp.mpf(b), mp.mpf(beta)
+        if b == 0:
+            r = mp.exp(-bt * a)
+            return [r / (1 - r), a * r / (1 - r) ** 2, a * a * r * (1 + r) / (1 - r) ** 3]
+        rows = [mp.mpf(0)] * 3
+        for n in range(1, levels):
+            d = n * (a + b * (n + 2))
+            w = mp.exp(-bt * d)
+            rows = [rows[k] + d ** k * w for k in range(3)]
+        d_n = levels * (a + b * (levels + 2))
+        lin = a + 2 * b * (levels + 1)
+        y2 = lin * lin * bt / (4 * b)
+    with mp.workdps(dps + 10 + int(4 * mp.log10(1 + y2))):
+        y = mp.sqrt(y2)
+        ks = [mp.sqrt(mp.pi / (4 * bt * b)) * mp.erfc(y) * mp.exp(y2)]
+        for i in range(4):
+            ks.append(((i * ks[i - 1] if i else 1) - bt * lin * ks[i]) / (2 * bt * b))
+        moments = [ks[0], lin * ks[1] + b * ks[2],
+                   lin * lin * ks[2] + 2 * lin * b * ks[3] + b * b * ks[4]]
+        integrals = [sum(mp.binomial(k, j) * d_n ** (k - j) * moments[j] for j in range(k + 1))
+                     for k in range(3)]
+        order = 2 * p
+        lin_series = [(-bt * lin) ** i / mp.factorial(i) for i in range(order)]
+        gauss = [(-bt * b) ** (i // 2) / mp.factorial(i // 2) if i % 2 == 0 else mp.mpf(0)
+                 for i in range(order)]
+        base = [sum(lin_series[i] * gauss[m - i] for i in range(m + 1)) for m in range(order)]
+        series, poly = [], [mp.mpf(1)]
+        for k in range(3):
+            series.append([sum(poly[i] * base[m - i] for i in range(min(m, len(poly) - 1) + 1))
+                           for m in range(order)])
+            poly = [sum(c * [d_n, lin, b][j - i] for i, c in enumerate(poly) if 0 <= j - i <= 2)
+                    for j in range(len(poly) + 2)]
+        tails = [integrals[k] + series[k][0] / 2
+                 - sum(mp.bernoulli(2 * j) / mp.factorial(2 * j) * mp.factorial(2 * j - 1)
+                       * series[k][2 * j - 1] for j in range(1, p + 1))
+                 for k in range(3)]
+        return [+(rows[k] + mp.exp(-bt * d_n) * tails[k]) for k in range(3)]

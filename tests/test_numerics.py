@@ -4,14 +4,13 @@ values are frozen from independent oracles (high-precision Maclaurin
 series, closed forms, brute-force sums)."""
 
 import math
-from functools import partial
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from pdmosc import (NonConvergence, NonDecaying, Tolerance, erf, erfc, erfcx,
-                    erfcx_derivatives, exp_neg_product, integrate_batch, sum_decaying)
+                    erfcx_derivatives, exp_neg_product, integrate_batch)
 from pdmosc import numerics
 from pdmosc.numerics import _XGK, _gk15
 
@@ -394,80 +393,6 @@ def test_batch_over_budget_row_raises_like_single():
     with pytest.raises(NonConvergence) as batch:
         integrate_batch(family, 3, 0.0, math.inf, tol)
     assert str(batch.value) == str(alone.value)
-
-
-# -- guarded summation -------------------------------------------------------
-
-def test_sum_geometric():
-    s = sum_decaying(lambda n: 0.5 ** (n + 1.0), lambda N: 0.5 ** (N + 1), TOL)
-    assert abs(s - 1.0) < 1e-12
-
-
-def test_sum_shifted_exponential():
-    # sum_{n>=0} e^{-(n+1/2)} = e^{-1/2}/(1-e^{-1}); geometric tail bound
-    r = math.exp(-1.0)
-    s = sum_decaying(lambda n: np.exp(-(n + 0.5)),
-                     lambda N: math.exp(-(N + 1.5)) / (1.0 - r), TOL)
-    assert abs(s - 0.95951737566747186) < 1e-13
-
-
-def test_sum_gaussian_terms():
-    # brute-force oracle value of sum_{n>=0} e^{-n^2}
-    bound = lambda N: math.sqrt(math.pi) / 2.0 * erfc(float(N))
-    s = sum_decaying(lambda n: np.exp(-n.astype(float) ** 2), bound, TOL)
-    assert abs(s - 1.3863186024133261) < 1e-12
-
-
-def test_sum_nonconvergence():
-    with pytest.raises(NonConvergence):
-        sum_decaying(lambda n: np.exp(-n), lambda N: 1.0,
-                     Tolerance(rel=1e-10, abs=0.0, max_evals=100))
-
-
-def test_sum_terms_see_index_blocks():
-    # terms gets each new block of indices once, as an int ndarray; the
-    # rows of a 2-D result are summed and certified separately
-    blocks = []
-
-    def terms(n):
-        blocks.append(n)
-        return np.array([0.5 ** (n + 1.0), 0.25 ** (n + 1.0)])
-
-    bound = lambda N: np.array([0.5 ** (N + 1), 0.25 ** (N + 1) / 0.75])
-    s = sum_decaying(terms, bound, TOL, 3)
-    assert all(isinstance(b, np.ndarray) and b.dtype.kind == "i" for b in blocks)
-    assert [(int(b[0]), len(b)) for b in blocks] == [(0, 4), (4, 4), (8, 8), (16, 16),
-                                                     (32, 32)]
-    assert abs(s[0] - 1.0) < 1e-12 and abs(s[1] - 1.0 / 3.0) < 1e-12
-
-
-def test_sum_ragged_series_equal_single_calls():
-    # an int array of guesses makes a ragged batch: series s sums its own
-    # indices 0..n[s] and doubles on its own, exactly as its one-series call,
-    # with every new term of a round from one call of terms on (series,
-    # index) pairs
-    ratios = np.array([0.5, 0.9, 0.25])
-    guesses = np.array([3, 1, 40])
-    calls = []
-
-    def rows(r, n):
-        return np.array([r ** (n + 1.0), (r * r) ** (n + 1.0)])
-
-    def bound(r, n):
-        return np.array([r ** (n + 2.0) / (1.0 - r), (r * r) ** (n + 2.0) / (1.0 - r * r)])
-
-    def terms(k):
-        calls.append(k)
-        return rows(ratios[k[0]], k[1])
-
-    sums = sum_decaying(terms, lambda k: bound(ratios[k[0]], k[1]), TOL, guesses)
-    for s, (r, n) in enumerate(zip(ratios.tolist(), guesses.tolist())):
-        alone = sum_decaying(partial(rows, r), partial(bound, r), TOL, n)
-        assert sums[:, s].tolist() == alone
-    first = calls[0]
-    assert first.shape[0] == 2 and first.dtype.kind == "i"
-    assert [int((first[0] == s).sum()) for s in range(3)] == [4, 2, 41]
-    assert all(set(k[0].tolist()) <= {0, 1} for k in calls[1:])
 
 
 def test_tolerance_validation():

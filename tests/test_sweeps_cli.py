@@ -9,8 +9,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pdmosc import (OscillatorParams, SingularLimit, Tolerance, cli, energy_level, routes,
-                    superstat, sweeps, thermo)
+from pdmosc import (OscillatorParams, SingularLimit, cli, energy_level, routes, superstat,
+                    sweeps, thermo)
 from pdmosc.sweeps import FigurePreset, PRESETS, SweepSpec, figure_preset, run_sweep
 
 
@@ -64,9 +64,6 @@ def test_singular_limit_becomes_warning_row():
         assert all(r.y is None and r.warning == "SingularLimit" for r in rows)
 
 
-#: the doubling fallback: at rel = 1e-18 the first guess at beta = 0.1
-#: leaves a bound above tolerance for alpha = 0.02, 0.3 and 0.9
-_TIGHT = Tolerance(rel=1e-18, abs=0.0, max_evals=400_000)
 _SUM_CURVES = [("beta", (0.1, 0.5, 2.0, 9.0), {"alpha": 0.0}, "natural"),
                ("beta", (0.1, 0.5, 2.0, 9.0), {"alpha": 0.3}, "natural"),
                ("alpha", (0.0, 0.02, 0.3, 0.9), {"beta": 0.1}, "natural"),
@@ -78,30 +75,22 @@ _SUM_CURVES = [("beta", (0.1, 0.5, 2.0, 9.0), {"alpha": 0.0}, "natural"),
 @pytest.mark.parametrize("quantity", routes.THERMO)
 def test_sum_route_sweep_rows_equal_points(quantity, method, monkeypatch):
     # one batched level sum per curve, each row bit for bit the route at its
-    # own point, through the geometric series at alpha = 0 and, at
-    # rel = 1e-18, through a second doubling round
-    rounds = []
-    real = thermo.sum_decaying
-
-    def counted(terms, tail_bound, tol, n):
-        calls = []
-        rounds.append(calls)
-        return real(lambda k: calls.append(k) or terms(k), tail_bound, tol, n)
-
-    for tol in (sweeps.PRESET_TOL, _TIGHT):
-        for vary, values, fixed, units in _SUM_CURVES:
-            spec = SweepSpec(quantity=quantity, vary=vary, values=values, fixed=fixed,
-                             method=method, units=units)
-            rounds.clear()
-            monkeypatch.setattr(thermo, "sum_decaying", counted)
-            rows = run_sweep(spec, tol)
-            monkeypatch.undo()
-            assert len(rounds) == (0 if fixed.get("alpha") == 0.0 else 1)
-            if tol is _TIGHT and vary == "alpha" and fixed["beta"] == 0.1:
-                assert len(rounds[0]) == 2
-            for row in rows:
-                s = routes.state({**fixed, vary: row.x}, units, tol=tol)
-                assert row.y is not None and row.y == routes.ROUTES[(quantity, method)](s)
+    # own point, through the geometric series at alpha = 0, the
+    # Euler-Maclaurin rows (alpha = 0.02 at beta = 0.1) and the direct levels
+    calls = []
+    real = thermo._boltzmann_levels
+    for vary, values, fixed, units in _SUM_CURVES:
+        spec = SweepSpec(quantity=quantity, vary=vary, values=values, fixed=fixed,
+                         method=method, units=units)
+        calls.clear()
+        monkeypatch.setattr(thermo, "_boltzmann_levels",
+                            lambda *args: calls.append(len(args[2])) or real(*args))
+        rows = run_sweep(spec)
+        monkeypatch.undo()
+        assert calls == [len(values)]
+        for row in rows:
+            s = routes.state({**fixed, vary: row.x}, units)
+            assert row.y is not None and row.y == routes.ROUTES[(quantity, method)](s)
 
 
 @pytest.mark.parametrize("argv", [["Z", "--vary", "q", "--range", "0,0.5", "--alpha", "0.3"],
@@ -324,6 +313,25 @@ def test_cli_sum_point_where_beta_l_overflows(capsys):
     assert code == 0
     assert {k: _fields(out)[k] for k in routes.THERMO} == dict(
         Z="0", U="0.77329280498653274", C="0", S="0", F="0.77329280498653274")
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_quadrature_and_engine_points_where_beta_l_overflows(capsys):
+    # at alpha = 0.9 and beta = 1e308 beta L overflows: beta meets e^{-u} (a
+    # quadrature row) or g0 (the engine's ln G) before L does, so the
+    # quadrature points exit 3, as at alpha = 0.3, and the engine prints
+    # finite values
+    for method in (["quad01"], ["quadinf"], ["quadinf", "--q", "0.5"]):
+        assert cli.main(["point", "--alpha", "0.9", "--beta", "1e308", "--method"]
+                        + method) == 3
+    capsys.readouterr()
+    code, out = run_cli(["point", "--alpha", "0.9", "--beta", "1e308", "--method", "engine",
+                         "--q", "0.5"], capsys)
+    assert code == 0
+    fields = _fields(out)
+    assert all(math.isfinite(float(fields[k])) for k in routes.SUPERSTAT)
+    assert fields["Us"] == fields["Fs"] == "0.77329280498653274"
+
 
 def test_cli_point_closed_free_energy_where_z_underflows(capsys):
     code, out = run_cli(["point", "--alpha", "0.3", "--beta", "2000", "--method", "closed"],

@@ -22,11 +22,9 @@ from pdmosc.thermo import TRANSCRIPTIONS, thermo_sum_engine
 from pdmosc.verify import DEFAULT_BETAS, audit_columns
 
 from helpers import (brute_boltzmann_moments, brute_sum, brute_thermo, derivative,
-                     mp_weight_moments)
+                     mp_level_rows, mp_weight_moments)
 
 TOL = Tolerance()
-TIGHT = Tolerance(rel=1e-15, abs=0.0, max_evals=100_000)
-CLI_TOL = Tolerance(rel=1e-10, abs=0.0, max_evals=400_000)
 
 C01 = coefficients(OscillatorParams(alpha=0.1))
 C03 = coefficients(OscillatorParams(alpha=0.3))
@@ -56,13 +54,13 @@ def test_points_hold_float_beta_and_curves_checked_float_arrays():
 
 def test_partition_sum_geometric_limit():
     # b = 0: Z = e^{-beta/2} / (1 - e^{-beta})
-    z = partition_sum(C00, 1.0, TOL)
+    z = partition_sum(C00, 1.0)
     assert abs(z - 0.95951737566747186) < 1e-13
 
 
 def test_partition_sum_bracket_and_brute_force():
     beta = 5.0
-    z = partition_sum(C01, beta, TOL)
+    z = partition_sum(C01, beta)
     e0, e1 = C01.energy(0), C01.energy(1)
     lower = math.exp(-beta * e0)
     upper = lower / (1.0 - math.exp(-beta * (e1 - e0)))
@@ -74,23 +72,23 @@ def test_partition_sum_bracket_and_brute_force():
 def test_partition_sum_ground_state_dominance():
     c = C03
     beta = 50.0
-    z = partition_sum(c, beta, TOL)
+    z = partition_sum(c, beta)
     assert abs(z / math.exp(-beta * c.energy(0)) - 1.0) < 1e-6
 
 
 def test_partition_sum_monotonicity():
     betas = np.logspace(-1, 1, 15)
-    zs = [partition_sum(C03, b, TOL) for b in betas]
+    zs = [partition_sum(C03, b) for b in betas]
     assert all(z2 < z1 for z1, z2 in zip(zs, zs[1:]))
     for beta in (0.5, 2.0):
-        vals = [partition_sum(coefficients(OscillatorParams(alpha=a)), beta, TOL)
+        vals = [partition_sum(coefficients(OscillatorParams(alpha=a)), beta)
                 for a in np.linspace(0.02, 0.95, 12)]
         assert all(v2 < v1 for v1, v2 in zip(vals, vals[1:]))
 
 
 def test_log_partition_sum_underflow_safe():
     # beta*E_0 ~ 770: Z underflows, but F = -ln Z/beta and S must not
-    pt = thermo_sum_engine(C09, 1000.0, 1.0, TOL)
+    pt = thermo_sum_engine(C09, 1000.0, 1.0)
     assert pt.Z == 0.0
     assert math.isfinite(pt.F) and math.isfinite(pt.S)
     assert abs(1000.0 * (pt.F - C09.energy(0))) < 1e-9
@@ -140,7 +138,7 @@ def test_sum_vs_integral_sandwich():
     # int_0^inf term <= sum <= term(0) + int_0^inf term for decreasing terms
     for c in (C01, C09):
         for beta in (0.4, 2.0):
-            s = partition_sum(c, beta, TOL)
+            s = partition_sum(c, beta)
             integral = partition_quadrature(c, beta, "quadinf", TOL)
             assert integral <= s <= math.exp(-beta * c.energy(0)) + integral
 
@@ -148,7 +146,7 @@ def test_sum_vs_integral_sandwich():
 # -- ground truth from exact moments ----------------------------------------
 
 def test_engine_standard_oscillator():
-    pt = thermo_sum_engine(C00, 1.0, 1.0, TIGHT)
+    pt = thermo_sum_engine(C00, 1.0, 1.0)
     assert abs(pt.U - 1.0819767068693264) / 1.0819767068693264 < 1e-7
     assert abs(pt.C - 0.92067359420779232) / 0.92067359420779232 < 1e-6
     assert pt.F == -math.log(pt.Z) / 1.0 or abs(pt.F + math.log(pt.Z)) < 1e-12
@@ -157,7 +155,7 @@ def test_engine_standard_oscillator():
 def test_engine_identities():
     for c in (C01, C09):
         for beta in (0.3, 1.0, 4.0):
-            pt = thermo_sum_engine(c, beta, 1.0, TIGHT)
+            pt = thermo_sum_engine(c, beta, 1.0)
             assert abs(pt.S - (math.log(pt.Z) + beta * pt.U)) <= 1e-9 * max(abs(pt.S), 1.0)
             assert abs(pt.F + math.log(pt.Z) / beta) <= 1e-12 * max(abs(pt.F), 1.0)
 
@@ -166,21 +164,21 @@ def test_engine_gauge_equivalence():
     # the reduced-gauge moments and Richardson derivatives of ln of the
     # plain sum agree where both are well conditioned
     def logz(x):
-        return math.log(partition_sum(C03, x, TIGHT))
+        return math.log(partition_sum(C03, x))
 
     for beta in (0.2, 1.0, 3.0):
-        a = thermo_sum_engine(C03, beta, 1.0, TIGHT)
+        a = thermo_sum_engine(C03, beta, 1.0)
         u = -derivative(logz, beta, 1, beta, positive_only=True)
         c = beta * beta * derivative(logz, beta, 2, beta, positive_only=True)
         assert abs(a.U - u) / abs(u) < 1e-9
         assert abs(a.C - c) / abs(c) < 1e-6
-        assert a.Z == partition_sum(C03, beta, TIGHT)
+        assert a.Z == partition_sum(C03, beta)
 
 
 def test_energy_moments_against_brute_force():
     for c in (C01, C09):
         for beta in (0.3, 1.0, 5.0):
-            pt = thermo_sum_engine(c, beta, 1.0, TIGHT)
+            pt = thermo_sum_engine(c, beta, 1.0)
             energies = [c.energy(n) for n in range(400)]
             zb, mb, vb = brute_boltzmann_moments(energies, beta)
             assert abs(pt.Z - zb) / zb < 1e-12
@@ -191,7 +189,7 @@ def test_energy_moments_against_brute_force():
 def test_engine_vs_moments():
     for c in (C01, C03, C09):
         for beta in (0.1, 1.0, 10.0):
-            pt = thermo_sum_engine(c, beta, 1.0, TIGHT)
+            pt = thermo_sum_engine(c, beta, 1.0)
             energies = [c.energy(n) for n in range(400)]
             _, mean, var = brute_boltzmann_moments(energies, beta)
             assert abs(pt.U - mean) / abs(mean) < 1e-12
@@ -202,7 +200,7 @@ def test_engine_heat_capacity_exponentially_small():
     # alpha = 0 at beta = 700: C = beta^2 e^{-beta} / (1 - e^{-beta})^2 ~ 5e-299,
     # far below the roundoff of any finite difference of ln Z
     beta = 700.0
-    pt = thermo_sum_engine(C00, beta, 1.0, TOL)
+    pt = thermo_sum_engine(C00, beta, 1.0)
     want = beta * beta * math.exp(-beta) / (1.0 - math.exp(-beta)) ** 2
     assert abs(pt.C - want) / want < 1e-12
 
@@ -218,11 +216,22 @@ def _within(got, want, rel=1e-11):
 @pytest.mark.parametrize("beta", [1e-3, 1.0, 10.0, 700.0])
 def test_sum_engine_against_brute_force(alpha, beta):
     c = coefficients(OscillatorParams(alpha=alpha))
-    pt = thermo_sum_engine(c, beta, 1.0, TOL)
+    pt = thermo_sum_engine(c, beta, 1.0)
     want = brute_thermo(c, beta)
     got = (pt.Z, pt.U, pt.C, pt.S, pt.F)
     assert all(_within(g, w) for g, w in zip(got, want)), (got, want)
-    assert partition_sum(c, beta, TOL) == pt.Z
+    assert partition_sum(c, beta) == pt.Z
+
+
+@pytest.mark.parametrize("alpha,beta", [(0.02, 700.0), (0.3, 480.0)])
+def test_sum_engine_keeps_digits_where_w1_nears_the_subnormal_range(alpha, beta):
+    # beta D_1 > 700: the levels are summed at the scale 2^m ~ 1/w_1, so S
+    # (5.2e-311 at (0.02, 700), which once carried w_1's 34 subnormal bits)
+    # and C stay within 1e-12 of 50-digit brute force
+    c = coefficients(OscillatorParams(alpha=alpha))
+    pt = thermo_sum_engine(c, beta, 1.0)
+    _, _, c_want, s_want, _ = brute_thermo(c, beta)
+    assert abs(pt.S - s_want) <= 1e-12 * s_want and abs(pt.C - c_want) <= 1e-12 * c_want
 
 
 @pytest.mark.parametrize("alpha,beta", [(0.95, 700.0), (0.95, 300.0), (0.3, 500.0)])
@@ -230,9 +239,9 @@ def test_sum_route_z_carries_beta_e0_exactly(alpha, beta):
     # beta E_0 ~ 550 here: rounding E_0 or beta E_0 in double cost 4.9e-14
     c = coefficients(OscillatorParams(alpha=alpha))
     want = brute_thermo(c, beta)[0]
-    z = partition_sum(c, beta, TOL)
+    z = partition_sum(c, beta)
     assert abs(z - want) <= 1e-15 * want
-    assert thermo_sum_engine(c, beta, 1.0, TOL).Z == z
+    assert thermo_sum_engine(c, beta, 1.0).Z == z
 
 
 @pytest.mark.parametrize("beta", [1e-4, 1.0, 700.0])
@@ -246,10 +255,10 @@ def test_sum_engine_geometric_series_at_alpha_zero(beta):
         want = [float(v) for v in (mp.exp(-bt / 2) / (1 - r), mp.mpf(0.5) + mean,
                                    bt * bt * r / (1 - r) ** 2, g + bt * mean,
                                    mp.mpf(0.5) - g / bt)]
-    pt = thermo_sum_engine(C00, beta, 1.0, TOL)
+    pt = thermo_sum_engine(C00, beta, 1.0)
     got = (pt.Z, pt.U, pt.C, pt.S, pt.F)
     assert all(_within(g, w) for g, w in zip(got, want)), (got, want)
-    assert partition_sum(C00, beta, TOL) == pt.Z
+    assert partition_sum(C00, beta) == pt.Z
 
 
 _log_beta = st.floats(min_value=-4.0, max_value=4.0)
@@ -260,14 +269,13 @@ _log_beta = st.floats(min_value=-4.0, max_value=4.0)
 @example(alpha=0.0, u1=-4.0, u2=4.0)
 @example(alpha=1e-9, u1=-4.0, u2=0.0)
 def test_sum_engine_properties(alpha, u1, u2):
-    # never raises at the CLI tolerance over alpha in [0, 0.99] and
-    # beta in [1e-4, 1e4]; Z falls with beta (up to a few ulps of
-    # rounding); C, S >= 0 and U >= E_0
+    # never raises over alpha in [0, 0.99] and beta in [1e-4, 1e4]; Z
+    # falls with beta (up to a few ulps of rounding); C, S >= 0 and U >= E_0
     b1, b2 = sorted((10.0 ** u1, 10.0 ** u2))
     assume(b1 < b2)
     c = coefficients(OscillatorParams(alpha=alpha))
-    p1 = thermo_sum_engine(c, b1, 1.0, CLI_TOL)
-    p2 = thermo_sum_engine(c, b2, 1.0, CLI_TOL)
+    p1 = thermo_sum_engine(c, b1, 1.0)
+    p2 = thermo_sum_engine(c, b2, 1.0)
     assert p2.Z <= p1.Z * (1.0 + 8 * np.finfo(float).eps)
     for pt in (p1, p2):
         assert pt.C >= 0.0 and pt.S >= 0.0 and pt.U >= c.energy(0)
@@ -457,46 +465,32 @@ def test_transcription_validation():
 def test_alpha_to_zero_consistency():
     c = coefficients(OscillatorParams(alpha=1e-6))
     for beta in np.logspace(-1, 1, 9):
-        z = partition_sum(c, beta, TOL)
+        z = partition_sum(c, beta)
         z0 = math.exp(-beta * 0.5) / (1.0 - math.exp(-beta))
         assert abs(z - z0) / z0 < 1e-4
 
 
 # -- the batched level sum ----------------------------------------------------
 
-def _sum_calls(monkeypatch):
-    """Record, per sum_decaying call of the level sum, the term count of
-    each round."""
-    calls = []
-
-    def counted(terms, tail_bound, tol, n):
-        rounds = []
-        calls.append(rounds)
-        return real(lambda k: rounds.append(k.shape[1]) or terms(k), tail_bound, tol, n)
-
-    real = thermo.sum_decaying
-    monkeypatch.setattr(thermo, "sum_decaying", counted)
-    return calls
-
-
-def _assert_points(cs, betas, kB, tol, curve):
+def _assert_points(cs, betas, kB, curve):
     for i, (c, beta) in enumerate(zip(cs, betas)):
-        pt = thermo_sum_engine(c, beta, kB, tol)
+        pt = thermo_sum_engine(c, beta, kB)
         assert [getattr(pt, qn) for qn in "ZUCSF"] == [getattr(curve, qn)[i] for qn in "ZUCSF"]
-        assert partition_sum(c, beta, tol) == curve.Z[i]
+        assert partition_sum(c, beta) == curve.Z[i]
 
 
-def test_sum_batch_chunks_past_the_level_budget(monkeypatch):
-    # five first guesses of ~73k-109k levels exceed max_evals = 400k
-    # together: the batch splits in order, and every point stays its own call
+def test_sum_high_temperature_curve_equals_its_points():
+    # Euler-Maclaurin rows where a level sum took ~73k-109k levels per point,
+    # and a curve across beta L = 0.25, where the branch changes: every
+    # point is its own call
     c = coefficients(OscillatorParams(alpha=1e-6))
     betas = [0.4e-3, 0.45e-3, 0.5e-3, 0.55e-3, 0.6e-3]
-    calls = _sum_calls(monkeypatch)
-    curve = thermo_sum_engine(c, np.array(betas), 1.0, TOL)
-    assert len(calls) > 1
-    assert all(rounds[0] <= TOL.max_evals for rounds in calls)
-    _assert_points([c] * len(betas), betas, 1.0, TOL, curve)
+    curve = thermo_sum_engine(c, np.array(betas), 1.0)
+    _assert_points([c] * len(betas), betas, 1.0, curve)
     assert curve.beta.tolist() == betas
+    edge = 0.25 / (C09.a + 2.0 * C09.b)
+    betas = [0.5 * edge, edge, math.nextafter(edge, 1.0), 2.0 * edge]
+    _assert_points([C09] * 4, betas, 1.0, thermo_sum_engine(C09, np.array(betas), 1.0))
 
 
 def _curve(cs):
@@ -511,19 +505,36 @@ def test_sum_alpha_curve_equals_its_points():
     p = [OscillatorParams.si(alpha=alpha) for alpha in (0.0, 0.3, 0.9)]
     cs = [coefficients(x) for x in p]
     beta = 1.0 / (p[0].kB * 300.0)
-    curve = thermo_sum_engine(_curve(cs), beta, p[0].kB, TOL)
-    _assert_points(cs, [beta] * 3, p[0].kB, TOL, curve)
-    assert partition_sum(_curve(cs), beta, TOL).tolist() == curve.Z.tolist()
+    curve = thermo_sum_engine(_curve(cs), beta, p[0].kB)
+    _assert_points(cs, [beta] * 3, p[0].kB, curve)
+    assert partition_sum(_curve(cs), beta).tolist() == curve.Z.tolist()
 
 
 def test_sum_batch_raises_where_its_point_does():
-    c = coefficients(OscillatorParams(alpha=1e-9))
-    with pytest.raises(NonConvergence):
-        thermo_sum_engine(c, 5e-5, 1.0, TOL)
-    with pytest.raises(NonConvergence):
-        thermo_sum_engine(_curve((C03, c, C09)), np.array([1.0, 5e-5, 2.0]), 1.0, TOL)
+    # beta is checked at every element; where Var D overflows (beta below
+    # ~1e-154) a point and a curve through it raise NonConvergence
     with pytest.raises(ValueError, match="beta must be positive"):
-        thermo_sum_engine(C03, np.array([1.0, 0.0]), 1.0, TOL)
+        thermo_sum_engine(C03, np.array([1.0, 0.0]), 1.0)
+    c = coefficients(OscillatorParams(alpha=1e-9))
+    for cs in (c, C00):
+        with pytest.raises(NonConvergence, match="Var D overflows"):
+            thermo_sum_engine(cs, 1e-200, 1.0)
+    with pytest.raises(NonConvergence, match="Var D overflows"):
+        thermo_sum_engine(_curve((C03, c, C09)), np.array([1.0, 1e-200, 2.0]), 1.0)
+
+
+@pytest.mark.parametrize("alpha,beta", [(1e-9, 5e-5), (1e-9, 1e-8), (0.02, 1e-8)])
+def test_sum_route_is_finite_past_the_old_level_budget(alpha, beta):
+    # these points once exhausted a 400k-level budget: C is within 1e-12 of
+    # the 40-digit reference, and the point and its curve agree
+    c = coefficients(OscillatorParams(alpha=alpha))
+    pt = thermo_sum_engine(c, beta, 1.0)
+    assert all(math.isfinite(getattr(pt, qn)) for qn in "ZUCSF")
+    s0, s1, s2 = mp_level_rows(c.a, c.b, beta)
+    mean = s1 / (1 + s0)
+    want = float(beta * beta * (s2 / (1 + s0) - mean * mean))
+    assert abs(pt.C - want) <= 1e-12 * want, (pt.C, want)
+    _assert_points([c] * 2, [beta, 1.0], 1.0, thermo_sum_engine(c, np.array([beta, 1.0]), 1.0))
 
 
 def test_sum_alpha_by_beta_mesh_equals_its_points():
@@ -533,11 +544,11 @@ def test_sum_alpha_by_beta_mesh_equals_its_points():
     betas = [1e-3, 0.5, 2.0, 700.0]
     c = _curve(cs)
     mesh = thermo_sum_engine(SpectrumCoefficients(c.a[:, None], c.b[:, None]),
-                             np.array(betas), 1.0, TOL)
+                             np.array(betas), 1.0)
     assert mesh.beta.shape == mesh.Z.shape == (3, 4)
     for i, ci in enumerate(cs):
         for j, beta in enumerate(betas):
-            pt = thermo_sum_engine(ci, beta, 1.0, TOL)
+            pt = thermo_sum_engine(ci, beta, 1.0)
             assert [getattr(pt, qn) for qn in "ZUCSF"] == \
                 [getattr(mesh, qn)[i, j] for qn in "ZUCSF"]
 
@@ -546,7 +557,7 @@ def test_sum_alpha_by_beta_mesh_equals_its_points():
 @pytest.mark.parametrize("c", [C00, C03], ids=["geometric", "summed"])
 def test_sum_heat_capacity_is_zero_where_beta_squared_overflows(c):
     # beta^2 = inf while Var D has underflowed to exactly 0: C is +0, not nan
-    pt = thermo_sum_engine(c, 1e155, 1.0, TOL)
+    pt = thermo_sum_engine(c, 1e155, 1.0)
     assert pt.C == 0.0 and not math.copysign(1.0, pt.C) < 0.0
     assert pt.Z == 0.0 and not math.copysign(1.0, pt.Z) < 0.0
     assert math.isfinite(pt.U) and pt.S == 0.0
@@ -618,10 +629,96 @@ def test_tail_bound_is_inf_where_the_terms_still_rise():
 
 
 def test_sum_presets_and_audit_certify_every_series_at_its_first_guess(monkeypatch):
-    # the first guess already truncates every row below rounding: one round
-    # per level sum, on the eight sum presets and the sum-basis audit
-    calls = _sum_calls(monkeypatch)
+    # one level-sum call per sum preset and one for the sum-basis audit, each
+    # certified by at most one tail-bound call, at its first guess
+    calls = {"_boltzmann_levels": 0, "_tail_bounds": 0}
+
+    def counted(name):
+        real = getattr(thermo, name)
+
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(thermo, name, counted(name))
     for figure_id in ("Fig2a", "Fig2b", "Fig3a", "Fig3b", "Fig4a", "Fig4b", "Fig5a", "Fig5b"):
         figure_preset(figure_id)
     audit_columns(oracle_basis="sum")
-    assert len(calls) == 9 and all(len(rounds) == 1 for rounds in calls)
+    assert calls == {"_boltzmann_levels": 9, "_tail_bounds": 9}
+
+
+# -- the level sums against a 40-digit Euler-Maclaurin reference --------------
+
+_GATE_ALPHAS = (0.0, 1e-9, 0.02, 0.3, 0.9, 0.999)
+#: a quarter-decade grid over [1e-10, 1e3]
+_GATE_BETAS = 10.0 ** (np.arange(-40, 13) / 4.0)
+
+
+def _mp_direct_rows(a, b, beta):
+    """S_k = sum_{n>=1} D_n^k e^{-beta D_n}, k = 0, 1, 2, at 40 digits, until
+    beta D_n exceeds 130."""
+    with mp.workdps(40):
+        a, b, bt = mp.mpf(a), mp.mpf(b), mp.mpf(beta)
+        rows, n = [mp.mpf(0)] * 3, 1
+        while True:
+            d = n * (a + b * (n + 2))
+            w = mp.exp(-bt * d)
+            rows = [r + d ** k * w for k, r in enumerate(rows)]
+            if bt * d > 130:
+                return rows
+            n += 1
+
+
+def test_level_reference_equals_direct_sums():
+    # where beta >= 1e-3 keeps a direct sum short, the Euler-Maclaurin
+    # reference (p = 12 from level 40) agrees with it far below rounding
+    for alpha in (0.02, 0.3, 0.9):
+        c = coefficients(OscillatorParams(alpha=alpha))
+        for beta in (1e-3, 0.1, 3.0):
+            for ref, direct in zip(mp_level_rows(c.a, c.b, beta), _mp_direct_rows(c.a, c.b, beta)):
+                assert abs(ref - direct) <= mp.mpf(10) ** -30 * direct, (alpha, beta)
+
+
+def _levels(c, betas):
+    n = len(betas)
+    return thermo._boltzmann_levels(np.full(n, c.a), np.full(n, c.b), np.asarray(betas))
+
+
+@pytest.mark.parametrize("alpha", _GATE_ALPHAS)
+def test_level_sums_against_the_euler_maclaurin_reference(alpha):
+    # tail, <D> and C = beta^2 Var D within 1e-13 of the 40-digit reference
+    # at every beta, Euler-Maclaurin rows and direct levels alike, compared
+    # at the scale 2^m of the sums (so the subnormal w_1 of large beta keeps
+    # its digits)
+    c = coefficients(OscillatorParams(alpha=alpha))
+    tail, mean, var, scale = _levels(c, _GATE_BETAS)
+    for i, beta in enumerate(_GATE_BETAS.tolist()):
+        s0, s1, s2 = mp_level_rows(c.a, c.b, beta)
+        with mp.workdps(40):
+            m = mp.mpf(2) ** int(scale[i])
+            d = s1 / (1 + s0)
+            want = [float(x * m) for x in (s0, d, beta * beta * (s2 / (1 + s0) - d * d))]
+        got = [tail[i], mean[i], beta * beta * var[i]]
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-13 * w, (alpha, beta, got, want)
+
+
+def test_level_sums_stay_short_and_certified(monkeypatch):
+    # no point sums more than 256 levels, from beta = 1e-10 to 1e300, and the
+    # direct levels' certificate never fires there; summed past too few
+    # levels, it does
+    levels = []
+    real = thermo._tail_bounds
+    monkeypatch.setattr(thermo, "_tail_bounds", lambda a, b, bv, n: levels.append(n.max())
+                        or real(a, b, bv, n))
+    betas = np.concatenate((_GATE_BETAS, 10.0 ** np.arange(3.5, 300.5, 0.5)))
+    alphas = np.repeat(_GATE_ALPHAS, len(betas))
+    c = coefficients(OscillatorParams(alpha=alphas))
+    tail, mean, var, _ = thermo._boltzmann_levels(c.a, c.b, np.tile(betas, len(_GATE_ALPHAS)))
+    assert np.isfinite(tail).all() and np.isfinite(mean).all() and np.isfinite(var).all()
+    assert len(levels) == 1 and 1 <= levels[0] <= 256
+    monkeypatch.setattr(thermo, "_X_ROUNDING", 20.0)
+    with pytest.raises(NonConvergence, match="tail bound above rounding"):
+        thermo_sum_engine(C03, 1.0, 1.0)

@@ -5,12 +5,12 @@ thermodynamic quantities.
 Ground truth is the moment engine (``superstat_thermo`` with method
 'engine'): E(n) is quadratic, so Z_s and its two beta-derivatives are
 finite combinations of the closed-form moments J_0..J_4 of the excitation
-energy (``thermo._scaled_moments``, which also bounds the level-sum tails),
-with no adaptive quadrature.  The Gauss-Kronrod quadrature of the same
-integrals (method 'quadinf', ``superstat_partition_quadrature``) is the
-independent numerical route; both turn their moments into Z_s..C_s by the
-one assembly ``thermo._assemble``.  The typeset closed forms are
-reproduction targets.
+energy (``thermo._scaled_moments``, also the integral term of the level
+sums' Euler-Maclaurin rows), with no adaptive quadrature.  The
+Gauss-Kronrod quadrature of the same integrals (method 'quadinf',
+``superstat_partition_quadrature``) is the independent numerical route;
+both turn their moments into Z_s..C_s by the one assembly
+``thermo._assemble``.  The typeset closed forms are reproduction targets.
 
 The typeset Z_s appears twice in the source expressions with conflicting
 signs of its 2 a^3 sqrt(b) beta term; ``verbatim`` carries the standalone

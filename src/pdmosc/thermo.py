@@ -10,7 +10,7 @@ Two evaluation families coexist deliberately:
   n (``thermo_quadrature``, whose 'quad01' point is the audit's oracle for
   the closed forms).  Integrated moments of D = E - E_0 become columns by
   one assembly (``_assemble``), and their one closed form over [0, inf)
-  (``_scaled_moments``) serves the superstat engine and the tail bounds;
+  (``_scaled_moments``) serves the superstat engine and Euler-Maclaurin;
 * the closed-form evaluators reproduce the typeset expressions for U, C, S,
   F.  Those expressions carry typesetting defects, so each is available in
   two transcriptions: ``verbatim`` (exactly as typeset, including suspected
@@ -99,23 +99,18 @@ def _excitation(a, b, n):
 
 
 def _tail_bounds(a, b, bv, N):
-    """Upper bounds on sum_{n>N} D_n^k e^{-beta D_n}, k = 0, 1, 2 (rows), for
-    b > 0, elementwise.  Where beta D_N >= k row k decreases from n = N on,
-    so its tail is below its integral over [N, inf) (the integral test);
-    elsewhere the bound is +inf.  In t = N + s, D = D_N + L_N s + b s^2 with
-    L_N = a + 2b(N + 1), and the moments J'_j of L_N s + b s^2
-    (_scaled_moments at the coefficient a + 2bN, divided one beta at a time,
-    as beta^2 may overflow) give row k as e^{-beta D_N} times the binomial
-    sum_j C(k, j) D_N^{k-j} J'_j.  Where beta L_N or beta D_N overflows
-    (beta ~ 1e308), the J'_j and e^{-beta D_N} are +0, and so is the bound."""
-    d_n = _excitation(a, b, N)
-    with np.errstate(over="ignore"):
-        j0, j1, j2 = (_scaled_moments(a + 2.0 * b * N, b, bv)[:3]
-                      / (bv * (a + 2.0 * b * (N + 1.0))))
-        j1, j2 = j1 / bv, j2 / bv / bv
-        bounds = np.exp(-bv * d_n) * np.array(
-            [j0, d_n * j0 + j1, d_n * d_n * j0 + 2.0 * d_n * j1 + j2])
-        return np.where(bv * d_n >= np.arange(3.0)[:, None], bounds, math.inf)
+    """Upper bounds on sum_{n>N} t_n, t_n = D_n^k e^{-beta D_n}, k = 0, 1, 2 (rows),
+    b > 0, elementwise, by the ratio test: r_n = t_{n+1}/t_n = (D_{n+1}/D_n)^k
+    e^{-beta (D_{n+1} - D_n)} does not increase for n >= 1 (D_{n+1} - D_n = a + b (2n + 3)
+    rises), so the tail is at most t_{N+1}/(1 - r_{N+1}), +inf where r_{N+1} >= 1.
+    1 + 2^-40 covers the rounding of e^{-beta D_{N+1}} (745 * 4 ulp) and, where beta
+    D_{N+1} >= 43.6 (_direct_rows' N), of ln r; past beta D_{N+1} ~ 745 (also at beta
+    ~ 1e308) the bound is +0."""
+    d, step, k = _excitation(a, b, N + 1.0), a + b * (2.0 * N + 5.0), np.arange(3.0)[:, None]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # beta ~ 1e308; r = 1
+        log_r = k * np.log1p(step / d) - bv * step
+        bounds = (1.0 + 2.0 ** -40) * d ** k * np.exp(-bv * d) / -np.expm1(log_r)
+    return np.where(log_r < 0.0, bounds, math.inf)
 
 
 #: x^2 e^{-x} = eps at x = 43.6
@@ -165,17 +160,31 @@ def _euler_maclaurin_rows(a, b, bv) -> np.ndarray:
     return rows
 
 
+def _fsum_rows(terms, starts, counts):
+    """math.fsum of terms[k, s:s + n] >= 0 for every row k and (s, n) of starts and
+    counts, bit for bit: a long-double np.add.reduceat, within (n - 1) eps_ld of each
+    sum in any order, where that and its rounding stay inside half the gap to either
+    neighbouring double; fsum elsewhere (every row of 2+ terms if longdouble is double)."""
+    wide = np.add.reduceat(terms.astype(np.longdouble), starts, axis=1)
+    sums = wide.astype(float)
+    error = abs(wide - sums) + (counts - 1) * np.finfo(np.longdouble).eps * wide
+    gap = np.minimum(np.spacing(sums), np.spacing(np.nextafter(sums, 0.0)))
+    for k, i in zip(*np.nonzero((wide > 0.0) & (2.0 * error >= gap))):
+        sums[k, i] = math.fsum(terms[k, starts[i]:starts[i] + counts[i]].tolist())
+    return sums
+
+
 def _direct_rows(a, b, bv):
     """(rows, m): sum_{n=1}^{N} D_n^k w_n 2^m, k = 0, 1, 2 (rows), w_n =
     e^{-beta D_n}, elementwise, N the first level with x = beta (D_N - D_1)
     >= 43.6, where row k's tail is near x^k e^{-x} of its sum, below rounding.
-    Each term is formed in long double (80-bit where the platform has it)
-    and rounded once, since in double rounding beta D_n alone moves w_n by
-    ~1e-15 at beta D_n ~ 10, and each row is summed exactly rounded
-    (math.fsum).  m = 0 unless beta D_1 > 700, where 2^m ~ 1/w_1 keeps the
-    terms normal: a subnormal w_1 would cost S and C their digits.  The
-    integral test (_tail_bounds) certifies the truncation: a row whose
-    bound exceeds 2^-52 of its sum raises NonConvergence."""
+    Each term is formed in long double (80-bit where the platform has it) and
+    rounded once, since in double rounding beta D_n alone moves w_n by ~1e-15
+    at beta D_n ~ 10; the rows are exactly rounded sums (_fsum_rows).  m = 0
+    unless beta D_1 > 700, where 2^m ~ 1/w_1 keeps the terms normal: a
+    subnormal w_1 would cost S and C their digits.  The ratio test
+    (_tail_bounds) certifies the truncation: a row whose bound exceeds 2^-52 of
+    its sum raises NonConvergence."""
     # N: the root of b N^2 + (a + 2b) N = D_1 + 43.6/beta, rounded up
     lin, d_n = a + 2.0 * b, a + 3.0 * b + _X_ROUNDING / bv
     counts = np.ceil(2.0 * d_n / (lin + np.sqrt(lin * lin + 4.0 * b * d_n))).astype(np.int64)
@@ -184,14 +193,13 @@ def _direct_rows(a, b, bv):
     # capped where e^{-beta D} underflows in long double too
     m = np.where(x1 > _X_SUBNORMAL, np.minimum(x1, 11000.0) / math.log(2.0), 0.0
                  ).astype(np.int64)
-    ends = np.cumsum(counts)
+    starts = np.cumsum(counts) - counts
     point = np.repeat(np.arange(len(bv)), counts)
-    level = np.arange(ends[-1]) - np.repeat(ends - counts, counts) + np.longdouble(1.0)
+    level = np.arange(counts.sum()) - np.repeat(starts, counts) + np.longdouble(1.0)
     d = _excitation(a[point], b[point], level)
-    w = np.ldexp(np.exp(-bv[point] * d), m[point])
-    terms = np.array([w, d * w, d * d * w], dtype=float).tolist()
-    rows = np.array([[math.fsum(row[i - n:i]) for i, n in zip(ends.tolist(), counts.tolist())]
-                     for row in terms])
+    w = np.exp(-bv[point] * d)
+    w = np.ldexp(w, m[point]) if m.any() else w  # ldexp(w, 0) is w
+    rows = _fsum_rows(np.array([w, d * w, d * d * w], dtype=float), starts, counts)
     uncertified = (np.ldexp(_tail_bounds(a, b, bv, counts.astype(float)), m)
                    > np.ldexp(rows, -52)).any(axis=0)
     if uncertified.any():
@@ -200,7 +208,7 @@ def _direct_rows(a, b, bv):
     return rows, m
 
 
-def _boltzmann_levels(a, b, bv):
+def _boltzmann_levels(a, b, bv, in_u=False):
     """(tail, <D>, Var D, m) of the Boltzmann distribution over the levels
     in the ground-state gauge D_n = E_n - E_0, at every point i of
     equal-length arrays a, b and beta, where tail sums w_n = exp(-beta D_n)
@@ -218,7 +226,8 @@ def _boltzmann_levels(a, b, bv):
       come from Euler-Maclaurin (_euler_maclaurin_rows), within ~1e-15;
     * elsewhere from at most 176 levels summed directly (_direct_rows).
 
-    Where Var D overflows (beta below ~1e-154) NonConvergence is raised."""
+    On the first two, Var D overflows below beta ~ 1e-150 (inf or nan); with
+    in_u they give <u> and Var u = beta^2 Var D of u = beta D instead."""
     rows = np.zeros((3, len(bv)))
     m = np.zeros(len(bv), dtype=np.int64)
     geometric = b == 0.0
@@ -227,11 +236,10 @@ def _boltzmann_levels(a, b, bv):
     direct = ~(geometric | em)
     if direct.any():
         rows[:, direct], m[direct] = _direct_rows(a[direct], b[direct], bv[direct])
-    ag, x = a[geometric], -bv[geometric] * a[geometric]
-    # below beta ~ 1e-154 Var D overflows (inf, or inf - inf)
+    ag, x = (bv[geometric] if in_u else 1.0) * a[geometric], -bv[geometric] * a[geometric]
     with np.errstate(over="ignore", invalid="ignore"):
         if em.any():
-            r, bve = _euler_maclaurin_rows(a[em], b[em], bv[em]), bv[em]
+            r, bve = _euler_maclaurin_rows(a[em], b[em], bv[em]), 1.0 if in_u else bv[em]
             rows[:, em] = r[0], r[1] / bve, r[2] / bve / bve
         zred = 1.0 + np.ldexp(rows[0], -m)
         tail, mean = rows[0], rows[1] / zred
@@ -239,16 +247,12 @@ def _boltzmann_levels(a, b, bv):
         om = -np.expm1(x)
         t = np.exp(x) / om
         tail[geometric], mean[geometric], var[geometric] = t, ag * t, ag * t * (ag / om)
-    if not np.isfinite(var).all():
-        raise NonConvergence(f"Var D overflows at beta={bv[~np.isfinite(var)][0]:.17g}")
     return tail, mean, var, m
 
 
 def partition_sum(c, beta) -> float | np.ndarray:
-    """Z(beta) = sum_n exp(-beta E_n) = exp(-beta E_0) (1 + tail), the
-    reduced tail summed to rounding (_boltzmann_levels: exact geometric
-    series at b = 0, Euler-Maclaurin at high temperature, a certified level
-    sum elsewhere): thermo_sum_engine's Z, at one point or along a curve."""
+    """Z(beta) = sum_n exp(-beta E_n) = exp(-beta E_0) (1 + tail), the tail
+    summed to rounding: thermo_sum_engine's Z, at one point or along a curve."""
     return thermo_sum_engine(c, beta, 1.0).Z
 
 
@@ -338,16 +342,16 @@ def partition_quadrature(c: SpectrumCoefficients, beta, range_: str = "quad01",
 def thermo_sum_engine(c, beta, kB: float = 1.0) -> ThermoPoint:
     """Ground truth on the sum route: U = E_0 + <D> and C = kB beta^2 Var D
     from the exact moments of D_n = E_n - E_0 >= 0 over the Boltzmann
-    distribution of the levels (_boltzmann_levels: the exact geometric
-    series at b = 0, Euler-Maclaurin where beta (a + 2b) <= 0.25, a
-    certified sum of at most 176 levels elsewhere; always to rounding, so
+    distribution of the levels (_boltzmann_levels, always to rounding, so
     there is no tolerance), with g = ln(1 + tail) = ln Z + beta E_0
     giving S = kB (g + beta <D>) and F = E_0 - g/beta; Z is partition_sum's
     exp(-beta E_0) (1 + tail).  Moments of D never suffer the
     <E^2> - <E>^2 cancellation, so C stays accurate where it is
     exponentially small and |ln Z| is large.  Where the level sums carry a
     scale 2^m (w_1 near the subnormal range), S and C are formed at that
-    scale and rounded once, and g = tail there.
+    scale and rounded once, and g = tail there.  Where Var D overflows
+    (beta below ~1e-150), C and <D> come from the moments of u = beta D;
+    where F overflows (beta below ~1e-306) NonConvergence is raised.
 
     The coefficients may be arrays (an alpha curve) and beta an array (a
     beta curve), broadcast against each other to any shape (an alpha x beta
@@ -355,10 +359,9 @@ def thermo_sum_engine(c, beta, kB: float = 1.0) -> ThermoPoint:
     from one _boltzmann_levels call, each element bit for bit its one-point
     call.
 
-    The columns are not _assemble's: its ln G = ln(g0/(beta L)) takes the
-    log of the rounded zeroth moment 1 + tail, where S and F need
-    log1p(tail).  At (alpha, beta) = (0.02, 700) S = 5.2e-311 rests on the
-    tail alone, and the shared ln G would drop it."""
+    The columns are not _assemble's: its ln G = ln(g0/(beta L)) takes the log
+    of the rounded 1 + tail, where S and F need log1p(tail): at (alpha, beta)
+    = (0.02, 700) S = 5.2e-311 rests on the tail alone."""
     a, b, bv = np.broadcast_arrays(c.a, c.b, _beta_values(beta))
     tail, mean, var, m = (x.reshape(bv.shape) for x in
                           _boltzmann_levels(a.ravel(), b.ravel(), bv.ravel()))
@@ -368,8 +371,14 @@ def thermo_sum_engine(c, beta, kB: float = 1.0) -> ThermoPoint:
     z = exp_neg_product(bv, 0.5 * a, 0.5 * b) * (1.0 + unscaled)
     # where Var D has underflowed to 0, beta^2 may overflow: C is 0, not inf * 0
     bc = np.where(var == 0.0, 0.0, bv)
-    columns = (z, e0 + np.ldexp(mean, -m), np.ldexp(kB * bc * bc * var, -m),
-               np.ldexp(kB * (g + bv * mean), -m), e0 - np.ldexp(g, -m) / bv)
+    with np.errstate(over="ignore"):  # F overflows below beta ~ 1e-306
+        if (hot := ~np.isfinite(var)).any():  # Var D overflows: Var u = beta^2 Var D
+            _, u, var[hot], _ = _boltzmann_levels(a[hot], b[hot], bv[hot], in_u=True)
+            mean[hot], bc[hot] = u / bv[hot], 1.0
+        columns = (z, e0 + np.ldexp(mean, -m), np.ldexp(kB * bc * bc * var, -m),
+                   np.ldexp(kB * (g + bv * mean), -m), e0 - np.ldexp(g, -m) / bv)
+    if not np.isfinite(columns[4]).all():  # and U below beta ~ 3e-309
+        raise NonConvergence(f"F overflows at beta={bv[~np.isfinite(columns[4])][0]:.17g}")
     return _thermo_point(c, beta, bv, columns, "sum")
 
 
@@ -437,7 +446,7 @@ def _scaled_moments(a, b, bv) -> np.ndarray:
     weight = 1.0 / np.sqrt(1.0 + _LAG_U * inv_y2[rule][:, None])
     moments[:, rule] = [(row * weight).sum(axis=-1) for row in _LAG_ROWS]
     slow = ~rule
-    if slow.any():  # even empty, it costs an erfcx call: tail bounds seldom need it
+    if slow.any():  # even empty, it costs an erfcx call
         y = 0.5 * lin[slow] * np.sqrt(bv[slow] / b[slow])
         y2 = y * y
         recurrence = [_SQRT_PI * y * erfcx(y)]
@@ -489,11 +498,12 @@ def _assemble(c: SpectrumCoefficients, bv, qv, kB: float, moments):
           + qv * h * (e - 2.0 * h) * i3 + p2 * i4)
     r1 = g1 / g0
     lin = c.a + 2.0 * c.b
-    # where beta L overflows (beta ~ 1e308), divide by beta and by L in turn
-    with np.errstate(over="ignore"):
+    # beta L overflows at beta ~ 1e308: divide in turn; G underflows (q = 0): subtract logs
+    with np.errstate(over="ignore", divide="ignore"):
         bl = bv * lin
         big_g = np.where(np.isinf(bl), g0 / bv / lin, g0 / bl)
-    log_g = np.log(big_g) + 2.0 * math.log(2.0) * m
+        log_g = np.where(big_g < np.finfo(float).tiny, np.log(g0) - np.log(bv) - np.log(lin),
+                         np.log(big_g)) + 2.0 * math.log(2.0) * m
     return (np.ldexp(big_g * exp_neg_product(bv, 0.5 * c.a, 0.5 * c.b), 2 * m), e0 - r1 / bv,
             kB * (g2 / g0 - r1 * r1), kB * (log_g - r1), e0 - log_g / bv)
 

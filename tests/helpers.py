@@ -174,9 +174,9 @@ def mp_level_rows(a, b, beta, dps: int = 40, p: int = 12, levels: int = 40):
     so this is the reference for the level sums."""
     with mp.workdps(dps):
         a, b, bt = mp.mpf(a), mp.mpf(b), mp.mpf(beta)
-        if b == 0:
-            r = mp.exp(-bt * a)
-            return [r / (1 - r), a * r / (1 - r) ** 2, a * a * r * (1 + r) / (1 - r) ** 3]
+        if b == 0:  # 1 - r as -expm1, which keeps its digits at beta ~ 1e-300
+            r, om = mp.exp(-bt * a), -mp.expm1(-bt * a)
+            return [r / om, a * r / om ** 2, a * a * r * (1 + r) / om ** 3]
         rows = [mp.mpf(0)] * 3
         for n in range(1, levels):
             d = n * (a + b * (n + 2))

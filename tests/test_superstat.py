@@ -521,6 +521,34 @@ def test_engine_is_finite_where_beta_e0_squared_overflows(alpha, beta):
             assert abs(got - w) <= 1e-14 * abs(w), (q, got, w)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 0.9])
+@pytest.mark.parametrize("beta", [1e250, 1e300, 1e308])
+def test_engine_at_q0_where_g_underflows(alpha, beta):
+    # at q = 0 the power-of-two scale of the assembly makes g0 ~ 2^{-2m} and
+    # G = g0/(beta L) underflows from beta ~ 1e250: ln G is taken as a
+    # difference of logs, so S_s = 1 - ln(beta L) and F_s = E_0 to rounding,
+    # as the 40-digit continuum integrals give; a q mesh through these
+    # points keeps every element's bits
+    c = coefficients(OscillatorParams(alpha=alpha))
+    pt = superstat_thermo(c, beta, 0.0, method="engine")
+    with mp.workdps(40):
+        lin = mp.mpf(c.a) + 2 * mp.mpf(c.b)
+        s_want = float(1 - mp.log(mp.mpf(beta) * lin))
+        f_want = float((mp.mpf(c.a) + mp.mpf(c.b)) / 2 + mp.log(mp.mpf(beta) * lin) / beta)
+    assert pt.Zs == 0.0 and pt.Cs == 1.0
+    assert abs(pt.Ss - s_want) <= 1e-15 * abs(s_want) and pt.Fs == f_want == pt.Us
+    for got, w in zip((pt.Us, pt.Ss, pt.Fs, pt.Cs), _mp_engine_columns(c, beta, 0.0)):
+        assert abs(got - w) <= 1e-14 * abs(w), (got, w)
+    qs = np.array([0.0, 0.5, 1.0])
+    mesh = superstat_thermo(c, np.array([[2.0], [beta]]), qs, method="engine")
+    for i, bt in enumerate((2.0, beta)):
+        for j, q in enumerate(qs.tolist()):
+            one = superstat_thermo(c, bt, q, method="engine")
+            assert [getattr(mesh, f)[i, j] for f in ("Zs", "Us", "Ss", "Fs", "Cs")] == \
+                [one.Zs, one.Us, one.Ss, one.Fs, one.Cs]
+
+
 @pytest.mark.parametrize("beta", [3e5, 1e6])
 def test_quadrature_moments_raise_where_no_node_resolves_the_weight(beta):
     # e^{-u} underflows at every Gauss-Kronrod node, so each moment row

@@ -316,6 +316,21 @@ def test_cli_sum_point_where_beta_l_overflows(capsys):
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [["--alpha", "0.3", "--beta", "1e-200", "--method", "sum"],
+                                  ["--alpha", "0", "--beta", "1e-200", "--method", "sum"],
+                                  ["--alpha", "0.3", "--beta", "1e250", "--q", "0",
+                                   "--method", "engine"]])
+def test_cli_points_where_var_d_overflows_or_g_underflows(argv, capsys):
+    # Var D overflows at beta = 1e-200, and the q = 0 engine's G underflows at
+    # beta = 1e250: each point prints five finite values, without a warning
+    code, out = run_cli(["point"] + argv, capsys)
+    assert code == 0
+    fields = _fields(out)
+    names = routes.SUPERSTAT if "--q" in argv else routes.THERMO
+    assert all(math.isfinite(float(fields[k])) for k in names)
+
+
+@pytest.mark.filterwarnings("error")
 def test_cli_quadrature_and_engine_points_where_beta_l_overflows(capsys):
     # at alpha = 0.9 and beta = 1e308 beta L overflows: beta meets e^{-u} (a
     # quadrature row) or g0 (the engine's ln G) before L does, so the

@@ -511,16 +511,40 @@ def test_sum_alpha_curve_equals_its_points():
 
 
 def test_sum_batch_raises_where_its_point_does():
-    # beta is checked at every element; where Var D overflows (beta below
-    # ~1e-154) a point and a curve through it raise NonConvergence
+    # beta is checked at every element; where F overflows (beta below
+    # ~1e-306) a point and a curve through it raise NonConvergence
     with pytest.raises(ValueError, match="beta must be positive"):
         thermo_sum_engine(C03, np.array([1.0, 0.0]), 1.0)
     c = coefficients(OscillatorParams(alpha=1e-9))
     for cs in (c, C00):
-        with pytest.raises(NonConvergence, match="Var D overflows"):
-            thermo_sum_engine(cs, 1e-200, 1.0)
-    with pytest.raises(NonConvergence, match="Var D overflows"):
-        thermo_sum_engine(_curve((C03, c, C09)), np.array([1.0, 1e-200, 2.0]), 1.0)
+        with pytest.raises(NonConvergence, match="F overflows at beta=1e-306"):
+            thermo_sum_engine(cs, 1e-306, 1.0)
+    with pytest.raises(NonConvergence, match="F overflows"):
+        thermo_sum_engine(_curve((C03, c, C09)), np.array([1.0, 1e-307, 2.0]), 1.0)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1e-9, 0.3])
+def test_sum_route_where_var_d_overflows(alpha):
+    # below beta ~ 1e-150 Var D overflows, but C = beta^2 Var D -> kB/2 for
+    # b > 0 and kB at b = 0: the moments of u = beta D give all five within
+    # 1e-13 of the 40-digit level sums, and a curve through these points
+    # and an ordinary one is bit for bit its points
+    c = coefficients(OscillatorParams(alpha=alpha))
+    betas = [1e-160, 1e-200, 1e-300]
+    for beta in betas:
+        s0, s1, s2 = mp_level_rows(c.a, c.b, beta)
+        with mp.workdps(40):
+            bt, e0 = mp.mpf(beta), (mp.mpf(c.a) + mp.mpf(c.b)) / 2
+            z, mean, g = 1 + s0, s1 / (1 + s0), mp.log1p(s0)
+            want = [float(x) for x in (mp.exp(-bt * e0) * z, e0 + mean,
+                                       bt * bt * (s2 / z - mean * mean), g + bt * mean,
+                                       e0 - g / bt)]
+        pt = thermo_sum_engine(c, beta, 1.0)
+        for got, w in zip((pt.Z, pt.U, pt.C, pt.S, pt.F), want):
+            assert abs(got - w) <= 1e-13 * abs(w), (alpha, beta, got, w)
+        assert abs(pt.C - (1.0 if alpha == 0.0 else 0.5)) < 1e-13
+    _assert_points([c] * 4, betas + [2.0], 1.0,
+                   thermo_sum_engine(_curve([c] * 4), np.array(betas + [2.0]), 1.0))
 
 
 @pytest.mark.parametrize("alpha,beta", [(1e-9, 5e-5), (1e-9, 1e-8), (0.02, 1e-8)])
@@ -565,67 +589,121 @@ def test_sum_heat_capacity_is_zero_where_beta_squared_overflows(c):
 
 # -- the level-sum tail bounds -------------------------------------------------
 
-def _mp_tail(a, b, beta, N, rows):
-    """Rows k = 0 .. rows - 1 of (integral over t in [N, inf), sum over n > N) of
-    D^k e^{-beta D} at 40 digits.  The integral runs over t = N + s,
-    D = D_N + L_N s + b s^2, with breakpoints at the decay length
-    1/(beta L_N) and e^{-beta D_N} taken out of the integrand (inside, it
-    costs mpmath's quadrature 1e-8 at beta = 40); the sum stops once a
-    term, past the peak of every row, falls below 1e-45 of its row."""
+def _mp_tail(a, b, beta, N):
+    """Rows k = 0, 1, 2 of (the ratio bound t_{N+1}/(1 - r) and its ratio to
+    e^{-beta D_{N+1}}, or None where r >= 1, and the sum over n > N) of
+    t_n = D^k e^{-beta D} at 40 digits, r = t_{N+2}/t_{N+1}; the sum stops
+    once a term, past the peak of every row, falls below 1e-45 of its row."""
     with mp.workdps(40):
         a, b, bt = mp.mpf(a), mp.mpf(b), mp.mpf(beta)
 
-        def d(t):
-            return t * (a + b * (t + 2))
+        def d(n):
+            return n * (a + b * (n + 2))
 
-        lin = a + 2 * b * (N + 1)
-        scale = 1 / (bt * lin)
-        integrals = [mp.exp(-bt * d(N)) * mp.quad(
-            lambda s: (d(N) + lin * s + b * s * s) ** k * mp.exp(-bt * (lin * s + b * s * s)),
-            [0, scale, 10 * scale, mp.inf]) for k in range(rows)]
-        sums, n = [mp.mpf(0)] * rows, N + 1
+        def t(n):
+            return [d(n) ** k * mp.exp(-bt * d(n)) for k in range(3)]
+
+        ratios = [y / x for x, y in zip(t(N + 1), t(N + 2))]
+        bounds = [(x / (1 - r), x / (1 - r) * mp.exp(bt * d(N + 1))) if r < 1 else None
+                  for x, r in zip(t(N + 1), ratios)]
+        sums, n = [mp.mpf(0)] * 3, N + 1
         while True:
-            dn = d(n)
-            w = mp.exp(-bt * dn)
-            terms = [w, dn * w, dn * dn * w][:rows]
-            sums = [s + t for s, t in zip(sums, terms)]
-            if all(t < mp.mpf(10) ** -45 * s for t, s in zip(terms, sums)):
-                return integrals, sums
+            terms = t(n)
+            sums = [s + x for s, x in zip(sums, terms)]
+            if all(x < mp.mpf(10) ** -45 * s for x, s in zip(terms, sums)):
+                return bounds, sums
             n += 1
 
 
-def test_tail_bounds_are_the_tail_integral_and_bound_the_tail_sum():
-    # the integral test, from one closed-form moment call: row k equals the
-    # integral of D^k e^{-beta D} over [N, inf), and lies above the sum it
-    # bounds, wherever beta D_N >= k makes the row decrease (at 35 of the
-    # 48 points every row, at 6 rows 0 and 1, at 7 row 0 alone); both as
-    # doubles, since past beta D_N ~ 745 (beta = 40, N = 20) the tails
-    # underflow
-    checked = 0
+def test_tail_bounds_are_the_ratio_bound_and_bound_the_tail_sum():
+    # the ratio test, elementwise in doubles: row k is t_{N+1}/(1 - r) times
+    # 1 + 2^-40 (the stated rounding cover) within 1e-13, lies above the sum
+    # it bounds, and is +inf where r >= 1 (at 12 of the 48 points row 2, at
+    # 7 of them row 1 too); where e^{-beta D_{N+1}} is subnormal it carries an error
+    # of up to half its last place, and past beta D_{N+1} ~ 745 it is +0
+    finite = infinite = 0
     for alpha in (1e-6, 0.02, 0.3, 0.9):
         c = coefficients(OscillatorParams(alpha=alpha))
         for beta in (0.05, 0.5, 3.0, 40.0):
             for n in (2, 5, 20):
-                rows = min(3, math.floor(beta * n * (c.a + c.b * (n + 2.0))) + 1)
                 bounds = thermo._tail_bounds(np.array([c.a]), np.array([c.b]), np.array([beta]),
-                                             np.array([float(n)]))[:rows, 0].tolist()
-                integrals, sums = _mp_tail(c.a, c.b, beta, n, rows)
-                for bound, integral, total in zip(bounds, integrals, sums):
-                    assert abs(bound - integral) <= 1e-13 * integral + 1e-320, (alpha, beta, n)
+                                             np.array([float(n)]))[:, 0].tolist()
+                refs, sums = _mp_tail(c.a, c.b, beta, n)
+                for bound, ref, total in zip(bounds, refs, sums):
+                    if ref is None:
+                        assert bound == math.inf, (alpha, beta, n)
+                        infinite += 1
+                        continue
+                    want, scale = float(ref[0] * (1 + mp.mpf(2) ** -40)), float(ref[1])
+                    assert abs(bound - want) <= 1e-13 * want + 5e-324 * scale, (alpha, beta, n)
                     assert bound >= float(total), (alpha, beta, n)
-                checked += rows
-    assert checked == 3 * 35 + 2 * 6 + 7
+                    finite += 1
+    assert (finite, infinite) == (3 * 48 - 19, 19)
 
 
 def test_tail_bound_is_inf_where_the_terms_still_rise():
-    # D^k e^{-beta D} rises until beta D = k: below, the integral test does
-    # not hold, and the row is not certified
-    n = np.array([2.0, 2.0, 2.0])
-    bv = np.array([0.5, 1.5, 2.5]) / (2.0 * (C03.a + C03.b * 4.0))
-    bounds = thermo._tail_bounds(np.full(3, C03.a), np.full(3, C03.b), bv, n)
+    # at N = 2 row k's ratio r = (D_4/D_3)^k e^{-beta (D_4 - D_3)} reaches 1 at
+    # beta = k ln(D_4/D_3)/(D_4 - D_3): below, the tail is not certified
+    d3, d4 = 3.0 * (C03.a + 5.0 * C03.b), 4.0 * (C03.a + 6.0 * C03.b)
+    bv = np.array([0.5, 1.5, 2.5]) * math.log(d4 / d3) / (d4 - d3)
+    bounds = thermo._tail_bounds(np.full(3, C03.a), np.full(3, C03.b), bv, np.full(3, 2.0))
     assert np.isfinite(bounds[0]).all()
     assert bounds[1, 0] == math.inf and np.isfinite(bounds[1, 1:]).all()
     assert (bounds[2, :2] == math.inf).all() and math.isfinite(bounds[2, 2])
+
+
+def _fsum_reference(terms, starts, counts):
+    return [[math.fsum(row[s:s + n]) for s, n in zip(starts.tolist(), counts.tolist())]
+            for row in terms.tolist()]
+
+
+def _fsum_calls(monkeypatch):
+    """The argument lists of every math.fsum call from here on, as tuples."""
+    calls, real = [], math.fsum
+    monkeypatch.setattr(math, "fsum", lambda xs: calls.append(tuple(xs)) or real(xs))
+    return calls
+
+
+def test_vectorised_row_sums_are_math_fsum_bit_for_bit(monkeypatch):
+    # random rows of up to 176 levels, an all-zero row, and rows built to sit
+    # within the long-double bound of a rounding midpoint of the double: the
+    # fallback fires on each of those, and at [1, 2^-53, 2^-73] (exact sum
+    # above the midpoint 1 + 2^-53) any long-double or double sum rounds to 1,
+    # where the exactly rounded sum is 1 + 2^-52
+    rng = np.random.default_rng(7)
+    built = [[1.0, 2.0 ** -53, 2.0 ** -73], [0.75, 2.0 ** -54, 2.0 ** -70],
+             [1.0, 2.0 ** -53], [0.5, 0.5 - 2.0 ** -54, 2.0 ** -80],
+             [3.0 * 2.0 ** -600, 2.0 ** -652, 2.0 ** -700], [0.0] * 4]
+    counts = np.concatenate((rng.integers(1, 177, 400), [len(row) for row in built]))
+    starts = np.cumsum(counts) - counts
+    terms = np.exp(-rng.uniform(0.0, 40.0, (3, counts.sum()))) * 2.0 ** rng.integers(-600, 600)
+    for start, row in zip(starts[-len(built):], built):
+        terms[:, start:start + len(row)] = row
+    want = _fsum_reference(terms, starts, counts)
+    assert want[0][-6] == 1.0 + 2.0 ** -52
+    assert float(sum(np.longdouble(x) for x in built[0])) == 1.0
+    calls = _fsum_calls(monkeypatch)
+    assert thermo._fsum_rows(terms, starts, counts).tolist() == want
+    for row in built:
+        assert calls.count(tuple(row)) == (3 if any(row) else 0)
+    # (n - 1) eps_ld is a worst case: about one random row in eight falls back
+    assert len(calls) < 0.2 * 3 * len(counts)
+
+
+def test_level_rows_are_math_fsum_of_their_terms(monkeypatch):
+    # from beta = 1e-10 to 1e300, every direct level row is math.fsum of the
+    # double terms it sums, and math.fsum runs on few rows
+    seen = []
+    real = thermo._fsum_rows
+    monkeypatch.setattr(thermo, "_fsum_rows", lambda *args: seen.append(args) or real(*args))
+    betas = np.concatenate((_GATE_BETAS, 10.0 ** np.arange(3.5, 300.5, 0.5)))
+    c = coefficients(OscillatorParams(alpha=np.repeat(_GATE_ALPHAS, len(betas))))
+    calls = _fsum_calls(monkeypatch)
+    thermo._boltzmann_levels(c.a, c.b, np.tile(betas, len(_GATE_ALPHAS)))
+    fallbacks = len(calls)
+    (terms, starts, counts), = seen
+    assert real(terms, starts, counts).tolist() == _fsum_reference(terms, starts, counts)
+    assert 0 < fallbacks < 0.05 * 3 * len(counts)
 
 
 def test_sum_presets_and_audit_certify_every_series_at_its_first_guess(monkeypatch):

@@ -67,26 +67,21 @@ def state(values: dict, units: str = "natural", b_convention: str = "spectrum",
                  values.get("q", 0.0), values.get("n", 0), transcription, tol)
 
 
-def _superstat_point(m: str) -> Callable:
-    return lambda s: superstat.superstat_thermo(s.c, s.beta, s.q, s.kB, s.tol, method=m,
-                                                transcription=s.transcription)
-
-
-def _sum_point(s: State) -> thermo.ThermoPoint:
-    return thermo.thermo_sum_engine(s.c, s.beta, s.kB)
-
-
 #: family -> method -> builder of the whole point
 POINTS: dict[str, dict[str, Callable]] = {
     "thermo": {
-        "sum": _sum_point,
-        "engine": _sum_point,
+        **dict.fromkeys(("sum", "engine"), lambda s: thermo.thermo_sum_engine(s.c, s.beta, s.kB)),
         "closed": lambda s: thermo.thermo_closed_point(s.c, s.beta, s.kB, s.transcription),
         **{m: (lambda s, m=m: thermo.thermo_quadrature(s.c, s.beta, m, s.kB, s.tol))
            for m in ("quad01", "quadinf")},
     },
-    "superstat": {"sum": _superstat_point("engine"),
-                  **{m: _superstat_point(m) for m in ("engine", "quadinf", "closed")}},
+    "superstat": {
+        **dict.fromkeys(("sum", "engine"),
+                        lambda s: superstat.superstat_thermo(s.c, s.beta, s.q, s.kB)),
+        "quadinf": lambda s: superstat.superstat_quadrature(s.c, s.beta, s.q, s.kB, s.tol),
+        "closed": lambda s: superstat.superstat_closed_point(s.c, s.beta, s.q, s.kB,
+                                                             s.transcription),
+    },
 }
 
 #: (quantity, method) -> evaluator; later entries override earlier ones

@@ -2,15 +2,17 @@
 partition function (quadrature and typeset closed form), and the deformed
 thermodynamic quantities.
 
-Ground truth is the moment engine (``superstat_thermo`` with method
-'engine'): E(n) is quadratic, so Z_s and its two beta-derivatives are
-finite combinations of the closed-form moments J_0..J_4 of the excitation
-energy (``thermo._scaled_moments``, also the integral term of the level
-sums' Euler-Maclaurin rows), with no adaptive quadrature.  The
-Gauss-Kronrod quadrature of the same integrals (method 'quadinf',
+Ground truth is the moment engine (``superstat_thermo``): E(n) is
+quadratic, so Z_s and its two beta-derivatives are finite combinations of
+the closed-form moments J_0..J_4 of the excitation energy
+(``thermo._scaled_moments``, also the integral term of the level sums'
+Euler-Maclaurin rows), with no adaptive quadrature.  The Gauss-Kronrod
+quadrature of the same integrals (``superstat_quadrature``, whose Z_s is
 ``superstat_partition_quadrature``) is the independent numerical route;
 both turn their moments into Z_s..C_s by the one assembly
-``thermo._assemble``.  The typeset closed forms are reproduction targets.
+``thermo._assemble``.  The typeset closed forms are reproduction targets,
+all five at once from ``superstat_closed_point``.  Each method is one
+function, which routes.POINTS names.
 
 The typeset Z_s appears twice in the source expressions with conflicting
 signs of its 2 a^3 sqrt(b) beta term; ``verbatim`` carries the standalone
@@ -34,7 +36,7 @@ import numpy as np
 
 from .numerics import Tolerance, erfcx, erfcx_derivatives
 from .spectrum import SpectrumCoefficients
-from .thermo import (_assemble, _beta_values, _check_transcription, _factor_q,
+from .thermo import (_assemble, _beta_values, _check_transcription, _factor_q, _point,
                      _quadrature_moments, _require_regular, _saturating, _scaled_moments,
                      _shaped, _weight_integrals)
 
@@ -52,9 +54,9 @@ class SuperstatPoint:
     q: float | np.ndarray
     Zs: float
     Us: float
+    Cs: float
     Ss: float
     Fs: float
-    Cs: float
     method: str
 
 
@@ -295,20 +297,22 @@ def _heat_capacity(bv, x1, eds, pieces, big, kB: float):
 
 
 @_saturating
-def _closed_columns(c: SpectrumCoefficients, beta, q, kB: float, transcription: str) -> dict:
-    """The five closed forms from one erfcx_derivatives(x1) and one
-    _bracket_pieces, each bit for bit its single-quantity function, as
-    arrays over the broadcast of the coefficients, beta and q."""
-    bv, qv, sign, x1 = _closed_args(c, beta, q, transcription)
+def superstat_closed_point(c: SpectrumCoefficients, beta, q, kB: float = 1.0,
+                           transcription: str = "verbatim") -> SuperstatPoint:
+    """The typeset Z_s, U_s, S_s, F_s and the exact C_s of the closed Z_s
+    from one erfcx_derivatives(x1) and one _bracket_pieces, each bit for bit
+    its single-quantity function: floats at one (beta, q), arrays over the
+    broadcast of the coefficients, beta and q otherwise."""
+    bv, qv = _mesh(beta, q)
+    _, qf, sign, x1 = _closed_args(c, bv, qv, transcription)
     eds = erfcx_derivatives(x1)
     ex = eds[0]
-    pieces = _bracket_pieces(c, bv, qv, sign)
+    pieces = _bracket_pieces(c, bv, qf, sign)
     bracket = _bracket(pieces, ex)
-    return {"Zs": _partition(c, bv, bracket),
-            "Us": _mean_energy(c, bv, qv, sign, x1, ex, bracket),
-            "Ss": _entropy(c, bv, qv, sign, x1, ex, bracket, kB),
-            "Fs": _free_energy(c, bv, bracket),
-            "Cs": _heat_capacity(bv, x1, eds, pieces, bracket, kB)}
+    return _point(SuperstatPoint, (c.a, beta, q), "closed", bv, qv,
+                  _partition(c, bv, bracket), _mean_energy(c, bv, qf, sign, x1, ex, bracket),
+                  _heat_capacity(bv, x1, eds, pieces, bracket, kB),
+                  _entropy(c, bv, qf, sign, x1, ex, bracket, kB), _free_energy(c, bv, bracket))
 
 
 # ---------------------------------------------------------------------------
@@ -328,35 +332,24 @@ def excitation_moments(c: SpectrumCoefficients, beta) -> tuple[float, ...]:
 # Assembled superstatistical thermodynamics
 # ---------------------------------------------------------------------------
 
-def superstat_thermo(c: SpectrumCoefficients, beta, q, kB: float = 1.0,
-                     tol: Tolerance = Tolerance(), method: str = "engine",
-                     transcription: str = "verbatim") -> SuperstatPoint:
-    """All superstatistical quantities at one (beta, q), or along a curve:
-    the coefficients, beta and q may each be arrays, which broadcast
-    against each other, and every element is bit for bit its point.
-
-    method 'engine' (ground truth) assembles Z_s, U_s, S_s, F_s and C_s
+def superstat_thermo(c: SpectrumCoefficients, beta, q, kB: float = 1.0) -> SuperstatPoint:
+    """The ground truth ('engine'): Z_s, U_s, S_s, F_s and C_s assembled
     (thermo._assemble) from the closed-form moments J_0..J_4 of the
     excitation energy over n in [0, inf) (thermo._scaled_moments), taken
-    once over the broadcast of the coefficients and beta, whatever q; it
-    runs no quadrature, and tol is unused.
-    method 'quadinf' is the numerical route: the same assembly of the same
-    moments, taken as rows of one batched Gauss-Kronrod quadrature that do
-    not read q, and a Z_s bit for bit superstat_partition_quadrature.
-    method 'closed' evaluates the typeset Z_s, U_s, S_s, F_s and the exact
-    C_s of the closed Z_s from one erfcx_derivatives(x1) (_closed_columns).
-    """
+    once over the broadcast of the coefficients and beta, whatever q; no
+    quadrature.  The coefficients, beta and q may each be arrays, which
+    broadcast against each other, and every element is bit for bit its
+    point."""
     bv, qv = _mesh(beta, q)
-    if method == "closed":
-        columns = _closed_columns(c, bv, qv, kB, transcription)
-    elif method in ("engine", "quadinf"):
-        columns = dict(zip(("Zs", "Us", "Cs", "Ss", "Fs"),
-                           _assemble(c, bv, qv, kB, _scaled_moments(c.a, c.b, bv))
-                           if method == "engine"
-                           else _quadrature_moments(c, bv, qv, math.inf, kB, tol)))
-    else:
-        raise ValueError("method must be 'engine', 'quadinf' or 'closed'")
-    if np.ndim(c.a) == np.ndim(beta) == np.ndim(q) == 0:
-        return SuperstatPoint(bv.item(), qv.item(), method=method,
-                              **{qn: v.item() for qn, v in columns.items()})
-    return SuperstatPoint(bv, qv, method=method, **columns)
+    return _point(SuperstatPoint, (c.a, beta, q), "engine", bv, qv,
+                  *_assemble(c, bv, qv, kB, _scaled_moments(c.a, c.b, bv)))
+
+
+def superstat_quadrature(c: SpectrumCoefficients, beta, q, kB: float = 1.0,
+                         tol: Tolerance = Tolerance()) -> SuperstatPoint:
+    """The numerical route ('quadinf'): superstat_thermo's assembly of the
+    same moments, taken as rows of one batched Gauss-Kronrod quadrature that
+    do not read q, and a Z_s bit for bit superstat_partition_quadrature."""
+    bv, qv = _mesh(beta, q)
+    return _point(SuperstatPoint, (c.a, beta, q), "quadinf", bv, qv,
+                  *_quadrature_moments(c, bv, qv, math.inf, kB, tol))

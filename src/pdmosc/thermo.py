@@ -80,12 +80,13 @@ class ThermoPoint:
     method: str
 
 
-def _thermo_point(c: SpectrumCoefficients, beta, bv, columns, method: str) -> ThermoPoint:
-    """The ThermoPoint of the (Z, U, C, S, F) columns: floats where the
-    coefficients and beta are floats, else the arrays."""
-    if np.ndim(beta) == np.ndim(c.a) == 0:
-        return ThermoPoint(bv.item(), *(col.item() for col in columns), method=method)
-    return ThermoPoint(bv, *columns, method=method)
+def _point(kind, params, method: str, *fields):
+    """kind(*fields, method=method), the point of a ThermoPoint or SuperstatPoint
+    builder: each field (the checked beta, q for superstat, then each quantity) a
+    float where every parameter (the coefficient a, beta, and q for superstat) is a
+    float, else the array."""
+    floats = all(np.ndim(p) == 0 for p in params)
+    return kind(*(f.item() if floats else f for f in fields), method=method)
 
 
 # ---------------------------------------------------------------------------
@@ -162,12 +163,16 @@ def _euler_maclaurin_rows(a, b, bv) -> np.ndarray:
 
 def _fsum_rows(terms, starts, counts):
     """math.fsum of terms[k, s:s + n] >= 0 for every row k and (s, n) of starts and
-    counts, bit for bit: a long-double np.add.reduceat, within (n - 1) eps_ld of each
-    sum in any order, where that and its rounding stay inside half the gap to either
-    neighbouring double; fsum elsewhere (every row of 2+ terms if longdouble is double)."""
+    counts, bit for bit: a long-double np.add.reduceat, within gamma_{n-1}/(1 - gamma_{n-1})
+    of the computed sum in any order (Higham, ASNA 4.2; gamma_k = k u/(1 - k u) with the
+    unit roundoff u = eps_ld/2), where that and its rounding stay inside half the gap to
+    either neighbouring double; fsum elsewhere (every row of 2+ terms if longdouble is
+    double).  The factor 1 + 2^-40 covers the second-order terms, and the rounding of
+    the bound itself, while n < 2^20."""
     wide = np.add.reduceat(terms.astype(np.longdouble), starts, axis=1)
     sums = wide.astype(float)
-    error = abs(wide - sums) + (counts - 1) * np.finfo(np.longdouble).eps * wide
+    unit = np.finfo(np.longdouble).eps / 2.0
+    error = abs(wide - sums) + (counts - 1) * (1.0 + 2.0 ** -40) * unit * wide
     gap = np.minimum(np.spacing(sums), np.spacing(np.nextafter(sums, 0.0)))
     for k, i in zip(*np.nonzero((wide > 0.0) & (2.0 * error >= gap))):
         sums[k, i] = math.fsum(terms[k, starts[i]:starts[i] + counts[i]].tolist())
@@ -184,7 +189,11 @@ def _direct_rows(a, b, bv):
     unless beta D_1 > 700, where 2^m ~ 1/w_1 keeps the terms normal: a
     subnormal w_1 would cost S and C their digits.  The ratio test
     (_tail_bounds) certifies the truncation: a row whose bound exceeds 2^-52 of
-    its sum raises NonConvergence."""
+    its sum raises NonConvergence.  The bound is compared unscaled: where m > 0
+    it is +0 and there is nothing left to certify, since beta D_1 > 700 puts the
+    root of N below 1.07, so N = 2 and beta D_3 >= 3 beta D_1 > 2100, and the tail
+    past level 2 is below (D_3/D_1)^2 e^{-beta (D_3 - D_1)} <= 25 e^{-1400} of
+    its row."""
     # N: the root of b N^2 + (a + 2b) N = D_1 + 43.6/beta, rounded up
     lin, d_n = a + 2.0 * b, a + 3.0 * b + _X_ROUNDING / bv
     counts = np.ceil(2.0 * d_n / (lin + np.sqrt(lin * lin + 4.0 * b * d_n))).astype(np.int64)
@@ -200,8 +209,8 @@ def _direct_rows(a, b, bv):
     w = np.exp(-bv[point] * d)
     w = np.ldexp(w, m[point]) if m.any() else w  # ldexp(w, 0) is w
     rows = _fsum_rows(np.array([w, d * w, d * d * w], dtype=float), starts, counts)
-    uncertified = (np.ldexp(_tail_bounds(a, b, bv, counts.astype(float)), m)
-                   > np.ldexp(rows, -52)).any(axis=0)
+    uncertified = (_tail_bounds(a, b, bv, counts.astype(float)) > np.ldexp(rows, -52)
+                   ).any(axis=0)
     if uncertified.any():
         raise NonConvergence(
             f"level sum tail bound above rounding at beta={bv[uncertified][0]:.17g}")
@@ -379,7 +388,7 @@ def thermo_sum_engine(c, beta, kB: float = 1.0) -> ThermoPoint:
                    np.ldexp(kB * (g + bv * mean), -m), e0 - np.ldexp(g, -m) / bv)
     if not np.isfinite(columns[4]).all():  # and U below beta ~ 3e-309
         raise NonConvergence(f"F overflows at beta={bv[~np.isfinite(columns[4])][0]:.17g}")
-    return _thermo_point(c, beta, bv, columns, "sum")
+    return _point(ThermoPoint, (c.a, beta), "sum", bv, *columns)
 
 
 def _factor_q(E, bv, qv: float):
@@ -579,8 +588,8 @@ def thermo_quadrature(c: SpectrumCoefficients, beta, range_: str = "quad01",
     each quantity as arrays, all from one batched quadrature, each element
     bit for bit its float call."""
     bv = _beta_values(beta)
-    return _thermo_point(c, beta, bv, _quadrature_moments(c, bv, 0.0, _upper(range_), kB, tol),
-                         range_)
+    return _point(ThermoPoint, (c.a, beta), range_, bv,
+                  *_quadrature_moments(c, bv, 0.0, _upper(range_), kB, tol))
 
 
 # ---------------------------------------------------------------------------
@@ -725,7 +734,7 @@ def thermo_closed_point(c: SpectrumCoefficients, beta, kB: float = 1.0,
     array."""
     bv, xa = _xargs(c, beta, transcription)
     lnz = _log_partition(c, bv, xa)
-    return _thermo_point(c, beta, bv, (
-        _partition(c, bv, xa), _mean_energy(c, bv, xa, transcription),
-        _heat_capacity(c, bv, xa, kB, transcription),
-        _entropy(c, bv, xa, kB, transcription, lnz), -lnz / bv), "closed")
+    return _point(ThermoPoint, (c.a, beta), "closed", bv,
+                  _partition(c, bv, xa), _mean_energy(c, bv, xa, transcription),
+                  _heat_capacity(c, bv, xa, kB, transcription),
+                  _entropy(c, bv, xa, kB, transcription, lnz), -lnz / bv)

@@ -138,7 +138,7 @@ def test_criterion_5_superstat_q0_limit_and_identity():
             vals = [superstat_partition_quadrature(c, beta, q, QTOL) for q in qs]
             mono_ok &= all(v2 >= v1 for v1, v2 in zip(vals, vals[1:]))
             for q in (0.0, 0.5, 1.0):
-                pt = superstat_thermo(c, beta, q, 1.0, QTOL, method="engine")
+                pt = superstat_thermo(c, beta, q, 1.0)
                 lnzs = math.log(superstat_partition_quadrature(c, beta, q, QTOL))
                 scale = max(abs(pt.Ss), abs(lnzs) + beta * abs(pt.Us))
                 worst_id = max(worst_id, abs(pt.Ss - (lnzs + beta * pt.Us)) / scale)
@@ -151,7 +151,7 @@ def test_criterion_6_superstat_spot_values():
     """b=0 route at beta=1: Z_s(q=0) = e^{-1/2}, U_s(q=0) = 3/2 via the
     moment engine, both to 1e-6."""
     c = coefficients(OscillatorParams(alpha=0.0))
-    pt = superstat_thermo(c, 1.0, 0.0, 1.0, QTOL, method="engine")
+    pt = superstat_thermo(c, 1.0, 0.0, 1.0)
     z_ref = math.exp(-0.5)
     rz = abs(pt.Zs - z_ref) / z_ref
     ru = abs(pt.Us - 1.5) / 1.5

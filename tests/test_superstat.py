@@ -12,10 +12,11 @@ from hypothesis import assume, example, given, settings, strategies as st
 from pdmosc import (B_MIN, NonConvergence, OscillatorParams, SingularLimit, SpectrumCoefficients,
                     Tolerance, boltzmann_factor_q, coefficients, entropy_superstat_closed,
                     free_energy_superstat_closed, heat_capacity_superstat_closed,
-                    integrate_batch,
-                    log_superstat_partition_closed, mean_energy_superstat_closed,
-                    partition_quadrature, partition_sum, superstat_partition_closed,
-                    superstat_partition_quadrature, superstat_thermo, thermo_quadrature)
+                    integrate_batch, log_superstat_partition_closed,
+                    mean_energy_superstat_closed, partition_quadrature, partition_sum, routes,
+                    superstat_closed_point, superstat_partition_closed,
+                    superstat_partition_quadrature, superstat_quadrature, superstat_thermo,
+                    thermo_quadrature)
 
 from pdmosc.superstat import excitation_moments
 from pdmosc.thermo import _assemble
@@ -30,6 +31,9 @@ C01 = coefficients(OscillatorParams(alpha=0.1))
 C03 = coefficients(OscillatorParams(alpha=0.3))
 C09 = coefficients(OscillatorParams(alpha=0.9))
 
+#: the point builder of each superstat method: engine, quadinf, closed
+BUILDERS = (superstat_thermo, superstat_quadrature, superstat_closed_point)
+
 
 def test_q_validation():
     # 0 <= q <= 1, NaN refused, at every entry point that takes q
@@ -38,20 +42,20 @@ def test_q_validation():
             boltzmann_factor_q(1.0, 1.0, q)
         with pytest.raises(ValueError, match="q must lie in"):
             superstat_partition_quadrature(C03, 1.0, q)
-        for method in ("engine", "quadinf", "closed"):
+        for point in BUILDERS:
             with pytest.raises(ValueError, match="q must lie in"):
-                superstat_thermo(C03, 1.0, q, method=method)
+                point(C03, 1.0, q)
     for q in (0.0, 1.0):
         assert boltzmann_factor_q(1.0, 1.0, q) >= boltzmann_factor_q(1.0, 1.0, 0.0)
         assert superstat_thermo(C03, 1.0, q).q == q
 
 
 def test_points_hold_floats_or_checked_float_arrays():
-    for method in ("engine", "quadinf", "closed"):
-        pt = superstat_thermo(C03, 2, 1, method=method)
+    for point in BUILDERS:
+        pt = point(C03, 2, 1)
         assert type(pt.beta) is float and type(pt.q) is float
         assert (pt.beta, pt.q) == (2.0, 1.0)
-        curve = superstat_thermo(C03, [0.5, 2.0], [0.0, 1.0], method=method)
+        curve = point(C03, [0.5, 2.0], [0.0, 1.0])
         for got, given in ((curve.beta, [0.5, 2.0]), (curve.q, [0.0, 1.0])):
             assert isinstance(got, np.ndarray) and got.dtype == np.float64
             assert got.tolist() == given
@@ -175,7 +179,7 @@ def test_closed_singular_guard():
              heat_capacity_superstat_closed)
     for beta in (1.0, np.array([0.5, 1.0])):
         for tr in ("verbatim", "corrected"):
-            point = partial(superstat_thermo, method="closed", transcription=tr)
+            point = partial(superstat_closed_point, transcription=tr)
             for form in forms + (point,):
                 with pytest.raises(SingularLimit):
                     form(at_limit, beta, 0.5)
@@ -206,7 +210,7 @@ def test_closed_forms_finite_both_transcriptions():
 
 def test_engine_undeformed_spot_values():
     # b=0 route: Zs(q=0, beta=1) = e^{-1/2}, Us = 1/2 + 1/beta = 1.5
-    pt = superstat_thermo(C00, 1.0, 0.0, method="engine")
+    pt = superstat_thermo(C00, 1.0, 0.0)
     assert abs(pt.Zs - 0.60653065971263342) / 0.60653065971263342 < 1e-6
     assert abs(pt.Us - 1.5) / 1.5 < 1e-6
 
@@ -214,24 +218,24 @@ def test_engine_undeformed_spot_values():
 def test_engine_entropy_identity():
     for c in (C01, C09):
         for beta, q in [(0.5, 0.0), (1.0, 0.5), (3.0, 1.0)]:
-            pt = superstat_thermo(c, beta, q, method="engine")
+            pt = superstat_thermo(c, beta, q)
             lnzs = math.log(superstat_partition_quadrature(c, beta, q, TOL))
             assert abs(pt.Ss - (lnzs + beta * pt.Us)) <= \
                 1e-7 * max(abs(pt.Ss), abs(lnzs) + beta * abs(pt.Us))
 
 
 def test_free_energy_compositional_per_method():
-    pt = superstat_thermo(C03, 2.0, 0.5, method="engine")
+    pt = superstat_thermo(C03, 2.0, 0.5)
     lnzs = math.log(superstat_partition_quadrature(C03, 2.0, 0.5, TOL))
     assert abs(pt.Fs + lnzs / 2.0) < 1e-9
-    ptc = superstat_thermo(C03, 2.0, 0.5, method="closed", transcription="corrected")
+    ptc = superstat_closed_point(C03, 2.0, 0.5, transcription="corrected")
     want = -log_superstat_partition_closed(C03, 2.0, 0.5, "corrected") / 2.0
     assert ptc.Fs == want
 
 
 def test_closed_point_has_finite_cs():
     for tr in ("verbatim", "corrected"):
-        pt = superstat_thermo(C01, 1.0, 0.5, method="closed", transcription=tr)
+        pt = superstat_closed_point(C01, 1.0, 0.5, transcription=tr)
         assert math.isfinite(pt.Cs)
 
 
@@ -276,7 +280,7 @@ def test_closed_point_equals_single_closed_functions(tr):
     for c in (C01, C03, C09):
         for beta in (0.1, 1.0, 8.25, 300.0):
             for q in (0.0, 0.5, 1.0):
-                pt = superstat_thermo(c, beta, q, method="closed", transcription=tr)
+                pt = superstat_closed_point(c, beta, q, transcription=tr)
                 singles = (superstat_partition_closed(c, beta, q, tr),
                            mean_energy_superstat_closed(c, beta, q, tr),
                            entropy_superstat_closed(c, beta, q, 1.0, tr),
@@ -295,7 +299,7 @@ def test_closed_columns_equal_single_closed_functions_on_the_mesh(tr):
     betas, qs = np.array(DEFAULT_BETAS)[:, None], np.array(DEFAULT_QS)
     for alpha in DEFAULT_ALPHAS:
         c = coefficients(OscillatorParams(alpha=alpha))
-        mesh = superstat_thermo(c, betas, qs, method="closed", transcription=tr)
+        mesh = superstat_closed_point(c, betas, qs, transcription=tr)
         assert mesh.beta is betas and mesh.q is qs
         columns = {qn: getattr(mesh, qn) for qn in ("Zs", "Us", "Ss", "Fs", "Cs")}
         singles = {"Zs": superstat_partition_closed(c, betas, qs, tr),
@@ -307,8 +311,7 @@ def test_closed_columns_equal_single_closed_functions_on_the_mesh(tr):
             assert single.shape == (len(DEFAULT_BETAS), len(DEFAULT_QS))
             assert np.array_equal(columns[qn], single, equal_nan=True), (alpha, qn)
         for i, j in ((0, 0), (7, 2), (24, 4)):
-            pt = superstat_thermo(c, float(betas[i, 0]), float(qs[j]), method="closed",
-                                  transcription=tr)
+            pt = superstat_closed_point(c, float(betas[i, 0]), float(qs[j]), transcription=tr)
             assert np.array_equal([getattr(pt, qn) for qn in columns],
                                   [columns[qn][i, j] for qn in columns], equal_nan=True)
 
@@ -338,23 +341,23 @@ def test_engine_mesh_equals_its_points():
     betas, qs = np.array(DEFAULT_BETAS + (2000.0,))[:, None], np.array(DEFAULT_QS)
     fields = ("Zs", "Us", "Ss", "Fs", "Cs")
     for c in (C00, C01, C03, C09):
-        mesh = superstat_thermo(c, betas, qs, method="engine")
+        mesh = superstat_thermo(c, betas, qs)
         assert mesh.beta is betas and mesh.q is qs and mesh.method == "engine"
         columns = [getattr(mesh, qn) for qn in fields]
         assert all(col.shape == (len(betas), len(qs)) for col in columns)
         for i, j in np.ndindex(len(betas), len(qs)):
-            pt = superstat_thermo(c, float(betas[i, 0]), float(qs[j]), method="engine")
+            pt = superstat_thermo(c, float(betas[i, 0]), float(qs[j]))
             got = [getattr(pt, qn) for qn in fields]
             assert all(type(v) is float for v in got)
             assert got == [col[i, j] for col in columns], (c, i, j)
         # a float beta against a q array, and paired beta and q arrays
-        row = superstat_thermo(c, float(betas[3, 0]), qs, method="engine")
-        pairs = superstat_thermo(c, betas[:5, 0], qs, method="engine")
+        row = superstat_thermo(c, float(betas[3, 0]), qs)
+        pairs = superstat_thermo(c, betas[:5, 0], qs)
         for k, qn in enumerate(fields):
             assert getattr(row, qn).tolist() == columns[k][3].tolist()
             assert getattr(pairs, qn).tolist() == [columns[k][j, j] for j in range(5)]
     with pytest.raises(ValueError, match="q must lie in"):
-        superstat_thermo(C03, betas, np.array([0.5, 1.5]), method="engine")
+        superstat_thermo(C03, betas, np.array([0.5, 1.5]))
 
 
 def test_closed_forms_check_every_grid_value():
@@ -387,10 +390,10 @@ def test_partition_functions_fall_with_beta_and_rise_with_q(alpha, u1, u2, q):
     assume(b1 < b2)
     c = coefficients(OscillatorParams(alpha=alpha))
     assert _falls(partition_sum(c, b1), partition_sum(c, b2))
-    zs1, zs2 = (superstat_thermo(c, b, q, method="engine").Zs for b in (b1, b2))
+    zs1, zs2 = (superstat_thermo(c, b, q).Zs for b in (b1, b2))
     assert _falls(zs1, zs2)
     for beta, zs in ((b1, zs1), (b2, zs2)):
-        assert zs >= superstat_thermo(c, beta, 0.0, method="engine").Zs * (1.0 - 1e-12)
+        assert zs >= superstat_thermo(c, beta, 0.0).Zs * (1.0 - 1e-12)
 
 
 def test_engine_rows_equal_single_quadratures():
@@ -400,7 +403,7 @@ def test_engine_rows_equal_single_quadratures():
     k <= 2.  Z_s is the single quadrature of the deformed factor itself.
     The rows do not read q, so a beta x q mesh equals its per-q calls."""
     for c, beta, q in [(C01, 0.1, 0.0), (C03, 1.0, 0.5), (C09, 7.5, 1.0)]:
-        pt = superstat_thermo(c, beta, q, 1.0, TOL, method="quadinf")
+        pt = superstat_quadrature(c, beta, q, 1.0, TOL)
         assert pt.method == "quadinf"
         lin, level = c.a + 2.0 * c.b, 8.0 / beta
         s = max(1.0, 2.0 * level / (lin + math.sqrt(lin * lin + 4.0 * c.b * level)) / 24.0)
@@ -427,10 +430,9 @@ def test_engine_rows_equal_single_quadratures():
 
     betas, qs = np.array([0.1, 7.5])[:, None], np.array([0.0, 0.5, 1.0])
     fields = ("Zs", "Us", "Ss", "Fs", "Cs")
-    mesh = superstat_thermo(C03, betas, qs, 1.0, TOL, method="quadinf")
+    mesh = superstat_quadrature(C03, betas, qs, 1.0, TOL)
     for i, j in np.ndindex(len(betas), len(qs)):
-        pt = superstat_thermo(C03, float(betas[i, 0]), float(qs[j]), 1.0, TOL,
-                              method="quadinf")
+        pt = superstat_quadrature(C03, float(betas[i, 0]), float(qs[j]), 1.0, TOL)
         assert [getattr(pt, qn) for qn in fields] == [getattr(mesh, qn)[i, j] for qn in fields]
 
 
@@ -438,7 +440,7 @@ def test_engine_against_mpmath_at_regime_corners():
     # U_s and C_s against 40-digit quadratures of the weight's beta-derivatives
     corners = [(c, beta, q) for c in (C01, C09) for beta in (0.1, 10.0) for q in (0.0, 0.5, 1.0)]
     for c, beta, q in corners + [(C00, 0.01, 0.5), (C01, 0.001, 1.0)]:
-        pt = superstat_thermo(c, beta, q, 1.0, TOL, method="engine")
+        pt = superstat_thermo(c, beta, q, 1.0)
         z, u, cv = mp_weight_moments(c, beta, q, math.inf)
         assert abs(pt.Zs - z) / z < 1e-12
         assert abs(pt.Us - u) / abs(u) < 1e-12
@@ -450,7 +452,7 @@ def test_engine_u_and_c_at_large_beta(beta):
     # the E_0^2 cancellation of M_2/M_0 - U^2 in the Gauss-Kronrod moment
     # rows cost C_s 1.5e-10 at beta = 1e3 and 1.3e-8 at 1e4; the engine's
     # ground-state moments keep U_s and C_s near rounding
-    pt = superstat_thermo(C03, beta, 0.5, method="engine")
+    pt = superstat_thermo(C03, beta, 0.5)
     _, u, cv = mp_weight_moments(C03, beta, 0.5, math.inf, dps=50)
     assert abs(pt.Us - u) / abs(u) < 1e-13
     assert abs(pt.Cs - cv) / abs(cv) < 1e-13
@@ -460,8 +462,8 @@ def test_engine_u_and_c_at_large_beta(beta):
 def test_quadinf_cs_is_the_engine_at_large_beta(beta, q):
     # M_2/M_0 - U^2 of rows in E^k cancels to 3.3e-9 and 2.6e-10 of the
     # engine here; quadinf's moments of D go through the engine's algebra
-    engine = superstat_thermo(C03, beta, q, method="engine").Cs
-    quadinf = superstat_thermo(C03, beta, q, method="quadinf").Cs
+    engine = superstat_thermo(C03, beta, q).Cs
+    quadinf = superstat_quadrature(C03, beta, q).Cs
     assert abs(quadinf - engine) <= 1e-14 * abs(engine)
 
 
@@ -469,7 +471,7 @@ def test_quadinf_cs_is_the_engine_at_large_beta(beta, q):
 def test_engine_zs_carries_beta_e0_exactly(alpha):
     # Z_s = G e^{-beta E_0} with beta E_0 ~ 650: rounded in double, 4.9e-14 off
     c = coefficients(OscillatorParams(alpha=alpha))
-    zs = superstat_thermo(c, 1e3, 0.5, method="engine").Zs
+    zs = superstat_thermo(c, 1e3, 0.5).Zs
     want = mp_weight_moments(c, 1e3, 0.5, math.inf, dps=50)[0]
     assert abs(zs - want) <= 1e-15 * want
 
@@ -514,7 +516,7 @@ def test_engine_is_finite_where_beta_e0_squared_overflows(alpha, beta):
     # continuum integrals' values and Z_s underflows to +0
     c = coefficients(OscillatorParams(alpha=alpha))
     for q in (0.5, 1.0):
-        pt = superstat_thermo(c, beta, q, method="engine")
+        pt = superstat_thermo(c, beta, q)
         assert pt.Zs == 0.0 and math.copysign(1.0, pt.Zs) > 0.0
         want = _mp_engine_columns(c, beta, q)
         for got, w in zip((pt.Us, pt.Ss, pt.Fs, pt.Cs), want):
@@ -531,7 +533,7 @@ def test_engine_at_q0_where_g_underflows(alpha, beta):
     # as the 40-digit continuum integrals give; a q mesh through these
     # points keeps every element's bits
     c = coefficients(OscillatorParams(alpha=alpha))
-    pt = superstat_thermo(c, beta, 0.0, method="engine")
+    pt = superstat_thermo(c, beta, 0.0)
     with mp.workdps(40):
         lin = mp.mpf(c.a) + 2 * mp.mpf(c.b)
         s_want = float(1 - mp.log(mp.mpf(beta) * lin))
@@ -541,10 +543,10 @@ def test_engine_at_q0_where_g_underflows(alpha, beta):
     for got, w in zip((pt.Us, pt.Ss, pt.Fs, pt.Cs), _mp_engine_columns(c, beta, 0.0)):
         assert abs(got - w) <= 1e-14 * abs(w), (got, w)
     qs = np.array([0.0, 0.5, 1.0])
-    mesh = superstat_thermo(c, np.array([[2.0], [beta]]), qs, method="engine")
+    mesh = superstat_thermo(c, np.array([[2.0], [beta]]), qs)
     for i, bt in enumerate((2.0, beta)):
         for j, q in enumerate(qs.tolist()):
-            one = superstat_thermo(c, bt, q, method="engine")
+            one = superstat_thermo(c, bt, q)
             assert [getattr(mesh, f)[i, j] for f in ("Zs", "Us", "Ss", "Fs", "Cs")] == \
                 [one.Zs, one.Us, one.Ss, one.Fs, one.Cs]
 
@@ -559,7 +561,7 @@ def test_quadrature_moments_raise_where_no_node_resolves_the_weight(beta):
     with pytest.raises(NonConvergence, match=f"beta={beta:.17g}"):
         thermo_quadrature(C03, np.array([1.0, beta]), "quadinf")
     with pytest.raises(NonConvergence, match=f"beta={beta:.17g}"):
-        superstat_thermo(C03, beta, 0.5, method="quadinf")
+        superstat_quadrature(C03, beta, 0.5)
     assert partition_quadrature(C03, beta, "quad01") == 0.0
     assert superstat_partition_quadrature(C03, beta, 0.5) == 0.0
 
@@ -611,8 +613,8 @@ def test_engine_agrees_with_quadinf_on_atlas_grid():
         c = coefficients(OscillatorParams(alpha=alpha))
         for beta in DEFAULT_BETAS:
             for q in DEFAULT_QS:
-                e = superstat_thermo(c, beta, q, 1.0, tol, method="engine")
-                g = superstat_thermo(c, beta, q, 1.0, tol, method="quadinf")
+                e = superstat_thermo(c, beta, q, 1.0)
+                g = superstat_quadrature(c, beta, q, 1.0, tol)
                 for name in worst:
                     x, y = getattr(e, name), getattr(g, name)
                     worst[name] = max(worst[name], abs(x - y) / abs(y))
@@ -629,7 +631,7 @@ def test_engine_agrees_with_quadinf_on_atlas_grid():
 @example(alpha=1e-9, log_beta=4.0, q=0.0)
 def test_engine_never_raises_and_stays_finite(alpha, log_beta, q):
     c = coefficients(OscillatorParams(alpha=alpha))
-    pt = superstat_thermo(c, 10.0 ** log_beta, q, method="engine")
+    pt = superstat_thermo(c, 10.0 ** log_beta, q)
     assert pt.Zs >= 0.0
     assert all(math.isfinite(v) for v in (pt.Us, pt.Ss, pt.Fs, pt.Cs))
 
@@ -637,7 +639,7 @@ def test_engine_never_raises_and_stays_finite(alpha, log_beta, q):
 def test_engine_finite_where_zs_underflows():
     # beta E_0 ~ 5800: Z_s underflows, its moments in the ground-state gauge
     # do not; for q > 0, ln Z_s ~ ln beta - beta E_0, so U_s -> E_0, C_s -> -1
-    pt = superstat_thermo(C03, 1e4, 0.5, method="engine")
+    pt = superstat_thermo(C03, 1e4, 0.5)
     assert pt.Zs == 0.0
     assert all(math.isfinite(v) for v in (pt.Us, pt.Ss, pt.Fs, pt.Cs))
     assert abs(pt.Us - C03.energy(0)) < 1e-3
@@ -649,14 +651,35 @@ def test_quadinf_point_is_the_engine_at_q0():
     # moment rows, so at q = 0 they agree bit for bit
     for c, beta in [(C01, 0.1), (C03, 2.0), (C09, 10.0)]:
         pt = thermo_quadrature(c, beta, "quadinf", 1.0, TOL)
-        spt = superstat_thermo(c, beta, 0.0, 1.0, TOL, method="quadinf")
+        spt = superstat_quadrature(c, beta, 0.0, 1.0, TOL)
         assert (pt.Z, pt.U, pt.C, pt.S, pt.F) == (spt.Zs, spt.Us, spt.Cs, spt.Ss, spt.Fs)
 
 
-def test_method_validation():
-    for method in ("quad", "quad01", "sum"):
-        with pytest.raises(ValueError):
-            superstat_thermo(C01, 1.0, 0.5, method=method)
+def test_each_point_builder_takes_what_it_reads_and_is_its_route():
+    # no builder accepts a parameter it would ignore
+    for point, unread in ((superstat_thermo, {"tol": TOL}),
+                          (superstat_thermo, {"transcription": "corrected"}),
+                          (superstat_quadrature, {"transcription": "corrected"}),
+                          (superstat_closed_point, {"tol": TOL})):
+        with pytest.raises(TypeError):
+            point(C03, 1.0, 0.5, **unread)
+    # each routes.POINTS entry is its one function, bit for bit, on an
+    # alpha x beta x q mesh and at a float point
+    tol = Tolerance(rel=1e-10, abs=0.0, max_evals=100_000)
+    builders = {"sum": superstat_thermo, "engine": superstat_thermo,
+                "quadinf": partial(superstat_quadrature, tol=tol),
+                "closed": partial(superstat_closed_point, transcription="corrected")}
+    assert builders.keys() == routes.POINTS["superstat"].keys()
+    mesh = (coefficients(OscillatorParams(alpha=np.array([0.1, 0.3, 0.9])[:, None, None])),
+            np.array([0.5, 2.0, 10.0])[:, None], np.array([0.0, 0.5, 1.0]))
+    for c, beta, q in (mesh, (C03, 2.0, 0.5)):
+        s = routes.State(c, 1.5, beta, q, transcription="corrected", tol=tol)
+        for method, build in builders.items():
+            got, want = routes.POINTS["superstat"][method](s), build(c, beta, q, 1.5)
+            assert got.method == want.method
+            for field in ("beta", "q") + routes.SUPERSTAT:
+                g, w = getattr(got, field), getattr(want, field)
+                assert type(g) is type(w) and np.array_equal(g, w, equal_nan=True), (method, field)
 
 
 def test_cs_sign_reported_not_asserted():
@@ -667,7 +690,7 @@ def test_cs_sign_reported_not_asserted():
     for c, alpha in ((C01, 0.1), (C09, 0.9)):
         for beta in (0.5, 2.0, 10.0):
             for q in (0.5, 1.0):
-                pt = superstat_thermo(c, beta, q, method="engine")
+                pt = superstat_thermo(c, beta, q)
                 assert math.isfinite(pt.Cs)
                 if pt.Cs < -1e-6:
                     violations.append((alpha, beta, q, pt.Cs))

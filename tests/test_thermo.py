@@ -686,8 +686,9 @@ def test_vectorised_row_sums_are_math_fsum_bit_for_bit(monkeypatch):
     assert thermo._fsum_rows(terms, starts, counts).tolist() == want
     for row in built:
         assert calls.count(tuple(row)) == (3 if any(row) else 0)
-    # (n - 1) eps_ld is a worst case: about one random row in eight falls back
-    assert len(calls) < 0.2 * 3 * len(counts)
+    # with the unit roundoff eps_ld/2 81 of the 1218 rows fall back (164
+    # with eps_ld)
+    assert len(calls) <= 81
 
 
 def test_level_rows_are_math_fsum_of_their_terms(monkeypatch):
@@ -800,3 +801,26 @@ def test_level_sums_stay_short_and_certified(monkeypatch):
     monkeypatch.setattr(thermo, "_X_ROUNDING", 20.0)
     with pytest.raises(NonConvergence, match="tail bound above rounding"):
         thermo_sum_engine(C03, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("alpha", [1e-9, 0.3, 0.9999])
+def test_scaled_direct_rows_stop_at_level_two(alpha, monkeypatch):
+    # where beta D_1 > 700 the terms carry a scale 2^m (m > 0) and the
+    # certificate's bound is +0: there N = 2, and the 40-digit tail past
+    # level 2 is below 2^-52 of each row, so nothing is left to certify
+    levels = []
+    real = thermo._tail_bounds
+    monkeypatch.setattr(thermo, "_tail_bounds", lambda a, b, bv, n: levels.append(n)
+                        or real(a, b, bv, n))
+    c = coefficients(OscillatorParams(alpha=alpha))
+    betas = np.array([701.0, 1e3, 1e5]) / (c.a + 3.0 * c.b)
+    rows, m = thermo._direct_rows(np.full(3, c.a), np.full(3, c.b), betas)
+    assert (m > 0).all() and levels[0].tolist() == [2.0] * 3
+    assert (real(np.full(3, c.a), np.full(3, c.b), betas, levels[0]) == 0.0).all()
+    with mp.workdps(40):
+        a, b = mp.mpf(c.a), mp.mpf(c.b)
+        for beta in betas.tolist():
+            d = [n * (a + b * (n + 2)) for n in range(1, 13)]
+            t = [[x ** k * mp.exp(-mp.mpf(beta) * x) for x in d] for k in range(3)]
+            for row in t:
+                assert sum(row[2:]) < mp.mpf(2) ** -52 * sum(row[:2]), (alpha, beta)

@@ -138,14 +138,13 @@ def test_audit_grid_calls_each_route_once(alphas, basis, monkeypatch, capsys):
     counted(thermo, "thermo_quadrature", lambda a: (a["range_"],))
     counted(thermo, "thermo_sum_engine", lambda a: ())
     counted(thermo, "thermo_closed_point", lambda a: (a["transcription"],))
-    counted(superstat, "superstat_thermo",
-            lambda a: (a["method"],) + ((a["transcription"],) if a["method"] == "closed"
-                                        else ()))
+    counted(superstat, "superstat_thermo", lambda a: ())
+    counted(superstat, "superstat_closed_point", lambda a: (a["transcription"],))
     oracle = ("thermo_quadrature", "quad01") if basis == "closed" else ("thermo_sum_engine",)
     six = sorted([
         oracle, ("thermo_closed_point", "verbatim"), ("thermo_closed_point", "corrected"),
-        ("superstat_thermo", "engine"), ("superstat_thermo", "closed", "verbatim"),
-        ("superstat_thermo", "closed", "corrected")])
+        ("superstat_thermo",), ("superstat_closed_point", "verbatim"),
+        ("superstat_closed_point", "corrected")])
     audit_columns(params_grid=alphas, beta_grid=DEFAULT_BETAS[::8], q_grid=(0.0, 0.5),
                   oracle_basis=basis)
     assert sorted(calls) == six

@@ -31,12 +31,16 @@ PRESET_TOL = Tolerance(rel=1e-10)
 def linear_range(lo: float, hi: float, count: int) -> tuple[float, ...]:
     if count < 2:
         raise ValueError("count must be at least 2")
+    if not np.isfinite(hi - lo):  # an infinite or NaN endpoint, or a span that overflows
+        raise ValueError("range endpoints and their span must be finite")
     return tuple(float(x) for x in np.linspace(lo, hi, count))
 
 
 def log_range(lo: float, hi: float, count: int) -> tuple[float, ...]:
     if count < 2:
         raise ValueError("count must be at least 2")
+    if not (0.0 < lo < np.inf and 0.0 < hi < np.inf):
+        raise ValueError("log range endpoints must be positive and finite")
     return tuple(float(x) for x in np.geomspace(lo, hi, count))
 
 

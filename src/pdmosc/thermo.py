@@ -8,9 +8,10 @@ Two evaluation families coexist deliberately:
   Boltzmann moments in the ground-state gauge, summed over the levels
   (``thermo_sum_engine``, the physical route) or integrated over continuous
   n (``thermo_quadrature``, whose 'quad01' point is the audit's oracle for
-  the closed forms).  Integrated moments of D = E - E_0 become columns by
-  one assembly (``_assemble``), and their one closed form over [0, inf)
-  (``_scaled_moments``) serves the superstat engine and Euler-Maclaurin;
+  the closed forms).  Both carry the moments in u = beta (E - E_0); the
+  integrated ones become columns by one assembly (``_assemble``), and their
+  one closed form over [0, inf) (``_scaled_moments``) serves the superstat
+  engine and Euler-Maclaurin;
 * the closed-form evaluators reproduce the typeset expressions for U, C, S,
   F.  Those expressions carry typesetting defects, so each is available in
   two transcriptions: ``verbatim`` (exactly as typeset, including suspected
@@ -85,8 +86,7 @@ def _point(kind, params, method: str, *fields):
     builder: each field (the checked beta, q for superstat, then each quantity) a
     float where every parameter (the coefficient a, beta, and q for superstat) is a
     float, else the array."""
-    floats = all(np.ndim(p) == 0 for p in params)
-    return kind(*(f.item() if floats else f for f in fields), method=method)
+    return kind(*(_shaped(f, *params) for f in fields), method=method)
 
 
 # ---------------------------------------------------------------------------
@@ -100,17 +100,18 @@ def _excitation(a, b, n):
 
 
 def _tail_bounds(a, b, bv, N):
-    """Upper bounds on sum_{n>N} t_n, t_n = D_n^k e^{-beta D_n}, k = 0, 1, 2 (rows),
-    b > 0, elementwise, by the ratio test: r_n = t_{n+1}/t_n = (D_{n+1}/D_n)^k
+    """Upper bounds on sum_{n>N} t_n, t_n = u_n^k e^{-u_n}, u_n = beta D_n, k = 0, 1, 2
+    (rows), b > 0, elementwise, by the ratio test: r_n = t_{n+1}/t_n = (D_{n+1}/D_n)^k
     e^{-beta (D_{n+1} - D_n)} does not increase for n >= 1 (D_{n+1} - D_n = a + b (2n + 3)
     rises), so the tail is at most t_{N+1}/(1 - r_{N+1}), +inf where r_{N+1} >= 1.
-    1 + 2^-40 covers the rounding of e^{-beta D_{N+1}} (745 * 4 ulp) and, where beta
-    D_{N+1} >= 43.6 (_direct_rows' N), of ln r; past beta D_{N+1} ~ 745 (also at beta
-    ~ 1e308) the bound is +0."""
+    1 + 2^-40 covers the rounding of e^{-u_{N+1}} (745 * 4 ulp), of u_{N+1}^k and, where
+    u_{N+1} >= 43.6 (_direct_rows' N), of ln r; past u_{N+1} ~ 745 the bound is +0, also
+    where u_{N+1} or its square overflows."""
     d, step, k = _excitation(a, b, N + 1.0), a + b * (2.0 * N + 5.0), np.arange(3.0)[:, None]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # beta ~ 1e308; r = 1
+        w = np.exp(-bv * d)
         log_r = k * np.log1p(step / d) - bv * step
-        bounds = (1.0 + 2.0 ** -40) * d ** k * np.exp(-bv * d) / -np.expm1(log_r)
+        bounds = (1.0 + 2.0 ** -40) * np.where(w > 0.0, bv * d, 0.0) ** k * w / -np.expm1(log_r)
     return np.where(log_r < 0.0, bounds, math.inf)
 
 
@@ -180,35 +181,35 @@ def _fsum_rows(terms, starts, counts):
 
 
 def _direct_rows(a, b, bv):
-    """(rows, m): sum_{n=1}^{N} D_n^k w_n 2^m, k = 0, 1, 2 (rows), w_n =
-    e^{-beta D_n}, elementwise, N the first level with x = beta (D_N - D_1)
-    >= 43.6, where row k's tail is near x^k e^{-x} of its sum, below rounding.
-    Each term is formed in long double (80-bit where the platform has it) and
-    rounded once, since in double rounding beta D_n alone moves w_n by ~1e-15
-    at beta D_n ~ 10; the rows are exactly rounded sums (_fsum_rows).  m = 0
-    unless beta D_1 > 700, where 2^m ~ 1/w_1 keeps the terms normal: a
-    subnormal w_1 would cost S and C their digits.  The ratio test
-    (_tail_bounds) certifies the truncation: a row whose bound exceeds 2^-52 of
-    its sum raises NonConvergence.  The bound is compared unscaled: where m > 0
-    it is +0 and there is nothing left to certify, since beta D_1 > 700 puts the
-    root of N below 1.07, so N = 2 and beta D_3 >= 3 beta D_1 > 2100, and the tail
-    past level 2 is below (D_3/D_1)^2 e^{-beta (D_3 - D_1)} <= 25 e^{-1400} of
-    its row."""
+    """(rows, m): sum_{n=1}^{N} u_n^k w_n 2^m, k = 0, 1, 2 (rows), u_n = beta D_n,
+    w_n = e^{-u_n}, elementwise, N the first level with x = u_N - u_1 >= 43.6, where
+    row k's tail is near x^k e^{-x} of its sum, below rounding.  Each term is
+    formed in long double (80-bit where the platform has it) and rounded once,
+    since in double rounding u_n alone moves w_n by ~1e-15 at u_n ~ 10; the rows
+    are exactly rounded sums (_fsum_rows).  m = 0 unless u_1 > 700, where
+    2^m ~ 1/w_1 keeps the terms normal: a subnormal w_1 would cost S and C
+    their digits.  The ratio test (_tail_bounds) certifies the truncation: a
+    row whose bound exceeds 2^-52 of its sum raises NonConvergence.  The bound
+    is compared unscaled: where m > 0 it is +0 and there is nothing left to
+    certify, since u_1 > 700 puts the root of N below 1.07, so N = 2 and
+    u_3 >= 3 u_1 > 2100, and the tail past level 2 is below
+    (D_3/D_1)^2 e^{-(u_3 - u_1)} <= 25 e^{-1400} of its row."""
     # N: the root of b N^2 + (a + 2b) N = D_1 + 43.6/beta, rounded up
     lin, d_n = a + 2.0 * b, a + 3.0 * b + _X_ROUNDING / bv
     counts = np.ceil(2.0 * d_n / (lin + np.sqrt(lin * lin + 4.0 * b * d_n))).astype(np.int64)
-    with np.errstate(over="ignore"):  # at beta ~ 1e308
-        x1 = bv * (a + 3.0 * b)
-    # capped where e^{-beta D} underflows in long double too
-    m = np.where(x1 > _X_SUBNORMAL, np.minimum(x1, 11000.0) / math.log(2.0), 0.0
-                 ).astype(np.int64)
     starts = np.cumsum(counts) - counts
     point = np.repeat(np.arange(len(bv)), counts)
     level = np.arange(counts.sum()) - np.repeat(starts, counts) + np.longdouble(1.0)
-    d = _excitation(a[point], b[point], level)
-    w = np.exp(-bv[point] * d)
+    with np.errstate(over="ignore"):  # at beta ~ 1e308 (u overflows where long double is double)
+        x1 = bv * (a + 3.0 * b)
+        u = bv[point] * _excitation(a[point], b[point], level)
+    # capped where e^{-beta D} underflows in long double too
+    m = np.where(x1 > _X_SUBNORMAL, np.minimum(x1, 11000.0) / math.log(2.0), 0.0
+                 ).astype(np.int64)
+    w = np.exp(-u)
+    u = np.where(w > 0.0, u, 0.0)  # u^k w is +0 where w is, also at u = inf
     w = np.ldexp(w, m[point]) if m.any() else w  # ldexp(w, 0) is w
-    rows = _fsum_rows(np.array([w, d * w, d * d * w], dtype=float), starts, counts)
+    rows = _fsum_rows(np.array([w, u * w, u * u * w], dtype=float), starts, counts)
     uncertified = (_tail_bounds(a, b, bv, counts.astype(float)) > np.ldexp(rows, -52)
                    ).any(axis=0)
     if uncertified.any():
@@ -217,45 +218,42 @@ def _direct_rows(a, b, bv):
     return rows, m
 
 
-def _boltzmann_levels(a, b, bv, in_u=False):
-    """(tail, <D>, Var D, m) of the Boltzmann distribution over the levels
-    in the ground-state gauge D_n = E_n - E_0, at every point i of
-    equal-length arrays a, b and beta, where tail sums w_n = exp(-beta D_n)
+def _boltzmann_levels(a, b, bv):
+    """(tail, <u>, Var u, m) of the Boltzmann distribution over the levels
+    in u_n = beta D_n, D_n = E_n - E_0 the ground-state gauge, at every point
+    i of equal-length arrays a, b and beta, where tail sums w_n = e^{-u_n}
     over n >= 1, so Z = exp(-beta E_0) (1 + tail); each of the three is
     scaled by 2^m (an int array): the quantity is ldexp(value, -m).  Working
     relative to E_0 keeps every quantity derived from these sums accurate
-    near machine precision even where Z itself is tiny.  Each point takes
-    one of three fixed branches from its own inputs, so it gets the bits of
-    its one-point call, always to rounding and with no level budget:
+    near machine precision even where Z itself is tiny; in u they stay finite
+    from beta ~ 1e-306 to 1e308.  Each point takes one of three fixed branches
+    from its own inputs, so it gets the bits of its one-point call, always to
+    rounding and with no level budget:
 
     * b = 0 is the geometric series: with r = e^{-beta a} and 1 - r taken
-      as -expm1(-beta a), tail = r/(1 - r), <D> = a r/(1 - r) and
-      Var D = a^2 r/(1 - r)^2;
-    * where beta L <= _EM_THETA (L = a + 2b) the rows sum_{n>=1} D_n^k w_n
+      as -expm1(-beta a), tail = r/(1 - r), <u> = beta a r/(1 - r) and
+      Var u = (beta a)^2 r/(1 - r)^2;
+    * where beta L <= _EM_THETA (L = a + 2b) the rows sum_{n>=1} u_n^k w_n
       come from Euler-Maclaurin (_euler_maclaurin_rows), within ~1e-15;
-    * elsewhere from at most 176 levels summed directly (_direct_rows).
-
-    On the first two, Var D overflows below beta ~ 1e-150 (inf or nan); with
-    in_u they give <u> and Var u = beta^2 Var D of u = beta D instead."""
-    rows = np.zeros((3, len(bv)))
-    m = np.zeros(len(bv), dtype=np.int64)
+    * elsewhere from at most 176 levels summed directly (_direct_rows)."""
+    rows, m = np.zeros((3, len(bv))), np.zeros(len(bv), dtype=np.int64)
     geometric = b == 0.0
     with np.errstate(over="ignore"):  # beta L overflows at beta ~ 1e308
         em = ~geometric & (bv * (a + 2.0 * b) <= _EM_THETA)
+        x = bv[geometric] * a[geometric]
     direct = ~(geometric | em)
     if direct.any():
         rows[:, direct], m[direct] = _direct_rows(a[direct], b[direct], bv[direct])
-    ag, x = (bv[geometric] if in_u else 1.0) * a[geometric], -bv[geometric] * a[geometric]
     with np.errstate(over="ignore", invalid="ignore"):
         if em.any():
-            r, bve = _euler_maclaurin_rows(a[em], b[em], bv[em]), 1.0 if in_u else bv[em]
-            rows[:, em] = r[0], r[1] / bve, r[2] / bve / bve
+            rows[:, em] = _euler_maclaurin_rows(a[em], b[em], bv[em])
         zred = 1.0 + np.ldexp(rows[0], -m)
         tail, mean = rows[0], rows[1] / zred
         var = rows[2] / zred - np.ldexp(mean, -m) * mean
-        om = -np.expm1(x)
-        t = np.exp(x) / om
-        tail[geometric], mean[geometric], var[geometric] = t, ag * t, ag * t * (ag / om)
+        om = -np.expm1(-x)
+        t = np.exp(-x) / om
+        x = np.where(t > 0.0, x, 0.0)  # u^k r is +0 where r is, also at beta a = inf
+        tail[geometric], mean[geometric], var[geometric] = t, x * t, x * t * (x / om)
     return tail, mean, var, m
 
 
@@ -349,18 +347,17 @@ def partition_quadrature(c: SpectrumCoefficients, beta, range_: str = "quad01",
 # ---------------------------------------------------------------------------
 
 def thermo_sum_engine(c, beta, kB: float = 1.0) -> ThermoPoint:
-    """Ground truth on the sum route: U = E_0 + <D> and C = kB beta^2 Var D
-    from the exact moments of D_n = E_n - E_0 >= 0 over the Boltzmann
+    """Ground truth on the sum route: U = E_0 + <u>/beta and C = kB Var u
+    from the exact moments of u_n = beta (E_n - E_0) >= 0 over the Boltzmann
     distribution of the levels (_boltzmann_levels, always to rounding, so
-    there is no tolerance), with g = ln(1 + tail) = ln Z + beta E_0
-    giving S = kB (g + beta <D>) and F = E_0 - g/beta; Z is partition_sum's
-    exp(-beta E_0) (1 + tail).  Moments of D never suffer the
-    <E^2> - <E>^2 cancellation, so C stays accurate where it is
+    there is no tolerance), with g = ln(1 + tail) = ln Z + beta E_0 giving
+    S = kB (g + <u>) and F = E_0 - g/beta; Z is partition_sum's
+    exp(-beta E_0) (1 + tail).  Moments in the ground-state gauge never
+    suffer the <E^2> - <E>^2 cancellation, so C stays accurate where it is
     exponentially small and |ln Z| is large.  Where the level sums carry a
     scale 2^m (w_1 near the subnormal range), S and C are formed at that
-    scale and rounded once, and g = tail there.  Where Var D overflows
-    (beta below ~1e-150), C and <D> come from the moments of u = beta D;
-    where F overflows (beta below ~1e-306) NonConvergence is raised.
+    scale and rounded once, and g = tail there.  Below beta ~ 1e-306, where
+    F overflows, NonConvergence is raised.
 
     The coefficients may be arrays (an alpha curve) and beta an array (a
     beta curve), broadcast against each other to any shape (an alpha x beta
@@ -378,14 +375,9 @@ def thermo_sum_engine(c, beta, kB: float = 1.0) -> ThermoPoint:
     g = np.where(m > 0, tail, np.log1p(unscaled))  # at scale 2^m: tail < e^{-700} there
     e0 = a * 0.5 + b * 0.5  # c.energy(0), bit for bit
     z = exp_neg_product(bv, 0.5 * a, 0.5 * b) * (1.0 + unscaled)
-    # where Var D has underflowed to 0, beta^2 may overflow: C is 0, not inf * 0
-    bc = np.where(var == 0.0, 0.0, bv)
     with np.errstate(over="ignore"):  # F overflows below beta ~ 1e-306
-        if (hot := ~np.isfinite(var)).any():  # Var D overflows: Var u = beta^2 Var D
-            _, u, var[hot], _ = _boltzmann_levels(a[hot], b[hot], bv[hot], in_u=True)
-            mean[hot], bc[hot] = u / bv[hot], 1.0
-        columns = (z, e0 + np.ldexp(mean, -m), np.ldexp(kB * bc * bc * var, -m),
-                   np.ldexp(kB * (g + bv * mean), -m), e0 - np.ldexp(g, -m) / bv)
+        columns = (z, e0 + np.ldexp(mean, -m) / bv, np.ldexp(kB * var, -m),
+                   np.ldexp(kB * (g + mean), -m), e0 - np.ldexp(g, -m) / bv)
     if not np.isfinite(columns[4]).all():  # and U below beta ~ 3e-309
         raise NonConvergence(f"F overflows at beta={bv[~np.isfinite(columns[4])][0]:.17g}")
     return _point(ThermoPoint, (c.a, beta), "sum", bv, *columns)

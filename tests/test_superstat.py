@@ -19,7 +19,7 @@ from pdmosc import (B_MIN, NonConvergence, OscillatorParams, SingularLimit, Spec
                     thermo_quadrature)
 
 from pdmosc.superstat import excitation_moments
-from pdmosc.thermo import _assemble
+from pdmosc.thermo import _assemble, _scaled_moments
 from pdmosc.verify import DEFAULT_ALPHAS, DEFAULT_BETAS, DEFAULT_QS
 
 from helpers import derivative, mp_closed_heat_capacity_superstat, mp_quad, mp_weight_moments
@@ -602,6 +602,32 @@ def test_excitation_moments_at_vanishing_b(b):
     got = excitation_moments(c, 2.5)
     want = _mp_excitation_moments(c.a, c.b, 2.5)
     assert all(abs(g - w) <= 2e-15 * w for g, w in zip(got, want)), (got, want)
+
+
+def test_excitation_moments_are_elementwise():
+    # an alpha curve, a beta curve and an alpha x beta mesh: every element is
+    # bit for bit its float point, which is I_k/(L beta^{k+1}) with the power
+    # taken on Python floats; at alpha = (0.1, 0.9) and beta = 1 the curve's
+    # J_0 is (0.8467, 0.4274)
+    alphas, betas = np.array([0.1, 0.9, 0.3]), np.array([1.0, 0.05, 40.0])
+    curve = coefficients(OscillatorParams(alpha=alphas))
+    points = [[excitation_moments(coefficients(OscillatorParams(alpha=x)), beta)
+               for beta in betas.tolist()] for x in alphas.tolist()]
+    for x, row in zip(alphas.tolist(), points):
+        c = coefficients(OscillatorParams(alpha=x))
+        for beta, point in zip(betas.tolist(), row):
+            scaled = _scaled_moments(c.a, c.b, np.array([beta]))[:, 0].tolist()
+            assert list(point) == [m / ((c.a + 2.0 * c.b) * beta ** (k + 1))
+                                   for k, m in enumerate(scaled)]
+            assert all(type(j) is float for j in point)
+    mesh = excitation_moments(SpectrumCoefficients(curve.a[:, None], curve.b[:, None]), betas)
+    assert [j.tolist() for j in mesh] == [[[p[k] for p in row] for row in points]
+                                         for k in range(5)]
+    along_alpha = excitation_moments(curve, 1.0)
+    assert [j.tolist() for j in along_alpha] == [[row[0][k] for row in points] for k in range(5)]
+    assert abs(along_alpha[0][1] - 0.4274) < 1e-4
+    along_beta = excitation_moments(C03, betas)
+    assert [j.tolist() for j in along_beta] == [[p[k] for p in points[2]] for k in range(5)]
 
 
 def test_engine_agrees_with_quadinf_on_atlas_grid():

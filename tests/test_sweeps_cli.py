@@ -463,6 +463,29 @@ def test_cli_energy_sweep_rejects_non_levels(levels, capsys):
     assert "nonnegative integer" in capsys.readouterr().err
 
 
+def test_ranges_refuse_endpoints_numpy_cannot_space():
+    # an infinite or NaN endpoint, a span that overflows, or a log endpoint at
+    # or below 0 raises ValueError before numpy sees it
+    for lo, hi in ((0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (-1e308, 1e308)):
+        with pytest.raises(ValueError, match="range endpoints and their span must be finite"):
+            sweeps.linear_range(lo, hi, 3)
+    for lo, hi in ((-1.0, 1.0), (0.0, 1.0), (-1.0, -10.0), (1.0, math.inf), (1.0, math.nan)):
+        with pytest.raises(ValueError, match="log range endpoints must be positive and finite"):
+            sweeps.log_range(lo, hi, 3)
+    assert sweeps.linear_range(-1e307, 1e307, 3) == (-1e307, 0.0, 1e307)
+    assert sweeps.log_range(1e-300, 1e300, 3) == (1e-300, 1.0, 1e300)
+
+
+@pytest.mark.parametrize("text", ["log:-1:1:3", "0:inf:3", "log:1:inf:3", "log:0:1:3"])
+def test_cli_sweep_range_endpoints_exit_2(text, capsys):
+    # one error line and exit 2, with no numpy warning (RuntimeWarning is an
+    # error under pytest); log:0 and log:-1 get the same message
+    assert cli.main(["sweep", "Z", "--vary", "beta", f"--range={text}", "--alpha", "0.3"]) == 2
+    err = capsys.readouterr().err
+    want = "log range endpoints must be positive" if text.startswith("log") else "span must be"
+    assert err.count("\n") == 1 and err.startswith("pdmosc: error:") and want in err
+
+
 def _fields(out: str) -> dict:
     return dict(line.split("=", 1) for line in out.strip().split("\n"))
 

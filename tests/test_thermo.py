@@ -523,28 +523,63 @@ def test_sum_batch_raises_where_its_point_does():
         thermo_sum_engine(_curve((C03, c, C09)), np.array([1.0, 1e-307, 2.0]), 1.0)
 
 
+def _mp_sum_point(c, beta):
+    """(Z, U, C, S, F) with kB = 1 from the 40-digit level sums, as floats."""
+    s0, s1, s2 = mp_level_rows(c.a, c.b, beta)
+    with mp.workdps(40):
+        bt, e0 = mp.mpf(beta), (mp.mpf(c.a) + mp.mpf(c.b)) / 2
+        z, mean, g = 1 + s0, s1 / (1 + s0), mp.log1p(s0)
+        return [float(x) for x in (mp.exp(-bt * e0) * z, e0 + mean,
+                                   bt * bt * (s2 / z - mean * mean), g + bt * mean, e0 - g / bt)]
+
+
 @pytest.mark.parametrize("alpha", [0.0, 1e-9, 0.3])
 def test_sum_route_where_var_d_overflows(alpha):
-    # below beta ~ 1e-150 Var D overflows, but C = beta^2 Var D -> kB/2 for
-    # b > 0 and kB at b = 0: the moments of u = beta D give all five within
-    # 1e-13 of the 40-digit level sums, and a curve through these points
-    # and an ordinary one is bit for bit its points
+    # below beta ~ 1e-150 Var D would overflow, but C = Var u (u = beta D)
+    # -> kB/2 for b > 0 and kB at b = 0: the moments of u give all five
+    # within 1e-13 of the 40-digit level sums, and a curve through these
+    # points and an ordinary one is bit for bit its points
     c = coefficients(OscillatorParams(alpha=alpha))
     betas = [1e-160, 1e-200, 1e-300]
     for beta in betas:
-        s0, s1, s2 = mp_level_rows(c.a, c.b, beta)
-        with mp.workdps(40):
-            bt, e0 = mp.mpf(beta), (mp.mpf(c.a) + mp.mpf(c.b)) / 2
-            z, mean, g = 1 + s0, s1 / (1 + s0), mp.log1p(s0)
-            want = [float(x) for x in (mp.exp(-bt * e0) * z, e0 + mean,
-                                       bt * bt * (s2 / z - mean * mean), g + bt * mean,
-                                       e0 - g / bt)]
+        want = _mp_sum_point(c, beta)
         pt = thermo_sum_engine(c, beta, 1.0)
         for got, w in zip((pt.Z, pt.U, pt.C, pt.S, pt.F), want):
             assert abs(got - w) <= 1e-13 * abs(w), (alpha, beta, got, w)
         assert abs(pt.C - (1.0 if alpha == 0.0 else 0.5)) < 1e-13
     _assert_points([c] * 4, betas + [2.0], 1.0,
                    thermo_sum_engine(_curve([c] * 4), np.array(betas + [2.0]), 1.0))
+
+
+def test_sum_engine_sums_the_levels_once(monkeypatch):
+    # the moments of u = beta D stay finite from beta = 1e-300 to 1e308, so
+    # a curve through every branch takes one _boltzmann_levels call
+    calls = []
+    real = thermo._boltzmann_levels
+    monkeypatch.setattr(thermo, "_boltzmann_levels",
+                        lambda a, b, bv: calls.append(len(bv)) or real(a, b, bv))
+    betas = np.array([1e-300, 1e-200, 1e-152, 1e-10, 0.5, 1e3, 1e308])
+    for alpha in (0.0, 0.3):
+        pt = thermo_sum_engine(coefficients(OscillatorParams(alpha=alpha)), betas, 1.0)
+        assert all(np.isfinite(getattr(pt, qn)).all() for qn in "ZUCSF")
+    assert calls == [len(betas)] * 2
+
+
+def test_sum_point_is_the_ground_state_where_beta_a_overflows():
+    # omega = 4 at beta = 1e308: beta a overflows on the geometric branch
+    # and u^k e^{-u} is +0 there, not inf * 0, without a warning
+    c = coefficients(OscillatorParams(alpha=0.0, omega=4.0))
+    pt = thermo_sum_engine(c, 1e308, 1.0)
+    assert (pt.Z, pt.U, pt.C, pt.S, pt.F) == (0.0, c.energy(0), 0.0, 0.0, c.energy(0))
+
+
+def test_si_heat_capacity_at_high_temperature_is_kb():
+    # at alpha = 0 C = kB Var u -> kB, where kB beta^2 Var D underflowed to 0
+    # in kB beta^2 (beta = 1e-154) or lost digits (1e-150, 1e-145)
+    p = OscillatorParams.si(alpha=0.0)
+    c = coefficients(p)
+    for beta in (1e-154, 1e-150, 1e-145):
+        assert abs(thermo_sum_engine(c, beta, p.kB).C - p.kB) <= 1e-15 * p.kB, beta
 
 
 @pytest.mark.parametrize("alpha,beta", [(1e-9, 5e-5), (1e-9, 1e-8), (0.02, 1e-8)])
@@ -592,8 +627,9 @@ def test_sum_heat_capacity_is_zero_where_beta_squared_overflows(c):
 def _mp_tail(a, b, beta, N):
     """Rows k = 0, 1, 2 of (the ratio bound t_{N+1}/(1 - r) and its ratio to
     e^{-beta D_{N+1}}, or None where r >= 1, and the sum over n > N) of
-    t_n = D^k e^{-beta D} at 40 digits, r = t_{N+2}/t_{N+1}; the sum stops
-    once a term, past the peak of every row, falls below 1e-45 of its row."""
+    t_n = u^k e^{-u}, u = beta D, at 40 digits, r = t_{N+2}/t_{N+1}; the sum
+    stops once a term, past the peak of every row, falls below 1e-45 of its
+    row."""
     with mp.workdps(40):
         a, b, bt = mp.mpf(a), mp.mpf(b), mp.mpf(beta)
 
@@ -601,7 +637,7 @@ def _mp_tail(a, b, beta, N):
             return n * (a + b * (n + 2))
 
         def t(n):
-            return [d(n) ** k * mp.exp(-bt * d(n)) for k in range(3)]
+            return [(bt * d(n)) ** k * mp.exp(-bt * d(n)) for k in range(3)]
 
         ratios = [y / x for x, y in zip(t(N + 1), t(N + 2))]
         bounds = [(x / (1 - r), x / (1 - r) * mp.exp(bt * d(N + 1))) if r < 1 else None
@@ -707,6 +743,38 @@ def test_level_rows_are_math_fsum_of_their_terms(monkeypatch):
     assert 0 < fallbacks < 0.05 * 3 * len(counts)
 
 
+def test_sums_where_long_double_is_double(monkeypatch):
+    # where np.longdouble is double (Windows, arm64 macOS) _fsum_rows stays
+    # bit for bit math.fsum by falling back on exactly the rows of two or
+    # more terms, and a direct sum point loses about u_1 = beta D_1 ulp to
+    # the rounding of u_n: every quantity within (4 + u_1) 2^-52 of the
+    # 40-digit level sums (1.03e-13 for C and S at alpha = 1e-9, beta = 562),
+    # where the reference is normal; at beta = 1e200 and 1e308, where u^2 or
+    # u overflows in double, the point is the ground state
+    monkeypatch.setattr(np, "longdouble", np.float64)
+    rng = np.random.default_rng(3)
+    counts = np.concatenate((rng.integers(1, 177, 200), [1] * 20))
+    starts = np.cumsum(counts) - counts
+    terms = np.exp(-rng.uniform(0.0, 40.0, (3, counts.sum())))
+    want = _fsum_reference(terms, starts, counts)
+    calls = _fsum_calls(monkeypatch)
+    assert thermo._fsum_rows(terms, starts, counts).tolist() == want
+    assert sorted(calls) == sorted(tuple(row[s:s + n]) for row in terms.tolist()
+                                   for s, n in zip(starts.tolist(), counts.tolist()) if n >= 2)
+    for alpha in _GATE_ALPHAS[1:]:
+        c = coefficients(OscillatorParams(alpha=alpha))
+        d1 = c.a + 3.0 * c.b
+        for beta in _GATE_BETAS[_GATE_BETAS * (c.a + 2.0 * c.b) > thermo._EM_THETA].tolist():
+            pt = thermo_sum_engine(c, beta, 1.0)
+            for got, w in zip((pt.Z, pt.U, pt.C, pt.S, pt.F), _mp_sum_point(c, beta)):
+                if abs(w) >= np.finfo(float).tiny:
+                    assert abs(got - w) <= (4.0 + beta * d1) * 2.0 ** -52 * abs(w), (alpha, beta)
+        for beta in (1e200, 1e308):
+            pt = thermo_sum_engine(c, beta, 1.0)
+            e0 = c.energy(0)
+            assert (pt.Z, pt.U, pt.C, pt.S, pt.F) == (0.0, e0, 0.0, 0.0, e0)
+
+
 def test_sum_presets_and_audit_certify_every_series_at_its_first_guess(monkeypatch):
     # one level-sum call per sum preset and one for the sum-basis audit, each
     # certified by at most one tail-bound call, at its first guess
@@ -767,19 +835,21 @@ def _levels(c, betas):
 
 @pytest.mark.parametrize("alpha", _GATE_ALPHAS)
 def test_level_sums_against_the_euler_maclaurin_reference(alpha):
-    # tail, <D> and C = beta^2 Var D within 1e-13 of the 40-digit reference
-    # at every beta, Euler-Maclaurin rows and direct levels alike, compared
-    # at the scale 2^m of the sums (so the subnormal w_1 of large beta keeps
-    # its digits)
+    # tail, <u> and C = Var u (u = beta D) within 1e-13 of the 40-digit
+    # reference at every beta, Euler-Maclaurin rows and direct levels alike,
+    # compared at the scale 2^m of the sums (so the subnormal w_1 of large
+    # beta keeps its digits)
     c = coefficients(OscillatorParams(alpha=alpha))
     tail, mean, var, scale = _levels(c, _GATE_BETAS)
     for i, beta in enumerate(_GATE_BETAS.tolist()):
-        s0, s1, s2 = mp_level_rows(c.a, c.b, beta)
         with mp.workdps(40):
+            # row k of the reference in D, times beta^k: in u
+            s0, s1, s2 = (s * mp.mpf(beta) ** k
+                          for k, s in enumerate(mp_level_rows(c.a, c.b, beta)))
             m = mp.mpf(2) ** int(scale[i])
-            d = s1 / (1 + s0)
-            want = [float(x * m) for x in (s0, d, beta * beta * (s2 / (1 + s0) - d * d))]
-        got = [tail[i], mean[i], beta * beta * var[i]]
+            mean_u = s1 / (1 + s0)
+            want = [float(x * m) for x in (s0, mean_u, s2 / (1 + s0) - mean_u * mean_u)]
+        got = [tail[i], mean[i], var[i]]
         for g, w in zip(got, want):
             assert abs(g - w) <= 1e-13 * w, (alpha, beta, got, want)
 

@@ -2,11 +2,14 @@
 
 Each quantity yields one AuditBlock: its printed value per grid point and
 transcription, classified Agree (<=1e-6), Close (<=1e-2), Disagree, or
-non-finite.  The audit makes six route calls over the whole alpha x beta x q
-grid: one oracle call and one typeset call per transcription for each of
-the thermo and superstat families, and classifies each quantity's column at
-once.  The full atlas is what `pdmosc audit` emits; here a reduced grid
-keeps the summary readable.
+non-finite.  The audit makes four route calls over the whole alpha x beta x q
+grid: one oracle call and one typeset call for each of the thermo and
+superstat families.  The typeset call takes both transcriptions at once and
+returns each quantity with a trailing transcription axis.  Each quantity's
+column is classified at once.  An alpha where the closed forms are singular
+(alpha = 0) prints nan in its typeset columns, classified PrintedNonFinite.
+The full atlas is what `pdmosc audit` emits; here a reduced grid keeps the
+summary readable.
 """
 
 import collections

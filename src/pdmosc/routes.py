@@ -38,14 +38,17 @@ FIELDS = {"thermo": THERMO, "superstat": SUPERSTAT}
 @dataclass(frozen=True)
 class State:
     """Every input a route reads at one evaluation point, or along one
-    curve, where the coefficients, beta, q or n hold a value per point."""
+    curve, where the coefficients, beta, q or n hold a value per point.
+    transcription may hold the pair thermo.TRANSCRIPTIONS for the 'closed'
+    POINTS builders, whose quantities then hold a trailing transcription
+    axis."""
 
     c: SpectrumCoefficients
     kB: float = 1.0
     beta: float | np.ndarray = 1.0
     q: float | np.ndarray = 0.0
     n: float | np.ndarray = 0
-    transcription: str = "verbatim"
+    transcription: str | tuple[str, str] = "verbatim"
     tol: Tolerance = Tolerance()
 
 

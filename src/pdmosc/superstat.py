@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from .numerics import Tolerance, erfcx, erfcx_derivatives
 from .spectrum import SpectrumCoefficients
 from .thermo import (_assemble, _beta_values, _check_transcription, _factor_q, _point,
                      _quadrature_moments, _require_regular, _saturating, _scaled_moments,
-                     _shaped, _weight_integrals)
+                     _shaped, _transcribed, _transcriptions, _weight_integrals)
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -96,9 +97,15 @@ def _mesh(beta, q):
     return bv, qv
 
 
-def _closed_args(c: SpectrumCoefficients, beta, q, transcription: str):
-    """After the argument checks: beta and q as _mesh arrays, the sign of
-    the 2 a^3 sqrt(b) beta term (-1 verbatim, +1 corrected) and x1.  The
+def _sign_a3(transcription: str) -> float:
+    """The sign of the 2 a^3 sqrt(b) beta term of the transcription, checked:
+    -1 verbatim, +1 corrected."""
+    _check_transcription(transcription)
+    return -1.0 if transcription == "verbatim" else 1.0
+
+
+def _closed_args(c: SpectrumCoefficients, beta, q):
+    """After the argument checks: beta and q as _mesh arrays, and x1.  The
     forms below take x1 and erfcx(x1) from their caller, so a whole point
     or grid evaluates them once.
 
@@ -108,13 +115,11 @@ def _closed_args(c: SpectrumCoefficients, beta, q, transcription: str):
     only through +, -, x and products with sqrt(b), which round alike on a
     float and on a one-element array, and beta, at least one-dimensional,
     keeps the shape of every result."""
-    _check_transcription(transcription)
     _require_regular(c)
     bv, qv = _mesh(beta, q)
     if qv.shape == (1,):
         qv = qv.item()
-    x1 = 0.5 * (c.a + 2.0 * c.b) * np.sqrt(bv / c.b)
-    return bv, qv, -1.0 if transcription == "verbatim" else 1.0, x1
+    return bv, qv, 0.5 * (c.a + 2.0 * c.b) * np.sqrt(bv / c.b)
 
 
 def _bracket_pieces(c: SpectrumCoefficients, bv, qv, sign_a3: float):
@@ -162,7 +167,8 @@ def _free_energy(c: SpectrumCoefficients, bv, bracket):
 def superstat_partition_closed(c: SpectrumCoefficients, beta, q,
                                transcription: str = "verbatim") -> float | np.ndarray:
     """The typeset closed form of Z_s, overflow-stabilized exactly."""
-    bv, qv, sign, x1 = _closed_args(c, beta, q, transcription)
+    sign = _sign_a3(transcription)
+    bv, qv, x1 = _closed_args(c, beta, q)
     bracket = _bracket(_bracket_pieces(c, bv, qv, sign), erfcx(x1))
     return _shaped(_partition(c, bv, bracket), beta, q, c.a)
 
@@ -171,12 +177,13 @@ def superstat_partition_closed(c: SpectrumCoefficients, beta, q,
 def log_superstat_partition_closed(c: SpectrumCoefficients, beta, q,
                                    transcription: str = "verbatim") -> float | np.ndarray:
     """ln Z_s (closed form), stable at large beta."""
-    bv, qv, sign, x1 = _closed_args(c, beta, q, transcription)
+    sign = _sign_a3(transcription)
+    bv, qv, x1 = _closed_args(c, beta, q)
     bracket = _bracket(_bracket_pieces(c, bv, qv, sign), erfcx(x1))
     return _shaped(_log_partition(c, bv, bracket), beta, q, c.a)
 
 
-def _numerator(c: SpectrumCoefficients, bv, qv, variant: str, x1, ex):
+def _numerator(c: SpectrumCoefficients, bv, qv, x1, ex, variant: str):
     """The big fraction numerator shared by the typeset U_s and S_s,
     P + sqrt(pi) R erfcx(x1).  variant 'us' follows the U_s print, whose
     Gaussian/erf parts do NOT cancel and leave sqrt(pi) D e^{x1^2}; variant
@@ -221,17 +228,19 @@ def mean_energy_superstat_closed(c: SpectrumCoefficients, beta, q,
     verbatim follows the U_s print (numerator variant 'us', denominator
     bracket with the 8 b^2 beta monomial and the minus a^3 sign); corrected
     swaps every restated sub-term for its cross-stated alternative."""
-    bv, qv, sign, x1 = _closed_args(c, beta, q, transcription)
+    sign = _sign_a3(transcription)
+    bv, qv, x1 = _closed_args(c, beta, q)
     ex = erfcx(x1)
-    return _shaped(_mean_energy(c, bv, qv, sign, x1, ex,
-                                _bracket(_bracket_pieces(c, bv, qv, sign), ex)), beta, q, c.a)
+    bracket = _bracket(_bracket_pieces(c, bv, qv, sign), ex)
+    return _shaped(_mean_energy(c, bv, qv, sign, x1, bracket,
+                                partial(_numerator, c, bv, qv, x1, ex)), beta, q, c.a)
 
 
-def _mean_energy(c: SpectrumCoefficients, bv, qv, sign: float, x1, ex, bracket):
-    """U_s: numerator 'us' over a restatement of the Z_s bracket (verbatim),
-    or numerator 'ss' over the bracket itself (corrected)."""
+def _mean_energy(c: SpectrumCoefficients, bv, qv, sign: float, x1, bracket, numerator):
+    """U_s: numerator('us') over a restatement of the Z_s bracket (verbatim),
+    or numerator('ss') over the bracket itself (corrected)."""
     verbatim = sign < 0.0
-    num = _numerator(c, bv, qv, "us" if verbatim else "ss", x1, ex)
+    num = numerator("us" if verbatim else "ss")
     if verbatim:
         # the U_s denominator restates the bracket with 8 b^2 beta instead of
         # 8 b^3 beta, leaving an uncancelled Gaussian of this size
@@ -245,15 +254,18 @@ def _mean_energy(c: SpectrumCoefficients, bv, qv, sign: float, x1, ex, bracket):
 def entropy_superstat_closed(c: SpectrumCoefficients, beta, q, kB: float = 1.0,
                              transcription: str = "verbatim") -> float | np.ndarray:
     """The typeset closed form of S_s = kB(-beta * fraction + ln Z_s)."""
-    bv, qv, sign, x1 = _closed_args(c, beta, q, transcription)
+    sign = _sign_a3(transcription)
+    bv, qv, x1 = _closed_args(c, beta, q)
     ex = erfcx(x1)
     bracket = _bracket(_bracket_pieces(c, bv, qv, sign), ex)
-    return _shaped(_entropy(c, bv, qv, sign, x1, ex, bracket, kB), beta, q, c.a)
+    return _shaped(_entropy(c, bv, sign, bracket, partial(_numerator, c, bv, qv, x1, ex), kB),
+                   beta, q, c.a)
 
 
-def _entropy(c: SpectrumCoefficients, bv, qv, sign: float, x1, ex, bracket, kB: float):
-    """S_s: numerator 'ss' (verbatim) or 'us' (corrected) over the Z_s bracket."""
-    num = _numerator(c, bv, qv, "ss" if sign < 0.0 else "us", x1, ex)
+def _entropy(c: SpectrumCoefficients, bv, sign: float, bracket, numerator, kB: float):
+    """S_s: numerator('ss') (verbatim) or numerator('us') (corrected) over
+    the Z_s bracket."""
+    num = numerator("ss" if sign < 0.0 else "us")
     den = 4.0 * (c.b * bv) ** 1.5 * bracket
     return kB * (-bv * num / den + _log_partition(c, bv, bracket))
 
@@ -262,7 +274,8 @@ def _entropy(c: SpectrumCoefficients, bv, qv, sign: float, x1, ex, bracket, kB: 
 def free_energy_superstat_closed(c: SpectrumCoefficients, beta, q,
                                  transcription: str = "verbatim") -> float | np.ndarray:
     """F_s = -ln(Z_s)/beta of the same transcription's Z_s, exactly."""
-    bv, qv, sign, x1 = _closed_args(c, beta, q, transcription)
+    sign = _sign_a3(transcription)
+    bv, qv, x1 = _closed_args(c, beta, q)
     bracket = _bracket(_bracket_pieces(c, bv, qv, sign), erfcx(x1))
     return _shaped(_free_energy(c, bv, bracket), beta, q, c.a)
 
@@ -272,7 +285,8 @@ def heat_capacity_superstat_closed(c: SpectrumCoefficients, beta, q, kB: float =
                                    transcription: str = "verbatim") -> float | np.ndarray:
     """kB beta^2 d^2 ln Z_s/d beta^2 of the closed Z_s, exactly: no closed
     C_s was ever typeset, only this defining identity."""
-    bv, qv, sign, x1 = _closed_args(c, beta, q, transcription)
+    sign = _sign_a3(transcription)
+    bv, qv, x1 = _closed_args(c, beta, q)
     eds = erfcx_derivatives(x1)
     pieces = _bracket_pieces(c, bv, qv, sign)
     return _shaped(_heat_capacity(bv, x1, eds, pieces, _bracket(pieces, eds[0]), kB),
@@ -298,21 +312,31 @@ def _heat_capacity(bv, x1, eds, pieces, big, kB: float):
 
 @_saturating
 def superstat_closed_point(c: SpectrumCoefficients, beta, q, kB: float = 1.0,
-                           transcription: str = "verbatim") -> SuperstatPoint:
+                           transcription: str | tuple[str, str] = "verbatim") -> SuperstatPoint:
     """The typeset Z_s, U_s, S_s, F_s and the exact C_s of the closed Z_s
-    from one erfcx_derivatives(x1) and one _bracket_pieces, each bit for bit
-    its single-quantity function: floats at one (beta, q), arrays over the
-    broadcast of the coefficients, beta and q otherwise."""
+    from one erfcx_derivatives(x1), both _numerator variants and one
+    _bracket_pieces, each bit for bit its single-quantity function: floats
+    at one (beta, q), arrays over the broadcast of the coefficients, beta
+    and q otherwise.  transcription may be the pair TRANSCRIPTIONS: x1, its
+    erfcx derivatives and the numerators, which no transcription changes,
+    are formed once, and each quantity holds a trailing axis, one entry per
+    transcription, each bit for bit the point of that one name."""
+    signs = [_sign_a3(tr) for tr in _transcriptions(transcription)]
     bv, qv = _mesh(beta, q)
-    _, qf, sign, x1 = _closed_args(c, bv, qv, transcription)
+    _, qf, x1 = _closed_args(c, bv, qv)
     eds = erfcx_derivatives(x1)
     ex = eds[0]
-    pieces = _bracket_pieces(c, bv, qf, sign)
-    bracket = _bracket(pieces, ex)
+    numerator = {v: _numerator(c, bv, qf, x1, ex, v) for v in ("us", "ss")}.__getitem__
+
+    def fields(sign: float) -> tuple:
+        pieces = _bracket_pieces(c, bv, qf, sign)
+        bracket = _bracket(pieces, ex)
+        return (_partition(c, bv, bracket), _mean_energy(c, bv, qf, sign, x1, bracket, numerator),
+                _heat_capacity(bv, x1, eds, pieces, bracket, kB),
+                _entropy(c, bv, sign, bracket, numerator, kB), _free_energy(c, bv, bracket))
+
     return _point(SuperstatPoint, (c.a, beta, q), "closed", bv, qv,
-                  _partition(c, bv, bracket), _mean_energy(c, bv, qf, sign, x1, ex, bracket),
-                  _heat_capacity(bv, x1, eds, pieces, bracket, kB),
-                  _entropy(c, bv, qf, sign, x1, ex, bracket, kB), _free_energy(c, bv, bracket))
+                  *_transcribed([fields(sign) for sign in signs]))
 
 
 # ---------------------------------------------------------------------------

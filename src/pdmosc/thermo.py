@@ -85,8 +85,13 @@ def _point(kind, params, method: str, *fields):
     """kind(*fields, method=method), the point of a ThermoPoint or SuperstatPoint
     builder: each field (the checked beta, q for superstat, then each quantity) a
     float where every parameter (the coefficient a, beta, and q for superstat) is a
-    float, else the array."""
-    return kind(*(_shaped(f, *params) for f in fields), method=method)
+    float, else the array.  A field given as a list, one value per transcription
+    of a closed point (_transcribed), holds them along a trailing axis."""
+    def shaped(f):
+        if isinstance(f, list):
+            return np.stack([_shaped(v, *params) for v in f], axis=-1)
+        return _shaped(f, *params)
+    return kind(*map(shaped, fields), method=method)
 
 
 # ---------------------------------------------------------------------------
@@ -279,12 +284,11 @@ def _pair(kernel, x1, x2):
     return kernel(np.concatenate((x1, x2))).reshape((2,) + x1.shape)
 
 
-def _xargs(c: SpectrumCoefficients, beta, transcription: str = "verbatim"):
+def _xargs(c: SpectrumCoefficients, beta):
     """beta as a checked array (_beta_values) and the common erf arguments
     x1 <= x2 with the stabilized difference Dx = e^{x1^2} (erf(x2) - erf(x1)),
     after the argument checks; the closed forms below take them, so a whole
     point or curve forms them once, from one erfcx call (_pair)."""
-    _check_transcription(transcription)
     _require_regular(c)
     bv = _beta_values(beta)
     a, b = c.a, c.b
@@ -593,6 +597,23 @@ def _check_transcription(transcription: str):
         raise ValueError("transcription must be 'verbatim' or 'corrected'")
 
 
+def _transcriptions(transcription) -> tuple[str, ...]:
+    """The transcriptions a closed point evaluates, checked: one name, or
+    the pair TRANSCRIPTIONS itself."""
+    if transcription == TRANSCRIPTIONS:
+        return TRANSCRIPTIONS
+    _check_transcription(transcription)
+    return (transcription,)
+
+
+def _transcribed(columns: list[tuple]):
+    """A closed point's quantity fields from columns, one tuple of fields per
+    transcription it evaluates: one transcription's fields as they are, or,
+    for the pair, each field as the list of its two values, which _point
+    holds along a trailing axis."""
+    return columns[0] if len(columns) == 1 else [list(f) for f in zip(*columns)]
+
+
 @_saturating
 def mean_energy_closed(c: SpectrumCoefficients, beta,
                        transcription: str = "verbatim") -> float | np.ndarray:
@@ -602,8 +623,8 @@ def mean_energy_closed(c: SpectrumCoefficients, beta,
     e^{(a^2+2b)^2 beta/(4b)}; corrected restores e^{-3 a beta - ...} and
     e^{(a+2b)^2 beta/(4b)}, which makes the expression exactly
     -d ln Z / d beta of the closed-form Z."""
-    return _shaped(_mean_energy(c, *_xargs(c, beta, transcription), transcription),
-                   beta, c.a)
+    _check_transcription(transcription)
+    return _shaped(_mean_energy(c, *_xargs(c, beta), transcription), beta, c.a)
 
 
 def _mean_energy(c: SpectrumCoefficients, bv, xa, transcription: str):
@@ -633,8 +654,8 @@ def heat_capacity_closed(c: SpectrumCoefficients, beta, kB: float = 1.0,
     erf(x1)*erf(x2) cross term its own square demands, so it diverges from
     the truth and can overflow).  corrected evaluates the algebraically
     consistent reading, which equals kB beta^2 d2 ln Z/d beta2 exactly."""
-    return _shaped(_heat_capacity(c, *_xargs(c, beta, transcription), kB,
-                                  transcription), beta, c.a)
+    _check_transcription(transcription)
+    return _shaped(_heat_capacity(c, *_xargs(c, beta), kB, transcription), beta, c.a)
 
 
 def _heat_capacity(c: SpectrumCoefficients, bv, xa, kB: float, transcription: str):
@@ -689,7 +710,8 @@ def entropy_closed(c: SpectrumCoefficients, beta, kB: float = 1.0,
     which the remaining terms keep a bare growing exponential.  No reading
     of the typeset S matches kB(lnZ - beta dlnZ/dbeta); corrected therefore
     evaluates that defining identity with the corrected U."""
-    bv, xa = _xargs(c, beta, transcription)
+    _check_transcription(transcription)
+    bv, xa = _xargs(c, beta)
     return _shaped(_entropy(c, bv, xa, kB, transcription, _log_partition(c, bv, xa)),
                    beta, c.a)
 
@@ -719,14 +741,18 @@ def free_energy_closed(c: SpectrumCoefficients, beta) -> float | np.ndarray:
 
 @_saturating
 def thermo_closed_point(c: SpectrumCoefficients, beta, kB: float = 1.0,
-                        transcription: str = "verbatim") -> ThermoPoint:
+                        transcription: str | tuple[str, str] = "verbatim") -> ThermoPoint:
     """All five typeset closed forms from one _xargs, each bit for bit its
     single-quantity function.  Float coefficients and beta give a point of
     floats; a curve gives a point that holds beta and each quantity as an
-    array."""
-    bv, xa = _xargs(c, beta, transcription)
+    array.  transcription may be the pair TRANSCRIPTIONS: Z, ln Z and F,
+    which no transcription changes, are formed once, and each quantity
+    holds a trailing axis, one entry per transcription, each bit for bit
+    the point of that one name."""
+    names = _transcriptions(transcription)
+    bv, xa = _xargs(c, beta)
     lnz = _log_partition(c, bv, xa)
-    return _point(ThermoPoint, (c.a, beta), "closed", bv,
-                  _partition(c, bv, xa), _mean_energy(c, bv, xa, transcription),
-                  _heat_capacity(c, bv, xa, kB, transcription),
-                  _entropy(c, bv, xa, kB, transcription, lnz), -lnz / bv)
+    z, f = _partition(c, bv, xa), -lnz / bv
+    return _point(ThermoPoint, (c.a, beta), "closed", bv, *_transcribed(
+        [(z, _mean_energy(c, bv, xa, tr), _heat_capacity(c, bv, xa, kB, tr),
+          _entropy(c, bv, xa, kB, tr, lnz), f) for tr in names]))

@@ -12,11 +12,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from itertools import product, repeat
-from typing import Iterable, NamedTuple, Sequence
+from itertools import product
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from .errors import SingularLimit
 from .numerics import Tolerance
 from .spectrum import OscillatorParams, SpectrumCoefficients, coefficients
 from .thermo import TRANSCRIPTIONS
@@ -25,9 +26,9 @@ from . import routes
 QUANTITIES = routes.THERMO + routes.SUPERSTAT
 CLASSIFICATIONS = ("Agree", "Close", "Disagree", "PrintedNonFinite", "OracleNonFinite")
 
-#: each classification as a 0-d object array: np.select then fills a column
-#: with references to these five strings, not with a new string per row
-_CLASS = {name: np.array(name, dtype=object) for name in CLASSIFICATIONS}
+#: the classifications by integer code: indexing it fills a column with
+#: references to these five strings, not with a new string per row
+_CLASS = np.array(CLASSIFICATIONS, dtype=object)
 
 _REL_FLOOR = 1e-300
 _AGREE = 1e-6
@@ -61,10 +62,10 @@ def _classify(printed: np.ndarray, oracle: np.ndarray) -> tuple[np.ndarray, np.n
     with np.errstate(invalid="ignore", over="ignore"):
         rel = np.abs(printed - oracle) / np.maximum(np.abs(oracle), _REL_FLOOR)
     oracle_ok = np.isfinite(oracle)
-    cls = np.select([~oracle_ok, ~np.isfinite(printed), rel <= _AGREE, rel <= _CLOSE],
-                    [_CLASS["OracleNonFinite"], _CLASS["PrintedNonFinite"], _CLASS["Agree"],
-                     _CLASS["Close"]], _CLASS["Disagree"])
-    return np.where(oracle_ok, rel, math.nan), cls
+    # 0 Agree, 1 Close, 2 Disagree: rel is nan only where a value is not finite
+    grade = (rel > _AGREE).astype(np.intp) + (rel > _CLOSE)
+    code = np.where(oracle_ok, np.where(np.isfinite(printed), grade, 3), 4)
+    return np.where(oracle_ok, rel, math.nan), _CLASS[code]
 
 
 def audit_columns(params_grid: Iterable = DEFAULT_ALPHAS,
@@ -82,14 +83,16 @@ def audit_columns(params_grid: Iterable = DEFAULT_ALPHAS,
     thermo oracles with the physical sum route (the thermo 'sum' point).
 
     Both points of a family come from routes.POINTS: the oracle method, and
-    'closed' per transcription.  Each runs once over the whole grid,
+    'closed' with the pair TRANSCRIPTIONS, which holds each quantity with a
+    trailing transcription axis.  Each runs once over the whole grid,
     whatever its size: the coefficients of every alpha, from one
     coefficients call, are shaped (A, 1) against the beta array (the thermo
     State) and (A, 1, 1) against the beta x q mesh (the superstat State).
     Each element is bit for bit its one-point call, so a grid audits as the
-    merge of its one-alpha audits.  One AuditBlock per quantity, in
-    QUANTITIES order, each classified at once; grid rows alpha-major, then
-    TRANSCRIPTIONS.
+    merge of its one-alpha audits.  Where the closed forms are singular
+    (alpha = 0, b <= B_MIN) the printed values are nan, PrintedNonFinite
+    (_typeset).  One AuditBlock per quantity, in QUANTITIES order, each
+    classified at once; grid rows alpha-major, then TRANSCRIPTIONS.
     """
     if oracle_basis not in _ORACLES:
         raise ValueError("oracle_basis must be 'closed' or 'sum'")
@@ -104,20 +107,42 @@ def audit_columns(params_grid: Iterable = DEFAULT_ALPHAS,
     # family -> (grid rows, the State of the whole grid), alpha-major
     states = {
         "thermo": (tuple(product(alphas, betas, [None])),
-                   routes.State(c, beta=beta_col, tol=tol)),
+                   routes.State(c, beta=beta_col, transcription=TRANSCRIPTIONS, tol=tol)),
         "superstat": (tuple(product(alphas, betas, qs)),
                       routes.State(SpectrumCoefficients(c.a[..., None], c.b[..., None]),
-                                   beta=beta_col[:, None], q=np.array(qs), tol=tol))}
-    blocks, trs = [], TRANSCRIPTIONS
+                                   beta=beta_col[:, None], q=np.array(qs),
+                                   transcription=TRANSCRIPTIONS, tol=tol))}
+    blocks = []
     for family, (grid, s) in states.items():
         point = routes.POINTS[family]
         oracle = point[_ORACLES[oracle_basis][family]](s)
-        typeset = [point["closed"](replace(s, transcription=tr)) for tr in trs]
-        for qn in routes.FIELDS[family]:
+        typeset = _typeset(point["closed"], s, grid, routes.FIELDS[family])
+        for qn, p_col in typeset.items():
             o_col = getattr(oracle, qn).ravel()
-            p_col = np.stack([getattr(pt, qn) for pt in typeset], axis=-1).reshape(-1, len(trs))
             blocks.append(AuditBlock(qn, grid, p_col, o_col, *_classify(p_col, o_col[:, None])))
     return blocks
+
+
+def _typeset(closed: Callable, s: routes.State, grid: tuple,
+             quantities: Sequence[str]) -> dict[str, np.ndarray]:
+    """quantity -> the column of the closed point of s over grid, shaped
+    (grid row, transcription).  Where the closed forms are singular
+    (SingularLimit marks the alphas with b <= B_MIN) the column is nan, and
+    one more call evaluates the regular alphas, as sweeps._evaluate does."""
+    width = len(TRANSCRIPTIONS)
+    try:
+        pt = closed(s)
+    except SingularLimit as exc:
+        regular = np.logical_not(exc.singular).reshape(-1)
+    else:
+        return {qn: getattr(pt, qn).reshape(-1, width) for qn in quantities}
+    at = np.repeat(regular, len(grid) // regular.size)  # the grid rows of each alpha
+    columns = {qn: np.full((len(grid), width), math.nan) for qn in quantities}
+    if regular.any():
+        pt = closed(replace(s, c=SpectrumCoefficients(s.c.a[regular], s.c.b[regular])))
+        for qn, col in columns.items():
+            col[at] = getattr(pt, qn).reshape(-1, width)
+    return columns
 
 
 AUDIT_CSV_HEADER = "quantity,alpha,beta,q,transcription,printed,oracle,rel_diff,classification"
@@ -135,18 +160,26 @@ class _Text(dict):
 
 
 def render_audit_csv(columns: Sequence[AuditBlock]) -> str:
-    """The CSV text of audit_columns' blocks: floats at 17 digits, q empty for thermo."""
-    text, trs = _Text({None: ""}), TRANSCRIPTIONS
-    lines, shared = [AUDIT_CSV_HEADER], None
+    """The CSV text of audit_columns' blocks: floats at 17 digits, q empty for
+    thermo.  Each block is one % template over its flattened columns."""
+    text, width = _Text({None: ""}), len(TRANSCRIPTIONS)
+    parts, shared = [AUDIT_CSV_HEADER + "\n"], None
     for qn, grid, printed, oracle, rel, cls in columns:
         if grid is not shared:  # the next family: its quantities share these prefixes
             shared, prefixes = grid, [f"{text[a]},{text[b]},{text[q]},{tr}"
-                                      for a, b, q in grid for tr in trs]
-        o_text = [s for o in oracle.tolist() for s in repeat(f"{o:.17g}", len(trs))]
-        lines += [f"{qn},{pre},{p:.17g},{o},{r:.17g},{c}" for pre, p, o, r, c in zip(
-            prefixes, printed.ravel().tolist(), o_text, rel.ravel().tolist(),
-            cls.ravel().tolist())]
-    return "\n".join(lines) + "\n"
+                                      for a, b, q in grid for tr in TRANSCRIPTIONS]
+        # one field per column of each row, row-major: prefix, printed,
+        # oracle (formatted once per grid row), rel_diff, classification
+        fields = [None] * (5 * len(prefixes))
+        fields[0::5] = prefixes
+        fields[1::5] = printed.ravel().tolist()
+        o_text = ("%.17g\n" * len(oracle) % tuple(oracle.tolist())).split("\n")[:-1]
+        for j in range(width):
+            fields[2 + 5 * j::5 * width] = o_text
+        fields[3::5] = rel.ravel().tolist()
+        fields[4::5] = cls.ravel().tolist()
+        parts.append(f"{qn},%s,%.17g,%s,%.17g,%s\n" * len(prefixes) % tuple(fields))
+    return "".join(parts)
 
 
 def render_audit_json(columns: Sequence[AuditBlock]) -> str:

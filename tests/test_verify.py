@@ -4,13 +4,18 @@ import collections
 import inspect
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from pdmosc import OscillatorParams, cli, energy_level, superstat, thermo
-from pdmosc.verify import (AUDIT_CSV_HEADER, DEFAULT_BETAS, QUANTITIES, audit_columns,
-                           render_audit_csv, render_audit_json, trend_check, _classify)
+from pdmosc import (OscillatorParams, SingularLimit, cli, coefficients, energy_level, routes,
+                    superstat, thermo)
+from pdmosc.spectrum import SpectrumCoefficients
+from pdmosc.thermo import TRANSCRIPTIONS
+from pdmosc.verify import (AUDIT_CSV_HEADER, DEFAULT_ALPHAS, DEFAULT_BETAS, DEFAULT_QS,
+                           QUANTITIES, AuditBlock, audit_columns, render_audit_csv,
+                           render_audit_json, trend_check, _classify)
 
 SMALL_GRID = dict(params_grid=(0.1, 0.3), beta_grid=DEFAULT_BETAS[::8],
                   q_grid=(0.0, 0.5))
@@ -33,13 +38,26 @@ def _audit_rows(**kwargs) -> list[Row]:
 
 
 def test_classify_thresholds():
-    # one column per call: the same cases, classified elementwise
-    printed = np.array([1.0, 1.0 + 5e-7, 1.001, 1.5, math.inf, math.nan, 1.0, 1e-10])
-    oracle = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0, math.inf, 0.0])
-    rel, cls = _classify(printed, oracle)
-    assert cls.tolist() == ["Agree", "Agree", "Close", "Disagree", "PrintedNonFinite",
-                            "PrintedNonFinite", "OracleNonFinite", "Disagree"]
+    # one column per call: the same cases, classified elementwise; each bound
+    # is met exactly once (|1000001 - 1e6| / 1e6 == 1e-6, |101 - 100| / 100 ==
+    # 1e-2) and belongs to the better class; a non-finite oracle wins over a
+    # non-finite printed value
+    cases = [(1.0, 1.0, "Agree"), (1.0 + 5e-7, 1.0, "Agree"), (1.001, 1.0, "Close"),
+             (1.5, 1.0, "Disagree"), (math.inf, 1.0, "PrintedNonFinite"),
+             (math.nan, 1.0, "PrintedNonFinite"), (1.0, math.inf, "OracleNonFinite"),
+             (1e-10, 0.0, "Disagree"), (1000001.0, 1e6, "Agree"), (101.0, 100.0, "Close"),
+             (-math.inf, 2.0, "PrintedNonFinite"), (math.inf, -2.0, "PrintedNonFinite"),
+             (math.nan, math.nan, "OracleNonFinite"), (math.inf, -math.inf, "OracleNonFinite"),
+             (-math.inf, math.nan, "OracleNonFinite"), (0.0, 0.0, "Agree")]
+    printed, oracle, want = zip(*cases)
+    rel, cls = _classify(np.array(printed), np.array(oracle))
+    assert cls.tolist() == list(want)
     assert rel[0] == 0.0 and math.isnan(rel[6])
+    assert rel[8] == 1e-6 and rel[9] == 1e-2 and rel[15] == 0.0
+    # rel_diff is nan wherever the oracle is not finite or the printed value
+    # is nan, and inf for a printed infinity
+    assert all(math.isnan(r) for r in rel[[5, 6, 12, 13, 14]])
+    assert all(r == math.inf for r in rel[[4, 10, 11]])
     # floor keeps zero oracles well defined
     assert math.isfinite(rel[7])
 
@@ -106,13 +124,21 @@ def test_sum_basis_runs():
 @pytest.mark.parametrize("basis", ["closed", "sum"])
 def test_audit_grid_is_the_merge_of_its_one_alpha_audits(basis):
     grid = dict(beta_grid=DEFAULT_BETAS[::6], q_grid=(0.0, 0.5, 1.0), oracle_basis=basis)
-    alphas = (0.1, 0.3, 0.9)
+    # alpha = 0 has b = 0, where every closed form is singular
+    alphas = (0.1, 0.0, 0.3, 0.9)
     whole = _audit_rows(params_grid=alphas, **grid)
     parts = [_audit_rows(params_grid=(alpha,), **grid) for alpha in alphas]
     # each quantity's rows, alpha-major: the one-alpha audits' rows in turn
     merged = [r for qn in QUANTITIES for part in parts for r in part if r.quantity == qn]
     # bit for bit: repr tells nan, -0.0 and every float apart
     assert list(map(repr, whole)) == list(map(repr, merged))
+    singular = [r for r in whole if r.alpha == 0.0]
+    assert len(singular) == len(whole) // len(alphas)
+    assert all(math.isnan(r.printed) and math.isnan(r.rel_diff) and math.isfinite(r.oracle)
+               and r.classification == "PrintedNonFinite" for r in singular)
+    # an audit of singular alphas only prints nan in every closed column
+    assert list(map(repr, _audit_rows(params_grid=(0.0,), **grid))) == \
+        list(map(repr, singular))
 
 
 @pytest.mark.parametrize("alphas", [(0.3,), (0.1, 0.3, 0.9)])
@@ -141,22 +167,68 @@ def test_audit_grid_calls_each_route_once(alphas, basis, monkeypatch, capsys):
     counted(superstat, "superstat_thermo", lambda a: ())
     counted(superstat, "superstat_closed_point", lambda a: (a["transcription"],))
     oracle = ("thermo_quadrature", "quad01") if basis == "closed" else ("thermo_sum_engine",)
-    six = sorted([
-        oracle, ("thermo_closed_point", "verbatim"), ("thermo_closed_point", "corrected"),
-        ("superstat_thermo",), ("superstat_closed_point", "verbatim"),
-        ("superstat_closed_point", "corrected")])
+    # one closed call per family, for both transcriptions
+    four = sorted([oracle, ("thermo_closed_point", TRANSCRIPTIONS), ("superstat_thermo",),
+                   ("superstat_closed_point", TRANSCRIPTIONS)])
     audit_columns(params_grid=alphas, beta_grid=DEFAULT_BETAS[::8], q_grid=(0.0, 0.5),
                   oracle_basis=basis)
-    assert sorted(calls) == six
+    assert sorted(calls) == four
     # the CLI's CSV and JSON paths, on the default grid
     calls.clear()
     assert cli.main(["audit", "--method", basis]) == 0
     assert capsys.readouterr().out.count("\n") == 4501
-    assert sorted(calls) == six
+    assert sorted(calls) == four
     calls.clear()
     assert cli.main(["audit", "--format", "json", "--method", basis]) == 0
     assert len(json.loads(capsys.readouterr().out)) == 4500
-    assert sorted(calls) == six
+    assert sorted(calls) == four
+
+
+def _audit_states(alphas) -> dict[str, routes.State]:
+    """family -> the audit's State of the default beta (and q) grid, the
+    coefficients shaped (A, 1), and (A, 1, 1) for superstat."""
+    c = coefficients(OscillatorParams(alpha=np.array(alphas)[:, None]))
+    betas = np.array(DEFAULT_BETAS)
+    return {"thermo": routes.State(c, beta=betas),
+            "superstat": routes.State(SpectrumCoefficients(c.a[..., None], c.b[..., None]),
+                                      beta=betas[:, None], q=np.array(DEFAULT_QS))}
+
+
+@pytest.mark.parametrize("family", ["thermo", "superstat"])
+def test_closed_point_of_both_transcriptions_is_its_one_name_points(family):
+    # the pair forms the transcription-free pieces once; each field's
+    # trailing entry j is bit for bit the point of TRANSCRIPTIONS[j], on the
+    # audit's grids and at a float point (repr tells nan and -0.0 apart)
+    closed = routes.POINTS[family]["closed"]
+    point = routes.State(coefficients(OscillatorParams(alpha=0.3)), beta=2.0, q=0.5)
+    for s in (_audit_states(DEFAULT_ALPHAS)[family], point):
+        pair = closed(replace(s, transcription=TRANSCRIPTIONS))
+        for j, tr in enumerate(TRANSCRIPTIONS):
+            one = closed(replace(s, transcription=tr))
+            assert repr(pair.beta) == repr(one.beta) and pair.method == one.method
+            for qn in routes.FIELDS[family]:
+                field, want = getattr(pair, qn), np.asarray(getattr(one, qn))
+                assert field.shape == want.shape + (2,)
+                assert repr(field[..., j].tolist()) == repr(want.tolist()), (qn, tr)
+
+
+@pytest.mark.parametrize("family", ["thermo", "superstat"])
+def test_closed_point_of_both_transcriptions_raises_where_one_name_does(family):
+    closed = routes.POINTS[family]["closed"]
+    singular = {"alphas": (0.1, 0.0), "point": 0.0}  # alpha = 0: b = 0 <= B_MIN
+    for s in (_audit_states(singular["alphas"])[family],
+              routes.State(coefficients(OscillatorParams(alpha=singular["point"])), beta=2.0)):
+        for tr in TRANSCRIPTIONS + (TRANSCRIPTIONS,):
+            with pytest.raises(SingularLimit):
+                closed(replace(s, transcription=tr))
+    s = _audit_states(DEFAULT_ALPHAS)[family]
+    for tr in TRANSCRIPTIONS + (TRANSCRIPTIONS,):
+        with pytest.raises(ValueError, match="beta must be positive"):
+            closed(replace(s, beta=-s.beta, transcription=tr))
+    # only the pair itself, in its order, or one name
+    for tr in ("typo", TRANSCRIPTIONS[::-1], TRANSCRIPTIONS[:1], list(TRANSCRIPTIONS)):
+        with pytest.raises(ValueError, match="transcription must be"):
+            closed(replace(s, transcription=tr))
 
 
 def test_csv_rendering():
@@ -187,6 +259,32 @@ def _report_line(r: Row) -> str:
     """The reference CSV record: each field of the row, floats at 17
     significant digits, None empty."""
     return ",".join("" if v is None else v if isinstance(v, str) else f"{v:.17g}" for v in r)
+
+
+#: float values the default grid never prints, each with its own text
+_EDGE_VALUES = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308,
+                -2.2250738585072014e-308, 0.1, 1e22)
+
+
+def test_csv_of_blocks_with_edge_values_is_the_csv_of_the_reports():
+    # synthetic blocks, thermo rows (q None) and superstat rows, whose
+    # printed, oracle and rel_diff columns cycle through _EDGE_VALUES
+    n = len(_EDGE_VALUES)
+    values = np.array(_EDGE_VALUES)
+    thermo_grid = tuple((a, b, None) for a, b in zip(_EDGE_VALUES, _EDGE_VALUES[3:] * 2))
+    superstat_grid = tuple((0.5, b, q) for b, q in zip(_EDGE_VALUES, _EDGE_VALUES[::-1]))
+    cls = np.array(["Agree", "Close", "Disagree", "PrintedNonFinite", "OracleNonFinite"] * 4,
+                   dtype=object).reshape(n, 2)
+    blocks = [AuditBlock(qn, grid, np.roll(np.c_[values, values[::-1]], k, axis=0),
+                         np.roll(values, 2 * k), np.roll(np.c_[values[::-1], values], 3 * k,
+                                                         axis=0), np.roll(cls, k, axis=0))
+              for k, (qn, grid) in enumerate([("Z", thermo_grid), ("U", thermo_grid),
+                                              ("Zs", superstat_grid), ("Cs", superstat_grid)])]
+    lines = render_audit_csv(blocks).split("\n")
+    assert lines == [AUDIT_CSV_HEADER] + list(map(_report_line, _rows(blocks))) + [""]
+    assert len(lines) == 2 + 4 * 2 * n
+    assert {"nan", "inf", "-inf", "-0", "4.9406564584124654e-324",
+            "1.7976931348623157e+308"} <= {f for line in lines for f in line.split(",")}
 
 
 @pytest.mark.parametrize("grid", [SMALL_GRID, {}], ids=["small", "default"])

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
+from itertools import product
 
 from .errors import NonConvergence, NonDecaying, PdmoscError
 from .numerics import Tolerance
@@ -152,26 +152,29 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
-def _rows_csv(header: list[str], template: str, rows: list[tuple]) -> str:
-    """One line per row, formatted by template: its comma-separated fields
-    are %.17g for a number and %s for a string.  A row holding None is
-    formatted field by field, None as the empty field."""
-    fields = template.split(",")
-    lines = [",".join(header)]
-    lines += [template % row if None not in row else
-              ",".join("" if v is None else f % v for f, v in zip(fields, row))
-              for row in rows]
-    return "\n".join(lines) + "\n"
-
-
-def _rows_json(header: list[str], rows: list[tuple]) -> str:
-    return json.dumps([dict(zip(header, row)) for row in rows], indent=1) + "\n"
-
-
-def _emit_rows(args, header: list[str], template: str, rows: list[tuple]):
-    """rows as CSV (through template, see _rows_csv) or as JSON."""
-    text = _rows_csv(header, template, rows) if args.format == "csv" else \
-        _rows_json(header, rows)
+def _emit_curves(args, header: list[str], labels: list[str] | None, xs: list, ys: list,
+                 warnings: list):
+    """Curves over the one grid xs as CSV or JSON rows: for each curve of
+    labels, its label, then x, y and warning at each x; a sweep (labels
+    None) is one curve without a label.  ys and warnings run curve-major.
+    The CSV is one % template over the flattened columns, each x formatted
+    once for all the curves; a y column holding None is formatted field by
+    field, None as the empty field."""
+    leads = [()] if labels is None else [(label,) for label in labels]
+    if args.format == "json":
+        text = verify.render_json([dict(zip(header, (*lead, x, y, w))) for (lead, x), y, w
+                                   in zip(product(leads, xs), ys, warnings)])
+    else:
+        y_field = "%.17g"
+        if None in ys:
+            y_field, ys = "%s", ["" if y is None else "%.17g" % y for y in ys]
+        fields = [None] * (3 * len(ys))
+        fields[0::3] = ("%.17g\n" * len(xs) % tuple(xs)).split("\n")[:-1] * len(leads)
+        fields[1::3] = ys
+        fields[2::3] = warnings
+        text = ",".join(header) + "\n" + "".join(
+            ("".join(f"{v}," for v in lead) + f"%s,{y_field},%s\n") * len(xs)
+            for lead in leads) % tuple(fields)
     _emit(text, args.out)
 
 
@@ -187,14 +190,14 @@ def _cmd_sweep(args) -> int:
         quantity=args.quantity, vary=args.vary, values=_parse_range(args.range),
         fixed=_values(args), method=args.method or "sum", units=args.units,
         transcription=args.transcription, b_convention=args.b_convention)
-    _emit_rows(args, [args.vary, args.quantity, "warning"], "%.17g,%.17g,%s",
-               sweeps.run_sweep(spec, _tolerance(args)))
+    _emit_curves(args, [args.vary, args.quantity, "warning"], None,
+                 *sweeps.run_sweep(spec, _tolerance(args)))
     return 0
 
 
 def _cmd_figure(args) -> int:
-    _emit_rows(args, ["curve", "x", "y", "warning"], "%s,%.17g,%.17g,%s",
-               sweeps.figure_preset(args.id, _tolerance(args)))
+    _emit_curves(args, ["curve", "x", "y", "warning"],
+                 *sweeps.figure_preset(args.id, _tolerance(args)))
     return 0
 
 

@@ -159,10 +159,6 @@ def _partition(c: SpectrumCoefficients, bv, bracket):
     return np.exp(-(c.a + c.b) * bv / 2.0) / scale * bracket
 
 
-def _free_energy(c: SpectrumCoefficients, bv, bracket):
-    return -_log_partition(c, bv, bracket) / bv
-
-
 @_saturating
 def superstat_partition_closed(c: SpectrumCoefficients, beta, q,
                                transcription: str = "verbatim") -> float | np.ndarray:
@@ -258,16 +254,16 @@ def entropy_superstat_closed(c: SpectrumCoefficients, beta, q, kB: float = 1.0,
     bv, qv, x1 = _closed_args(c, beta, q)
     ex = erfcx(x1)
     bracket = _bracket(_bracket_pieces(c, bv, qv, sign), ex)
-    return _shaped(_entropy(c, bv, sign, bracket, partial(_numerator, c, bv, qv, x1, ex), kB),
-                   beta, q, c.a)
+    return _shaped(_entropy(c, bv, sign, bracket, partial(_numerator, c, bv, qv, x1, ex), kB,
+                            _log_partition(c, bv, bracket)), beta, q, c.a)
 
 
-def _entropy(c: SpectrumCoefficients, bv, sign: float, bracket, numerator, kB: float):
+def _entropy(c: SpectrumCoefficients, bv, sign: float, bracket, numerator, kB: float, lnz):
     """S_s: numerator('ss') (verbatim) or numerator('us') (corrected) over
-    the Z_s bracket."""
+    the Z_s bracket, plus lnz = ln Z_s of that bracket."""
     num = numerator("ss" if sign < 0.0 else "us")
     den = 4.0 * (c.b * bv) ** 1.5 * bracket
-    return kB * (-bv * num / den + _log_partition(c, bv, bracket))
+    return kB * (-bv * num / den + lnz)
 
 
 @_saturating
@@ -277,7 +273,7 @@ def free_energy_superstat_closed(c: SpectrumCoefficients, beta, q,
     sign = _sign_a3(transcription)
     bv, qv, x1 = _closed_args(c, beta, q)
     bracket = _bracket(_bracket_pieces(c, bv, qv, sign), erfcx(x1))
-    return _shaped(_free_energy(c, bv, bracket), beta, q, c.a)
+    return _shaped(-_log_partition(c, bv, bracket) / bv, beta, q, c.a)
 
 
 @_saturating
@@ -331,9 +327,10 @@ def superstat_closed_point(c: SpectrumCoefficients, beta, q, kB: float = 1.0,
     def fields(sign: float) -> tuple:
         pieces = _bracket_pieces(c, bv, qf, sign)
         bracket = _bracket(pieces, ex)
+        lnz = _log_partition(c, bv, bracket)
         return (_partition(c, bv, bracket), _mean_energy(c, bv, qf, sign, x1, bracket, numerator),
                 _heat_capacity(bv, x1, eds, pieces, bracket, kB),
-                _entropy(c, bv, sign, bracket, numerator, kB), _free_energy(c, bv, bracket))
+                _entropy(c, bv, sign, bracket, numerator, kB, lnz), -lnz / bv)
 
     return _point(SuperstatPoint, (c.a, beta, q), "closed", bv, qv,
                   *_transcribed([fields(sign) for sign in signs]))

@@ -9,7 +9,6 @@ Trends are attached to presets only where mathematically provable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -79,12 +78,6 @@ class SweepSpec:
             raise ValueError("units must be 'natural' or 'si'")
 
 
-class SweepRow(NamedTuple):
-    x: float
-    y: float | None
-    warning: str = ""
-
-
 def _evaluate(spec: SweepSpec, values: dict, tol: Tolerance) -> tuple[list, list]:
     """spec's route in one call over a grid, values holding each varied
     parameter as an array of one value per point: (values, warnings), one
@@ -109,12 +102,11 @@ def _evaluate(spec: SweepSpec, values: dict, tol: Tolerance) -> tuple[list, list
     return [next(ys) if ok else None for ok in oks], ["" if ok else "SingularLimit" for ok in oks]
 
 
-def run_sweep(spec: SweepSpec, tol: Tolerance = PRESET_TOL) -> list[SweepRow]:
-    """The sweep's rows from one route call over its grid (_evaluate), each
-    bit for bit the route at its own point."""
+def run_sweep(spec: SweepSpec, tol: Tolerance = PRESET_TOL) -> tuple[list, list, list]:
+    """The sweep's columns x, y and warning from one route call over its grid
+    (_evaluate), each y bit for bit the route at its own point."""
     xs = np.array(spec.values, dtype=float)
-    ys, warnings = _evaluate(spec, {**spec.fixed, spec.vary: xs}, tol)
-    return list(map(SweepRow, xs.tolist(), ys, warnings))
+    return (xs.tolist(), *_evaluate(spec, {**spec.fixed, spec.vary: xs}, tol))
 
 
 # ---------------------------------------------------------------------------
@@ -190,19 +182,12 @@ PRESETS: dict[str, FigurePreset] = {pr.figure_id: pr for pr in [
 FIGURE_IDS = tuple(PRESETS)
 
 
-class FigureRow(NamedTuple):
-    curve: str
-    x: float
-    y: float | None
-    warning: str = ""
-
-
-def figure_preset(figure_id: str, tol: Tolerance = PRESET_TOL) -> list[FigureRow]:
-    """Long-format (curve_label, x, y) rows for one preset, one curve per
-    quoted fixed-parameter value.  The whole (curve x x) grid is one route
-    call (_evaluate): the State holds the varied parameter tiled over the
-    curves and the curve parameter repeated over x, so each row is bit for
-    bit the row of that curve's own run_sweep."""
+def figure_preset(figure_id: str, tol: Tolerance = PRESET_TOL) -> tuple[list, list, list, list]:
+    """One preset's columns: the labels of its curves (one per quoted
+    fixed-parameter value), the x grid they share, then y and the warning
+    curve-major.  The whole (curve x x) grid is one route call (_evaluate):
+    the State holds x tiled over the curves and the curve parameter repeated
+    over x, so each curve is bit for bit its own run_sweep."""
     if figure_id not in PRESETS:
         raise ValueError(f"unknown figure id {figure_id!r}; known: {', '.join(FIGURE_IDS)}")
     pr = PRESETS[figure_id]
@@ -212,5 +197,4 @@ def figure_preset(figure_id: str, tol: Tolerance = PRESET_TOL) -> list[FigureRow
                                     pr.curve_param: np.repeat(pr.curve_values, m)}, tol)
     labels = [f"n={int(cv)}" if pr.curve_param == "n" else f"{pr.curve_param}={cv:g}"
               for cv in pr.curve_values]
-    return list(map(FigureRow, [label for label in labels for _ in range(m)],
-                    pr.values * k, ys, warnings))
+    return labels, list(pr.values), ys, warnings

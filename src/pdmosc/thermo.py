@@ -245,7 +245,6 @@ def _boltzmann_levels(a, b, bv):
     geometric = b == 0.0
     with np.errstate(over="ignore"):  # beta L overflows at beta ~ 1e308
         em = ~geometric & (bv * (a + 2.0 * b) <= _EM_THETA)
-        x = bv[geometric] * a[geometric]
     direct = ~(geometric | em)
     if direct.any():
         rows[:, direct], m[direct] = _direct_rows(a[direct], b[direct], bv[direct])
@@ -255,10 +254,12 @@ def _boltzmann_levels(a, b, bv):
         zred = 1.0 + np.ldexp(rows[0], -m)
         tail, mean = rows[0], rows[1] / zred
         var = rows[2] / zred - np.ldexp(mean, -m) * mean
-        om = -np.expm1(-x)
-        t = np.exp(-x) / om
-        x = np.where(t > 0.0, x, 0.0)  # u^k r is +0 where r is, also at beta a = inf
-        tail[geometric], mean[geometric], var[geometric] = t, x * t, x * t * (x / om)
+        if geometric.any():
+            x = bv[geometric] * a[geometric]
+            om = -np.expm1(-x)
+            t = np.exp(-x) / om
+            x = np.where(t > 0.0, x, 0.0)  # u^k r is +0 where r is, also at beta a = inf
+            tail[geometric], mean[geometric], var[geometric] = t, x * t, x * t * (x / om)
     return tail, mean, var, m
 
 
@@ -308,10 +309,11 @@ def partition_closed(c: SpectrumCoefficients, beta) -> float | np.ndarray:
     return _shaped(_partition(c, *_xargs(c, beta)), beta, c.a)
 
 
-def _partition(c: SpectrumCoefficients, bv, xa):
+def _partition(c: SpectrumCoefficients, bv, xa, erfs=None):
+    """Z from _xargs, with erfs = _pair(erf, x1, x2) where the caller holds it."""
     a, b = c.a, c.b
     x1, x2, dx = xa
-    e1, e2 = _pair(erf, x1, x2)
+    e1, e2 = _pair(erf, x1, x2) if erfs is None else erfs
     typeset = np.exp((a * a + 2.0 * a * b + 2.0 * b * b) * bv / (4.0 * b)) \
         * _SQRT_PI / (2.0 * np.sqrt(b * bv)) * (e2 - e1)
     scaled = _SQRT_PI / (2.0 * np.sqrt(b * bv)) * np.exp(-bv * (a + b) / 2.0) * dx
@@ -448,8 +450,9 @@ def _scaled_moments(a, b, bv) -> np.ndarray:
         inv_y2 = 4.0 * b / (bv * lin * lin)
     rule = inv_y2 * _X_RULE * _X_RULE <= 1.0
     moments = np.empty((5, len(bv)))
-    weight = 1.0 / np.sqrt(1.0 + _LAG_U * inv_y2[rule][:, None])
-    moments[:, rule] = [(row * weight).sum(axis=-1) for row in _LAG_ROWS]
+    if rule.any():
+        weight = 1.0 / np.sqrt(1.0 + _LAG_U * inv_y2[rule][:, None])
+        moments[:, rule] = [(row * weight).sum(axis=-1) for row in _LAG_ROWS]
     slow = ~rule
     if slow.any():  # even empty, it costs an erfcx call
         y = 0.5 * lin[slow] * np.sqrt(bv[slow] / b[slow])
@@ -658,8 +661,9 @@ def heat_capacity_closed(c: SpectrumCoefficients, beta, kB: float = 1.0,
     return _shaped(_heat_capacity(c, *_xargs(c, beta), kB, transcription), beta, c.a)
 
 
-def _heat_capacity(c: SpectrumCoefficients, bv, xa, kB: float, transcription: str):
-    # coefficient powers are products, which round alike as floats and arrays
+def _heat_capacity(c: SpectrumCoefficients, bv, xa, kB: float, transcription: str, erfs=None):
+    # erfs as for _partition; coefficient powers are products, which round
+    # alike as floats and arrays
     a, b = c.a, c.b
     x1, x2, dx = xa
     delta = a + 3.0 * b
@@ -672,7 +676,7 @@ def _heat_capacity(c: SpectrumCoefficients, bv, xa, kB: float, transcription: st
         return kB * (0.5 - 0.5 * w1 - w1 * w1
                      + bv ** 1.5 / _SQRT_PI * (c1 * c1 * c1 - c2 * c2 * c2 * edec) / dx)
     # verbatim transcription; prefactor exponent folded into each term
-    e1, e2 = _pair(erf, x1, x2)
+    e1, e2 = _pair(erf, x1, x2) if erfs is None else erfs
     d = np.exp(-x1 * x1) * dx
     sbb = np.sqrt(b * bv)
     ap2, ap4 = a + 2.0 * b, a + 4.0 * b
@@ -712,13 +716,15 @@ def entropy_closed(c: SpectrumCoefficients, beta, kB: float = 1.0,
     evaluates that defining identity with the corrected U."""
     _check_transcription(transcription)
     bv, xa = _xargs(c, beta)
-    return _shaped(_entropy(c, bv, xa, kB, transcription, _log_partition(c, bv, xa)),
+    u = _mean_energy(c, bv, xa, transcription) if transcription == "corrected" else None
+    return _shaped(_entropy(c, bv, xa, kB, transcription, _log_partition(c, bv, xa), u),
                    beta, c.a)
 
 
-def _entropy(c: SpectrumCoefficients, bv, xa, kB: float, transcription: str, lnz):
+def _entropy(c: SpectrumCoefficients, bv, xa, kB: float, transcription: str, lnz, u):
+    """S from _xargs, ln Z and, for the corrected S, the corrected U."""
     if transcription == "corrected":
-        return kB * (lnz + bv * _mean_energy(c, bv, xa, "corrected"))
+        return kB * (lnz + bv * u)
     a, b = c.a, c.b
     _, _, dx = xa
     delta = a + 3.0 * b
@@ -742,17 +748,19 @@ def free_energy_closed(c: SpectrumCoefficients, beta) -> float | np.ndarray:
 @_saturating
 def thermo_closed_point(c: SpectrumCoefficients, beta, kB: float = 1.0,
                         transcription: str | tuple[str, str] = "verbatim") -> ThermoPoint:
-    """All five typeset closed forms from one _xargs, each bit for bit its
-    single-quantity function.  Float coefficients and beta give a point of
-    floats; a curve gives a point that holds beta and each quantity as an
-    array.  transcription may be the pair TRANSCRIPTIONS: Z, ln Z and F,
-    which no transcription changes, are formed once, and each quantity
+    """All five typeset closed forms from one _xargs and one erf pair, each
+    bit for bit its single-quantity function; S takes the U of its own
+    transcription.  Float coefficients and beta give a point of floats; a
+    curve gives a point that holds beta and each quantity as an array.
+    transcription may be the pair TRANSCRIPTIONS: Z, ln Z and F, which no
+    transcription changes, are formed once, and each quantity
     holds a trailing axis, one entry per transcription, each bit for bit
     the point of that one name."""
     names = _transcriptions(transcription)
     bv, xa = _xargs(c, beta)
+    erfs = _pair(erf, *xa[:2])
     lnz = _log_partition(c, bv, xa)
-    z, f = _partition(c, bv, xa), -lnz / bv
+    z, f = _partition(c, bv, xa, erfs), -lnz / bv
     return _point(ThermoPoint, (c.a, beta), "closed", bv, *_transcribed(
-        [(z, _mean_energy(c, bv, xa, tr), _heat_capacity(c, bv, xa, kB, tr),
-          _entropy(c, bv, xa, kB, tr, lnz), f) for tr in names]))
+        [(z, (u := _mean_energy(c, bv, xa, tr)), _heat_capacity(c, bv, xa, kB, tr, erfs),
+          _entropy(c, bv, xa, kB, tr, lnz, u), f) for tr in names]))

@@ -183,15 +183,23 @@ def render_audit_csv(columns: Sequence[AuditBlock]) -> str:
 
 
 def render_audit_json(columns: Sequence[AuditBlock]) -> str:
-    """The JSON text of audit_columns' blocks: one record per CSV row, keyed
-    by AUDIT_CSV_HEADER's fields, q null for thermo."""
+    """The JSON text of audit_columns' blocks (render_json): one record per
+    CSV row, keyed by AUDIT_CSV_HEADER's fields, q null for thermo."""
     keys, trs = AUDIT_CSV_HEADER.split(","), TRANSCRIPTIONS
-    records = [dict(zip(keys, (qn, *row, tr, *cols)))
-               for qn, grid, printed, oracle, rel, cls in columns
-               for (row, tr), *cols in zip(product(grid, trs), printed.ravel().tolist(),
-                                           np.repeat(oracle, len(trs)).tolist(),
-                                           rel.ravel().tolist(), cls.ravel().tolist())]
-    return json.dumps(records, indent=1) + "\n"
+    return render_json([dict(zip(keys, (qn, *row, tr, *cols)))
+                        for qn, grid, printed, oracle, rel, cls in columns
+                        for (row, tr), *cols in zip(product(grid, trs), printed.ravel().tolist(),
+                                                    np.repeat(oracle, len(trs)).tolist(),
+                                                    rel.ravel().tolist(), cls.ravel().tolist())])
+
+
+def render_json(records: Sequence[dict]) -> str:
+    """records as indented JSON text that strict parsers read: JSON has no
+    number that is not finite, so such a float is the string the CSV
+    prints ("nan", "inf", "-inf"); None is null."""
+    return json.dumps([{k: f"{v:.17g}" if type(v) is float and not math.isfinite(v) else v
+                        for k, v in record.items()} for record in records],
+                      indent=1, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -33,24 +33,23 @@ def test_energy_sweep_increasing():
     spec = SweepSpec(quantity="Energy", vary="n",
                      values=tuple(float(n) for n in range(11)),
                      fixed={"alpha": 0.1})
-    rows = run_sweep(spec)
-    assert len(rows) == 11
-    ys = [r.y for r in rows]
+    _, ys, _ = run_sweep(spec)
+    assert len(ys) == 11
     assert all(y2 > y1 for y1, y2 in zip(ys, ys[1:]))
 
 
 def test_z_sweep_decreasing():
     spec = SweepSpec(quantity="Z", vary="beta", values=sweeps.log_range(0.5, 8, 16),
                      fixed={"alpha": 0.3}, method="sum")
-    ys = [r.y for r in run_sweep(spec)]
+    _, ys, _ = run_sweep(spec)
     assert all(y2 < y1 for y1, y2 in zip(ys, ys[1:]))
 
 
 def test_zs_sweep_finite_positive():
     spec = SweepSpec(quantity="Zs", vary="alpha", values=sweeps.linear_range(0.1, 0.9, 9),
                      fixed={"beta": 1.0, "q": 0.5}, method="quadinf")
-    for r in run_sweep(spec):
-        assert r.y is not None and math.isfinite(r.y) and r.y > 0
+    for y in run_sweep(spec)[1]:
+        assert y is not None and math.isfinite(y) and y > 0
 
 
 def test_singular_limit_becomes_warning_row():
@@ -59,9 +58,9 @@ def test_singular_limit_becomes_warning_row():
     for quantity, fixed in (("Z", {}), ("Cs", {"q": 0.5})):
         spec = SweepSpec(quantity=quantity, vary="beta", values=(0.5, 1.0, 2.0),
                          fixed={"alpha": 0.0, **fixed}, method="closed")
-        rows = run_sweep(spec)
-        assert [r.x for r in rows] == [0.5, 1.0, 2.0]
-        assert all(r.y is None and r.warning == "SingularLimit" for r in rows)
+        xs, ys, warnings = run_sweep(spec)
+        assert xs == [0.5, 1.0, 2.0]
+        assert all(y is None and w == "SingularLimit" for y, w in zip(ys, warnings))
 
 
 _SUM_CURVES = [("beta", (0.1, 0.5, 2.0, 9.0), {"alpha": 0.0}, "natural"),
@@ -85,12 +84,12 @@ def test_sum_route_sweep_rows_equal_points(quantity, method, monkeypatch):
         calls.clear()
         monkeypatch.setattr(thermo, "_boltzmann_levels",
                             lambda *args: calls.append(len(args[2])) or real(*args))
-        rows = run_sweep(spec)
+        xs, ys, _ = run_sweep(spec)
         monkeypatch.undo()
         assert calls == [len(values)]
-        for row in rows:
-            s = routes.state({**fixed, vary: row.x}, units)
-            assert row.y is not None and row.y == routes.ROUTES[(quantity, method)](s)
+        for x, y in zip(xs, ys):
+            s = routes.state({**fixed, vary: x}, units)
+            assert y is not None and y == routes.ROUTES[(quantity, method)](s)
 
 
 @pytest.mark.parametrize("argv", [["Z", "--vary", "q", "--range", "0,0.5", "--alpha", "0.3"],
@@ -136,18 +135,18 @@ def test_every_route_sweep_row_equals_its_point(quantity, method, vary):
     for (fixed, units), tr in itertools.product(cases, thermo.TRANSCRIPTIONS):
         spec = SweepSpec(quantity=quantity, vary=vary, values=_GRIDS[vary], fixed=fixed,
                          method=method, units=units, transcription=tr)
-        rows = run_sweep(spec)
-        assert [row.x for row in rows] == list(_GRIDS[vary])
-        for row in rows:
-            s = routes.state({**fixed, vary: row.x}, units, transcription=tr,
+        xs, ys, warnings = run_sweep(spec)
+        assert xs == list(_GRIDS[vary])
+        for x, y, warning in zip(xs, ys, warnings):
+            s = routes.state({**fixed, vary: x}, units, transcription=tr,
                              tol=sweeps.PRESET_TOL)
             try:
                 want = route(s)
             except SingularLimit:
-                assert row.y is None and row.warning == "SingularLimit"
+                assert y is None and warning == "SingularLimit"
                 continue
-            assert type(row.y) is float and row.warning == ""
-            assert row.y == want or math.isnan(row.y) and math.isnan(want)
+            assert type(y) is float and warning == ""
+            assert y == want or math.isnan(y) and math.isnan(want)
 
 
 def test_closed_superstat_beta_sweep_matches_points():
@@ -161,29 +160,112 @@ def test_closed_superstat_beta_sweep_matches_points():
             spec = SweepSpec(quantity=quantity, vary="beta", values=betas,
                              fixed=fixed, method="closed", transcription=tr)
             route = routes.ROUTES[(quantity, "closed")]
-            for row, beta in zip(run_sweep(spec), betas):
+            for x, y, beta in zip(*run_sweep(spec)[:2], betas):
                 s = routes.state({"alpha": alpha, "q": q, "beta": beta}, transcription=tr)
                 want = route(s)
-                assert type(row.y) is float and row.x == beta
-                assert row.y == want or math.isnan(row.y) and math.isnan(want)
+                assert type(y) is float and x == beta
+                assert y == want or math.isnan(y) and math.isnan(want)
 
 
-def test_csv_rows_print_each_value_as_17_digits():
-    # one %.17g template per row; a row holding None goes field by field,
-    # None as the empty field
-    rows = [(0.5, None, "SingularLimit"), (-0.0, math.inf, ""), (math.nan, -math.inf, "note"),
-            (1e-300, 1.0 / 3.0, ""), (2.0, -0.0, "")]
+def _reference_csv(header: list[str], rows: list[tuple]) -> str:
+    """The CSV of rows formatted one row and one field at a time: %.17g for
+    a number, a string as it is, None as the empty field."""
+    return "\n".join([",".join(header)] + [
+        ",".join("" if v is None else v if isinstance(v, str) else f"{v:.17g}" for v in row)
+        for row in rows]) + "\n"
 
-    def reference(row):
-        return ",".join("" if v is None else v if isinstance(v, str) else f"{v:.17g}"
-                        for v in row)
 
-    text = cli._rows_csv(["beta", "Z", "warning"], "%.17g,%.17g,%s", rows)
-    assert text == "\n".join(["beta,Z,warning"] + [reference(r) for r in rows]) + "\n"
-    assert text.split("\n")[1:3] == ["0.5,,SingularLimit", "-0,inf,"]
-    labelled = [("alpha=0.1",) + row for row in rows]
-    text = cli._rows_csv(["curve", "x", "y", "warning"], "%s,%.17g,%.17g,%s", labelled)
-    assert text == "\n".join(["curve,x,y,warning"] + [reference(r) for r in labelled]) + "\n"
+def _reference_json(header: list[str], rows: list[tuple]) -> str:
+    """The JSON of rows, one record per row, a float that is not finite as
+    its CSV text."""
+    return json.dumps([dict(zip(header, (v if not isinstance(v, float) or math.isfinite(v)
+                                         else f"{v:.17g}" for v in row))) for row in rows],
+                      indent=1, allow_nan=False) + "\n"
+
+
+def _strict_json(text: str):
+    """text parsed as RFC 8259 JSON: NaN, Infinity and -Infinity raise."""
+    def refuse(token):
+        raise ValueError(f"not JSON: {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def _outputs(argv: list[str], tmp_path, capsys) -> list[str]:
+    """argv's CSV and JSON text, each on stdout and through --out."""
+    texts = []
+    for fmt in ("csv", "json"):
+        code, out = run_cli(argv + ["--format", fmt], capsys)
+        assert code == 0
+        path = tmp_path / f"out.{fmt}"
+        assert cli.main(argv + ["--format", fmt, "--out", str(path)]) == 0
+        texts += [out, path.read_text()]
+    return texts
+
+
+#: y values the column writer must print as the row-by-row reference does
+_EDGE_YS = [None, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1.7976931348623157e308,
+            1.0 / 3.0, 0.0]
+
+
+def test_csv_rows_print_each_value_as_17_digits(monkeypatch, tmp_path, capsys):
+    # the sweep and figure columns print, as CSV and JSON, on stdout and
+    # through --out, the bytes of the row-by-row reference: %.17g for a
+    # number, None as the empty field (a column holding None is formatted
+    # field by field), a value that is not finite as its CSV text in JSON
+    for ys in (_EDGE_YS, [y for y in _EDGE_YS if y is not None]):
+        xs = [-0.0, 0.5, 5e-324, 1.7976931348623157e308, 1e-300, 2.0, 3.0, 1.0 / 3.0,
+              7.0][:len(ys)]
+        warnings = ["SingularLimit" if y is None else "" for y in ys]
+        monkeypatch.setattr(sweeps, "run_sweep", lambda spec, tol: (xs, ys, warnings))
+        rows = list(zip(xs, ys, warnings))
+        header = ["beta", "Z", "warning"]
+        want = [_reference_csv(header, rows)] * 2 + [_reference_json(header, rows)] * 2
+        texts = _outputs(["sweep", "Z", "--vary", "beta", "--range", "1,2"], tmp_path, capsys)
+        assert texts == want
+        if None in ys:
+            assert texts[0].split("\n")[1:3] == ["-0,,SingularLimit", "0.5,-0,"]
+        labels = ["alpha=0.1", "alpha=0.3"]
+        curves = (labels, xs[:4], ys[:8], warnings[:8])
+        monkeypatch.setattr(sweeps, "figure_preset", lambda figure_id, tol: curves)
+        rows = [(*row, y, w) for row, y, w in zip(itertools.product(labels, xs[:4]), ys, warnings)]
+        header = ["curve", "x", "y", "warning"]
+        want = [_reference_csv(header, rows)] * 2 + [_reference_json(header, rows)] * 2
+        assert _outputs(["figure", "Fig1a"], tmp_path, capsys) == want
+
+
+@pytest.mark.parametrize("figure_id", list(PRESETS))
+def test_figure_output_is_the_row_by_row_reference(figure_id, tmp_path, capsys):
+    # every preset prints, as CSV and JSON, on stdout and through --out, the
+    # bytes of its columns formatted row by row
+    labels, xs, ys, warnings = figure_preset(figure_id)
+    rows = [(*row, y, w) for row, y, w in zip(itertools.product(labels, xs), ys, warnings)]
+    header = ["curve", "x", "y", "warning"]
+    want = [_reference_csv(header, rows)] * 2 + [_reference_json(header, rows)] * 2
+    assert _outputs(["figure", figure_id], tmp_path, capsys) == want
+    assert len(_strict_json(want[2])) == len(rows)
+
+
+@pytest.mark.parametrize("argv,column,texts", [
+    (["U", "--vary", "beta", "--range", "10,100,700,2000", "--alpha", "0.9"], "U",
+     [None, None, None, "inf"]),
+    (["Us", "--vary", "alpha", "--range", "1e-7,0.3", "--beta", "1", "--q", "1"], "Us",
+     ["nan", None])])
+def test_cli_json_of_non_finite_values_parses_strictly(argv, column, texts, capsys):
+    # the typeset forms overflow honestly inside their domain; the JSON
+    # carries such a value as the string the CSV prints, not as a bare
+    # NaN or Infinity token that RFC 8259 parsers refuse
+    argv = ["sweep", *argv, "--method", "closed"]
+    code, csv = run_cli(argv, capsys)
+    assert code == 0
+    printed = [line.split(",")[1] for line in csv.strip().split("\n")[1:]]
+    code, out = run_cli(argv + ["--format", "json"], capsys)
+    assert code == 0
+    records = _strict_json(out)
+    for record, text, value in zip(records, texts, printed, strict=True):
+        if text is None:
+            assert type(record[column]) is float and f"{record[column]:.17g}" == value
+        else:
+            assert record[column] == text == value
 
 
 def test_presets_complete():
@@ -193,12 +275,10 @@ def test_presets_complete():
 
 
 def test_figure_preset_shapes():
-    rows = figure_preset("Fig1a")
-    assert len(rows) == 3 * 11
-    labels = {r.curve for r in rows}
-    assert labels == {"alpha=0.1", "alpha=0.3", "alpha=0.9"}
-    rows = figure_preset("Fig2b")
-    assert {r.curve for r in rows} == {"beta=2", "beta=5", "beta=8"}
+    labels, xs, ys, warnings = figure_preset("Fig1a")
+    assert len(xs) == 11 and len(ys) == len(warnings) == 3 * 11
+    assert labels == ["alpha=0.1", "alpha=0.3", "alpha=0.9"]
+    assert figure_preset("Fig2b")[0] == ["beta=2", "beta=5", "beta=8"]
     with pytest.raises(ValueError):
         figure_preset("Fig11a")
 
@@ -215,12 +295,15 @@ def test_figure_preset_rows_equal_one_sweep_per_curve(figure_id, monkeypatch, ca
         label = f"n={int(cv)}" if pr.curve_param == "n" else f"{pr.curve_param}={cv:g}"
         spec = SweepSpec(quantity=pr.quantity, vary=pr.vary, values=pr.values,
                          fixed={**pr.fixed, pr.curve_param: cv}, method=pr.method)
-        want += [(label, *row) for row in run_sweep(spec)]
+        want += [(label, *row) for row in zip(*run_sweep(spec))]
     assert len(want) == len(pr.values) * len(pr.curve_values)
     route, calls = routes.ROUTES[(pr.quantity, pr.method)], []
     monkeypatch.setitem(routes.ROUTES, (pr.quantity, pr.method),
                         lambda s: calls.append(s) or route(s))
-    assert [repr(tuple(row)) for row in figure_preset(figure_id)] == list(map(repr, want))
+    labels, xs, ys, warnings = figure_preset(figure_id)
+    assert len(ys) == len(warnings) == len(labels) * len(xs)
+    got = [(*row, y, w) for row, y, w in zip(itertools.product(labels, xs), ys, warnings)]
+    assert list(map(repr, got)) == list(map(repr, want))
     assert len(calls) == 1
     code, out = run_cli(["figure", figure_id, "--format", "json"], capsys)
     assert code == 0
@@ -228,10 +311,11 @@ def test_figure_preset_rows_equal_one_sweep_per_curve(figure_id, monkeypatch, ca
 
 
 def test_figure_preset_trend_fig2b():
-    rows = figure_preset("Fig2b")
-    for label in ("beta=2", "beta=5", "beta=8"):
-        ys = [r.y for r in rows if r.curve == label]
-        assert all(y2 < y1 for y1, y2 in zip(ys, ys[1:]))
+    labels, xs, ys, _ = figure_preset("Fig2b")
+    assert labels == ["beta=2", "beta=5", "beta=8"]
+    for j in range(len(labels)):
+        curve = ys[j * len(xs):(j + 1) * len(xs)]
+        assert all(y2 < y1 for y1, y2 in zip(curve, curve[1:]))
 
 
 # -- CLI ----------------------------------------------------------------------

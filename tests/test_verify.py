@@ -285,6 +285,14 @@ def test_csv_of_blocks_with_edge_values_is_the_csv_of_the_reports():
     assert len(lines) == 2 + 4 * 2 * n
     assert {"nan", "inf", "-inf", "-0", "4.9406564584124654e-324",
             "1.7976931348623157e+308"} <= {f for line in lines for f in line.split(",")}
+    # the JSON text: a value that is not finite is the string the CSV prints,
+    # which strict parsers read; every other value keeps its JSON number
+    text = render_audit_json(blocks)
+    assert text == json.dumps([{k: f"{v:.17g}" if isinstance(v, float) and not math.isfinite(v)
+                                else v for k, v in r._asdict().items()} for r in _rows(blocks)],
+                              indent=1) + "\n"
+    records = json.loads(text, parse_constant=lambda token: pytest.fail(f"not JSON: {token}"))
+    assert {"nan", "inf", "-inf"} <= {v for r in records for v in r.values()}
 
 
 @pytest.mark.parametrize("grid", [SMALL_GRID, {}], ids=["small", "default"])

@@ -8,8 +8,6 @@ Everything here is pure and deterministic; no shared mutable state.
 from __future__ import annotations
 
 import functools
-import heapq
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -49,11 +47,11 @@ class Tolerance:
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """Integral value with its (upper-bound style) error estimate."""
+    """Integrals, (upper-bound style) error estimates, evaluation counts: arrays, one per row."""
 
-    value: float
-    error_estimate: float
-    evals: int
+    value: np.ndarray
+    error_estimate: np.ndarray
+    evals: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -233,83 +231,81 @@ _WG = np.array([
 
 
 def _gk15(fx: np.ndarray, half: np.ndarray):
-    """Gauss-Kronrod panels from their node values: fx holds one panel's 15
-    values per row, half the panels' half-widths.  Returns the Kronrod
-    values (list) and the error estimates (array).  Each sum is a row sum,
-    so each panel's results depend on its own row only, never on the batch
-    it is evaluated in."""
+    """Kronrod values and error estimates of panels from their node values: fx
+    holds each panel's 15 along its last axis, half the half-widths.  Each sum
+    runs along the last axis, so each panel's results depend on its own
+    values only, never on the batch it is evaluated in."""
     resk = half * (fx * _WGK).sum(axis=-1)
-    resg = half * (fx[:, 1::2] * _WG).sum(axis=-1)
+    resg = half * (fx[..., 1::2] * _WG).sum(axis=-1)
     resabs = half * np.abs(fx * _WGK).sum(axis=-1)
     diff = np.abs(resk - resg)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio = 200.0 * diff / resabs
         err = resabs * np.fmin(1.0, ratio * np.sqrt(ratio))
     err = np.where(resabs > 0.0, np.maximum(err, 50.0 * _EPS * resabs), diff)
-    return resk.tolist(), err
+    return resk, err
+
+
+def _panels(g, rows: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """[lo, hi, GK15 value, error] per (row j, panel p) of the panels ends[j, 2p:2p + 2]
+    of integrand rows[j], all nodes through one call of g (one value for all: ValueError)."""
+    half = 0.5 * (ends[:, 1::2] - ends[:, ::2])
+    mid = 0.5 * (ends[:, 1::2] + ends[:, ::2])
+    x = mid[..., None] + half[..., None] * _XGK
+    fx = np.reshape(g(x.reshape(len(rows), 15 * half.shape[1]), rows), x.shape)
+    return np.dstack((ends.reshape(half.shape + (2,)), *_gk15(fx, half)))
 
 
 def _adaptive_rows(g, nrows: int, lo: float, hi: float,
-                   tol: Tolerance) -> list[QuadratureResult]:
+                   tol: Tolerance) -> QuadratureResult:
     """Adaptive bisection with an embedded 15-point Gauss-Kronrod rule, run
     in lockstep over nrows integrands on [lo, hi].
 
     g(x, rows) evaluates integrand rows[j] at the nodes x[j] (rows is an
-    ascending int array, x has shape (len(rows), m)).  Each row keeps its own panel
-    heap, totals and evaluation budget; every step, each unconverged row
-    bisects its worst panel and all new nodes go through one call of g.
-    A row that exhausts tol.max_evals raises NonConvergence.
-    """
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    x = np.tile(mid + half * _XGK, (nrows, 1))
-    fx = np.reshape(g(x, np.arange(nrows)), x.shape)  # ValueError: one value for all nodes
-    vals, errs = _gk15(fx, np.full(nrows, half))
-    # per row: heap of (-error, seq, lo, hi, value, error), worst panel on top
-    heaps = [[(-e, 0, lo, hi, v, e)] for v, e in zip(vals, errs.tolist())]
-    total_val = vals
-    total_err = errs.tolist()
-    evals = [15] * nrows
-    tick = itertools.count(1)  # heap tie-break: insertion order within each row
-    active = [r for r in range(nrows) if total_err[r] > tol.target(total_val[r])]
-    while active:
-        popped, ends = [], []
-        for r in active:
-            if evals[r] + 30 > tol.max_evals:
-                raise NonConvergence(
-                    f"quadrature error {total_err[r]:.3e} above tolerance "
-                    f"after {evals[r]} evaluations")
-            _, _, a, b, v, e = heapq.heappop(heaps[r])
-            m = 0.5 * (a + b)
-            popped.append((a, m, b, v, e))
-            ends += (a, m, m, b)
-        ends = np.array(ends).reshape(-1, 2)
-        half = 0.5 * (ends[:, 1] - ends[:, 0])
-        mid = 0.5 * (ends[:, 1] + ends[:, 0])
-        x = (mid[:, None] + half[:, None] * _XGK).reshape(len(active), 30)
-        vals, errs = _gk15(g(x, np.array(active)).reshape(-1, 15), half)
-        errs = errs.tolist()
-        for j, (r, (a, m, b, v, e)) in enumerate(zip(active, popped)):
-            v1, v2 = vals[2 * j], vals[2 * j + 1]
-            e1, e2 = errs[2 * j], errs[2 * j + 1]
-            evals[r] += 30
-            total_val[r] += v1 + v2 - v
-            total_err[r] += e1 + e2 - e
-            heapq.heappush(heaps[r], (-e1, next(tick), a, m, v1, e1))
-            heapq.heappush(heaps[r], (-e2, next(tick), m, b, v2, e2))
-        active = [r for r in active if total_err[r] > tol.target(total_val[r])]
-    return [QuadratureResult(v, e, n) for v, e, n in zip(total_val, total_err, evals)]
+    ascending int array, x has shape (len(rows), m)).  The active rows keep
+    their panels in one table, oldest first; every step, each unconverged row
+    bisects its worst panel (argmax: on a tie the oldest), whose error becomes
+    -inf, and all new nodes go through one call of g.  The active rows share
+    one evaluation count: past tol.max_evals the first raises NonConvergence."""
+    active = np.arange(nrows)
+    # table[i, p] = (lo, hi, value, error) of panel p of the row at table row i
+    table = _panels(g, active, np.tile((lo, hi), (nrows, 1)))
+    total_val, total_err = table[:, 0, 2:].T.copy()
+    evals = np.full(nrows, 15)
+    slot, used = active, 1  # the table row of each active row; panels per active row
+    while True:
+        with np.errstate(over="ignore", invalid="ignore"):
+            still = total_err[active] > np.fmax(tol.abs, tol.rel * np.abs(total_val[active]))
+        active, slot = active[still], slot[still]
+        if not active.size:
+            return QuadratureResult(total_val, total_err, evals)
+        if evals[active[0]] + 30 > tol.max_evals:
+            raise NonConvergence(f"quadrature error {total_err[active[0]]:.3e} above "
+                                 f"tolerance after {evals[active[0]]} evaluations")
+        if used + 2 > table.shape[1]:  # double, keeping the active rows only
+            table = np.concatenate((table[slot, :used], np.empty((active.size, used + 1, 4))), 1)
+            slot = np.arange(active.size)
+        worst = np.argmax(table[slot, :used, 3], axis=1)
+        a, b, v, e = table[slot, worst].T
+        table[slot, worst, 3] = -np.inf
+        m = 0.5 * (a + b)
+        new = table[slot, used:used + 2] = _panels(g, active, np.stack((a, m, m, b), 1))
+        used += 2
+        evals[active] += 30
+        with np.errstate(over="ignore", invalid="ignore"):
+            total_val[active] += (new[:, 0, 2] + new[:, 1, 2]) - v
+            total_err[active] += (new[:, 0, 3] + new[:, 1, 3]) - e
 
 
 _TAIL_PROBES = (0.90, 0.93, 0.96, 0.99)
 
 
 def integrate_batch(f, nrows: int, lo: float, hi: float,
-                    tol: Tolerance = Tolerance()) -> list[QuadratureResult]:
+                    tol: Tolerance = Tolerance()) -> QuadratureResult:
     """Integrate nrows integrands over [lo, hi] in one lockstep adaptive
     run; hi = inf integrates [lo, inf) through the map n = lo + t/(1-t),
-    t in [0, 1).  Row r of the result is exactly the single-row call on
-    integrand r alone.
+    t in [0, 1).  The result holds one array element per row, and element
+    r is exactly the single-row call on integrand r alone.
 
     f(n, rows) evaluates integrand rows[j] at n[j] for an ascending int
     array rows and n of shape (len(rows), m); an f that returns one value for all
@@ -323,7 +319,7 @@ def integrate_batch(f, nrows: int, lo: float, hi: float,
     if lo > hi:
         raise ValueError("lo must not exceed hi")
     if lo == hi:
-        return [QuadratureResult(0.0, 0.0, 0)] * nrows
+        return QuadratureResult(np.zeros(nrows), np.zeros(nrows), np.zeros(nrows, dtype=int))
     if hi < math.inf:
         return _adaptive_rows(f, nrows, lo, hi, tol)
     t = np.array(_TAIL_PROBES)
@@ -338,5 +334,5 @@ def integrate_batch(f, nrows: int, lo: float, hi: float,
             raise NonDecaying("integrand not decayed by n = 1/eps, where the map ends")
         return f(lo + t / w, rows) / (w * w)
 
-    return [QuadratureResult(r.value, r.error_estimate, r.evals + len(_TAIL_PROBES))
-            for r in _adaptive_rows(g, nrows, 0.0, 1.0, tol)]
+    res = _adaptive_rows(g, nrows, 0.0, 1.0, tol)
+    return QuadratureResult(res.value, res.error_estimate, res.evals + len(_TAIL_PROBES))

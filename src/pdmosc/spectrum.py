@@ -97,7 +97,8 @@ class SpectrumCoefficients(_ArrayFields):
         nv = np.asarray(n, dtype=float)
         if not np.all((nv >= 0) & (nv < math.inf) & (nv == np.floor(nv))):
             raise ValueError("n must be a nonnegative integer")
-        return self.energy(nv if nv.ndim else int(n))
+        with np.errstate(over="ignore"):  # E_n is inf past n ~ 1e154
+            return self.energy(nv if nv.ndim else int(n))
 
 
 def coefficients(p: OscillatorParams,

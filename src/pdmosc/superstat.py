@@ -363,7 +363,7 @@ def superstat_thermo(c: SpectrumCoefficients, beta, q, kB: float = 1.0) -> Super
     once over the broadcast of the coefficients and beta, whatever q; no
     quadrature.  The coefficients, beta and q may each be arrays, which
     broadcast against each other, and every element is bit for bit its
-    point."""
+    point.  Below beta ~ 1e-306, where F_s overflows, NonConvergence is raised."""
     bv, qv = _mesh(beta, q)
     return _point(SuperstatPoint, (c.a, beta, q), "engine", bv, qv,
                   *_assemble(c, bv, qv, kB, _scaled_moments(c.a, c.b, bv)))

@@ -419,8 +419,7 @@ def _weight_integrals(c: SpectrumCoefficients, bv, qv, hi: float,
     broadcast of c, bv and qv: rows of one integrate_batch call, each equal
     to its single-row call."""
     shape, rows = _weight_rows(c, bv, qv)
-    return np.array([res.value for res in integrate_batch(rows, math.prod(shape), 0.0, hi, tol)]
-                    ).reshape(shape)
+    return integrate_batch(rows, math.prod(shape), 0.0, hi, tol).value.reshape(shape)
 
 
 #: row k = 0..4: the Gauss-Laguerre weights times node^k, the rule that takes
@@ -492,7 +491,7 @@ def _assemble(c: SpectrumCoefficients, bv, qv, kB: float, moments):
     The moments have the shape of the broadcast of the coefficients and the
     beta array bv; the q array qv broadcasts against them, and g0, g1, g2
     are assembled over the whole mesh, elementwise, so each element is bit
-    for bit its point."""
+    for bit its point.  Where F overflows, NonConvergence is raised, as on the sum route."""
     i0, i1, i2, i3, i4 = moments
     e0 = c.energy(0)
     m = np.maximum(np.frexp(bv * e0)[1] - 511, 0)
@@ -507,13 +506,17 @@ def _assemble(c: SpectrumCoefficients, bv, qv, kB: float, moments):
     r1 = g1 / g0
     lin = c.a + 2.0 * c.b
     # beta L overflows at beta ~ 1e308: divide in turn; G underflows (q = 0): subtract logs
-    with np.errstate(over="ignore", divide="ignore"):
+    with np.errstate(over="ignore", divide="ignore"):  # F overflows below beta ~ 1e-306
         bl = bv * lin
         big_g = np.where(np.isinf(bl), g0 / bv / lin, g0 / bl)
         log_g = np.where(big_g < np.finfo(float).tiny, np.log(g0) - np.log(bv) - np.log(lin),
                          np.log(big_g)) + 2.0 * math.log(2.0) * m
-    return (np.ldexp(big_g * exp_neg_product(bv, 0.5 * c.a, 0.5 * c.b), 2 * m), e0 - r1 / bv,
-            kB * (g2 / g0 - r1 * r1), kB * (log_g - r1), e0 - log_g / bv)
+        columns = (np.ldexp(big_g * exp_neg_product(bv, 0.5 * c.a, 0.5 * c.b), 2 * m),
+                   e0 - r1 / bv, kB * (g2 / g0 - r1 * r1), kB * (log_g - r1), e0 - log_g / bv)
+    bad = ~np.isfinite(columns[4])
+    if bad.any():
+        raise NonConvergence(f"F overflows at beta={np.broadcast_to(bv, bad.shape)[bad][0]:.17g}")
+    return columns
 
 
 def _quadrature_moments(c: SpectrumCoefficients, bv: np.ndarray, qv, hi: float,
@@ -542,10 +545,10 @@ def _quadrature_moments(c: SpectrumCoefficients, bv: np.ndarray, qv, hi: float,
     a, b, bvs = (np.broadcast_to(x, shape).ravel() for x in (c.a, c.b, bv))
     lin = a + 2.0 * b  # D(n) = b n^2 + L n
     s = np.ones_like(bvs)
-    if hi == math.inf:
-        level = 8.0 / bvs
-        s = np.maximum(1.0, 2.0 * level / (lin + np.sqrt(lin * lin + 4.0 * b * level)) / 24.0)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN where 8/beta overflows
+        if hi == math.inf:
+            level = 8.0 / bvs
+            s = np.maximum(1.0, 2.0 * level / (lin + np.sqrt(lin * lin + 4.0 * b * level)) / 24.0)
         scale = lin * bvs * s
     # where L beta s overflows (beta ~ 1e308), beta multiplies e^{-u} first:
     # e^{-u} is +0 at every node there
@@ -555,7 +558,7 @@ def _quadrature_moments(c: SpectrumCoefficients, bv: np.ndarray, qv, hi: float,
 
     def moment(m, r):
         i, k = np.divmod(r[:, None], k_rows)  # row r is moment k of element i
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):  # s m = inf at b = 0 gives NaN
             u = bvs[i] * _excitation(a[i], b[i], s[i] * m)
         row = scale[i] * (late[i] * np.exp(-u))
         u = np.where(row > 0.0, u, 0.0)  # u^k e^{-u} is +0 where e^{-u} is, also at u = inf
@@ -569,8 +572,7 @@ def _quadrature_moments(c: SpectrumCoefficients, bv: np.ndarray, qv, hi: float,
         j = np.searchsorted(r, nz)
         return np.concatenate((weight(m[:j], r[:j]), moment(m[j:], r[j:] - nz)))
 
-    values = np.array([res.value for res in integrate_batch(
-        rows, nz + k_rows * bvs.size, 0.0, hi, tol)])
+    values = integrate_batch(rows, nz + k_rows * bvs.size, 0.0, hi, tol).value
     moments = np.zeros((5, bvs.size))
     moments[:k_rows] = values[nz:].reshape(-1, k_rows).T
     if not moments[0].all():  # e^{-u} underflows at every node

@@ -1,9 +1,16 @@
 """Shared independent oracles: high-precision series, brute-force sums and
-quadratures, and Richardson differentiation, none of which touch the
-library's own evaluation paths."""
+quadratures, Richardson differentiation and the per-row heap form of the
+adaptive quadrature, none of which touch the library's own evaluation
+paths."""
+
+import heapq
+import itertools
 
 import mpmath as mp
 import numpy as np
+
+from pdmosc import NonConvergence, QuadratureResult
+from pdmosc.numerics import _XGK, _gk15
 
 _EPS = float(np.finfo(float).eps)
 
@@ -210,3 +217,49 @@ def mp_level_rows(a, b, beta, dps: int = 40, p: int = 12, levels: int = 40):
                        * series[k][2 * j - 1] for j in range(1, p + 1))
                  for k in range(3)]
         return [+(rows[k] + mp.exp(-bt * d_n) * tails[k]) for k in range(3)]
+
+
+def heap_adaptive_rows(g, nrows: int, lo: float, hi: float, tol) -> list:
+    """Reference for numerics._adaptive_rows: the same adaptive GK15
+    bisection with one panel heap of (-error, seq, lo, hi, value, error) per
+    row, worst panel on top, ties to the oldest, totals and evaluation
+    counts as Python scalars; one QuadratureResult of floats per row."""
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    x = np.tile(mid + half * _XGK, (nrows, 1))
+    fx = np.reshape(g(x, np.arange(nrows)), x.shape)
+    vals, errs = _gk15(fx, np.full(nrows, half))
+    vals = vals.tolist()
+    heaps = [[(-e, 0, lo, hi, v, e)] for v, e in zip(vals, errs.tolist())]
+    total_val = vals
+    total_err = errs.tolist()
+    evals = [15] * nrows
+    tick = itertools.count(1)
+    active = [r for r in range(nrows) if total_err[r] > tol.target(total_val[r])]
+    while active:
+        popped, ends = [], []
+        for r in active:
+            if evals[r] + 30 > tol.max_evals:
+                raise NonConvergence(
+                    f"quadrature error {total_err[r]:.3e} above tolerance "
+                    f"after {evals[r]} evaluations")
+            _, _, a, b, v, e = heapq.heappop(heaps[r])
+            m = 0.5 * (a + b)
+            popped.append((a, m, b, v, e))
+            ends += (a, m, m, b)
+        ends = np.array(ends).reshape(-1, 2)
+        half = 0.5 * (ends[:, 1] - ends[:, 0])
+        mid = 0.5 * (ends[:, 1] + ends[:, 0])
+        x = (mid[:, None] + half[:, None] * _XGK).reshape(len(active), 30)
+        vals, errs = _gk15(g(x, np.array(active)).reshape(-1, 15), half)
+        vals, errs = vals.tolist(), errs.tolist()
+        for j, (r, (a, m, b, v, e)) in enumerate(zip(active, popped)):
+            v1, v2 = vals[2 * j], vals[2 * j + 1]
+            e1, e2 = errs[2 * j], errs[2 * j + 1]
+            evals[r] += 30
+            total_val[r] += v1 + v2 - v
+            total_err[r] += e1 + e2 - e
+            heapq.heappush(heaps[r], (-e1, next(tick), a, m, v1, e1))
+            heapq.heappush(heaps[r], (-e2, next(tick), m, b, v2, e2))
+        active = [r for r in active if total_err[r] > tol.target(total_val[r])]
+    return [QuadratureResult(v, e, n) for v, e, n in zip(total_val, total_err, evals)]

@@ -9,12 +9,12 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from pdmosc import (NonConvergence, NonDecaying, Tolerance, erf, erfc, erfcx,
-                    erfcx_derivatives, exp_neg_product, integrate_batch)
+from pdmosc import (NonConvergence, NonDecaying, QuadratureResult, Tolerance, erf, erfc,
+                    erfcx, erfcx_derivatives, exp_neg_product, integrate_batch)
 from pdmosc import numerics
 from pdmosc.numerics import _XGK, _gk15
 
-from helpers import derivative, erf_maclaurin
+from helpers import derivative, erf_maclaurin, heap_adaptive_rows
 
 TOL = Tolerance()
 
@@ -231,9 +231,15 @@ def test_exp_neg_product_underflows_to_positive_zero():
 
 # -- finite quadrature -------------------------------------------------------
 
+def _rows(res):
+    """A batch result as one QuadratureResult of Python scalars per row."""
+    return [QuadratureResult(*row) for row in zip(
+        res.value.tolist(), res.error_estimate.tolist(), res.evals.tolist())]
+
+
 def _single(f, lo, hi, tol):
     """The one-row integrate_batch call on the array-valued integrand f."""
-    return integrate_batch(lambda n, rows: f(n), 1, lo, hi, tol)[0]
+    return _rows(integrate_batch(lambda n, rows: f(n), 1, lo, hi, tol))[0]
 
 
 def test_integrate_constant():
@@ -362,12 +368,12 @@ def test_batch_rows_equal_single_calls():
     family, single = _damped_family(w)
     for lo in (0.0, 0.7):
         for tol in (TOL, Tolerance(rel=1e-8)):
-            rows = integrate_batch(family, len(w), lo, math.inf, tol)
+            rows = _rows(integrate_batch(family, len(w), lo, math.inf, tol))
             assert len({r.evals for r in rows}) > 1  # rows really run different step counts
             for row, f in zip(rows, single):
                 assert row == _single(f, lo, math.inf, tol)
             # a finite upper limit
-            rows = integrate_batch(family, len(w), lo, 6.0, tol)
+            rows = _rows(integrate_batch(family, len(w), lo, 6.0, tol))
             assert len({r.evals for r in rows}) > 1
             for row, f in zip(rows, single):
                 assert row == _single(f, lo, 6.0, tol)
@@ -393,6 +399,99 @@ def test_batch_over_budget_row_raises_like_single():
     with pytest.raises(NonConvergence) as batch:
         integrate_batch(family, 3, 0.0, math.inf, tol)
     assert str(batch.value) == str(alone.value)
+
+
+def _bits(x) -> list:
+    return np.asarray(x, dtype=float).view(np.int64).tolist()
+
+
+def _assert_heap_bits(f, nrows, lo, hi, tol):
+    """integrate_batch equals the per-row heap reference (helpers) bit for
+    bit in value, error_estimate and evals, or raises the same
+    NonConvergence.  [lo, inf) goes to the reference through the map of
+    integrate_batch.  numpy's warnings are off: the rows may hold +-inf and
+    NaN."""
+    g, a, b, probes = f, lo, hi, 0
+    if hi == math.inf:
+        g, a, b, probes = (lambda t, rows: f(lo + t / (1.0 - t), rows) / ((1.0 - t) * (1.0 - t)),
+                           0.0, 1.0, len(numerics._TAIL_PROBES))
+    with np.errstate(all="ignore"):
+        try:
+            ref = heap_adaptive_rows(g, nrows, a, b, tol)
+        except NonConvergence as exc:
+            with pytest.raises(NonConvergence) as new:
+                integrate_batch(f, nrows, lo, hi, tol)
+            assert str(new.value) == str(exc)
+            return exc
+        res = integrate_batch(f, nrows, lo, hi, tol)
+    assert _bits(res.value) == _bits([r.value for r in ref])
+    assert _bits(res.error_estimate) == _bits([r.error_estimate for r in ref])
+    assert res.evals.tolist() == [r.evals + probes for r in ref]
+    return res
+
+
+def test_columns_equal_the_heap_on_random_batches():
+    rng = np.random.default_rng(29)
+    tols = (TOL, Tolerance(rel=1e-7), Tolerance(rel=0.0, abs=1e-9))
+    for _ in range(40):
+        nrows = int(rng.integers(1, 10))
+        amp, rate = rng.uniform(-3.0, 3.0, nrows), rng.uniform(0.2, 4.0, nrows)
+        w, phase = rng.uniform(0.0, 25.0, nrows), rng.uniform(0.0, 3.0, nrows)
+
+        def f(n, rows):
+            r = rows[:, None]
+            return amp[r] * np.exp(-rate[r] * n) * (1.0 + np.cos(w[r] * n + phase[r]) ** 2)
+
+        lo, hi = np.sort(rng.uniform(-1.0, 5.0, 2))
+        tol = tols[rng.integers(len(tols))]
+        _assert_heap_bits(f, nrows, lo, hi, tol)
+        _assert_heap_bits(f, nrows, lo, math.inf, tol)
+
+
+def test_columns_equal_the_heap_on_equal_error_ties():
+    # a step function of period 1 whose sign alternates by period: each panel
+    # of [0, 1) ties in error with its translate in [1, 2), of opposite value,
+    # so the total depends on which the heap bisects first (the older, as
+    # argmax takes the first maximum)
+    steps = np.array([4.0, 7.0, 3.0])
+
+    def f(n, rows):
+        sign = 1.0 - 2.0 * np.mod(np.floor(n), 2.0)
+        return sign * np.floor(steps[rows][:, None] * np.mod(n, 1.0))
+
+    (_, _, v0, e0), (_, _, v1, e1) = numerics._panels(f, np.array([0]),
+                                                      np.array([[0.0, 1.0, 1.0, 2.0]]))[0]
+    assert e0 == e1 > 0.0 and v0 == -v1 != 0.0
+    for tol in (Tolerance(rel=0.0, abs=10.0 ** -k) for k in range(2, 9)):
+        _assert_heap_bits(f, 3, 0.0, 2.0, tol)
+        _assert_heap_bits(f, 3, 0.0, 4.0, tol)
+    # symmetric integrands on symmetric ranges
+    even = lambda n, rows: np.exp(-steps[rows][:, None] * n * n) * np.cos(3.0 * n) ** 2
+    _assert_heap_bits(even, 3, -2.0, 2.0, TOL)
+    _assert_heap_bits(lambda n, rows: np.abs(n) * steps[rows][:, None], 3, -1.0, 1.0, TOL)
+
+
+def test_columns_equal_the_heap_with_inf_and_nan_values():
+    # rows that meet a pole, +-inf, NaN, or overflow at some node
+    def f(n, rows):
+        r = rows[:, None]
+        return np.select(
+            [r == 0, r == 1, r == 2, r == 3, r == 4, r == 5],
+            [1.0 / (n - 0.25), np.where(n > 0.6, np.inf, n), np.where(n > 0.3, np.nan, 1.0),
+             np.where(n < 0.1, -np.inf, n * n), 1e308 * (n + 1.0), np.sin(9.0 * n) + 1.0],
+            np.exp(-n))
+
+    for tol in (TOL, Tolerance(rel=0.0, abs=1e-8), Tolerance(rel=1e-3, abs=1.0)):
+        _assert_heap_bits(f, 7, 0.0, 1.0, tol)
+        _assert_heap_bits(f, 7, 0.0, 3.0, tol)
+
+
+def test_columns_equal_the_heap_where_a_row_exhausts_its_budget():
+    w = np.array([1.0, 60.0, 2.0, 90.0])
+    f = lambda n, rows: np.exp(-n) * (1.0 + np.cos(w[rows][:, None] * n) ** 2)
+    tol = Tolerance(rel=1e-13, max_evals=600)
+    for hi in (20.0, math.inf):
+        assert isinstance(_assert_heap_bits(f, 4, 0.0, hi, tol), NonConvergence)
 
 
 def test_tolerance_validation():

@@ -410,7 +410,7 @@ def test_engine_rows_equal_single_quadratures():
         assert (s > 1.0) == (beta == 0.1)
 
         def single(f):
-            return integrate_batch(f, 1, 0.0, math.inf, TOL)[0].value
+            return integrate_batch(f, 1, 0.0, math.inf, TOL).value.item()
 
         def row(k):
             def f(m, rows):

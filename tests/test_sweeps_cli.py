@@ -432,6 +432,34 @@ def test_cli_quadrature_and_engine_points_where_beta_l_overflows(capsys):
     assert fields["Us"] == fields["Fs"] == "0.77329280498653274"
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv,message", [
+    (["--alpha", "0.3", "--beta", "1e-310", "--q", "0.5"],
+     "F overflows at beta=9.9999999999999694e-311"),
+    (["--alpha", "0.3", "--beta", "1e-307", "--q", "0.5"],
+     "F overflows at beta=9.9999999999999991e-308"),
+    (["--alpha", "0.02", "--beta", "1e-320", "--method", "quad01"],
+     "F overflows at beta=9.9998886718268301e-321"),
+    (["--alpha", "0.3", "--beta", "1e-310", "--method", "quadinf"],
+     "integrand not decayed by n = 1/eps, where the map ends"),
+    (["--alpha", "0", "--beta", "1e-305", "--method", "quadinf"],
+     "integrand not decayed by n = 1/eps, where the map ends")])
+def test_cli_moment_points_where_f_overflows(argv, message, capsys):
+    # below beta ~ 1e-306 F overflows: the moment routes raise as the sum
+    # route does, and the quadinf points, whose weight rows never decay
+    # there, exit 3 without a warning from their scale
+    assert cli.main(["point"] + argv) == 3
+    assert capsys.readouterr().err == f"pdmosc: numerical non-convergence: {message}\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_energy_sweep_where_the_level_overflows(capsys):
+    code, out = run_cli(["sweep", "Energy", "--vary", "n", "--range", "0,1e200",
+                         "--alpha", "0.3"], capsys)
+    assert code == 0
+    assert out.split("\n")[2] == "9.9999999999999997e+199,inf,"
+
+
 def test_cli_point_closed_free_energy_where_z_underflows(capsys):
     code, out = run_cli(["point", "--alpha", "0.3", "--beta", "2000", "--method", "closed"],
                         capsys)

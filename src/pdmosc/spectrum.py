@@ -9,6 +9,7 @@ physical parameters.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -93,12 +94,18 @@ class SpectrumCoefficients(_ArrayFields):
         return self.a * (n + 0.5) + self.b * (n * n + 2.0 * n + 0.5)
 
     def level(self, n) -> float | np.ndarray:
-        """Energy of level n, a nonnegative integer (each element of an array)."""
-        nv = np.asarray(n, dtype=float)
-        if not np.all((nv >= 0) & (nv < math.inf) & (nv == np.floor(nv))):
+        """Energy of level n, a nonnegative integer (each element of an array).
+        A scalar is squared as an int while its square rounds into the float
+        range.  E_n is inf past n ~ 1e154, and an int n past the float range
+        counts as inf; where b = 0 the quadratic term is 0, so E_n = a(n + 1/2)."""
+        huge = isinstance(n, int) and abs(n) > sys.float_info.max
+        nv = np.asarray((math.inf if n > 0 else -math.inf) if huge else n, dtype=float)
+        if not np.all((nv >= 0) & ((nv < math.inf) | huge) & (nv == np.floor(nv))):
             raise ValueError("n must be a nonnegative integer")
-        with np.errstate(over="ignore"):  # E_n is inf past n ~ 1e154
-            return self.energy(nv if nv.ndim else int(n))
+        exact = nv.ndim == 0 and nv < 2.0 ** 512
+        with np.errstate(over="ignore", invalid="ignore"):  # b n^2 is 0 inf = nan at b = 0
+            e = np.where(self.b > 0.0, self.energy(int(n) if exact else nv), self.a * (nv + 0.5))
+        return e if e.ndim else float(e)
 
 
 def coefficients(p: OscillatorParams,

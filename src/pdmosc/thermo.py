@@ -106,9 +106,9 @@ def _excitation(a, b, n):
 
 def _tail_bounds(a, b, bv, N):
     """Upper bounds on sum_{n>N} t_n, t_n = u_n^k e^{-u_n}, u_n = beta D_n, k = 0, 1, 2
-    (rows), b > 0, elementwise, by the ratio test: r_n = t_{n+1}/t_n = (D_{n+1}/D_n)^k
+    (rows), b >= 0, elementwise, by the ratio test: r_n = t_{n+1}/t_n = (D_{n+1}/D_n)^k
     e^{-beta (D_{n+1} - D_n)} does not increase for n >= 1 (D_{n+1} - D_n = a + b (2n + 3)
-    rises), so the tail is at most t_{N+1}/(1 - r_{N+1}), +inf where r_{N+1} >= 1.
+    does not fall), so the tail is at most t_{N+1}/(1 - r_{N+1}), +inf where r_{N+1} >= 1.
     1 + 2^-40 covers the rounding of e^{-u_{N+1}} (745 * 4 ulp), of u_{N+1}^k and, where
     u_{N+1} >= 43.6 (_direct_rows' N), of ln r; past u_{N+1} ~ 745 the bound is +0, also
     where u_{N+1} or its square overflows."""
@@ -231,36 +231,27 @@ def _boltzmann_levels(a, b, bv):
     scaled by 2^m (an int array): the quantity is ldexp(value, -m).  Working
     relative to E_0 keeps every quantity derived from these sums accurate
     near machine precision even where Z itself is tiny; in u they stay finite
-    from beta ~ 1e-306 to 1e308.  Each point takes one of three fixed branches
-    from its own inputs, so it gets the bits of its one-point call, always to
-    rounding and with no level budget:
+    from beta ~ 1e-306 to 1e308.  Each point, b = 0 included, takes one of two
+    fixed branches from its own inputs, so it gets the bits of its one-point
+    call, always to rounding and with no level budget:
 
-    * b = 0 is the geometric series: with r = e^{-beta a} and 1 - r taken
-      as -expm1(-beta a), tail = r/(1 - r), <u> = beta a r/(1 - r) and
-      Var u = (beta a)^2 r/(1 - r)^2;
     * where beta L <= _EM_THETA (L = a + 2b) the rows sum_{n>=1} u_n^k w_n
       come from Euler-Maclaurin (_euler_maclaurin_rows), within ~1e-15;
     * elsewhere from at most 176 levels summed directly (_direct_rows)."""
     rows, m = np.zeros((3, len(bv))), np.zeros(len(bv), dtype=np.int64)
-    geometric = b == 0.0
     with np.errstate(over="ignore"):  # beta L overflows at beta ~ 1e308
-        em = ~geometric & (bv * (a + 2.0 * b) <= _EM_THETA)
-    direct = ~(geometric | em)
+        em = bv * (a + 2.0 * b) <= _EM_THETA
+    direct = ~em
     if direct.any():
         rows[:, direct], m[direct] = _direct_rows(a[direct], b[direct], bv[direct])
-    with np.errstate(over="ignore", invalid="ignore"):
+    # the rows are inf where beta L underflows (beta ~ 1e-305 in SI units): F overflows
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if em.any():
             rows[:, em] = _euler_maclaurin_rows(a[em], b[em], bv[em])
         zred = 1.0 + np.ldexp(rows[0], -m)
-        tail, mean = rows[0], rows[1] / zred
+        mean = rows[1] / zred
         var = rows[2] / zred - np.ldexp(mean, -m) * mean
-        if geometric.any():
-            x = bv[geometric] * a[geometric]
-            om = -np.expm1(-x)
-            t = np.exp(-x) / om
-            x = np.where(t > 0.0, x, 0.0)  # u^k r is +0 where r is, also at beta a = inf
-            tail[geometric], mean[geometric], var[geometric] = t, x * t, x * t * (x / om)
-    return tail, mean, var, m
+    return rows[0], mean, var, m
 
 
 def partition_sum(c, beta) -> float | np.ndarray:
@@ -433,7 +424,8 @@ def _scaled_moments(a, b, bv) -> np.ndarray:
     over n in [0, inf) of D^k e^{-beta D}, D = b n^2 + L n, L = a + 2b (with
     the spectrum's coefficients, D = E(n) - E_0).  In u = beta D,
         I_k = int_0^inf u^k e^{-u} (1 + u/y^2)^{-1/2} du,  y = L sqrt(beta/(4b)),
-    so I_k = k! at b = 0.
+    so I_k = k! at b = 0, where 1/y^2 = 0 and the rule's weight is 1.  With
+    b > 0, 1/y^2 is +0 where beta L^2 overflows and +inf where it underflows.
 
     For y >= 1.4 the 48-point Gauss-Laguerre rule integrates it, one row
     sum per element and k; the branch point u = -y^2 lies far enough from
@@ -445,8 +437,8 @@ def _scaled_moments(a, b, bv) -> np.ndarray:
     a, b, bv = np.broadcast_arrays(a, b, bv)
     shape, a, b, bv = bv.shape, a.ravel(), b.ravel(), bv.ravel()
     lin = a + 2.0 * b
-    with np.errstate(over="ignore"):  # 1/y^2 = +0 where beta L^2 overflows: y is inf
-        inv_y2 = 4.0 * b / (bv * lin * lin)
+    with np.errstate(over="ignore", divide="ignore"):  # beta L^2 overflows or underflows
+        inv_y2 = np.divide(4.0 * b, bv * lin * lin, out=np.zeros_like(bv), where=b > 0.0)
     rule = inv_y2 * _X_RULE * _X_RULE <= 1.0
     moments = np.empty((5, len(bv)))
     if rule.any():

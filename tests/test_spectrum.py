@@ -144,6 +144,26 @@ def test_alpha_zero_reduction_exact():
         assert energy_level(p, n) == n + 0.5
 
 
+def test_level_at_alpha_zero_and_past_the_float_range():
+    # the quadratic term is 0 at b = 0, also where n^2 overflows; an int n
+    # whose square leaves the float range gives inf, as a float n does
+    p0, p3 = OscillatorParams(alpha=0.0), OscillatorParams(alpha=0.3)
+    assert energy_level(p0, 10 ** 200) == 1e200
+    assert coefficients(p0).level(np.array([0.0, 1e200])).tolist() == [0.5, 1e200]
+    for p in (p0, p3):
+        assert energy_level(p, 10 ** 400) == math.inf
+    assert energy_level(p3, 10 ** 200) == math.inf
+    c = coefficients(OscillatorParams(alpha=np.array([0.0, 0.3])))
+    assert c.level(10 ** 200).tolist() == [1e200, math.inf]
+    # below n = 2^512 an int is squared exactly, as before
+    c3 = coefficients(p3)
+    for n in (2 ** 53 + 1, 10 ** 100, 2 ** 512 - 2 ** 460):
+        assert energy_level(p3, n) == c3.a * (n + 0.5) + c3.b * (n * n + 2.0 * n + 0.5)
+    for bad in (-(10 ** 400), math.inf, 2.5):
+        with pytest.raises(ValueError):
+            energy_level(p3, bad)
+
+
 def test_energy_rejects_bad_n():
     with pytest.raises(ValueError):
         energy_level(OscillatorParams(), -1)

@@ -460,6 +460,57 @@ def test_cli_energy_sweep_where_the_level_overflows(capsys):
     assert out.split("\n")[2] == "9.9999999999999997e+199,inf,"
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv,row", [
+    (["--vary", "n", "--range", "0,1e200", "--alpha", "0"],
+     "9.9999999999999997e+199,9.9999999999999997e+199,"),
+    (["--vary", "alpha", "--range", "0.1,0.2", "--n", "1" + "0" * 200],
+     "0.20000000000000001,inf,")])
+def test_cli_energy_sweep_at_alpha_zero_and_past_the_float_range(argv, row, capsys):
+    # the quadratic term is 0 at b = 0, also where n^2 overflows, and an int
+    # n whose square leaves the float range gives inf, as a float n does
+    code, out = run_cli(["sweep", "Energy"] + argv, capsys)
+    assert code == 0
+    assert out.split("\n")[-2] == row
+
+
+_SI_TINY_BETA = {
+    "thermo": "beta=1.0000000000000001e-290\nZ=2.0709406276088532e+164\n"
+              "U=4.9999999999999994e+289\nC=6.9032450000000005e-24\n"
+              "S=5.2306157718794289e-21\nF=-3.7835195816456091e+292\nmethod=sum\n",
+    "superstat": "beta=1.0000000000000001e-290\nq=0.5\nZs=2.4592419952855137e+164\n"
+                 "Us=4.9999999999999986e+289\nSs=5.2329884207331838e-21\n"
+                 "Fs=-3.7852380842148754e+292\nCs=6.9032450000000019e-24\nmethod=engine\n"}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("family", ["thermo", "superstat"])
+def test_cli_si_points_where_beta_l_squared_underflows(family, capsys):
+    # in SI units beta L^2 underflows below beta ~ 1e-285: 1/y^2 is +inf, and
+    # the sum and engine points print their values without a warning; where
+    # beta L underflows too (1e-305) the Euler-Maclaurin rows are inf and F
+    # overflows
+    q = ["--q", "0.5"] if family == "superstat" else []
+    argv = ["point", "--alpha", "0.3", "--units", "si", "--method", "sum"] + q
+    assert run_cli(argv + ["--beta", "1e-290"], capsys) == (0, _SI_TINY_BETA[family])
+    assert cli.main(argv + ["--beta", "1e-305"]) == 3
+    assert capsys.readouterr().err == (
+        "pdmosc: numerical non-convergence: F overflows at beta=1e-305\n")
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_si_engine_point_at_alpha_zero_and_tiny_beta(capsys):
+    # at b = 0, 1/y^2 is 0 however small beta L^2: Z_s = (1 + q)/(beta a),
+    # 1.42e305 at beta = 1e-285, and every quantity is finite
+    code, out = run_cli(["point", "--alpha", "0", "--beta", "1e-285", "--units", "si",
+                         "--q", "0.5"], capsys)
+    assert code == 0
+    fields = _fields(out)
+    assert all(math.isfinite(float(fields[k])) for k in routes.SUPERSTAT)
+    a = OscillatorParams.si().hbar * OscillatorParams.si().omega
+    assert abs(float(fields["Zs"]) - 1.5 / (1e-285 * a)) <= 1e-15 * float(fields["Zs"])
+
+
 def test_cli_point_closed_free_energy_where_z_underflows(capsys):
     code, out = run_cli(["point", "--alpha", "0.3", "--beta", "2000", "--method", "closed"],
                         capsys)

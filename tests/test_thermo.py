@@ -223,11 +223,11 @@ def test_sum_engine_against_brute_force(alpha, beta):
     assert partition_sum(c, beta) == pt.Z
 
 
-@pytest.mark.parametrize("alpha,beta", [(0.02, 700.0), (0.3, 480.0)])
+@pytest.mark.parametrize("alpha,beta", [(0.02, 700.0), (0.3, 480.0), (0.0, 720.0)])
 def test_sum_engine_keeps_digits_where_w1_nears_the_subnormal_range(alpha, beta):
     # beta D_1 > 700: the levels are summed at the scale 2^m ~ 1/w_1, so S
     # (5.2e-311 at (0.02, 700), which once carried w_1's 34 subnormal bits)
-    # and C stay within 1e-12 of 50-digit brute force
+    # and C stay within 1e-12 of 50-digit brute force, at alpha = 0 too
     c = coefficients(OscillatorParams(alpha=alpha))
     pt = thermo_sum_engine(c, beta, 1.0)
     _, _, c_want, s_want, _ = brute_thermo(c, beta)
@@ -259,6 +259,38 @@ def test_sum_engine_geometric_series_at_alpha_zero(beta):
     got = (pt.Z, pt.U, pt.C, pt.S, pt.F)
     assert all(_within(g, w) for g, w in zip(got, want)), (got, want)
     assert partition_sum(C00, beta) == pt.Z
+
+
+#: beta a at 400 log-spaced points over [1e-6, 740], and where w_1 is subnormal
+_GEOMETRIC_X = np.concatenate((np.logspace(-6.0, math.log10(740.0), 400), [745.0, 760.0]))
+
+
+@pytest.mark.parametrize("p", [OscillatorParams(alpha=0.0), OscillatorParams.si(alpha=0.0)],
+                         ids=["natural", "si"])
+def test_sum_engine_is_the_geometric_series_to_rounding_at_alpha_zero(p):
+    # b = 0 takes the level sums of every alpha: Euler-Maclaurin up to
+    # beta a = 0.25, the direct levels above, at the scale 2^m past 700.
+    # Against the 60-digit geometric series r = e^{-beta a} each normal Z,
+    # U, C and S lies within 1e-15, F (which crosses zero) within 1e-14, and
+    # each value whose reference is subnormal within 2 spacings of it
+    c = coefficients(p)
+    betas = _GEOMETRIC_X / c.a
+    pt = thermo_sum_engine(c, betas, p.kB)
+    with mp.workdps(60):
+        a, kB = mp.mpf(c.a), mp.mpf(p.kB)
+        for i, beta in enumerate(betas.tolist()):
+            bt = mp.mpf(beta)
+            x = bt * a
+            r, om = mp.exp(-x), -mp.expm1(-x)
+            mean, lg = r / om, mp.log1p(-r)
+            want = (mp.exp(-x / 2) / om, a / 2 + a * mean, kB * x * x * r / om ** 2,
+                    kB * (x * mean - lg), a / 2 + lg / bt)
+            for got, w, rel in zip((pt.Z[i], pt.U[i], pt.C[i], pt.S[i], pt.F[i]), want,
+                                   (1e-15,) * 4 + (1e-14,)):
+                if abs(w) >= np.finfo(float).tiny:
+                    assert abs(got - w) <= rel * abs(w), (beta, got, float(w))
+                else:
+                    assert abs(got - w) <= 2 * 5e-324, (beta, got, float(w))
 
 
 _log_beta = st.floats(min_value=-4.0, max_value=4.0)
@@ -765,7 +797,7 @@ def test_sums_where_long_double_is_double(monkeypatch):
     assert thermo._fsum_rows(terms, starts, counts).tolist() == want
     assert sorted(calls) == sorted(tuple(row[s:s + n]) for row in terms.tolist()
                                    for s, n in zip(starts.tolist(), counts.tolist()) if n >= 2)
-    for alpha in _GATE_ALPHAS[1:]:
+    for alpha in _GATE_ALPHAS:
         c = coefficients(OscillatorParams(alpha=alpha))
         d1 = c.a + 3.0 * c.b
         for beta in _GATE_BETAS[_GATE_BETAS * (c.a + 2.0 * c.b) > thermo._EM_THETA].tolist():
@@ -877,7 +909,7 @@ def test_level_sums_stay_short_and_certified(monkeypatch):
         thermo_sum_engine(C03, 1.0, 1.0)
 
 
-@pytest.mark.parametrize("alpha", [1e-9, 0.3, 0.9999])
+@pytest.mark.parametrize("alpha", [0.0, 1e-9, 0.3, 0.9999])
 def test_scaled_direct_rows_stop_at_level_two(alpha, monkeypatch):
     # where beta D_1 > 700 the terms carry a scale 2^m (m > 0) and the
     # certificate's bound is +0: there N = 2, and the 40-digit tail past

@@ -337,22 +337,6 @@ def superstat_closed_point(c: SpectrumCoefficients, beta, q, kB: float = 1.0,
 
 
 # ---------------------------------------------------------------------------
-# Moment engine: closed-form Laplace moments of the excitation energy
-# ---------------------------------------------------------------------------
-
-def excitation_moments(c: SpectrumCoefficients, beta) -> tuple[float | np.ndarray, ...]:
-    """J_k = int_0^inf D^k e^{-beta D} dn for k = 0..4, D = E(n) - E_0,
-    in closed form (thermo._scaled_moments: erfcx and a recurrence, or a
-    fixed Gauss-Laguerre rule); no adaptive quadrature.  Floats, or arrays
-    over the broadcast of the coefficients and beta, each element bit for bit
-    its point: beta^{k+1} is Python's float power, which numpy's need not match."""
-    a, b, bv = np.broadcast_arrays(c.a, c.b, _beta_values(beta))
-    powers = np.frompyfunc(pow, 2, 1)(bv, np.arange(1, 6).reshape((5,) + (1,) * bv.ndim))
-    return tuple(_shaped(j, beta, c.a) for j in
-                 _scaled_moments(a, b, bv) / ((a + 2.0 * b) * powers.astype(float)))
-
-
-# ---------------------------------------------------------------------------
 # Assembled superstatistical thermodynamics
 # ---------------------------------------------------------------------------
 

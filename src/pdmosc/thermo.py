@@ -8,10 +8,11 @@ Two evaluation families coexist deliberately:
   Boltzmann moments in the ground-state gauge, summed over the levels
   (``thermo_sum_engine``, the physical route) or integrated over continuous
   n (``thermo_quadrature``, whose 'quad01' point is the audit's oracle for
-  the closed forms).  Both carry the moments in u = beta (E - E_0); the
-  integrated ones become columns by one assembly (``_assemble``), and their
-  one closed form over [0, inf) (``_scaled_moments``) serves the superstat
-  engine and Euler-Maclaurin;
+  the closed forms).  Both carry the moments in u = beta (E - E_0), and
+  both become U, C, S, F in one builder (``_columns``); the integrated ones
+  reach it through one assembly (``_assemble``), and their one closed form
+  over [0, inf) (``_scaled_moments``) serves the superstat engine and
+  Euler-Maclaurin;
 * the closed-form evaluators reproduce the typeset expressions for U, C, S,
   F.  Those expressions carry typesetting defects, so each is available in
   two transcriptions: ``verbatim`` (exactly as typeset, including suspected
@@ -343,41 +344,49 @@ def partition_quadrature(c: SpectrumCoefficients, beta, range_: str = "quad01",
 # Ground truth from exact Boltzmann moments
 # ---------------------------------------------------------------------------
 
+def _columns(c, bv, kB: float, z, log_g, mean, var, m=0):
+    """(Z, U, C, S, F) of every moment route, from its Z and from ln G
+    = ln Z + beta E_0, <u> and Var u over u = beta (E - E_0), the last three
+    scaled by 2^m (the quantity is ldexp(value, -m)): U = E_0 + <u>/beta,
+    C = kB Var u, S = kB (ln G + <u>) and F = E_0 - ln G/beta, S and C formed
+    at the scale and rounded once.  The caller supplies ln G: the level sums
+    log1p of their tail (thermo_sum_engine), the continuum ln(g0/(beta L))
+    (_assemble).  Where F overflows (below beta ~ 1e-306), NonConvergence is
+    raised, naming beta."""
+    e0 = c.energy(0)
+    with np.errstate(over="ignore"):  # F overflows below beta ~ 1e-306, U below 3e-309
+        columns = (z, e0 + np.ldexp(mean, -m) / bv, np.ldexp(kB * var, -m),
+                   np.ldexp(kB * (log_g + mean), -m), e0 - np.ldexp(log_g, -m) / bv)
+    bad = ~np.isfinite(columns[4])
+    if bad.any():
+        raise NonConvergence(f"F overflows at beta={np.broadcast_to(bv, bad.shape)[bad][0]:.17g}")
+    return columns
+
+
 def thermo_sum_engine(c, beta, kB: float = 1.0) -> ThermoPoint:
-    """Ground truth on the sum route: U = E_0 + <u>/beta and C = kB Var u
-    from the exact moments of u_n = beta (E_n - E_0) >= 0 over the Boltzmann
-    distribution of the levels (_boltzmann_levels, always to rounding, so
-    there is no tolerance), with g = ln(1 + tail) = ln Z + beta E_0 giving
-    S = kB (g + <u>) and F = E_0 - g/beta; Z is partition_sum's
-    exp(-beta E_0) (1 + tail).  Moments in the ground-state gauge never
-    suffer the <E^2> - <E>^2 cancellation, so C stays accurate where it is
-    exponentially small and |ln Z| is large.  Where the level sums carry a
-    scale 2^m (w_1 near the subnormal range), S and C are formed at that
-    scale and rounded once, and g = tail there.  Below beta ~ 1e-306, where
-    F overflows, NonConvergence is raised.
+    """Ground truth on the sum route: U, C, S and F (_columns) from the exact
+    moments of u_n = beta (E_n - E_0) >= 0 over the Boltzmann distribution of
+    the levels (_boltzmann_levels, always to rounding, so there is no
+    tolerance), with ln G = ln(1 + tail) = ln Z + beta E_0 taken as
+    log1p(tail): at (alpha, beta) = (0.02, 700) S = 5.2e-311 rests on the
+    tail alone.  Z is partition_sum's exp(-beta E_0) (1 + tail).  Moments in
+    the ground-state gauge never suffer the <E^2> - <E>^2 cancellation, so C
+    stays accurate where it is exponentially small and |ln Z| is large.
+    Where the level sums carry a scale 2^m (w_1 near the subnormal range), S
+    and C are formed at that scale and rounded once, and ln G = tail there.
 
     The coefficients may be arrays (an alpha curve) and beta an array (a
     beta curve), broadcast against each other to any shape (an alpha x beta
     mesh): the point then holds beta and each quantity as arrays of it, all
     from one _boltzmann_levels call, each element bit for bit its one-point
-    call.
-
-    The columns are not _assemble's: its ln G = ln(g0/(beta L)) takes the log
-    of the rounded 1 + tail, where S and F need log1p(tail): at (alpha, beta)
-    = (0.02, 700) S = 5.2e-311 rests on the tail alone."""
+    call."""
     a, b, bv = np.broadcast_arrays(c.a, c.b, _beta_values(beta))
     tail, mean, var, m = (x.reshape(bv.shape) for x in
                           _boltzmann_levels(a.ravel(), b.ravel(), bv.ravel()))
     unscaled = np.ldexp(tail, -m)
-    g = np.where(m > 0, tail, np.log1p(unscaled))  # at scale 2^m: tail < e^{-700} there
-    e0 = a * 0.5 + b * 0.5  # c.energy(0), bit for bit
     z = exp_neg_product(bv, 0.5 * a, 0.5 * b) * (1.0 + unscaled)
-    with np.errstate(over="ignore"):  # F overflows below beta ~ 1e-306
-        columns = (z, e0 + np.ldexp(mean, -m) / bv, np.ldexp(kB * var, -m),
-                   np.ldexp(kB * (g + mean), -m), e0 - np.ldexp(g, -m) / bv)
-    if not np.isfinite(columns[4]).all():  # and U below beta ~ 3e-309
-        raise NonConvergence(f"F overflows at beta={bv[~np.isfinite(columns[4])][0]:.17g}")
-    return _point(ThermoPoint, (c.a, beta), "sum", bv, *columns)
+    log_g = np.where(m > 0, tail, np.log1p(unscaled))  # at scale 2^m: tail < e^{-700} there
+    return _point(ThermoPoint, (c.a, beta), "sum", bv, *_columns(c, bv, kB, z, log_g, mean, var, m))
 
 
 def _factor_q(E, bv, qv: float):
@@ -466,10 +475,10 @@ def _assemble(c: SpectrumCoefficients, bv, qv, kB: float, moments):
         G'' = int e^{-beta D} (D^2 p - 2 q beta D E^2 + q E^2);
     in u = beta D with e = beta E_0 each integrand is a polynomial of degree
     <= 4 in u, so beta L G, beta^2 L G' and beta^3 L G'' are dot products
-    g0, g1, g2 with the scaled moments.  Then U = E_0 - g1/(beta g0),
-    C = kB (g2/g0 - (g1/g0)^2), and with ln G = ln(g0/(beta L)),
-    S = kB (ln G - g1/g0) and F = E_0 - ln(G)/beta never meet beta E_0,
-    so they stay finite where Z = G e^{-beta E_0} underflows.  Moments of D
+    g0, g1, g2 with the scaled moments.  Then <u> = -g1/g0,
+    Var u = g2/g0 - (g1/g0)^2 and ln G = ln(g0/(beta L)) give U, C, S and F
+    (_columns); S and F never meet beta E_0, so they stay finite where
+    Z = G e^{-beta E_0} underflows.  Moments of D
     never suffer the <E^2> - <E>^2 cancellation.  Every I_3 and I_4
     coefficient carries a factor q, so where q = 0 throughout those rows
     may be zeros.
@@ -483,7 +492,7 @@ def _assemble(c: SpectrumCoefficients, bv, qv, kB: float, moments):
     The moments have the shape of the broadcast of the coefficients and the
     beta array bv; the q array qv broadcasts against them, and g0, g1, g2
     are assembled over the whole mesh, elementwise, so each element is bit
-    for bit its point.  Where F overflows, NonConvergence is raised, as on the sum route."""
+    for bit its point."""
     i0, i1, i2, i3, i4 = moments
     e0 = c.energy(0)
     m = np.maximum(np.frexp(bv * e0)[1] - 511, 0)
@@ -498,17 +507,14 @@ def _assemble(c: SpectrumCoefficients, bv, qv, kB: float, moments):
     r1 = g1 / g0
     lin = c.a + 2.0 * c.b
     # beta L overflows at beta ~ 1e308: divide in turn; G underflows (q = 0): subtract logs
-    with np.errstate(over="ignore", divide="ignore"):  # F overflows below beta ~ 1e-306
+    with np.errstate(over="ignore", divide="ignore"):
         bl = bv * lin
         big_g = np.where(np.isinf(bl), g0 / bv / lin, g0 / bl)
         log_g = np.where(big_g < np.finfo(float).tiny, np.log(g0) - np.log(bv) - np.log(lin),
                          np.log(big_g)) + 2.0 * math.log(2.0) * m
-        columns = (np.ldexp(big_g * exp_neg_product(bv, 0.5 * c.a, 0.5 * c.b), 2 * m),
-                   e0 - r1 / bv, kB * (g2 / g0 - r1 * r1), kB * (log_g - r1), e0 - log_g / bv)
-    bad = ~np.isfinite(columns[4])
-    if bad.any():
-        raise NonConvergence(f"F overflows at beta={np.broadcast_to(bv, bad.shape)[bad][0]:.17g}")
-    return columns
+        z = np.ldexp(big_g * exp_neg_product(bv, 0.5 * c.a, 0.5 * c.b), 2 * m)
+        var = g2 / g0 - r1 * r1
+    return _columns(c, bv, kB, z, log_g, -r1, var)
 
 
 def _quadrature_moments(c: SpectrumCoefficients, bv: np.ndarray, qv, hi: float,
@@ -530,7 +536,10 @@ def _quadrature_moments(c: SpectrumCoefficients, bv: np.ndarray, qv, hi: float,
     smallest scale that puts u = 8 at or before the probe m = 24 (s = 1 on
     [0, 1]).  From beta ~ 3e5 on e^{-u} underflows to 0 at every node, so
     the I_0 row integrates to exactly 0: that raises NonConvergence, naming
-    beta."""
+    beta.  So does a row the assembly reads below 2^-1022, where it has lost
+    its digits: on [0, 1] I_k ~ beta^{k+1}, so I_2 leaves the normal range
+    below beta ~ 1e-103 (alpha = 0.3).  Where F overflows too, _columns
+    raises first."""
     zshape, weight = _weight_rows(c, bv, qv)
     nz = math.prod(zshape)
     shape = np.broadcast(c.a, c.b, bv).shape
@@ -569,8 +578,11 @@ def _quadrature_moments(c: SpectrumCoefficients, bv: np.ndarray, qv, hi: float,
     moments[:k_rows] = values[nz:].reshape(-1, k_rows).T
     if not moments[0].all():  # e^{-u} underflows at every node
         raise NonConvergence(f"moment rows integrate to 0 at beta={bvs[moments[0] == 0][0]:.17g}")
-    return ((values[:nz].reshape(zshape),)
-            + _assemble(c, bv, qv, kB, moments.reshape((5,) + shape))[1:])
+    columns = _assemble(c, bv, qv, kB, moments.reshape((5,) + shape))
+    low = (moments[:k_rows] < np.finfo(float).tiny).any(axis=0)
+    if low.any():
+        raise NonConvergence(f"moment rows underflow at beta={bvs[low][0]:.17g}")
+    return (values[:nz].reshape(zshape),) + columns[1:]
 
 
 def thermo_quadrature(c: SpectrumCoefficients, beta, range_: str = "quad01",

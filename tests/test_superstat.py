@@ -18,7 +18,6 @@ from pdmosc import (B_MIN, NonConvergence, OscillatorParams, SingularLimit, Spec
                     superstat_partition_quadrature, superstat_quadrature, superstat_thermo,
                     thermo_quadrature)
 
-from pdmosc.superstat import excitation_moments
 from pdmosc.thermo import _assemble, _scaled_moments
 from pdmosc.verify import DEFAULT_ALPHAS, DEFAULT_BETAS, DEFAULT_QS
 
@@ -569,65 +568,66 @@ def test_quadrature_moments_raise_where_no_node_resolves_the_weight(beta):
 def _mp_excitation_moments(a, b, beta, dps=50):
     """J_k = int_0^inf D^k e^{-beta D} dn, k = 0..4, at 50 digits from the
     Tricomi function: J_k = k! (L^2/4b)^{k+1} U(k+1, k+3/2, y^2)/L with
-    L = a + 2b and y^2 = beta L^2/(4b) (DLMF 13.4.4); k!/(L beta)^{k+1} at b = 0."""
+    L = a + 2b and y^2 = beta L^2/(4b) (DLMF 13.4.4); k!/(L beta^{k+1}) at b = 0."""
     with mp.workdps(dps):
         a, b, bt = mp.mpf(a), mp.mpf(b), mp.mpf(beta)
         lin = a + 2 * b
         if b == 0:
-            return [mp.factorial(k) / (lin * bt) ** (k + 1) for k in range(5)]
+            return [mp.factorial(k) / (lin * bt ** (k + 1)) for k in range(5)]
         scale = lin * lin / (4 * b)
         return [mp.factorial(k) * scale ** (k + 1) * mp.hyperu(k + 1, k + 1.5, bt * scale) / lin
                 for k in range(5)]
 
 
+def _mp_scaled_moments(a, b, beta, dps=50):
+    """I_k = L beta^{k+1} J_k (_mp_excitation_moments), k = 0..4, at 50 digits."""
+    with mp.workdps(dps):
+        lin, bt = mp.mpf(a) + 2 * mp.mpf(b), mp.mpf(beta)
+        return [lin * bt ** (k + 1) * j
+                for k, j in enumerate(_mp_excitation_moments(a, b, beta, dps))]
+
+
 @pytest.mark.parametrize("y", [0.015, 0.47, 1.38, 1.39, 1.41, 2.9, 5.35, 7.8, 24.6, 169.0,
                                2.2e6])
 def test_excitation_moments_against_mpmath(y):
-    # both sides of the recurrence / Gauss-Laguerre switch at y = 1.4, the y
-    # where e^{y^2} (1 - erf y) would cost I_0 1.4e-14, and the y where
-    # Miller's backward recurrence failed (2.9..7.7)
+    # the scaled moments I_k of the excitation energy on both sides of the
+    # recurrence / Gauss-Laguerre switch at y = 1.4, the y where
+    # e^{y^2} (1 - erf y) would cost I_0 1.4e-14, and the y where Miller's
+    # backward recurrence failed (2.9..7.7)
     for c in (C01, C09):
         lin = c.a + 2.0 * c.b
         beta = 4.0 * c.b * y * y / (lin * lin)
-        got = excitation_moments(c, beta)
-        want = _mp_excitation_moments(c.a, c.b, beta)
+        got = _scaled_moments(c.a, c.b, beta)
+        want = _mp_scaled_moments(c.a, c.b, beta)
         assert all(abs(g - w) <= 2e-15 * w for g, w in zip(got, want)), (got, want)
 
 
 @pytest.mark.parametrize("b", [0.0, 5e-324, 1e-310])
 def test_excitation_moments_at_vanishing_b(b):
     # at b = 0 the rule's weight (1 + u/y^2)^{-1/2} is exactly 1, and
-    # J_k = k!/(L beta)^{k+1}; a subnormal b must not overflow y^2
-    c = SpectrumCoefficients(a=1.0, b=b)
-    got = excitation_moments(c, 2.5)
-    want = _mp_excitation_moments(c.a, c.b, 2.5)
+    # I_k = k!; a subnormal b must not overflow y^2
+    got = _scaled_moments(1.0, b, 2.5)
+    want = _mp_scaled_moments(1.0, b, 2.5)
     assert all(abs(g - w) <= 2e-15 * w for g, w in zip(got, want)), (got, want)
 
 
 def test_excitation_moments_are_elementwise():
-    # an alpha curve, a beta curve and an alpha x beta mesh: every element is
-    # bit for bit its float point, which is I_k/(L beta^{k+1}) with the power
-    # taken on Python floats; at alpha = (0.1, 0.9) and beta = 1 the curve's
-    # J_0 is (0.8467, 0.4274)
+    # the scaled moments over an alpha curve, a beta curve and an
+    # alpha x beta mesh: every element is bit for bit its float point; at
+    # alpha = (0.1, 0.9) and beta = 1 the curve's I_0 is (0.9324, 0.8534)
     alphas, betas = np.array([0.1, 0.9, 0.3]), np.array([1.0, 0.05, 40.0])
     curve = coefficients(OscillatorParams(alpha=alphas))
-    points = [[excitation_moments(coefficients(OscillatorParams(alpha=x)), beta)
-               for beta in betas.tolist()] for x in alphas.tolist()]
-    for x, row in zip(alphas.tolist(), points):
+    points = []
+    for x in alphas.tolist():
         c = coefficients(OscillatorParams(alpha=x))
-        for beta, point in zip(betas.tolist(), row):
-            scaled = _scaled_moments(c.a, c.b, np.array([beta]))[:, 0].tolist()
-            assert list(point) == [m / ((c.a + 2.0 * c.b) * beta ** (k + 1))
-                                   for k, m in enumerate(scaled)]
-            assert all(type(j) is float for j in point)
-    mesh = excitation_moments(SpectrumCoefficients(curve.a[:, None], curve.b[:, None]), betas)
-    assert [j.tolist() for j in mesh] == [[[p[k] for p in row] for row in points]
-                                         for k in range(5)]
-    along_alpha = excitation_moments(curve, 1.0)
-    assert [j.tolist() for j in along_alpha] == [[row[0][k] for row in points] for k in range(5)]
-    assert abs(along_alpha[0][1] - 0.4274) < 1e-4
-    along_beta = excitation_moments(C03, betas)
-    assert [j.tolist() for j in along_beta] == [[p[k] for p in points[2]] for k in range(5)]
+        points.append([_scaled_moments(c.a, c.b, beta).tolist() for beta in betas.tolist()])
+    mesh = _scaled_moments(curve.a[:, None], curve.b[:, None], betas)
+    assert mesh.tolist() == [[[p[k] for p in row] for row in points] for k in range(5)]
+    along_alpha = _scaled_moments(curve.a, curve.b, 1.0)
+    assert along_alpha.tolist() == [[row[0][k] for row in points] for k in range(5)]
+    assert abs(along_alpha[0][0] - 0.9324) < 1e-4 and abs(along_alpha[0][1] - 0.8534) < 1e-4
+    along_beta = _scaled_moments(C03.a, C03.b, betas)
+    assert along_beta.tolist() == [[p[k] for p in points[2]] for k in range(5)]
 
 
 def test_engine_agrees_with_quadinf_on_atlas_grid():

@@ -443,11 +443,17 @@ def test_cli_quadrature_and_engine_points_where_beta_l_overflows(capsys):
     (["--alpha", "0.3", "--beta", "1e-310", "--method", "quadinf"],
      "integrand not decayed by n = 1/eps, where the map ends"),
     (["--alpha", "0", "--beta", "1e-305", "--method", "quadinf"],
-     "integrand not decayed by n = 1/eps, where the map ends")])
+     "integrand not decayed by n = 1/eps, where the map ends"),
+    (["--alpha", "0.3", "--beta", "1e-110", "--method", "quad01"],
+     "moment rows underflow at beta=1.0000000000000001e-110"),
+    (["--alpha", "0.3", "--beta", "1e-170", "--method", "quad01"],
+     "moment rows underflow at beta=9.9999999999999998e-171")])
 def test_cli_moment_points_where_f_overflows(argv, message, capsys):
     # below beta ~ 1e-306 F overflows: the moment routes raise as the sum
     # route does, and the quadinf points, whose weight rows never decay
-    # there, exit 3 without a warning from their scale
+    # there, exit 3 without a warning from their scale; on [0, 1] the
+    # moment rows I_k ~ beta^{k+1} leave the normal range long before (I_2
+    # is 0 at beta = 1e-110), where U and C lose every digit: exit 3 too
     assert cli.main(["point"] + argv) == 3
     assert capsys.readouterr().err == f"pdmosc: numerical non-convergence: {message}\n"
 

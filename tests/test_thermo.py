@@ -17,9 +17,10 @@ from pdmosc import (NonConvergence, OscillatorParams, SingularLimit, SpectrumCoe
                     free_energy_closed, heat_capacity_closed, log_partition_closed,
                     mean_energy_closed, partition_closed, partition_quadrature,
                     partition_sum, thermo, thermo_closed_point, thermo_quadrature)
+from pdmosc.superstat import superstat_quadrature, superstat_thermo
 from pdmosc.sweeps import figure_preset
 from pdmosc.thermo import TRANSCRIPTIONS, thermo_sum_engine
-from pdmosc.verify import DEFAULT_BETAS, audit_columns
+from pdmosc.verify import DEFAULT_ALPHAS, DEFAULT_BETAS, DEFAULT_QS, audit_columns
 
 from helpers import (brute_boltzmann_moments, brute_sum, brute_thermo, derivative,
                      mp_level_rows, mp_weight_moments)
@@ -158,6 +159,22 @@ def test_engine_identities():
             pt = thermo_sum_engine(c, beta, 1.0)
             assert abs(pt.S - (math.log(pt.Z) + beta * pt.U)) <= 1e-9 * max(abs(pt.S), 1.0)
             assert abs(pt.F + math.log(pt.Z) / beta) <= 1e-12 * max(abs(pt.F), 1.0)
+    # every moment route on the atlas grid, where all form U, C, S and F in
+    # one builder: beta (F - U) = -S/kB and ln Z = -beta F to rounding of
+    # beta U (5.1e-16 at worst, the superstat quadinf point)
+    betas, qs = np.array(DEFAULT_BETAS), np.array(DEFAULT_QS)
+    for alpha in DEFAULT_ALPHAS:
+        c = coefficients(OscillatorParams(alpha=alpha))
+        thermo_points = [thermo_sum_engine(c, betas), thermo_quadrature(c, betas, "quad01"),
+                         thermo_quadrature(c, betas, "quadinf")]
+        superstat_points = [superstat_thermo(c, betas[:, None], qs),
+                            superstat_quadrature(c, betas[:, None], qs)]
+        for beta, (z, u, s, f) in ([(betas, (p.Z, p.U, p.S, p.F)) for p in thermo_points]
+                                   + [(betas[:, None], (p.Zs, p.Us, p.Ss, p.Fs))
+                                      for p in superstat_points]):
+            bound = 1e-14 * (1.0 + beta * abs(u))
+            assert (abs(beta * (f - u) + s) <= bound).all(), alpha
+            assert (abs(np.log(z) + beta * f) <= bound).all(), alpha
 
 
 def test_engine_gauge_equivalence():

@@ -3,7 +3,7 @@
 Verbs: ``sweep`` (one quantity along a grid), ``figure <id>`` (figure
 presets with the quoted parameter values), ``audit`` (the printed-vs-oracle
 discrepancy atlas), ``point`` (one thermodynamic or superstatistical state
-as key=value lines).
+as key=value lines, or as a one-record JSON array).
 
 Exit codes: 0 success, 2 invalid arguments (a sweep also refuses a point
 flag its quantity does not read) or any other package error, 3 numerical
@@ -22,10 +22,6 @@ from itertools import product
 from .errors import NonConvergence, NonDecaying, PdmoscError
 from .numerics import Tolerance
 from . import routes, sweeps, verify
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _parse_range(text: str) -> tuple[float, ...]:
@@ -112,7 +108,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
                        help="oracle basis of the thermo quantities")
     _add_common(audit)
 
-    point = subs.add_parser("point", help="one state as key=value lines")
+    point = subs.add_parser("point", help="one state as key=value lines or JSON")
     _add_point_flags(point, ("alpha", "beta", "q"))  # a point reads no level n
     return parser, {"sweep": sweep, "figure": figure, "audit": audit, "point": point}
 
@@ -216,12 +212,11 @@ def _cmd_point(args) -> int:
     if method not in routes.POINTS[family]:
         raise ValueError(f"{family} points have no method {method!r}")
     pt = routes.POINTS[family][method](s)
-    lines = [f"beta={_fmt(pt.beta)}"]
-    if args.q is not None:
-        lines.append(f"q={_fmt(pt.q)}")
-    lines += [f"{qn}={_fmt(getattr(pt, qn))}" for qn in routes.FIELDS[family]]
-    lines.append(f"method={pt.method}")
-    _emit("\n".join(lines) + "\n", args.out)
+    keys = (("beta",) if args.q is None else ("beta", "q")) + routes.FIELDS[family]
+    record = {**{k: float(getattr(pt, k)) for k in keys}, "method": pt.method}
+    _emit(verify.render_json([record]) if args.format == "json" else
+          "".join(f"{k}={v}\n" if k == "method" else f"{k}={v:.17g}\n"
+                  for k, v in record.items()), args.out)
     return 0
 
 

@@ -11,9 +11,11 @@ A quantity uses its own function where one exists (Z on ``quad01`` and
 the whole point otherwise.  Every route evaluates a whole curve in one
 call, or a figure's whole (curve x x) grid: from a State that holds each
 varied parameter as an array of one value per point it returns the array
-of the values, each bit for bit the route at its own point.  Functions are
-looked up as module attributes (``thermo.thermo_sum_engine``) at call
-time, so wrappers installed on the modules are seen.
+of the values, each bit for bit the route at its own point.  Every State
+comes from ``state``, and ``evaluate`` runs a builder on one, calling it
+again on the regular alphas where the closed forms are singular.
+Functions are looked up as module attributes (``thermo.thermo_sum_engine``)
+at call time, so wrappers installed on the modules are seen.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import SingularLimit
 from .numerics import Tolerance
 from .spectrum import OscillatorParams, SpectrumCoefficients, coefficients
 from . import superstat, thermo
@@ -37,11 +40,11 @@ FIELDS = {"thermo": THERMO, "superstat": SUPERSTAT}
 
 @dataclass(frozen=True)
 class State:
-    """Every input a route reads at one evaluation point, or along one
-    curve, where the coefficients, beta, q or n hold a value per point.
-    transcription may hold the pair thermo.TRANSCRIPTIONS for the 'closed'
-    POINTS builders, whose quantities then hold a trailing transcription
-    axis."""
+    """Every input a route reads at one evaluation point, or on a grid,
+    where the coefficients, beta, q or n hold a value per point (built by
+    state).  transcription may hold the pair thermo.TRANSCRIPTIONS for the
+    'closed' POINTS builders, whose quantities then hold a trailing
+    transcription axis."""
 
     c: SpectrumCoefficients
     kB: float = 1.0
@@ -53,12 +56,16 @@ class State:
 
 
 def state(values: dict, units: str = "natural", b_convention: str = "spectrum",
-          transcription: str = "verbatim", tol: Tolerance = Tolerance()) -> State:
+          transcription: str | tuple[str, str] = "verbatim",
+          tol: Tolerance = Tolerance()) -> State:
     """The State at {alpha, beta, q, n, m0, omega} values; a missing entry
-    takes the CLI default, and m0/omega count in SI units only.  The State
-    of a curve, or of a whole (curve x x) grid, holds each varied parameter
-    as an array of one value per point, all of equal length; an alpha array
-    gives coefficient arrays from one coefficients call."""
+    takes the CLI default, and m0/omega count in SI units only.  Arrays
+    broadcast together: a curve, or a whole (curve x x) grid, holds each
+    varied parameter as an array of one value per point, all of equal
+    length, and the audit holds alpha shaped (A, 1) against a beta array or
+    (A, 1, 1) against a beta x q mesh.  An alpha array gives coefficient
+    arrays from one coefficients call.  transcription may be the pair
+    thermo.TRANSCRIPTIONS (see State)."""
     alpha = values.get("alpha", 0.0)
     alpha = alpha if isinstance(alpha, np.ndarray) else float(alpha)
     if units == "si":
@@ -68,6 +75,25 @@ def state(values: dict, units: str = "natural", b_convention: str = "spectrum",
         p = OscillatorParams(alpha=alpha)
     return State(coefficients(p, b_convention), p.kB, values.get("beta", 1.0),
                  values.get("q", 0.0), values.get("n", 0), transcription, tol)
+
+
+def evaluate(build: Callable, values: dict, **settings) -> tuple[object, np.ndarray | None]:
+    """build (a ROUTES evaluator or a POINTS builder) on state(values,
+    **settings), as (its result, None).  Where the closed forms are
+    singular (SingularLimit marks the alphas with b <= B_MIN) it is
+    (build on the regular alphas, or None if there is none, and their bool
+    mask along alpha's leading axis): that one more call indexes alpha, and
+    every array with as many axes, with the mask; an array of fewer axes
+    broadcasts against alpha's trailing axes and stays whole."""
+    try:
+        return build(state(values, **settings)), None
+    except SingularLimit as exc:
+        regular = np.reshape(np.logical_not(exc.singular), -1)
+    if not regular.any():
+        return None, regular
+    ndim = np.ndim(values["alpha"])
+    return build(state({k: v[regular] if np.ndim(v) == ndim else v
+                        for k, v in values.items()}, **settings)), regular
 
 
 #: family -> method -> builder of the whole point

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SingularLimit
 from .numerics import Tolerance
 from . import routes
 
@@ -79,26 +78,19 @@ class SweepSpec:
 
 
 def _evaluate(spec: SweepSpec, values: dict, tol: Tolerance) -> tuple[list, list]:
-    """spec's route in one call over a grid, values holding each varied
-    parameter as an array of one value per point: (values, warnings), one
-    of each per point, each value bit for bit the route at its own point.
-    Where a closed form is singular (SingularLimit marks the points with
-    b <= B_MIN) the value is None with the warning "SingularLimit", not a
-    crash, and one more route call evaluates the regular points."""
-    route = routes.ROUTES[(spec.quantity, spec.method)]
+    """spec's route in one call over a grid (routes.evaluate), values
+    holding each varied parameter as an array of one value per point:
+    (values, warnings), one of each per point, each value bit for bit the
+    route at its own point.  Where a closed form is singular (b <= B_MIN)
+    the value is None with the warning "SingularLimit", not a crash, and
+    one more route call evaluates the regular points."""
+    ys, regular = routes.evaluate(routes.ROUTES[(spec.quantity, spec.method)], values,
+                                  units=spec.units, b_convention=spec.b_convention,
+                                  transcription=spec.transcription, tol=tol)
     size = len(values[spec.vary])
-
-    def call(at) -> list[float]:
-        return route(routes.state({k: v[at] if isinstance(v, np.ndarray) else v
-                                   for k, v in values.items()}, spec.units,
-                                  spec.b_convention, spec.transcription, tol)).tolist()
-
-    try:
-        return call(slice(None)), [""] * size
-    except SingularLimit as exc:
-        regular = np.broadcast_to(np.logical_not(exc.singular), (size,))
-    ys = iter(call(regular) if regular.any() else [])
-    oks = regular.tolist()
+    if regular is None:
+        return ys.tolist(), [""] * size
+    ys, oks = iter([] if ys is None else ys.tolist()), np.broadcast_to(regular, (size,)).tolist()
     return [next(ys) if ok else None for ok in oks], ["" if ok else "SingularLimit" for ok in oks]
 
 

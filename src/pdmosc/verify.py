@@ -11,15 +11,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import SingularLimit
 from .numerics import Tolerance
-from .spectrum import OscillatorParams, SpectrumCoefficients, coefficients
 from .thermo import TRANSCRIPTIONS
 from . import routes
 
@@ -85,14 +83,15 @@ def audit_columns(params_grid: Iterable = DEFAULT_ALPHAS,
     Both points of a family come from routes.POINTS: the oracle method, and
     'closed' with the pair TRANSCRIPTIONS, which holds each quantity with a
     trailing transcription axis.  Each runs once over the whole grid,
-    whatever its size: the coefficients of every alpha, from one
-    coefficients call, are shaped (A, 1) against the beta array (the thermo
-    State) and (A, 1, 1) against the beta x q mesh (the superstat State).
-    Each element is bit for bit its one-point call, so a grid audits as the
-    merge of its one-alpha audits.  Where the closed forms are singular
-    (alpha = 0, b <= B_MIN) the printed values are nan, PrintedNonFinite
-    (_typeset).  One AuditBlock per quantity, in QUANTITIES order, each
-    classified at once; grid rows alpha-major, then TRANSCRIPTIONS.
+    whatever its size, on the routes.state of its values: alpha shaped
+    (A, 1) against the beta array (thermo) and (A, 1, 1) against the
+    beta x q mesh (superstat).  Each element is bit for bit its one-point
+    call, so a grid audits as the merge of its one-alpha audits.  Where the
+    closed forms are singular (alpha = 0, b <= B_MIN) the printed values
+    are nan, PrintedNonFinite, and routes.evaluate makes one more closed
+    call on the regular alphas.  One AuditBlock per quantity, in
+    QUANTITIES order, each classified at once; grid rows alpha-major, then
+    TRANSCRIPTIONS.
     """
     if oracle_basis not in _ORACLES:
         raise ValueError("oracle_basis must be 'closed' or 'sum'")
@@ -102,47 +101,25 @@ def audit_columns(params_grid: Iterable = DEFAULT_ALPHAS,
     if not alphas or not betas or not qs:
         raise ValueError("grids must be nonempty")
 
-    c = coefficients(OscillatorParams(alpha=np.array(alphas)[:, None]))
-    beta_col = np.array(betas)
-    # family -> (grid rows, the State of the whole grid), alpha-major
-    states = {
-        "thermo": (tuple(product(alphas, betas, [None])),
-                   routes.State(c, beta=beta_col, transcription=TRANSCRIPTIONS, tol=tol)),
-        "superstat": (tuple(product(alphas, betas, qs)),
-                      routes.State(SpectrumCoefficients(c.a[..., None], c.b[..., None]),
-                                   beta=beta_col[:, None], q=np.array(qs),
-                                   transcription=TRANSCRIPTIONS, tol=tol))}
+    alpha, beta = np.array(alphas)[:, None], np.array(betas)
+    # family -> (grid rows, the routes.state values of the whole grid), alpha-major
+    meshes = {"thermo": (tuple(product(alphas, betas, [None])), {"alpha": alpha, "beta": beta}),
+              "superstat": (tuple(product(alphas, betas, qs)),
+                            {"alpha": alpha[..., None], "beta": beta[:, None],
+                             "q": np.array(qs)})}
+    settings, width = {"transcription": TRANSCRIPTIONS, "tol": tol}, len(TRANSCRIPTIONS)
     blocks = []
-    for family, (grid, s) in states.items():
+    for family, (grid, values) in meshes.items():
         point = routes.POINTS[family]
-        oracle = point[_ORACLES[oracle_basis][family]](s)
-        typeset = _typeset(point["closed"], s, grid, routes.FIELDS[family])
-        for qn, p_col in typeset.items():
-            o_col = getattr(oracle, qn).ravel()
+        oracle = point[_ORACLES[oracle_basis][family]](routes.state(values, **settings))
+        typeset, regular = routes.evaluate(point["closed"], values, **settings)
+        at = slice(None) if regular is None else np.repeat(regular, len(grid) // regular.size)
+        for qn in routes.FIELDS[family]:
+            p_col, o_col = np.full((len(grid), width), math.nan), getattr(oracle, qn).ravel()
+            if typeset is not None:
+                p_col[at] = getattr(typeset, qn).reshape(-1, width)
             blocks.append(AuditBlock(qn, grid, p_col, o_col, *_classify(p_col, o_col[:, None])))
     return blocks
-
-
-def _typeset(closed: Callable, s: routes.State, grid: tuple,
-             quantities: Sequence[str]) -> dict[str, np.ndarray]:
-    """quantity -> the column of the closed point of s over grid, shaped
-    (grid row, transcription).  Where the closed forms are singular
-    (SingularLimit marks the alphas with b <= B_MIN) the column is nan, and
-    one more call evaluates the regular alphas, as sweeps._evaluate does."""
-    width = len(TRANSCRIPTIONS)
-    try:
-        pt = closed(s)
-    except SingularLimit as exc:
-        regular = np.logical_not(exc.singular).reshape(-1)
-    else:
-        return {qn: getattr(pt, qn).reshape(-1, width) for qn in quantities}
-    at = np.repeat(regular, len(grid) // regular.size)  # the grid rows of each alpha
-    columns = {qn: np.full((len(grid), width), math.nan) for qn in quantities}
-    if regular.any():
-        pt = closed(replace(s, c=SpectrumCoefficients(s.c.a[regular], s.c.b[regular])))
-        for qn, col in columns.items():
-            col[at] = getattr(pt, qn).reshape(-1, width)
-    return columns
 
 
 AUDIT_CSV_HEADER = "quantity,alpha,beta,q,transcription,printed,oracle,rel_diff,classification"

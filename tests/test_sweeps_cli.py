@@ -27,6 +27,8 @@ def test_sweepspec_validation():
         SweepSpec(quantity="U", vary="beta", values=(1.0, 2.0), method="bogus")
     with pytest.raises(ValueError, match="no method 'quad01'"):
         SweepSpec(quantity="Us", vary="beta", values=(1.0, 2.0), method="quad01")
+    with pytest.raises(ValueError, match="units must be 'natural' or 'si'"):
+        SweepSpec(quantity="Z", vary="beta", values=(1.0, 2.0), units="imperial")
 
 
 def test_energy_sweep_increasing():
@@ -112,6 +114,8 @@ def test_sweep_refuses_a_parameter_the_quantity_does_not_read(argv, capsys):
 #: recurrence
 _GRIDS = {"alpha": (0.0, 0.02, 0.3, 0.9), "beta": (0.1, 0.5, 2.0, 9.0, 800.0, 2000.0),
           "q": (0.0, 0.25, 1.0), "n": (0.0, 1.0, 2.0, 5.0)}
+#: alpha = 0 again in mid-grid: the retry on the regular points keeps their order
+_MID_ZERO_ALPHAS = (0.0, 0.02, 0.3, 0.0, 0.9)
 _FIXED = {"alpha": 0.3, "beta": 0.5, "q": 0.5, "n": 2.0}
 _CURVE_CASES = [(qn, m, vary) for qn, m in sorted(routes.ROUTES)
                 for vary in sweeps.DEPENDS_ON[qn]]
@@ -123,7 +127,8 @@ def test_every_route_sweep_row_equals_its_point(quantity, method, vary):
     # mixed alpha curve): each row is bit for bit the route at its own
     # routes.state point, and null with SingularLimit exactly where that
     # point raises SingularLimit; in natural units and along an SI alpha
-    # curve, with every other parameter the quantity reads fixed
+    # curve, with every other parameter the quantity reads fixed, and along
+    # an alpha grid with a zero in mid-grid
     cases = [({k: v for k, v in _FIXED.items() if k != vary}, "natural")]
     if vary != "alpha":
         cases.append(({**cases[0][0], "alpha": 0.0}, "natural"))
@@ -132,11 +137,12 @@ def test_every_route_sweep_row_equals_its_point(quantity, method, vary):
     route = routes.ROUTES[(quantity, method)]
     reads = sweeps.DEPENDS_ON[quantity]
     cases = [({k: v for k, v in fixed.items() if k in reads}, units) for fixed, units in cases]
-    for (fixed, units), tr in itertools.product(cases, thermo.TRANSCRIPTIONS):
-        spec = SweepSpec(quantity=quantity, vary=vary, values=_GRIDS[vary], fixed=fixed,
+    grids = [_GRIDS[vary]] + ([_MID_ZERO_ALPHAS] if vary == "alpha" else [])
+    for (fixed, units), tr, grid in itertools.product(cases, thermo.TRANSCRIPTIONS, grids):
+        spec = SweepSpec(quantity=quantity, vary=vary, values=grid, fixed=fixed,
                          method=method, units=units, transcription=tr)
         xs, ys, warnings = run_sweep(spec)
-        assert xs == list(_GRIDS[vary])
+        assert xs == list(grid)
         for x, y, warning in zip(xs, ys, warnings):
             s = routes.state({**fixed, vary: x}, units, transcription=tr,
                              tol=sweeps.PRESET_TOL)
@@ -340,6 +346,34 @@ def test_cli_point_superstat(capsys):
     assert code == 0
     fields = dict(line.split("=", 1) for line in out.strip().split("\n"))
     assert set(fields) == {"beta", "q", "Zs", "Us", "Ss", "Fs", "Cs", "method"}
+
+
+@pytest.mark.parametrize("argv", [["--alpha", "0.3", "--beta", "2"],
+                                  ["--alpha", "0.3", "--beta", "1", "--q", "0.5"],
+                                  ["--alpha", "0.3", "--beta", "800", "--method", "closed"],
+                                  ["--alpha", "0.3", "--beta", "800", "--q", "0.5",
+                                   "--method", "closed"]])
+def test_cli_point_json_is_its_key_value_lines(argv, tmp_path, capsys):
+    # --format json prints one strict-JSON record, on stdout and through
+    # --out: the key=value fields in their order, a number as its float, a
+    # value that is not finite (the closed forms at beta = 800) as its text
+    code, out = run_cli(["point", *argv], capsys)
+    assert code == 0
+    fields = [line.split("=", 1) for line in out.strip().split("\n")]
+    code, text = run_cli(["point", *argv, "--format", "json"], capsys)
+    assert code == 0
+    path = tmp_path / "point.json"
+    assert cli.main(["point", *argv, "--format", "json", "--out", str(path)]) == 0
+    assert path.read_text() == text
+    records = _strict_json(text)
+    assert len(records) == 1 and list(records[0]) == [k for k, _ in fields]
+    for (k, v), got in zip(fields, records[0].values()):
+        if k == "method" or not math.isfinite(float(v)):
+            assert got == v and isinstance(got, str)
+        else:
+            assert type(got) is float and got == float(v)
+    if "closed" in argv:
+        assert any(isinstance(v, str) for k, v in records[0].items() if k != "method")
 
 
 def test_cli_point_closed_overflow_is_a_value(capsys):
@@ -645,6 +679,18 @@ def test_ranges_refuse_endpoints_numpy_cannot_space():
     assert sweeps.log_range(1e-300, 1e300, 3) == (1e-300, 1.0, 1e300)
 
 
+@pytest.mark.parametrize("count", [1, 0, -3])
+def test_ranges_refuse_fewer_than_two_points(count, capsys):
+    # a range of fewer than two values raises before numpy spaces it; the
+    # CLI exits 2 with its message
+    for make, text in ((sweeps.linear_range, f"0:1:{count}"),
+                       (sweeps.log_range, f"log:1:2:{count}")):
+        with pytest.raises(ValueError, match="count must be at least 2"):
+            make(1.0, 2.0, count)
+        assert cli.main(["sweep", "Z", "--vary", "beta", f"--range={text}", "--alpha", "0.3"]) == 2
+        assert capsys.readouterr().err == "pdmosc: error: count must be at least 2\n"
+
+
 @pytest.mark.parametrize("text", ["log:-1:1:3", "0:inf:3", "log:1:inf:3", "log:0:1:3"])
 def test_cli_sweep_range_endpoints_exit_2(text, capsys):
     # one error line and exit 2, with no numpy warning (RuntimeWarning is an
@@ -758,6 +804,14 @@ def test_cli_bad_config_key(tmp_path, capsys):
     conf = tmp_path / "bad.conf"
     conf.write_text("volume = 11\n")
     assert cli.main(["point", "--config", str(conf)]) == 2
+
+
+def test_cli_config_line_without_equals_exits_2(tmp_path, capsys):
+    # a line that is no 'key = value' names the file and its line number
+    conf = tmp_path / "bad.conf"
+    conf.write_text("# comment\nalpha = 0.3\nbeta 2\n")
+    assert cli.main(["point", "--config", str(conf)]) == 2
+    assert capsys.readouterr().err == f"pdmosc: error: {conf}:3: expected 'key = value'\n"
 
 
 def test_cli_invalid_arguments_exit_2(capsys):

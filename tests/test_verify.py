@@ -141,6 +141,22 @@ def test_audit_grid_is_the_merge_of_its_one_alpha_audits(basis):
         list(map(repr, singular))
 
 
+def test_evaluate_retries_the_regular_alphas_of_a_mesh():
+    # alpha shaped (A, 1) against a beta array of the same length A: the one
+    # more call indexes alpha alone, and beta broadcasts whole
+    closed = routes.ROUTES[("U", "closed")]
+    values = {"alpha": np.array([[0.3], [0.0], [0.9]]), "beta": np.array([0.5, 2.0, 9.0])}
+    got, regular = routes.evaluate(closed, values)
+    assert regular.tolist() == [True, False, True]
+    want = closed(routes.state({"alpha": values["alpha"][[0, 2]], "beta": values["beta"]}))
+    assert got.shape == (2, 3) and np.array_equal(got, want)
+    # no singular alpha: one call and no mask; no regular alpha: no result
+    assert routes.evaluate(closed, {"alpha": 0.3, "beta": 2.0}) == \
+        (closed(routes.state({"alpha": 0.3, "beta": 2.0})), None)
+    got, regular = routes.evaluate(closed, {"alpha": np.zeros(2), "beta": np.ones(2)})
+    assert got is None and regular.tolist() == [False, False]
+
+
 @pytest.mark.parametrize("alphas", [(0.3,), (0.1, 0.3, 0.9)])
 @pytest.mark.parametrize("basis", ["closed", "sum"])
 def test_audit_grid_calls_each_route_once(alphas, basis, monkeypatch, capsys):
@@ -343,6 +359,12 @@ def test_trend_examples():
     assert trend_check([(0, 0.0), (1, 5.0), (2, 1.0)], "nonnegative").passed
     res = trend_check([(0, 0.0), (1, -5.0), (2, 1.0)], "nonnegative")
     assert not res.passed and res.first_violation == 1
+
+
+def test_trend_result_is_its_verdict_in_a_condition():
+    assert bool(trend_check([(1, 1), (2, 2), (3, 3)], "increasing")) is True
+    res = trend_check([(1, 1), (2, 3), (3, 2)], "increasing")
+    assert bool(res) is False and res.first_violation == 2
 
 
 def test_trend_energy_curve():

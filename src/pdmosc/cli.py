@@ -81,12 +81,21 @@ def _add_common(sub):
     sub.add_argument("--config", default=None, help="key = value config file")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser listing as ``added`` the one-value actions add_argument returns."""
+    def add_argument(self, *args, **kwargs) -> argparse.Action:
+        action = super().add_argument(*args, **kwargs)
+        if action.nargs is None:
+            self.__dict__.setdefault("added", []).append(action)
+        return action
+
+
 @functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and the {verb: parser} map of its subparsers,
-    built once per process: parse_args leaves them unchanged, so every call
-    starts from the defaults."""
-    parser = argparse.ArgumentParser(
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
+    """The top-level parser and, per verb, its subparser and _parse's flag table
+    ({option string: action}, positionals, required dests, {dest: default}), built
+    once per process: parse_args leaves them unchanged, so calls start from defaults."""
+    parser = _Parser(
         prog="pdmosc",
         description="Thermodynamics and superstatistics of the deformed-mass "
                     "oscillator, with closed-form auditing.")
@@ -110,7 +119,11 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
 
     point = subs.add_parser("point", help="one state as key=value lines or JSON")
     _add_point_flags(point, ("alpha", "beta", "q"))  # a point reads no level n
-    return parser, {"sweep": sweep, "figure": figure, "audit": audit, "point": point}
+    return parser, {verb: (
+        sub, {s: a for a in sub.added for s in a.option_strings},
+        [a for a in sub.added if not a.option_strings], {a.dest for a in sub.added if a.required},
+        {a.dest: a.default for a in sub.added if not a.required})
+        for verb, sub in subs.choices.items()}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -118,19 +131,46 @@ def build_parser() -> argparse.ArgumentParser:
     return _parsers()[0]
 
 
+def _parse(verb: str, tokens: list[str]) -> argparse.Namespace:
+    """tokens as the verb's parser parses them, read in one pass over its
+    flag table where spelled exactly and valid (a repeated flag's last value
+    wins); -h, '--', abbreviated or unknown flags, values that begin with
+    '-' and every argument error go to the parser, which reports them."""
+    parser, flags, positionals, required, defaults = _parsers()[1][verb]
+    values, pending, stream = dict(defaults), iter(positionals), iter(tokens)
+    for token in stream:
+        if token.startswith("-"):
+            name, eq, value = token.partition("=")
+            action, value = flags.get(name), value if eq else next(stream, "-")
+        else:
+            action, value = next(pending, None), token
+        if action is None or value.startswith("-"):
+            break
+        try:
+            value = action.type(value) if action.type else value
+        except (TypeError, ValueError):
+            break
+        if action.choices is not None and value not in action.choices:
+            break
+        values[action.dest] = value
+    else:
+        if values.keys() >= required:
+            return argparse.Namespace(command=verb, **values)
+    return parser.parse_args(tokens, argparse.Namespace(command=verb))
+
+
 def parse_args(argv: list[str]) -> argparse.Namespace:
     """argv as build_parser() parses it, with the values of a --config file
     put before the command's own flags, which win.  A command that starts
-    with its verb is parsed by that verb's parser alone; anything else (-h,
-    a missing or unknown verb) goes to the top-level parser, which exits."""
+    with its verb goes to _parse for that verb; anything else (-h, a
+    missing or unknown verb) goes to the top-level parser, which exits."""
     parser, verbs = _parsers()
     if not argv or argv[0] not in verbs:
         parser.parse_args(argv)  # prints help or the usage error and exits
     verb, rest = argv[0], argv[1:]
-    args = verbs[verb].parse_args(rest, argparse.Namespace(command=verb))
+    args = _parse(verb, rest)
     if args.config:
-        args = verbs[verb].parse_args(_config_tokens(args) + rest,
-                                      argparse.Namespace(command=verb))
+        args = _parse(verb, _config_tokens(args) + rest)
     return args
 
 

@@ -170,13 +170,17 @@ def render_audit_json(columns: Sequence[AuditBlock]) -> str:
                                                     rel.ravel().tolist(), cls.ravel().tolist())])
 
 
-def render_json(records: Sequence[dict]) -> str:
+def render_json(records: list[dict]) -> str:
     """records as indented JSON text that strict parsers read: JSON has no
     number that is not finite, so such a float is the string the CSV
-    prints ("nan", "inf", "-inf"); None is null."""
-    return json.dumps([{k: f"{v:.17g}" if type(v) is float and not math.isfinite(v) else v
-                        for k, v in record.items()} for record in records],
-                      indent=1, allow_nan=False) + "\n"
+    prints ("nan", "inf", "-inf"); None is null.  Only a dump that meets
+    such a float is redone value by value."""
+    try:
+        return json.dumps(records, indent=1, allow_nan=False) + "\n"
+    except ValueError:  # a float that is not finite
+        return json.dumps([{k: f"{v:.17g}" if type(v) is float and not math.isfinite(v) else v
+                            for k, v in record.items()} for record in records],
+                          indent=1, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------

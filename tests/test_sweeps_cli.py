@@ -1,10 +1,14 @@
 """Sweeps, figure presets, and the command-line interface."""
 
+import argparse
 import contextlib
+import csv
 import io
 import itertools
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -960,3 +964,148 @@ def test_cli_usage_exits(argv, code, stream, token, capsys):
         cli.main(argv)
     assert exc.value.code == code
     assert token in getattr(capsys.readouterr(), stream)
+
+
+# every flag of each verb (--config aside, which reads a file), with values
+# argparse accepts, and tokens it treats otherwise: values that begin with
+# '-', bad floats, ints and choices, '--', help and spaces
+_COMMON_FLAGS = ["--out", "--format", "--tol-rel", "--tol-abs"]
+_POINT_FLAGS = ["--alpha", "--beta", "--q", "--method", "--transcription", "--units",
+                "--b-convention", *_COMMON_FLAGS]
+_VERB_FLAGS = {"sweep": ["--vary", "--range", "--n", *_POINT_FLAGS], "point": _POINT_FLAGS,
+               "figure": _COMMON_FLAGS, "audit": ["--method", *_COMMON_FLAGS]}
+_POSITIONALS = {"sweep": list(sweeps.QUANTITIES), "figure": list(sweeps.FIGURE_IDS),
+                "audit": [], "point": []}
+_FLAG_VALUES = {"--alpha": ["0.3", "0", "1e-3", "nan"], "--beta": ["2", "1e308"],
+                "--q": ["0.5", "0"], "--n": ["3", "0"], "--tol-rel": ["1e-9"],
+                "--tol-abs": ["0", "1e-30"], "--out": ["o.csv", ""],
+                "--method": list(routes.METHODS), "--transcription": ["verbatim", "corrected"],
+                "--units": ["natural", "si"], "--b-convention": ["spectrum", "compact"],
+                "--format": ["csv", "json"], "--vary": list(sweeps.VARY_CHOICES),
+                "--range": ["1,2", "log:0.5:8:16"]}
+_ODD_VALUES = ["-1", "-0.5", "x", "", "1.5", "bogus", "-", "--", "-h", "--alpha", "a b"]
+
+
+@st.composite
+def _verb_argv(draw):
+    """A verb and its tokens in token groups drawn in any order: the
+    positional and required flags (each mostly present), then a few of:
+    a flag of the verb or of another verb, with a value, as '--flag value'
+    or '--flag=value'; an abbreviated flag; a flag without its value; an
+    extra positional; -h, --help or '--'."""
+    verb = draw(st.sampled_from(sorted(_VERB_FLAGS)))
+    own = _VERB_FLAGS[verb]
+
+    def value(flag):
+        return draw(st.sampled_from(_FLAG_VALUES[flag] if draw(st.integers(0, 9)) else
+                                    _ODD_VALUES))
+
+    def given(flag, name=None):
+        v = value(flag)
+        return [f"{name or flag}={v}"] if draw(st.booleans()) else [name or flag, v]
+
+    groups = [[draw(st.sampled_from(_POSITIONALS[verb] + ["bogus"]))]
+              for _ in range(_POSITIONALS[verb] != [] and draw(st.integers(0, 19)) > 0)]
+    groups += [given(flag) for flag in own[:2] if verb == "sweep" and draw(st.integers(0, 19))]
+    for kind in draw(st.lists(st.integers(0, 19), max_size=5)):
+        flag = draw(st.sampled_from(own if kind < 16 else list(_FLAG_VALUES)))
+        if kind < 17:
+            groups.append(given(flag))
+        elif kind == 17:
+            groups.append(given(flag, flag[:draw(st.integers(3, max(3, len(flag) - 1)))]))
+        elif kind == 18:
+            groups.append([flag])
+        else:
+            groups.append([draw(st.sampled_from(["-h", "--help", "--", "extra",
+                                                 *_POSITIONALS[verb][:2]]))])
+    return [verb, *itertools.chain.from_iterable(draw(st.permutations(groups)))]
+
+
+def _outcome(parse, argv):
+    """(the Namespace's sorted items as text, or None; exit code or None;
+    stdout; stderr) of parse(argv).  The text tells 3 from 3.0 and equals
+    itself where a value is nan."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return repr(sorted(vars(parse(argv)).items())), None, out.getvalue(), err.getvalue()
+        except SystemExit as exc:
+            return None, exc.code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=_verb_argv())
+def test_one_pass_reader_parses_as_argparse(argv):
+    # the Namespace of the top-level parser, or its exit code, help and
+    # message; unrecognized arguments alone are reported under the verb's
+    # usage and name, as the verb's own parser reports them
+    got, top = _outcome(cli.parse_args, argv), _outcome(cli.build_parser().parse_args, argv)
+    assert got[:3] == top[:3]
+    if got[3] != top[3]:
+        message = top[3].rsplit("pdmosc: error: ", 1)[1]
+        assert message.startswith("unrecognized arguments: ")
+        assert got[3].endswith(f"pdmosc {argv[0]}: error: {message}")
+
+
+def _closed_sweep_argvs() -> list[list[str]]:
+    """One `sweep <Q> --vary beta --method closed` per (quantity, alpha, q,
+    transcription) of the atlas fixture, spelled as the closed-sweep
+    benchmark workload spells it."""
+    groups = {}
+    with open(Path(__file__).parent / "fixtures" / "audit_atlas.csv") as fh:
+        for quantity, alpha, beta, q, tr, *_ in itertools.islice(csv.reader(fh), 1, None):
+            groups.setdefault((quantity, alpha, q, tr), []).append(repr(float(beta)))
+    return [["sweep", quantity, "--vary", "beta", "--range", ",".join(betas),
+             "--alpha", repr(float(alpha)), "--method", "closed", "--transcription", tr]
+            + (["--q", repr(float(q))] if q else [])
+            for (quantity, alpha, q, tr), betas in groups.items()]
+
+
+def _readme_argvs() -> list[list[str]]:
+    """The commands of the README's CLI examples, without 'pdmosc'."""
+    block = (Path(__file__).parents[1] / "README.md").read_text().split("## CLI", 1)[1]
+    return [shlex.split(line.split("#", 1)[0])[1:]
+            for line in block.split("```")[1].splitlines() if line.startswith("pdmosc ")]
+
+
+@pytest.fixture
+def verb_parses(monkeypatch):
+    """The prog of each parser whose parse_args or parse_known_args runs."""
+    calls = []
+    for name in ("parse_args", "parse_known_args"):
+        method = getattr(argparse.ArgumentParser, name)
+        monkeypatch.setattr(cli._Parser, name, lambda self, *a, _method=method, **k:
+                            calls.append(self.prog) or _method(self, *a, **k))
+    return calls
+
+
+def test_well_formed_commands_are_read_without_argparse(tmp_path, verb_parses):
+    # the closed-sweep workload, the README examples and a --config run are
+    # read in one pass; a silent fall-back to argparse fails here
+    conf = tmp_path / "pdmosc.conf"
+    conf.write_text("alpha = 0.3\ntol-rel = 1e-9\n")
+    closed, examples = _closed_sweep_argvs(), _readme_argvs()
+    assert len(closed) == 180 and len(examples) >= 8
+    argvs = closed + examples
+    for argv in argvs + [["point", "--config", str(conf), "--beta", "2"]]:
+        args = cli.parse_args(argv)
+        assert verb_parses == [], argv
+    assert (args.alpha, args.beta, args.tol_rel) == (0.3, 2.0, 1e-9)
+    assert [cli.parse_args(argv) for argv in argvs] == [
+        cli.build_parser().parse_args(argv) for argv in argvs]
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["point", "-h"], 0),
+    (["sweep", "Z", "--vary", "beta", "--range", "1,2", "--alp", "0.3"], None),
+    (["point", "--alpha", "-0.3"], None),
+    (["point", "--method", "bogus"], 2),
+])
+def test_help_abbreviations_and_errors_go_to_argparse(argv, code, verb_parses):
+    # argparse reads these: it prints help, accepts an abbreviated flag or
+    # a value that begins with '-', and reports a bad choice
+    outcome = _outcome(cli.parse_args, argv)
+    assert outcome[1] == code
+    assert f"pdmosc {argv[0]}" in verb_parses
+    if code is None:
+        assert outcome == _outcome(cli.build_parser().parse_args, argv)

@@ -6,9 +6,8 @@ State.  The alias policy lives here only: Energy is the level E_n on every
 method; for thermo, ``engine`` is the sum route; for superstat, ``sum``
 is the moment engine, ``quadinf`` the batched semi-infinite quadrature,
 and ``quad01`` has no route (a pair missing from the table is refused).
-A quantity uses its own function where one exists (Z on ``quad01`` and
-``quadinf``, Z_s on ``quadinf``, each typeset closed form) and its field of
-the whole point otherwise.  Every route evaluates a whole curve in one
+Each typeset closed form uses its own function, and every other quantity
+is its field of the whole point.  Every route evaluates a whole curve in one
 call, or a figure's whole (curve x x) grid: from a State that holds each
 varied parameter as an array of one value per point it returns the array
 of the values, each bit for bit the route at its own point.  Every State
@@ -80,7 +79,7 @@ def state(values: dict, units: str = "natural", b_convention: str = "spectrum",
 def evaluate(build: Callable, values: dict, **settings) -> tuple[object, np.ndarray | None]:
     """build (a ROUTES evaluator or a POINTS builder) on state(values,
     **settings), as (its result, None).  Where the closed forms are
-    singular (SingularLimit marks the alphas with b <= B_MIN) it is
+    singular (SingularLimit marks the alphas with b <= B_MIN a) it is
     (build on the regular alphas, or None if there is none, and their bool
     mask along alpha's leading axis): that one more call indexes alpha, and
     every array with as many axes, with the mask; an array of fewer axes
@@ -119,11 +118,6 @@ ROUTES: dict[tuple[str, str], Callable[[State], float | np.ndarray]] = {
        for family, quantities in FIELDS.items() for qn in quantities
        for m, build in POINTS[family].items()},
     **{("Energy", m): (lambda s: s.c.level(s.n)) for m in METHODS},
-    # bit for bit the Z_s of the quadinf point, without its moment rows
-    ("Zs", "quadinf"):
-        lambda s: superstat.superstat_partition_quadrature(s.c, s.beta, s.q, s.tol),
-    **{("Z", m): (lambda s, m=m: thermo.partition_quadrature(s.c, s.beta, m, s.tol))
-       for m in ("quad01", "quadinf")},
     ("Z", "closed"): lambda s: thermo.partition_closed(s.c, s.beta),
     ("U", "closed"): lambda s: thermo.mean_energy_closed(s.c, s.beta, s.transcription),
     ("C", "closed"): lambda s: thermo.heat_capacity_closed(s.c, s.beta, s.kB, s.transcription),

@@ -37,9 +37,9 @@ import numpy as np
 
 from .numerics import Tolerance, erfcx, erfcx_derivatives
 from .spectrum import SpectrumCoefficients
-from .thermo import (_assemble, _beta_values, _check_transcription, _factor_q, _point,
+from .thermo import (_assemble, _beta_values, _check_transcription, _point,
                      _quadrature_moments, _require_regular, _saturating, _scaled_moments,
-                     _shaped, _transcribed, _transcriptions, _weight_integrals)
+                     _shaped, _transcribed, _transcriptions)
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -65,18 +65,16 @@ def boltzmann_factor_q(E, beta, q) -> float | np.ndarray:
     """Generalized Boltzmann factor e^{-beta E} (1 + (q/2) beta^2 E^2).
 
     Equals the classical factor at q = 0 and never falls below it.  E, beta
-    and q may be arrays that broadcast together; floats give a float.
+    and q may be arrays that broadcast together; floats give a float.  It
+    is +0 wherever e^{-beta E} is, also where beta E or (beta E)^2
+    overflows.
     """
-    return _shaped(_factor_q(E, *_mesh(beta, q)), E, beta, q)
-
-
-def superstat_partition_quadrature(c: SpectrumCoefficients, beta, q,
-                                   tol: Tolerance = Tolerance()) -> float | np.ndarray:
-    """Z_s = integral over n in [0, inf) of the deformed factor at E(n), by
-    adaptive Gauss-Kronrod quadrature: the numerical route ('quadinf').  A
-    curve is one batched quadrature, each element bit for bit its point."""
     bv, qv = _mesh(beta, q)
-    return _shaped(_weight_integrals(c, bv, qv, math.inf, tol), beta, q, c.a)
+    with np.errstate(over="ignore"):
+        be = bv * E
+    w = np.exp(-be)
+    be = np.where(w > 0.0, be, 0.0)
+    return _shaped(w * (1.0 + 0.5 * qv * be * be), E, beta, q)
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +354,16 @@ def superstat_thermo(c: SpectrumCoefficients, beta, q, kB: float = 1.0) -> Super
 def superstat_quadrature(c: SpectrumCoefficients, beta, q, kB: float = 1.0,
                          tol: Tolerance = Tolerance()) -> SuperstatPoint:
     """The numerical route ('quadinf'): superstat_thermo's assembly of the
-    same moments, taken as rows of one batched Gauss-Kronrod quadrature that
-    do not read q, and a Z_s bit for bit superstat_partition_quadrature."""
+    same moments, Z_s included, taken as rows of one batched Gauss-Kronrod
+    quadrature that do not read q."""
     bv, qv = _mesh(beta, q)
     return _point(SuperstatPoint, (c.a, beta, q), "quadinf", bv, qv,
                   *_quadrature_moments(c, bv, qv, math.inf, kB, tol))
+
+
+def superstat_partition_quadrature(c: SpectrumCoefficients, beta, q,
+                                   tol: Tolerance = Tolerance()) -> float | np.ndarray:
+    """Z_s = integral over n in [0, inf) of the deformed factor at E(n), by
+    adaptive Gauss-Kronrod quadrature of its moments: superstat_quadrature's
+    Z_s, at one point or along a curve."""
+    return superstat_quadrature(c, beta, q, 1.0, tol).Zs

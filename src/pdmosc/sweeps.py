@@ -81,7 +81,7 @@ def _evaluate(spec: SweepSpec, values: dict, tol: Tolerance) -> tuple[list, list
     """spec's route in one call over a grid (routes.evaluate), values
     holding each varied parameter as an array of one value per point:
     (values, warnings), one of each per point, each value bit for bit the
-    route at its own point.  Where a closed form is singular (b <= B_MIN)
+    route at its own point.  Where a closed form is singular (b <= B_MIN a)
     the value is None with the warning "SingularLimit", not a crash, and
     one more route call evaluates the regular points."""
     ys, regular = routes.evaluate(routes.ROUTES[(spec.quantity, spec.method)], values,
@@ -149,9 +149,9 @@ PRESETS: dict[str, FigurePreset] = {pr.figure_id: pr for pr in [
                  trend="increasing"),
     FigurePreset("Fig5b", "F", "alpha", _ALPHA_GRID, "beta", (0.2, 0.5, 1.0), "sum",
                  trend="increasing"),
-    FigurePreset("Fig6a", "Zs", "beta", _BETA_GRID, "alpha", _ALPHAS3, "quadinf",
+    FigurePreset("Fig6a", "Zs", "beta", _BETA_GRID, "alpha", _ALPHAS3, "engine",
                  fixed={"q": _Q_PRESET}, trend="decreasing"),
-    FigurePreset("Fig6b", "Zs", "alpha", _ALPHA_GRID, "beta", _SUPER_BETAS, "quadinf",
+    FigurePreset("Fig6b", "Zs", "alpha", _ALPHA_GRID, "beta", _SUPER_BETAS, "engine",
                  fixed={"q": _Q_PRESET}, trend="decreasing"),
     FigurePreset("Fig7a", "Us", "beta", _BETA_GRID, "alpha", _ALPHAS3, "engine",
                  fixed={"q": _Q_PRESET}),

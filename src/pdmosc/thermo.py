@@ -38,7 +38,8 @@ from .spectrum import SpectrumCoefficients
 
 _SQRT_PI = math.sqrt(math.pi)
 
-#: below this b the closed forms are singular; use the sum route instead
+#: at and below this b/a the closed forms are singular; use the sum route
+#: instead (a ratio, so that it holds in natural and SI units alike)
 B_MIN = 1e-8
 
 TRANSCRIPTIONS = ("verbatim", "corrected")
@@ -262,9 +263,9 @@ def partition_sum(c, beta) -> float | np.ndarray:
 
 
 def _require_regular(c: SpectrumCoefficients):
-    singular = c.b <= B_MIN
+    singular = c.b <= B_MIN * c.a
     if singular.any() if isinstance(singular, np.ndarray) else singular:
-        exc = SingularLimit(f"closed form singular at b={np.min(c.b):.3e} <= "
+        exc = SingularLimit(f"closed form singular at b/a={np.min(c.b / c.a):.3e} <= "
                             f"B_MIN={B_MIN:.3e}; use the sum route")
         exc.singular = singular
         raise exc
@@ -333,11 +334,9 @@ def _upper(range_: str) -> float:
 def partition_quadrature(c: SpectrumCoefficients, beta, range_: str = "quad01",
                          tol: Tolerance = Tolerance()) -> float | np.ndarray:
     """Integral of exp(-beta E(n)) dn over [0,1] ("quad01") or [0,inf)
-    ("quadinf"), E(n) the compact form with continuous n.  A curve (beta
-    or coefficient arrays) is one batched quadrature, each element bit for
-    bit its point."""
-    bv = _beta_values(beta)
-    return _shaped(_weight_integrals(c, bv, 0.0, _upper(range_), tol), beta, c.a)
+    ("quadinf"), E(n) the compact form with continuous n: thermo_quadrature's
+    Z, at one point or along a curve."""
+    return thermo_quadrature(c, beta, range_, 1.0, tol).Z
 
 
 # ---------------------------------------------------------------------------
@@ -387,39 +386,6 @@ def thermo_sum_engine(c, beta, kB: float = 1.0) -> ThermoPoint:
     z = exp_neg_product(bv, 0.5 * a, 0.5 * b) * (1.0 + unscaled)
     log_g = np.where(m > 0, tail, np.log1p(unscaled))  # at scale 2^m: tail < e^{-700} there
     return _point(ThermoPoint, (c.a, beta), "sum", bv, *_columns(c, bv, kB, z, log_g, mean, var, m))
-
-
-def _factor_q(E, bv, qv: float):
-    """The deformed Boltzmann factor e^{-beta E}(1 + (q/2) beta^2 E^2), unchecked, +0
-    wherever e^{-beta E} is (also where beta E or (beta E)^2 overflows); bv may
-    broadcast with E."""
-    with np.errstate(over="ignore"):
-        be = bv * E
-    w = np.exp(-be)
-    be = np.where(w > 0.0, be, 0.0)
-    return w * (1.0 + 0.5 * qv * be * be)
-
-
-def _weight_rows(c: SpectrumCoefficients, bv, qv):
-    """The shape of the broadcast of c, bv and qv, and integrate_batch's
-    rows(n, r) of the weight e^{-beta E}(1 + (q/2) beta^2 E^2) (q = 0: the
-    Boltzmann weight), row r at element r of the flattened broadcast."""
-    shape = np.broadcast(c.a, c.b, bv, qv).shape
-    a, b, bv, qv = (np.broadcast_to(x, shape).reshape(-1, 1) for x in (c.a, c.b, bv, qv))
-
-    def rows(n, r):
-        return _factor_q(SpectrumCoefficients(a[r], b[r]).energy(n), bv[r], qv[r])
-
-    return shape, rows
-
-
-def _weight_integrals(c: SpectrumCoefficients, bv, qv, hi: float,
-                      tol: Tolerance) -> np.ndarray:
-    """The integral over n in [0, hi] of the weight at each element of the
-    broadcast of c, bv and qv: rows of one integrate_batch call, each equal
-    to its single-row call."""
-    shape, rows = _weight_rows(c, bv, qv)
-    return integrate_batch(rows, math.prod(shape), 0.0, hi, tol).value.reshape(shape)
 
 
 #: row k = 0..4: the Gauss-Laguerre weights times node^k, the rule that takes
@@ -521,15 +487,13 @@ def _quadrature_moments(c: SpectrumCoefficients, bv: np.ndarray, qv, hi: float,
                         kB: float, tol: Tolerance):
     """(Z, U, C, S, F), each an array over the broadcast of c, bv and qv,
     of the weight e^{-beta E}(1 + (q/2) beta^2 E^2) over n in [0, hi]
-    (q = 0: the Boltzmann weight).  Z is the quadrature of the weight
-    itself (_weight_rows); U, C, S and F are _assemble's, from the scaled
-    moments as Gauss-Kronrod integrals over n = s m,
+    (q = 0: the Boltzmann weight): _assemble's columns, Z included, from
+    the scaled moments as Gauss-Kronrod integrals over n = s m,
         I_k = int L beta s u^k e^{-u} dm,  u = beta D(s m).
     The moment rows do not read q: a beta x q mesh integrates one set per
     (coefficient, beta) element, and only k <= 2 where q = 0 throughout.
-    The weight rows, then the moment rows, run in one integrate_batch call,
-    whose rows each equal their single-row call, so Z is bit for bit
-    _weight_integrals and each element gets the bits of its one-point call.
+    They run in one integrate_batch call, whose rows each equal their
+    single-row call, so each element gets the bits of its one-point call.
 
     The moment rows fall only once u exceeds k; at small beta that lies
     beyond the tail probes of integrate_batch, so on [0, inf) s >= 1 is the
@@ -540,8 +504,6 @@ def _quadrature_moments(c: SpectrumCoefficients, bv: np.ndarray, qv, hi: float,
     its digits: on [0, 1] I_k ~ beta^{k+1}, so I_2 leaves the normal range
     below beta ~ 1e-103 (alpha = 0.3).  Where F overflows too, _columns
     raises first."""
-    zshape, weight = _weight_rows(c, bv, qv)
-    nz = math.prod(zshape)
     shape = np.broadcast(c.a, c.b, bv).shape
     a, b, bvs = (np.broadcast_to(x, shape).ravel() for x in (c.a, c.b, bv))
     lin = a + 2.0 * b  # D(n) = b n^2 + L n
@@ -557,7 +519,7 @@ def _quadrature_moments(c: SpectrumCoefficients, bv: np.ndarray, qv, hi: float,
     scale = np.where(np.isinf(scale), lin * s, scale)
     k_rows = 5 if np.any(qv) else 3
 
-    def moment(m, r):
+    def rows(m, r):
         i, k = np.divmod(r[:, None], k_rows)  # row r is moment k of element i
         with np.errstate(over="ignore", invalid="ignore"):  # s m = inf at b = 0 gives NaN
             u = bvs[i] * _excitation(a[i], b[i], s[i] * m)
@@ -569,20 +531,16 @@ def _quadrature_moments(c: SpectrumCoefficients, bv: np.ndarray, qv, hi: float,
             row = np.where(k >= j, row * u, row)
         return row
 
-    def rows(m, r):  # r ascending: the weight rows come first
-        j = np.searchsorted(r, nz)
-        return np.concatenate((weight(m[:j], r[:j]), moment(m[j:], r[j:] - nz)))
-
-    values = integrate_batch(rows, nz + k_rows * bvs.size, 0.0, hi, tol).value
+    values = integrate_batch(rows, k_rows * bvs.size, 0.0, hi, tol).value
     moments = np.zeros((5, bvs.size))
-    moments[:k_rows] = values[nz:].reshape(-1, k_rows).T
+    moments[:k_rows] = values.reshape(-1, k_rows).T
     if not moments[0].all():  # e^{-u} underflows at every node
         raise NonConvergence(f"moment rows integrate to 0 at beta={bvs[moments[0] == 0][0]:.17g}")
     columns = _assemble(c, bv, qv, kB, moments.reshape((5,) + shape))
     low = (moments[:k_rows] < np.finfo(float).tiny).any(axis=0)
     if low.any():
         raise NonConvergence(f"moment rows underflow at beta={bvs[low][0]:.17g}")
-    return (values[:nz].reshape(zshape),) + columns[1:]
+    return columns
 
 
 def thermo_quadrature(c: SpectrumCoefficients, beta, range_: str = "quad01",

@@ -87,7 +87,7 @@ def audit_columns(params_grid: Iterable = DEFAULT_ALPHAS,
     (A, 1) against the beta array (thermo) and (A, 1, 1) against the
     beta x q mesh (superstat).  Each element is bit for bit its one-point
     call, so a grid audits as the merge of its one-alpha audits.  Where the
-    closed forms are singular (alpha = 0, b <= B_MIN) the printed values
+    closed forms are singular (alpha = 0, b <= B_MIN a) the printed values
     are nan, PrintedNonFinite, and routes.evaluate makes one more closed
     call on the regular alphas.  One AuditBlock per quantity, in
     QUANTITIES order, each classified at once; grid rows alpha-major, then

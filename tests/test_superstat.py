@@ -82,7 +82,12 @@ def test_boltzmann_factor_is_zero_where_beta_e_squared_overflows():
     for beta in (1e154, 1e155, 1e300):
         v = boltzmann_factor_q(0.6, beta, 0.5)
         assert v == 0.0 and math.copysign(1.0, v) > 0.0
-    assert superstat_partition_quadrature(C03, 1e155, 0.5) == 0.0
+    # every moment row underflows there too: Z_s raises the point's error, naming beta
+    with pytest.raises(NonConvergence) as point:
+        superstat_quadrature(C03, 1e155, 0.5)
+    with pytest.raises(NonConvergence) as zs:
+        superstat_partition_quadrature(C03, 1e155, 0.5)
+    assert str(zs.value) == str(point.value) == "moment rows integrate to 0 at beta=1e+155"
     # where the weight is positive, every bit of the unguarded product stays
     energies = np.array([0.0, 0.3, 2.0, 700.0, 1e150])
     got = boltzmann_factor_q(energies, 1.0, 0.5).tolist()
@@ -395,11 +400,31 @@ def test_partition_functions_fall_with_beta_and_rise_with_q(alpha, u1, u2, q):
         assert zs >= superstat_thermo(c, beta, 0.0).Zs * (1.0 - 1e-12)
 
 
+def _single_row_moments(c, beta, q, s, hi):
+    """I_0..I_4 (a column each) as single-row integrate_batch calls of the
+    moment rows L beta s u^k e^{-u}, u = beta D(s m), m in [0, hi]; I_3 and
+    I_4 are 0 where q = 0."""
+    lin = c.a + 2.0 * c.b
+
+    def row(k):
+        def f(m, rows):
+            n = s * m
+            u = beta * (n * (c.a + c.b * (n + 2.0)))
+            value = lin * beta * s * np.exp(-u)
+            for _ in range(k):
+                value = value * u
+            return value
+        return f
+
+    return np.array([[integrate_batch(row(k), 1, 0.0, hi, TOL).value.item()]
+                     if q or k < 3 else [0.0] for k in range(5)])
+
+
 def test_engine_rows_equal_single_quadratures():
-    """The quadinf point assembles U_s, C_s, S_s and F_s (thermo._assemble)
-    from Gauss-Kronrod moment rows L beta s u^k e^{-u}, u = beta D(s m),
-    each bit for bit its single-row integrate_batch call; q = 0 needs only
-    k <= 2.  Z_s is the single quadrature of the deformed factor itself.
+    """The quadinf point assembles Z_s, U_s, C_s, S_s and F_s
+    (thermo._assemble) from Gauss-Kronrod moment rows L beta s u^k e^{-u},
+    u = beta D(s m), each bit for bit its single-row integrate_batch call;
+    q = 0 needs only k <= 2.  superstat_partition_quadrature is that Z_s.
     The rows do not read q, so a beta x q mesh equals its per-q calls."""
     for c, beta, q in [(C01, 0.1, 0.0), (C03, 1.0, 0.5), (C09, 7.5, 1.0)]:
         pt = superstat_quadrature(c, beta, q, 1.0, TOL)
@@ -407,25 +432,10 @@ def test_engine_rows_equal_single_quadratures():
         lin, level = c.a + 2.0 * c.b, 8.0 / beta
         s = max(1.0, 2.0 * level / (lin + math.sqrt(lin * lin + 4.0 * c.b * level)) / 24.0)
         assert (s > 1.0) == (beta == 0.1)
-
-        def single(f):
-            return integrate_batch(f, 1, 0.0, math.inf, TOL).value.item()
-
-        def row(k):
-            def f(m, rows):
-                n = s * m
-                u = beta * (n * (c.a + c.b * (n + 2.0)))
-                value = lin * beta * s * np.exp(-u)
-                for _ in range(k):
-                    value = value * u
-                return value
-            return f
-
-        moments = [single(row(k)) if q or k < 3 else 0.0 for k in range(5)]
-        zs = single(lambda n, rows: boltzmann_factor_q(c.energy(n), beta, q))
-        assert pt.Zs == zs == superstat_partition_quadrature(c, beta, q, TOL)
-        want = _assemble(c, np.array([beta]), np.array([q]), 1.0, np.array(moments)[:, None])
-        assert [pt.Us, pt.Cs, pt.Ss, pt.Fs] == [col.item() for col in want[1:]]
+        want = _assemble(c, np.array([beta]), np.array([q]), 1.0,
+                         _single_row_moments(c, beta, q, s, math.inf))
+        assert [pt.Zs, pt.Us, pt.Cs, pt.Ss, pt.Fs] == [col.item() for col in want]
+        assert pt.Zs == superstat_partition_quadrature(c, beta, q, TOL)
 
     betas, qs = np.array([0.1, 7.5])[:, None], np.array([0.0, 0.5, 1.0])
     fields = ("Zs", "Us", "Ss", "Fs", "Cs")
@@ -433,6 +443,37 @@ def test_engine_rows_equal_single_quadratures():
     for i, j in np.ndindex(len(betas), len(qs)):
         pt = superstat_quadrature(C03, float(betas[i, 0]), float(qs[j]), 1.0, TOL)
         assert [getattr(pt, qn) for qn in fields] == [getattr(mesh, qn)[i, j] for qn in fields]
+
+
+def test_quadrature_partitions_are_the_z_of_their_points():
+    """partition_quadrature is the Z of thermo_quadrature and
+    superstat_partition_quadrature the Z_s of superstat_quadrature, bit for
+    bit, at a point and over a curve or mesh, each element its float call;
+    the quad01 Z is _assemble's from the point's own moment rows (s = 1)."""
+    betas, qs = np.array([0.05, 1.0, 40.0]), np.array([0.0, 0.5, 1.0])
+    curve = coefficients(OscillatorParams(alpha=np.array([0.1, 0.9, 0.3])))
+    for c in (C01, C09):
+        for range_ in ("quad01", "quadinf"):
+            zs = partition_quadrature(c, betas, range_, TOL)
+            assert np.array_equal(zs, thermo_quadrature(c, betas, range_, 1.0, TOL).Z)
+            for i, beta in enumerate(betas.tolist()):
+                z = partition_quadrature(c, beta, range_, TOL)
+                assert type(z) is float
+                assert z == thermo_quadrature(c, beta, range_, 1.0, TOL).Z == zs[i]
+        mesh = superstat_partition_quadrature(c, betas[:, None], qs, TOL)
+        assert np.array_equal(mesh, superstat_quadrature(c, betas[:, None], qs, 1.0, TOL).Zs)
+        for i, j in np.ndindex(len(betas), len(qs)):
+            beta, q = float(betas[i]), float(qs[j])
+            z = superstat_partition_quadrature(c, beta, q, TOL)
+            assert z == superstat_quadrature(c, beta, q, 1.0, TOL).Zs == mesh[i, j]
+    assert np.array_equal(partition_quadrature(curve, betas, "quadinf", TOL),
+                          [partition_quadrature(coefficients(OscillatorParams(alpha=al)), bt,
+                                                "quadinf", TOL)
+                           for al, bt in zip((0.1, 0.9, 0.3), betas.tolist())])
+    for beta in betas.tolist():
+        moments = _single_row_moments(C03, beta, 0.0, 1.0, 1.0)
+        want = _assemble(C03, np.array([beta]), 0.0, 1.0, moments)[0].item()
+        assert partition_quadrature(C03, beta, "quad01", TOL) == want
 
 
 def test_engine_against_mpmath_at_regime_corners():
@@ -553,16 +594,18 @@ def test_engine_at_q0_where_g_underflows(alpha, beta):
 @pytest.mark.parametrize("beta", [3e5, 1e6])
 def test_quadrature_moments_raise_where_no_node_resolves_the_weight(beta):
     # e^{-u} underflows at every Gauss-Kronrod node, so each moment row
-    # integrates to 0: the U..F routes raise, naming beta, and the Z routes,
-    # which integrate the weight alone, print the correct underflow 0
-    with pytest.raises(NonConvergence, match=f"beta={beta:.17g}"):
-        thermo_quadrature(C03, beta, "quad01")
-    with pytest.raises(NonConvergence, match=f"beta={beta:.17g}"):
-        thermo_quadrature(C03, np.array([1.0, beta]), "quadinf")
-    with pytest.raises(NonConvergence, match=f"beta={beta:.17g}"):
-        superstat_quadrature(C03, beta, 0.5)
-    assert partition_quadrature(C03, beta, "quad01") == 0.0
-    assert superstat_partition_quadrature(C03, beta, 0.5) == 0.0
+    # integrates to 0: every quadrature route raises, naming beta, Z and
+    # Z_s included, since they are the Z of their points
+    message = f"moment rows integrate to 0 at beta={beta:.17g}"
+    for route in (partial(thermo_quadrature, C03, beta, "quad01"),
+                  partial(thermo_quadrature, C03, np.array([1.0, beta]), "quadinf"),
+                  partial(superstat_quadrature, C03, beta, 0.5),
+                  partial(partition_quadrature, C03, beta, "quad01"),
+                  partial(partition_quadrature, C03, np.array([1.0, beta]), "quadinf"),
+                  partial(superstat_partition_quadrature, C03, beta, 0.5)):
+        with pytest.raises(NonConvergence) as exc:
+            route()
+        assert str(exc.value) == message
 
 
 def _mp_excitation_moments(a, b, beta, dps=50):
@@ -585,6 +628,42 @@ def _mp_scaled_moments(a, b, beta, dps=50):
         lin, bt = mp.mpf(a) + 2 * mp.mpf(b), mp.mpf(beta)
         return [lin * bt ** (k + 1) * j
                 for k, j in enumerate(_mp_excitation_moments(a, b, beta, dps))]
+
+
+def _mp_partition_01(a, b, beta, dps=40):
+    """int_0^1 e^{-beta E(n)} dn at dps digits, the erf form in scaled
+    complements: e^{-beta E_0} e^{x1^2} sqrt(pi)/(2 sqrt(beta b)) (erfc x1 - erfc x2),
+    x1 = (a + 2b)/2 sqrt(beta/b), x2 = (a + 4b)/2 sqrt(beta/b)."""
+    with mp.workdps(dps):
+        a, b, bt = mp.mpf(a), mp.mpf(b), mp.mpf(beta)
+        x1, x2 = (a + 2 * b) / 2 * mp.sqrt(bt / b), (a + 4 * b) / 2 * mp.sqrt(bt / b)
+        return float(mp.exp(-bt * (a + b) / 2 + x1 * x1) * mp.sqrt(mp.pi) / (2 * mp.sqrt(bt * b))
+                     * (mp.erfc(x1) - mp.erfc(x2)))
+
+
+def _mp_superstat_partition(a, b, beta, q, dps=40):
+    """Z_s = e^{-beta E_0} int_0^inf e^{-beta D} (1 + (q/2) beta^2 (D + E_0)^2) dn
+    at dps digits, from the moments J_0..J_2 of _mp_excitation_moments."""
+    with mp.workdps(dps):
+        j0, j1, j2 = _mp_excitation_moments(a, b, beta, dps)[:3]
+        bt, e0, q = mp.mpf(beta), (mp.mpf(a) + mp.mpf(b)) / 2, mp.mpf(q)
+        return float(mp.exp(-bt * e0) * (j0 + q / 2 * bt * bt * (e0 * e0 * j0 + 2 * e0 * j1 + j2)))
+
+
+def test_quadrature_partitions_against_mpmath():
+    # the Z of the quad01 point and the Z_s of the quadinf point, both
+    # _assemble's from their own moment rows, at seeded (alpha, beta, q)
+    rng = np.random.default_rng(35)
+    worst = [0.0, 0.0]
+    for alpha, beta, q in zip(rng.uniform(0.02, 0.95, 40), np.exp(rng.uniform(
+            math.log(1e-3), math.log(500.0), 40)), rng.choice([0.0, 0.5, 1.0], 40)):
+        c = coefficients(OscillatorParams(alpha=float(alpha)))
+        for i, (got, want) in enumerate((
+                (partition_quadrature(c, float(beta), "quad01"), _mp_partition_01(c.a, c.b, beta)),
+                (superstat_partition_quadrature(c, float(beta), float(q)),
+                 _mp_superstat_partition(c.a, c.b, beta, q)))):
+            worst[i] = max(worst[i], abs(got - want) / want)
+    assert max(worst) <= 1e-13, worst
 
 
 @pytest.mark.parametrize("y", [0.015, 0.47, 1.38, 1.39, 1.41, 2.9, 5.35, 7.8, 24.6, 169.0,

@@ -399,14 +399,16 @@ def test_cli_point_superstat_extreme_beta(capsys):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_quadinf_superstat_where_beta_e_squared_overflows(capsys):
-    # the deformed weight is +0 where (beta E)^2 overflows: the Z_s sweep
-    # prints 0, and the point, whose moment rows all integrate to 0, exits 3
-    code, out = run_cli(["sweep", "Zs", "--vary", "beta", "--range", "1e154,1e155",
-                         "--alpha", "0.3", "--q", "0.5", "--method", "quadinf"], capsys)
-    assert code == 0
-    assert [line.split(",")[1] for line in out.strip().split("\n")[1:]] == ["0", "0"]
+    # the deformed weight is +0 where (beta E)^2 overflows, and so is every
+    # moment row: the Z_s sweep exits 3 with the point's message, naming
+    # its first beta, and prints no row
+    message = "pdmosc: numerical non-convergence: moment rows integrate to 0 at beta={}\n"
+    assert cli.main(["sweep", "Zs", "--vary", "beta", "--range", "1e154,1e155",
+                     "--alpha", "0.3", "--q", "0.5", "--method", "quadinf"]) == 3
+    assert capsys.readouterr() == ("", message.format("1e+154"))
     assert cli.main(["point", "--alpha", "0.3", "--beta", "1e155", "--method", "quadinf",
                      "--q", "0.5"]) == 3
+    assert capsys.readouterr().err == message.format("1e+155")
 
 
 @pytest.mark.filterwarnings("error")
@@ -479,19 +481,19 @@ def test_cli_quadrature_and_engine_points_where_beta_l_overflows(capsys):
     (["--alpha", "0.02", "--beta", "1e-320", "--method", "quad01"],
      "F overflows at beta=9.9998886718268301e-321"),
     (["--alpha", "0.3", "--beta", "1e-310", "--method", "quadinf"],
-     "integrand not decayed by n = 1/eps, where the map ends"),
+     "F overflows at beta=9.9999999999999694e-311"),
     (["--alpha", "0", "--beta", "1e-305", "--method", "quadinf"],
-     "integrand not decayed by n = 1/eps, where the map ends"),
+     "F overflows at beta=1e-305"),
     (["--alpha", "0.3", "--beta", "1e-110", "--method", "quad01"],
      "moment rows underflow at beta=1.0000000000000001e-110"),
     (["--alpha", "0.3", "--beta", "1e-170", "--method", "quad01"],
      "moment rows underflow at beta=9.9999999999999998e-171")])
 def test_cli_moment_points_where_f_overflows(argv, message, capsys):
-    # below beta ~ 1e-306 F overflows: the moment routes raise as the sum
-    # route does, and the quadinf points, whose weight rows never decay
-    # there, exit 3 without a warning from their scale; on [0, 1] the
-    # moment rows I_k ~ beta^{k+1} leave the normal range long before (I_2
-    # is 0 at beta = 1e-110), where U and C lose every digit: exit 3 too
+    # below beta ~ 1e-306 F overflows: every moment route raises as the sum
+    # route does, the quadinf points without a warning from their scale; on
+    # [0, 1] the moment rows I_k ~ beta^{k+1} leave the normal range long
+    # before (I_2 is 0 at beta = 1e-110), where U and C lose every digit:
+    # exit 3 too
     assert cli.main(["point"] + argv) == 3
     assert capsys.readouterr().err == f"pdmosc: numerical non-convergence: {message}\n"
 
@@ -836,15 +838,22 @@ def test_cli_nonconvergence_exit_3(capsys):
     assert code == 3
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("quantity", ["Z", "C"])
-def test_cli_quadinf_sweep_that_never_decays_exits_3(quantity, capsys):
+def test_cli_quadinf_si_sweep_prints_the_continuum(quantity, capsys):
     # SI levels (~1e-20 J) at beta ~ 0.1/J decay only near n ~ 1e20, past
-    # n ~ 9e15 where the map n = t/(1-t) runs out of resolution: no row is
-    # printed, and no RuntimeWarning (an error under this suite) escapes
+    # n ~ 9e15 where the map n = t/(1-t) runs out of resolution; the moment
+    # rows, taken over n = s m, decay within it: both rows are the continuum
+    # values of the q = 0 engine to 1e-13
     code, out = run_cli(["sweep", quantity, "--vary", "beta", "--range", "0.05,0.5",
                          "--method", "quadinf", "--units", "si"], capsys)
-    assert code == 3
-    assert out == ""
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    assert [warning for *_, warning in rows] == ["", ""]
+    s = routes.state({}, units="si")
+    for beta, value, _ in rows:
+        want = getattr(superstat.superstat_thermo(s.c, float(beta), 0.0, s.kB), quantity + "s")
+        assert abs(float(value) - want) <= 1e-13 * abs(want), (beta, value, want)
 
 
 def test_si_units_entropy_scale(capsys):

@@ -17,7 +17,8 @@ from pdmosc import (NonConvergence, OscillatorParams, SingularLimit, SpectrumCoe
                     free_energy_closed, heat_capacity_closed, log_partition_closed,
                     mean_energy_closed, partition_closed, partition_quadrature,
                     partition_sum, thermo, thermo_closed_point, thermo_quadrature)
-from pdmosc.superstat import superstat_quadrature, superstat_thermo
+from pdmosc.superstat import (superstat_partition_closed, superstat_quadrature,
+                              superstat_thermo)
 from pdmosc.sweeps import figure_preset
 from pdmosc.thermo import TRANSCRIPTIONS, thermo_sum_engine
 from pdmosc.verify import DEFAULT_ALPHAS, DEFAULT_BETAS, DEFAULT_QS, audit_columns
@@ -471,6 +472,27 @@ def test_closed_curves_raise_where_their_points_do():
                 form(C03, beta * np.array([1.0, -1.0]), "verbatim")
     with pytest.raises(SingularLimit):
         thermo_closed_point(tiny, np.array([0.5, 1.0]))
+
+
+def test_singular_limit_is_scale_free():
+    # b is an energy, so the closed forms are singular at b <= B_MIN a: an
+    # SI oscillator with b/a = 1 (omega = 1e-10) has them, though b ~ 3e-39 J,
+    # and at beta a = 1 they agree with the quad01 oracle; the default SI
+    # oscillator (b/a ~ 3e-19) stays singular
+    with pytest.raises(SingularLimit, match=r"b/a=7\.500e-09 <= B_MIN"):
+        partition_closed(SpectrumCoefficients(a=2.0, b=1.5 * thermo.B_MIN), 1.0)
+    assert partition_closed(SpectrumCoefficients(a=1.0, b=1.5 * thermo.B_MIN), 1.0) > 0.0
+    p = OscillatorParams.si(alpha=0.5, omega=1e-10)
+    c = coefficients(p)
+    assert c.b < thermo.B_MIN and abs(c.b / c.a - 1.0) < 1e-9
+    closed = thermo_closed_point(c, 1.0 / c.a, p.kB, "corrected")
+    oracle = thermo_quadrature(c, 1.0 / c.a, "quad01", p.kB)
+    for qn in "ZUCSF":
+        want = getattr(oracle, qn)
+        assert abs(getattr(closed, qn) - want) <= 1e-13 * abs(want), qn
+    assert math.isfinite(superstat_partition_closed(c, 1.0 / c.a, 0.5, "corrected"))
+    with pytest.raises(SingularLimit, match=r"b/a=2\.894e-19 <= B_MIN=1\.000e-08"):
+        partition_closed(coefficients(OscillatorParams.si(alpha=0.5)), 1e20)
 
 
 @pytest.mark.parametrize("range_", ["quad01", "quadinf"])

@@ -24,8 +24,9 @@ def _atlas_diff(tmp_path, old: str, new: str):
 
 
 def test_atlas_diff_reports_shifts_and_reclassifications(tmp_path):
+    # a changed classification on the same grid exits 2
     res = _atlas_diff(tmp_path, OLD, NEW)
-    assert res.returncode == 0, res.stderr
+    assert res.returncode == 2, res.stderr
     table = res.stdout.split("classification changes")[0].splitlines()
     rows = {tuple(line.split()[:2]): line.split()[2:] for line in table}
     assert rows[("Z", "verbatim")] == ["0.00e+00", "0.00e+00", "0"]
@@ -33,6 +34,14 @@ def test_atlas_diff_reports_shifts_and_reclassifications(tmp_path):
     assert rows[("Cs", "corrected")] == ["0.00e+00", "0.00e+00", "0"]
     assert "classification changes: 1" in res.stdout
     assert "Zs verbatim alpha=0.1 beta=1 q=0.5: Disagree -> Close" in res.stdout
+
+
+def test_atlas_diff_exits_0_when_no_classification_changed(tmp_path):
+    # a printed value moved, its classification did not
+    res = _atlas_diff(tmp_path, OLD.replace("Disagree", "Close"), NEW)
+    assert res.returncode == 0, res.stderr
+    assert "classification changes: 0" in res.stdout
+    assert _atlas_diff(tmp_path, OLD, OLD).returncode == 0
 
 
 def test_atlas_diff_fails_on_different_grids(tmp_path):

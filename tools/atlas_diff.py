@@ -7,7 +7,8 @@ the printed and of the oracle column, and how many printed values moved;
 then it lists every row whose classification changed.  A shift is
 |new - old| / max(|old|, 1e-300); nan against nan and equal infinities
 count as no shift.  Exits 1 when the two files do not cover the same grid
-(quantity, alpha, beta, q and transcription, row by row), else 0.
+(quantity, alpha, beta, q and transcription, row by row), 2 when they do
+but a classification changed, else 0.
 """
 
 from __future__ import annotations
@@ -31,10 +32,10 @@ def read(path: str) -> list[dict]:
         return list(csv.DictReader(fh))
 
 
-def compare(old: list[dict], new: list[dict]) -> tuple[list[str], bool]:
-    """The report lines, and whether both atlases cover the same grid."""
+def compare(old: list[dict], new: list[dict]) -> tuple[list[str], int]:
+    """The report lines and the exit status (see the module docstring)."""
     if [tuple(r[k] for k in KEY) for r in old] != [tuple(r[k] for k in KEY) for r in new]:
-        return ["the two atlases cover different grids"], False
+        return ["the two atlases cover different grids"], 1
     worst: dict[tuple[str, str], list] = {}
     changed = []
     for o, n in zip(old, new):
@@ -52,7 +53,7 @@ def compare(old: list[dict], new: list[dict]) -> tuple[list[str], bool]:
     lines += [f"  {o['quantity']} {o['transcription']} alpha={o['alpha']} beta={o['beta']} "
               f"q={o['q']}: {o['classification']} -> {cls} (rel {o['rel_diff']} -> {rel})"
               for o, cls, rel in changed]
-    return lines, True
+    return lines, 2 if changed else 0
 
 
 def main(argv=None) -> int:
@@ -60,9 +61,9 @@ def main(argv=None) -> int:
     parser.add_argument("old")
     parser.add_argument("new")
     args = parser.parse_args(argv)
-    lines, same_grid = compare(read(args.old), read(args.new))
+    lines, status = compare(read(args.old), read(args.new))
     print("\n".join(lines))
-    return 0 if same_grid else 1
+    return status
 
 
 if __name__ == "__main__":

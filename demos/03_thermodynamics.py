@@ -20,7 +20,7 @@ c = coefficients(OscillatorParams(alpha=0.3))
 print("physical route (exact moments of the level sum), alpha = 0.3:")
 print(f"{'beta':>5} {'U':>12} {'C':>12} {'S':>12} {'F':>12}")
 for beta in (0.2, 0.5, 1.0, 2.0, 5.0):
-    pt = thermo_sum_engine(c, beta, 1.0)
+    pt = thermo_sum_engine(c, beta)
     print(f"{beta:5.1f} {pt.U:12.6f} {pt.C:12.6f} {pt.S:12.6f} {pt.F:12.6f}")
 
 print("\nclosed-form transcriptions vs the exact moments of the closed Z, beta = 2:")
@@ -29,10 +29,10 @@ moments = thermo_quadrature(c, beta, "quad01")
 rows = [
     ("U", mean_energy_closed(c, beta, "verbatim"),
      mean_energy_closed(c, beta, "corrected"), moments.U),
-    ("C", heat_capacity_closed(c, beta, 1.0, "verbatim"),
-     heat_capacity_closed(c, beta, 1.0, "corrected"), moments.C),
-    ("S", entropy_closed(c, beta, 1.0, "verbatim"),
-     entropy_closed(c, beta, 1.0, "corrected"), moments.S),
+    ("C", heat_capacity_closed(c, beta, "verbatim"),
+     heat_capacity_closed(c, beta, "corrected"), moments.C),
+    ("S", entropy_closed(c, beta, "verbatim"),
+     entropy_closed(c, beta, "corrected"), moments.S),
 ]
 print(f"{'':>2} {'verbatim':>16} {'corrected':>16} {'moments':>16}")
 for name, verb, corr, ref in rows:

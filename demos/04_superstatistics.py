@@ -33,7 +33,7 @@ for beta in (0.5, 1.0, 2.0):
 print("\nsuperstatistical thermodynamics from exact moments, q = 0.5:")
 print(f"{'beta':>5} {'Zs':>12} {'Us':>12} {'Ss':>12} {'Fs':>12} {'Cs':>12}")
 for beta in (0.5, 1.0, 2.0, 5.0):
-    pt = superstat_thermo(c, beta, 0.5, 1.0)
+    pt = superstat_thermo(c, beta, 0.5)
     print(f"{beta:5.1f} {pt.Zs:12.6f} {pt.Us:12.6f} {pt.Ss:12.6f} "
           f"{pt.Fs:12.6f} {pt.Cs:12.6f}")
 

@@ -266,7 +266,9 @@ def _adaptive_rows(g, nrows: int, lo: float, hi: float,
     their panels in one table, oldest first; every step, each unconverged row
     bisects its worst panel (argmax: on a tie the oldest), whose error becomes
     -inf, and all new nodes go through one call of g.  The active rows share
-    one evaluation count: past tol.max_evals the first raises NonConvergence."""
+    one evaluation count: past tol.max_evals the first raises NonConvergence.
+    So does the first row whose target lies below 50 eps |value|, under the
+    error floor 50 eps resabs of _gk15 (QUADPACK's roundoff exit, ier = 2)."""
     active = np.arange(nrows)
     # table[i, p] = (lo, hi, value, error) of panel p of the row at table row i
     table = _panels(g, active, np.tile((lo, hi), (nrows, 1)))
@@ -275,13 +277,21 @@ def _adaptive_rows(g, nrows: int, lo: float, hi: float,
     slot, used = active, 1  # the table row of each active row; panels per active row
     while True:
         with np.errstate(over="ignore", invalid="ignore"):
-            still = total_err[active] > np.fmax(tol.abs, tol.rel * np.abs(total_val[active]))
-        active, slot = active[still], slot[still]
+            target = np.fmax(tol.abs, tol.rel * np.abs(total_val[active]))
+        still = total_err[active] > target
+        active, slot, target = active[still], slot[still], target[still]
         if not active.size:
             return QuadratureResult(total_val, total_err, evals)
-        if evals[active[0]] + 30 > tol.max_evals:
+        floor = 50.0 * _EPS * np.abs(total_val[active])
+        roundoff = (target < floor) & (floor < np.inf)
+        # the first row to fail names its reason; a spent budget fails every row at once
+        if evals[active[0]] + 30 > tol.max_evals and not roundoff[0]:
             raise NonConvergence(f"quadrature error {total_err[active[0]]:.3e} above "
                                  f"tolerance after {evals[active[0]]} evaluations")
+        if roundoff.any():
+            i = np.argmax(roundoff)
+            raise NonConvergence(f"quadrature target {target[i]:.3e} below the roundoff "
+                                 f"floor {floor[i]:.3e} of its error")
         if used + 2 > table.shape[1]:  # double, keeping the active rows only
             table = np.concatenate((table[slot, :used], np.empty((active.size, used + 1, 4))), 1)
             slot = np.arange(active.size)

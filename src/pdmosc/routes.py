@@ -15,11 +15,15 @@ comes from ``state``, and ``evaluate`` runs a builder on one, calling it
 again on the regular alphas where the closed forms are singular.
 Functions are looked up as module attributes (``thermo.thermo_sum_engine``)
 at call time, so wrappers installed on the modules are seen.
+The kernels give C and S (C_s, S_s) in units of kB: each POINTS builder and
+each closed C/S route multiplies them by State.kB once, the one place the
+unit system meets them (1.0 in natural units, so their bits stay).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -95,22 +99,32 @@ def evaluate(build: Callable, values: dict, **settings) -> tuple[object, np.ndar
                         for k, v in values.items()}, **settings)), regular
 
 
-#: family -> method -> builder of the whole point
-POINTS: dict[str, dict[str, Callable]] = {
+def _in_kb(kernel: Callable, s: State):
+    """kernel's point at s, its C and S (or C_s and S_s) multiplied by s.kB."""
+    point = kernel(s)
+    return replace(point, **{f: s.kB * getattr(point, f) for f in ("C", "S", "Cs", "Ss")
+                             if hasattr(point, f)})
+
+
+#: family -> method -> kernel of the whole point
+_KERNELS: dict[str, dict[str, Callable]] = {
     "thermo": {
-        **dict.fromkeys(("sum", "engine"), lambda s: thermo.thermo_sum_engine(s.c, s.beta, s.kB)),
-        "closed": lambda s: thermo.thermo_closed_point(s.c, s.beta, s.kB, s.transcription),
-        **{m: (lambda s, m=m: thermo.thermo_quadrature(s.c, s.beta, m, s.kB, s.tol))
+        **dict.fromkeys(("sum", "engine"), lambda s: thermo.thermo_sum_engine(s.c, s.beta)),
+        "closed": lambda s: thermo.thermo_closed_point(s.c, s.beta, s.transcription),
+        **{m: (lambda s, m=m: thermo.thermo_quadrature(s.c, s.beta, m, s.tol))
            for m in ("quad01", "quadinf")},
     },
     "superstat": {
-        **dict.fromkeys(("sum", "engine"),
-                        lambda s: superstat.superstat_thermo(s.c, s.beta, s.q, s.kB)),
-        "quadinf": lambda s: superstat.superstat_quadrature(s.c, s.beta, s.q, s.kB, s.tol),
-        "closed": lambda s: superstat.superstat_closed_point(s.c, s.beta, s.q, s.kB,
-                                                             s.transcription),
+        **dict.fromkeys(("sum", "engine"), lambda s: superstat.superstat_thermo(s.c, s.beta, s.q)),
+        "quadinf": lambda s: superstat.superstat_quadrature(s.c, s.beta, s.q, s.tol),
+        "closed": lambda s: superstat.superstat_closed_point(s.c, s.beta, s.q, s.transcription),
     },
 }
+
+#: family -> method -> builder of the whole point: its kernel, C and S times State.kB
+POINTS: dict[str, dict[str, Callable]] = {
+    family: {m: partial(_in_kb, kernel) for m, kernel in kernels.items()}
+    for family, kernels in _KERNELS.items()}
 
 #: (quantity, method) -> evaluator; later entries override earlier ones
 ROUTES: dict[tuple[str, str], Callable[[State], float | np.ndarray]] = {
@@ -120,17 +134,17 @@ ROUTES: dict[tuple[str, str], Callable[[State], float | np.ndarray]] = {
     **{("Energy", m): (lambda s: s.c.level(s.n)) for m in METHODS},
     ("Z", "closed"): lambda s: thermo.partition_closed(s.c, s.beta),
     ("U", "closed"): lambda s: thermo.mean_energy_closed(s.c, s.beta, s.transcription),
-    ("C", "closed"): lambda s: thermo.heat_capacity_closed(s.c, s.beta, s.kB, s.transcription),
-    ("S", "closed"): lambda s: thermo.entropy_closed(s.c, s.beta, s.kB, s.transcription),
+    ("C", "closed"): lambda s: s.kB * thermo.heat_capacity_closed(s.c, s.beta, s.transcription),
+    ("S", "closed"): lambda s: s.kB * thermo.entropy_closed(s.c, s.beta, s.transcription),
     ("F", "closed"): lambda s: thermo.free_energy_closed(s.c, s.beta),
     ("Zs", "closed"):
         lambda s: superstat.superstat_partition_closed(s.c, s.beta, s.q, s.transcription),
     ("Us", "closed"):
         lambda s: superstat.mean_energy_superstat_closed(s.c, s.beta, s.q, s.transcription),
     ("Ss", "closed"):
-        lambda s: superstat.entropy_superstat_closed(s.c, s.beta, s.q, s.kB, s.transcription),
+        lambda s: s.kB * superstat.entropy_superstat_closed(s.c, s.beta, s.q, s.transcription),
     ("Fs", "closed"):
         lambda s: superstat.free_energy_superstat_closed(s.c, s.beta, s.q, s.transcription),
-    ("Cs", "closed"): lambda s: superstat.heat_capacity_superstat_closed(
-        s.c, s.beta, s.q, s.kB, s.transcription),
+    ("Cs", "closed"): lambda s: s.kB * superstat.heat_capacity_superstat_closed(
+        s.c, s.beta, s.q, s.transcription),
 }

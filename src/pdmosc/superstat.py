@@ -12,7 +12,8 @@ quadrature of the same integrals (``superstat_quadrature``, whose Z_s is
 both turn their moments into Z_s..C_s by the one assembly
 ``thermo._assemble``.  The typeset closed forms are reproduction targets,
 all five at once from ``superstat_closed_point``.  Each method is one
-function, which routes.POINTS names.
+function, which routes.POINTS names.  C_s and S_s are in units of kB, as
+in thermo.
 
 The typeset Z_s appears twice in the source expressions with conflicting
 signs of its 2 a^3 sqrt(b) beta term; ``verbatim`` carries the standalone
@@ -147,6 +148,15 @@ def _bracket(pieces, ex):
     return P + _SQRT_PI * R * ex
 
 
+def _typeset(c: SpectrumCoefficients, beta, q, transcription: str):
+    """What a single typeset form starts from: the transcription's sign
+    (_sign_a3), beta, q and x1 (_closed_args), erfcx(x1) and the Z_s bracket."""
+    sign = _sign_a3(transcription)
+    bv, qv, x1 = _closed_args(c, beta, q)
+    ex = erfcx(x1)
+    return sign, bv, qv, x1, ex, _bracket(_bracket_pieces(c, bv, qv, sign), ex)
+
+
 def _log_partition(c: SpectrumCoefficients, bv, bracket):
     return (-(c.a + c.b) * bv / 2.0 - np.log(64.0 * c.b * c.b * np.sqrt(c.b) * np.sqrt(bv))
             + np.log(bracket))
@@ -161,9 +171,7 @@ def _partition(c: SpectrumCoefficients, bv, bracket):
 def superstat_partition_closed(c: SpectrumCoefficients, beta, q,
                                transcription: str = "verbatim") -> float | np.ndarray:
     """The typeset closed form of Z_s, overflow-stabilized exactly."""
-    sign = _sign_a3(transcription)
-    bv, qv, x1 = _closed_args(c, beta, q)
-    bracket = _bracket(_bracket_pieces(c, bv, qv, sign), erfcx(x1))
+    _, bv, _, _, _, bracket = _typeset(c, beta, q, transcription)
     return _shaped(_partition(c, bv, bracket), beta, q, c.a)
 
 
@@ -171,9 +179,7 @@ def superstat_partition_closed(c: SpectrumCoefficients, beta, q,
 def log_superstat_partition_closed(c: SpectrumCoefficients, beta, q,
                                    transcription: str = "verbatim") -> float | np.ndarray:
     """ln Z_s (closed form), stable at large beta."""
-    sign = _sign_a3(transcription)
-    bv, qv, x1 = _closed_args(c, beta, q)
-    bracket = _bracket(_bracket_pieces(c, bv, qv, sign), erfcx(x1))
+    _, bv, _, _, _, bracket = _typeset(c, beta, q, transcription)
     return _shaped(_log_partition(c, bv, bracket), beta, q, c.a)
 
 
@@ -222,10 +228,7 @@ def mean_energy_superstat_closed(c: SpectrumCoefficients, beta, q,
     verbatim follows the U_s print (numerator variant 'us', denominator
     bracket with the 8 b^2 beta monomial and the minus a^3 sign); corrected
     swaps every restated sub-term for its cross-stated alternative."""
-    sign = _sign_a3(transcription)
-    bv, qv, x1 = _closed_args(c, beta, q)
-    ex = erfcx(x1)
-    bracket = _bracket(_bracket_pieces(c, bv, qv, sign), ex)
+    sign, bv, qv, x1, ex, bracket = _typeset(c, beta, q, transcription)
     return _shaped(_mean_energy(c, bv, qv, sign, x1, bracket,
                                 partial(_numerator, c, bv, qv, x1, ex)), beta, q, c.a)
 
@@ -245,52 +248,46 @@ def _mean_energy(c: SpectrumCoefficients, bv, qv, sign: float, x1, bracket, nume
 
 
 @_saturating
-def entropy_superstat_closed(c: SpectrumCoefficients, beta, q, kB: float = 1.0,
+def entropy_superstat_closed(c: SpectrumCoefficients, beta, q,
                              transcription: str = "verbatim") -> float | np.ndarray:
-    """The typeset closed form of S_s = kB(-beta * fraction + ln Z_s)."""
-    sign = _sign_a3(transcription)
-    bv, qv, x1 = _closed_args(c, beta, q)
-    ex = erfcx(x1)
-    bracket = _bracket(_bracket_pieces(c, bv, qv, sign), ex)
-    return _shaped(_entropy(c, bv, sign, bracket, partial(_numerator, c, bv, qv, x1, ex), kB,
+    """The typeset closed form of S_s = -beta * fraction + ln Z_s (in units of kB)."""
+    sign, bv, qv, x1, ex, bracket = _typeset(c, beta, q, transcription)
+    return _shaped(_entropy(c, bv, sign, bracket, partial(_numerator, c, bv, qv, x1, ex),
                             _log_partition(c, bv, bracket)), beta, q, c.a)
 
 
-def _entropy(c: SpectrumCoefficients, bv, sign: float, bracket, numerator, kB: float, lnz):
+def _entropy(c: SpectrumCoefficients, bv, sign: float, bracket, numerator, lnz):
     """S_s: numerator('ss') (verbatim) or numerator('us') (corrected) over
     the Z_s bracket, plus lnz = ln Z_s of that bracket."""
     num = numerator("ss" if sign < 0.0 else "us")
     den = 4.0 * (c.b * bv) ** 1.5 * bracket
-    return kB * (-bv * num / den + lnz)
+    return -bv * num / den + lnz
 
 
 @_saturating
 def free_energy_superstat_closed(c: SpectrumCoefficients, beta, q,
                                  transcription: str = "verbatim") -> float | np.ndarray:
     """F_s = -ln(Z_s)/beta of the same transcription's Z_s, exactly."""
-    sign = _sign_a3(transcription)
-    bv, qv, x1 = _closed_args(c, beta, q)
-    bracket = _bracket(_bracket_pieces(c, bv, qv, sign), erfcx(x1))
+    _, bv, _, _, _, bracket = _typeset(c, beta, q, transcription)
     return _shaped(-_log_partition(c, bv, bracket) / bv, beta, q, c.a)
 
 
 @_saturating
-def heat_capacity_superstat_closed(c: SpectrumCoefficients, beta, q, kB: float = 1.0,
+def heat_capacity_superstat_closed(c: SpectrumCoefficients, beta, q,
                                    transcription: str = "verbatim") -> float | np.ndarray:
-    """kB beta^2 d^2 ln Z_s/d beta^2 of the closed Z_s, exactly: no closed
-    C_s was ever typeset, only this defining identity."""
+    """beta^2 d^2 ln Z_s/d beta^2 of the closed Z_s (in units of kB),
+    exactly: no closed C_s was ever typeset, only this defining identity."""
     sign = _sign_a3(transcription)
     bv, qv, x1 = _closed_args(c, beta, q)
     eds = erfcx_derivatives(x1)
     pieces = _bracket_pieces(c, bv, qv, sign)
-    return _shaped(_heat_capacity(bv, x1, eds, pieces, _bracket(pieces, eds[0]), kB),
-                   beta, q, c.a)
+    return _shaped(_heat_capacity(bv, x1, eds, pieces, _bracket(pieces, eds[0])), beta, q, c.a)
 
 
-def _heat_capacity(bv, x1, eds, pieces, big, kB: float):
+def _heat_capacity(bv, x1, eds, pieces, big):
     """ln Z_s = -(a+b) beta/2 - ln(64 b^{5/2}) - (1/2) ln beta + ln B with the
-    bracket B = P + sqrt(pi) R E, E = erfcx(x1), so C_s = kB (1/2 + beta^2
-    (B''/B - (B'/B)^2)); x1 grows as sqrt(beta), so with h = x1/(2 beta) and
+    bracket B = P + sqrt(pi) R E, E = erfcx(x1), so C_s = 1/2 + beta^2
+    (B''/B - (B'/B)^2); x1 grows as sqrt(beta), so with h = x1/(2 beta) and
     eds = erfcx_derivatives(x1), E' = erfcx'(x1) h and
     E'' = (erfcx''(x1) h - erfcx'(x1)/(2 beta)) h; pieces and big are the
     bracket's _bracket_pieces and its value."""
@@ -301,11 +298,11 @@ def _heat_capacity(bv, x1, eds, pieces, big, kB: float):
     e2 = (d2 * h - d1 / (2.0 * bv)) * h
     g1 = (p1 + _SQRT_PI * (r1 * e + r * e1)) / big
     g2 = (p2 + _SQRT_PI * (r2 * e + 2.0 * r1 * e1 + r * e2)) / big
-    return kB * (0.5 + bv * bv * (g2 - g1 * g1))
+    return 0.5 + bv * bv * (g2 - g1 * g1)
 
 
 @_saturating
-def superstat_closed_point(c: SpectrumCoefficients, beta, q, kB: float = 1.0,
+def superstat_closed_point(c: SpectrumCoefficients, beta, q,
                            transcription: str | tuple[str, str] = "verbatim") -> SuperstatPoint:
     """The typeset Z_s, U_s, S_s, F_s and the exact C_s of the closed Z_s
     from one erfcx_derivatives(x1), both _numerator variants and one
@@ -327,8 +324,8 @@ def superstat_closed_point(c: SpectrumCoefficients, beta, q, kB: float = 1.0,
         bracket = _bracket(pieces, ex)
         lnz = _log_partition(c, bv, bracket)
         return (_partition(c, bv, bracket), _mean_energy(c, bv, qf, sign, x1, bracket, numerator),
-                _heat_capacity(bv, x1, eds, pieces, bracket, kB),
-                _entropy(c, bv, sign, bracket, numerator, kB, lnz), -lnz / bv)
+                _heat_capacity(bv, x1, eds, pieces, bracket),
+                _entropy(c, bv, sign, bracket, numerator, lnz), -lnz / bv)
 
     return _point(SuperstatPoint, (c.a, beta, q), "closed", bv, qv,
                   *_transcribed([fields(sign) for sign in signs]))
@@ -338,7 +335,7 @@ def superstat_closed_point(c: SpectrumCoefficients, beta, q, kB: float = 1.0,
 # Assembled superstatistical thermodynamics
 # ---------------------------------------------------------------------------
 
-def superstat_thermo(c: SpectrumCoefficients, beta, q, kB: float = 1.0) -> SuperstatPoint:
+def superstat_thermo(c: SpectrumCoefficients, beta, q) -> SuperstatPoint:
     """The ground truth ('engine'): Z_s, U_s, S_s, F_s and C_s assembled
     (thermo._assemble) from the closed-form moments J_0..J_4 of the
     excitation energy over n in [0, inf) (thermo._scaled_moments), taken
@@ -348,17 +345,17 @@ def superstat_thermo(c: SpectrumCoefficients, beta, q, kB: float = 1.0) -> Super
     point.  Below beta ~ 1e-306, where F_s overflows, NonConvergence is raised."""
     bv, qv = _mesh(beta, q)
     return _point(SuperstatPoint, (c.a, beta, q), "engine", bv, qv,
-                  *_assemble(c, bv, qv, kB, _scaled_moments(c.a, c.b, bv)))
+                  *_assemble(c, bv, qv, _scaled_moments(c.a, c.b, bv)))
 
 
-def superstat_quadrature(c: SpectrumCoefficients, beta, q, kB: float = 1.0,
+def superstat_quadrature(c: SpectrumCoefficients, beta, q,
                          tol: Tolerance = Tolerance()) -> SuperstatPoint:
     """The numerical route ('quadinf'): superstat_thermo's assembly of the
     same moments, Z_s included, taken as rows of one batched Gauss-Kronrod
     quadrature that do not read q."""
     bv, qv = _mesh(beta, q)
     return _point(SuperstatPoint, (c.a, beta, q), "quadinf", bv, qv,
-                  *_quadrature_moments(c, bv, qv, math.inf, kB, tol))
+                  *_quadrature_moments(c, bv, qv, math.inf, tol))
 
 
 def superstat_partition_quadrature(c: SpectrumCoefficients, beta, q,
@@ -366,4 +363,4 @@ def superstat_partition_quadrature(c: SpectrumCoefficients, beta, q,
     """Z_s = integral over n in [0, inf) of the deformed factor at E(n), by
     adaptive Gauss-Kronrod quadrature of its moments: superstat_quadrature's
     Z_s, at one point or along a curve."""
-    return superstat_quadrature(c, beta, q, 1.0, tol).Zs
+    return superstat_quadrature(c, beta, q, tol).Zs

@@ -4,7 +4,7 @@ quantities U, C, S, F.
 
 Two evaluation families coexist deliberately:
 
-* the ground truth takes U = <E> and C = kB beta^2 Var E from exact
+* the ground truth takes U = <E> and C = beta^2 Var E from exact
   Boltzmann moments in the ground-state gauge, summed over the levels
   (``thermo_sum_engine``, the physical route) or integrated over continuous
   n (``thermo_quadrature``, whose 'quad01' point is the audit's oracle for
@@ -22,6 +22,7 @@ Two evaluation families coexist deliberately:
 
 The closed erf form of Z equals the integral of exp(-beta*E(n)) over
 n in [0, 1] -- not the full sum; ``partition_sum`` is the physical route.
+Every C and S here is in units of kB, which routes multiplies them by.
 """
 
 from __future__ import annotations
@@ -259,7 +260,7 @@ def _boltzmann_levels(a, b, bv):
 def partition_sum(c, beta) -> float | np.ndarray:
     """Z(beta) = sum_n exp(-beta E_n) = exp(-beta E_0) (1 + tail), the tail
     summed to rounding: thermo_sum_engine's Z, at one point or along a curve."""
-    return thermo_sum_engine(c, beta, 1.0).Z
+    return thermo_sum_engine(c, beta).Z
 
 
 def _require_regular(c: SpectrumCoefficients):
@@ -336,33 +337,33 @@ def partition_quadrature(c: SpectrumCoefficients, beta, range_: str = "quad01",
     """Integral of exp(-beta E(n)) dn over [0,1] ("quad01") or [0,inf)
     ("quadinf"), E(n) the compact form with continuous n: thermo_quadrature's
     Z, at one point or along a curve."""
-    return thermo_quadrature(c, beta, range_, 1.0, tol).Z
+    return thermo_quadrature(c, beta, range_, tol).Z
 
 
 # ---------------------------------------------------------------------------
 # Ground truth from exact Boltzmann moments
 # ---------------------------------------------------------------------------
 
-def _columns(c, bv, kB: float, z, log_g, mean, var, m=0):
+def _columns(c, bv, z, log_g, mean, var, m=0):
     """(Z, U, C, S, F) of every moment route, from its Z and from ln G
     = ln Z + beta E_0, <u> and Var u over u = beta (E - E_0), the last three
     scaled by 2^m (the quantity is ldexp(value, -m)): U = E_0 + <u>/beta,
-    C = kB Var u, S = kB (ln G + <u>) and F = E_0 - ln G/beta, S and C formed
-    at the scale and rounded once.  The caller supplies ln G: the level sums
-    log1p of their tail (thermo_sum_engine), the continuum ln(g0/(beta L))
-    (_assemble).  Where F overflows (below beta ~ 1e-306), NonConvergence is
-    raised, naming beta."""
+    C = Var u, S = ln G + <u> (in units of kB) and F = E_0 - ln G/beta, S
+    formed at the scale and rounded once.  The caller supplies ln G: the
+    level sums log1p of their tail (thermo_sum_engine), the continuum
+    ln(g0/(beta L)) (_assemble).  Where F overflows (below beta ~ 1e-306),
+    NonConvergence is raised, naming beta."""
     e0 = c.energy(0)
     with np.errstate(over="ignore"):  # F overflows below beta ~ 1e-306, U below 3e-309
-        columns = (z, e0 + np.ldexp(mean, -m) / bv, np.ldexp(kB * var, -m),
-                   np.ldexp(kB * (log_g + mean), -m), e0 - np.ldexp(log_g, -m) / bv)
+        columns = (z, e0 + np.ldexp(mean, -m) / bv, np.ldexp(var, -m),
+                   np.ldexp(log_g + mean, -m), e0 - np.ldexp(log_g, -m) / bv)
     bad = ~np.isfinite(columns[4])
     if bad.any():
         raise NonConvergence(f"F overflows at beta={np.broadcast_to(bv, bad.shape)[bad][0]:.17g}")
     return columns
 
 
-def thermo_sum_engine(c, beta, kB: float = 1.0) -> ThermoPoint:
+def thermo_sum_engine(c, beta) -> ThermoPoint:
     """Ground truth on the sum route: U, C, S and F (_columns) from the exact
     moments of u_n = beta (E_n - E_0) >= 0 over the Boltzmann distribution of
     the levels (_boltzmann_levels, always to rounding, so there is no
@@ -385,7 +386,7 @@ def thermo_sum_engine(c, beta, kB: float = 1.0) -> ThermoPoint:
     unscaled = np.ldexp(tail, -m)
     z = exp_neg_product(bv, 0.5 * a, 0.5 * b) * (1.0 + unscaled)
     log_g = np.where(m > 0, tail, np.log1p(unscaled))  # at scale 2^m: tail < e^{-700} there
-    return _point(ThermoPoint, (c.a, beta), "sum", bv, *_columns(c, bv, kB, z, log_g, mean, var, m))
+    return _point(ThermoPoint, (c.a, beta), "sum", bv, *_columns(c, bv, z, log_g, mean, var, m))
 
 
 #: row k = 0..4: the Gauss-Laguerre weights times node^k, the rule that takes
@@ -431,7 +432,7 @@ def _scaled_moments(a, b, bv) -> np.ndarray:
     return moments.reshape((5,) + shape)
 
 
-def _assemble(c: SpectrumCoefficients, bv, qv, kB: float, moments):
+def _assemble(c: SpectrumCoefficients, bv, qv, moments):
     """(Z, U, C, S, F) of the weight e^{-beta E}(1 + (q/2) beta^2 E^2)
     over n, from the scaled moments I_k = L beta^{k+1} J_k (k = 0..4, the
     rows of moments, _scaled_moments) of the excitation energy,
@@ -480,11 +481,10 @@ def _assemble(c: SpectrumCoefficients, bv, qv, kB: float, moments):
                          np.log(big_g)) + 2.0 * math.log(2.0) * m
         z = np.ldexp(big_g * exp_neg_product(bv, 0.5 * c.a, 0.5 * c.b), 2 * m)
         var = g2 / g0 - r1 * r1
-    return _columns(c, bv, kB, z, log_g, -r1, var)
+    return _columns(c, bv, z, log_g, -r1, var)
 
 
-def _quadrature_moments(c: SpectrumCoefficients, bv: np.ndarray, qv, hi: float,
-                        kB: float, tol: Tolerance):
+def _quadrature_moments(c: SpectrumCoefficients, bv: np.ndarray, qv, hi: float, tol: Tolerance):
     """(Z, U, C, S, F), each an array over the broadcast of c, bv and qv,
     of the weight e^{-beta E}(1 + (q/2) beta^2 E^2) over n in [0, hi]
     (q = 0: the Boltzmann weight): _assemble's columns, Z included, from
@@ -536,7 +536,7 @@ def _quadrature_moments(c: SpectrumCoefficients, bv: np.ndarray, qv, hi: float,
     moments[:k_rows] = values.reshape(-1, k_rows).T
     if not moments[0].all():  # e^{-u} underflows at every node
         raise NonConvergence(f"moment rows integrate to 0 at beta={bvs[moments[0] == 0][0]:.17g}")
-    columns = _assemble(c, bv, qv, kB, moments.reshape((5,) + shape))
+    columns = _assemble(c, bv, qv, moments.reshape((5,) + shape))
     low = (moments[:k_rows] < np.finfo(float).tiny).any(axis=0)
     if low.any():
         raise NonConvergence(f"moment rows underflow at beta={bvs[low][0]:.17g}")
@@ -544,7 +544,7 @@ def _quadrature_moments(c: SpectrumCoefficients, bv: np.ndarray, qv, hi: float,
 
 
 def thermo_quadrature(c: SpectrumCoefficients, beta, range_: str = "quad01",
-                      kB: float = 1.0, tol: Tolerance = Tolerance()) -> ThermoPoint:
+                      tol: Tolerance = Tolerance()) -> ThermoPoint:
     """Z, U, C, S, F of the partition_quadrature integral over [0, 1]
     ("quad01") or [0, inf) ("quadinf"), from its exact beta-moments.  A
     curve (beta or coefficient arrays) gives a point that holds beta and
@@ -552,7 +552,7 @@ def thermo_quadrature(c: SpectrumCoefficients, beta, range_: str = "quad01",
     bit for bit its float call."""
     bv = _beta_values(beta)
     return _point(ThermoPoint, (c.a, beta), range_, bv,
-                  *_quadrature_moments(c, bv, 0.0, _upper(range_), kB, tol))
+                  *_quadrature_moments(c, bv, 0.0, _upper(range_), tol))
 
 
 # ---------------------------------------------------------------------------
@@ -613,19 +613,19 @@ def _mean_energy(c: SpectrumCoefficients, bv, xa, transcription: str):
 
 
 @_saturating
-def heat_capacity_closed(c: SpectrumCoefficients, beta, kB: float = 1.0,
+def heat_capacity_closed(c: SpectrumCoefficients, beta,
                          transcription: str = "verbatim") -> float | np.ndarray:
     """The typeset closed form of C(beta).
 
     The verbatim expression is transcribed literally (it lacks the
     erf(x1)*erf(x2) cross term its own square demands, so it diverges from
     the truth and can overflow).  corrected evaluates the algebraically
-    consistent reading, which equals kB beta^2 d2 ln Z/d beta2 exactly."""
+    consistent reading, which equals beta^2 d2 ln Z/d beta2 exactly."""
     _check_transcription(transcription)
-    return _shaped(_heat_capacity(c, *_xargs(c, beta), kB, transcription), beta, c.a)
+    return _shaped(_heat_capacity(c, *_xargs(c, beta), transcription), beta, c.a)
 
 
-def _heat_capacity(c: SpectrumCoefficients, bv, xa, kB: float, transcription: str, erfs=None):
+def _heat_capacity(c: SpectrumCoefficients, bv, xa, transcription: str, erfs=None):
     # erfs as for _partition; coefficient powers are products, which round
     # alike as floats and arrays
     a, b = c.a, c.b
@@ -637,8 +637,8 @@ def _heat_capacity(c: SpectrumCoefficients, bv, xa, kB: float, transcription: st
         c2 = (a + 4.0 * b) / (2.0 * sb)
         edec = np.exp(-bv * delta)
         w1 = np.sqrt(bv / math.pi) * (c2 * edec - c1) / dx
-        return kB * (0.5 - 0.5 * w1 - w1 * w1
-                     + bv ** 1.5 / _SQRT_PI * (c1 * c1 * c1 - c2 * c2 * c2 * edec) / dx)
+        return (0.5 - 0.5 * w1 - w1 * w1
+                + bv ** 1.5 / _SQRT_PI * (c1 * c1 * c1 - c2 * c2 * c2 * edec) / dx)
     # verbatim transcription; prefactor exponent folded into each term
     e1, e2 = _pair(erf, x1, x2) if erfs is None else erfs
     d = np.exp(-x1 * x1) * dx
@@ -665,30 +665,29 @@ def _heat_capacity(c: SpectrumCoefficients, bv, xa, kB: float, transcription: st
     t3 = -bv * _SQRT_PI * e2 * (pc_sym * np.exp(-x2 * x2) + pe_sym * np.exp(-x1 * x1))
     t5 = bv * _SQRT_PI * e1 * (pc_asym * np.exp(-x2 * x2) + pe_asym * np.exp(-x1 * x1))
     num = bv * (t1 + t2 + t3 + t4 + t5 + t6)
-    return kB * num / (8.0 * (b * bv) ** 1.5 * math.pi * d * d)
+    return num / (8.0 * (b * bv) ** 1.5 * math.pi * d * d)
 
 
 @_saturating
-def entropy_closed(c: SpectrumCoefficients, beta, kB: float = 1.0,
+def entropy_closed(c: SpectrumCoefficients, beta,
                    transcription: str = "verbatim") -> float | np.ndarray:
     """The typeset closed form of S(beta).
 
     The verbatim expression follows the typeset parenthesization (the
     decaying prefactor multiplies only the first numerator group), under
     which the remaining terms keep a bare growing exponential.  No reading
-    of the typeset S matches kB(lnZ - beta dlnZ/dbeta); corrected therefore
+    of the typeset S matches lnZ - beta dlnZ/dbeta; corrected therefore
     evaluates that defining identity with the corrected U."""
     _check_transcription(transcription)
     bv, xa = _xargs(c, beta)
     u = _mean_energy(c, bv, xa, transcription) if transcription == "corrected" else None
-    return _shaped(_entropy(c, bv, xa, kB, transcription, _log_partition(c, bv, xa), u),
-                   beta, c.a)
+    return _shaped(_entropy(c, bv, xa, transcription, _log_partition(c, bv, xa), u), beta, c.a)
 
 
-def _entropy(c: SpectrumCoefficients, bv, xa, kB: float, transcription: str, lnz, u):
+def _entropy(c: SpectrumCoefficients, bv, xa, transcription: str, lnz, u):
     """S from _xargs, ln Z and, for the corrected S, the corrected U."""
     if transcription == "corrected":
-        return kB * (lnz + bv * u)
+        return lnz + bv * u
     a, b = c.a, c.b
     _, _, dx = xa
     delta = a + 3.0 * b
@@ -697,7 +696,7 @@ def _entropy(c: SpectrumCoefficients, bv, xa, kB: float, transcription: str, lnz
         * ((a + 4.0 * b) * np.exp(-bv * delta) - (a + 2.0 * b)) / (4.0 * bv * math.pi * dx)
     big = bv * (3.0 * a + a * a / (2.0 * b) + 5.0 * b)
     frac2 = -np.sqrt(bv / b) * poly * np.exp(big) / (4.0 * bv * _SQRT_PI)
-    return kB * (frac1 + frac2 + lnz)
+    return frac1 + frac2 + lnz
 
 
 @_saturating
@@ -710,7 +709,7 @@ def free_energy_closed(c: SpectrumCoefficients, beta) -> float | np.ndarray:
 
 
 @_saturating
-def thermo_closed_point(c: SpectrumCoefficients, beta, kB: float = 1.0,
+def thermo_closed_point(c: SpectrumCoefficients, beta,
                         transcription: str | tuple[str, str] = "verbatim") -> ThermoPoint:
     """All five typeset closed forms from one _xargs and one erf pair, each
     bit for bit its single-quantity function; S takes the U of its own
@@ -726,5 +725,5 @@ def thermo_closed_point(c: SpectrumCoefficients, beta, kB: float = 1.0,
     lnz = _log_partition(c, bv, xa)
     z, f = _partition(c, bv, xa, erfs), -lnz / bv
     return _point(ThermoPoint, (c.a, beta), "closed", bv, *_transcribed(
-        [(z, (u := _mean_energy(c, bv, xa, tr)), _heat_capacity(c, bv, xa, kB, tr, erfs),
-          _entropy(c, bv, xa, kB, tr, lnz, u), f) for tr in names]))
+        [(z, (u := _mean_energy(c, bv, xa, tr)), _heat_capacity(c, bv, xa, tr, erfs),
+          _entropy(c, bv, xa, tr, lnz, u), f) for tr in names]))

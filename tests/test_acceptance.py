@@ -39,7 +39,7 @@ def test_criterion_1_standard_oscillator_reduction():
         z = partition_sum(c, beta)
         z_ref = math.exp(-beta / 2) / (1.0 - math.exp(-beta))
         worst_z = max(worst_z, abs(z - z_ref) / z_ref)
-        u = thermo_sum_engine(c, beta, 1.0).U
+        u = thermo_sum_engine(c, beta).U
         u_ref = 0.5 / math.tanh(beta / 2)
         worst_u = max(worst_u, abs(u - u_ref) / u_ref)
     dt = time.perf_counter() - t0
@@ -75,7 +75,7 @@ def test_criterion_3_thermodynamic_identities():
     for alpha in ALPHAS:
         c = coefficients(OscillatorParams(alpha=alpha))
         for beta in DEFAULT_BETAS:
-            pt = thermo_sum_engine(c, beta, 1.0)
+            pt = thermo_sum_engine(c, beta)
             lnz = math.log(pt.Z)
             s_scale = max(abs(pt.S), abs(lnz) + beta * abs(pt.U))
             worst_s = max(worst_s, abs(pt.S - (lnz + beta * pt.U)) / s_scale)
@@ -96,7 +96,7 @@ def test_criterion_4_positivity_and_monotonicity():
     notes = []
     for alpha in ALPHAS:
         c = coefficients(OscillatorParams(alpha=alpha))
-        pts = [thermo_sum_engine(c, beta, 1.0) for beta in DEFAULT_BETAS]
+        pts = [thermo_sum_engine(c, beta) for beta in DEFAULT_BETAS]
         if not all(pt.C >= -1e-9 for pt in pts):
             ok, _ = False, notes.append(f"C<-1e-9 at alpha={alpha}")
         z_curve = list(zip(DEFAULT_BETAS, (pt.Z for pt in pts)))
@@ -138,7 +138,7 @@ def test_criterion_5_superstat_q0_limit_and_identity():
             vals = [superstat_partition_quadrature(c, beta, q, QTOL) for q in qs]
             mono_ok &= all(v2 >= v1 for v1, v2 in zip(vals, vals[1:]))
             for q in (0.0, 0.5, 1.0):
-                pt = superstat_thermo(c, beta, q, 1.0)
+                pt = superstat_thermo(c, beta, q)
                 lnzs = math.log(superstat_partition_quadrature(c, beta, q, QTOL))
                 scale = max(abs(pt.Ss), abs(lnzs) + beta * abs(pt.Us))
                 worst_id = max(worst_id, abs(pt.Ss - (lnzs + beta * pt.Us)) / scale)
@@ -151,7 +151,7 @@ def test_criterion_6_superstat_spot_values():
     """b=0 route at beta=1: Z_s(q=0) = e^{-1/2}, U_s(q=0) = 3/2 via the
     moment engine, both to 1e-6."""
     c = coefficients(OscillatorParams(alpha=0.0))
-    pt = superstat_thermo(c, 1.0, 0.0, 1.0)
+    pt = superstat_thermo(c, 1.0, 0.0)
     z_ref = math.exp(-0.5)
     rz = abs(pt.Zs - z_ref) / z_ref
     ru = abs(pt.Us - 1.5) / 1.5

@@ -205,7 +205,7 @@ def test_log_closed_consistency():
 def test_closed_forms_finite_both_transcriptions():
     for tr in ("verbatim", "corrected"):
         u = mean_energy_superstat_closed(C03, 1.0, 0.5, tr)
-        s = entropy_superstat_closed(C03, 1.0, 0.5, 1.0, tr)
+        s = entropy_superstat_closed(C03, 1.0, 0.5, tr)
         f = free_energy_superstat_closed(C03, 1.0, 0.5, tr)
         assert math.isfinite(u) and math.isfinite(s) and math.isfinite(f)
 
@@ -248,18 +248,18 @@ SIGNS = {"verbatim": -1.0, "corrected": 1.0}
 
 @pytest.mark.parametrize("tr", ["verbatim", "corrected"])
 def test_closed_cs_is_the_exact_second_derivative(tr):
-    """The closed C_s is kB beta^2 d^2 ln Z_s/d beta^2 of the same closed
-    Z_s exactly: against 50-digit differentiation of the printed bracket
+    """The closed C_s is beta^2 d^2 ln Z_s/d beta^2 (in units of kB) of the
+    same closed Z_s exactly: against 50-digit differentiation of the printed bracket
     (a Richardson stencil is 2.6e-6 off at alpha = 0.1, beta = 8.25)."""
     for alpha in (0.02, 0.1, 0.3, 0.9):
         c = coefficients(OscillatorParams(alpha=alpha))
         for beta in np.logspace(-1.0, 3.0, 9).tolist():
             for q in (0.0, 0.25, 1.0):
                 want = mp_closed_heat_capacity_superstat(c, beta, q, SIGNS[tr])
-                got = heat_capacity_superstat_closed(c, beta, q, 1.0, tr)
+                got = heat_capacity_superstat_closed(c, beta, q, tr)
                 assert abs(got - want) <= 1e-10 * abs(want), (alpha, beta, q)
     want = mp_closed_heat_capacity_superstat(C03, 1e4, 0.5, SIGNS[tr])
-    assert abs(heat_capacity_superstat_closed(C03, 1e4, 0.5, 1.0, tr) - want) \
+    assert abs(heat_capacity_superstat_closed(C03, 1e4, 0.5, tr) - want) \
         <= 1e-13 * abs(want)
 
 
@@ -274,7 +274,7 @@ def test_richardson_agrees_with_closed_cs_within_its_spread(alpha, beta, q):
 
         r1, r3 = (beta * beta * derivative(lnzs, beta, 2, scale, positive_only=True)
                   for scale in (beta, beta / 3.0))
-        exact = heat_capacity_superstat_closed(c, beta, q, 1.0, tr)
+        exact = heat_capacity_superstat_closed(c, beta, q, tr)
         assert abs(r1 - exact) <= abs(r1 - r3) + 1e-12 * abs(exact)
 
 
@@ -287,9 +287,9 @@ def test_closed_point_equals_single_closed_functions(tr):
                 pt = superstat_closed_point(c, beta, q, transcription=tr)
                 singles = (superstat_partition_closed(c, beta, q, tr),
                            mean_energy_superstat_closed(c, beta, q, tr),
-                           entropy_superstat_closed(c, beta, q, 1.0, tr),
+                           entropy_superstat_closed(c, beta, q, tr),
                            free_energy_superstat_closed(c, beta, q, tr),
-                           heat_capacity_superstat_closed(c, beta, q, 1.0, tr))
+                           heat_capacity_superstat_closed(c, beta, q, tr))
                 # a verbatim U_s may overflow to nan, which equals itself here
                 assert np.array_equal([pt.Zs, pt.Us, pt.Ss, pt.Fs, pt.Cs], singles,
                                       equal_nan=True)
@@ -308,9 +308,9 @@ def test_closed_columns_equal_single_closed_functions_on_the_mesh(tr):
         columns = {qn: getattr(mesh, qn) for qn in ("Zs", "Us", "Ss", "Fs", "Cs")}
         singles = {"Zs": superstat_partition_closed(c, betas, qs, tr),
                    "Us": mean_energy_superstat_closed(c, betas, qs, tr),
-                   "Ss": entropy_superstat_closed(c, betas, qs, 1.0, tr),
+                   "Ss": entropy_superstat_closed(c, betas, qs, tr),
                    "Fs": free_energy_superstat_closed(c, betas, qs, tr),
-                   "Cs": heat_capacity_superstat_closed(c, betas, qs, 1.0, tr)}
+                   "Cs": heat_capacity_superstat_closed(c, betas, qs, tr)}
         for qn, single in singles.items():
             assert single.shape == (len(DEFAULT_BETAS), len(DEFAULT_QS))
             assert np.array_equal(columns[qn], single, equal_nan=True), (alpha, qn)
@@ -328,8 +328,8 @@ def test_closed_forms_with_a_float_q_equal_a_q_array(tr):
     betas = np.array(DEFAULT_BETAS + (800.0, 2000.0))
     forms = (superstat_partition_closed, log_superstat_partition_closed,
              mean_energy_superstat_closed, free_energy_superstat_closed,
-             lambda c, beta, q, tr: entropy_superstat_closed(c, beta, q, 1.0, tr),
-             lambda c, beta, q, tr: heat_capacity_superstat_closed(c, beta, q, 1.0, tr))
+             lambda c, beta, q, tr: entropy_superstat_closed(c, beta, q, tr),
+             lambda c, beta, q, tr: heat_capacity_superstat_closed(c, beta, q, tr))
     for c in (C01, C03, C09):
         for q in (0.0, 0.5, 1.0):
             for form in forms:
@@ -427,21 +427,21 @@ def test_engine_rows_equal_single_quadratures():
     q = 0 needs only k <= 2.  superstat_partition_quadrature is that Z_s.
     The rows do not read q, so a beta x q mesh equals its per-q calls."""
     for c, beta, q in [(C01, 0.1, 0.0), (C03, 1.0, 0.5), (C09, 7.5, 1.0)]:
-        pt = superstat_quadrature(c, beta, q, 1.0, TOL)
+        pt = superstat_quadrature(c, beta, q, TOL)
         assert pt.method == "quadinf"
         lin, level = c.a + 2.0 * c.b, 8.0 / beta
         s = max(1.0, 2.0 * level / (lin + math.sqrt(lin * lin + 4.0 * c.b * level)) / 24.0)
         assert (s > 1.0) == (beta == 0.1)
-        want = _assemble(c, np.array([beta]), np.array([q]), 1.0,
+        want = _assemble(c, np.array([beta]), np.array([q]),
                          _single_row_moments(c, beta, q, s, math.inf))
         assert [pt.Zs, pt.Us, pt.Cs, pt.Ss, pt.Fs] == [col.item() for col in want]
         assert pt.Zs == superstat_partition_quadrature(c, beta, q, TOL)
 
     betas, qs = np.array([0.1, 7.5])[:, None], np.array([0.0, 0.5, 1.0])
     fields = ("Zs", "Us", "Ss", "Fs", "Cs")
-    mesh = superstat_quadrature(C03, betas, qs, 1.0, TOL)
+    mesh = superstat_quadrature(C03, betas, qs, TOL)
     for i, j in np.ndindex(len(betas), len(qs)):
-        pt = superstat_quadrature(C03, float(betas[i, 0]), float(qs[j]), 1.0, TOL)
+        pt = superstat_quadrature(C03, float(betas[i, 0]), float(qs[j]), TOL)
         assert [getattr(pt, qn) for qn in fields] == [getattr(mesh, qn)[i, j] for qn in fields]
 
 
@@ -455,24 +455,24 @@ def test_quadrature_partitions_are_the_z_of_their_points():
     for c in (C01, C09):
         for range_ in ("quad01", "quadinf"):
             zs = partition_quadrature(c, betas, range_, TOL)
-            assert np.array_equal(zs, thermo_quadrature(c, betas, range_, 1.0, TOL).Z)
+            assert np.array_equal(zs, thermo_quadrature(c, betas, range_, TOL).Z)
             for i, beta in enumerate(betas.tolist()):
                 z = partition_quadrature(c, beta, range_, TOL)
                 assert type(z) is float
-                assert z == thermo_quadrature(c, beta, range_, 1.0, TOL).Z == zs[i]
+                assert z == thermo_quadrature(c, beta, range_, TOL).Z == zs[i]
         mesh = superstat_partition_quadrature(c, betas[:, None], qs, TOL)
-        assert np.array_equal(mesh, superstat_quadrature(c, betas[:, None], qs, 1.0, TOL).Zs)
+        assert np.array_equal(mesh, superstat_quadrature(c, betas[:, None], qs, TOL).Zs)
         for i, j in np.ndindex(len(betas), len(qs)):
             beta, q = float(betas[i]), float(qs[j])
             z = superstat_partition_quadrature(c, beta, q, TOL)
-            assert z == superstat_quadrature(c, beta, q, 1.0, TOL).Zs == mesh[i, j]
+            assert z == superstat_quadrature(c, beta, q, TOL).Zs == mesh[i, j]
     assert np.array_equal(partition_quadrature(curve, betas, "quadinf", TOL),
                           [partition_quadrature(coefficients(OscillatorParams(alpha=al)), bt,
                                                 "quadinf", TOL)
                            for al, bt in zip((0.1, 0.9, 0.3), betas.tolist())])
     for beta in betas.tolist():
         moments = _single_row_moments(C03, beta, 0.0, 1.0, 1.0)
-        want = _assemble(C03, np.array([beta]), 0.0, 1.0, moments)[0].item()
+        want = _assemble(C03, np.array([beta]), 0.0, moments)[0].item()
         assert partition_quadrature(C03, beta, "quad01", TOL) == want
 
 
@@ -480,7 +480,7 @@ def test_engine_against_mpmath_at_regime_corners():
     # U_s and C_s against 40-digit quadratures of the weight's beta-derivatives
     corners = [(c, beta, q) for c in (C01, C09) for beta in (0.1, 10.0) for q in (0.0, 0.5, 1.0)]
     for c, beta, q in corners + [(C00, 0.01, 0.5), (C01, 0.001, 1.0)]:
-        pt = superstat_thermo(c, beta, q, 1.0)
+        pt = superstat_thermo(c, beta, q)
         z, u, cv = mp_weight_moments(c, beta, q, math.inf)
         assert abs(pt.Zs - z) / z < 1e-12
         assert abs(pt.Us - u) / abs(u) < 1e-12
@@ -718,8 +718,8 @@ def test_engine_agrees_with_quadinf_on_atlas_grid():
         c = coefficients(OscillatorParams(alpha=alpha))
         for beta in DEFAULT_BETAS:
             for q in DEFAULT_QS:
-                e = superstat_thermo(c, beta, q, 1.0)
-                g = superstat_quadrature(c, beta, q, 1.0, tol)
+                e = superstat_thermo(c, beta, q)
+                g = superstat_quadrature(c, beta, q, tol)
                 for name in worst:
                     x, y = getattr(e, name), getattr(g, name)
                     worst[name] = max(worst[name], abs(x - y) / abs(y))
@@ -755,8 +755,8 @@ def test_quadinf_point_is_the_engine_at_q0():
     # the thermo and superstat quadinf points run the same Gauss-Kronrod
     # moment rows, so at q = 0 they agree bit for bit
     for c, beta in [(C01, 0.1), (C03, 2.0), (C09, 10.0)]:
-        pt = thermo_quadrature(c, beta, "quadinf", 1.0, TOL)
-        spt = superstat_quadrature(c, beta, 0.0, 1.0, TOL)
+        pt = thermo_quadrature(c, beta, "quadinf", TOL)
+        spt = superstat_quadrature(c, beta, 0.0, TOL)
         assert (pt.Z, pt.U, pt.C, pt.S, pt.F) == (spt.Zs, spt.Us, spt.Cs, spt.Ss, spt.Fs)
 
 
@@ -769,7 +769,7 @@ def test_each_point_builder_takes_what_it_reads_and_is_its_route():
         with pytest.raises(TypeError):
             point(C03, 1.0, 0.5, **unread)
     # each routes.POINTS entry is its one function, bit for bit, on an
-    # alpha x beta x q mesh and at a float point
+    # alpha x beta x q mesh and at a float point, with C_s and S_s times kB
     tol = Tolerance(rel=1e-10, abs=0.0, max_evals=100_000)
     builders = {"sum": superstat_thermo, "engine": superstat_thermo,
                 "quadinf": partial(superstat_quadrature, tol=tol),
@@ -780,10 +780,11 @@ def test_each_point_builder_takes_what_it_reads_and_is_its_route():
     for c, beta, q in (mesh, (C03, 2.0, 0.5)):
         s = routes.State(c, 1.5, beta, q, transcription="corrected", tol=tol)
         for method, build in builders.items():
-            got, want = routes.POINTS["superstat"][method](s), build(c, beta, q, 1.5)
+            got, want = routes.POINTS["superstat"][method](s), build(c, beta, q)
             assert got.method == want.method
             for field in ("beta", "q") + routes.SUPERSTAT:
                 g, w = getattr(got, field), getattr(want, field)
+                w = 1.5 * w if field in ("Cs", "Ss") else w
                 assert type(g) is type(w) and np.array_equal(g, w, equal_nan=True), (method, field)
 
 

@@ -16,9 +16,10 @@ from pdmosc import (NonConvergence, OscillatorParams, SingularLimit, SpectrumCoe
                     Tolerance, coefficients, entropy_closed,
                     free_energy_closed, heat_capacity_closed, log_partition_closed,
                     mean_energy_closed, partition_closed, partition_quadrature,
-                    partition_sum, thermo, thermo_closed_point, thermo_quadrature)
-from pdmosc.superstat import (superstat_partition_closed, superstat_quadrature,
-                              superstat_thermo)
+                    partition_sum, routes, thermo, thermo_closed_point, thermo_quadrature)
+from pdmosc.superstat import (entropy_superstat_closed, heat_capacity_superstat_closed,
+                              superstat_closed_point, superstat_partition_closed,
+                              superstat_quadrature, superstat_thermo)
 from pdmosc.sweeps import figure_preset
 from pdmosc.thermo import TRANSCRIPTIONS, thermo_sum_engine
 from pdmosc.verify import DEFAULT_ALPHAS, DEFAULT_BETAS, DEFAULT_QS, audit_columns
@@ -90,7 +91,7 @@ def test_partition_sum_monotonicity():
 
 def test_log_partition_sum_underflow_safe():
     # beta*E_0 ~ 770: Z underflows, but F = -ln Z/beta and S must not
-    pt = thermo_sum_engine(C09, 1000.0, 1.0)
+    pt = thermo_sum_engine(C09, 1000.0)
     assert pt.Z == 0.0
     assert math.isfinite(pt.F) and math.isfinite(pt.S)
     assert abs(1000.0 * (pt.F - C09.energy(0))) < 1e-9
@@ -148,7 +149,7 @@ def test_sum_vs_integral_sandwich():
 # -- ground truth from exact moments ----------------------------------------
 
 def test_engine_standard_oscillator():
-    pt = thermo_sum_engine(C00, 1.0, 1.0)
+    pt = thermo_sum_engine(C00, 1.0)
     assert abs(pt.U - 1.0819767068693264) / 1.0819767068693264 < 1e-7
     assert abs(pt.C - 0.92067359420779232) / 0.92067359420779232 < 1e-6
     assert pt.F == -math.log(pt.Z) / 1.0 or abs(pt.F + math.log(pt.Z)) < 1e-12
@@ -157,7 +158,7 @@ def test_engine_standard_oscillator():
 def test_engine_identities():
     for c in (C01, C09):
         for beta in (0.3, 1.0, 4.0):
-            pt = thermo_sum_engine(c, beta, 1.0)
+            pt = thermo_sum_engine(c, beta)
             assert abs(pt.S - (math.log(pt.Z) + beta * pt.U)) <= 1e-9 * max(abs(pt.S), 1.0)
             assert abs(pt.F + math.log(pt.Z) / beta) <= 1e-12 * max(abs(pt.F), 1.0)
     # every moment route on the atlas grid, where all form U, C, S and F in
@@ -185,7 +186,7 @@ def test_engine_gauge_equivalence():
         return math.log(partition_sum(C03, x))
 
     for beta in (0.2, 1.0, 3.0):
-        a = thermo_sum_engine(C03, beta, 1.0)
+        a = thermo_sum_engine(C03, beta)
         u = -derivative(logz, beta, 1, beta, positive_only=True)
         c = beta * beta * derivative(logz, beta, 2, beta, positive_only=True)
         assert abs(a.U - u) / abs(u) < 1e-9
@@ -196,7 +197,7 @@ def test_engine_gauge_equivalence():
 def test_energy_moments_against_brute_force():
     for c in (C01, C09):
         for beta in (0.3, 1.0, 5.0):
-            pt = thermo_sum_engine(c, beta, 1.0)
+            pt = thermo_sum_engine(c, beta)
             energies = [c.energy(n) for n in range(400)]
             zb, mb, vb = brute_boltzmann_moments(energies, beta)
             assert abs(pt.Z - zb) / zb < 1e-12
@@ -207,7 +208,7 @@ def test_energy_moments_against_brute_force():
 def test_engine_vs_moments():
     for c in (C01, C03, C09):
         for beta in (0.1, 1.0, 10.0):
-            pt = thermo_sum_engine(c, beta, 1.0)
+            pt = thermo_sum_engine(c, beta)
             energies = [c.energy(n) for n in range(400)]
             _, mean, var = brute_boltzmann_moments(energies, beta)
             assert abs(pt.U - mean) / abs(mean) < 1e-12
@@ -218,7 +219,7 @@ def test_engine_heat_capacity_exponentially_small():
     # alpha = 0 at beta = 700: C = beta^2 e^{-beta} / (1 - e^{-beta})^2 ~ 5e-299,
     # far below the roundoff of any finite difference of ln Z
     beta = 700.0
-    pt = thermo_sum_engine(C00, beta, 1.0)
+    pt = thermo_sum_engine(C00, beta)
     want = beta * beta * math.exp(-beta) / (1.0 - math.exp(-beta)) ** 2
     assert abs(pt.C - want) / want < 1e-12
 
@@ -234,7 +235,7 @@ def _within(got, want, rel=1e-11):
 @pytest.mark.parametrize("beta", [1e-3, 1.0, 10.0, 700.0])
 def test_sum_engine_against_brute_force(alpha, beta):
     c = coefficients(OscillatorParams(alpha=alpha))
-    pt = thermo_sum_engine(c, beta, 1.0)
+    pt = thermo_sum_engine(c, beta)
     want = brute_thermo(c, beta)
     got = (pt.Z, pt.U, pt.C, pt.S, pt.F)
     assert all(_within(g, w) for g, w in zip(got, want)), (got, want)
@@ -247,7 +248,7 @@ def test_sum_engine_keeps_digits_where_w1_nears_the_subnormal_range(alpha, beta)
     # (5.2e-311 at (0.02, 700), which once carried w_1's 34 subnormal bits)
     # and C stay within 1e-12 of 50-digit brute force, at alpha = 0 too
     c = coefficients(OscillatorParams(alpha=alpha))
-    pt = thermo_sum_engine(c, beta, 1.0)
+    pt = thermo_sum_engine(c, beta)
     _, _, c_want, s_want, _ = brute_thermo(c, beta)
     assert abs(pt.S - s_want) <= 1e-12 * s_want and abs(pt.C - c_want) <= 1e-12 * c_want
 
@@ -259,7 +260,7 @@ def test_sum_route_z_carries_beta_e0_exactly(alpha, beta):
     want = brute_thermo(c, beta)[0]
     z = partition_sum(c, beta)
     assert abs(z - want) <= 1e-15 * want
-    assert thermo_sum_engine(c, beta, 1.0).Z == z
+    assert thermo_sum_engine(c, beta).Z == z
 
 
 @pytest.mark.parametrize("beta", [1e-4, 1.0, 700.0])
@@ -273,7 +274,7 @@ def test_sum_engine_geometric_series_at_alpha_zero(beta):
         want = [float(v) for v in (mp.exp(-bt / 2) / (1 - r), mp.mpf(0.5) + mean,
                                    bt * bt * r / (1 - r) ** 2, g + bt * mean,
                                    mp.mpf(0.5) - g / bt)]
-    pt = thermo_sum_engine(C00, beta, 1.0)
+    pt = thermo_sum_engine(C00, beta)
     got = (pt.Z, pt.U, pt.C, pt.S, pt.F)
     assert all(_within(g, w) for g, w in zip(got, want)), (got, want)
     assert partition_sum(C00, beta) == pt.Z
@@ -283,19 +284,20 @@ def test_sum_engine_geometric_series_at_alpha_zero(beta):
 _GEOMETRIC_X = np.concatenate((np.logspace(-6.0, math.log10(740.0), 400), [745.0, 760.0]))
 
 
-@pytest.mark.parametrize("p", [OscillatorParams(alpha=0.0), OscillatorParams.si(alpha=0.0)],
-                         ids=["natural", "si"])
-def test_sum_engine_is_the_geometric_series_to_rounding_at_alpha_zero(p):
+@pytest.mark.parametrize("units", ["natural", "si"])
+def test_sum_engine_is_the_geometric_series_to_rounding_at_alpha_zero(units):
     # b = 0 takes the level sums of every alpha: Euler-Maclaurin up to
     # beta a = 0.25, the direct levels above, at the scale 2^m past 700.
     # Against the 60-digit geometric series r = e^{-beta a} each normal Z,
     # U, C and S lies within 1e-15, F (which crosses zero) within 1e-14, and
-    # each value whose reference is subnormal within 2 spacings of it
-    c = coefficients(p)
+    # each value whose reference is subnormal within 2 spacings of it; in SI
+    # units C and S carry the kB of the route's State
+    c = routes.state({}, units=units).c
     betas = _GEOMETRIC_X / c.a
-    pt = thermo_sum_engine(c, betas, p.kB)
+    s = routes.state({"beta": betas}, units=units)
+    pt = routes.POINTS["thermo"]["sum"](s)
     with mp.workdps(60):
-        a, kB = mp.mpf(c.a), mp.mpf(p.kB)
+        a, kB = mp.mpf(c.a), mp.mpf(s.kB)
         for i, beta in enumerate(betas.tolist()):
             bt = mp.mpf(beta)
             x = bt * a
@@ -324,8 +326,8 @@ def test_sum_engine_properties(alpha, u1, u2):
     b1, b2 = sorted((10.0 ** u1, 10.0 ** u2))
     assume(b1 < b2)
     c = coefficients(OscillatorParams(alpha=alpha))
-    p1 = thermo_sum_engine(c, b1, 1.0)
-    p2 = thermo_sum_engine(c, b2, 1.0)
+    p1 = thermo_sum_engine(c, b1)
+    p2 = thermo_sum_engine(c, b2)
     assert p2.Z <= p1.Z * (1.0 + 8 * np.finfo(float).eps)
     for pt in (p1, p2):
         assert pt.C >= 0.0 and pt.S >= 0.0 and pt.U >= c.energy(0)
@@ -335,7 +337,7 @@ def test_quadrature_point_against_mpmath():
     # at beta = 0.001 the moment rows peak past the tail probes at n ~ 9..99
     for c, beta in [(C01, 0.1), (C01, 10.0), (C09, 0.1), (C09, 10.0), (C00, 0.001)]:
         for range_, hi in (("quad01", 1.0), ("quadinf", math.inf)):
-            pt = thermo_quadrature(c, beta, range_, 1.0, Tolerance(rel=1e-13))
+            pt = thermo_quadrature(c, beta, range_, Tolerance(rel=1e-13))
             z, u, cv = mp_weight_moments(c, beta, 0.0, hi)
             assert pt.method == range_
             assert abs(pt.Z - z) / z < 1e-13
@@ -375,7 +377,7 @@ def test_corrected_heat_capacity_matches_engine():
     for beta in (0.5, 2.0, 8.0):
         want = beta * beta * derivative(partial(log_partition_closed, C01), beta, 2, beta,
                                         positive_only=True)
-        cc = heat_capacity_closed(C01, beta, 1.0, "corrected")
+        cc = heat_capacity_closed(C01, beta, "corrected")
         assert abs(cc - want) <= 2e-5 * max(abs(want), 1e-3)
 
 
@@ -384,10 +386,10 @@ def test_closed_point_equals_single_closed_functions(tr):
     # one _xargs per point, bit for bit the five single routes
     for c in (C01, C03, C09):
         for beta in (0.1, 1.0, 8.0, 800.0):
-            pt = thermo_closed_point(c, beta, 1.0, tr)
+            pt = thermo_closed_point(c, beta, tr)
             singles = (partition_closed(c, beta), mean_energy_closed(c, beta, tr),
-                       heat_capacity_closed(c, beta, 1.0, tr),
-                       entropy_closed(c, beta, 1.0, tr), free_energy_closed(c, beta))
+                       heat_capacity_closed(c, beta, tr),
+                       entropy_closed(c, beta, tr), free_energy_closed(c, beta))
             # verbatim forms may overflow to inf or nan, which equal themselves here
             assert np.array_equal([pt.Z, pt.U, pt.C, pt.S, pt.F], singles, equal_nan=True)
 
@@ -400,8 +402,8 @@ _CLOSED_FORMS = {
     "Z": lambda c, beta, tr: partition_closed(c, beta),
     "lnZ": lambda c, beta, tr: log_partition_closed(c, beta),
     "U": lambda c, beta, tr: mean_energy_closed(c, beta, tr),
-    "C": lambda c, beta, tr: heat_capacity_closed(c, beta, 1.0, tr),
-    "S": lambda c, beta, tr: entropy_closed(c, beta, 1.0, tr),
+    "C": lambda c, beta, tr: heat_capacity_closed(c, beta, tr),
+    "S": lambda c, beta, tr: entropy_closed(c, beta, tr),
     "F": lambda c, beta, tr: free_energy_closed(c, beta),
 }
 
@@ -412,7 +414,7 @@ def test_closed_forms_over_beta_equal_their_points(tr):
     # is bit for bit its float call (nan equals nan here), through the
     # verbatim forms' overflow at beta = 800 and 2000
     for c in (C01, C03, C09):
-        curve = thermo_closed_point(c, _CURVE_BETAS, 1.0, tr)
+        curve = thermo_closed_point(c, _CURVE_BETAS, tr)
         assert np.array_equal(curve.beta, _CURVE_BETAS) and curve.method == "closed"
         for name, form in _CLOSED_FORMS.items():
             column = form(c, _CURVE_BETAS, tr)
@@ -422,11 +424,11 @@ def test_closed_forms_over_beta_equal_their_points(tr):
             if name != "lnZ":
                 assert np.array_equal(getattr(curve, name), column, equal_nan=True)
         for beta in (0.5, 2000.0):
-            pt = thermo_closed_point(c, beta, 1.0, tr)
+            pt = thermo_closed_point(c, beta, tr)
             assert pt.beta == beta
             assert all(type(getattr(pt, qn)) is float for qn in "ZUCSF")
     # the verbatim overflow is kept: inf, not an exception
-    assert math.isinf(heat_capacity_closed(C03, np.array([2000.0]), 1.0, "verbatim")[0])
+    assert math.isinf(heat_capacity_closed(C03, np.array([2000.0]), "verbatim")[0])
     assert math.isinf(mean_energy_closed(C09, 2000.0, "verbatim"))
 
 
@@ -455,10 +457,10 @@ def test_closed_routes_make_one_kernel_call_per_curve(tr, monkeypatch):
             assert _CLOSED_FORMS[qn](c, _CURVE_BETAS[:3], tr).shape == (3,)
             assert calls == {"erfcx": 1, "erf": erf_calls[qn]}, (qn, c)
         calls.update(erfcx=0, erf=0)
-        thermo_closed_point(c, _CURVE_BETAS[:3], 1.0, tr)
+        thermo_closed_point(c, _CURVE_BETAS[:3], tr)
         assert calls == {"erfcx": 1, "erf": 1}
         calls.update(erfcx=0, erf=0)
-        thermo_closed_point(c, _CURVE_BETAS[:3], 1.0, TRANSCRIPTIONS)
+        thermo_closed_point(c, _CURVE_BETAS[:3], TRANSCRIPTIONS)
         assert calls == {"erfcx": 1, "erf": 1}
 
 
@@ -485,8 +487,8 @@ def test_singular_limit_is_scale_free():
     p = OscillatorParams.si(alpha=0.5, omega=1e-10)
     c = coefficients(p)
     assert c.b < thermo.B_MIN and abs(c.b / c.a - 1.0) < 1e-9
-    closed = thermo_closed_point(c, 1.0 / c.a, p.kB, "corrected")
-    oracle = thermo_quadrature(c, 1.0 / c.a, "quad01", p.kB)
+    closed = thermo_closed_point(c, 1.0 / c.a, "corrected")
+    oracle = thermo_quadrature(c, 1.0 / c.a, "quad01")
     for qn in "ZUCSF":
         want = getattr(oracle, qn)
         assert abs(getattr(closed, qn) - want) <= 1e-13 * abs(want), qn
@@ -501,10 +503,10 @@ def test_quadrature_over_beta_equals_its_points(range_):
     # for bit its float call, at the audit tolerance and at the default one
     for tol in (Tolerance(rel=3e-13, abs=0.0, max_evals=400_000), TOL):
         for c in (C01, C09):
-            curve = thermo_quadrature(c, _CURVE_BETAS, range_, 1.0, tol)
+            curve = thermo_quadrature(c, _CURVE_BETAS, range_, tol)
             assert np.array_equal(curve.beta, _CURVE_BETAS) and curve.method == range_
             for i, beta in enumerate(_CURVE_BETAS.tolist()):
-                pt = thermo_quadrature(c, beta, range_, 1.0, tol)
+                pt = thermo_quadrature(c, beta, range_, tol)
                 assert pt.beta == beta
                 got = [getattr(pt, qn) for qn in "ZUCSF"]
                 assert all(type(v) is float for v in got)
@@ -513,23 +515,23 @@ def test_quadrature_over_beta_equals_its_points(range_):
 
 def test_corrected_entropy_is_identity_composition():
     for beta in (0.5, 3.0):
-        s = entropy_closed(C03, beta, 1.0, "corrected")
+        s = entropy_closed(C03, beta, "corrected")
         want = log_partition_closed(C03, beta) + beta * mean_energy_closed(
             C03, beta, "corrected")
         assert abs(s - want) < 1e-12 * max(1.0, abs(want))
 
 
 def test_verbatim_entropy_finite_at_moderate_beta():
-    s = entropy_closed(C03, 0.5, 1.0, "verbatim")
+    s = entropy_closed(C03, 0.5, "verbatim")
     assert math.isfinite(s)
 
 
 def test_verbatim_heat_capacity_overflows_honestly():
     # the squared erf difference in the denominator underflows to 0 here;
     # the typeset form then overflows instead of raising ZeroDivisionError
-    c = heat_capacity_closed(C03, 800.0, 1.0, "verbatim")
+    c = heat_capacity_closed(C03, 800.0, "verbatim")
     assert math.isinf(c)
-    assert math.isfinite(heat_capacity_closed(C03, 800.0, 1.0, "corrected"))
+    assert math.isfinite(heat_capacity_closed(C03, 800.0, "corrected"))
 
 
 def test_transcription_validation():
@@ -547,9 +549,9 @@ def test_alpha_to_zero_consistency():
 
 # -- the batched level sum ----------------------------------------------------
 
-def _assert_points(cs, betas, kB, curve):
+def _assert_points(cs, betas, curve):
     for i, (c, beta) in enumerate(zip(cs, betas)):
-        pt = thermo_sum_engine(c, beta, kB)
+        pt = thermo_sum_engine(c, beta)
         assert [getattr(pt, qn) for qn in "ZUCSF"] == [getattr(curve, qn)[i] for qn in "ZUCSF"]
         assert partition_sum(c, beta) == curve.Z[i]
 
@@ -560,12 +562,12 @@ def test_sum_high_temperature_curve_equals_its_points():
     # point is its own call
     c = coefficients(OscillatorParams(alpha=1e-6))
     betas = [0.4e-3, 0.45e-3, 0.5e-3, 0.55e-3, 0.6e-3]
-    curve = thermo_sum_engine(c, np.array(betas), 1.0)
-    _assert_points([c] * len(betas), betas, 1.0, curve)
+    curve = thermo_sum_engine(c, np.array(betas))
+    _assert_points([c] * len(betas), betas, curve)
     assert curve.beta.tolist() == betas
     edge = 0.25 / (C09.a + 2.0 * C09.b)
     betas = [0.5 * edge, edge, math.nextafter(edge, 1.0), 2.0 * edge]
-    _assert_points([C09] * 4, betas, 1.0, thermo_sum_engine(C09, np.array(betas), 1.0))
+    _assert_points([C09] * 4, betas, thermo_sum_engine(C09, np.array(betas)))
 
 
 def _curve(cs):
@@ -576,12 +578,12 @@ def _curve(cs):
 
 def test_sum_alpha_curve_equals_its_points():
     # coefficient arrays with one beta: an alpha curve, through the
-    # geometric series at alpha = 0, in SI units with their kB
+    # geometric series at alpha = 0, in SI units
     p = [OscillatorParams.si(alpha=alpha) for alpha in (0.0, 0.3, 0.9)]
     cs = [coefficients(x) for x in p]
     beta = 1.0 / (p[0].kB * 300.0)
-    curve = thermo_sum_engine(_curve(cs), beta, p[0].kB)
-    _assert_points(cs, [beta] * 3, p[0].kB, curve)
+    curve = thermo_sum_engine(_curve(cs), beta)
+    _assert_points(cs, [beta] * 3, curve)
     assert partition_sum(_curve(cs), beta).tolist() == curve.Z.tolist()
 
 
@@ -589,13 +591,13 @@ def test_sum_batch_raises_where_its_point_does():
     # beta is checked at every element; where F overflows (beta below
     # ~1e-306) a point and a curve through it raise NonConvergence
     with pytest.raises(ValueError, match="beta must be positive"):
-        thermo_sum_engine(C03, np.array([1.0, 0.0]), 1.0)
+        thermo_sum_engine(C03, np.array([1.0, 0.0]))
     c = coefficients(OscillatorParams(alpha=1e-9))
     for cs in (c, C00):
         with pytest.raises(NonConvergence, match="F overflows at beta=1e-306"):
-            thermo_sum_engine(cs, 1e-306, 1.0)
+            thermo_sum_engine(cs, 1e-306)
     with pytest.raises(NonConvergence, match="F overflows"):
-        thermo_sum_engine(_curve((C03, c, C09)), np.array([1.0, 1e-307, 2.0]), 1.0)
+        thermo_sum_engine(_curve((C03, c, C09)), np.array([1.0, 1e-307, 2.0]))
 
 
 def _mp_sum_point(c, beta):
@@ -618,12 +620,12 @@ def test_sum_route_where_var_d_overflows(alpha):
     betas = [1e-160, 1e-200, 1e-300]
     for beta in betas:
         want = _mp_sum_point(c, beta)
-        pt = thermo_sum_engine(c, beta, 1.0)
+        pt = thermo_sum_engine(c, beta)
         for got, w in zip((pt.Z, pt.U, pt.C, pt.S, pt.F), want):
             assert abs(got - w) <= 1e-13 * abs(w), (alpha, beta, got, w)
         assert abs(pt.C - (1.0 if alpha == 0.0 else 0.5)) < 1e-13
-    _assert_points([c] * 4, betas + [2.0], 1.0,
-                   thermo_sum_engine(_curve([c] * 4), np.array(betas + [2.0]), 1.0))
+    _assert_points([c] * 4, betas + [2.0],
+                   thermo_sum_engine(_curve([c] * 4), np.array(betas + [2.0])))
 
 
 def test_sum_engine_sums_the_levels_once(monkeypatch):
@@ -635,7 +637,7 @@ def test_sum_engine_sums_the_levels_once(monkeypatch):
                         lambda a, b, bv: calls.append(len(bv)) or real(a, b, bv))
     betas = np.array([1e-300, 1e-200, 1e-152, 1e-10, 0.5, 1e3, 1e308])
     for alpha in (0.0, 0.3):
-        pt = thermo_sum_engine(coefficients(OscillatorParams(alpha=alpha)), betas, 1.0)
+        pt = thermo_sum_engine(coefficients(OscillatorParams(alpha=alpha)), betas)
         assert all(np.isfinite(getattr(pt, qn)).all() for qn in "ZUCSF")
     assert calls == [len(betas)] * 2
 
@@ -644,17 +646,55 @@ def test_sum_point_is_the_ground_state_where_beta_a_overflows():
     # omega = 4 at beta = 1e308: beta a overflows on the geometric branch
     # and u^k e^{-u} is +0 there, not inf * 0, without a warning
     c = coefficients(OscillatorParams(alpha=0.0, omega=4.0))
-    pt = thermo_sum_engine(c, 1e308, 1.0)
+    pt = thermo_sum_engine(c, 1e308)
     assert (pt.Z, pt.U, pt.C, pt.S, pt.F) == (0.0, c.energy(0), 0.0, 0.0, c.energy(0))
+
+
+def test_routes_scale_c_and_s_by_kb_and_nothing_else():
+    # the kernels give C and S in units of kB; on an SI state (b/a ~ 1, so
+    # the closed forms hold) every POINTS builder and each closed C/S route
+    # is its kernel with C, S, C_s and S_s times kB, bit for bit, and every
+    # other field the kernel's own
+    tol = Tolerance(rel=1e-10)
+    values = {"alpha": 0.5, "omega": 1e-10, "q": np.array([0.0, 0.5, 1.0])}
+    c = routes.state(values, units="si").c
+    values["beta"] = np.array([0.5, 1.0, 2.0]) / c.a
+    kernels = {
+        "thermo": {"sum": lambda s: thermo_sum_engine(s.c, s.beta),
+                   "engine": lambda s: thermo_sum_engine(s.c, s.beta),
+                   "closed": lambda s: thermo_closed_point(s.c, s.beta, s.transcription),
+                   "quad01": lambda s: thermo_quadrature(s.c, s.beta, "quad01", s.tol),
+                   "quadinf": lambda s: thermo_quadrature(s.c, s.beta, "quadinf", s.tol)},
+        "superstat": {"sum": lambda s: superstat_thermo(s.c, s.beta, s.q),
+                      "engine": lambda s: superstat_thermo(s.c, s.beta, s.q),
+                      "quadinf": lambda s: superstat_quadrature(s.c, s.beta, s.q, s.tol),
+                      "closed": lambda s: superstat_closed_point(s.c, s.beta, s.q,
+                                                                 s.transcription)}}
+    closed = {"C": lambda s: heat_capacity_closed(s.c, s.beta, s.transcription),
+              "S": lambda s: entropy_closed(s.c, s.beta, s.transcription),
+              "Cs": lambda s: heat_capacity_superstat_closed(s.c, s.beta, s.q, s.transcription),
+              "Ss": lambda s: entropy_superstat_closed(s.c, s.beta, s.q, s.transcription)}
+    for tr in TRANSCRIPTIONS:
+        s = routes.state(values, units="si", transcription=tr, tol=tol)
+        assert s.kB == OscillatorParams.si().kB
+        for family, builders in kernels.items():
+            assert builders.keys() == routes.POINTS[family].keys()
+            for method, kernel in builders.items():
+                got, want = routes.POINTS[family][method](s), kernel(s)
+                for qn in routes.FIELDS[family]:
+                    w = getattr(want, qn)
+                    w = s.kB * w if qn in ("C", "S", "Cs", "Ss") else w
+                    assert np.array_equal(getattr(got, qn), w), (family, method, qn)
+        for qn, kernel in closed.items():
+            assert np.array_equal(routes.ROUTES[(qn, "closed")](s), s.kB * kernel(s)), qn
 
 
 def test_si_heat_capacity_at_high_temperature_is_kb():
     # at alpha = 0 C = kB Var u -> kB, where kB beta^2 Var D underflowed to 0
     # in kB beta^2 (beta = 1e-154) or lost digits (1e-150, 1e-145)
-    p = OscillatorParams.si(alpha=0.0)
-    c = coefficients(p)
     for beta in (1e-154, 1e-150, 1e-145):
-        assert abs(thermo_sum_engine(c, beta, p.kB).C - p.kB) <= 1e-15 * p.kB, beta
+        s = routes.state({"beta": beta}, units="si")
+        assert abs(routes.POINTS["thermo"]["sum"](s).C - s.kB) <= 1e-15 * s.kB, beta
 
 
 @pytest.mark.parametrize("alpha,beta", [(1e-9, 5e-5), (1e-9, 1e-8), (0.02, 1e-8)])
@@ -662,13 +702,13 @@ def test_sum_route_is_finite_past_the_old_level_budget(alpha, beta):
     # these points once exhausted a 400k-level budget: C is within 1e-12 of
     # the 40-digit reference, and the point and its curve agree
     c = coefficients(OscillatorParams(alpha=alpha))
-    pt = thermo_sum_engine(c, beta, 1.0)
+    pt = thermo_sum_engine(c, beta)
     assert all(math.isfinite(getattr(pt, qn)) for qn in "ZUCSF")
     s0, s1, s2 = mp_level_rows(c.a, c.b, beta)
     mean = s1 / (1 + s0)
     want = float(beta * beta * (s2 / (1 + s0) - mean * mean))
     assert abs(pt.C - want) <= 1e-12 * want, (pt.C, want)
-    _assert_points([c] * 2, [beta, 1.0], 1.0, thermo_sum_engine(c, np.array([beta, 1.0]), 1.0))
+    _assert_points([c] * 2, [beta, 1.0], thermo_sum_engine(c, np.array([beta, 1.0])))
 
 
 def test_sum_alpha_by_beta_mesh_equals_its_points():
@@ -678,11 +718,11 @@ def test_sum_alpha_by_beta_mesh_equals_its_points():
     betas = [1e-3, 0.5, 2.0, 700.0]
     c = _curve(cs)
     mesh = thermo_sum_engine(SpectrumCoefficients(c.a[:, None], c.b[:, None]),
-                             np.array(betas), 1.0)
+                             np.array(betas))
     assert mesh.beta.shape == mesh.Z.shape == (3, 4)
     for i, ci in enumerate(cs):
         for j, beta in enumerate(betas):
-            pt = thermo_sum_engine(ci, beta, 1.0)
+            pt = thermo_sum_engine(ci, beta)
             assert [getattr(pt, qn) for qn in "ZUCSF"] == \
                 [getattr(mesh, qn)[i, j] for qn in "ZUCSF"]
 
@@ -691,7 +731,7 @@ def test_sum_alpha_by_beta_mesh_equals_its_points():
 @pytest.mark.parametrize("c", [C00, C03], ids=["geometric", "summed"])
 def test_sum_heat_capacity_is_zero_where_beta_squared_overflows(c):
     # beta^2 = inf while Var D has underflowed to exactly 0: C is +0, not nan
-    pt = thermo_sum_engine(c, 1e155, 1.0)
+    pt = thermo_sum_engine(c, 1e155)
     assert pt.C == 0.0 and not math.copysign(1.0, pt.C) < 0.0
     assert pt.Z == 0.0 and not math.copysign(1.0, pt.Z) < 0.0
     assert math.isfinite(pt.U) and pt.S == 0.0
@@ -840,12 +880,12 @@ def test_sums_where_long_double_is_double(monkeypatch):
         c = coefficients(OscillatorParams(alpha=alpha))
         d1 = c.a + 3.0 * c.b
         for beta in _GATE_BETAS[_GATE_BETAS * (c.a + 2.0 * c.b) > thermo._EM_THETA].tolist():
-            pt = thermo_sum_engine(c, beta, 1.0)
+            pt = thermo_sum_engine(c, beta)
             for got, w in zip((pt.Z, pt.U, pt.C, pt.S, pt.F), _mp_sum_point(c, beta)):
                 if abs(w) >= np.finfo(float).tiny:
                     assert abs(got - w) <= (4.0 + beta * d1) * 2.0 ** -52 * abs(w), (alpha, beta)
         for beta in (1e200, 1e308):
-            pt = thermo_sum_engine(c, beta, 1.0)
+            pt = thermo_sum_engine(c, beta)
             e0 = c.energy(0)
             assert (pt.Z, pt.U, pt.C, pt.S, pt.F) == (0.0, e0, 0.0, 0.0, e0)
 
@@ -945,7 +985,7 @@ def test_level_sums_stay_short_and_certified(monkeypatch):
     assert len(levels) == 1 and 1 <= levels[0] <= 256
     monkeypatch.setattr(thermo, "_X_ROUNDING", 20.0)
     with pytest.raises(NonConvergence, match="tail bound above rounding"):
-        thermo_sum_engine(C03, 1.0, 1.0)
+        thermo_sum_engine(C03, 1.0)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1e-9, 0.3, 0.9999])

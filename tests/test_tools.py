@@ -1,8 +1,14 @@
 """The maintenance scripts under tools/."""
 
+import importlib.util
+import math
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+
+from pdmosc import OscillatorParams, coefficients
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -48,3 +54,32 @@ def test_atlas_diff_fails_on_different_grids(tmp_path):
     res = _atlas_diff(tmp_path, OLD, NEW.replace("Cs,0.1,1,0.5", "Cs,0.1,2,0.5"))
     assert res.returncode == 1
     assert "different grids" in res.stdout
+
+
+def _spectrum_oracle():
+    spec = importlib.util.spec_from_file_location("spectrum_oracle", TOOLS / "spectrum_oracle.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_spectrum_oracle_levels_are_the_ladders():
+    # the arctan-mapped well's eigvalsh levels meet the Poeschl-Teller closed
+    # form within 1e-8; that closed form is the ordered ladder
+    # a(n + 1/2) + b(n^2 + n + 1/2), and the typeset ladder is its lam' = 1 + a/alpha
+    # form, each to a few ulp of the largest term it rounds; the fitted ladders
+    # share E_0 and b and differ in L, a + b against a + 2b
+    oracle = _spectrum_oracle()
+    n = np.arange(oracle.LEVELS, dtype=float)
+    for alpha in (0.1, 0.3, 0.6):
+        ladders, grid = oracle.ladders(alpha), oracle.grid_levels(alpha)
+        assert np.abs(grid - ladders["closed"]).max() <= 1e-8, alpha
+        lam = 0.5 + math.sqrt(0.25 + 1.0 / (alpha * alpha))
+        ulp = np.spacing(0.5 * alpha * (n + lam + 0.5) ** 2)
+        assert (np.abs(ladders["closed"] - ladders["ordered"]) <= 4.0 * ulp).all(), alpha
+        assert (np.abs(ladders["typeset"] - ladders["typeset_closed"]) <= 4.0 * ulp).all(), alpha
+        c = coefficients(OscillatorParams(alpha=alpha))
+        for levels, lin in ((grid, c.a + c.b), (ladders["typeset"], c.a + 2.0 * c.b)):
+            fit = oracle.ladder_fit(levels)
+            assert np.allclose(fit, (c.energy(0), lin, c.b), rtol=0.0, atol=1e-8), (alpha, fit)
+    assert oracle.main(["1.5"]) == 2

@@ -6,7 +6,7 @@ anharmonic quadratic term b.  This script shows how the deformation bends
 the ladder.
 """
 
-from pdmosc import OscillatorParams, coefficients, energy_level
+from pdmosc import OscillatorParams, coefficients
 
 print("compact coefficients (natural units, m0 = omega = hbar = 1)")
 print(f"{'alpha':>6} {'a':>18} {'b':>8}")
@@ -18,7 +18,7 @@ print("\nlevels E_n: the spacing grows linearly in n once alpha > 0")
 alphas = (0.0, 0.1, 0.3, 0.9)
 print(f"{'n':>3} " + " ".join(f"alpha={a:<6}" for a in alphas))
 for n in range(8):
-    row = " ".join(f"{energy_level(OscillatorParams(alpha=a), n):12.6f}"
+    row = " ".join(f"{coefficients(OscillatorParams(alpha=a)).level(n):12.6f}"
                    for a in alphas)
     print(f"{n:3d} {row}")
 

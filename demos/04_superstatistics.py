@@ -14,8 +14,7 @@ import math
 import numpy as np
 
 from pdmosc import (OscillatorParams, Tolerance, boltzmann_factor_q, coefficients,
-                    superstat_partition_closed, superstat_partition_quadrature,
-                    superstat_thermo)
+                    superstat_partition_closed, superstat_quadrature, superstat_thermo)
 
 tol = Tolerance(rel=1e-12, abs=0.0, max_evals=200_000)
 c = coefficients(OscillatorParams(alpha=0.3))
@@ -27,7 +26,7 @@ for q in (0.0, 0.25, 0.5, 1.0):
 print("\nZ_s grows with q (the deformation adds weight), alpha = 0.3:")
 print(f"{'beta':>5} " + " ".join(f"q={q:<8}" for q in (0.0, 0.5, 1.0)))
 for beta in (0.5, 1.0, 2.0):
-    vals = [superstat_partition_quadrature(c, beta, q, tol) for q in (0.0, 0.5, 1.0)]
+    vals = [superstat_quadrature(c, beta, q, tol).Zs for q in (0.0, 0.5, 1.0)]
     print(f"{beta:5.1f} " + " ".join(f"{v:10.6f}" for v in vals))
 
 print("\nsuperstatistical thermodynamics from exact moments, q = 0.5:")
@@ -40,7 +39,7 @@ for beta in (0.5, 1.0, 2.0, 5.0):
 print("\ntypeset closed Z_s vs quadrature (verbatim '-' variant is exact;")
 print("the '+' variant restated inside the free energy is the typo):")
 for beta in np.logspace(-1, 1, 5):
-    zq = superstat_partition_quadrature(c, beta, 0.7, tol)
+    zq = superstat_quadrature(c, beta, 0.7, tol).Zs
     zv = superstat_partition_closed(c, beta, 0.7, "verbatim")
     zc = superstat_partition_closed(c, beta, 0.7, "corrected")
     print(f"  beta={beta:7.3f}  verbatim rel {abs(zv - zq) / zq:.1e}   "

@@ -6,13 +6,14 @@ State.  The alias policy lives here only: Energy is the level E_n on every
 method; for thermo, ``engine`` is the sum route; for superstat, ``sum``
 is the moment engine, ``quadinf`` the batched semi-infinite quadrature,
 and ``quad01`` has no route (a pair missing from the table is refused).
-Each typeset closed form uses its own function, and every other quantity
-is its field of the whole point.  Every route evaluates a whole curve in one
-call, or a figure's whole (curve x x) grid: from a State that holds each
-varied parameter as an array of one value per point it returns the array
-of the values, each bit for bit the route at its own point.  Every State
-comes from ``state``, and ``evaluate`` runs a builder on one, calling it
-again on the regular alphas where the closed forms are singular.
+Each typeset closed form uses its own function (F and F_s, typeset as
+-ln Z/beta, divide the closed ln Z and ln Z_s by beta), and every other
+quantity is its field of the whole point.  Every route evaluates a whole
+curve in one call, or a figure's whole (curve x x) grid: from a State that
+holds each varied parameter as an array of one value per point it returns
+the array of the values, each bit for bit the route at its own point.
+Every State comes from ``state``, and ``evaluate`` runs a builder on one,
+calling it again on the regular alphas where the closed forms are singular.
 Functions are looked up as module attributes (``thermo.thermo_sum_engine``)
 at call time, so wrappers installed on the modules are seen.
 The kernels give C and S (C_s, S_s) in units of kB: each POINTS builder and
@@ -126,25 +127,30 @@ POINTS: dict[str, dict[str, Callable]] = {
     family: {m: partial(_in_kb, kernel) for m, kernel in kernels.items()}
     for family, kernels in _KERNELS.items()}
 
-#: (quantity, method) -> evaluator; later entries override earlier ones
+#: -ln Z/beta overflows at the smallest betas (F_s below beta ~ 1e-305), as the
+#: kernels do, silently; an errstate apart from the one the ln Z forms enter
+_overflow_ok = np.errstate(over="ignore")
+
+#: (quantity, method) -> evaluator: a field of the whole point, but for the
+#: level and the closed forms, each its own function
 ROUTES: dict[tuple[str, str], Callable[[State], float | np.ndarray]] = {
     **{(qn, m): (lambda s, build=build, qn=qn: getattr(build(s), qn))
        for family, quantities in FIELDS.items() for qn in quantities
-       for m, build in POINTS[family].items()},
+       for m, build in POINTS[family].items() if m != "closed"},
     **{("Energy", m): (lambda s: s.c.level(s.n)) for m in METHODS},
     ("Z", "closed"): lambda s: thermo.partition_closed(s.c, s.beta),
     ("U", "closed"): lambda s: thermo.mean_energy_closed(s.c, s.beta, s.transcription),
     ("C", "closed"): lambda s: s.kB * thermo.heat_capacity_closed(s.c, s.beta, s.transcription),
     ("S", "closed"): lambda s: s.kB * thermo.entropy_closed(s.c, s.beta, s.transcription),
-    ("F", "closed"): lambda s: thermo.free_energy_closed(s.c, s.beta),
+    ("F", "closed"): _overflow_ok(lambda s: -thermo.log_partition_closed(s.c, s.beta) / s.beta),
     ("Zs", "closed"):
         lambda s: superstat.superstat_partition_closed(s.c, s.beta, s.q, s.transcription),
     ("Us", "closed"):
         lambda s: superstat.mean_energy_superstat_closed(s.c, s.beta, s.q, s.transcription),
     ("Ss", "closed"):
         lambda s: s.kB * superstat.entropy_superstat_closed(s.c, s.beta, s.q, s.transcription),
-    ("Fs", "closed"):
-        lambda s: superstat.free_energy_superstat_closed(s.c, s.beta, s.q, s.transcription),
+    ("Fs", "closed"): _overflow_ok(lambda s: -superstat.log_superstat_partition_closed(
+        s.c, s.beta, s.q, s.transcription) / s.beta),
     ("Cs", "closed"): lambda s: s.kB * superstat.heat_capacity_superstat_closed(
         s.c, s.beta, s.q, s.transcription),
 }

@@ -130,9 +130,3 @@ def coefficients(p: OscillatorParams,
     else:
         raise ValueError("b_convention must be 'spectrum' or 'compact'")
     return SpectrumCoefficients(a=a if np.ndim(a) else float(a), b=b)
-
-
-def energy_level(p: OscillatorParams, n: int,
-                 b_convention: str = "spectrum") -> float:
-    """Energy of level n >= 0; strictly increasing and convex in n."""
-    return coefficients(p, b_convention).level(n)

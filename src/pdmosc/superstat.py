@@ -7,13 +7,12 @@ quadratic, so Z_s and its two beta-derivatives are finite combinations of
 the closed-form moments J_0..J_4 of the excitation energy
 (``thermo._scaled_moments``, also the integral term of the level sums'
 Euler-Maclaurin rows), with no adaptive quadrature.  The Gauss-Kronrod
-quadrature of the same integrals (``superstat_quadrature``, whose Z_s is
-``superstat_partition_quadrature``) is the independent numerical route;
-both turn their moments into Z_s..C_s by the one assembly
-``thermo._assemble``.  The typeset closed forms are reproduction targets,
-all five at once from ``superstat_closed_point``.  Each method is one
-function, which routes.POINTS names.  C_s and S_s are in units of kB, as
-in thermo.
+quadrature of the same integrals (``superstat_quadrature``) is the
+independent numerical route; both turn their moments into Z_s..C_s by the
+one assembly ``thermo._assemble``.  The typeset closed forms are
+reproduction targets, all five at once from ``superstat_closed_point``.
+Each method is one function, which routes.POINTS names.  C_s and S_s are
+in units of kB, as in thermo.
 
 The typeset Z_s appears twice in the source expressions with conflicting
 signs of its 2 a^3 sqrt(b) beta term; ``verbatim`` carries the standalone
@@ -265,14 +264,6 @@ def _entropy(c: SpectrumCoefficients, bv, sign: float, bracket, numerator, lnz):
 
 
 @_saturating
-def free_energy_superstat_closed(c: SpectrumCoefficients, beta, q,
-                                 transcription: str = "verbatim") -> float | np.ndarray:
-    """F_s = -ln(Z_s)/beta of the same transcription's Z_s, exactly."""
-    _, bv, _, _, _, bracket = _typeset(c, beta, q, transcription)
-    return _shaped(-_log_partition(c, bv, bracket) / bv, beta, q, c.a)
-
-
-@_saturating
 def heat_capacity_superstat_closed(c: SpectrumCoefficients, beta, q,
                                    transcription: str = "verbatim") -> float | np.ndarray:
     """beta^2 d^2 ln Z_s/d beta^2 of the closed Z_s (in units of kB),
@@ -356,11 +347,3 @@ def superstat_quadrature(c: SpectrumCoefficients, beta, q,
     bv, qv = _mesh(beta, q)
     return _point(SuperstatPoint, (c.a, beta, q), "quadinf", bv, qv,
                   *_quadrature_moments(c, bv, qv, math.inf, tol))
-
-
-def superstat_partition_quadrature(c: SpectrumCoefficients, beta, q,
-                                   tol: Tolerance = Tolerance()) -> float | np.ndarray:
-    """Z_s = integral over n in [0, inf) of the deformed factor at E(n), by
-    adaptive Gauss-Kronrod quadrature of its moments: superstat_quadrature's
-    Z_s, at one point or along a curve."""
-    return superstat_quadrature(c, beta, q, tol).Zs

@@ -21,7 +21,7 @@ Two evaluation families coexist deliberately:
   assumed.
 
 The closed erf form of Z equals the integral of exp(-beta*E(n)) over
-n in [0, 1] -- not the full sum; ``partition_sum`` is the physical route.
+n in [0, 1] -- not the full sum; ``thermo_sum_engine`` is the physical route.
 Every C and S here is in units of kB, which routes multiplies them by.
 """
 
@@ -257,12 +257,6 @@ def _boltzmann_levels(a, b, bv):
     return rows[0], mean, var, m
 
 
-def partition_sum(c, beta) -> float | np.ndarray:
-    """Z(beta) = sum_n exp(-beta E_n) = exp(-beta E_0) (1 + tail), the tail
-    summed to rounding: thermo_sum_engine's Z, at one point or along a curve."""
-    return thermo_sum_engine(c, beta).Z
-
-
 def _require_regular(c: SpectrumCoefficients):
     singular = c.b <= B_MIN * c.a
     if singular.any() if isinstance(singular, np.ndarray) else singular:
@@ -332,14 +326,6 @@ def _upper(range_: str) -> float:
     return 1.0 if range_ == "quad01" else math.inf
 
 
-def partition_quadrature(c: SpectrumCoefficients, beta, range_: str = "quad01",
-                         tol: Tolerance = Tolerance()) -> float | np.ndarray:
-    """Integral of exp(-beta E(n)) dn over [0,1] ("quad01") or [0,inf)
-    ("quadinf"), E(n) the compact form with continuous n: thermo_quadrature's
-    Z, at one point or along a curve."""
-    return thermo_quadrature(c, beta, range_, tol).Z
-
-
 # ---------------------------------------------------------------------------
 # Ground truth from exact Boltzmann moments
 # ---------------------------------------------------------------------------
@@ -364,14 +350,15 @@ def _columns(c, bv, z, log_g, mean, var, m=0):
 
 
 def thermo_sum_engine(c, beta) -> ThermoPoint:
-    """Ground truth on the sum route: U, C, S and F (_columns) from the exact
-    moments of u_n = beta (E_n - E_0) >= 0 over the Boltzmann distribution of
-    the levels (_boltzmann_levels, always to rounding, so there is no
+    """Ground truth on the sum route: Z = sum_n exp(-beta E_n) = exp(-beta
+    E_0) (1 + tail), and U, C, S and F (_columns) from the exact moments of
+    u_n = beta (E_n - E_0) >= 0 over the Boltzmann distribution of the
+    levels (_boltzmann_levels, always to rounding, so there is no
     tolerance), with ln G = ln(1 + tail) = ln Z + beta E_0 taken as
     log1p(tail): at (alpha, beta) = (0.02, 700) S = 5.2e-311 rests on the
-    tail alone.  Z is partition_sum's exp(-beta E_0) (1 + tail).  Moments in
-    the ground-state gauge never suffer the <E^2> - <E>^2 cancellation, so C
-    stays accurate where it is exponentially small and |ln Z| is large.
+    tail alone.  Moments in the ground-state gauge never suffer the
+    <E^2> - <E>^2 cancellation, so C stays accurate where it is
+    exponentially small and |ln Z| is large.
     Where the level sums carry a scale 2^m (w_1 near the subnormal range), S
     and C are formed at that scale and rounded once, and ln G = tail there.
 
@@ -545,11 +532,11 @@ def _quadrature_moments(c: SpectrumCoefficients, bv: np.ndarray, qv, hi: float, 
 
 def thermo_quadrature(c: SpectrumCoefficients, beta, range_: str = "quad01",
                       tol: Tolerance = Tolerance()) -> ThermoPoint:
-    """Z, U, C, S, F of the partition_quadrature integral over [0, 1]
-    ("quad01") or [0, inf) ("quadinf"), from its exact beta-moments.  A
-    curve (beta or coefficient arrays) gives a point that holds beta and
-    each quantity as arrays, all from one batched quadrature, each element
-    bit for bit its float call."""
+    """Z, U, C, S, F of Z = the integral of exp(-beta E(n)) dn, E(n) the
+    compact form at continuous n, over [0, 1] ("quad01") or [0, inf)
+    ("quadinf"), from its exact beta-moments.  A curve (beta or coefficient
+    arrays) gives a point that holds beta and each quantity as arrays, all
+    from one batched quadrature, each element bit for bit its float call."""
     bv = _beta_values(beta)
     return _point(ThermoPoint, (c.a, beta), range_, bv,
                   *_quadrature_moments(c, bv, 0.0, _upper(range_), tol))
@@ -697,15 +684,6 @@ def _entropy(c: SpectrumCoefficients, bv, xa, transcription: str, lnz, u):
     big = bv * (3.0 * a + a * a / (2.0 * b) + 5.0 * b)
     frac2 = -np.sqrt(bv / b) * poly * np.exp(big) / (4.0 * bv * _SQRT_PI)
     return frac1 + frac2 + lnz
-
-
-@_saturating
-def free_energy_closed(c: SpectrumCoefficients, beta) -> float | np.ndarray:
-    """F(beta) = -ln(Z_closed)/beta; the typeset F is exactly this
-    composition, so there is nothing to transcribe.  ln Z_closed is taken
-    stably, so F stays finite where Z_closed underflows."""
-    bv, xa = _xargs(c, beta)
-    return _shaped(-_log_partition(c, bv, xa) / bv, beta, c.a)
 
 
 @_saturating

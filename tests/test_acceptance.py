@@ -9,9 +9,9 @@ from pathlib import Path
 
 import numpy as np
 
-from pdmosc import (OscillatorParams, Tolerance, cli, coefficients, energy_level, erf,
-                    partition_closed, partition_quadrature, partition_sum,
-                    superstat_partition_quadrature, superstat_thermo)
+from pdmosc import (OscillatorParams, Tolerance, cli, coefficients, erf, partition_closed,
+                    superstat_quadrature, superstat_thermo, thermo_quadrature,
+                    thermo_sum_engine)
 from pdmosc.sweeps import FIGURE_IDS, PRESETS
 from pdmosc.thermo import thermo_sum_engine
 from pdmosc.verify import DEFAULT_BETAS, QUANTITIES, trend_check
@@ -36,7 +36,7 @@ def test_criterion_1_standard_oscillator_reduction():
     t0 = time.perf_counter()
     worst_z = worst_u = 0.0
     for beta in np.logspace(-1, 1, 25):
-        z = partition_sum(c, beta)
+        z = thermo_sum_engine(c, beta).Z
         z_ref = math.exp(-beta / 2) / (1.0 - math.exp(-beta))
         worst_z = max(worst_z, abs(z - z_ref) / z_ref)
         u = thermo_sum_engine(c, beta).U
@@ -56,7 +56,7 @@ def test_criterion_2_closed_form_identification():
         c = coefficients(OscillatorParams(alpha=alpha))
         for beta in DEFAULT_BETAS:
             zc = partition_closed(c, beta)
-            zq = partition_quadrature(c, beta, "quad01", QTOL)
+            zq = thermo_quadrature(c, beta, "quad01", QTOL).Z
             worst = max(worst, abs(zc - zq) / zq)
     dt = time.perf_counter() - t0
     ok = worst <= 1e-10 and dt < 2.0
@@ -105,18 +105,18 @@ def test_criterion_4_positivity_and_monotonicity():
         ok &= trend_check(s_curve, "decreasing").passed
     alphas = np.linspace(0.02, 0.95, 20)
     for beta in (0.5, 2.0, 8.0):
-        zs = [(a, partition_sum(coefficients(OscillatorParams(alpha=float(a))), beta))
+        zs = [(a, thermo_sum_engine(coefficients(OscillatorParams(alpha=float(a))), beta).Z)
               for a in alphas]
         ok &= trend_check(zs, "decreasing").passed
     for alpha in ALPHAS:
         p = OscillatorParams(alpha=alpha)
-        ok &= trend_check([(n, energy_level(p, n)) for n in range(11)],
+        ok &= trend_check([(n, coefficients(p).level(n)) for n in range(11)],
                           "increasing").passed
         c = coefficients(p)
         spacings = [(n, c.energy(n + 1) - c.energy(n)) for n in range(11)]
         ok &= trend_check(spacings, "increasing").passed
     for n in (0, 1, 5):
-        ok &= trend_check([(a, energy_level(OscillatorParams(alpha=float(a)), n))
+        ok &= trend_check([(a, coefficients(OscillatorParams(alpha=float(a))).level(n))
                            for a in alphas], "increasing").passed
     _report(4, bool(ok), "; ".join(notes) if notes else
             "C>=-1e-9, Z/S down in beta, Z down in alpha, E up in n and alpha, spacings up")
@@ -132,14 +132,14 @@ def test_criterion_5_superstat_q0_limit_and_identity():
     for alpha in ALPHAS:
         c = coefficients(OscillatorParams(alpha=alpha))
         for beta in DEFAULT_BETAS[::6]:
-            zs0 = superstat_partition_quadrature(c, beta, 0.0, QTOL)
-            zinf = partition_quadrature(c, beta, "quadinf", QTOL)
+            zs0 = superstat_quadrature(c, beta, 0.0, QTOL).Zs
+            zinf = thermo_quadrature(c, beta, "quadinf", QTOL).Z
             worst_q0 = max(worst_q0, abs(zs0 - zinf) / zinf)
-            vals = [superstat_partition_quadrature(c, beta, q, QTOL) for q in qs]
+            vals = [superstat_quadrature(c, beta, q, QTOL).Zs for q in qs]
             mono_ok &= all(v2 >= v1 for v1, v2 in zip(vals, vals[1:]))
             for q in (0.0, 0.5, 1.0):
                 pt = superstat_thermo(c, beta, q)
-                lnzs = math.log(superstat_partition_quadrature(c, beta, q, QTOL))
+                lnzs = math.log(superstat_quadrature(c, beta, q, QTOL).Zs)
                 scale = max(abs(pt.Ss), abs(lnzs) + beta * abs(pt.Us))
                 worst_id = max(worst_id, abs(pt.Ss - (lnzs + beta * pt.Us)) / scale)
     ok = worst_q0 <= 1e-14 and worst_id <= 1e-7 and mono_ok

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from pdmosc import OscillatorParams, SpectrumCoefficients, coefficients, energy_level
+from pdmosc import OscillatorParams, SpectrumCoefficients, coefficients
 
 
 def test_params_validation():
@@ -109,22 +109,22 @@ def test_float_params_and_coefficients_compare_and_hash_as_field_tuples():
 
 
 def test_energy_frozen_values():
-    assert energy_level(OscillatorParams(), 0) == 0.5
+    assert coefficients(OscillatorParams()).level(0) == 0.5
     p = OscillatorParams(alpha=0.1)
-    assert abs(energy_level(p, 0) - 0.52562460986251964) < 1e-15
-    assert abs(energy_level(p, 2) - 2.9281230493125982) < 1e-14
+    assert abs(coefficients(p).level(0) - 0.52562460986251964) < 1e-15
+    assert abs(coefficients(p).level(2) - 2.9281230493125982) < 1e-14
 
 
 def test_energy_monotone_in_n():
     for alpha in (0.0, 0.1, 0.3, 0.9):
         p = OscillatorParams(alpha=alpha)
-        energies = [energy_level(p, n) for n in range(40)]
+        energies = [coefficients(p).level(n) for n in range(40)]
         assert all(e2 > e1 for e1, e2 in zip(energies, energies[1:]))
 
 
 def test_energy_monotone_in_alpha():
     for n in (0, 1, 3, 5, 12):
-        vals = [energy_level(OscillatorParams(alpha=a), n)
+        vals = [coefficients(OscillatorParams(alpha=a)).level(n)
                 for a in np.linspace(0.0, 0.95, 30)]
         assert all(v2 > v1 for v1, v2 in zip(vals, vals[1:]))
 
@@ -141,32 +141,32 @@ def test_level_spacing_growth():
 def test_alpha_zero_reduction_exact():
     p = OscillatorParams(alpha=0.0)
     for n in range(20):
-        assert energy_level(p, n) == n + 0.5
+        assert coefficients(p).level(n) == n + 0.5
 
 
 def test_level_at_alpha_zero_and_past_the_float_range():
     # the quadratic term is 0 at b = 0, also where n^2 overflows; an int n
     # whose square leaves the float range gives inf, as a float n does
     p0, p3 = OscillatorParams(alpha=0.0), OscillatorParams(alpha=0.3)
-    assert energy_level(p0, 10 ** 200) == 1e200
+    assert coefficients(p0).level(10 ** 200) == 1e200
     assert coefficients(p0).level(np.array([0.0, 1e200])).tolist() == [0.5, 1e200]
     for p in (p0, p3):
-        assert energy_level(p, 10 ** 400) == math.inf
-    assert energy_level(p3, 10 ** 200) == math.inf
+        assert coefficients(p).level(10 ** 400) == math.inf
+    assert coefficients(p3).level(10 ** 200) == math.inf
     c = coefficients(OscillatorParams(alpha=np.array([0.0, 0.3])))
     assert c.level(10 ** 200).tolist() == [1e200, math.inf]
     # below n = 2^512 an int is squared exactly, as before
     c3 = coefficients(p3)
     for n in (2 ** 53 + 1, 10 ** 100, 2 ** 512 - 2 ** 460):
-        assert energy_level(p3, n) == c3.a * (n + 0.5) + c3.b * (n * n + 2.0 * n + 0.5)
+        assert coefficients(p3).level(n) == c3.a * (n + 0.5) + c3.b * (n * n + 2.0 * n + 0.5)
     for bad in (-(10 ** 400), math.inf, 2.5):
         with pytest.raises(ValueError):
-            energy_level(p3, bad)
+            coefficients(p3).level(bad)
 
 
 def test_energy_rejects_bad_n():
     with pytest.raises(ValueError):
-        energy_level(OscillatorParams(), -1)
+        coefficients(OscillatorParams()).level(-1)
 
 
 def test_spectrum_coefficients_validation():
@@ -180,4 +180,4 @@ def test_si_mode_constants():
     p = OscillatorParams.si(alpha=0.0)
     assert p.hbar == 1.054571817e-34
     assert p.kB == 1.380649e-23
-    assert energy_level(p, 0) == 0.5 * p.hbar * p.omega
+    assert coefficients(p).level(0) == 0.5 * p.hbar * p.omega

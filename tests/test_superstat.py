@@ -11,12 +11,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from pdmosc import (B_MIN, NonConvergence, OscillatorParams, SingularLimit, SpectrumCoefficients,
                     Tolerance, boltzmann_factor_q, coefficients, entropy_superstat_closed,
-                    free_energy_superstat_closed, heat_capacity_superstat_closed,
-                    integrate_batch, log_superstat_partition_closed,
-                    mean_energy_superstat_closed, partition_quadrature, partition_sum, routes,
-                    superstat_closed_point, superstat_partition_closed,
-                    superstat_partition_quadrature, superstat_quadrature, superstat_thermo,
-                    thermo_quadrature)
+                    heat_capacity_superstat_closed, integrate_batch,
+                    log_superstat_partition_closed, mean_energy_superstat_closed, routes,
+                    superstat_closed_point, superstat_partition_closed, superstat_quadrature,
+                    superstat_thermo, thermo_quadrature, thermo_sum_engine)
 
 from pdmosc.thermo import _assemble, _scaled_moments
 from pdmosc.verify import DEFAULT_ALPHAS, DEFAULT_BETAS, DEFAULT_QS
@@ -40,7 +38,7 @@ def test_q_validation():
         with pytest.raises(ValueError, match="q must lie in"):
             boltzmann_factor_q(1.0, 1.0, q)
         with pytest.raises(ValueError, match="q must lie in"):
-            superstat_partition_quadrature(C03, 1.0, q)
+            superstat_quadrature(C03, 1.0, q).Zs
         for point in BUILDERS:
             with pytest.raises(ValueError, match="q must lie in"):
                 point(C03, 1.0, q)
@@ -86,7 +84,7 @@ def test_boltzmann_factor_is_zero_where_beta_e_squared_overflows():
     with pytest.raises(NonConvergence) as point:
         superstat_quadrature(C03, 1e155, 0.5)
     with pytest.raises(NonConvergence) as zs:
-        superstat_partition_quadrature(C03, 1e155, 0.5)
+        superstat_quadrature(C03, 1e155, 0.5).Zs
     assert str(zs.value) == str(point.value) == "moment rows integrate to 0 at beta=1e+155"
     # where the weight is positive, every bit of the unguarded product stays
     energies = np.array([0.0, 0.3, 2.0, 700.0, 1e150])
@@ -106,17 +104,17 @@ def test_boltzmann_factor_dominates_classical():
 def test_quadrature_q0_is_classical_integral_bitwise():
     for c in (C00, C01, C09):
         for beta in (0.2, 1.0, 5.0):
-            zs = superstat_partition_quadrature(c, beta, 0.0, TOL)
-            z = partition_quadrature(c, beta, "quadinf", TOL)
+            zs = superstat_quadrature(c, beta, 0.0, TOL).Zs
+            z = thermo_quadrature(c, beta, "quadinf", TOL).Z
             assert zs == z
 
 
 def test_quadrature_undeformed_frozen_values():
     # b = 0, q = 0: e^{-beta/2}/beta at beta=1
-    assert abs(superstat_partition_quadrature(C00, 1.0, 0.0, TOL)
+    assert abs(superstat_quadrature(C00, 1.0, 0.0, TOL).Zs
                - 0.60653065971263342) < 1e-12
     # b = 0, q = 1: the integral reduces to e^{-1/2} * 21/8
-    zs = superstat_partition_quadrature(C00, 1.0, 1.0, TOL)
+    zs = superstat_quadrature(C00, 1.0, 1.0, TOL).Zs
     assert abs(zs - 1.5921429817456627) < 1e-11
 
 
@@ -126,14 +124,14 @@ def test_quadrature_against_mpmath_oracle():
             1.0 + 0.5 * q * (beta * c.energy(n)) ** 2)
     for c, beta, q in [(C01, 1.3, 0.6), (C09, 0.37, 1.0), (C03, 2.2, 0.25)]:
         want = mp_quad(make(c, beta, q), [0, 20, math.inf])
-        got = superstat_partition_quadrature(c, beta, q, TOL)
+        got = superstat_quadrature(c, beta, q, TOL).Zs
         assert abs(got - want) / want < 1e-11
 
 
 def test_zs_monotone_in_q():
     for c in (C01, C09):
         for beta in (0.5, 2.0):
-            vals = [superstat_partition_quadrature(c, beta, q, TOL)
+            vals = [superstat_quadrature(c, beta, q, TOL).Zs
                     for q in np.linspace(0, 1, 9)]
             assert all(v2 >= v1 for v1, v2 in zip(vals, vals[1:]))
 
@@ -156,7 +154,7 @@ def test_closed_verbatim_matches_quadrature():
         for beta in (0.1, 1.0, 4.0, 10.0):
             for q in (0.0, 0.5, 1.0):
                 zc = superstat_partition_closed(c, beta, q, "verbatim")
-                zq = superstat_partition_quadrature(c, beta, q, TOL)
+                zq = superstat_quadrature(c, beta, q, TOL).Zs
                 assert abs(zc - zq) / zq < 1e-9
 
 
@@ -179,7 +177,8 @@ def test_closed_singular_guard():
     # b = B_MIN is singular and b = 2 B_MIN is not, for a float beta and an array
     at_limit = SpectrumCoefficients(a=1.0, b=B_MIN)
     above = SpectrumCoefficients(a=1.0, b=2.0 * B_MIN)
-    forms = (log_superstat_partition_closed, free_energy_superstat_closed,
+    forms = (log_superstat_partition_closed,
+             lambda c, beta, q: -log_superstat_partition_closed(c, beta, q) / beta,
              heat_capacity_superstat_closed)
     for beta in (1.0, np.array([0.5, 1.0])):
         for tr in ("verbatim", "corrected"):
@@ -206,7 +205,7 @@ def test_closed_forms_finite_both_transcriptions():
     for tr in ("verbatim", "corrected"):
         u = mean_energy_superstat_closed(C03, 1.0, 0.5, tr)
         s = entropy_superstat_closed(C03, 1.0, 0.5, tr)
-        f = free_energy_superstat_closed(C03, 1.0, 0.5, tr)
+        f = -log_superstat_partition_closed(C03, 1.0, 0.5, tr) / 1.0
         assert math.isfinite(u) and math.isfinite(s) and math.isfinite(f)
 
 
@@ -223,14 +222,14 @@ def test_engine_entropy_identity():
     for c in (C01, C09):
         for beta, q in [(0.5, 0.0), (1.0, 0.5), (3.0, 1.0)]:
             pt = superstat_thermo(c, beta, q)
-            lnzs = math.log(superstat_partition_quadrature(c, beta, q, TOL))
+            lnzs = math.log(superstat_quadrature(c, beta, q, TOL).Zs)
             assert abs(pt.Ss - (lnzs + beta * pt.Us)) <= \
                 1e-7 * max(abs(pt.Ss), abs(lnzs) + beta * abs(pt.Us))
 
 
 def test_free_energy_compositional_per_method():
     pt = superstat_thermo(C03, 2.0, 0.5)
-    lnzs = math.log(superstat_partition_quadrature(C03, 2.0, 0.5, TOL))
+    lnzs = math.log(superstat_quadrature(C03, 2.0, 0.5, TOL).Zs)
     assert abs(pt.Fs + lnzs / 2.0) < 1e-9
     ptc = superstat_closed_point(C03, 2.0, 0.5, transcription="corrected")
     want = -log_superstat_partition_closed(C03, 2.0, 0.5, "corrected") / 2.0
@@ -288,7 +287,7 @@ def test_closed_point_equals_single_closed_functions(tr):
                 singles = (superstat_partition_closed(c, beta, q, tr),
                            mean_energy_superstat_closed(c, beta, q, tr),
                            entropy_superstat_closed(c, beta, q, tr),
-                           free_energy_superstat_closed(c, beta, q, tr),
+                           -log_superstat_partition_closed(c, beta, q, tr) / beta,
                            heat_capacity_superstat_closed(c, beta, q, tr))
                 # a verbatim U_s may overflow to nan, which equals itself here
                 assert np.array_equal([pt.Zs, pt.Us, pt.Ss, pt.Fs, pt.Cs], singles,
@@ -309,7 +308,7 @@ def test_closed_columns_equal_single_closed_functions_on_the_mesh(tr):
         singles = {"Zs": superstat_partition_closed(c, betas, qs, tr),
                    "Us": mean_energy_superstat_closed(c, betas, qs, tr),
                    "Ss": entropy_superstat_closed(c, betas, qs, tr),
-                   "Fs": free_energy_superstat_closed(c, betas, qs, tr),
+                   "Fs": -log_superstat_partition_closed(c, betas, qs, tr) / betas,
                    "Cs": heat_capacity_superstat_closed(c, betas, qs, tr)}
         for qn, single in singles.items():
             assert single.shape == (len(DEFAULT_BETAS), len(DEFAULT_QS))
@@ -327,7 +326,8 @@ def test_closed_forms_with_a_float_q_equal_a_q_array(tr):
     # overflow at beta = 800 and 2000
     betas = np.array(DEFAULT_BETAS + (800.0, 2000.0))
     forms = (superstat_partition_closed, log_superstat_partition_closed,
-             mean_energy_superstat_closed, free_energy_superstat_closed,
+             mean_energy_superstat_closed,
+             lambda c, beta, q, tr: -log_superstat_partition_closed(c, beta, q, tr) / beta,
              lambda c, beta, q, tr: entropy_superstat_closed(c, beta, q, tr),
              lambda c, beta, q, tr: heat_capacity_superstat_closed(c, beta, q, tr))
     for c in (C01, C03, C09):
@@ -374,7 +374,7 @@ def test_closed_forms_check_every_grid_value():
         mean_energy_superstat_closed(C03, betas, np.array([0.5, 1.5]))
     with pytest.raises(SingularLimit):
         entropy_superstat_closed(C00, betas, 0.5)
-    assert isinstance(free_energy_superstat_closed(C03, 1.0, 0.5), float)
+    assert isinstance(-log_superstat_partition_closed(C03, 1.0, 0.5) / 1.0, float)
 
 
 def _falls(z1: float, z2: float) -> bool:
@@ -393,7 +393,7 @@ def test_partition_functions_fall_with_beta_and_rise_with_q(alpha, u1, u2, q):
     b1, b2 = sorted((10.0 ** u1, 10.0 ** u2))
     assume(b1 < b2)
     c = coefficients(OscillatorParams(alpha=alpha))
-    assert _falls(partition_sum(c, b1), partition_sum(c, b2))
+    assert _falls(thermo_sum_engine(c, b1).Z, thermo_sum_engine(c, b2).Z)
     zs1, zs2 = (superstat_thermo(c, b, q).Zs for b in (b1, b2))
     assert _falls(zs1, zs2)
     for beta, zs in ((b1, zs1), (b2, zs2)):
@@ -424,7 +424,7 @@ def test_engine_rows_equal_single_quadratures():
     """The quadinf point assembles Z_s, U_s, C_s, S_s and F_s
     (thermo._assemble) from Gauss-Kronrod moment rows L beta s u^k e^{-u},
     u = beta D(s m), each bit for bit its single-row integrate_batch call;
-    q = 0 needs only k <= 2.  superstat_partition_quadrature is that Z_s.
+    q = 0 needs only k <= 2.
     The rows do not read q, so a beta x q mesh equals its per-q calls."""
     for c, beta, q in [(C01, 0.1, 0.0), (C03, 1.0, 0.5), (C09, 7.5, 1.0)]:
         pt = superstat_quadrature(c, beta, q, TOL)
@@ -435,7 +435,7 @@ def test_engine_rows_equal_single_quadratures():
         want = _assemble(c, np.array([beta]), np.array([q]),
                          _single_row_moments(c, beta, q, s, math.inf))
         assert [pt.Zs, pt.Us, pt.Cs, pt.Ss, pt.Fs] == [col.item() for col in want]
-        assert pt.Zs == superstat_partition_quadrature(c, beta, q, TOL)
+        assert pt.Zs == superstat_quadrature(c, beta, q, TOL).Zs
 
     betas, qs = np.array([0.1, 7.5])[:, None], np.array([0.0, 0.5, 1.0])
     fields = ("Zs", "Us", "Ss", "Fs", "Cs")
@@ -446,34 +446,31 @@ def test_engine_rows_equal_single_quadratures():
 
 
 def test_quadrature_partitions_are_the_z_of_their_points():
-    """partition_quadrature is the Z of thermo_quadrature and
-    superstat_partition_quadrature the Z_s of superstat_quadrature, bit for
-    bit, at a point and over a curve or mesh, each element its float call;
-    the quad01 Z is _assemble's from the point's own moment rows (s = 1)."""
+    """The Z of thermo_quadrature and the Z_s of superstat_quadrature, at a
+    point and over a curve or mesh: each element is bit for bit its float
+    call, and the quad01 Z is _assemble's from the point's own moment rows
+    (s = 1)."""
     betas, qs = np.array([0.05, 1.0, 40.0]), np.array([0.0, 0.5, 1.0])
     curve = coefficients(OscillatorParams(alpha=np.array([0.1, 0.9, 0.3])))
     for c in (C01, C09):
         for range_ in ("quad01", "quadinf"):
-            zs = partition_quadrature(c, betas, range_, TOL)
-            assert np.array_equal(zs, thermo_quadrature(c, betas, range_, TOL).Z)
+            zs = thermo_quadrature(c, betas, range_, TOL).Z
             for i, beta in enumerate(betas.tolist()):
-                z = partition_quadrature(c, beta, range_, TOL)
+                z = thermo_quadrature(c, beta, range_, TOL).Z
                 assert type(z) is float
-                assert z == thermo_quadrature(c, beta, range_, TOL).Z == zs[i]
-        mesh = superstat_partition_quadrature(c, betas[:, None], qs, TOL)
-        assert np.array_equal(mesh, superstat_quadrature(c, betas[:, None], qs, TOL).Zs)
+                assert z == zs[i]
+        mesh = superstat_quadrature(c, betas[:, None], qs, TOL).Zs
         for i, j in np.ndindex(len(betas), len(qs)):
             beta, q = float(betas[i]), float(qs[j])
-            z = superstat_partition_quadrature(c, beta, q, TOL)
-            assert z == superstat_quadrature(c, beta, q, TOL).Zs == mesh[i, j]
-    assert np.array_equal(partition_quadrature(curve, betas, "quadinf", TOL),
-                          [partition_quadrature(coefficients(OscillatorParams(alpha=al)), bt,
-                                                "quadinf", TOL)
+            assert superstat_quadrature(c, beta, q, TOL).Zs == mesh[i, j]
+    assert np.array_equal(thermo_quadrature(curve, betas, "quadinf", TOL).Z,
+                          [thermo_quadrature(coefficients(OscillatorParams(alpha=al)), bt,
+                                             "quadinf", TOL).Z
                            for al, bt in zip((0.1, 0.9, 0.3), betas.tolist())])
     for beta in betas.tolist():
         moments = _single_row_moments(C03, beta, 0.0, 1.0, 1.0)
         want = _assemble(C03, np.array([beta]), 0.0, moments)[0].item()
-        assert partition_quadrature(C03, beta, "quad01", TOL) == want
+        assert thermo_quadrature(C03, beta, "quad01", TOL).Z == want
 
 
 def test_engine_against_mpmath_at_regime_corners():
@@ -595,14 +592,11 @@ def test_engine_at_q0_where_g_underflows(alpha, beta):
 def test_quadrature_moments_raise_where_no_node_resolves_the_weight(beta):
     # e^{-u} underflows at every Gauss-Kronrod node, so each moment row
     # integrates to 0: every quadrature route raises, naming beta, Z and
-    # Z_s included, since they are the Z of their points
+    # Z_s included, since they are fields of these points
     message = f"moment rows integrate to 0 at beta={beta:.17g}"
     for route in (partial(thermo_quadrature, C03, beta, "quad01"),
                   partial(thermo_quadrature, C03, np.array([1.0, beta]), "quadinf"),
-                  partial(superstat_quadrature, C03, beta, 0.5),
-                  partial(partition_quadrature, C03, beta, "quad01"),
-                  partial(partition_quadrature, C03, np.array([1.0, beta]), "quadinf"),
-                  partial(superstat_partition_quadrature, C03, beta, 0.5)):
+                  partial(superstat_quadrature, C03, beta, 0.5)):
         with pytest.raises(NonConvergence) as exc:
             route()
         assert str(exc.value) == message
@@ -659,8 +653,8 @@ def test_quadrature_partitions_against_mpmath():
             math.log(1e-3), math.log(500.0), 40)), rng.choice([0.0, 0.5, 1.0], 40)):
         c = coefficients(OscillatorParams(alpha=float(alpha)))
         for i, (got, want) in enumerate((
-                (partition_quadrature(c, float(beta), "quad01"), _mp_partition_01(c.a, c.b, beta)),
-                (superstat_partition_quadrature(c, float(beta), float(q)),
+                (thermo_quadrature(c, float(beta), "quad01").Z, _mp_partition_01(c.a, c.b, beta)),
+                (superstat_quadrature(c, float(beta), float(q)).Zs,
                  _mp_superstat_partition(c.a, c.b, beta, q)))):
             worst[i] = max(worst[i], abs(got - want) / want)
     assert max(worst) <= 1e-13, worst

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pdmosc import (OscillatorParams, SingularLimit, cli, energy_level, routes, superstat,
+from pdmosc import (OscillatorParams, SingularLimit, cli, coefficients, routes, superstat,
                     sweeps, thermo)
 from pdmosc.sweeps import FigurePreset, PRESETS, SweepSpec, figure_preset, run_sweep
 
@@ -443,10 +443,12 @@ def test_cli_sum_point_where_beta_l_overflows(capsys):
 @pytest.mark.parametrize("argv", [["--alpha", "0.3", "--beta", "1e-200", "--method", "sum"],
                                   ["--alpha", "0", "--beta", "1e-200", "--method", "sum"],
                                   ["--alpha", "0.3", "--beta", "1e250", "--q", "0",
-                                   "--method", "engine"]])
+                                   "--method", "engine"],
+                                  ["--alpha", "0.3", "--beta", "1e-152", "--method", "sum"]])
 def test_cli_points_where_var_d_overflows_or_g_underflows(argv, capsys):
-    # Var D overflows at beta = 1e-200, and the q = 0 engine's G underflows at
-    # beta = 1e250: each point prints five finite values, without a warning
+    # Var D overflows at beta = 1e-200 (and (beta D)^2 nears it at 1e-152),
+    # and the q = 0 engine's G underflows at beta = 1e250: each point prints
+    # five finite values, without a warning
     code, out = run_cli(["point"] + argv, capsys)
     assert code == 0
     fields = _fields(out)
@@ -487,13 +489,21 @@ def test_cli_quadrature_and_engine_points_where_beta_l_overflows(capsys):
     (["--alpha", "0.3", "--beta", "1e-110", "--method", "quad01"],
      "moment rows underflow at beta=1.0000000000000001e-110"),
     (["--alpha", "0.3", "--beta", "1e-170", "--method", "quad01"],
-     "moment rows underflow at beta=9.9999999999999998e-171")])
+     "moment rows underflow at beta=9.9999999999999998e-171"),
+    (["--alpha", "0.3", "--beta", "1e-310", "--method", "sum"],
+     "F overflows at beta=9.9999999999999694e-311"),
+    (["--alpha", "0", "--beta", "1e-310", "--method", "sum"],
+     "F overflows at beta=9.9999999999999694e-311"),
+    (["--alpha", "0.3", "--beta", "1e6", "--method", "quad01"],
+     "moment rows integrate to 0 at beta=1000000"),
+    (["--alpha", "0.3", "--beta", "1e6", "--method", "quadinf", "--q", "0.5"],
+     "moment rows integrate to 0 at beta=1000000")])
 def test_cli_moment_points_where_f_overflows(argv, message, capsys):
     # below beta ~ 1e-306 F overflows: every moment route raises as the sum
     # route does, the quadinf points without a warning from their scale; on
     # [0, 1] the moment rows I_k ~ beta^{k+1} leave the normal range long
     # before (I_2 is 0 at beta = 1e-110), where U and C lose every digit:
-    # exit 3 too
+    # exit 3 too, as where every quadrature node has underflowed (beta = 1e6)
     assert cli.main(["point"] + argv) == 3
     assert capsys.readouterr().err == f"pdmosc: numerical non-convergence: {message}\n"
 
@@ -542,6 +552,26 @@ def test_cli_si_points_where_beta_l_squared_underflows(family, capsys):
     assert cli.main(argv + ["--beta", "1e-305"]) == 3
     assert capsys.readouterr().err == (
         "pdmosc: numerical non-convergence: F overflows at beta=1e-305\n")
+
+
+def test_cli_si_closed_forms_are_singular(capsys):
+    # the CLI's SI oscillator is fixed (electron mass, omega = 1e14 s^-1), so
+    # b/a = alpha hbar/(2 m0 omega) < 6e-19 <= B_MIN for every alpha < 1:
+    # a closed point exits 2 with the SingularLimit message, and a closed
+    # sweep prints only SingularLimit rows
+    for q in ([], ["--q", "0.5"]):
+        assert cli.main(["point", "--alpha", "0.99", "--beta", "1e20", "--units", "si",
+                         "--method", "closed"] + q) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("pdmosc: error: closed form singular at b/a=5.73")
+        assert err.endswith("<= B_MIN=1.000e-08; use the sum route\n")
+    for argv in (["Z", "--vary", "beta", "--range", "1e19,1e20,1e21", "--alpha", "0.5"],
+                 ["Cs", "--vary", "alpha", "--range", "0,0.5,0.99", "--beta", "1e20",
+                  "--q", "0.5", "--transcription", "corrected"]):
+        code, out = run_cli(["sweep", *argv, "--units", "si", "--method", "closed"], capsys)
+        assert code == 0
+        rows = out.strip().split("\n")[1:]
+        assert len(rows) == 3 and all(row.endswith(",,SingularLimit") for row in rows)
 
 
 @pytest.mark.filterwarnings("error")
@@ -667,7 +697,7 @@ def test_cli_sweep_json(capsys):
 
 @pytest.mark.parametrize("levels", ["0,1.5", "-1,0"])
 def test_cli_energy_sweep_rejects_non_levels(levels, capsys):
-    # n must be a nonnegative integer, as for energy_level
+    # n must be a nonnegative integer, as for SpectrumCoefficients.level
     assert cli.main(["sweep", "Energy", "--vary", "n", f"--range={levels}"]) == 2
     assert "nonnegative integer" in capsys.readouterr().err
 
@@ -700,11 +730,13 @@ def test_ranges_refuse_fewer_than_two_points(count, capsys):
 @pytest.mark.parametrize("text", ["log:-1:1:3", "0:inf:3", "log:1:inf:3", "log:0:1:3"])
 def test_cli_sweep_range_endpoints_exit_2(text, capsys):
     # one error line and exit 2, with no numpy warning (RuntimeWarning is an
-    # error under pytest); log:0 and log:-1 get the same message
-    assert cli.main(["sweep", "Z", "--vary", "beta", f"--range={text}", "--alpha", "0.3"]) == 2
-    err = capsys.readouterr().err
+    # error under pytest), the range given after '=' or as its own token;
+    # log:0 and log:-1 get the same message
     want = "log range endpoints must be positive" if text.startswith("log") else "span must be"
-    assert err.count("\n") == 1 and err.startswith("pdmosc: error:") and want in err
+    for flag in ([f"--range={text}"], ["--range", text]):
+        assert cli.main(["sweep", "Z", "--vary", "beta", *flag, "--alpha", "0.3"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("pdmosc: error:") and want in err
 
 
 def _fields(out: str) -> dict:
@@ -716,8 +748,9 @@ def _fields(out: str) -> dict:
 def test_route_table_sweep_matches_point(quantity, method, capsys):
     # one state, every (quantity, method) the CLI accepts: the sweep row is
     # the field point prints with the same method, bit for bit (Energy,
-    # which reads no beta, sweeps n); a pair without a route (superstat
-    # quad01) is refused by both with exit 2
+    # which reads no beta, sweeps n), in both transcriptions on the closed
+    # forms; a pair without a route (superstat quad01) is refused by both
+    # with exit 2
     state = ["--alpha", "0.3"] + (["--q", "0.5"] if quantity in routes.SUPERSTAT else [])
     grid = ["--vary", "n", "--range", "0,1"] if quantity == "Energy" else \
         ["--vary", "beta", "--range", "2,3"]
@@ -728,16 +761,17 @@ def test_route_table_sweep_matches_point(quantity, method, capsys):
         assert cli.main(point + state) == 2
         assert capsys.readouterr().err.count(f"no method {method!r}") == 2
         return
-    code, out = run_cli(sweep + state, capsys)
-    assert code == 0
-    swept = out.split("\n")[1].split(",")[1]
-    if quantity == "Energy":
-        assert float(swept) == energy_level(OscillatorParams(alpha=0.3), 0)
-        return
-    code, out = run_cli(point + state, capsys)
-    assert code == 0
-    printed = _fields(out)[quantity]
-    assert swept == printed
+    for tr in thermo.TRANSCRIPTIONS if method == "closed" else ("verbatim",):
+        code, out = run_cli(sweep + state + ["--transcription", tr], capsys)
+        assert code == 0
+        swept = out.split("\n")[1].split(",")[1]
+        if quantity == "Energy":
+            assert float(swept) == coefficients(OscillatorParams(alpha=0.3)).level(0)
+            continue
+        code, out = run_cli(point + state + ["--transcription", tr], capsys)
+        assert code == 0
+        printed = _fields(out)[quantity]
+        assert swept == printed
 
 
 def test_cli_parser_keeps_no_state_between_calls(capsys):

@@ -13,15 +13,14 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from pdmosc import (NonConvergence, OscillatorParams, SingularLimit, SpectrumCoefficients,
-                    Tolerance, coefficients, entropy_closed,
-                    free_energy_closed, heat_capacity_closed, log_partition_closed,
-                    mean_energy_closed, partition_closed, partition_quadrature,
-                    partition_sum, routes, thermo, thermo_closed_point, thermo_quadrature)
+                    Tolerance, coefficients, entropy_closed, heat_capacity_closed,
+                    log_partition_closed, mean_energy_closed, partition_closed, routes,
+                    thermo, thermo_closed_point, thermo_quadrature, thermo_sum_engine)
 from pdmosc.superstat import (entropy_superstat_closed, heat_capacity_superstat_closed,
                               superstat_closed_point, superstat_partition_closed,
                               superstat_quadrature, superstat_thermo)
 from pdmosc.sweeps import figure_preset
-from pdmosc.thermo import TRANSCRIPTIONS, thermo_sum_engine
+from pdmosc.thermo import TRANSCRIPTIONS
 from pdmosc.verify import DEFAULT_ALPHAS, DEFAULT_BETAS, DEFAULT_QS, audit_columns
 
 from helpers import (brute_boltzmann_moments, brute_sum, brute_thermo, derivative,
@@ -38,8 +37,8 @@ C00 = coefficients(OscillatorParams(alpha=0.0))
 def test_beta_validation():
     # 0 < beta < inf, NaN refused, at every route's entry point
     for beta in (0.0, -2.0, math.inf, math.nan):
-        for route in (partition_sum, partition_closed, partition_quadrature,
-                      thermo_closed_point, thermo_quadrature, thermo_sum_engine):
+        for route in (partition_closed, log_partition_closed, thermo_closed_point,
+                      thermo_quadrature, thermo_sum_engine):
             with pytest.raises(ValueError, match="beta must be positive and finite"):
                 route(C03, beta)
 
@@ -53,17 +52,17 @@ def test_points_hold_float_beta_and_curves_checked_float_arrays():
         assert curve.beta.tolist() == [0.5, 2.0]
 
 
-# -- partition_sum -----------------------------------------------------------
+# -- the Z of the sum route --------------------------------------------------
 
 def test_partition_sum_geometric_limit():
     # b = 0: Z = e^{-beta/2} / (1 - e^{-beta})
-    z = partition_sum(C00, 1.0)
+    z = thermo_sum_engine(C00, 1.0).Z
     assert abs(z - 0.95951737566747186) < 1e-13
 
 
 def test_partition_sum_bracket_and_brute_force():
     beta = 5.0
-    z = partition_sum(C01, beta)
+    z = thermo_sum_engine(C01, beta).Z
     e0, e1 = C01.energy(0), C01.energy(1)
     lower = math.exp(-beta * e0)
     upper = lower / (1.0 - math.exp(-beta * (e1 - e0)))
@@ -75,16 +74,16 @@ def test_partition_sum_bracket_and_brute_force():
 def test_partition_sum_ground_state_dominance():
     c = C03
     beta = 50.0
-    z = partition_sum(c, beta)
+    z = thermo_sum_engine(c, beta).Z
     assert abs(z / math.exp(-beta * c.energy(0)) - 1.0) < 1e-6
 
 
 def test_partition_sum_monotonicity():
     betas = np.logspace(-1, 1, 15)
-    zs = [partition_sum(C03, b) for b in betas]
+    zs = [thermo_sum_engine(C03, b).Z for b in betas]
     assert all(z2 < z1 for z1, z2 in zip(zs, zs[1:]))
     for beta in (0.5, 2.0):
-        vals = [partition_sum(coefficients(OscillatorParams(alpha=a)), beta)
+        vals = [thermo_sum_engine(coefficients(OscillatorParams(alpha=a)), beta).Z
                 for a in np.linspace(0.02, 0.95, 12)]
         assert all(v2 < v1 for v1, v2 in zip(vals, vals[1:]))
 
@@ -104,7 +103,7 @@ def test_partition_closed_equals_unit_interval_quadrature():
     for c in (C01, C03, C09):
         for beta in (0.1, 1.0, 2.6, 10.0):
             zc = partition_closed(c, beta)
-            zq = partition_quadrature(c, beta, "quad01", TOL)
+            zq = thermo_quadrature(c, beta, "quad01", TOL).Z
             assert abs(zc - zq) / zq < 1e-10
 
 
@@ -126,23 +125,23 @@ def test_singular_limit_guard():
 
 def test_partition_quadrature_routes():
     # b=0, semi-infinite: int_0^inf e^{-(n+1/2)} dn = e^{-1/2}
-    z = partition_quadrature(C00, 1.0, "quadinf", TOL)
+    z = thermo_quadrature(C00, 1.0, "quadinf", TOL).Z
     assert abs(z - 0.60653065971263342) < 1e-12
     # nested domains
     for c in (C01, C09):
-        z01 = partition_quadrature(c, 1.3, "quad01", TOL)
-        zinf = partition_quadrature(c, 1.3, "quadinf", TOL)
+        z01 = thermo_quadrature(c, 1.3, "quad01", TOL).Z
+        zinf = thermo_quadrature(c, 1.3, "quadinf", TOL).Z
         assert z01 < zinf
     with pytest.raises(ValueError):
-        partition_quadrature(C01, 1.0, "everything")
+        thermo_quadrature(C01, 1.0, "everything").Z
 
 
 def test_sum_vs_integral_sandwich():
     # int_0^inf term <= sum <= term(0) + int_0^inf term for decreasing terms
     for c in (C01, C09):
         for beta in (0.4, 2.0):
-            s = partition_sum(c, beta)
-            integral = partition_quadrature(c, beta, "quadinf", TOL)
+            s = thermo_sum_engine(c, beta).Z
+            integral = thermo_quadrature(c, beta, "quadinf", TOL).Z
             assert integral <= s <= math.exp(-beta * c.energy(0)) + integral
 
 
@@ -183,7 +182,7 @@ def test_engine_gauge_equivalence():
     # the reduced-gauge moments and Richardson derivatives of ln of the
     # plain sum agree where both are well conditioned
     def logz(x):
-        return math.log(partition_sum(C03, x))
+        return math.log(thermo_sum_engine(C03, x).Z)
 
     for beta in (0.2, 1.0, 3.0):
         a = thermo_sum_engine(C03, beta)
@@ -191,7 +190,7 @@ def test_engine_gauge_equivalence():
         c = beta * beta * derivative(logz, beta, 2, beta, positive_only=True)
         assert abs(a.U - u) / abs(u) < 1e-9
         assert abs(a.C - c) / abs(c) < 1e-6
-        assert a.Z == partition_sum(C03, beta)
+        assert a.Z == thermo_sum_engine(C03, beta).Z
 
 
 def test_energy_moments_against_brute_force():
@@ -239,7 +238,7 @@ def test_sum_engine_against_brute_force(alpha, beta):
     want = brute_thermo(c, beta)
     got = (pt.Z, pt.U, pt.C, pt.S, pt.F)
     assert all(_within(g, w) for g, w in zip(got, want)), (got, want)
-    assert partition_sum(c, beta) == pt.Z
+    assert thermo_sum_engine(c, beta).Z == pt.Z
 
 
 @pytest.mark.parametrize("alpha,beta", [(0.02, 700.0), (0.3, 480.0), (0.0, 720.0)])
@@ -258,7 +257,7 @@ def test_sum_route_z_carries_beta_e0_exactly(alpha, beta):
     # beta E_0 ~ 550 here: rounding E_0 or beta E_0 in double cost 4.9e-14
     c = coefficients(OscillatorParams(alpha=alpha))
     want = brute_thermo(c, beta)[0]
-    z = partition_sum(c, beta)
+    z = thermo_sum_engine(c, beta).Z
     assert abs(z - want) <= 1e-15 * want
     assert thermo_sum_engine(c, beta).Z == z
 
@@ -277,7 +276,7 @@ def test_sum_engine_geometric_series_at_alpha_zero(beta):
     pt = thermo_sum_engine(C00, beta)
     got = (pt.Z, pt.U, pt.C, pt.S, pt.F)
     assert all(_within(g, w) for g, w in zip(got, want)), (got, want)
-    assert partition_sum(C00, beta) == pt.Z
+    assert thermo_sum_engine(C00, beta).Z == pt.Z
 
 
 #: beta a at 400 log-spaced points over [1e-6, 740], and where w_1 is subnormal
@@ -356,12 +355,12 @@ def test_quadrature_point_against_mpmath():
 def test_free_energy_closed_is_composition():
     for c in (C01, C09):
         for beta in (0.2, 1.0, 7.0):
-            f = free_energy_closed(c, beta)
+            f = thermo_closed_point(c, beta).F
             assert f == -log_partition_closed(c, beta) / beta
             assert f == pytest.approx(-math.log(partition_closed(c, beta)) / beta, rel=1e-13)
     # Z_closed underflows to 0 here; F stays finite
     assert partition_closed(C03, 2000.0) == 0.0
-    assert math.isfinite(free_energy_closed(C03, 2000.0))
+    assert math.isfinite(thermo_closed_point(C03, 2000.0).F)
 
 
 def test_corrected_mean_energy_matches_engine():
@@ -389,7 +388,7 @@ def test_closed_point_equals_single_closed_functions(tr):
             pt = thermo_closed_point(c, beta, tr)
             singles = (partition_closed(c, beta), mean_energy_closed(c, beta, tr),
                        heat_capacity_closed(c, beta, tr),
-                       entropy_closed(c, beta, tr), free_energy_closed(c, beta))
+                       entropy_closed(c, beta, tr), -log_partition_closed(c, beta) / beta)
             # verbatim forms may overflow to inf or nan, which equal themselves here
             assert np.array_equal([pt.Z, pt.U, pt.C, pt.S, pt.F], singles, equal_nan=True)
 
@@ -404,7 +403,7 @@ _CLOSED_FORMS = {
     "U": lambda c, beta, tr: mean_energy_closed(c, beta, tr),
     "C": lambda c, beta, tr: heat_capacity_closed(c, beta, tr),
     "S": lambda c, beta, tr: entropy_closed(c, beta, tr),
-    "F": lambda c, beta, tr: free_energy_closed(c, beta),
+    "F": lambda c, beta, tr: -log_partition_closed(c, beta) / beta,
 }
 
 
@@ -542,7 +541,7 @@ def test_transcription_validation():
 def test_alpha_to_zero_consistency():
     c = coefficients(OscillatorParams(alpha=1e-6))
     for beta in np.logspace(-1, 1, 9):
-        z = partition_sum(c, beta)
+        z = thermo_sum_engine(c, beta).Z
         z0 = math.exp(-beta * 0.5) / (1.0 - math.exp(-beta))
         assert abs(z - z0) / z0 < 1e-4
 
@@ -553,7 +552,7 @@ def _assert_points(cs, betas, curve):
     for i, (c, beta) in enumerate(zip(cs, betas)):
         pt = thermo_sum_engine(c, beta)
         assert [getattr(pt, qn) for qn in "ZUCSF"] == [getattr(curve, qn)[i] for qn in "ZUCSF"]
-        assert partition_sum(c, beta) == curve.Z[i]
+        assert thermo_sum_engine(c, beta).Z == curve.Z[i]
 
 
 def test_sum_high_temperature_curve_equals_its_points():
@@ -584,7 +583,7 @@ def test_sum_alpha_curve_equals_its_points():
     beta = 1.0 / (p[0].kB * 300.0)
     curve = thermo_sum_engine(_curve(cs), beta)
     _assert_points(cs, [beta] * 3, curve)
-    assert partition_sum(_curve(cs), beta).tolist() == curve.Z.tolist()
+    assert thermo_sum_engine(_curve(cs), beta).Z.tolist() == curve.Z.tolist()
 
 
 def test_sum_batch_raises_where_its_point_does():

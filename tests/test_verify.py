@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pdmosc import (OscillatorParams, SingularLimit, cli, coefficients, energy_level, routes,
+from pdmosc import (OscillatorParams, SingularLimit, cli, coefficients, routes,
                     superstat, thermo)
 from pdmosc.spectrum import SpectrumCoefficients
 from pdmosc.thermo import TRANSCRIPTIONS
@@ -369,7 +369,7 @@ def test_trend_result_is_its_verdict_in_a_condition():
 
 def test_trend_energy_curve():
     p = OscillatorParams(alpha=0.9)
-    curve = [(n, energy_level(p, n)) for n in range(11)]
+    curve = [(n, coefficients(p).level(n)) for n in range(11)]
     assert trend_check(curve, "increasing").passed
 
 

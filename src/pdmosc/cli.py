@@ -12,8 +12,6 @@ A plain ``key = value`` config file can seed any flag; its values are
 validated like flags, and explicit flags always win.
 """
 
-from __future__ import annotations
-
 import argparse
 import functools
 import sys

@@ -5,11 +5,9 @@ on finite and semi-infinite intervals.
 Everything here is pure and deterministic; no shared mutable state.
 """
 
-from __future__ import annotations
-
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,8 +18,30 @@ _SQRT_PI = math.sqrt(math.pi)
 _EPS = float(np.finfo(float).eps)
 
 
-@dataclass(frozen=True)
-class Tolerance:
+class _Checked:
+    """Base of a NamedTuple record whose fields are checked: every instance,
+    also one that _make or _replace builds, passes the record's _check, which
+    raises ValueError on a bad field."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _ToleranceFields(NamedTuple):
+    rel: float = 1e-12
+    abs: float = 0.0
+    max_evals: int = 400_000
+
+
+class Tolerance(_Checked, _ToleranceFields):
     """Accuracy request for adaptive routines.
 
     rel/abs are finite and must not both be zero; convergence means the
@@ -29,11 +49,9 @@ class Tolerance:
     function evaluations of each integrand (the quadrature budget).
     """
 
-    rel: float = 1e-12
-    abs: float = 0.0
-    max_evals: int = 400_000
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if not (0 <= self.rel < math.inf and 0 <= self.abs < math.inf):
             raise ValueError("tolerances must be nonnegative and finite")
         if self.rel == 0 and self.abs == 0:
@@ -45,8 +63,7 @@ class Tolerance:
         return max(self.abs, self.rel * abs(value))
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(NamedTuple):
     """Integrals, (upper-bound style) error estimates, evaluation counts: arrays, one per row."""
 
     value: np.ndarray

@@ -21,11 +21,8 @@ each closed C/S route multiplies them by State.kB once, the one place the
 unit system meets them (1.0 in natural units, so their bits stay).
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -42,8 +39,7 @@ METHODS = ("sum", "closed", "quad01", "quadinf", "engine")
 FIELDS = {"thermo": THERMO, "superstat": SUPERSTAT}
 
 
-@dataclass(frozen=True)
-class State:
+class State(NamedTuple):
     """Every input a route reads at one evaluation point, or on a grid,
     where the coefficients, beta, q or n hold a value per point (built by
     state).  transcription may hold the pair thermo.TRANSCRIPTIONS for the
@@ -103,7 +99,7 @@ def evaluate(build: Callable, values: dict, **settings) -> tuple[object, np.ndar
 def _in_kb(kernel: Callable, s: State):
     """kernel's point at s, its C and S (or C_s and S_s) multiplied by s.kB."""
     point = kernel(s)
-    return replace(point, **{f: s.kB * getattr(point, f) for f in ("C", "S", "Cs", "Ss")
+    return point._replace(**{f: s.kB * getattr(point, f) for f in ("C", "S", "Cs", "Ss")
                              if hasattr(point, f)})
 
 

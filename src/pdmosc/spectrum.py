@@ -6,13 +6,13 @@ deformed ladder; (a, b) are the compact coefficients derived from the
 physical parameters.
 """
 
-from __future__ import annotations
-
 import math
 import sys
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
+
+from .numerics import _Checked
 
 # CODATA 2018 exact/recommended values, used by the SI unit mode.
 HBAR_SI = 1.054571817e-34   # J s
@@ -20,29 +20,38 @@ KB_SI = 1.380649e-23        # J/K
 ELECTRON_MASS_SI = 9.1093837015e-31  # kg
 
 
-class _ArrayFields:
-    """== and hash of a frozen dataclass whose fields may hold arrays (an
-    alpha curve): == compares field by field with np.array_equal and gives a
-    plain bool; hash is that of the field tuple, and an instance that holds
-    an array is unhashable (TypeError), like the array itself."""
+class _ArrayFields(_Checked):
+    """== and hash of a checked NamedTuple record whose fields may hold arrays
+    (an alpha curve): == and != compare field by field with np.array_equal
+    and give a plain bool; hash is that of the field tuple, and an instance
+    that holds an array is unhashable (TypeError), like the array itself."""
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, f.name) for f in fields(self))
+    __slots__ = ()
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return all(map(np.array_equal, self._values(), other._values()))
+        return all(map(np.array_equal, self, other))
+
+    def __ne__(self, other):
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
 
     def __hash__(self):
-        values = self._values()
-        if any(isinstance(v, np.ndarray) for v in values):
+        if any(isinstance(v, np.ndarray) for v in self):
             raise TypeError(f"unhashable {type(self).__name__}: it holds an array")
-        return hash(values)
+        return tuple.__hash__(self)
 
 
-@dataclass(frozen=True, eq=False)
-class OscillatorParams(_ArrayFields):
+class _ParamsFields(NamedTuple):
+    m0: float = 1.0
+    omega: float = 1.0
+    hbar: float = 1.0
+    alpha: float = 0.0
+    kB: float = 1.0
+
+
+class OscillatorParams(_ArrayFields, _ParamsFields):
     """Physical inputs.  Defaults are natural units m0 = omega = hbar = kB = 1.
 
     alpha is the mass-deformation knob, 0 <= alpha < 1 (alpha = 0 is the
@@ -50,13 +59,9 @@ class OscillatorParams(_ArrayFields):
     alpha may be a float array, one checked element per point of a curve.
     """
 
-    m0: float = 1.0
-    omega: float = 1.0
-    hbar: float = 1.0
-    alpha: float = 0.0
-    kB: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if not all(0.0 < x < math.inf for x in (self.m0, self.omega, self.hbar, self.kB)):
             raise ValueError("m0, omega, hbar, kB must all be positive and finite")
         ok = (0.0 <= self.alpha) & (self.alpha < 1.0)
@@ -71,8 +76,12 @@ class OscillatorParams(_ArrayFields):
         return cls(m0=m0, omega=omega, hbar=HBAR_SI, alpha=alpha, kB=KB_SI)
 
 
-@dataclass(frozen=True, eq=False)
-class SpectrumCoefficients(_ArrayFields):
+class _CoefficientsFields(NamedTuple):
+    a: float | np.ndarray
+    b: float | np.ndarray
+
+
+class SpectrumCoefficients(_ArrayFields, _CoefficientsFields):
     """Compact parameterization of the spectrum: E_n = a(n+1/2) + b(n^2+2n+1/2).
 
     a >= hbar*omega is the renormalized level spacing (equality iff alpha=0);
@@ -81,10 +90,9 @@ class SpectrumCoefficients(_ArrayFields):
     curve, which each method broadcasts against n.
     """
 
-    a: float | np.ndarray
-    b: float | np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         ok = (0.0 < self.a) & (self.a < math.inf) & (0.0 <= self.b) & (self.b < math.inf)
         if not (ok.all() if isinstance(ok, np.ndarray) else ok):
             raise ValueError("require 0 < a < inf and 0 <= b < inf")

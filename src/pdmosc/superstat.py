@@ -27,11 +27,9 @@ factors never appear; genuinely non-cancelling ones (transcription defects)
 are left to overflow honestly.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,8 +42,7 @@ from .thermo import (_assemble, _beta_values, _check_transcription, _point,
 _SQRT_PI = math.sqrt(math.pi)
 
 
-@dataclass(frozen=True)
-class SuperstatPoint:
+class SuperstatPoint(NamedTuple):
     """Superstatistical state at one (beta, q), produced by one method:
     beta, q and each quantity a float.  A point over beta, q or coefficient
     arrays holds beta and q as the checked arrays of _mesh, and each

@@ -6,13 +6,13 @@ with their quoted parameter values (one curve per fixed-parameter value).
 Trends are attached to presets only where mathematically provable.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import Tolerance
+from .numerics import Tolerance, _Checked
 from . import routes
 
 QUANTITIES = routes.QUANTITIES
@@ -24,6 +24,10 @@ DEPENDS_ON = {"Energy": ("n", "alpha"), **dict.fromkeys(routes.THERMO, ("alpha",
 
 #: default sweep/preset tolerance; plots do not need 1e-12
 PRESET_TOL = Tolerance(rel=1e-10)
+
+#: the fixed parameters of a sweep or preset that fixes none: read-only, so
+#: that the records sharing it cannot change each other's
+_NONE_FIXED = MappingProxyType({})
 
 
 def linear_range(lo: float, hi: float, count: int) -> tuple[float, ...]:
@@ -42,20 +46,23 @@ def log_range(lo: float, hi: float, count: int) -> tuple[float, ...]:
     return tuple(float(x) for x in np.geomspace(lo, hi, count))
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """One quantity along one varied parameter, everything else fixed."""
-
+class _SweepFields(NamedTuple):
     quantity: str
     vary: str
     values: tuple[float, ...]
-    fixed: dict = field(default_factory=dict)
+    fixed: Mapping[str, float] = _NONE_FIXED
     method: str = "sum"
     units: str = "natural"
     transcription: str = "verbatim"
     b_convention: str = "spectrum"
 
-    def __post_init__(self):
+
+class SweepSpec(_Checked, _SweepFields):
+    """One quantity along one varied parameter, everything else fixed."""
+
+    __slots__ = ()
+
+    def _check(self):
         if self.quantity not in QUANTITIES:
             raise ValueError(f"unknown quantity {self.quantity!r}")
         if self.vary not in VARY_CHOICES:
@@ -113,8 +120,7 @@ _Q_PRESET = 0.5
 _SUPER_BETAS = (0.5, 1.0, 1.5)
 
 
-@dataclass(frozen=True)
-class FigurePreset:
+class FigurePreset(NamedTuple):
     figure_id: str
     quantity: str
     vary: str
@@ -122,7 +128,7 @@ class FigurePreset:
     curve_param: str
     curve_values: tuple[float, ...]
     method: str
-    fixed: dict = field(default_factory=dict)
+    fixed: Mapping[str, float] = _NONE_FIXED
     trend: str | None = None  # asserted by tests only where provable
 
 

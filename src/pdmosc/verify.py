@@ -7,11 +7,7 @@ deviations become classifications.  Hard assertions belong to the test
 suite and cover only provable facts.
 """
 
-from __future__ import annotations
-
-import json
 import math
-from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, NamedTuple, Sequence
 
@@ -174,7 +170,9 @@ def render_json(records: list[dict]) -> str:
     """records as indented JSON text that strict parsers read: JSON has no
     number that is not finite, so such a float is the string the CSV
     prints ("nan", "inf", "-inf"); None is null.  Only a dump that meets
-    such a float is redone value by value."""
+    such a float is redone value by value.  json is imported here, on
+    first use, so that no other command pays for it."""
+    import json
     try:
         return json.dumps(records, indent=1, allow_nan=False) + "\n"
     except ValueError:  # a float that is not finite
@@ -190,8 +188,7 @@ def render_json(records: list[dict]) -> str:
 _TREND_SLACK = 1e-12
 
 
-@dataclass(frozen=True)
-class TrendResult:
+class TrendResult(NamedTuple):
     passed: bool
     first_violation: int | None = None
 

@@ -4,7 +4,6 @@ import collections
 import inspect
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -218,9 +217,9 @@ def test_closed_point_of_both_transcriptions_is_its_one_name_points(family):
     closed = routes.POINTS[family]["closed"]
     point = routes.State(coefficients(OscillatorParams(alpha=0.3)), beta=2.0, q=0.5)
     for s in (_audit_states(DEFAULT_ALPHAS)[family], point):
-        pair = closed(replace(s, transcription=TRANSCRIPTIONS))
+        pair = closed(s._replace(transcription=TRANSCRIPTIONS))
         for j, tr in enumerate(TRANSCRIPTIONS):
-            one = closed(replace(s, transcription=tr))
+            one = closed(s._replace(transcription=tr))
             assert repr(pair.beta) == repr(one.beta) and pair.method == one.method
             for qn in routes.FIELDS[family]:
                 field, want = getattr(pair, qn), np.asarray(getattr(one, qn))
@@ -236,15 +235,15 @@ def test_closed_point_of_both_transcriptions_raises_where_one_name_does(family):
               routes.State(coefficients(OscillatorParams(alpha=singular["point"])), beta=2.0)):
         for tr in TRANSCRIPTIONS + (TRANSCRIPTIONS,):
             with pytest.raises(SingularLimit):
-                closed(replace(s, transcription=tr))
+                closed(s._replace(transcription=tr))
     s = _audit_states(DEFAULT_ALPHAS)[family]
     for tr in TRANSCRIPTIONS + (TRANSCRIPTIONS,):
         with pytest.raises(ValueError, match="beta must be positive"):
-            closed(replace(s, beta=-s.beta, transcription=tr))
+            closed(s._replace(beta=-s.beta, transcription=tr))
     # only the pair itself, in its order, or one name
     for tr in ("typo", TRANSCRIPTIONS[::-1], TRANSCRIPTIONS[:1], list(TRANSCRIPTIONS)):
         with pytest.raises(ValueError, match="transcription must be"):
-            closed(replace(s, transcription=tr))
+            closed(s._replace(transcription=tr))
 
 
 def test_csv_rendering():

@@ -22,17 +22,25 @@ from .numerics import Tolerance
 from . import routes, sweeps, verify
 
 
-def _parse_range(text: str) -> tuple[float, ...]:
-    """lo:hi:count (linear), log:lo:hi:count, or a comma-separated list."""
+def _level(text: str) -> float:
+    """n: a nonnegative integer whose float prints back as the number its text names."""
+    from decimal import Decimal  # only a level sweep needs it
+    if not ((n := float(text)) >= 0.0 and n.is_integer() and Decimal(repr(n)) == Decimal(text)):
+        raise ValueError(f"n must be a nonnegative integer that a float holds, not {text!r}")
+    return n
+
+
+def _parse_range(text: str, number=float) -> tuple[float, ...]:
+    """lo:hi:count (linear), log:lo:hi:count, or a comma-separated list of numbers."""
     if "," in text:
-        return tuple(map(float, text.split(",")))
+        return tuple(map(number, text.split(",")))
     parts = text.split(":")
     log = parts[0] == "log"
     if log:
         parts = parts[1:]
     if len(parts) != 3:
         raise ValueError(f"bad range {text!r}: expected lo:hi:count, log:lo:hi:count or v1,v2,...")
-    lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+    lo, hi, count = number(parts[0]), number(parts[1]), int(parts[2])
     return (sweeps.log_range if log else sweeps.linear_range)(lo, hi, count)
 
 
@@ -221,7 +229,8 @@ def _values(args) -> dict:
 
 def _cmd_sweep(args) -> int:
     spec = sweeps.SweepSpec(
-        quantity=args.quantity, vary=args.vary, values=_parse_range(args.range),
+        quantity=args.quantity, vary=args.vary,
+        values=_parse_range(args.range, _level if args.vary == "n" else float),
         fixed=_values(args), method=args.method or "sum", units=args.units,
         transcription=args.transcription, b_convention=args.b_convention)
     _emit_curves(args, [args.vary, args.quantity, "warning"], None,

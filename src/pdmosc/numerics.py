@@ -1,6 +1,7 @@
 """Self-contained numerical kernel: the error function family (erfcx with
-its derivatives), an error-free e^{-ab}, adaptive Gauss-Kronrod quadrature
-on finite and semi-infinite intervals.
+its derivatives), float64 error-free arithmetic (e^{-ab}, and the e^{-u}
+of the level sums), adaptive Gauss-Kronrod quadrature on finite and
+semi-infinite intervals.
 
 Everything here is pure and deterministic; no shared mutable state.
 """
@@ -76,31 +77,64 @@ class QuadratureResult(NamedTuple):
 # ---------------------------------------------------------------------------
 
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitting constant
+#: ln 2 = _LN2_HI + _LN2_LO to ~2^-85; j _LN2_HI is exact for |j| < 2^21 (fdlibm's split)
+_LN2_HI, _LN2_LO = float.fromhex("0x1.62e42feep-1"), float.fromhex("0x1.a39ef35793c76p-33")
+#: rows w, wl: e^{-r} = w + wl within 2^-58 on the grid r = i/256, i = -90..90, where
+#: w = 1 - r + r^2/2 is exact, with at most 18 significant bits, and wl is the Taylor tail
+_R_GRID = np.arange(-90, 91) / 256.0
+_EXP_GRID = np.array([(1.0 - _R_GRID) + 0.5 * _R_GRID ** 2, _R_GRID ** 3 * np.polyval(
+    [(-1) ** k / math.factorial(k) for k in range(14, 2, -1)], _R_GRID)])
+
+
+def _split(a):
+    """Veltkamp's split a = hi + lo, exact, each half of at most 26 significant bits."""
+    hi = _SPLIT * a
+    hi -= hi - a
+    return hi, a - hi
+
+
+def _two_sum(a, b):
+    """(s, e): s = fl(a + b) and a + b = s + e exactly (Knuth's two-sum)."""
+    s = a + b
+    t = s - a
+    return s, (a - (s - t)) + (b - t)
+
+
+def _two_product(a, b, halves=None):
+    """(p, e): p = fl(ab), ab = p + e exactly (Dekker's two-product, Numer. Math. 18
+    (1971) 224) where no split overflows (above ~1e300); halves is _split(b) if given."""
+    p = a * b
+    (ah, al), (bh, bl) = _split(a), _split(b) if halves is None else halves
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
 def exp_neg_product(a, b, b2=0.0):
-    """e^{-a (b + b2)} to within ~1 ulp: b + b2 = s + e_s exactly (Knuth's
-    two-sum) and a s = p + e exactly (Dekker's two-product, Numer. Math. 18
-    (1971) 224), so e^{-p} (1 - e - a e_s) keeps the |ab| ulp that rounding
-    would cost.  Where the split overflows (|a| or |b| above ~1e300), e^{-p};
-    where e^{-p} underflows, +0 (past p ~ 1e16, 1 - e may be negative).
-    a, b and b2 may be arrays that broadcast together, elementwise; floats
-    give a float."""
+    """e^{-a (b + b2)} to within ~1 ulp: b + b2 = s + e_s and a s = p + e exactly
+    (_two_sum, _two_product), so e^{-p} (1 - e - a e_s) keeps the |ab| ulp that
+    rounding would cost.  Where the split overflows (|a| or |b| above ~1e300),
+    e^{-p}; where e^{-p} underflows, +0 (past p ~ 1e16, 1 - e may be negative).
+    a, b and b2 may be arrays that broadcast together, elementwise; floats give a
+    float."""
     with np.errstate(over="ignore", invalid="ignore"):
-        s = b + b2
-        t = s - b
-        e_s = (b - (s - t)) + (b2 - t)
-        p = a * s
-        t = _SPLIT * a
-        ah = t - (t - a)
-        al = a - ah
-        t = _SPLIT * s
-        sh = t - (t - s)
-        sl = s - sh
-        e = ((ah * sh - p) + ah * sl + al * sh) + al * sl + a * e_s
+        s, e_s = _two_sum(b, b2)
+        p, e = _two_product(a, s)
+        e += a * e_s
         ep = np.exp(-p)
         out = np.where(np.isfinite(e) & (ep > 0.0), ep * (1.0 - e), ep)
     return out if out.ndim else out.item()
+
+
+def _exp_neg_parts(p, e):
+    """(j, w, wl), e^{-(p + e)} = 2^-j (w + wl) within 2^-58, elementwise, for 0 <= p
+    <= 2^14 and |e| <= ulp(p) (past 2^14, j stops growing): p - j ln 2 = i/256 + s
+    with |s| <= 2^-9, e^{-i/256} from _EXP_GRID, so w has at most 18 significant bits,
+    times 1 + expm1(-s)."""
+    j = np.rint(np.minimum(p, 2.0 ** 14) * (1.0 / math.log(2.0)))
+    r = p - j * _LN2_HI  # exact
+    i = np.rint(r * 256.0)
+    w, wl = np.take(_EXP_GRID, (i + 90.0).astype(np.intp), axis=1, mode="clip")
+    wl += (w + wl) * np.expm1((i / 256.0 - r) - (e - j * _LN2_LO))
+    return j, w, wl
 
 
 def _elementwise(kernel):

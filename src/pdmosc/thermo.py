@@ -31,8 +31,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NonConvergence, SingularLimit
-from .numerics import (_LAG_U, _LAG_W, _X_RULE, Tolerance, erf, erfcx, exp_neg_product,
-                       integrate_batch)
+from .numerics import (_LAG_U, _LAG_W, _X_RULE, Tolerance, _exp_neg_parts, _split,
+                       _two_product, _two_sum, erf, erfcx, exp_neg_product, integrate_batch)
 from .spectrum import SpectrumCoefficients
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -169,32 +169,58 @@ def _euler_maclaurin_rows(a, b, bv) -> np.ndarray:
 
 def _fsum_rows(terms, starts, counts):
     """math.fsum of terms[k, s:s + n] >= 0 for every row k and (s, n) of starts and
-    counts, bit for bit: a long-double np.add.reduceat, within gamma_{n-1}/(1 - gamma_{n-1})
-    of the computed sum in any order (Higham, ASNA 4.2; gamma_k = k u/(1 - k u) with the
-    unit roundoff u = eps_ld/2), where that and its rounding stay inside half the gap to
-    either neighbouring double; fsum elsewhere (every row of 2+ terms if longdouble is
-    double).  The factor 1 + 2^-40 covers the second-order terms, and the rounding of
-    the bound itself, while n < 2^20."""
-    wide = np.add.reduceat(terms.astype(np.longdouble), starts, axis=1)
-    sums = wide.astype(float)
-    unit = np.finfo(np.longdouble).eps / 2.0
-    error = abs(wide - sums) + (counts - 1) * (1.0 + 2.0 ** -40) * unit * wide
-    gap = np.minimum(np.spacing(sums), np.spacing(np.nextafter(sums, 0.0)))
-    for k, i in zip(*np.nonzero((wide > 0.0) & (2.0 * error >= gap))):
+    counts, bit for bit: against a power of two sigma > (n + 1) times the row's sum,
+    each term is h + l exactly, the h sum exactly to tau and the l, |l| <= u sigma
+    (u = eps/2), to within gamma_{n-1} n u sigma (ExtractVector of Rump, Ogita & Oishi,
+    SIAM J. Sci. Comput. 31 (2008) 189; Higham, ASNA 4.2).  tau + l rounds to the fsum
+    where that bound and the rounding of tau + l stay below half the gap to the next
+    double towards 0, fsum elsewhere; 1.01 covers the bound's rounding while n < 2^40,
+    and its underflow is harmless, as additions err by multiples of 2^-1074."""
+    sigma = np.ldexp(1.0, np.frexp((counts + 1.0) * np.add.reduceat(terms, starts, axis=1))[1])
+    shift = np.repeat(sigma, counts, axis=1)
+    high = (shift + terms) - shift
+    tau, low = np.add.reduceat(high, starts, axis=1), np.add.reduceat(terms - high, starts, axis=1)
+    sums = tau + low
+    error = abs(low - (sums - tau)) + (counts - 1.0) * counts * sigma * 2.0 ** -106 * 1.01
+    gap = np.spacing(np.nextafter(sums, 0.0))
+    for k, i in zip(*np.nonzero((sums > 0.0) & (2.0 * error >= gap))):
         sums[k, i] = math.fsum(terms[k, starts[i]:starts[i] + counts[i]].tolist())
     return sums
+
+
+@np.errstate(over="ignore", invalid="ignore")  # beta ~ 1e308: u and the splits overflow
+def _level_terms(a, b, bv, point, n, m):
+    """The terms u_n^k w_n 2^m, rows k = 0, 1, 2, of _direct_rows at the levels n of the
+    points point: the halves of beta a and beta b times n and n(n + 2) (< 2^17) are
+    exact, so u_n = p + e to ~2^-100; w_n 2^j = w + wl (_exp_neg_parts), where w has 18
+    bits, so w times the halves of p, and that times p (_two_product), are exact.  A
+    function of its own, so that its arrays are freed before the sums."""
+    hi, lo = _two_product(bv, np.array([a, b]))
+    parts = np.take(np.concatenate((*_split(hi), lo)), point, axis=1).reshape(3, 2, -1)
+    parts *= [n, n * (n + 2.0)]
+    p, e = _two_sum(*parts[0])
+    e += parts[1:].sum(axis=(0, 1))
+    p, e = p + e, e - ((p + e) - p)  # u = p + e, |e| <= ulp(p)/2
+    j, w, wl = _exp_neg_parts(p, e)
+    halves = _split(p)
+    big_w = w + wl
+    hi, lo = w * halves[0], w * halves[1] + wl * p + big_w * e  # hi + lo = u (w + wl)
+    q, qe = _two_product(hi, p, halves)
+    terms = np.array([big_w, hi + lo, q + (qe + lo * p + hi * e)])
+    terms *= np.ldexp(1.0, np.take(m, point) - j.astype(np.int64))
+    # +0 past u = 2^14, where every term underflows and e may be NaN
+    return np.where(p < 2.0 ** 14, terms, 0.0)
 
 
 def _direct_rows(a, b, bv):
     """(rows, m): sum_{n=1}^{N} u_n^k w_n 2^m, k = 0, 1, 2 (rows), u_n = beta D_n,
     w_n = e^{-u_n}, elementwise, N the first level with x = u_N - u_1 >= 43.6, where
-    row k's tail is near x^k e^{-x} of its sum, below rounding.  Each term is
-    formed in long double (80-bit where the platform has it) and rounded once,
-    since in double rounding u_n alone moves w_n by ~1e-15 at u_n ~ 10; the rows
-    are exactly rounded sums (_fsum_rows).  m = 0 unless u_1 > 700, where
-    2^m ~ 1/w_1 keeps the terms normal: a subnormal w_1 would cost S and C
-    their digits.  The ratio test (_tail_bounds) certifies the truncation: a
-    row whose bound exceeds 2^-52 of its sum raises NonConvergence.  The bound
+    row k's tail is near x^k e^{-x} of its sum, below rounding.  Each term is formed in
+    double-doubles and rounded once, as rounding u_n alone moves w_n by ~1e-15 at
+    u_n ~ 10 (_level_terms).  The rows are exactly rounded sums (_fsum_rows).  m = 0
+    unless u_1 > 700, where 2^m ~ 1/w_1 keeps the terms normal: a subnormal w_1 would
+    cost S and C their digits.  The ratio test (_tail_bounds) certifies the truncation:
+    a row whose bound exceeds 2^-52 of its sum raises NonConvergence.  The bound
     is compared unscaled: where m > 0 it is +0 and there is nothing left to
     certify, since u_1 > 700 puts the root of N below 1.07, so N = 2 and
     u_3 >= 3 u_1 > 2100, and the tail past level 2 is below
@@ -204,17 +230,13 @@ def _direct_rows(a, b, bv):
     counts = np.ceil(2.0 * d_n / (lin + np.sqrt(lin * lin + 4.0 * b * d_n))).astype(np.int64)
     starts = np.cumsum(counts) - counts
     point = np.repeat(np.arange(len(bv)), counts)
-    level = np.arange(counts.sum()) - np.repeat(starts, counts) + np.longdouble(1.0)
-    with np.errstate(over="ignore"):  # at beta ~ 1e308 (u overflows where long double is double)
+    n = np.arange(counts.sum()) - np.repeat(starts, counts) + 1.0
+    with np.errstate(over="ignore"):  # at beta ~ 1e308
         x1 = bv * (a + 3.0 * b)
-        u = bv[point] * _excitation(a[point], b[point], level)
-    # capped where e^{-beta D} underflows in long double too
+    # capped where the terms underflow all the same
     m = np.where(x1 > _X_SUBNORMAL, np.minimum(x1, 11000.0) / math.log(2.0), 0.0
                  ).astype(np.int64)
-    w = np.exp(-u)
-    u = np.where(w > 0.0, u, 0.0)  # u^k w is +0 where w is, also at u = inf
-    w = np.ldexp(w, m[point]) if m.any() else w  # ldexp(w, 0) is w
-    rows = _fsum_rows(np.array([w, u * w, u * u * w], dtype=float), starts, counts)
+    rows = _fsum_rows(_level_terms(a, b, bv, point, n, m), starts, counts)
     uncertified = (_tail_bounds(a, b, bv, counts.astype(float)) > np.ldexp(rows, -52)
                    ).any(axis=0)
     if uncertified.any():

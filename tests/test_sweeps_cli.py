@@ -695,11 +695,13 @@ def test_cli_sweep_json(capsys):
     assert rows[3]["Energy"] > rows[0]["Energy"]
 
 
-@pytest.mark.parametrize("levels", ["0,1.5", "-1,0"])
+@pytest.mark.parametrize("levels", ["0,1.5", "-1,0", "0,9007199254740993"])
 def test_cli_energy_sweep_rejects_non_levels(levels, capsys):
-    # n must be a nonnegative integer, as for SpectrumCoefficients.level
+    # n must be a nonnegative integer, as for SpectrumCoefficients.level, that
+    # a float holds: 2^53 + 1 would silently be level 2^53; the message names it
     assert cli.main(["sweep", "Energy", "--vary", "n", f"--range={levels}"]) == 2
-    assert "nonnegative integer" in capsys.readouterr().err
+    err, bad = capsys.readouterr().err, levels.split(",")[levels.startswith("0,")]
+    assert "nonnegative integer" in err and repr(bad) in err
 
 
 def test_ranges_refuse_endpoints_numpy_cannot_space():

@@ -19,7 +19,7 @@ from pdmosc import (NonConvergence, OscillatorParams, SingularLimit, SpectrumCoe
 from pdmosc.superstat import (entropy_superstat_closed, heat_capacity_superstat_closed,
                               superstat_closed_point, superstat_partition_closed,
                               superstat_quadrature, superstat_thermo)
-from pdmosc.sweeps import figure_preset
+from pdmosc.sweeps import PRESETS, figure_preset
 from pdmosc.thermo import TRANSCRIPTIONS
 from pdmosc.verify import DEFAULT_ALPHAS, DEFAULT_BETAS, DEFAULT_QS, audit_columns
 
@@ -815,35 +815,34 @@ def _fsum_calls(monkeypatch):
 
 
 def test_vectorised_row_sums_are_math_fsum_bit_for_bit(monkeypatch):
-    # random rows of up to 176 levels, an all-zero row, and rows built to sit
-    # within the long-double bound of a rounding midpoint of the double: the
-    # fallback fires on each of those, and at [1, 2^-53, 2^-73] (exact sum
-    # above the midpoint 1 + 2^-53) any long-double or double sum rounds to 1,
-    # where the exactly rounded sum is 1 + 2^-52
+    # random rows of up to 176 levels, an all-zero row, and rows built next to
+    # a rounding midpoint of the double: the exact split resolves those whose
+    # distance from it exceeds the bound on the low parts' sum, [1, 2^-53, 2^-73]
+    # among them (exact sum above the midpoint 1 + 2^-53, where a double sum
+    # in order rounds to 1 and the exactly rounded sum is 1 + 2^-52), and the
+    # fallback fires on each of the others and on no random row
     rng = np.random.default_rng(7)
-    built = [[1.0, 2.0 ** -53, 2.0 ** -73], [0.75, 2.0 ** -54, 2.0 ** -70],
-             [1.0, 2.0 ** -53], [0.5, 0.5 - 2.0 ** -54, 2.0 ** -80],
-             [3.0 * 2.0 ** -600, 2.0 ** -652, 2.0 ** -700], [0.0] * 4]
+    resolved = [[1.0, 2.0 ** -53, 2.0 ** -73], [0.75, 2.0 ** -54, 2.0 ** -70],
+                [0.5, 0.5 - 2.0 ** -54, 2.0 ** -80], [0.0] * 4]
+    fallback = [[1.0, 2.0 ** -53], [1.0, 2.0 ** -53, 2.0 ** -110],
+                [0.75, 2.0 ** -54, 2.0 ** -110], [3.0 * 2.0 ** -600, 2.0 ** -652, 2.0 ** -700]]
+    built = resolved + fallback
     counts = np.concatenate((rng.integers(1, 177, 400), [len(row) for row in built]))
     starts = np.cumsum(counts) - counts
     terms = np.exp(-rng.uniform(0.0, 40.0, (3, counts.sum()))) * 2.0 ** rng.integers(-600, 600)
     for start, row in zip(starts[-len(built):], built):
         terms[:, start:start + len(row)] = row
     want = _fsum_reference(terms, starts, counts)
-    assert want[0][-6] == 1.0 + 2.0 ** -52
-    assert float(sum(np.longdouble(x) for x in built[0])) == 1.0
+    assert want[0][-len(built)] == 1.0 + 2.0 ** -52
+    assert 1.0 + 2.0 ** -53 + 2.0 ** -73 == 1.0
     calls = _fsum_calls(monkeypatch)
     assert thermo._fsum_rows(terms, starts, counts).tolist() == want
-    for row in built:
-        assert calls.count(tuple(row)) == (3 if any(row) else 0)
-    # with the unit roundoff eps_ld/2 81 of the 1218 rows fall back (164
-    # with eps_ld)
-    assert len(calls) <= 81
+    assert sorted(calls) == sorted(tuple(row) for row in fallback for _ in range(3))
 
 
 def test_level_rows_are_math_fsum_of_their_terms(monkeypatch):
     # from beta = 1e-10 to 1e300, every direct level row is math.fsum of the
-    # double terms it sums, and math.fsum runs on few rows
+    # double terms it sums, and math.fsum runs on no row
     seen = []
     real = thermo._fsum_rows
     monkeypatch.setattr(thermo, "_fsum_rows", lambda *args: seen.append(args) or real(*args))
@@ -851,21 +850,24 @@ def test_level_rows_are_math_fsum_of_their_terms(monkeypatch):
     c = coefficients(OscillatorParams(alpha=np.repeat(_GATE_ALPHAS, len(betas))))
     calls = _fsum_calls(monkeypatch)
     thermo._boltzmann_levels(c.a, c.b, np.tile(betas, len(_GATE_ALPHAS)))
-    fallbacks = len(calls)
+    assert calls == []
     (terms, starts, counts), = seen
     assert real(terms, starts, counts).tolist() == _fsum_reference(terms, starts, counts)
-    assert 0 < fallbacks < 0.05 * 3 * len(counts)
 
 
 def test_sums_where_long_double_is_double(monkeypatch):
-    # where np.longdouble is double (Windows, arm64 macOS) _fsum_rows stays
-    # bit for bit math.fsum by falling back on exactly the rows of two or
-    # more terms, and a direct sum point loses about u_1 = beta D_1 ulp to
-    # the rounding of u_n: every quantity within (4 + u_1) 2^-52 of the
-    # 40-digit level sums (1.03e-13 for C and S at alpha = 1e-9, beta = 562),
-    # where the reference is normal; at beta = 1e200 and 1e308, where u^2 or
-    # u overflows in double, the point is the ground state
+    # the level sums use no long double: with np.longdouble double (as on
+    # Windows and arm64 macOS) _boltzmann_levels gives the same bits,
+    # _fsum_rows stays bit for bit math.fsum without a fallback, and every
+    # direct sum point is within 4 2^-52 of the 40-digit level sums, where the
+    # reference is normal; at beta = 1e200 and 1e308, where u^2 or u
+    # overflows, the point is the ground state
+    betas = np.concatenate((_GATE_BETAS, 10.0 ** np.arange(3.5, 300.5, 0.5), [1e308]))
+    c = coefficients(OscillatorParams(alpha=np.repeat(_GATE_ALPHAS, len(betas))))
+    args = c.a, c.b, np.tile(betas, len(_GATE_ALPHAS))
+    unpatched = thermo._boltzmann_levels(*args)
     monkeypatch.setattr(np, "longdouble", np.float64)
+    assert all(np.array_equal(x, y) for x, y in zip(thermo._boltzmann_levels(*args), unpatched))
     rng = np.random.default_rng(3)
     counts = np.concatenate((rng.integers(1, 177, 200), [1] * 20))
     starts = np.cumsum(counts) - counts
@@ -873,16 +875,14 @@ def test_sums_where_long_double_is_double(monkeypatch):
     want = _fsum_reference(terms, starts, counts)
     calls = _fsum_calls(monkeypatch)
     assert thermo._fsum_rows(terms, starts, counts).tolist() == want
-    assert sorted(calls) == sorted(tuple(row[s:s + n]) for row in terms.tolist()
-                                   for s, n in zip(starts.tolist(), counts.tolist()) if n >= 2)
+    assert calls == []
     for alpha in _GATE_ALPHAS:
         c = coefficients(OscillatorParams(alpha=alpha))
-        d1 = c.a + 3.0 * c.b
         for beta in _GATE_BETAS[_GATE_BETAS * (c.a + 2.0 * c.b) > thermo._EM_THETA].tolist():
             pt = thermo_sum_engine(c, beta)
             for got, w in zip((pt.Z, pt.U, pt.C, pt.S, pt.F), _mp_sum_point(c, beta)):
                 if abs(w) >= np.finfo(float).tiny:
-                    assert abs(got - w) <= (4.0 + beta * d1) * 2.0 ** -52 * abs(w), (alpha, beta)
+                    assert abs(got - w) <= 4.0 * 2.0 ** -52 * abs(w), (alpha, beta)
         for beta in (1e200, 1e308):
             pt = thermo_sum_engine(c, beta)
             e0 = c.energy(0)
@@ -985,6 +985,46 @@ def test_level_sums_stay_short_and_certified(monkeypatch):
     monkeypatch.setattr(thermo, "_X_ROUNDING", 20.0)
     with pytest.raises(NonConvergence, match="tail bound above rounding"):
         thermo_sum_engine(C03, 1.0)
+
+
+def test_direct_terms_are_rounded_once(monkeypatch):
+    # every direct term u_n^k e^{-u_n} 2^m is within 0.55 ulp of its 40-digit
+    # value, at u_1 from 0.7 to 5e3 (m > 0 from 700): formed to ~2^-58 in
+    # double-doubles and rounded once; two roundings would reach 1 ulp
+    seen = []
+    real = thermo._fsum_rows
+    monkeypatch.setattr(thermo, "_fsum_rows", lambda *args: seen.append(args) or real(*args))
+    betas = np.tile([0.5, 3.0, 40.0, 562.0, 1e3, 5e3], 4)
+    c = coefficients(OscillatorParams(alpha=np.repeat([0.0, 1e-9, 0.3, 0.9], 6)))
+    _, m = thermo._direct_rows(c.a, c.b, betas)
+    (terms, starts, counts), = seen
+    with mp.workdps(40):
+        for i, (a, b, beta) in enumerate(zip(c.a.tolist(), c.b.tolist(), betas.tolist())):
+            for n in range(1, counts[i] + 1):
+                u = mp.mpf(beta) * n * (mp.mpf(a) + mp.mpf(b) * (n + 2))
+                for k, got in enumerate(terms[:, starts[i] + n - 1].tolist()):
+                    want = u ** k * mp.exp(-u) * mp.mpf(2) ** int(m[i])
+                    if want > np.finfo(float).tiny:
+                        assert abs(got - want) <= 0.55 * np.spacing(got), (a, beta, n, k)
+
+
+def test_sum_presets_against_the_level_reference():
+    # 8 seeded rows of each of Fig2a-Fig5b within 2^-51 of the 40-digit level
+    # sums (the worst of the sample is C's 3.1e-16; Z and S stay below 2e-16),
+    # F also within 2^-52 E_0, as it crosses zero (there 1.3e-14 relative, 7.7e-17
+    # E_0 absolute)
+    rng = np.random.default_rng(11)
+    for figure_id in ("Fig2a", "Fig2b", "Fig3a", "Fig3b", "Fig4a", "Fig4b", "Fig5a", "Fig5b"):
+        pr = PRESETS[figure_id]
+        ys = figure_preset(figure_id)[2]
+        for i in rng.choice(len(ys), 8, replace=False).tolist():
+            point = {pr.curve_param: pr.curve_values[i // len(pr.values)],
+                     pr.vary: pr.values[i % len(pr.values)]}
+            c = coefficients(OscillatorParams(alpha=point["alpha"]))
+            z, _, cv, sv, fv = _mp_sum_point(c, point["beta"])
+            want = {"Z": z, "C": cv, "S": sv, "F": fv}[pr.quantity]
+            floor = 2.0 ** -52 * c.energy(0) if pr.quantity == "F" else 0.0
+            assert abs(ys[i] - want) <= 2.0 ** -51 * abs(want) + floor, (figure_id, point)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1e-9, 0.3, 0.9999])

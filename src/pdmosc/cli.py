@@ -72,7 +72,7 @@ def _add_point_flags(sub, params: tuple[str, ...]):
     sub.add_argument("--method", default=None, choices=list(routes.METHODS))
     sub.add_argument("--transcription", default="verbatim",
                      choices=["verbatim", "corrected"])
-    sub.add_argument("--units", default="natural", choices=["natural", "si"])
+    sub.add_argument("--units", default="natural", choices=routes.UNITS)
     sub.add_argument("--b-convention", dest="b_convention", default="spectrum",
                      choices=["spectrum", "compact"])
     _add_common(sub)

@@ -154,8 +154,7 @@ def _elementwise(kernel):
 
 
 def _stdlib(f, x: np.ndarray) -> np.ndarray:
-    """The stdlib's math.erf or math.erfc over a 1-d array: without scipy
-    the only accurate source below |x| = 2."""
+    """math.erf or math.erfc over a 1-d array, element by element: numpy has no erf."""
     return np.fromiter(map(f, x.tolist()), float, len(x))
 
 
@@ -227,31 +226,16 @@ def erfcx_derivatives(x):
 
 @_elementwise
 def erf(x):
-    """Standard error function: math.erf outside 2 <= |x| < 6 (within
-    1.4e-16 relative of 40-digit mpmath on [-2, 2]; exactly +-1 from 6 on),
-    1 - e^{-x^2} erfcx(|x|) with the sign of x inside.  Elementwise over an
-    array."""
-    out = _stdlib(math.erf, x)
-    ax = np.abs(x)
-    mid = (ax >= 2.0) & (ax < 6.0)
-    if np.count_nonzero(mid):  # an erfcx call has a fixed cost even on no elements
-        a = ax[mid]
-        out[mid] = np.copysign(1.0 - np.exp(-a * a) * erfcx(a), x[mid])
-    return out
+    """Standard error function, math.erf on every element: within 1.5e-16
+    relative of 40-digit mpmath on [-8, 8], +-1 from 6 on.  Elementwise."""
+    return _stdlib(math.erf, x)
 
 
 @_elementwise
 def erfc(x):
-    """Complementary error function 1 - erf(x), accurate into the far tail:
-    math.erfc(x) on (-2, 2), from erfcx(|x|) beyond.  Elementwise over an
-    array."""
-    out = _stdlib(math.erfc, x)
-    tail = np.abs(x) >= 2.0
-    if np.count_nonzero(tail):
-        xt = x[tail]
-        v = np.exp(-xt * xt) * erfcx(np.abs(xt))
-        out[tail] = np.where(xt > 0.0, v, 2.0 - v)
-    return out
+    """Complementary error function 1 - erf(x), math.erfc on every element:
+    within 4.4e-16 relative of 40-digit mpmath on [-8, 26.5].  Elementwise."""
+    return _stdlib(math.erfc, x)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ THERMO = ("Z", "U", "C", "S", "F")
 SUPERSTAT = ("Zs", "Us", "Ss", "Fs", "Cs")
 QUANTITIES = ("Energy",) + THERMO + SUPERSTAT
 METHODS = ("sum", "closed", "quad01", "quadinf", "engine")
+UNITS = ("natural", "si")
 #: family -> the quantities its whole point carries
 FIELDS = {"thermo": THERMO, "superstat": SUPERSTAT}
 
@@ -65,7 +66,12 @@ def state(values: dict, units: str = "natural", b_convention: str = "spectrum",
     length, and the audit holds alpha shaped (A, 1) against a beta array or
     (A, 1, 1) against a beta x q mesh.  An alpha array gives coefficient
     arrays from one coefficients call.  transcription may be the pair
-    thermo.TRANSCRIPTIONS (see State)."""
+    thermo.TRANSCRIPTIONS (see State).  Unread entries and unknown units raise ValueError."""
+    if units not in UNITS:
+        raise ValueError(f"units must be {' or '.join(map(repr, UNITS))}, not {units!r}")
+    unread = set(values) - {"alpha", "beta", "q", "n", *(("m0", "omega") if units == "si" else ())}
+    if unread:
+        raise ValueError(f"no parameter {', '.join(map(repr, sorted(unread)))} in {units} units")
     alpha = values.get("alpha", 0.0)
     alpha = alpha if isinstance(alpha, np.ndarray) else float(alpha)
     if units == "si":

@@ -100,21 +100,20 @@ def _sign_a3(transcription: str) -> float:
 
 
 def _closed_args(c: SpectrumCoefficients, beta, q):
-    """After the argument checks: beta and q as _mesh arrays, and x1.  The
-    forms below take x1 and erfcx(x1) from their caller, so a whole point
-    or grid evaluates them once.
+    """After the argument checks, beta and q before the singularity: beta
+    and q as _mesh arrays, q as the forms take it, and x1.  The forms below
+    take x1 and erfcx(x1) from their caller, so a grid forms them once.
 
-    A one-element q (a point's, or a beta or alpha curve's) is returned as a
+    A one-element q (a point's, or a beta or alpha curve's) is taken as a
     float, so that the parameter-only algebra of _bracket_pieces runs on
     floats, not on one-element arrays.  The bits stay: the forms touch q
     only through +, -, x and products with sqrt(b), which round alike on a
     float and on a one-element array, and beta, at least one-dimensional,
     keeps the shape of every result."""
-    _require_regular(c)
     bv, qv = _mesh(beta, q)
-    if qv.shape == (1,):
-        qv = qv.item()
-    return bv, qv, 0.5 * (c.a + 2.0 * c.b) * np.sqrt(bv / c.b)
+    _require_regular(c)
+    qf = qv.item() if qv.shape == (1,) else qv
+    return bv, qv, qf, 0.5 * (c.a + 2.0 * c.b) * np.sqrt(bv / c.b)
 
 
 def _bracket_pieces(c: SpectrumCoefficients, bv, qv, sign_a3: float):
@@ -148,7 +147,7 @@ def _typeset(c: SpectrumCoefficients, beta, q, transcription: str):
     """What a single typeset form starts from: the transcription's sign
     (_sign_a3), beta, q and x1 (_closed_args), erfcx(x1) and the Z_s bracket."""
     sign = _sign_a3(transcription)
-    bv, qv, x1 = _closed_args(c, beta, q)
+    bv, _, qv, x1 = _closed_args(c, beta, q)
     ex = erfcx(x1)
     return sign, bv, qv, x1, ex, _bracket(_bracket_pieces(c, bv, qv, sign), ex)
 
@@ -266,7 +265,7 @@ def heat_capacity_superstat_closed(c: SpectrumCoefficients, beta, q,
     """beta^2 d^2 ln Z_s/d beta^2 of the closed Z_s (in units of kB),
     exactly: no closed C_s was ever typeset, only this defining identity."""
     sign = _sign_a3(transcription)
-    bv, qv, x1 = _closed_args(c, beta, q)
+    bv, _, qv, x1 = _closed_args(c, beta, q)
     eds = erfcx_derivatives(x1)
     pieces = _bracket_pieces(c, bv, qv, sign)
     return _shaped(_heat_capacity(bv, x1, eds, pieces, _bracket(pieces, eds[0])), beta, q, c.a)
@@ -301,8 +300,7 @@ def superstat_closed_point(c: SpectrumCoefficients, beta, q,
     are formed once, and each quantity holds a trailing axis, one entry per
     transcription, each bit for bit the point of that one name."""
     signs = [_sign_a3(tr) for tr in _transcriptions(transcription)]
-    bv, qv = _mesh(beta, q)
-    _, qf, x1 = _closed_args(c, bv, qv)
+    bv, qv, qf, x1 = _closed_args(c, beta, q)
     eds = erfcx_derivatives(x1)
     ex = eds[0]
     numerator = {v: _numerator(c, bv, qf, x1, ex, v) for v in ("us", "ss")}.__getitem__

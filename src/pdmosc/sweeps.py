@@ -80,8 +80,8 @@ class SweepSpec(_Checked, _SweepFields):
             raise ValueError("sweep needs at least 2 grid values")
         if (self.quantity, self.method) not in routes.ROUTES:
             raise ValueError(f"{self.quantity} has no method {self.method!r}")
-        if self.units not in ("natural", "si"):
-            raise ValueError("units must be 'natural' or 'si'")
+        if self.units not in routes.UNITS:
+            raise ValueError(f"units must be {' or '.join(map(repr, routes.UNITS))}")
 
 
 def _evaluate(spec: SweepSpec, values: dict, tol: Tolerance) -> tuple[list, list]:

@@ -297,8 +297,8 @@ def _xargs(c: SpectrumCoefficients, beta):
     x1 <= x2 with the stabilized difference Dx = e^{x1^2} (erf(x2) - erf(x1)),
     after the argument checks; the closed forms below take them, so a whole
     point or curve forms them once, from one erfcx call (_pair)."""
-    _require_regular(c)
     bv = _beta_values(beta)
+    _require_regular(c)
     a, b = c.a, c.b
     x1 = 0.5 * (a + 2.0 * b) * np.sqrt(bv / b)
     x2 = 0.5 * (a + 4.0 * b) * np.sqrt(bv / b)

@@ -33,6 +33,14 @@ def test_sweepspec_validation():
         SweepSpec(quantity="Us", vary="beta", values=(1.0, 2.0), method="quad01")
     with pytest.raises(ValueError, match="units must be 'natural' or 'si'"):
         SweepSpec(quantity="Z", vary="beta", values=(1.0, 2.0), units="imperial")
+    # routes.state, which builds every State, refuses an entry it does not
+    # read and a unit system it does not know, where it once dropped them
+    with pytest.raises(ValueError, match="no parameter 'alhpa' in natural units"):
+        run_sweep(SweepSpec("Z", "beta", (1.0, 2.0), fixed={"alhpa": 0.3}))
+    with pytest.raises(ValueError, match="no parameter 'm0', 'omega' in natural units"):
+        routes.state({"alpha": 0.3, "m0": 2.0, "omega": 1.0})
+    with pytest.raises(ValueError, match="units must be 'natural' or 'si', not 'SI'"):
+        routes.state({"alpha": 0.3}, units="SI")
 
 
 def test_energy_sweep_increasing():
@@ -865,6 +873,22 @@ def test_cli_invalid_arguments_exit_2(capsys):
     # a tolerance that is not finite certifies nothing
     for flag in (["--tol-rel", "nan"], ["--tol-abs", "inf"]):
         assert cli.main(["point", "--alpha", "0.3", "--method", "quad01"] + flag) == 2, flag
+    # where the closed forms are singular (alpha = 0, alpha ~ 1e-9, SI units)
+    # an invalid beta or q is named, not the singularity
+    capsys.readouterr()
+    beta, q = "beta must be positive and finite", "q must lie in [0, 1]"
+    for argv, message in [
+            (["sweep", "Z", "--vary", "beta", "--range=-1,2", "--method", "closed"], beta),
+            (["sweep", "C", "--vary", "beta", "--range=0,inf", "--method", "closed",
+              "--units", "si", "--alpha", "0.5"], beta),
+            (["sweep", "Zs", "--vary", "beta", "--range", "1,2", "--q", "2",
+              "--method", "closed"], q),
+            (["sweep", "U", "--vary", "alpha", "--range=0,1e-9", "--beta=-1",
+              "--method", "closed"], beta),
+            (["point", "--beta", "nan", "--method", "closed"], beta),
+            (["point", "--beta", "1", "--q", "2", "--method", "closed"], q)]:
+        assert cli.main(argv) == 2, argv
+        assert capsys.readouterr() == ("", f"pdmosc: error: {message}\n"), argv
 
 
 def test_cli_nonconvergence_exit_3(capsys):

@@ -471,8 +471,19 @@ def test_closed_curves_raise_where_their_points_do():
                 form(tiny, beta, "corrected")
             with pytest.raises(ValueError, match="beta must be positive"):
                 form(C03, beta * np.array([1.0, -1.0]), "verbatim")
+            # an invalid beta is named before the singularity
+            with pytest.raises(ValueError, match="beta must be positive"):
+                form(tiny, beta * np.array([1.0, -1.0]), "verbatim")
     with pytest.raises(SingularLimit):
         thermo_closed_point(tiny, np.array([0.5, 1.0]))
+    with pytest.raises(ValueError, match="beta must be positive"):
+        thermo_closed_point(tiny, np.array([0.5, math.nan]))
+    for form in (superstat_partition_closed, entropy_superstat_closed,
+                 heat_capacity_superstat_closed, superstat_closed_point):
+        with pytest.raises(ValueError, match="beta must be positive"):
+            form(tiny, np.array([0.5, -1.0]), 0.5)
+        with pytest.raises(ValueError, match="q must lie in"):
+            form(tiny, 1.0, np.array([0.5, 2.0]))
 
 
 def test_singular_limit_is_scale_free():

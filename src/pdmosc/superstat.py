@@ -4,23 +4,20 @@ thermodynamic quantities.
 
 Ground truth is the moment engine (``superstat_thermo``): E(n) is
 quadratic, so Z_s and its two beta-derivatives are finite combinations of
-the closed-form moments J_0..J_4 of the excitation energy
-(``thermo._scaled_moments``, also the integral term of the level sums'
-Euler-Maclaurin rows), with no adaptive quadrature.  The Gauss-Kronrod
-quadrature of the same integrals (``superstat_quadrature``) is the
-independent numerical route; both turn their moments into Z_s..C_s by the
-one assembly ``thermo._assemble``.  The typeset closed forms are
-reproduction targets, all five at once from ``superstat_closed_point``.
-Each method is one function, which routes.POINTS names.  C_s and S_s are
-in units of kB, as in thermo.
+the closed-form moments J_0..J_4 of the excitation energy, with no
+adaptive quadrature.  The Gauss-Kronrod quadrature of the same integrals
+(``superstat_quadrature``) is the independent numerical route; both take
+their moments and the one assembly into Z_s..C_s from ``_moments``.  The
+typeset closed forms are reproduction targets, all five at once from
+``superstat_closed_point``.  Each method is one function, which
+routes.POINTS names.  C_s and S_s are in units of kB, as in thermo.
 
 The typeset Z_s appears twice in the source expressions with conflicting
 signs of its 2 a^3 sqrt(b) beta term; ``verbatim`` carries the standalone
 variant (minus), ``corrected`` the variant restated inside the free energy
-(plus).
-The typeset U_s and S_s restate each other with further conflicting
-monomials; again both readings are carried and the verify module
-adjudicates empirically.
+(plus).  The typeset U_s and S_s restate each other with further
+conflicting monomials; again both readings are carried and the verify
+module adjudicates empirically.
 
 All closed forms are arranged so that algebraically cancelling e^{x1^2}
 factors never appear; genuinely non-cancelling ones (transcription defects)
@@ -33,13 +30,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import Tolerance, erfcx, erfcx_derivatives
+from ._moments import (_assemble, _beta_values, _check_transcription, _point,
+                       _quadrature_moments, _require_regular, _saturating, _scaled_moments,
+                       _shaped, _transcribed, _transcriptions)
+from .numerics import _SQRT_PI, Tolerance, erfcx, erfcx_derivatives
 from .spectrum import SpectrumCoefficients
-from .thermo import (_assemble, _beta_values, _check_transcription, _point,
-                     _quadrature_moments, _require_regular, _saturating, _scaled_moments,
-                     _shaped, _transcribed, _transcriptions)
-
-_SQRT_PI = math.sqrt(math.pi)
 
 
 class SuperstatPoint(NamedTuple):
@@ -81,10 +76,9 @@ def boltzmann_factor_q(E, beta, q) -> float | np.ndarray:
 def _mesh(beta, q):
     """beta and q (floats, or arrays that broadcast against each other) as
     float arrays of at least one dimension, every element checked:
-    0 < beta < inf (_beta_values) and 0 <= q <= 1, NaN failing both.  A
-    point is a one-element array, so it rounds through the same numpy loops
-    as a grid; only the closed forms take a one-element q back to a float
-    (_closed_args)."""
+    0 < beta < inf and 0 <= q <= 1, NaN failing both, a point as a
+    one-element array (_beta_values); only the closed forms take a
+    one-element q back to a float (_closed_args)."""
     bv = _beta_values(beta)
     qv = np.atleast_1d(np.asarray(q, dtype=float))
     if not ((qv >= 0.0) & (qv <= 1.0)).all():
@@ -323,8 +317,8 @@ def superstat_closed_point(c: SpectrumCoefficients, beta, q,
 
 def superstat_thermo(c: SpectrumCoefficients, beta, q) -> SuperstatPoint:
     """The ground truth ('engine'): Z_s, U_s, S_s, F_s and C_s assembled
-    (thermo._assemble) from the closed-form moments J_0..J_4 of the
-    excitation energy over n in [0, inf) (thermo._scaled_moments), taken
+    (_assemble) from the closed-form moments J_0..J_4 of the
+    excitation energy over n in [0, inf) (_scaled_moments), taken
     once over the broadcast of the coefficients and beta, whatever q; no
     quadrature.  The coefficients, beta and q may each be arrays, which
     broadcast against each other, and every element is bit for bit its

@@ -16,7 +16,7 @@ from pdmosc import (B_MIN, NonConvergence, OscillatorParams, SingularLimit, Spec
                     superstat_closed_point, superstat_partition_closed, superstat_quadrature,
                     superstat_thermo, thermo_quadrature, thermo_sum_engine)
 
-from pdmosc.thermo import _assemble, _scaled_moments
+from pdmosc._moments import _assemble, _scaled_moments
 from pdmosc.verify import DEFAULT_ALPHAS, DEFAULT_BETAS, DEFAULT_QS
 
 from helpers import derivative, mp_closed_heat_capacity_superstat, mp_quad, mp_weight_moments
@@ -422,7 +422,7 @@ def _single_row_moments(c, beta, q, s, hi):
 
 def test_engine_rows_equal_single_quadratures():
     """The quadinf point assembles Z_s, U_s, C_s, S_s and F_s
-    (thermo._assemble) from Gauss-Kronrod moment rows L beta s u^k e^{-u},
+    (_moments._assemble) from Gauss-Kronrod moment rows L beta s u^k e^{-u},
     u = beta D(s m), each bit for bit its single-row integrate_batch call;
     q = 0 needs only k <= 2.
     The rows do not read q, so a beta x q mesh equals its per-q calls."""

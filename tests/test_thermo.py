@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from pdmosc import _moments
 from pdmosc import (NonConvergence, OscillatorParams, SingularLimit, SpectrumCoefficients,
                     Tolerance, coefficients, entropy_closed, heat_capacity_closed,
                     log_partition_closed, mean_energy_closed, partition_closed, routes,
@@ -787,8 +788,9 @@ def test_tail_bounds_are_the_ratio_bound_and_bound_the_tail_sum():
         c = coefficients(OscillatorParams(alpha=alpha))
         for beta in (0.05, 0.5, 3.0, 40.0):
             for n in (2, 5, 20):
-                bounds = thermo._tail_bounds(np.array([c.a]), np.array([c.b]), np.array([beta]),
-                                             np.array([float(n)]))[:, 0].tolist()
+                bounds = _moments._tail_bounds(np.array([c.a]), np.array([c.b]),
+                                               np.array([beta]), np.array([float(n)]))
+                bounds = bounds[:, 0].tolist()
                 refs, sums = _mp_tail(c.a, c.b, beta, n)
                 for bound, ref, total in zip(bounds, refs, sums):
                     if ref is None:
@@ -807,7 +809,7 @@ def test_tail_bound_is_inf_where_the_terms_still_rise():
     # beta = k ln(D_4/D_3)/(D_4 - D_3): below, the tail is not certified
     d3, d4 = 3.0 * (C03.a + 5.0 * C03.b), 4.0 * (C03.a + 6.0 * C03.b)
     bv = np.array([0.5, 1.5, 2.5]) * math.log(d4 / d3) / (d4 - d3)
-    bounds = thermo._tail_bounds(np.full(3, C03.a), np.full(3, C03.b), bv, np.full(3, 2.0))
+    bounds = _moments._tail_bounds(np.full(3, C03.a), np.full(3, C03.b), bv, np.full(3, 2.0))
     assert np.isfinite(bounds[0]).all()
     assert bounds[1, 0] == math.inf and np.isfinite(bounds[1, 1:]).all()
     assert (bounds[2, :2] == math.inf).all() and math.isfinite(bounds[2, 2])
@@ -847,7 +849,7 @@ def test_vectorised_row_sums_are_math_fsum_bit_for_bit(monkeypatch):
     assert want[0][-len(built)] == 1.0 + 2.0 ** -52
     assert 1.0 + 2.0 ** -53 + 2.0 ** -73 == 1.0
     calls = _fsum_calls(monkeypatch)
-    assert thermo._fsum_rows(terms, starts, counts).tolist() == want
+    assert _moments._fsum_rows(terms, starts, counts).tolist() == want
     assert sorted(calls) == sorted(tuple(row) for row in fallback for _ in range(3))
 
 
@@ -855,12 +857,12 @@ def test_level_rows_are_math_fsum_of_their_terms(monkeypatch):
     # from beta = 1e-10 to 1e300, every direct level row is math.fsum of the
     # double terms it sums, and math.fsum runs on no row
     seen = []
-    real = thermo._fsum_rows
-    monkeypatch.setattr(thermo, "_fsum_rows", lambda *args: seen.append(args) or real(*args))
+    real = _moments._fsum_rows
+    monkeypatch.setattr(_moments, "_fsum_rows", lambda *args: seen.append(args) or real(*args))
     betas = np.concatenate((_GATE_BETAS, 10.0 ** np.arange(3.5, 300.5, 0.5)))
     c = coefficients(OscillatorParams(alpha=np.repeat(_GATE_ALPHAS, len(betas))))
     calls = _fsum_calls(monkeypatch)
-    thermo._boltzmann_levels(c.a, c.b, np.tile(betas, len(_GATE_ALPHAS)))
+    _moments._boltzmann_levels(c.a, c.b, np.tile(betas, len(_GATE_ALPHAS)))
     assert calls == []
     (terms, starts, counts), = seen
     assert real(terms, starts, counts).tolist() == _fsum_reference(terms, starts, counts)
@@ -876,20 +878,20 @@ def test_sums_where_long_double_is_double(monkeypatch):
     betas = np.concatenate((_GATE_BETAS, 10.0 ** np.arange(3.5, 300.5, 0.5), [1e308]))
     c = coefficients(OscillatorParams(alpha=np.repeat(_GATE_ALPHAS, len(betas))))
     args = c.a, c.b, np.tile(betas, len(_GATE_ALPHAS))
-    unpatched = thermo._boltzmann_levels(*args)
+    unpatched = _moments._boltzmann_levels(*args)
     monkeypatch.setattr(np, "longdouble", np.float64)
-    assert all(np.array_equal(x, y) for x, y in zip(thermo._boltzmann_levels(*args), unpatched))
+    assert all(np.array_equal(x, y) for x, y in zip(_moments._boltzmann_levels(*args), unpatched))
     rng = np.random.default_rng(3)
     counts = np.concatenate((rng.integers(1, 177, 200), [1] * 20))
     starts = np.cumsum(counts) - counts
     terms = np.exp(-rng.uniform(0.0, 40.0, (3, counts.sum())))
     want = _fsum_reference(terms, starts, counts)
     calls = _fsum_calls(monkeypatch)
-    assert thermo._fsum_rows(terms, starts, counts).tolist() == want
+    assert _moments._fsum_rows(terms, starts, counts).tolist() == want
     assert calls == []
     for alpha in _GATE_ALPHAS:
         c = coefficients(OscillatorParams(alpha=alpha))
-        for beta in _GATE_BETAS[_GATE_BETAS * (c.a + 2.0 * c.b) > thermo._EM_THETA].tolist():
+        for beta in _GATE_BETAS[_GATE_BETAS * (c.a + 2.0 * c.b) > _moments._EM_THETA].tolist():
             pt = thermo_sum_engine(c, beta)
             for got, w in zip((pt.Z, pt.U, pt.C, pt.S, pt.F), _mp_sum_point(c, beta)):
                 if abs(w) >= np.finfo(float).tiny:
@@ -903,18 +905,21 @@ def test_sums_where_long_double_is_double(monkeypatch):
 def test_sum_presets_and_audit_certify_every_series_at_its_first_guess(monkeypatch):
     # one level-sum call per sum preset and one for the sum-basis audit, each
     # certified by at most one tail-bound call, at its first guess
-    calls = {"_boltzmann_levels": 0, "_tail_bounds": 0}
+    # each patched where it is looked up: _boltzmann_levels by
+    # thermo_sum_engine in thermo, _tail_bounds by _direct_rows in _moments
+    owners = {"_boltzmann_levels": thermo, "_tail_bounds": _moments}
+    calls = dict.fromkeys(owners, 0)
 
     def counted(name):
-        real = getattr(thermo, name)
+        real = getattr(owners[name], name)
 
         def call(*args):
             calls[name] += 1
             return real(*args)
         return call
 
-    for name in calls:
-        monkeypatch.setattr(thermo, name, counted(name))
+    for name, owner in owners.items():
+        monkeypatch.setattr(owner, name, counted(name))
     for figure_id in ("Fig2a", "Fig2b", "Fig3a", "Fig3b", "Fig4a", "Fig4b", "Fig5a", "Fig5b"):
         figure_preset(figure_id)
     audit_columns(oracle_basis="sum")
@@ -955,7 +960,7 @@ def test_level_reference_equals_direct_sums():
 
 def _levels(c, betas):
     n = len(betas)
-    return thermo._boltzmann_levels(np.full(n, c.a), np.full(n, c.b), np.asarray(betas))
+    return _moments._boltzmann_levels(np.full(n, c.a), np.full(n, c.b), np.asarray(betas))
 
 
 @pytest.mark.parametrize("alpha", _GATE_ALPHAS)
@@ -984,16 +989,16 @@ def test_level_sums_stay_short_and_certified(monkeypatch):
     # direct levels' certificate never fires there; summed past too few
     # levels, it does
     levels = []
-    real = thermo._tail_bounds
-    monkeypatch.setattr(thermo, "_tail_bounds", lambda a, b, bv, n: levels.append(n.max())
+    real = _moments._tail_bounds
+    monkeypatch.setattr(_moments, "_tail_bounds", lambda a, b, bv, n: levels.append(n.max())
                         or real(a, b, bv, n))
     betas = np.concatenate((_GATE_BETAS, 10.0 ** np.arange(3.5, 300.5, 0.5)))
     alphas = np.repeat(_GATE_ALPHAS, len(betas))
     c = coefficients(OscillatorParams(alpha=alphas))
-    tail, mean, var, _ = thermo._boltzmann_levels(c.a, c.b, np.tile(betas, len(_GATE_ALPHAS)))
+    tail, mean, var, _ = _moments._boltzmann_levels(c.a, c.b, np.tile(betas, len(_GATE_ALPHAS)))
     assert np.isfinite(tail).all() and np.isfinite(mean).all() and np.isfinite(var).all()
     assert len(levels) == 1 and 1 <= levels[0] <= 256
-    monkeypatch.setattr(thermo, "_X_ROUNDING", 20.0)
+    monkeypatch.setattr(_moments, "_X_ROUNDING", 20.0)
     with pytest.raises(NonConvergence, match="tail bound above rounding"):
         thermo_sum_engine(C03, 1.0)
 
@@ -1003,11 +1008,11 @@ def test_direct_terms_are_rounded_once(monkeypatch):
     # value, at u_1 from 0.7 to 5e3 (m > 0 from 700): formed to ~2^-58 in
     # double-doubles and rounded once; two roundings would reach 1 ulp
     seen = []
-    real = thermo._fsum_rows
-    monkeypatch.setattr(thermo, "_fsum_rows", lambda *args: seen.append(args) or real(*args))
+    real = _moments._fsum_rows
+    monkeypatch.setattr(_moments, "_fsum_rows", lambda *args: seen.append(args) or real(*args))
     betas = np.tile([0.5, 3.0, 40.0, 562.0, 1e3, 5e3], 4)
     c = coefficients(OscillatorParams(alpha=np.repeat([0.0, 1e-9, 0.3, 0.9], 6)))
-    _, m = thermo._direct_rows(c.a, c.b, betas)
+    _, m = _moments._direct_rows(c.a, c.b, betas)
     (terms, starts, counts), = seen
     with mp.workdps(40):
         for i, (a, b, beta) in enumerate(zip(c.a.tolist(), c.b.tolist(), betas.tolist())):
@@ -1044,12 +1049,12 @@ def test_scaled_direct_rows_stop_at_level_two(alpha, monkeypatch):
     # certificate's bound is +0: there N = 2, and the 40-digit tail past
     # level 2 is below 2^-52 of each row, so nothing is left to certify
     levels = []
-    real = thermo._tail_bounds
-    monkeypatch.setattr(thermo, "_tail_bounds", lambda a, b, bv, n: levels.append(n)
+    real = _moments._tail_bounds
+    monkeypatch.setattr(_moments, "_tail_bounds", lambda a, b, bv, n: levels.append(n)
                         or real(a, b, bv, n))
     c = coefficients(OscillatorParams(alpha=alpha))
     betas = np.array([701.0, 1e3, 1e5]) / (c.a + 3.0 * c.b)
-    rows, m = thermo._direct_rows(np.full(3, c.a), np.full(3, c.b), betas)
+    rows, m = _moments._direct_rows(np.full(3, c.a), np.full(3, c.b), betas)
     assert (m > 0).all() and levels[0].tolist() == [2.0] * 3
     assert (real(np.full(3, c.a), np.full(3, c.b), betas, levels[0]) == 0.0).all()
     with mp.workdps(40):

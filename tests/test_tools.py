@@ -56,8 +56,28 @@ def test_atlas_diff_fails_on_different_grids(tmp_path):
     assert "different grids" in res.stdout
 
 
-def _spectrum_oracle():
-    spec = importlib.util.spec_from_file_location("spectrum_oracle", TOOLS / "spectrum_oracle.py")
+def test_atlas_diff_counts_a_move_to_or_from_nan_or_an_infinity_as_infinite(tmp_path):
+    # such a move has no finite relative measure: its shift is inf, so the
+    # worst shift shows it, where a nan shift left the worst at 0
+    shift = _tool("atlas_diff").shift
+    nan, inf = math.nan, math.inf
+    for old, new in [(1.0, nan), (nan, 1.0), (inf, -inf), (-inf, inf), (inf, 1.0), (nan, inf)]:
+        assert shift(old, new) == inf, (old, new)
+    for old, new in [(nan, nan), (inf, inf), (-inf, -inf), (2.0, 2.0)]:
+        assert shift(old, new) == 0.0, (old, new)
+    assert shift(1.0, inf) == inf and shift(2.0, 3.0) == 0.5
+    for printed in ("nan", "-inf"):
+        res = _atlas_diff(tmp_path, OLD.replace("Z,0.1,1,,verbatim,2", "Z,0.1,1,,verbatim,inf"),
+                          OLD.replace("Z,0.1,1,,verbatim,2", f"Z,0.1,1,,verbatim,{printed}"))
+        assert res.returncode == 0, res.stderr
+        rows = {tuple(line.split()[:2]): line.split()[2:]
+                for line in res.stdout.split("classification changes")[0].splitlines()}
+        assert rows[("Z", "verbatim")] == ["inf", "0.00e+00", "1"], printed
+
+
+def _tool(name: str):
+    """The script tools/<name>.py, imported as a module."""
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -69,7 +89,7 @@ def test_spectrum_oracle_levels_are_the_ladders():
     # a(n + 1/2) + b(n^2 + n + 1/2), and the typeset ladder is its lam' = 1 + a/alpha
     # form, each to a few ulp of the largest term it rounds; the fitted ladders
     # share E_0 and b and differ in L, a + b against a + 2b
-    oracle = _spectrum_oracle()
+    oracle = _tool("spectrum_oracle")
     n = np.arange(oracle.LEVELS, dtype=float)
     for alpha in (0.1, 0.3, 0.6):
         ladders, grid = oracle.ladders(alpha), oracle.grid_levels(alpha)

@@ -6,9 +6,10 @@ For each (quantity, transcription) it prints the worst relative shift of
 the printed and of the oracle column, and how many printed values moved;
 then it lists every row whose classification changed.  A shift is
 |new - old| / max(|old|, 1e-300); nan against nan and equal infinities
-count as no shift.  Exits 1 when the two files do not cover the same grid
-(quantity, alpha, beta, q and transcription, row by row), 2 when they do
-but a classification changed, else 0.
+count as no shift, and a move that this leaves nan (to or from nan, or
+from an infinity) as an infinite one.  Exits 1 when the two files do not
+cover the same grid (quantity, alpha, beta, q and transcription, row by
+row), 2 when they do but a classification changed, else 0.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ KEY = ("quantity", "alpha", "beta", "q", "transcription")
 def shift(old: float, new: float) -> float:
     if old == new or (math.isnan(old) and math.isnan(new)):
         return 0.0
-    return abs(new - old) / max(abs(old), 1e-300)
+    rel = abs(new - old) / max(abs(old), 1e-300)
+    return math.inf if math.isnan(rel) else rel
 
 
 def read(path: str) -> list[dict]:

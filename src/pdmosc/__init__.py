@@ -2,6 +2,8 @@
 position-dependent mass, with every typeset closed form audited against
 independent numerical oracles."""
 
+from types import ModuleType as _Module
+
 from .errors import NonConvergence, NonDecaying, PdmoscError, SingularLimit
 from .numerics import (QuadratureResult, Tolerance, erf, erfc, erfcx, erfcx_derivatives,
                        exp_neg_product, integrate_batch)
@@ -16,4 +18,6 @@ from .superstat import (SuperstatPoint, boltzmann_factor_q, entropy_superstat_cl
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+#: the public functions, records and constants; not the submodules that importing binds
+__all__ = [name for name in dir()
+           if not name.startswith("_") and not isinstance(globals()[name], _Module)]

@@ -19,6 +19,7 @@ from itertools import product
 
 from .errors import NonConvergence, NonDecaying, PdmoscError
 from .numerics import Tolerance
+from .thermo import TRANSCRIPTIONS
 from . import routes, sweeps, verify
 
 
@@ -70,20 +71,19 @@ def _add_point_flags(sub, params: tuple[str, ...]):
     for name in params:
         sub.add_argument(f"--{name}", type=int if name == "n" else float, default=None)
     sub.add_argument("--method", default=None, choices=list(routes.METHODS))
-    sub.add_argument("--transcription", default="verbatim",
-                     choices=["verbatim", "corrected"])
+    sub.add_argument("--transcription", default="verbatim", choices=list(TRANSCRIPTIONS))
     sub.add_argument("--units", default="natural", choices=routes.UNITS)
-    sub.add_argument("--b-convention", dest="b_convention", default="spectrum",
-                     choices=["spectrum", "compact"])
     _add_common(sub)
 
 
-def _add_common(sub):
-    """The output, tolerance and config flags every verb reads."""
+def _add_common(sub, tolerances: bool = True):
+    """The output and config flags every verb reads, and the tolerance flags
+    of the verbs that reach a quadrature route (all but figure)."""
     sub.add_argument("--out", default=None, help="output path (default stdout)")
     sub.add_argument("--format", dest="format", default="csv", choices=["csv", "json"])
-    sub.add_argument("--tol-rel", dest="tol_rel", type=float, default=None)
-    sub.add_argument("--tol-abs", dest="tol_abs", type=float, default=None)
+    if tolerances:
+        sub.add_argument("--tol-rel", dest="tol_rel", type=float, default=None)
+        sub.add_argument("--tol-abs", dest="tol_abs", type=float, default=None)
     sub.add_argument("--config", default=None, help="key = value config file")
 
 
@@ -116,10 +116,10 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
 
     figure = subs.add_parser("figure", help="emit one figure preset")
     figure.add_argument("id", choices=list(sweeps.FIGURE_IDS))
-    _add_common(figure)
+    _add_common(figure, tolerances=False)  # no preset route reads a tolerance
 
     audit = subs.add_parser("audit", help="printed-vs-oracle discrepancy atlas")
-    audit.add_argument("--method", default="closed", choices=["closed", "sum"],
+    audit.add_argument("--method", default="closed", choices=list(verify._ORACLES),
                        help="oracle basis of the thermo quantities")
     _add_common(audit)
 
@@ -180,10 +180,10 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     return args
 
 
-def _tolerance(args, rel: float = 1e-10) -> Tolerance:
-    """--tol-rel/--tol-abs over the command's default relative tolerance."""
-    return Tolerance(rel=args.tol_rel if args.tol_rel is not None else rel,
-                     abs=args.tol_abs if args.tol_abs is not None else 0.0)
+def _tolerance(args, default: Tolerance) -> Tolerance:
+    """--tol-rel/--tol-abs over the command's default tolerance."""
+    return Tolerance(rel=default.rel if args.tol_rel is None else args.tol_rel,
+                     abs=default.abs if args.tol_abs is None else args.tol_abs)
 
 
 def _emit(text: str, out: str | None):
@@ -232,28 +232,27 @@ def _cmd_sweep(args) -> int:
         quantity=args.quantity, vary=args.vary,
         values=_parse_range(args.range, _level if args.vary == "n" else float),
         fixed=_values(args), method=args.method or "sum", units=args.units,
-        transcription=args.transcription, b_convention=args.b_convention)
+        transcription=args.transcription)
     _emit_curves(args, [args.vary, args.quantity, "warning"], None,
-                 *sweeps.run_sweep(spec, _tolerance(args)))
+                 *sweeps.run_sweep(spec, _tolerance(args, sweeps.PRESET_TOL)))
     return 0
 
 
 def _cmd_figure(args) -> int:
-    _emit_curves(args, ["curve", "x", "y", "warning"],
-                 *sweeps.figure_preset(args.id, _tolerance(args)))
+    _emit_curves(args, ["curve", "x", "y", "warning"], *sweeps.figure_preset(args.id))
     return 0
 
 
 def _cmd_audit(args) -> int:
     render = verify.render_audit_json if args.format == "json" else verify.render_audit_csv
-    _emit(render(verify.audit_columns(tol=_tolerance(args, rel=3e-13),
+    _emit(render(verify.audit_columns(tol=_tolerance(args, verify.AUDIT_TOL),
                                       oracle_basis=args.method)), args.out)
     return 0
 
 
 def _cmd_point(args) -> int:
-    s = routes.state(_values(args), args.units, args.b_convention, args.transcription,
-                     _tolerance(args))
+    s = routes.state(_values(args), args.units, args.transcription,
+                     _tolerance(args, sweeps.PRESET_TOL))
     family = "thermo" if args.q is None else "superstat"
     method = args.method or "sum"
     if method not in routes.POINTS[family]:

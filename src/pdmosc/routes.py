@@ -56,8 +56,7 @@ class State(NamedTuple):
     tol: Tolerance = Tolerance()
 
 
-def state(values: dict, units: str = "natural", b_convention: str = "spectrum",
-          transcription: str | tuple[str, str] = "verbatim",
+def state(values: dict, units: str = "natural", transcription: str | tuple[str, str] = "verbatim",
           tol: Tolerance = Tolerance()) -> State:
     """The State at {alpha, beta, q, n, m0, omega} values; a missing entry
     takes the CLI default, and m0/omega count in SI units only.  Arrays
@@ -79,7 +78,7 @@ def state(values: dict, units: str = "natural", b_convention: str = "spectrum",
                                                 ("m0", "omega") if k in values})
     else:
         p = OscillatorParams(alpha=alpha)
-    return State(coefficients(p, b_convention), p.kB, values.get("beta", 1.0),
+    return State(coefficients(p), p.kB, values.get("beta", 1.0),
                  values.get("q", 0.0), values.get("n", 0), transcription, tol)
 
 

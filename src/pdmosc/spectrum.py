@@ -116,25 +116,16 @@ class SpectrumCoefficients(_ArrayFields, _CoefficientsFields):
         return e if e.ndim else float(e)
 
 
-def coefficients(p: OscillatorParams,
-                 b_convention: str = "spectrum") -> SpectrumCoefficients:
-    """Compact (a, b) from the physical parameters.
-
-    a = hbar*omega*sqrt(1 + alpha^2 hbar^2 / (4 m0^2 omega^2)) in both
-    conventions.  The quadratic coefficient appears in two variants in the
-    source material: b = alpha*hbar^2/(2 m0) ("spectrum", the value that
-    makes the compact form identical to the full spectrum; default) and
-    b = alpha*hbar^2/(2 m0 omega) ("compact").  They coincide in natural
-    units; both are exposed so the discrepancy stays testable.  An alpha
-    array gives arrays, each element bit for bit its float call (np.sqrt is
-    correctly rounded, like math.sqrt); a float alpha gives floats.
+def coefficients(p: OscillatorParams) -> SpectrumCoefficients:
+    """Compact (a, b) from the physical parameters:
+    a = hbar*omega*sqrt(1 + alpha^2 hbar^2 / (4 m0^2 omega^2)) and
+    b = alpha*hbar^2/(2 m0), the value that makes the compact form identical
+    to the full spectrum; b does not depend on omega.  (The source's second
+    variant, alpha*hbar^2/(2 m0 omega), equals it in natural units and is no
+    energy in SI, so it is not offered.)  An alpha array gives arrays, each
+    element bit for bit its float call (np.sqrt is correctly rounded, like
+    math.sqrt); a float alpha gives floats.
     """
     m0, w, hb, al = p.m0, p.omega, p.hbar, p.alpha
     a = hb * w * np.sqrt(1.0 + al * al * hb * hb / (4.0 * m0 * m0 * w * w))
-    if b_convention == "spectrum":
-        b = al * hb * hb / (2.0 * m0)
-    elif b_convention == "compact":
-        b = al * hb * hb / (2.0 * m0 * w)
-    else:
-        raise ValueError("b_convention must be 'spectrum' or 'compact'")
-    return SpectrumCoefficients(a=a if np.ndim(a) else float(a), b=b)
+    return SpectrumCoefficients(a=a if np.ndim(a) else float(a), b=al * hb * hb / (2.0 * m0))

@@ -22,7 +22,7 @@ VARY_CHOICES = ("n", "alpha", "beta", "q")
 DEPENDS_ON = {"Energy": ("n", "alpha"), **dict.fromkeys(routes.THERMO, ("alpha", "beta")),
               **dict.fromkeys(routes.SUPERSTAT, ("alpha", "beta", "q"))}
 
-#: default sweep/preset tolerance; plots do not need 1e-12
+#: the default tolerance of sweep and point, which only their quadrature routes read
 PRESET_TOL = Tolerance(rel=1e-10)
 
 #: the fixed parameters of a sweep or preset that fixes none: read-only, so
@@ -54,7 +54,6 @@ class _SweepFields(NamedTuple):
     method: str = "sum"
     units: str = "natural"
     transcription: str = "verbatim"
-    b_convention: str = "spectrum"
 
 
 class SweepSpec(_Checked, _SweepFields):
@@ -84,16 +83,16 @@ class SweepSpec(_Checked, _SweepFields):
             raise ValueError(f"units must be {' or '.join(map(repr, routes.UNITS))}")
 
 
-def _evaluate(spec: SweepSpec, values: dict, tol: Tolerance) -> tuple[list, list]:
+def _evaluate(spec: SweepSpec, values: dict, tol: Tolerance = PRESET_TOL) -> tuple[list, list]:
     """spec's route in one call over a grid (routes.evaluate), values
     holding each varied parameter as an array of one value per point:
     (values, warnings), one of each per point, each value bit for bit the
     route at its own point.  Where a closed form is singular (b <= B_MIN a)
     the value is None with the warning "SingularLimit", not a crash, and
-    one more route call evaluates the regular points."""
+    one more route call evaluates the regular points.  Only the quadrature
+    routes read tol, and no preset takes one."""
     ys, regular = routes.evaluate(routes.ROUTES[(spec.quantity, spec.method)], values,
-                                  units=spec.units, b_convention=spec.b_convention,
-                                  transcription=spec.transcription, tol=tol)
+                                  units=spec.units, transcription=spec.transcription, tol=tol)
     size = len(values[spec.vary])
     if regular is None:
         return ys.tolist(), [""] * size
@@ -180,7 +179,7 @@ PRESETS: dict[str, FigurePreset] = {pr.figure_id: pr for pr in [
 FIGURE_IDS = tuple(PRESETS)
 
 
-def figure_preset(figure_id: str, tol: Tolerance = PRESET_TOL) -> tuple[list, list, list, list]:
+def figure_preset(figure_id: str) -> tuple[list, list, list, list]:
     """One preset's columns: the labels of its curves (one per quoted
     fixed-parameter value), the x grid they share, then y and the warning
     curve-major.  The whole (curve x x) grid is one route call (_evaluate):
@@ -192,7 +191,7 @@ def figure_preset(figure_id: str, tol: Tolerance = PRESET_TOL) -> tuple[list, li
     m, k = len(pr.values), len(pr.curve_values)
     spec = SweepSpec(pr.quantity, pr.vary, pr.values, pr.fixed, pr.method)
     ys, warnings = _evaluate(spec, {**pr.fixed, pr.vary: np.tile(pr.values, k),
-                                    pr.curve_param: np.repeat(pr.curve_values, m)}, tol)
+                                    pr.curve_param: np.repeat(pr.curve_values, m)})
     labels = [f"n={int(cv)}" if pr.curve_param == "n" else f"{pr.curve_param}={cv:g}"
               for cv in pr.curve_values]
     return labels, list(pr.values), ys, warnings

@@ -33,6 +33,9 @@ DEFAULT_ALPHAS = (0.1, 0.3, 0.9)
 DEFAULT_BETAS = tuple(float(x) for x in np.logspace(-1.0, 1.0, 25))
 DEFAULT_QS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
+#: the audit's quadrature tolerance, also the CLI's default
+AUDIT_TOL = Tolerance(rel=3e-13)
+
 #: oracle basis -> family -> the routes.POINTS method of its oracle
 _ORACLES = {"closed": {"thermo": "quad01", "superstat": "engine"},
             "sum": {"thermo": "sum", "superstat": "engine"}}
@@ -65,7 +68,7 @@ def _classify(printed: np.ndarray, oracle: np.ndarray) -> tuple[np.ndarray, np.n
 def audit_columns(params_grid: Iterable = DEFAULT_ALPHAS,
                   beta_grid: Sequence[float] = DEFAULT_BETAS,
                   q_grid: Sequence[float] = DEFAULT_QS,
-                  tol: Tolerance = Tolerance(rel=3e-13),
+                  tol: Tolerance = AUDIT_TOL,
                   oracle_basis: str = "closed") -> list[AuditBlock]:
     """Audit every typeset closed form on the grid of alpha values
     (params_grid), beta and q, both transcriptions, in natural units.

@@ -5,24 +5,24 @@ import thermo at all."""
 
 import ast
 from pathlib import Path
+from types import ModuleType
 
 import pdmosc
 from pdmosc import thermo
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "pdmosc"
 
-#: pdmosc.__all__: every public function and record, and the submodules that
-#: importing the package binds
+#: pdmosc.__all__: every public function, record and constant, no submodule
 PUBLIC = (
     "B_MIN", "NonConvergence", "NonDecaying", "OscillatorParams", "PdmoscError",
     "QuadratureResult", "SingularLimit", "SpectrumCoefficients", "SuperstatPoint", "ThermoPoint",
     "Tolerance", "boltzmann_factor_q", "coefficients", "entropy_closed",
-    "entropy_superstat_closed", "erf", "erfc", "erfcx", "erfcx_derivatives", "errors",
+    "entropy_superstat_closed", "erf", "erfc", "erfcx", "erfcx_derivatives",
     "exp_neg_product", "heat_capacity_closed", "heat_capacity_superstat_closed",
     "integrate_batch", "log_partition_closed", "log_superstat_partition_closed",
-    "mean_energy_closed", "mean_energy_superstat_closed", "numerics", "partition_closed",
-    "spectrum", "superstat", "superstat_closed_point", "superstat_partition_closed",
-    "superstat_quadrature", "superstat_thermo", "thermo", "thermo_closed_point",
+    "mean_energy_closed", "mean_energy_superstat_closed", "partition_closed",
+    "superstat_closed_point", "superstat_partition_closed",
+    "superstat_quadrature", "superstat_thermo", "thermo_closed_point",
     "thermo_quadrature", "thermo_sum_engine")
 
 
@@ -49,3 +49,11 @@ def test_public_names_and_constants_are_unchanged():
     assert sorted(pdmosc.__all__) == sorted(PUBLIC)
     assert thermo.B_MIN == 1e-8 and pdmosc.B_MIN is thermo.B_MIN
     assert thermo.TRANSCRIPTIONS == ("verbatim", "corrected")
+
+
+def test_no_public_name_is_a_module():
+    # importing the package binds its submodules; a star import does not
+    assert [name for name in pdmosc.__all__ if isinstance(getattr(pdmosc, name), ModuleType)] == []
+    namespace = {}
+    exec("from pdmosc import *", namespace)
+    assert "thermo" not in namespace and "numerics" not in namespace

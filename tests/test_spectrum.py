@@ -53,25 +53,21 @@ def test_coefficients_invariants():
 
 
 def test_b_conventions():
-    p = OscillatorParams(alpha=0.4, omega=2.0)
-    assert coefficients(p, "spectrum").b == 0.4 / 2.0
-    assert coefficients(p, "compact").b == 0.4 / (2.0 * 2.0)
-    # identical in natural units (omega = 1)
-    pn = OscillatorParams(alpha=0.4)
-    assert coefficients(pn, "spectrum") == coefficients(pn, "compact")
-    with pytest.raises(ValueError):
-        coefficients(p, "other")
+    # b = alpha hbar^2/(2 m0): it does not depend on omega
+    assert coefficients(OscillatorParams(alpha=0.4, omega=2.0)).b == 0.2
+    # the source's second variant, alpha hbar^2/(2 m0 omega), is not offered
+    with pytest.raises(TypeError):
+        coefficients(OscillatorParams(alpha=0.4, omega=2.0), "compact")
 
 
-@pytest.mark.parametrize("b_convention", ["spectrum", "compact"])
-def test_alpha_array_coefficients_equal_float_calls(b_convention):
+def test_alpha_array_coefficients_equal_float_calls():
     alphas = np.concatenate([[0.0, 5e-324, 1e-9, 0.02], np.linspace(0.0, 0.999, 97),
                              [np.nextafter(1.0, 0.0)]])
     for make in (lambda al: OscillatorParams(alpha=al),
                  lambda al: OscillatorParams(m0=0.7, omega=2.5, alpha=al),
                  lambda al: OscillatorParams.si(alpha=al)):
-        curve = coefficients(make(alphas), b_convention)
-        points = [coefficients(make(al), b_convention) for al in alphas.tolist()]
+        curve = coefficients(make(alphas))
+        points = [coefficients(make(al)) for al in alphas.tolist()]
         assert all(type(c.a) is float and type(c.b) is float for c in points)
         # a > 0 and b >= 0 (b = +0.0 only at alpha = 0): equal means same bits
         assert curve.a.tolist() == [c.a for c in points]

@@ -244,7 +244,7 @@ def test_csv_rows_print_each_value_as_17_digits(monkeypatch, tmp_path, capsys):
             assert texts[0].split("\n")[1:3] == ["-0,,SingularLimit", "0.5,-0,"]
         labels = ["alpha=0.1", "alpha=0.3"]
         curves = (labels, xs[:4], ys[:8], warnings[:8])
-        monkeypatch.setattr(sweeps, "figure_preset", lambda figure_id, tol: curves)
+        monkeypatch.setattr(sweeps, "figure_preset", lambda figure_id: curves)
         rows = [(*row, y, w) for row, y, w in zip(itertools.product(labels, xs[:4]), ys, warnings)]
         header = ["curve", "x", "y", "warning"]
         want = [_reference_csv(header, rows)] * 2 + [_reference_json(header, rows)] * 2
@@ -604,8 +604,10 @@ def test_cli_point_closed_free_energy_where_z_underflows(capsys):
 
 
 @pytest.mark.parametrize("flag", ["--method=sum", "--transcription=corrected",
-                                  "--units=si", "--b-convention=compact"])
+                                  "--units=si", "--b-convention=compact",
+                                  "--tol-rel=1e-9", "--tol-abs=0"])
 def test_cli_figure_refuses_flags_it_ignores(flag, tmp_path, capsys):
+    # no preset route reads a tolerance, so figure takes none
     with pytest.raises(SystemExit) as exc:
         cli.main(["figure", "Fig2a", flag])
     assert exc.value.code == 2
@@ -623,6 +625,22 @@ def test_cli_audit_refuses_flags_it_ignores(flag, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["audit", flag])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "Z", "--vary", "beta", "--range", "1,2", "--b-convention", "spectrum"],
+    ["point", "--b-convention", "compact"]])
+def test_cli_has_one_b_convention(argv, tmp_path, capsys):
+    # b = alpha hbar^2/(2 m0) is the only quadratic coefficient: the flag and
+    # its config key are refused like any other flag the verb does not read
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --b-convention" in capsys.readouterr().err
+    conf = tmp_path / "b.conf"
+    conf.write_text(f"b-convention = {argv[-1]}\n")
+    assert cli.main(argv[:-2] + ["--config", str(conf)]) == 2
+    assert capsys.readouterr().err == "pdmosc: error: unknown config key 'b-convention'\n"
 
 
 def test_cli_maps_every_package_error(monkeypatch, capsys):
@@ -995,7 +1013,7 @@ def test_sweep_flag_at_its_default_beats_config(tmp_path, capsys):
     ["sweep", "Zs", "--vary", "beta", "--range", "1,2", "--alpha", "0.3", "--q=0.5",
      "--method", "closed", "--transcription", "corrected", "--format", "json"],
     ["sweep", "Energy", "--vary", "n", "--range", "0:3:4", "--n", "2", "--units", "si",
-     "--b-convention", "compact", "--tol-rel", "1e-9", "--tol-abs", "0"],
+     "--tol-rel", "1e-9", "--tol-abs", "0"],
     ["figure", "Fig3b", "--out", "fig.csv"],
     ["audit", "--method", "sum"],
     ["point"],
@@ -1006,9 +1024,9 @@ def test_verb_dispatch_parses_as_the_top_level_parser(argv, with_config, tmp_pat
     # the verb's own parser, with the config values put before the command's
     # flags, gives the Namespace of the top-level parser on the same tokens
     expanded = argv
-    if with_config:  # every verb reads --tol-rel, only sweep and point --alpha
-        keys = {"tol-rel": "1e-8", **({} if argv[0] in ("figure", "audit") else
-                                      {"alpha": "0.7"})}
+    if with_config:  # every verb reads --format, all but figure --tol-rel, sweep and point --alpha
+        keys = {"format": "json", **({} if argv[0] == "figure" else {"tol-rel": "1e-8"}),
+                **({} if argv[0] in ("figure", "audit") else {"alpha": "0.7"})}
         conf = tmp_path / "pdmosc.conf"
         conf.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
         argv = argv + ["--config", str(conf)]
@@ -1038,18 +1056,19 @@ def test_cli_usage_exits(argv, code, stream, token, capsys):
 # every flag of each verb (--config aside, which reads a file), with values
 # argparse accepts, and tokens it treats otherwise: values that begin with
 # '-', bad floats, ints and choices, '--', help and spaces
-_COMMON_FLAGS = ["--out", "--format", "--tol-rel", "--tol-abs"]
+_COMMON_FLAGS = ["--out", "--format"]
+_TOL_FLAGS = ["--tol-rel", "--tol-abs", *_COMMON_FLAGS]
 _POINT_FLAGS = ["--alpha", "--beta", "--q", "--method", "--transcription", "--units",
-                "--b-convention", *_COMMON_FLAGS]
+                *_TOL_FLAGS]
 _VERB_FLAGS = {"sweep": ["--vary", "--range", "--n", *_POINT_FLAGS], "point": _POINT_FLAGS,
-               "figure": _COMMON_FLAGS, "audit": ["--method", *_COMMON_FLAGS]}
+               "figure": _COMMON_FLAGS, "audit": ["--method", *_TOL_FLAGS]}
 _POSITIONALS = {"sweep": list(sweeps.QUANTITIES), "figure": list(sweeps.FIGURE_IDS),
                 "audit": [], "point": []}
 _FLAG_VALUES = {"--alpha": ["0.3", "0", "1e-3", "nan"], "--beta": ["2", "1e308"],
                 "--q": ["0.5", "0"], "--n": ["3", "0"], "--tol-rel": ["1e-9"],
                 "--tol-abs": ["0", "1e-30"], "--out": ["o.csv", ""],
                 "--method": list(routes.METHODS), "--transcription": ["verbatim", "corrected"],
-                "--units": ["natural", "si"], "--b-convention": ["spectrum", "compact"],
+                "--units": ["natural", "si"],
                 "--format": ["csv", "json"], "--vary": list(sweeps.VARY_CHOICES),
                 "--range": ["1,2", "log:0.5:8:16"]}
 _ODD_VALUES = ["-1", "-0.5", "x", "", "1.5", "bogus", "-", "--", "-h", "--alpha", "a b"]

@@ -99,15 +99,16 @@ def _excitation(a, b, n):
     return n * (a + b * (n + 2.0))
 
 
-def _tail_bounds(a, b, bv, N):
-    """Upper bounds on sum_{n>N} t_n, t_n = u_n^k e^{-u_n}, u_n = beta D_n, k = 0, 1, 2
+def _tail_bounds(a, b, bv, N, order=2):
+    """Upper bounds on sum_{n>N} t_n, t_n = u_n^k e^{-u_n}, u_n = beta D_n, k = 0..order
     (rows), b >= 0, elementwise, by the ratio test: r_n = t_{n+1}/t_n = (D_{n+1}/D_n)^k
     e^{-beta (D_{n+1} - D_n)} does not increase for n >= 1 (D_{n+1} - D_n = a + b (2n + 3)
     does not fall), so the tail is at most t_{N+1}/(1 - r_{N+1}), +inf where r_{N+1} >= 1.
     1 + 2^-40 covers the rounding of e^{-u_{N+1}} (745 * 4 ulp), of u_{N+1}^k and, where
     u_{N+1} >= 43.6 (_direct_rows' N), of ln r; past u_{N+1} ~ 745 the bound is +0, also
     where u_{N+1} or its square overflows."""
-    d, step, k = _excitation(a, b, N + 1.0), a + b * (2.0 * N + 5.0), np.arange(3.0)[:, None]
+    d, step = _excitation(a, b, N + 1.0), a + b * (2.0 * N + 5.0)
+    k = np.arange(order + 1.0)[:, None]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # beta ~ 1e308; r = 1
         w = np.exp(-bv * d)
         log_r = k * np.log1p(step / d) - bv * step
@@ -131,8 +132,8 @@ _EM_WEIGHTS = np.array([1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 
 _X_SUBNORMAL = 700.0
 
 
-def _euler_maclaurin_rows(a, b, bv) -> np.ndarray:
-    """R_k = sum_{n>=1} u_n^k e^{-u_n}, k = 0, 1, 2 (rows), u_n = beta D_n
+def _euler_maclaurin_rows(a, b, bv, order) -> np.ndarray:
+    """R_k = sum_{n>=1} u_n^k e^{-u_n}, k = 0..order (rows), u_n = beta D_n
     = c n^2 + l n with l = beta L, c = beta b, elementwise, by
     Euler-Maclaurin from n = 0 (A&S 23.1.30; DLMF 2.10.1), less the n = 0
     term f_k(0) = [k = 0]:
@@ -145,7 +146,7 @@ def _euler_maclaurin_rows(a, b, bv) -> np.ndarray:
     p = 8).  Each weighted sum runs over the last axis, so a point's bits do
     not depend on the batch."""
     lin, quad = bv * (a + 2.0 * b), bv * b
-    rows = _scaled_moments(a, b, bv)[:3] / lin
+    rows = _scaled_moments(a, b, bv)[:order + 1] / lin
     rows[0] -= 0.5
     # row 4 + m holds E_m; the four zero rows before E_0 pad the products
     taylor = np.zeros((4 + 2 * len(_EM_WEIGHTS), len(bv)))
@@ -155,10 +156,10 @@ def _euler_maclaurin_rows(a, b, bv) -> np.ndarray:
         taylor[i + 1] = (step * taylor[i] + skip * taylor[i - 1]) / (i - 3)
     odd = np.arange(5, len(taylor), 2)
     e, l, c = taylor.T, lin[:, None], quad[:, None]
-    for k, coeffs in enumerate((e[:, odd], l * e[:, odd - 1] + c * e[:, odd - 2],
-                                l * l * e[:, odd - 2] + 2.0 * l * c * e[:, odd - 3]
-                                + c * c * e[:, odd - 4])):
-        rows[k] -= (_EM_WEIGHTS * coeffs).sum(axis=-1)
+    coeffs = (lambda: e[:, odd], lambda: l * e[:, odd - 1] + c * e[:, odd - 2],
+              lambda: l * l * e[:, odd - 2] + 2.0 * l * c * e[:, odd - 3] + c * c * e[:, odd - 4])
+    for k in range(order + 1):
+        rows[k] -= (_EM_WEIGHTS * coeffs[k]()).sum(axis=-1)
     return rows
 
 
@@ -184,8 +185,8 @@ def _fsum_rows(terms, starts, counts):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # beta ~ 1e308: u and the splits overflow
-def _level_terms(a, b, bv, point, n, m):
-    """The terms u_n^k w_n 2^m, rows k = 0, 1, 2, of _direct_rows at the levels n of the
+def _level_terms(a, b, bv, point, n, m, order):
+    """The terms u_n^k w_n 2^m, rows k = 0..order, of _direct_rows at the levels n of the
     points point: the halves of beta a and beta b times n and n(n + 2) (< 2^17) are
     exact, so u_n = p + e to ~2^-100; w_n 2^j = w + wl (_exp_neg_parts), where w has 18
     bits, so w times the halves of p, and that times p (_two_product), are exact.  A
@@ -197,18 +198,22 @@ def _level_terms(a, b, bv, point, n, m):
     e += parts[1:].sum(axis=(0, 1))
     p, e = p + e, e - ((p + e) - p)  # u = p + e, |e| <= ulp(p)/2
     j, w, wl = _exp_neg_parts(p, e)
-    halves = _split(p)
-    big_w = w + wl
-    hi, lo = w * halves[0], w * halves[1] + wl * p + big_w * e  # hi + lo = u (w + wl)
-    q, qe = _two_product(hi, p, halves)
-    terms = np.array([big_w, hi + lo, q + (qe + lo * p + hi * e)])
+    terms = [w + wl]
+    if order > 0:
+        halves = _split(p)
+        hi, lo = w * halves[0], w * halves[1] + wl * p + terms[0] * e  # hi + lo = u (w + wl)
+        terms.append(hi + lo)
+    if order > 1:
+        q, qe = _two_product(hi, p, halves)
+        terms.append(q + (qe + lo * p + hi * e))
+    terms = np.array(terms)
     terms *= np.ldexp(1.0, np.take(m, point) - j.astype(np.int64))
     # +0 past u = 2^14, where every term underflows and e may be NaN
     return np.where(p < 2.0 ** 14, terms, 0.0)
 
 
-def _direct_rows(a, b, bv):
-    """(rows, m): sum_{n=1}^{N} u_n^k w_n 2^m, k = 0, 1, 2 (rows), u_n = beta D_n,
+def _direct_rows(a, b, bv, order=2):
+    """(rows, m): sum_{n=1}^{N} u_n^k w_n 2^m, k = 0..order (rows), u_n = beta D_n,
     w_n = e^{-u_n}, elementwise, N the first level with x = u_N - u_1 >= 43.6, where
     row k's tail is near x^k e^{-x} of its sum, below rounding.  Each term is formed in
     double-doubles and rounded once, as rounding u_n alone moves w_n by ~1e-15 at
@@ -231,8 +236,8 @@ def _direct_rows(a, b, bv):
     # capped where the terms underflow all the same
     m = np.where(x1 > _X_SUBNORMAL, np.minimum(x1, 11000.0) / math.log(2.0), 0.0
                  ).astype(np.int64)
-    rows = _fsum_rows(_level_terms(a, b, bv, point, n, m), starts, counts)
-    uncertified = (_tail_bounds(a, b, bv, counts.astype(float)) > np.ldexp(rows, -52)
+    rows = _fsum_rows(_level_terms(a, b, bv, point, n, m, order), starts, counts)
+    uncertified = (_tail_bounds(a, b, bv, counts.astype(float), order) > np.ldexp(rows, -52)
                    ).any(axis=0)
     if uncertified.any():
         raise NonConvergence(
@@ -240,7 +245,7 @@ def _direct_rows(a, b, bv):
     return rows, m
 
 
-def _boltzmann_levels(a, b, bv):
+def _boltzmann_levels(a, b, bv, order=2):
     """(tail, <u>, Var u, m) of the Boltzmann distribution over the levels
     in u_n = beta D_n, D_n = E_n - E_0 the ground-state gauge, at every point
     i of equal-length arrays a, b and beta, where tail sums w_n = e^{-u_n}
@@ -253,17 +258,21 @@ def _boltzmann_levels(a, b, bv):
 
     * where beta L <= _EM_THETA (L = a + 2b) the rows sum_{n>=1} u_n^k w_n
       come from Euler-Maclaurin (_euler_maclaurin_rows), within ~1e-15;
-    * elsewhere from at most 176 levels summed directly (_direct_rows)."""
-    rows, m = np.zeros((3, len(bv))), np.zeros(len(bv), dtype=np.int64)
+    * elsewhere from at most 176 levels summed directly (_direct_rows).
+
+    Only the rows k <= order (0, 1 or 2) are summed, each with the bits it has
+    at order 2 (same levels, terms and certificate): <u> is NaN below order 1
+    and Var u below order 2."""
+    rows, m = np.full((3, len(bv)), math.nan), np.zeros(len(bv), dtype=np.int64)
     with np.errstate(over="ignore"):  # beta L overflows at beta ~ 1e308
         em = bv * (a + 2.0 * b) <= _EM_THETA
     direct = ~em
     if direct.any():
-        rows[:, direct], m[direct] = _direct_rows(a[direct], b[direct], bv[direct])
+        rows[:order + 1, direct], m[direct] = _direct_rows(a[direct], b[direct], bv[direct], order)
     # the rows are inf where beta L underflows (beta ~ 1e-305 in SI units): F overflows
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if em.any():
-            rows[:, em] = _euler_maclaurin_rows(a[em], b[em], bv[em])
+            rows[:order + 1, em] = _euler_maclaurin_rows(a[em], b[em], bv[em], order)
         zred = 1.0 + np.ldexp(rows[0], -m)
         mean = rows[1] / zred
         var = rows[2] / zred - np.ldexp(mean, -m) * mean

@@ -234,7 +234,7 @@ def _cmd_sweep(args) -> int:
         fixed=_values(args), method=args.method or "sum", units=args.units,
         transcription=args.transcription)
     _emit_curves(args, [args.vary, args.quantity, "warning"], None,
-                 *sweeps.run_sweep(spec, _tolerance(args, sweeps.PRESET_TOL)))
+                 *sweeps.run_sweep(spec, _tolerance(args, sweeps.SWEEP_TOL)))
     return 0
 
 
@@ -252,7 +252,7 @@ def _cmd_audit(args) -> int:
 
 def _cmd_point(args) -> int:
     s = routes.state(_values(args), args.units, args.transcription,
-                     _tolerance(args, sweeps.PRESET_TOL))
+                     _tolerance(args, sweeps.SWEEP_TOL))
     family = "thermo" if args.q is None else "superstat"
     method = args.method or "sum"
     if method not in routes.POINTS[family]:

@@ -8,10 +8,12 @@ is the moment engine, ``quadinf`` the batched semi-infinite quadrature,
 and ``quad01`` has no route (a pair missing from the table is refused).
 Each typeset closed form uses its own function (F and F_s, typeset as
 -ln Z/beta, divide the closed ln Z and ln Z_s by beta), and every other
-quantity is its field of the whole point.  Every route evaluates a whole
-curve in one call, or a figure's whole (curve x x) grid: from a State that
-holds each varied parameter as an array of one value per point it returns
-the array of the values, each bit for bit the route at its own point.
+quantity is its field of the whole point; on the thermo sum route that
+point sums only the moment rows the quantity reads (_ORDER).  Every route
+evaluates a whole curve in one call, or a figure's whole (curve x x) grid:
+from a State that holds each varied parameter as an array of one value per
+point it returns the array of the values, each bit for bit the route at its
+own point.
 Every State comes from ``state``, and ``evaluate`` runs a builder on one,
 calling it again on the regular alphas where the closed forms are singular.
 Functions are looked up as module attributes (``thermo.thermo_sum_engine``)
@@ -101,9 +103,10 @@ def evaluate(build: Callable, values: dict, **settings) -> tuple[object, np.ndar
                         for k, v in values.items()}, **settings)), regular
 
 
-def _in_kb(kernel: Callable, s: State):
-    """kernel's point at s, its C and S (or C_s and S_s) multiplied by s.kB."""
-    point = kernel(s)
+def _in_kb(kernel: Callable, s: State, *order: int):
+    """kernel's point at s (and the order of the thermo sum kernel), its C and
+    S (or C_s and S_s) multiplied by s.kB."""
+    point = kernel(s, *order)
     return point._replace(**{f: s.kB * getattr(point, f) for f in ("C", "S", "Cs", "Ss")
                              if hasattr(point, f)})
 
@@ -111,7 +114,8 @@ def _in_kb(kernel: Callable, s: State):
 #: family -> method -> kernel of the whole point
 _KERNELS: dict[str, dict[str, Callable]] = {
     "thermo": {
-        **dict.fromkeys(("sum", "engine"), lambda s: thermo.thermo_sum_engine(s.c, s.beta)),
+        **dict.fromkeys(("sum", "engine"),
+                        lambda s, *order: thermo.thermo_sum_engine(s.c, s.beta, *order)),
         "closed": lambda s: thermo.thermo_closed_point(s.c, s.beta, s.transcription),
         **{m: (lambda s, m=m: thermo.thermo_quadrature(s.c, s.beta, m, s.tol))
            for m in ("quad01", "quadinf")},
@@ -132,12 +136,17 @@ POINTS: dict[str, dict[str, Callable]] = {
 #: kernels do, silently; an errstate apart from the one the ln Z forms enter
 _overflow_ok = np.errstate(over="ignore")
 
+#: thermo quantity -> the highest k of the level rows sum_n u_n^k e^{-u_n} it
+#: reads, the only rows its sum and engine routes sum
+_ORDER = {"Z": 0, "F": 0, "U": 1, "S": 1, "C": 2}
+
 #: (quantity, method) -> evaluator: a field of the whole point, but for the
 #: level and the closed forms, each its own function
 ROUTES: dict[tuple[str, str], Callable[[State], float | np.ndarray]] = {
-    **{(qn, m): (lambda s, build=build, qn=qn: getattr(build(s), qn))
+    **{(qn, m): (lambda s, build=build, qn=qn, order=order: getattr(build(s, *order), qn))
        for family, quantities in FIELDS.items() for qn in quantities
-       for m, build in POINTS[family].items() if m != "closed"},
+       for m, build in POINTS[family].items() if m != "closed"
+       for order in [(_ORDER[qn],) if family == "thermo" and m in ("sum", "engine") else ()]},
     **{("Energy", m): (lambda s: s.c.level(s.n)) for m in METHODS},
     ("Z", "closed"): lambda s: thermo.partition_closed(s.c, s.beta),
     ("U", "closed"): lambda s: thermo.mean_energy_closed(s.c, s.beta, s.transcription),

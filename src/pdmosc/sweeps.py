@@ -23,7 +23,7 @@ DEPENDS_ON = {"Energy": ("n", "alpha"), **dict.fromkeys(routes.THERMO, ("alpha",
               **dict.fromkeys(routes.SUPERSTAT, ("alpha", "beta", "q"))}
 
 #: the default tolerance of sweep and point, which only their quadrature routes read
-PRESET_TOL = Tolerance(rel=1e-10)
+SWEEP_TOL = Tolerance(rel=1e-10)
 
 #: the fixed parameters of a sweep or preset that fixes none: read-only, so
 #: that the records sharing it cannot change each other's
@@ -83,16 +83,17 @@ class SweepSpec(_Checked, _SweepFields):
             raise ValueError(f"units must be {' or '.join(map(repr, routes.UNITS))}")
 
 
-def _evaluate(spec: SweepSpec, values: dict, tol: Tolerance = PRESET_TOL) -> tuple[list, list]:
+def _evaluate(spec: SweepSpec, values: dict, **settings) -> tuple[list, list]:
     """spec's route in one call over a grid (routes.evaluate), values
-    holding each varied parameter as an array of one value per point:
+    holding each varied parameter as an array of one value per point, and
+    settings more arguments of routes.state (tol), if any:
     (values, warnings), one of each per point, each value bit for bit the
     route at its own point.  Where a closed form is singular (b <= B_MIN a)
     the value is None with the warning "SingularLimit", not a crash, and
     one more route call evaluates the regular points.  Only the quadrature
-    routes read tol, and no preset takes one."""
+    routes read tol, and no preset passes one."""
     ys, regular = routes.evaluate(routes.ROUTES[(spec.quantity, spec.method)], values,
-                                  units=spec.units, transcription=spec.transcription, tol=tol)
+                                  units=spec.units, transcription=spec.transcription, **settings)
     size = len(values[spec.vary])
     if regular is None:
         return ys.tolist(), [""] * size
@@ -100,11 +101,11 @@ def _evaluate(spec: SweepSpec, values: dict, tol: Tolerance = PRESET_TOL) -> tup
     return [next(ys) if ok else None for ok in oks], ["" if ok else "SingularLimit" for ok in oks]
 
 
-def run_sweep(spec: SweepSpec, tol: Tolerance = PRESET_TOL) -> tuple[list, list, list]:
+def run_sweep(spec: SweepSpec, tol: Tolerance = SWEEP_TOL) -> tuple[list, list, list]:
     """The sweep's columns x, y and warning from one route call over its grid
     (_evaluate), each y bit for bit the route at its own point."""
     xs = np.array(spec.values, dtype=float)
-    return (xs.tolist(), *_evaluate(spec, {**spec.fixed, spec.vary: xs}, tol))
+    return (xs.tolist(), *_evaluate(spec, {**spec.fixed, spec.vary: xs}, tol=tol))
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ class ThermoPoint(NamedTuple):
     method: str
 
 
-def thermo_sum_engine(c, beta) -> ThermoPoint:
+def thermo_sum_engine(c, beta, order: int = 2) -> ThermoPoint:
     """Ground truth on the sum route: Z = sum_n exp(-beta E_n) = exp(-beta
     E_0) (1 + tail), and U, C, S and F (_columns) from the exact moments of
     u_n = beta (E_n - E_0) >= 0 over the Boltzmann distribution of the
@@ -62,10 +62,15 @@ def thermo_sum_engine(c, beta) -> ThermoPoint:
     beta curve), broadcast against each other to any shape (an alpha x beta
     mesh): the point then holds beta and each quantity as arrays of it, all
     from one _boltzmann_levels call, each element bit for bit its one-point
-    call."""
+    call.
+
+    order, the highest k of the rows sum_n u_n^k e^{-u_n} that are summed,
+    limits the point to the quantities they give, each bit for bit its field
+    at the default order 2: Z and F at 0, U and S too at 1, C at 2; the
+    rest are NaN."""
     a, b, bv = np.broadcast_arrays(c.a, c.b, _beta_values(beta))
     tail, mean, var, m = (x.reshape(bv.shape) for x in
-                          _boltzmann_levels(a.ravel(), b.ravel(), bv.ravel()))
+                          _boltzmann_levels(a.ravel(), b.ravel(), bv.ravel(), order))
     unscaled = np.ldexp(tail, -m)
     z = exp_neg_product(bv, 0.5 * a, 0.5 * b) * (1.0 + unscaled)
     log_g = np.where(m > 0, tail, np.log1p(unscaled))  # at scale 2^m: tail < e^{-700} there

@@ -7,6 +7,7 @@ import io
 import itertools
 import json
 import math
+import random
 import shlex
 from pathlib import Path
 
@@ -106,6 +107,36 @@ def test_sum_route_sweep_rows_equal_points(quantity, method, monkeypatch):
             assert y is not None and y == routes.ROUTES[(quantity, method)](s)
 
 
+_ORDER_RNG = random.Random(43)
+#: (alpha, beta) of the order-limited sum routes: the Euler-Maclaurin rows,
+#: the direct levels, their 2^m-scaled branch and beta = 1e300, four seeded
+#: betas over [1e-300, 1e300] at each alpha, and the CI's high-temperature
+#: sum points
+_ORDER_POINTS = [(alpha, beta) for alpha in ("0", "1e-9", "0.02", "0.3", "0.999")
+                 for beta in ["0.1", "3", "1e3", "1e300"]
+                 + ["%.6g" % 10.0 ** _ORDER_RNG.uniform(-300.0, 300.0) for _ in range(4)]]
+_ORDER_POINTS += [("1e-9", "5e-5"), ("0.02", "1e-8")]
+
+
+@pytest.mark.parametrize("method", ["sum", "engine"])
+def test_cli_sum_sweeps_print_their_point_fields(method, capsys):
+    # each thermo sum route sums only the moment rows its quantity reads, and
+    # a sweep of it prints the digits of the field of point --method sum,
+    # which sums them all, with the same exit code and message
+    for alpha, beta in _ORDER_POINTS:
+        code = cli.main(["point", "--alpha", alpha, "--beta", beta, "--method", "sum"])
+        out, err = capsys.readouterr()
+        fields = dict(line.split("=", 1) for line in out.split())
+        for qn in routes.THERMO:
+            got = cli.main(["sweep", qn, "--vary", "beta", "--range", f"{beta},{beta}",
+                            "--alpha", alpha, "--method", method])
+            sweep_out, sweep_err = capsys.readouterr()
+            assert (got, sweep_err) == (code, err), (alpha, beta, qn)
+            if code == 0:
+                row = f"{fields['beta']},{fields[qn]},\n"
+                assert sweep_out == f"beta,{qn},warning\n" + 2 * row, (alpha, beta, qn)
+
+
 @pytest.mark.parametrize("argv", [["Z", "--vary", "q", "--range", "0,0.5", "--alpha", "0.3"],
                                   ["C", "--vary", "n", "--range", "0,1,2"],
                                   ["Us", "--vary", "n", "--range", "0,1,2", "--q", "0.5"],
@@ -157,7 +188,7 @@ def test_every_route_sweep_row_equals_its_point(quantity, method, vary):
         assert xs == list(grid)
         for x, y, warning in zip(xs, ys, warnings):
             s = routes.state({**fixed, vary: x}, units, transcription=tr,
-                             tol=sweeps.PRESET_TOL)
+                             tol=sweeps.SWEEP_TOL)
             try:
                 want = route(s)
             except SingularLimit:

@@ -645,12 +645,49 @@ def test_sum_engine_sums_the_levels_once(monkeypatch):
     calls = []
     real = thermo._boltzmann_levels
     monkeypatch.setattr(thermo, "_boltzmann_levels",
-                        lambda a, b, bv: calls.append(len(bv)) or real(a, b, bv))
+                        lambda a, b, bv, order: calls.append(len(bv)) or real(a, b, bv, order))
     betas = np.array([1e-300, 1e-200, 1e-152, 1e-10, 0.5, 1e3, 1e308])
     for alpha in (0.0, 0.3):
         pt = thermo_sum_engine(coefficients(OscillatorParams(alpha=alpha)), betas)
         assert all(np.isfinite(getattr(pt, qn)).all() for qn in "ZUCSF")
     assert calls == [len(betas)] * 2
+
+
+@pytest.mark.filterwarnings("error")
+def test_sum_engine_order_sums_only_its_level_rows(monkeypatch):
+    # orders 0 and 1 sum only the level rows u^k e^{-u} with k <= order, and
+    # each field those rows give is bit for bit the order-2 field, the rest
+    # NaN, on a seeded alpha x beta mesh through the Euler-Maclaurin rows
+    # (beta L <= 0.25), the direct levels and their 2^m-scaled branch
+    # (beta (a + 3b) > 700), from alpha = 0 and up to beta = 1e300
+    rng = np.random.default_rng(43)
+    alphas = np.concatenate(([0.0, 1e-9, 0.02, 0.3, 0.999], rng.uniform(0.0, 1.0, 3)))
+    betas = np.concatenate((10.0 ** rng.uniform(-300.0, 300.0, 24), [0.1, 3.0, 1e3, 1e300]))
+    c = coefficients(OscillatorParams(alpha=alphas))
+    em = betas * (c.a + 2.0 * c.b)[:, None] <= _moments._EM_THETA
+    scaled = betas * (c.a + 3.0 * c.b)[:, None] > _moments._X_SUBNORMAL
+    assert em.any() and scaled.any() and (~em & ~scaled).any()
+    rows = []
+
+    def counted(real):
+        def call(*args):
+            summed = real(*args)
+            rows.append(len(summed))
+            return summed
+        return call
+
+    for name in ("_fsum_rows", "_euler_maclaurin_rows"):
+        monkeypatch.setattr(_moments, name, counted(getattr(_moments, name)))
+    mesh = SpectrumCoefficients(c.a[:, None], c.b[:, None])
+    whole = thermo_sum_engine(mesh, betas)
+    assert rows == [3, 3] and all(np.isfinite(getattr(whole, qn)).all() for qn in "ZUCSF")
+    for order, fields in ((0, "ZF"), (1, "ZFUS")):
+        rows.clear()
+        pt = thermo_sum_engine(mesh, betas, order)
+        assert rows == [order + 1] * 2
+        for qn in "ZUCSF":
+            got = getattr(pt, qn)
+            assert np.array_equal(got, getattr(whole, qn)) if qn in fields else np.isnan(got).all()
 
 
 def test_sum_point_is_the_ground_state_where_beta_a_overflows():
@@ -990,8 +1027,8 @@ def test_level_sums_stay_short_and_certified(monkeypatch):
     # levels, it does
     levels = []
     real = _moments._tail_bounds
-    monkeypatch.setattr(_moments, "_tail_bounds", lambda a, b, bv, n: levels.append(n.max())
-                        or real(a, b, bv, n))
+    monkeypatch.setattr(_moments, "_tail_bounds", lambda a, b, bv, n, order:
+                        levels.append(n.max()) or real(a, b, bv, n, order))
     betas = np.concatenate((_GATE_BETAS, 10.0 ** np.arange(3.5, 300.5, 0.5)))
     alphas = np.repeat(_GATE_ALPHAS, len(betas))
     c = coefficients(OscillatorParams(alpha=alphas))
@@ -1050,8 +1087,8 @@ def test_scaled_direct_rows_stop_at_level_two(alpha, monkeypatch):
     # level 2 is below 2^-52 of each row, so nothing is left to certify
     levels = []
     real = _moments._tail_bounds
-    monkeypatch.setattr(_moments, "_tail_bounds", lambda a, b, bv, n: levels.append(n)
-                        or real(a, b, bv, n))
+    monkeypatch.setattr(_moments, "_tail_bounds", lambda a, b, bv, n, order: levels.append(n)
+                        or real(a, b, bv, n, order))
     c = coefficients(OscillatorParams(alpha=alpha))
     betas = np.array([701.0, 1e3, 1e5]) / (c.a + 3.0 * c.b)
     rows, m = _moments._direct_rows(np.full(3, c.a), np.full(3, c.b), betas)

@@ -119,9 +119,9 @@ def _tail_bounds(a, b, bv, N, order=2):
 #: x^2 e^{-x} = eps at x = 43.6
 _X_ROUNDING = 43.6
 
-#: at and below this beta L (L = a + 2b) the level rows come from
-#: Euler-Maclaurin; above it the levels are summed directly
-_EM_THETA = 0.25
+#: up to this many levels the rows are summed directly, past it they come
+#: from Euler-Maclaurin: N > 176 puts beta L below 43.6/175 < 0.25
+_MAX_LEVELS = 176
 
 #: B_2j/(2j) for j = 1..10, the Euler-Maclaurin order p = 10 (A&S 23.1.30):
 #: B_2j/(2j)! f^(2j-1)(0) is B_2j/(2j) times the Taylor coefficient of n^(2j-1)
@@ -142,11 +142,12 @@ def _euler_maclaurin_rows(a, b, bv, order) -> np.ndarray:
     coefficients E_m of e^{-u} at n = 0 follow from (e^{-u})' = -u' e^{-u},
     u' = l + 2c n: (m + 1) E_{m+1} = -(l E_m + 2c E_{m-1}); those of
     u e^{-u} and u^2 e^{-u} are their products with l n + c n^2.  For
-    l <= _EM_THETA the remainder of p = 10 is below rounding (~1e-14 at
-    p = 8).  Each weighted sum runs over the last axis, so a point's bits do
-    not depend on the batch."""
+    l < 0.25, which holds wherever the sum needs more than _MAX_LEVELS
+    levels, the remainder of p = 10 is below rounding (~1e-14 at p = 8).
+    Each weighted sum runs over the last axis, so a point's bits do not
+    depend on the batch."""
     lin, quad = bv * (a + 2.0 * b), bv * b
-    rows = _scaled_moments(a, b, bv)[:order + 1] / lin
+    rows = _scaled_moments(a, b, bv, order + 1) / lin
     rows[0] -= 0.5
     # row 4 + m holds E_m; the four zero rows before E_0 pad the products
     taylor = np.zeros((4 + 2 * len(_EM_WEIGHTS), len(bv)))
@@ -212,10 +213,19 @@ def _level_terms(a, b, bv, point, n, m, order):
     return np.where(p < 2.0 ** 14, terms, 0.0)
 
 
-def _direct_rows(a, b, bv, order=2):
+def _level_counts(a, b, bv):
+    """N, elementwise: the first level with x = u_N - u_1 >= 43.6, where row k's tail is
+    near x^k e^{-x} of its sum, below rounding, as a float; +inf or NaN where 43.6/beta
+    overflows, 0 where b (43.6/beta) does (beta < 1e-306, where F overflows all the same)."""
+    # the root of b N^2 + (a + 2b) N = D_1 + 43.6/beta, rounded up
+    lin, d_n = a + 2.0 * b, a + 3.0 * b + _X_ROUNDING / bv
+    return np.ceil(2.0 * d_n / (lin + np.sqrt(lin * lin + 4.0 * b * d_n)))
+
+
+def _direct_rows(a, b, bv, counts, order=2):
     """(rows, m): sum_{n=1}^{N} u_n^k w_n 2^m, k = 0..order (rows), u_n = beta D_n,
-    w_n = e^{-u_n}, elementwise, N the first level with x = u_N - u_1 >= 43.6, where
-    row k's tail is near x^k e^{-x} of its sum, below rounding.  Each term is formed in
+    w_n = e^{-u_n}, elementwise, N the level counts (_level_counts, <= _MAX_LEVELS
+    from _boltzmann_levels).  Each term is formed in
     double-doubles and rounded once, as rounding u_n alone moves w_n by ~1e-15 at
     u_n ~ 10 (_level_terms).  The rows are exactly rounded sums (_fsum_rows).  m = 0
     unless u_1 > 700, where 2^m ~ 1/w_1 keeps the terms normal: a subnormal w_1 would
@@ -225,9 +235,7 @@ def _direct_rows(a, b, bv, order=2):
     certify, since u_1 > 700 puts the root of N below 1.07, so N = 2 and
     u_3 >= 3 u_1 > 2100, and the tail past level 2 is below
     (D_3/D_1)^2 e^{-(u_3 - u_1)} <= 25 e^{-1400} of its row."""
-    # N: the root of b N^2 + (a + 2b) N = D_1 + 43.6/beta, rounded up
-    lin, d_n = a + 2.0 * b, a + 3.0 * b + _X_ROUNDING / bv
-    counts = np.ceil(2.0 * d_n / (lin + np.sqrt(lin * lin + 4.0 * b * d_n))).astype(np.int64)
+    bounds, counts = _tail_bounds(a, b, bv, counts, order), counts.astype(np.int64)
     starts = np.cumsum(counts) - counts
     point = np.repeat(np.arange(len(bv)), counts)
     n = np.arange(counts.sum()) - np.repeat(starts, counts) + 1.0
@@ -237,8 +245,7 @@ def _direct_rows(a, b, bv, order=2):
     m = np.where(x1 > _X_SUBNORMAL, np.minimum(x1, 11000.0) / math.log(2.0), 0.0
                  ).astype(np.int64)
     rows = _fsum_rows(_level_terms(a, b, bv, point, n, m, order), starts, counts)
-    uncertified = (_tail_bounds(a, b, bv, counts.astype(float), order) > np.ldexp(rows, -52)
-                   ).any(axis=0)
+    uncertified = (bounds > np.ldexp(rows, -52)).any(axis=0)
     if uncertified.any():
         raise NonConvergence(
             f"level sum tail bound above rounding at beta={bv[uncertified][0]:.17g}")
@@ -252,26 +259,30 @@ def _boltzmann_levels(a, b, bv, order=2):
     over n >= 1, so Z = exp(-beta E_0) (1 + tail); each of the three is
     scaled by 2^m (an int array): the quantity is ldexp(value, -m).  In u
     they stay finite from beta ~ 1e-306 to 1e308, accurate even where Z is
-    tiny.  Each point, b = 0 included, takes one of two fixed branches from
-    its own inputs, so it gets the bits of its one-point call, always to
-    rounding and with no level budget:
+    tiny.  Each point, b = 0 included, takes one of two fixed branches by
+    its level count N (_level_counts), so it gets the bits of its one-point
+    call, always to rounding and with no level budget:
 
-    * where beta L <= _EM_THETA (L = a + 2b) the rows sum_{n>=1} u_n^k w_n
-      come from Euler-Maclaurin (_euler_maclaurin_rows), within ~1e-15;
-    * elsewhere from at most 176 levels summed directly (_direct_rows).
+    * where N <= _MAX_LEVELS the rows sum_{n>=1} u_n^k w_n are exactly
+      rounded sums of the N levels (_direct_rows);
+    * where N > _MAX_LEVELS, or N is not finite, they come from
+      Euler-Maclaurin (_euler_maclaurin_rows), within ~1e-15; there
+      beta L < 0.25 (L = a + 2b).
 
     Only the rows k <= order (0, 1 or 2) are summed, each with the bits it has
     at order 2 (same levels, terms and certificate): <u> is NaN below order 1
     and Var u below order 2."""
     rows, m = np.full((3, len(bv)), math.nan), np.zeros(len(bv), dtype=np.int64)
-    with np.errstate(over="ignore"):  # beta L overflows at beta ~ 1e308
-        em = bv * (a + 2.0 * b) <= _EM_THETA
-    direct = ~em
+    with np.errstate(over="ignore", invalid="ignore"):  # N overflows at beta ~ 1e-306
+        counts = _level_counts(a, b, bv)
+    direct = (counts >= 1.0) & (counts <= _MAX_LEVELS)
+    # a branch that takes every point reads the arrays whole, not through the mask
+    d, em = (slice(None) if x.all() else x for x in (direct, ~direct))
     if direct.any():
-        rows[:order + 1, direct], m[direct] = _direct_rows(a[direct], b[direct], bv[direct], order)
+        rows[:order + 1, d], m[d] = _direct_rows(a[d], b[d], bv[d], counts[d], order)
     # the rows are inf where beta L underflows (beta ~ 1e-305 in SI units): F overflows
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        if em.any():
+        if not direct.all():
             rows[:order + 1, em] = _euler_maclaurin_rows(a[em], b[em], bv[em], order)
         zred = 1.0 + np.ldexp(rows[0], -m)
         mean = rows[1] / zred
@@ -307,11 +318,12 @@ def _columns(c, bv, z, log_g, mean, var, m=0):
 _LAG_ROWS = _LAG_W * _LAG_U ** np.arange(5)[:, None]
 
 
-def _scaled_moments(a, b, bv) -> np.ndarray:
-    """I_k = L beta^{k+1} J_k for k = 0..4 (the leading axis) at each element
-    of the broadcast of a, b and beta (floats or arrays), J_k the integral
-    over n in [0, inf) of D^k e^{-beta D}, D = b n^2 + L n, L = a + 2b (with
-    the spectrum's coefficients, D = E(n) - E_0).  In u = beta D,
+def _scaled_moments(a, b, bv, rows=5) -> np.ndarray:
+    """I_k = L beta^{k+1} J_k for k = 0..rows - 1, rows <= 5 (the leading
+    axis; each row has the bits of the five-row call), at each element of
+    the broadcast of a, b and beta (floats or arrays), J_k the integral over
+    n in [0, inf) of D^k e^{-beta D}, D = b n^2 + L n, L = a + 2b (with the
+    spectrum's coefficients, D = E(n) - E_0).  In u = beta D,
         I_k = int_0^inf u^k e^{-u} (1 + u/y^2)^{-1/2} du,  y = L sqrt(beta/(4b)),
     so I_k = k! at b = 0, where 1/y^2 = 0 and the rule's weight is 1.  With
     b > 0, 1/y^2 is +0 where beta L^2 overflows and +inf where it underflows.
@@ -329,20 +341,20 @@ def _scaled_moments(a, b, bv) -> np.ndarray:
     with np.errstate(over="ignore", divide="ignore"):  # beta L^2 overflows or underflows
         inv_y2 = np.divide(4.0 * b, bv * lin * lin, out=np.zeros_like(bv), where=b > 0.0)
     rule = inv_y2 * _X_RULE * _X_RULE <= 1.0
-    moments = np.empty((5, len(bv)))
+    moments = np.empty((rows, len(bv)))
     if rule.any():
         weight = 1.0 / np.sqrt(1.0 + _LAG_U * inv_y2[rule][:, None])
-        moments[:, rule] = [(row * weight).sum(axis=-1) for row in _LAG_ROWS]
+        moments[:, rule] = [(row * weight).sum(axis=-1) for row in _LAG_ROWS[:rows]]
     slow = ~rule
     if slow.any():  # even empty, it costs an erfcx call
         y = 0.5 * lin[slow] * np.sqrt(bv[slow] / b[slow])
         y2 = y * y
         recurrence = [_SQRT_PI * y * erfcx(y)]
         recurrence.append((0.5 - y2) * recurrence[0] + y2)
-        for k in range(1, 4):
+        for k in range(1, rows - 1):
             recurrence.append((k + 0.5 - y2) * recurrence[k] + k * y2 * recurrence[k - 1])
-        moments[:, slow] = recurrence
-    return moments.reshape((5,) + shape)
+        moments[:, slow] = recurrence[:rows]
+    return moments.reshape((rows,) + shape)
 
 
 def _assemble(c: SpectrumCoefficients, bv, qv, moments):

@@ -569,16 +569,27 @@ def _assert_points(cs, betas, curve):
 
 def test_sum_high_temperature_curve_equals_its_points():
     # Euler-Maclaurin rows where a level sum took ~73k-109k levels per point,
-    # and a curve across beta L = 0.25, where the branch changes: every
-    # point is its own call
+    # and a curve across N = 176 levels, where the branch changes, and
+    # through beta L = 0.25, where it changed before: every point is its
+    # own call
     c = coefficients(OscillatorParams(alpha=1e-6))
     betas = [0.4e-3, 0.45e-3, 0.5e-3, 0.55e-3, 0.6e-3]
     curve = thermo_sum_engine(c, np.array(betas))
     _assert_points([c] * len(betas), betas, curve)
     assert curve.beta.tolist() == betas
-    edge = 0.25 / (C09.a + 2.0 * C09.b)
-    betas = [0.5 * edge, edge, math.nextafter(edge, 1.0), 2.0 * edge]
-    _assert_points([C09] * 4, betas, thermo_sum_engine(C09, np.array(betas)))
+    edge = _level_edge(C09.a, C09.b)
+    betas = [0.5 * edge, math.nextafter(edge, 0.0), edge, math.nextafter(edge, 1.0),
+             0.25 / (C09.a + 2.0 * C09.b), 2.0 * edge]
+    counts = _moments._level_counts(C09.a, C09.b, np.array(betas))
+    assert counts[0] > _moments._MAX_LEVELS >= counts[-1]
+    _assert_points([C09] * len(betas), betas, thermo_sum_engine(C09, np.array(betas)))
+
+
+def _level_edge(a, b):
+    """The beta at which the level count N of the coefficients a, b falls to
+    176, where b N^2 + (a + 2b) N = D_1 + 43.6/beta."""
+    n = _moments._MAX_LEVELS
+    return _moments._X_ROUNDING / (n * (a + 2.0 * b + n * b) - a - 3.0 * b)
 
 
 def _curve(cs):
@@ -658,13 +669,13 @@ def test_sum_engine_order_sums_only_its_level_rows(monkeypatch):
     # orders 0 and 1 sum only the level rows u^k e^{-u} with k <= order, and
     # each field those rows give is bit for bit the order-2 field, the rest
     # NaN, on a seeded alpha x beta mesh through the Euler-Maclaurin rows
-    # (beta L <= 0.25), the direct levels and their 2^m-scaled branch
+    # (N > 176 levels), the direct levels and their 2^m-scaled branch
     # (beta (a + 3b) > 700), from alpha = 0 and up to beta = 1e300
     rng = np.random.default_rng(43)
     alphas = np.concatenate(([0.0, 1e-9, 0.02, 0.3, 0.999], rng.uniform(0.0, 1.0, 3)))
     betas = np.concatenate((10.0 ** rng.uniform(-300.0, 300.0, 24), [0.1, 3.0, 1e3, 1e300]))
     c = coefficients(OscillatorParams(alpha=alphas))
-    em = betas * (c.a + 2.0 * c.b)[:, None] <= _moments._EM_THETA
+    em = _moments._level_counts(c.a[:, None], c.b[:, None], betas) > _moments._MAX_LEVELS
     scaled = betas * (c.a + 3.0 * c.b)[:, None] > _moments._X_SUBNORMAL
     assert em.any() and scaled.any() and (~em & ~scaled).any()
     rows = []
@@ -928,7 +939,8 @@ def test_sums_where_long_double_is_double(monkeypatch):
     assert calls == []
     for alpha in _GATE_ALPHAS:
         c = coefficients(OscillatorParams(alpha=alpha))
-        for beta in _GATE_BETAS[_GATE_BETAS * (c.a + 2.0 * c.b) > _moments._EM_THETA].tolist():
+        direct = _moments._level_counts(c.a, c.b, _GATE_BETAS) <= _moments._MAX_LEVELS
+        for beta in _GATE_BETAS[direct].tolist():
             pt = thermo_sum_engine(c, beta)
             for got, w in zip((pt.Z, pt.U, pt.C, pt.S, pt.F), _mp_sum_point(c, beta)):
                 if abs(w) >= np.finfo(float).tiny:
@@ -1022,7 +1034,7 @@ def test_level_sums_against_the_euler_maclaurin_reference(alpha):
 
 
 def test_level_sums_stay_short_and_certified(monkeypatch):
-    # no point sums more than 256 levels, from beta = 1e-10 to 1e300, and the
+    # no point sums more than 176 levels, from beta = 1e-10 to 1e300, and the
     # direct levels' certificate never fires there; summed past too few
     # levels, it does
     levels = []
@@ -1034,7 +1046,7 @@ def test_level_sums_stay_short_and_certified(monkeypatch):
     c = coefficients(OscillatorParams(alpha=alphas))
     tail, mean, var, _ = _moments._boltzmann_levels(c.a, c.b, np.tile(betas, len(_GATE_ALPHAS)))
     assert np.isfinite(tail).all() and np.isfinite(mean).all() and np.isfinite(var).all()
-    assert len(levels) == 1 and 1 <= levels[0] <= 256
+    assert len(levels) == 1 and 1 <= levels[0] <= 176
     monkeypatch.setattr(_moments, "_X_ROUNDING", 20.0)
     with pytest.raises(NonConvergence, match="tail bound above rounding"):
         thermo_sum_engine(C03, 1.0)
@@ -1049,7 +1061,7 @@ def test_direct_terms_are_rounded_once(monkeypatch):
     monkeypatch.setattr(_moments, "_fsum_rows", lambda *args: seen.append(args) or real(*args))
     betas = np.tile([0.5, 3.0, 40.0, 562.0, 1e3, 5e3], 4)
     c = coefficients(OscillatorParams(alpha=np.repeat([0.0, 1e-9, 0.3, 0.9], 6)))
-    _, m = _moments._direct_rows(c.a, c.b, betas)
+    _, m = _moments._direct_rows(c.a, c.b, betas, _moments._level_counts(c.a, c.b, betas))
     (terms, starts, counts), = seen
     with mp.workdps(40):
         for i, (a, b, beta) in enumerate(zip(c.a.tolist(), c.b.tolist(), betas.tolist())):
@@ -1080,6 +1092,84 @@ def test_sum_presets_against_the_level_reference():
             assert abs(ys[i] - want) <= 2.0 ** -51 * abs(want) + floor, (figure_id, point)
 
 
+def test_direct_levels_where_beta_l_is_small_against_the_level_reference():
+    # where beta L <= 0.25 but N <= 176 levels suffice, the levels are summed
+    # directly: 60 seeded points of that band and every Fig2a-Fig5b row in it
+    # lie within 4 2^-52 of the 40-digit level sums (on the 60 points the
+    # direct sums reach 1.7 2^-52 in C, the Euler-Maclaurin rows they
+    # replace 2.8 2^-52)
+    rng = np.random.default_rng(44)
+    alphas = rng.uniform(0.0, 1.0, 60)
+    c = coefficients(OscillatorParams(alpha=alphas))
+    lo, hi = _level_edge(c.a, c.b), 0.25 / (c.a + 2.0 * c.b)
+    betas = lo + rng.uniform(0.0, 1.0, 60) * (hi - lo)
+    assert (_moments._level_counts(c.a, c.b, betas) <= _moments._MAX_LEVELS).all()
+    pt = thermo_sum_engine(c, betas)
+    for i, (alpha, beta) in enumerate(zip(alphas.tolist(), betas.tolist())):
+        want = _mp_sum_point(coefficients(OscillatorParams(alpha=alpha)), beta)
+        for qn, w in zip("ZUCSF", want):
+            assert abs(getattr(pt, qn)[i] - w) <= 4.0 * 2.0 ** -52 * abs(w), (alpha, beta, qn)
+    rows = 0
+    for figure_id in ("Fig2a", "Fig2b", "Fig3a", "Fig3b", "Fig4a", "Fig4b", "Fig5a", "Fig5b"):
+        pr = PRESETS[figure_id]
+        for i, y in enumerate(figure_preset(figure_id)[2]):
+            point = {pr.curve_param: pr.curve_values[i // len(pr.values)],
+                     pr.vary: pr.values[i % len(pr.values)]}
+            c = coefficients(OscillatorParams(alpha=point["alpha"]))
+            beta = point["beta"]
+            if beta * (c.a + 2.0 * c.b) > 0.25 or (
+                    _moments._level_counts(c.a, c.b, beta) > _moments._MAX_LEVELS):
+                continue
+            rows += 1
+            w = dict(zip("ZUCSF", _mp_sum_point(c, beta)))[pr.quantity]
+            assert abs(y - w) <= 4.0 * 2.0 ** -52 * abs(w), (figure_id, point)
+    assert rows == 36
+
+
+@pytest.mark.filterwarnings("error")
+def test_level_branch_is_the_level_count(monkeypatch):
+    # from beta = 1e-300 to 1e300, and at the edge N = 176 of every gate
+    # alpha, Euler-Maclaurin receives exactly the points whose level count N
+    # exceeds 176, each with beta L < 0.25 (its p = 10 domain), the direct
+    # levels the rest with their N, and the certificate never fires; where
+    # one branch takes every point it reads the arrays whole, not a gathered
+    # copy
+    seen = {}
+
+    def recorded(name):
+        real = getattr(_moments, name)
+
+        def call(a, b, bv, *args):
+            seen[name] = (a, bv, args)
+            return real(a, b, bv, *args)
+        return call
+
+    for name in ("_direct_rows", "_euler_maclaurin_rows"):
+        monkeypatch.setattr(_moments, name, recorded(name))
+    grid = 10.0 ** np.arange(-300.0, 300.25, 0.25)
+    for alpha in _GATE_ALPHAS:
+        c = coefficients(OscillatorParams(alpha=alpha))
+        edge = _level_edge(c.a, c.b)
+        betas = np.concatenate((grid, edge * np.linspace(0.98, 1.02, 41),
+                                [math.nextafter(edge, 0.0), math.nextafter(edge, 1.0)]))
+        a, b = np.full(len(betas), c.a), np.full(len(betas), c.b)
+        counts = _moments._level_counts(a, b, betas)
+        em = counts > _moments._MAX_LEVELS
+        seen.clear()
+        rows = _moments._boltzmann_levels(a, b, betas)
+        assert all(np.isfinite(x).all() for x in rows[:3]), alpha
+        assert np.array_equal(seen["_euler_maclaurin_rows"][1], betas[em])
+        assert (betas[em] * (c.a + 2.0 * c.b) < 0.25).all()
+        _, direct_betas, (direct_counts, _) = seen["_direct_rows"]
+        assert np.array_equal(direct_betas, betas[~em])
+        assert np.array_equal(direct_counts, counts[~em])
+        for branch, take in (("_direct_rows", ~em), ("_euler_maclaurin_rows", em)):
+            seen.clear()
+            part = betas[take]
+            _moments._boltzmann_levels(a[take], b[take], part)
+            assert list(seen) == [branch] and np.shares_memory(seen[branch][1], part)
+
+
 @pytest.mark.parametrize("alpha", [0.0, 1e-9, 0.3, 0.9999])
 def test_scaled_direct_rows_stop_at_level_two(alpha, monkeypatch):
     # where beta D_1 > 700 the terms carry a scale 2^m (m > 0) and the
@@ -1091,9 +1181,10 @@ def test_scaled_direct_rows_stop_at_level_two(alpha, monkeypatch):
                         or real(a, b, bv, n, order))
     c = coefficients(OscillatorParams(alpha=alpha))
     betas = np.array([701.0, 1e3, 1e5]) / (c.a + 3.0 * c.b)
-    rows, m = _moments._direct_rows(np.full(3, c.a), np.full(3, c.b), betas)
+    a, b = np.full(3, c.a), np.full(3, c.b)
+    rows, m = _moments._direct_rows(a, b, betas, _moments._level_counts(a, b, betas))
     assert (m > 0).all() and levels[0].tolist() == [2.0] * 3
-    assert (real(np.full(3, c.a), np.full(3, c.b), betas, levels[0]) == 0.0).all()
+    assert (real(a, b, betas, levels[0]) == 0.0).all()
     with mp.workdps(40):
         a, b = mp.mpf(c.a), mp.mpf(c.b)
         for beta in betas.tolist():

@@ -147,7 +147,7 @@ def _euler_maclaurin_rows(a, b, bv, order) -> np.ndarray:
     Each weighted sum runs over the last axis, so a point's bits do not
     depend on the batch."""
     lin, quad = bv * (a + 2.0 * b), bv * b
-    rows = _scaled_moments(a, b, bv, order + 1) / lin
+    rows = _scaled_moments(a, b, bv)[:order + 1] / lin
     rows[0] -= 0.5
     # row 4 + m holds E_m; the four zero rows before E_0 pad the products
     taylor = np.zeros((4 + 2 * len(_EM_WEIGHTS), len(bv)))
@@ -276,13 +276,13 @@ def _boltzmann_levels(a, b, bv, order=2):
     with np.errstate(over="ignore", invalid="ignore"):  # N overflows at beta ~ 1e-306
         counts = _level_counts(a, b, bv)
     direct = (counts >= 1.0) & (counts <= _MAX_LEVELS)
-    # a branch that takes every point reads the arrays whole, not through the mask
-    d, em = (slice(None) if x.all() else x for x in (direct, ~direct))
+    em = ~direct
     if direct.any():
-        rows[:order + 1, d], m[d] = _direct_rows(a[d], b[d], bv[d], counts[d], order)
+        rows[:order + 1, direct], m[direct] = _direct_rows(a[direct], b[direct], bv[direct],
+                                                           counts[direct], order)
     # the rows are inf where beta L underflows (beta ~ 1e-305 in SI units): F overflows
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        if not direct.all():
+        if em.any():
             rows[:order + 1, em] = _euler_maclaurin_rows(a[em], b[em], bv[em], order)
         zred = 1.0 + np.ldexp(rows[0], -m)
         mean = rows[1] / zred
@@ -318,12 +318,11 @@ def _columns(c, bv, z, log_g, mean, var, m=0):
 _LAG_ROWS = _LAG_W * _LAG_U ** np.arange(5)[:, None]
 
 
-def _scaled_moments(a, b, bv, rows=5) -> np.ndarray:
-    """I_k = L beta^{k+1} J_k for k = 0..rows - 1, rows <= 5 (the leading
-    axis; each row has the bits of the five-row call), at each element of
-    the broadcast of a, b and beta (floats or arrays), J_k the integral over
-    n in [0, inf) of D^k e^{-beta D}, D = b n^2 + L n, L = a + 2b (with the
-    spectrum's coefficients, D = E(n) - E_0).  In u = beta D,
+def _scaled_moments(a, b, bv) -> np.ndarray:
+    """I_k = L beta^{k+1} J_k for k = 0..4 (the leading axis) at each element
+    of the broadcast of a, b and beta (floats or arrays), J_k the integral
+    over n in [0, inf) of D^k e^{-beta D}, D = b n^2 + L n, L = a + 2b (with
+    the spectrum's coefficients, D = E(n) - E_0).  In u = beta D,
         I_k = int_0^inf u^k e^{-u} (1 + u/y^2)^{-1/2} du,  y = L sqrt(beta/(4b)),
     so I_k = k! at b = 0, where 1/y^2 = 0 and the rule's weight is 1.  With
     b > 0, 1/y^2 is +0 where beta L^2 overflows and +inf where it underflows.
@@ -341,20 +340,20 @@ def _scaled_moments(a, b, bv, rows=5) -> np.ndarray:
     with np.errstate(over="ignore", divide="ignore"):  # beta L^2 overflows or underflows
         inv_y2 = np.divide(4.0 * b, bv * lin * lin, out=np.zeros_like(bv), where=b > 0.0)
     rule = inv_y2 * _X_RULE * _X_RULE <= 1.0
-    moments = np.empty((rows, len(bv)))
+    moments = np.empty((5, len(bv)))
     if rule.any():
         weight = 1.0 / np.sqrt(1.0 + _LAG_U * inv_y2[rule][:, None])
-        moments[:, rule] = [(row * weight).sum(axis=-1) for row in _LAG_ROWS[:rows]]
+        moments[:, rule] = [(row * weight).sum(axis=-1) for row in _LAG_ROWS]
     slow = ~rule
     if slow.any():  # even empty, it costs an erfcx call
         y = 0.5 * lin[slow] * np.sqrt(bv[slow] / b[slow])
         y2 = y * y
         recurrence = [_SQRT_PI * y * erfcx(y)]
         recurrence.append((0.5 - y2) * recurrence[0] + y2)
-        for k in range(1, rows - 1):
+        for k in range(1, 4):
             recurrence.append((k + 0.5 - y2) * recurrence[k] + k * y2 * recurrence[k - 1])
-        moments[:, slow] = recurrence[:rows]
-    return moments.reshape((rows,) + shape)
+        moments[:, slow] = recurrence
+    return moments.reshape((5,) + shape)
 
 
 def _assemble(c: SpectrumCoefficients, bv, qv, moments):

@@ -16,7 +16,6 @@ from pdmosc import (B_MIN, NonConvergence, OscillatorParams, SingularLimit, Spec
                     superstat_closed_point, superstat_partition_closed, superstat_quadrature,
                     superstat_thermo, thermo_quadrature, thermo_sum_engine)
 
-from pdmosc import _moments, superstat
 from pdmosc._moments import _assemble, _scaled_moments
 from pdmosc.verify import DEFAULT_ALPHAS, DEFAULT_BETAS, DEFAULT_QS
 
@@ -702,35 +701,6 @@ def test_excitation_moments_are_elementwise():
     assert abs(along_alpha[0][0] - 0.9324) < 1e-4 and abs(along_alpha[0][1] - 0.8534) < 1e-4
     along_beta = _scaled_moments(C03.a, C03.b, betas)
     assert along_beta.tolist() == [[p[k] for p in points[2]] for k in range(5)]
-
-
-def test_excitation_moment_rows_are_the_five_row_call(monkeypatch):
-    # asked for its first rows only, _scaled_moments gives each of them bit
-    # for bit as the five-row call, on a seeded alpha x beta mesh through
-    # the Gauss-Laguerre rule, the erfcx recurrence (y < 1.4) and b = 0;
-    # the Euler-Maclaurin level rows of order k ask for k + 1 rows and the
-    # superstat engine for all five
-    rng = np.random.default_rng(44)
-    alphas = np.concatenate(([0.0, 1e-9, 0.9], rng.uniform(0.0, 1.0, 5)))
-    betas = np.concatenate((10.0 ** rng.uniform(-12.0, 3.0, 20), [1e-300, 1e300]))
-    c = coefficients(OscillatorParams(alpha=alphas))
-    a, b = c.a[:, None], c.b[:, None]
-    with np.errstate(divide="ignore", over="ignore"):  # y = inf at b = 0 and beta = 1e300
-        y = (a + 2.0 * b) * np.sqrt(betas / (4.0 * b))
-    assert (y < 1.4).any() and (y >= 1.4).any()
-    whole = _scaled_moments(a, b, betas)
-    for rows in range(1, 6):
-        part = _scaled_moments(a, b, betas, rows)
-        assert part.shape == (rows,) + whole.shape[1:] and part.tolist() == whole[:rows].tolist()
-    asked = []
-    for owner in (_moments, superstat):
-        monkeypatch.setattr(owner, "_scaled_moments",
-                            lambda *args: asked.append(args[3:]) or _scaled_moments(*args))
-    bv = np.array([1e-3, 0.01])
-    for order in range(3):
-        _moments._euler_maclaurin_rows(np.full(2, C03.a), np.full(2, C03.b), bv, order)
-    superstat_thermo(C03, 1.0, 0.5)
-    assert asked == [(1,), (2,), (3,), ()]
 
 
 def test_engine_agrees_with_quadinf_on_atlas_grid():

@@ -14,7 +14,8 @@ summary readable.
 
 import collections
 
-from pdmosc.verify import DEFAULT_BETAS, QUANTITIES, audit_columns
+from pdmosc.routes import SUPERSTAT, THERMO
+from pdmosc.verify import DEFAULT_BETAS, audit_columns
 
 blocks = audit_columns(params_grid=(0.1, 0.3, 0.9),
                        beta_grid=DEFAULT_BETAS[::4],
@@ -29,7 +30,7 @@ counts = collections.Counter((b.quantity, tr, cls) for b in blocks
 print(f"{sum(b.classification.size for b in blocks)} reports on the reduced grid\n")
 print(f"{'quantity':>9} {'transcription':>13} {'Agree':>6} {'Close':>6} "
       f"{'Disagree':>9} {'NonFinite':>10}")
-for q in QUANTITIES:
+for q in THERMO + SUPERSTAT:
     for tr in ("verbatim", "corrected"):
         agree = counts.get((q, tr, "Agree"), 0)
         close = counts.get((q, tr, "Close"), 0)

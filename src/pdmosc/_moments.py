@@ -132,8 +132,8 @@ _EM_WEIGHTS = np.array([1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 
 _X_SUBNORMAL = 700.0
 
 
-def _euler_maclaurin_rows(a, b, bv, order) -> np.ndarray:
-    """R_k = sum_{n>=1} u_n^k e^{-u_n}, k = 0..order (rows), u_n = beta D_n
+def _euler_maclaurin_rows(a, b, bv) -> np.ndarray:
+    """R_k = sum_{n>=1} u_n^k e^{-u_n}, k = 0, 1, 2 (rows), u_n = beta D_n
     = c n^2 + l n with l = beta L, c = beta b, elementwise, by
     Euler-Maclaurin from n = 0 (A&S 23.1.30; DLMF 2.10.1), less the n = 0
     term f_k(0) = [k = 0]:
@@ -147,7 +147,7 @@ def _euler_maclaurin_rows(a, b, bv, order) -> np.ndarray:
     Each weighted sum runs over the last axis, so a point's bits do not
     depend on the batch."""
     lin, quad = bv * (a + 2.0 * b), bv * b
-    rows = _scaled_moments(a, b, bv)[:order + 1] / lin
+    rows = _scaled_moments(a, b, bv)[:3] / lin
     rows[0] -= 0.5
     # row 4 + m holds E_m; the four zero rows before E_0 pad the products
     taylor = np.zeros((4 + 2 * len(_EM_WEIGHTS), len(bv)))
@@ -157,11 +157,9 @@ def _euler_maclaurin_rows(a, b, bv, order) -> np.ndarray:
         taylor[i + 1] = (step * taylor[i] + skip * taylor[i - 1]) / (i - 3)
     odd = np.arange(5, len(taylor), 2)
     e, l, c = taylor.T, lin[:, None], quad[:, None]
-    coeffs = (lambda: e[:, odd], lambda: l * e[:, odd - 1] + c * e[:, odd - 2],
-              lambda: l * l * e[:, odd - 2] + 2.0 * l * c * e[:, odd - 3] + c * c * e[:, odd - 4])
-    for k in range(order + 1):
-        rows[k] -= (_EM_WEIGHTS * coeffs[k]()).sum(axis=-1)
-    return rows
+    return rows - [(_EM_WEIGHTS * coeff).sum(axis=-1) for coeff in (
+        e[:, odd], l * e[:, odd - 1] + c * e[:, odd - 2],
+        l * l * e[:, odd - 2] + 2.0 * l * c * e[:, odd - 3] + c * c * e[:, odd - 4])]
 
 
 def _fsum_rows(terms, starts, counts):
@@ -269,9 +267,9 @@ def _boltzmann_levels(a, b, bv, order=2):
       Euler-Maclaurin (_euler_maclaurin_rows), within ~1e-15; there
       beta L < 0.25 (L = a + 2b).
 
-    Only the rows k <= order (0, 1 or 2) are summed, each with the bits it has
-    at order 2 (same levels, terms and certificate): <u> is NaN below order 1
-    and Var u below order 2."""
+    Only the rows k <= order (0, 1 or 2) are kept, the direct ones summed with
+    their order-2 bits (same levels, terms and certificate): <u> is NaN below
+    order 1 and Var u below order 2."""
     rows, m = np.full((3, len(bv)), math.nan), np.zeros(len(bv), dtype=np.int64)
     with np.errstate(over="ignore", invalid="ignore"):  # N overflows at beta ~ 1e-306
         counts = _level_counts(a, b, bv)
@@ -283,7 +281,7 @@ def _boltzmann_levels(a, b, bv, order=2):
     # the rows are inf where beta L underflows (beta ~ 1e-305 in SI units): F overflows
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if em.any():
-            rows[:order + 1, em] = _euler_maclaurin_rows(a[em], b[em], bv[em], order)
+            rows[:order + 1, em] = _euler_maclaurin_rows(a[em], b[em], bv[em])[:order + 1]
         zred = 1.0 + np.ldexp(rows[0], -m)
         mean = rows[1] / zred
         var = rows[2] / zred - np.ldexp(mean, -m) * mean

@@ -69,7 +69,7 @@ def _add_point_flags(sub, params: tuple[str, ...]):
     """The flags of the point parameters params and of the route; a
     parameter not given stays None, and routes.state fills in its default."""
     for name in params:
-        sub.add_argument(f"--{name}", type=int if name == "n" else float, default=None)
+        sub.add_argument(f"--{name}", type=_level if name == "n" else float, default=None)
     sub.add_argument("--method", default=None, choices=list(routes.METHODS))
     sub.add_argument("--transcription", default="verbatim", choices=list(TRANSCRIPTIONS))
     sub.add_argument("--units", default="natural", choices=routes.UNITS)
@@ -228,10 +228,11 @@ def _values(args) -> dict:
 
 
 def _cmd_sweep(args) -> int:
+    family = "superstat" if args.quantity in routes.SUPERSTAT else "thermo"
     spec = sweeps.SweepSpec(
         quantity=args.quantity, vary=args.vary,
         values=_parse_range(args.range, _level if args.vary == "n" else float),
-        fixed=_values(args), method=args.method or "sum", units=args.units,
+        fixed=_values(args), method=args.method or routes.DEFAULT[family], units=args.units,
         transcription=args.transcription)
     _emit_curves(args, [args.vary, args.quantity, "warning"], None,
                  *sweeps.run_sweep(spec, _tolerance(args, sweeps.SWEEP_TOL)))
@@ -254,7 +255,7 @@ def _cmd_point(args) -> int:
     s = routes.state(_values(args), args.units, args.transcription,
                      _tolerance(args, sweeps.SWEEP_TOL))
     family = "thermo" if args.q is None else "superstat"
-    method = args.method or "sum"
+    method = args.method or routes.DEFAULT[family]
     if method not in routes.POINTS[family]:
         raise ValueError(f"{family} points have no method {method!r}")
     pt = routes.POINTS[family][method](s)

@@ -2,10 +2,10 @@
 
 ``ROUTES`` maps (quantity, method) to a single-quantity evaluator and
 ``POINTS`` maps (family, method) to a whole-point builder; both take a
-State.  The alias policy lives here only: Energy is the level E_n on every
-method; for thermo, ``engine`` is the sum route; for superstat, ``sum``
-is the moment engine, ``quadinf`` the batched semi-infinite quadrature,
-and ``quad01`` has no route (a pair missing from the table is refused).
+State.  Each method names one kernel: thermo ``sum`` (the level sums),
+``closed``, ``quad01``, ``quadinf``; superstat ``engine`` (the continuum
+moments), ``quadinf``, ``closed``.  Energy is the level E_n on every method,
+any other missing pair is refused, and ``DEFAULT`` is each family's own.
 Each typeset closed form uses its own function (F and F_s, typeset as
 -ln Z/beta, divide the closed ln Z and ln Z_s by beta), and every other
 quantity is its field of the whole point; on the thermo sum route that
@@ -40,6 +40,8 @@ METHODS = ("sum", "closed", "quad01", "quadinf", "engine")
 UNITS = ("natural", "si")
 #: family -> the quantities its whole point carries
 FIELDS = {"thermo": THERMO, "superstat": SUPERSTAT}
+#: family -> its own route, the method of point and sweep without one (Energy: thermo's)
+DEFAULT = {"thermo": "sum", "superstat": "engine"}
 
 
 class State(NamedTuple):
@@ -114,14 +116,13 @@ def _in_kb(kernel: Callable, s: State, *order: int):
 #: family -> method -> kernel of the whole point
 _KERNELS: dict[str, dict[str, Callable]] = {
     "thermo": {
-        **dict.fromkeys(("sum", "engine"),
-                        lambda s, *order: thermo.thermo_sum_engine(s.c, s.beta, *order)),
+        "sum": lambda s, *order: thermo.thermo_sum_engine(s.c, s.beta, *order),
         "closed": lambda s: thermo.thermo_closed_point(s.c, s.beta, s.transcription),
         **{m: (lambda s, m=m: thermo.thermo_quadrature(s.c, s.beta, m, s.tol))
            for m in ("quad01", "quadinf")},
     },
     "superstat": {
-        **dict.fromkeys(("sum", "engine"), lambda s: superstat.superstat_thermo(s.c, s.beta, s.q)),
+        "engine": lambda s: superstat.superstat_thermo(s.c, s.beta, s.q),
         "quadinf": lambda s: superstat.superstat_quadrature(s.c, s.beta, s.q, s.tol),
         "closed": lambda s: superstat.superstat_closed_point(s.c, s.beta, s.q, s.transcription),
     },
@@ -137,7 +138,7 @@ POINTS: dict[str, dict[str, Callable]] = {
 _overflow_ok = np.errstate(over="ignore")
 
 #: thermo quantity -> the highest k of the level rows sum_n u_n^k e^{-u_n} it
-#: reads, the only rows its sum and engine routes sum
+#: reads, the only rows its sum route sums
 _ORDER = {"Z": 0, "F": 0, "U": 1, "S": 1, "C": 2}
 
 #: (quantity, method) -> evaluator: a field of the whole point, but for the
@@ -146,7 +147,7 @@ ROUTES: dict[tuple[str, str], Callable[[State], float | np.ndarray]] = {
     **{(qn, m): (lambda s, build=build, qn=qn, order=order: getattr(build(s, *order), qn))
        for family, quantities in FIELDS.items() for qn in quantities
        for m, build in POINTS[family].items() if m != "closed"
-       for order in [(_ORDER[qn],) if family == "thermo" and m in ("sum", "engine") else ()]},
+       for order in [(_ORDER[qn],) if m == "sum" else ()]},
     **{("Energy", m): (lambda s: s.c.level(s.n)) for m in METHODS},
     ("Z", "closed"): lambda s: thermo.partition_closed(s.c, s.beta),
     ("U", "closed"): lambda s: thermo.mean_energy_closed(s.c, s.beta, s.transcription),

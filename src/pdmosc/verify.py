@@ -17,7 +17,6 @@ from .numerics import Tolerance
 from .thermo import TRANSCRIPTIONS
 from . import routes
 
-QUANTITIES = routes.THERMO + routes.SUPERSTAT
 CLASSIFICATIONS = ("Agree", "Close", "Disagree", "PrintedNonFinite", "OracleNonFinite")
 
 #: the classifications by integer code: indexing it fills a column with
@@ -89,7 +88,7 @@ def audit_columns(params_grid: Iterable = DEFAULT_ALPHAS,
     closed forms are singular (alpha = 0, b <= B_MIN a) the printed values
     are nan, PrintedNonFinite, and routes.evaluate makes one more closed
     call on the regular alphas.  One AuditBlock per quantity, in
-    QUANTITIES order, each classified at once; grid rows alpha-major, then
+    routes.FIELDS order, each classified at once; grid rows alpha-major, then
     TRANSCRIPTIONS.
     """
     if oracle_basis not in _ORACLES:

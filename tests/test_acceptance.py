@@ -14,7 +14,8 @@ from pdmosc import (OscillatorParams, Tolerance, cli, coefficients, erf, partiti
                     thermo_sum_engine)
 from pdmosc.sweeps import FIGURE_IDS, PRESETS
 from pdmosc.thermo import thermo_sum_engine
-from pdmosc.verify import DEFAULT_BETAS, QUANTITIES, trend_check
+from pdmosc.routes import SUPERSTAT, THERMO
+from pdmosc.verify import DEFAULT_BETAS, trend_check
 
 from helpers import brute_boltzmann_moments, erf_maclaurin
 
@@ -192,7 +193,7 @@ def test_criterion_7_audit_atlas(tmp_path):
     byte_stable = text1 == text2
     rows = _parse_atlas(text1)
     expected = 2 * (5 * 3 * 25 + 5 * 3 * 25 * 5)
-    coverage = {q for q, *_ in rows} == set(QUANTITIES) and len(rows) == expected
+    coverage = {q for q, *_ in rows} == set(THERMO + SUPERSTAT) and len(rows) == expected
     oracle_finite = all(math.isfinite(r[6]) for r in rows)
     no_oracle_flag = all(r[8] != "OracleNonFinite" for r in rows)
     fixture_rows = _parse_atlas(FIXTURE.read_text())

@@ -765,7 +765,7 @@ def test_each_point_builder_takes_what_it_reads_and_is_its_route():
     # each routes.POINTS entry is its one function, bit for bit, on an
     # alpha x beta x q mesh and at a float point, with C_s and S_s times kB
     tol = Tolerance(rel=1e-10, abs=0.0, max_evals=100_000)
-    builders = {"sum": superstat_thermo, "engine": superstat_thermo,
+    builders = {"engine": superstat_thermo,
                 "quadinf": partial(superstat_quadrature, tol=tol),
                 "closed": partial(superstat_closed_point, transcription="corrected")}
     assert builders.keys() == routes.POINTS["superstat"].keys()

@@ -85,7 +85,7 @@ _SUM_CURVES = [("beta", (0.1, 0.5, 2.0, 9.0), {"alpha": 0.0}, "natural"),
                ("alpha", (0.0, 0.3), {"beta": 1.0 / (1.380649e-23 * 300.0)}, "si")]
 
 
-@pytest.mark.parametrize("method", ["sum", "engine"])
+@pytest.mark.parametrize("method", ["sum"])
 @pytest.mark.parametrize("quantity", routes.THERMO)
 def test_sum_route_sweep_rows_equal_points(quantity, method, monkeypatch):
     # one batched level sum per curve, each row bit for bit the route at its
@@ -118,7 +118,7 @@ _ORDER_POINTS = [(alpha, beta) for alpha in ("0", "1e-9", "0.02", "0.3", "0.999"
 _ORDER_POINTS += [("1e-9", "5e-5"), ("0.02", "1e-8")]
 
 
-@pytest.mark.parametrize("method", ["sum", "engine"])
+@pytest.mark.parametrize("method", ["sum"])
 def test_cli_sum_sweeps_print_their_point_fields(method, capsys):
     # each thermo sum route sums only the moment rows its quantity reads, and
     # a sweep of it prints the digits of the field of point --method sum,
@@ -160,7 +160,8 @@ _GRIDS = {"alpha": (0.0, 0.02, 0.3, 0.9), "beta": (0.1, 0.5, 2.0, 9.0, 800.0, 20
 #: alpha = 0 again in mid-grid: the retry on the regular points keeps their order
 _MID_ZERO_ALPHAS = (0.0, 0.02, 0.3, 0.0, 0.9)
 _FIXED = {"alpha": 0.3, "beta": 0.5, "q": 0.5, "n": 2.0}
-_CURVE_CASES = [(qn, m, vary) for qn, m in sorted(routes.ROUTES)
+_CURVE_CASES = [(qn, m, vary) for qn, m in sorted(itertools.product(routes.QUANTITIES,
+                                                                    routes.METHODS))
                 for vary in sweeps.DEPENDS_ON[qn]]
 
 
@@ -171,7 +172,12 @@ def test_every_route_sweep_row_equals_its_point(quantity, method, vary):
     # routes.state point, and null with SingularLimit exactly where that
     # point raises SingularLimit; in natural units and along an SI alpha
     # curve, with every other parameter the quantity reads fixed, and along
-    # an alpha grid with a zero in mid-grid
+    # an alpha grid with a zero in mid-grid; a pair without a route (thermo
+    # engine, superstat sum and quad01) is refused along every parameter
+    if (quantity, method) not in routes.ROUTES:
+        with pytest.raises(ValueError, match=f"^{quantity} has no method '{method}'$"):
+            SweepSpec(quantity=quantity, vary=vary, values=_GRIDS[vary], method=method)
+        return
     cases = [({k: v for k, v in _FIXED.items() if k != vary}, "natural")]
     if vary != "alpha":
         cases.append(({**cases[0][0], "alpha": 0.0}, "natural"))
@@ -452,17 +458,22 @@ def test_cli_quadinf_superstat_where_beta_e_squared_overflows(capsys):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("beta", ["1e300", "1e308"])
-@pytest.mark.parametrize("family,method", [(f, m) for f, methods in routes.POINTS.items()
-                                           for m in methods])
+@pytest.mark.parametrize("family,method", list(itertools.product(routes.POINTS,
+                                                                  routes.METHODS)))
 def test_cli_point_where_beta_e_overflows(family, method, beta, capsys):
     # beta E and beta L^2 overflow at 1e308: each such product is a +0
     # weight or a zero 1/y^2, never a warning; every quadrature node has
-    # underflowed, so the quadrature points exit 3
+    # underflowed, so the quadrature points exit 3; a method the family has
+    # no point for exits 2
     q = ["--q", "0.5"] if family == "superstat" else []
-    code, out = run_cli(["point", "--alpha", "0.3", "--beta", beta, "--method", method] + q,
-                        capsys)
+    code = cli.main(["point", "--alpha", "0.3", "--beta", beta, "--method", method] + q)
+    out, err = capsys.readouterr()
+    if method not in routes.POINTS[family]:
+        assert (code, out, err) == (2, "", f"pdmosc: error: {family} points have no method "
+                                           f"{method!r}\n")
+        return
     assert code == (3 if method.startswith("quad") else 0)
-    if family == "thermo" and method in ("sum", "engine"):
+    if family == "thermo" and method == "sum":
         assert {k: _fields(out)[k] for k in routes.THERMO} == dict(
             Z="0", U="0.58059371040391705", C="0", S="0", F="0.58059371040391705")
 
@@ -586,7 +597,8 @@ def test_cli_si_points_where_beta_l_squared_underflows(family, capsys):
     # beta L underflows too (1e-305) the Euler-Maclaurin rows are inf and F
     # overflows
     q = ["--q", "0.5"] if family == "superstat" else []
-    argv = ["point", "--alpha", "0.3", "--units", "si", "--method", "sum"] + q
+    method = "engine" if family == "superstat" else "sum"
+    argv = ["point", "--alpha", "0.3", "--units", "si", "--method", method] + q
     assert run_cli(argv + ["--beta", "1e-290"], capsys) == (0, _SI_TINY_BETA[family])
     assert cli.main(argv + ["--beta", "1e-305"]) == 3
     assert capsys.readouterr().err == (
@@ -761,6 +773,29 @@ def test_cli_energy_sweep_rejects_non_levels(levels, capsys):
     assert "nonnegative integer" in err and repr(bad) in err
 
 
+@pytest.mark.parametrize("n", ["9007199254740993", "1.5", "-1"])
+def test_cli_fixed_level_is_read_as_a_range_level(n, tmp_path, capsys):
+    # --n reads its level by the rule --range applies to a varied n: 2^53 + 1,
+    # which a float would round to 2^53, exits 2 as a flag, as a config key
+    # and as a range value, each message naming n
+    assert cli.main(["sweep", "Energy", "--vary", "n", "--range", f"0,{n}", "--alpha", "0.3"]) == 2
+    assert capsys.readouterr().err == (
+        f"pdmosc: error: n must be a nonnegative integer that a float holds, not {n!r}\n")
+    conf = tmp_path / "level.conf"
+    conf.write_text(f"n = {n}\n")
+    argv = ["sweep", "Energy", "--vary", "alpha", "--range", "0.3,0.4"]
+    for fixed in (["--n", n], [f"--n={n}"], ["--config", str(conf)]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + fixed)
+        assert exc.value.code == 2
+        assert f"argument --n: invalid _level value: {n!r}" in capsys.readouterr().err
+    # a level a float holds prints the rows it printed as an int
+    for fixed in (["--n", "5"], ["--n=5.0"]):
+        assert run_cli(argv + fixed, capsys) == (0, "alpha,Energy,warning\n"
+                                                    "0.29999999999999999,10.886530814443088,\n"
+                                                    "0.40000000000000002,12.708921464952065,\n")
+
+
 def test_ranges_refuse_endpoints_numpy_cannot_space():
     # an infinite or NaN endpoint, a span that overflows, or a log endpoint at
     # or below 0 raises ValueError before numpy sees it
@@ -831,6 +866,46 @@ def test_route_table_sweep_matches_point(quantity, method, capsys):
         assert code == 0
         printed = _fields(out)[quantity]
         assert swept == printed
+
+
+#: error message -> an argv that names the other family's route: each method
+#: names one route, so these exit 2 where they once printed that route
+_OTHER_FAMILY_METHOD = {
+    "superstat points have no method 'sum'": ["point", "--q", "0.5", "--method", "sum"],
+    "Zs has no method 'sum'": ["sweep", "Zs", "--vary", "beta", "--range", "1,2", "--q", "0.5",
+                               "--method", "sum"],
+    "thermo points have no method 'engine'": ["point", "--method", "engine"],
+    "Z has no method 'engine'": ["sweep", "Z", "--vary", "beta", "--range", "1,2",
+                                 "--method", "engine"]}
+
+
+@pytest.mark.filterwarnings("error")
+def test_each_method_names_one_route(tmp_path, capsys):
+    # every POINTS builder's point reports the method it is registered under
+    s = routes.state({"alpha": 0.3, "beta": 2.0, "q": 0.5})
+    for family, builders in routes.POINTS.items():
+        for method, build in builders.items():
+            assert build(s).method == method, (family, method)
+    # the other family's route name exits 2, as a flag and as a config key
+    conf = tmp_path / "method.conf"
+    for message, argv in _OTHER_FAMILY_METHOD.items():
+        conf.write_text(f"method = {argv[-1]}\n")
+        for args in (argv, argv[:-2] + ["--config", str(conf)]):
+            assert cli.main(args) == 2
+            assert capsys.readouterr() == ("", f"pdmosc: error: {message}\n")
+    # without --method, point and sweep take the family's own route, byte for byte
+    commands = [(["point", "--alpha", "0.3", "--beta", "2"], "sum"),
+                (["point", "--alpha", "0.3", "--beta", "2", "--q", "0.5"], "engine"),
+                (["sweep", "Energy", "--vary", "n", "--range", "0,1,2", "--alpha", "0.3"], "sum")]
+    commands += [(["sweep", qn, "--vary", "beta", "--range", "0.5,2", "--alpha", "0.3"]
+                  + (["--q", "0.5"] if qn in routes.SUPERSTAT else []),
+                  "engine" if qn in routes.SUPERSTAT else "sum")
+                 for qn in routes.THERMO + routes.SUPERSTAT]
+    for (argv, method), fmt in itertools.product(commands, ("csv", "json")):
+        named = run_cli(argv + ["--method", method, "--format", fmt], capsys)
+        assert named[0] == 0 and run_cli(argv + ["--format", fmt], capsys) == named, argv
+        if argv[0] == "point" and fmt == "csv":
+            assert named[1].endswith(f"\nmethod={method}\n")
 
 
 def test_cli_parser_keeps_no_state_between_calls(capsys):

@@ -666,11 +666,12 @@ def test_sum_engine_sums_the_levels_once(monkeypatch):
 
 @pytest.mark.filterwarnings("error")
 def test_sum_engine_order_sums_only_its_level_rows(monkeypatch):
-    # orders 0 and 1 sum only the level rows u^k e^{-u} with k <= order, and
-    # each field those rows give is bit for bit the order-2 field, the rest
-    # NaN, on a seeded alpha x beta mesh through the Euler-Maclaurin rows
-    # (N > 176 levels), the direct levels and their 2^m-scaled branch
-    # (beta (a + 3b) > 700), from alpha = 0 and up to beta = 1e300
+    # orders 0 and 1 sum only the direct level rows u^k e^{-u} with k <= order
+    # (Euler-Maclaurin forms all three, each on its own), and each field those
+    # rows give is bit for bit the order-2 field, the rest NaN, on a seeded
+    # alpha x beta mesh through the Euler-Maclaurin rows (N > 176 levels), the
+    # direct levels and their 2^m-scaled branch (beta (a + 3b) > 700), from
+    # alpha = 0 and up to beta = 1e300
     rng = np.random.default_rng(43)
     alphas = np.concatenate(([0.0, 1e-9, 0.02, 0.3, 0.999], rng.uniform(0.0, 1.0, 3)))
     betas = np.concatenate((10.0 ** rng.uniform(-300.0, 300.0, 24), [0.1, 3.0, 1e3, 1e300]))
@@ -695,7 +696,7 @@ def test_sum_engine_order_sums_only_its_level_rows(monkeypatch):
     for order, fields in ((0, "ZF"), (1, "ZFUS")):
         rows.clear()
         pt = thermo_sum_engine(mesh, betas, order)
-        assert rows == [order + 1] * 2
+        assert rows == [order + 1, 3]  # the Euler-Maclaurin rows are formed whole
         for qn in "ZUCSF":
             got = getattr(pt, qn)
             assert np.array_equal(got, getattr(whole, qn)) if qn in fields else np.isnan(got).all()
@@ -720,12 +721,10 @@ def test_routes_scale_c_and_s_by_kb_and_nothing_else():
     values["beta"] = np.array([0.5, 1.0, 2.0]) / c.a
     kernels = {
         "thermo": {"sum": lambda s: thermo_sum_engine(s.c, s.beta),
-                   "engine": lambda s: thermo_sum_engine(s.c, s.beta),
                    "closed": lambda s: thermo_closed_point(s.c, s.beta, s.transcription),
                    "quad01": lambda s: thermo_quadrature(s.c, s.beta, "quad01", s.tol),
                    "quadinf": lambda s: thermo_quadrature(s.c, s.beta, "quadinf", s.tol)},
-        "superstat": {"sum": lambda s: superstat_thermo(s.c, s.beta, s.q),
-                      "engine": lambda s: superstat_thermo(s.c, s.beta, s.q),
+        "superstat": {"engine": lambda s: superstat_thermo(s.c, s.beta, s.q),
                       "quadinf": lambda s: superstat_quadrature(s.c, s.beta, s.q, s.tol),
                       "closed": lambda s: superstat_closed_point(s.c, s.beta, s.q,
                                                                  s.transcription)}}

@@ -13,8 +13,11 @@ from pdmosc import (OscillatorParams, SingularLimit, cli, coefficients, routes,
 from pdmosc.spectrum import SpectrumCoefficients
 from pdmosc.thermo import TRANSCRIPTIONS
 from pdmosc.verify import (AUDIT_CSV_HEADER, DEFAULT_ALPHAS, DEFAULT_BETAS, DEFAULT_QS,
-                           QUANTITIES, AuditBlock, audit_columns, render_audit_csv,
+                           AuditBlock, audit_columns, render_audit_csv,
                            render_audit_json, trend_check, _classify)
+
+#: the audited quantities, in the order of audit_columns' blocks
+QUANTITIES = routes.THERMO + routes.SUPERSTAT
 
 SMALL_GRID = dict(params_grid=(0.1, 0.3), beta_grid=DEFAULT_BETAS[::8],
                   q_grid=(0.0, 0.5))

@@ -49,8 +49,8 @@ def _point(kind, params, method: str, *fields):
     """kind(*fields, method=method), the point of a ThermoPoint or SuperstatPoint
     builder: each field (the checked beta, q for superstat, then each quantity) a
     float where every parameter (the coefficient a, beta, and q for superstat) is a
-    float, else the array.  A field given as a list, one value per transcription
-    of a closed point (_transcribed), holds them along a trailing axis."""
+    float, else the array.  A field given as a list, a closed point's quantity in
+    each transcription (_transcribed), holds them along a trailing axis."""
     def shaped(f):
         if isinstance(f, list):
             return np.stack([_shaped(v, *params) for v in f], axis=-1)
@@ -72,21 +72,11 @@ def _check_transcription(transcription: str):
         raise ValueError("transcription must be 'verbatim' or 'corrected'")
 
 
-def _transcriptions(transcription) -> tuple[str, ...]:
-    """The transcriptions a closed point evaluates, checked: one name, or
-    the pair TRANSCRIPTIONS itself."""
-    if transcription == TRANSCRIPTIONS:
-        return TRANSCRIPTIONS
-    _check_transcription(transcription)
-    return (transcription,)
-
-
 def _transcribed(columns: list[tuple]):
     """A closed point's quantity fields from columns, one tuple of fields per
-    transcription it evaluates: one transcription's fields as they are, or,
-    for the pair, each field as the list of its two values, which _point
-    holds along a trailing axis."""
-    return columns[0] if len(columns) == 1 else [list(f) for f in zip(*columns)]
+    transcription, in TRANSCRIPTIONS order: each field as the list of its
+    values, which _point holds along a trailing axis."""
+    return [list(f) for f in zip(*columns)]
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,9 @@ from . import routes, sweeps, verify
 
 
 def _level(text: str) -> float:
-    """n: a nonnegative integer whose float prints back as the number its text names."""
+    """n: a nonnegative integer whose float is exactly the number its text names."""
     from decimal import Decimal  # only a level sweep needs it
-    if not ((n := float(text)) >= 0.0 and n.is_integer() and Decimal(repr(n)) == Decimal(text)):
+    if not ((n := float(text)) >= 0.0 and n.is_integer() and Decimal(n) == Decimal(text)):
         raise ValueError(f"n must be a nonnegative integer that a float holds, not {text!r}")
     return n
 
@@ -252,13 +252,15 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_point(args) -> int:
-    s = routes.state(_values(args), args.units, args.transcription,
-                     _tolerance(args, sweeps.SWEEP_TOL))
+    s = routes.state(_values(args), args.units, tol=_tolerance(args, sweeps.SWEEP_TOL))
     family = "thermo" if args.q is None else "superstat"
     method = args.method or routes.DEFAULT[family]
     if method not in routes.POINTS[family]:
         raise ValueError(f"{family} points have no method {method!r}")
     pt = routes.POINTS[family][method](s)
+    if method == "closed":  # each quantity in both transcriptions: print the one named
+        j = TRANSCRIPTIONS.index(args.transcription)
+        pt = pt._replace(**{k: getattr(pt, k)[j] for k in routes.FIELDS[family]})
     keys = (("beta",) if args.q is None else ("beta", "q")) + routes.FIELDS[family]
     record = {**{k: float(getattr(pt, k)) for k in keys}, "method": pt.method}
     _emit(verify.render_json([record]) if args.format == "json" else

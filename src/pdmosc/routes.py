@@ -6,10 +6,12 @@ State.  Each method names one kernel: thermo ``sum`` (the level sums),
 ``closed``, ``quad01``, ``quadinf``; superstat ``engine`` (the continuum
 moments), ``quadinf``, ``closed``.  Energy is the level E_n on every method,
 any other missing pair is refused, and ``DEFAULT`` is each family's own.
-Each typeset closed form uses its own function (F and F_s, typeset as
--ln Z/beta, divide the closed ln Z and ln Z_s by beta), and every other
-quantity is its field of the whole point; on the thermo sum route that
-point sums only the moment rows the quantity reads (_ORDER).  Every route
+Each typeset closed form uses its own function, in the transcription
+State.transcription names (F and F_s, typeset as -ln Z/beta, divide the
+closed ln Z and ln Z_s by beta), and every other quantity is its field of
+the whole point; on the thermo sum route that point sums only the moment
+rows the quantity reads (_ORDER).  The 'closed' POINTS builders hold each
+quantity in both transcriptions, along a trailing axis.  Every route
 evaluates a whole curve in one call, or a figure's whole (curve x x) grid:
 from a State that holds each varied parameter as an array of one value per
 point it returns the array of the values, each bit for bit the route at its
@@ -47,20 +49,19 @@ DEFAULT = {"thermo": "sum", "superstat": "engine"}
 class State(NamedTuple):
     """Every input a route reads at one evaluation point, or on a grid,
     where the coefficients, beta, q or n hold a value per point (built by
-    state).  transcription may hold the pair thermo.TRANSCRIPTIONS for the
-    'closed' POINTS builders, whose quantities then hold a trailing
-    transcription axis."""
+    state).  transcription, one name of thermo.TRANSCRIPTIONS, is read only
+    by the ROUTES closed forms."""
 
     c: SpectrumCoefficients
     kB: float = 1.0
     beta: float | np.ndarray = 1.0
     q: float | np.ndarray = 0.0
     n: float | np.ndarray = 0
-    transcription: str | tuple[str, str] = "verbatim"
+    transcription: str = "verbatim"
     tol: Tolerance = Tolerance()
 
 
-def state(values: dict, units: str = "natural", transcription: str | tuple[str, str] = "verbatim",
+def state(values: dict, units: str = "natural", transcription: str = "verbatim",
           tol: Tolerance = Tolerance()) -> State:
     """The State at {alpha, beta, q, n, m0, omega} values; a missing entry
     takes the CLI default, and m0/omega count in SI units only.  Arrays
@@ -68,8 +69,8 @@ def state(values: dict, units: str = "natural", transcription: str | tuple[str, 
     varied parameter as an array of one value per point, all of equal
     length, and the audit holds alpha shaped (A, 1) against a beta array or
     (A, 1, 1) against a beta x q mesh.  An alpha array gives coefficient
-    arrays from one coefficients call.  transcription may be the pair
-    thermo.TRANSCRIPTIONS (see State).  Unread entries and unknown units raise ValueError."""
+    arrays from one coefficients call.  Unread entries and unknown units
+    raise ValueError."""
     if units not in UNITS:
         raise ValueError(f"units must be {' or '.join(map(repr, UNITS))}, not {units!r}")
     unread = set(values) - {"alpha", "beta", "q", "n", *(("m0", "omega") if units == "si" else ())}
@@ -117,14 +118,14 @@ def _in_kb(kernel: Callable, s: State, *order: int):
 _KERNELS: dict[str, dict[str, Callable]] = {
     "thermo": {
         "sum": lambda s, *order: thermo.thermo_sum_engine(s.c, s.beta, *order),
-        "closed": lambda s: thermo.thermo_closed_point(s.c, s.beta, s.transcription),
+        "closed": lambda s: thermo.thermo_closed_point(s.c, s.beta),
         **{m: (lambda s, m=m: thermo.thermo_quadrature(s.c, s.beta, m, s.tol))
            for m in ("quad01", "quadinf")},
     },
     "superstat": {
         "engine": lambda s: superstat.superstat_thermo(s.c, s.beta, s.q),
         "quadinf": lambda s: superstat.superstat_quadrature(s.c, s.beta, s.q, s.tol),
-        "closed": lambda s: superstat.superstat_closed_point(s.c, s.beta, s.q, s.transcription),
+        "closed": lambda s: superstat.superstat_closed_point(s.c, s.beta, s.q),
     },
 }
 

@@ -30,9 +30,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._moments import (_assemble, _beta_values, _check_transcription, _point,
-                       _quadrature_moments, _require_regular, _saturating, _scaled_moments,
-                       _shaped, _transcribed, _transcriptions)
+from ._moments import (TRANSCRIPTIONS, _assemble, _beta_values, _check_transcription,
+                       _point, _quadrature_moments, _require_regular, _saturating,
+                       _scaled_moments, _shaped, _transcribed)
 from .numerics import _SQRT_PI, Tolerance, erfcx, erfcx_derivatives
 from .spectrum import SpectrumCoefficients
 
@@ -41,7 +41,8 @@ class SuperstatPoint(NamedTuple):
     """Superstatistical state at one (beta, q), produced by one method:
     beta, q and each quantity a float.  A point over beta, q or coefficient
     arrays holds beta and q as the checked arrays of _mesh, and each
-    quantity as an array over the broadcast."""
+    quantity as an array over the broadcast.  A closed point holds each
+    quantity with a trailing transcription axis."""
 
     beta: float | np.ndarray
     q: float | np.ndarray
@@ -283,17 +284,14 @@ def _heat_capacity(bv, x1, eds, pieces, big):
 
 
 @_saturating
-def superstat_closed_point(c: SpectrumCoefficients, beta, q,
-                           transcription: str | tuple[str, str] = "verbatim") -> SuperstatPoint:
-    """The typeset Z_s, U_s, S_s, F_s and the exact C_s of the closed Z_s
-    from one erfcx_derivatives(x1), both _numerator variants and one
-    _bracket_pieces, each bit for bit its single-quantity function: floats
+def superstat_closed_point(c: SpectrumCoefficients, beta, q) -> SuperstatPoint:
+    """The typeset Z_s, U_s, S_s, F_s and the exact C_s of the closed Z_s in
+    both transcriptions, from one erfcx_derivatives(x1), both _numerator
+    variants and one _bracket_pieces per transcription: each quantity holds
+    a trailing axis in TRANSCRIPTIONS order, entry j bit for bit the
+    single-quantity function of TRANSCRIPTIONS[j].  beta and q are floats
     at one (beta, q), arrays over the broadcast of the coefficients, beta
-    and q otherwise.  transcription may be the pair TRANSCRIPTIONS: x1, its
-    erfcx derivatives and the numerators, which no transcription changes,
-    are formed once, and each quantity holds a trailing axis, one entry per
-    transcription, each bit for bit the point of that one name."""
-    signs = [_sign_a3(tr) for tr in _transcriptions(transcription)]
+    and q otherwise."""
     bv, qv, qf, x1 = _closed_args(c, beta, q)
     eds = erfcx_derivatives(x1)
     ex = eds[0]
@@ -308,7 +306,7 @@ def superstat_closed_point(c: SpectrumCoefficients, beta, q,
                 _entropy(c, bv, sign, bracket, numerator, lnz), -lnz / bv)
 
     return _point(SuperstatPoint, (c.a, beta, q), "closed", bv, qv,
-                  *_transcribed([fields(sign) for sign in signs]))
+                  *_transcribed([fields(_sign_a3(tr)) for tr in TRANSCRIPTIONS]))
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ import numpy as np
 
 from ._moments import (B_MIN, TRANSCRIPTIONS, _beta_values, _boltzmann_levels,
                        _check_transcription, _columns, _point, _quadrature_moments,
-                       _require_regular, _saturating, _shaped, _transcribed, _transcriptions)
+                       _require_regular, _saturating, _shaped, _transcribed)
 from .numerics import _SQRT_PI, Tolerance, erf, erfcx, exp_neg_product
 from .spectrum import SpectrumCoefficients
 
@@ -36,7 +36,8 @@ from .spectrum import SpectrumCoefficients
 class ThermoPoint(NamedTuple):
     """Thermodynamic state at one beta, produced by one named method: beta
     and each quantity a float.  A point over a curve (of alpha or beta)
-    holds the checked beta array and each quantity as an array."""
+    holds the checked beta array and each quantity as an array.  A closed
+    point holds each quantity with a trailing transcription axis."""
 
     beta: float | np.ndarray
     Z: float
@@ -277,21 +278,17 @@ def _entropy(c: SpectrumCoefficients, bv, xa, transcription: str, lnz, u):
 
 
 @_saturating
-def thermo_closed_point(c: SpectrumCoefficients, beta,
-                        transcription: str | tuple[str, str] = "verbatim") -> ThermoPoint:
-    """All five typeset closed forms from one _xargs and one erf pair, each
-    bit for bit its single-quantity function; S takes the U of its own
-    transcription.  Float coefficients and beta give a point of floats; a
-    curve gives a point that holds beta and each quantity as an array.
-    transcription may be the pair TRANSCRIPTIONS: Z, ln Z and F, which no
-    transcription changes, are formed once, and each quantity
-    holds a trailing axis, one entry per transcription, each bit for bit
-    the point of that one name."""
-    names = _transcriptions(transcription)
+def thermo_closed_point(c: SpectrumCoefficients, beta) -> ThermoPoint:
+    """All five typeset closed forms in both transcriptions, from one _xargs
+    and one erf pair: each quantity holds a trailing axis in TRANSCRIPTIONS
+    order, entry j bit for bit the single-quantity function of
+    TRANSCRIPTIONS[j] (S takes the U of its own transcription; Z, ln Z and
+    F are formed once).  beta is a float where the coefficients and beta
+    are, else the array."""
     bv, xa = _xargs(c, beta)
     erfs = _pair(erf, *xa[:2])
     lnz = _log_partition(c, bv, xa)
     z, f = _partition(c, bv, xa, erfs), -lnz / bv
     return _point(ThermoPoint, (c.a, beta), "closed", bv, *_transcribed(
         [(z, (u := _mean_energy(c, bv, xa, tr)), _heat_capacity(c, bv, xa, tr, erfs),
-          _entropy(c, bv, xa, tr, lnz, u), f) for tr in names]))
+          _entropy(c, bv, xa, tr, lnz, u), f) for tr in TRANSCRIPTIONS]))

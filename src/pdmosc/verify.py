@@ -79,11 +79,10 @@ def audit_columns(params_grid: Iterable = DEFAULT_ALPHAS,
     thermo oracles with the physical sum route (the thermo 'sum' point).
 
     Both points of a family come from routes.POINTS: the oracle method, and
-    'closed' with the pair TRANSCRIPTIONS, which holds each quantity with a
-    trailing transcription axis.  Each runs once over the whole grid,
-    whatever its size, on the routes.state of its values: alpha shaped
-    (A, 1) against the beta array (thermo) and (A, 1, 1) against the
-    beta x q mesh (superstat).  Each element is bit for bit its one-point
+    'closed', which holds each quantity with a trailing transcription axis.
+    Each runs once over the whole grid, whatever its size, on the
+    routes.state of its values: alpha shaped (A, 1) against the beta array
+    (thermo) and (A, 1, 1) against the beta x q mesh (superstat).  Each element is bit for bit its one-point
     call, so a grid audits as the merge of its one-alpha audits.  Where the
     closed forms are singular (alpha = 0, b <= B_MIN a) the printed values
     are nan, PrintedNonFinite, and routes.evaluate makes one more closed
@@ -105,12 +104,12 @@ def audit_columns(params_grid: Iterable = DEFAULT_ALPHAS,
               "superstat": (tuple(product(alphas, betas, qs)),
                             {"alpha": alpha[..., None], "beta": beta[:, None],
                              "q": np.array(qs)})}
-    settings, width = {"transcription": TRANSCRIPTIONS, "tol": tol}, len(TRANSCRIPTIONS)
+    width = len(TRANSCRIPTIONS)
     blocks = []
     for family, (grid, values) in meshes.items():
         point = routes.POINTS[family]
-        oracle = point[_ORACLES[oracle_basis][family]](routes.state(values, **settings))
-        typeset, regular = routes.evaluate(point["closed"], values, **settings)
+        oracle = point[_ORACLES[oracle_basis][family]](routes.state(values, tol=tol))
+        typeset, regular = routes.evaluate(point["closed"], values, tol=tol)
         at = slice(None) if regular is None else np.repeat(regular, len(grid) // regular.size)
         for qn in routes.FIELDS[family]:
             p_col, o_col = np.full((len(grid), width), math.nan), getattr(oracle, qn).ravel()

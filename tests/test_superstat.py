@@ -16,7 +16,7 @@ from pdmosc import (B_MIN, NonConvergence, OscillatorParams, SingularLimit, Spec
                     superstat_closed_point, superstat_partition_closed, superstat_quadrature,
                     superstat_thermo, thermo_quadrature, thermo_sum_engine)
 
-from pdmosc._moments import _assemble, _scaled_moments
+from pdmosc._moments import TRANSCRIPTIONS, _assemble, _scaled_moments
 from pdmosc.verify import DEFAULT_ALPHAS, DEFAULT_BETAS, DEFAULT_QS
 
 from helpers import derivative, mp_closed_heat_capacity_superstat, mp_quad, mp_weight_moments
@@ -181,17 +181,16 @@ def test_closed_singular_guard():
              lambda c, beta, q: -log_superstat_partition_closed(c, beta, q) / beta,
              heat_capacity_superstat_closed)
     for beta in (1.0, np.array([0.5, 1.0])):
-        for tr in ("verbatim", "corrected"):
-            point = partial(superstat_closed_point, transcription=tr)
-            for form in forms + (point,):
-                with pytest.raises(SingularLimit):
-                    form(at_limit, beta, 0.5)
-            for form in forms:
-                assert np.isfinite(form(above, beta, 0.5)).all()
-            # the typeset U_s and S_s keep a Gaussian e^{x1^2}, x1 ~ 3500 here,
-            # that overflows honestly; the other three fields stay finite
-            pt = point(above, beta, 0.5)
-            assert np.isfinite([pt.Zs, pt.Fs, pt.Cs]).all()
+        for form in forms + (superstat_closed_point,):
+            with pytest.raises(SingularLimit):
+                form(at_limit, beta, 0.5)
+        for form in forms:
+            assert np.isfinite(form(above, beta, 0.5)).all()
+        # the typeset U_s and S_s keep a Gaussian e^{x1^2}, x1 ~ 3500 here,
+        # that overflows honestly; the other three fields stay finite in
+        # both transcriptions
+        pt = superstat_closed_point(above, beta, 0.5)
+        assert np.isfinite([pt.Zs, pt.Fs, pt.Cs]).all()
 
 
 def test_log_closed_consistency():
@@ -231,15 +230,14 @@ def test_free_energy_compositional_per_method():
     pt = superstat_thermo(C03, 2.0, 0.5)
     lnzs = math.log(superstat_quadrature(C03, 2.0, 0.5, TOL).Zs)
     assert abs(pt.Fs + lnzs / 2.0) < 1e-9
-    ptc = superstat_closed_point(C03, 2.0, 0.5, transcription="corrected")
+    ptc = superstat_closed_point(C03, 2.0, 0.5)
     want = -log_superstat_partition_closed(C03, 2.0, 0.5, "corrected") / 2.0
-    assert ptc.Fs == want
+    assert ptc.Fs[TRANSCRIPTIONS.index("corrected")] == want
 
 
 def test_closed_point_has_finite_cs():
-    for tr in ("verbatim", "corrected"):
-        pt = superstat_closed_point(C01, 1.0, 0.5, transcription=tr)
-        assert math.isfinite(pt.Cs)
+    # in both transcriptions
+    assert np.isfinite(superstat_closed_point(C01, 1.0, 0.5).Cs).all()
 
 
 SIGNS = {"verbatim": -1.0, "corrected": 1.0}
@@ -279,32 +277,36 @@ def test_richardson_agrees_with_closed_cs_within_its_spread(alpha, beta, q):
 
 @pytest.mark.parametrize("tr", ["verbatim", "corrected"])
 def test_closed_point_equals_single_closed_functions(tr):
-    # one x1 and one erfcx per point, bit for bit the five single routes
+    # one x1 and one erfcx per point, its entry of tr bit for bit the five
+    # single routes
+    j = TRANSCRIPTIONS.index(tr)
     for c in (C01, C03, C09):
         for beta in (0.1, 1.0, 8.25, 300.0):
             for q in (0.0, 0.5, 1.0):
-                pt = superstat_closed_point(c, beta, q, transcription=tr)
+                pt = superstat_closed_point(c, beta, q)
                 singles = (superstat_partition_closed(c, beta, q, tr),
                            mean_energy_superstat_closed(c, beta, q, tr),
                            entropy_superstat_closed(c, beta, q, tr),
                            -log_superstat_partition_closed(c, beta, q, tr) / beta,
                            heat_capacity_superstat_closed(c, beta, q, tr))
                 # a verbatim U_s may overflow to nan, which equals itself here
-                assert np.array_equal([pt.Zs, pt.Us, pt.Ss, pt.Fs, pt.Cs], singles,
-                                      equal_nan=True)
+                assert np.array_equal([pt.Zs[j], pt.Us[j], pt.Ss[j], pt.Fs[j], pt.Cs[j]],
+                                      singles, equal_nan=True)
 
 
 @pytest.mark.parametrize("tr", ["verbatim", "corrected"])
 def test_closed_columns_equal_single_closed_functions_on_the_mesh(tr):
     # the audit's beta x q mesh in one call per alpha: each column is bit for
     # bit its single-quantity function called with the same arrays, and each
-    # element bit for bit the closed point at its own (beta, q)
+    # element bit for bit the closed point at its own (beta, q); the closed
+    # point holds the entry of tr at j on its trailing axis
     betas, qs = np.array(DEFAULT_BETAS)[:, None], np.array(DEFAULT_QS)
+    j = TRANSCRIPTIONS.index(tr)
     for alpha in DEFAULT_ALPHAS:
         c = coefficients(OscillatorParams(alpha=alpha))
-        mesh = superstat_closed_point(c, betas, qs, transcription=tr)
+        mesh = superstat_closed_point(c, betas, qs)
         assert mesh.beta is betas and mesh.q is qs
-        columns = {qn: getattr(mesh, qn) for qn in ("Zs", "Us", "Ss", "Fs", "Cs")}
+        columns = {qn: getattr(mesh, qn)[..., j] for qn in ("Zs", "Us", "Ss", "Fs", "Cs")}
         singles = {"Zs": superstat_partition_closed(c, betas, qs, tr),
                    "Us": mean_energy_superstat_closed(c, betas, qs, tr),
                    "Ss": entropy_superstat_closed(c, betas, qs, tr),
@@ -313,10 +315,10 @@ def test_closed_columns_equal_single_closed_functions_on_the_mesh(tr):
         for qn, single in singles.items():
             assert single.shape == (len(DEFAULT_BETAS), len(DEFAULT_QS))
             assert np.array_equal(columns[qn], single, equal_nan=True), (alpha, qn)
-        for i, j in ((0, 0), (7, 2), (24, 4)):
-            pt = superstat_closed_point(c, float(betas[i, 0]), float(qs[j]), transcription=tr)
-            assert np.array_equal([getattr(pt, qn) for qn in columns],
-                                  [columns[qn][i, j] for qn in columns], equal_nan=True)
+        for i, k in ((0, 0), (7, 2), (24, 4)):
+            pt = superstat_closed_point(c, float(betas[i, 0]), float(qs[k]))
+            assert np.array_equal([getattr(pt, qn)[j] for qn in columns],
+                                  [columns[qn][i, k] for qn in columns], equal_nan=True)
 
 
 @pytest.mark.parametrize("tr", ["verbatim", "corrected"])
@@ -759,7 +761,8 @@ def test_each_point_builder_takes_what_it_reads_and_is_its_route():
     for point, unread in ((superstat_thermo, {"tol": TOL}),
                           (superstat_thermo, {"transcription": "corrected"}),
                           (superstat_quadrature, {"transcription": "corrected"}),
-                          (superstat_closed_point, {"tol": TOL})):
+                          (superstat_closed_point, {"tol": TOL}),
+                          (superstat_closed_point, {"transcription": "corrected"})):
         with pytest.raises(TypeError):
             point(C03, 1.0, 0.5, **unread)
     # each routes.POINTS entry is its one function, bit for bit, on an
@@ -767,7 +770,7 @@ def test_each_point_builder_takes_what_it_reads_and_is_its_route():
     tol = Tolerance(rel=1e-10, abs=0.0, max_evals=100_000)
     builders = {"engine": superstat_thermo,
                 "quadinf": partial(superstat_quadrature, tol=tol),
-                "closed": partial(superstat_closed_point, transcription="corrected")}
+                "closed": superstat_closed_point}
     assert builders.keys() == routes.POINTS["superstat"].keys()
     mesh = (coefficients(OscillatorParams(alpha=np.array([0.1, 0.3, 0.9])[:, None, None])),
             np.array([0.5, 2.0, 10.0])[:, None], np.array([0.0, 0.5, 1.0]))

@@ -558,9 +558,14 @@ def test_cli_moment_points_where_f_overflows(argv, message, capsys):
     assert capsys.readouterr().err == f"pdmosc: numerical non-convergence: {message}\n"
 
 
+#: the exact value of the float 1e200, a level that a float holds; the text
+#: 1e200 names 10^200, which no float holds
+_LEVEL_1E200 = str(int(1e200))
+
+
 @pytest.mark.filterwarnings("error")
 def test_cli_energy_sweep_where_the_level_overflows(capsys):
-    code, out = run_cli(["sweep", "Energy", "--vary", "n", "--range", "0,1e200",
+    code, out = run_cli(["sweep", "Energy", "--vary", "n", "--range", f"0,{_LEVEL_1E200}",
                          "--alpha", "0.3"], capsys)
     assert code == 0
     assert out.split("\n")[2] == "9.9999999999999997e+199,inf,"
@@ -568,9 +573,9 @@ def test_cli_energy_sweep_where_the_level_overflows(capsys):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv,row", [
-    (["--vary", "n", "--range", "0,1e200", "--alpha", "0"],
+    (["--vary", "n", "--range", f"0,{_LEVEL_1E200}", "--alpha", "0"],
      "9.9999999999999997e+199,9.9999999999999997e+199,"),
-    (["--vary", "alpha", "--range", "0.1,0.2", "--n", "1" + "0" * 200],
+    (["--vary", "alpha", "--range", "0.1,0.2", "--n", _LEVEL_1E200],
      "0.20000000000000001,inf,")])
 def test_cli_energy_sweep_at_alpha_zero_and_past_the_float_range(argv, row, capsys):
     # the quadratic term is 0 at b = 0, also where n^2 overflows, and an int
@@ -764,20 +769,25 @@ def test_cli_sweep_json(capsys):
     assert rows[3]["Energy"] > rows[0]["Energy"]
 
 
-@pytest.mark.parametrize("levels", ["0,1.5", "-1,0", "0,9007199254740993"])
+@pytest.mark.parametrize("levels", ["0,1.5", "-1,0", "0,9007199254740993",
+                                    "0,100000000000000000000000", "0,1e200"])
 def test_cli_energy_sweep_rejects_non_levels(levels, capsys):
     # n must be a nonnegative integer, as for SpectrumCoefficients.level, that
-    # a float holds: 2^53 + 1 would silently be level 2^53; the message names it
+    # a float holds: 2^53 + 1 would silently be level 2^53, and 10^23 level
+    # 99999999999999991611392, though that float prints as 1e+23; the
+    # message names it
     assert cli.main(["sweep", "Energy", "--vary", "n", f"--range={levels}"]) == 2
     err, bad = capsys.readouterr().err, levels.split(",")[levels.startswith("0,")]
     assert "nonnegative integer" in err and repr(bad) in err
 
 
-@pytest.mark.parametrize("n", ["9007199254740993", "1.5", "-1"])
+@pytest.mark.parametrize("n", ["9007199254740993", "1.5", "-1",
+                               "100000000000000000000000", "1e23"])
 def test_cli_fixed_level_is_read_as_a_range_level(n, tmp_path, capsys):
     # --n reads its level by the rule --range applies to a varied n: 2^53 + 1,
-    # which a float would round to 2^53, exits 2 as a flag, as a config key
-    # and as a range value, each message naming n
+    # which a float would round to 2^53, and 10^23, whose float is not 10^23
+    # though it prints as 1e+23, exit 2 as a flag, as a config key and as a
+    # range value, each message naming n
     assert cli.main(["sweep", "Energy", "--vary", "n", "--range", f"0,{n}", "--alpha", "0.3"]) == 2
     assert capsys.readouterr().err == (
         f"pdmosc: error: n must be a nonnegative integer that a float holds, not {n!r}\n")
@@ -794,6 +804,11 @@ def test_cli_fixed_level_is_read_as_a_range_level(n, tmp_path, capsys):
         assert run_cli(argv + fixed, capsys) == (0, "alpha,Energy,warning\n"
                                                     "0.29999999999999999,10.886530814443088,\n"
                                                     "0.40000000000000002,12.708921464952065,\n")
+    for levels, row in (("0,1e2", "100,1631.6993357911874,"),
+                        ("0,9007199254740992", "9007199254740992,1.2169445762191013e+31,")):
+        code, out = run_cli(["sweep", "Energy", "--vary", "n", "--range", levels,
+                             "--alpha", "0.3"], capsys)
+        assert code == 0 and out.split("\n")[2] == row
 
 
 def test_ranges_refuse_endpoints_numpy_cannot_space():

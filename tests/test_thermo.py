@@ -356,12 +356,12 @@ def test_quadrature_point_against_mpmath():
 def test_free_energy_closed_is_composition():
     for c in (C01, C09):
         for beta in (0.2, 1.0, 7.0):
-            f = thermo_closed_point(c, beta).F
-            assert f == -log_partition_closed(c, beta) / beta
-            assert f == pytest.approx(-math.log(partition_closed(c, beta)) / beta, rel=1e-13)
+            for f in thermo_closed_point(c, beta).F:  # no transcription changes F
+                assert f == -log_partition_closed(c, beta) / beta
+                assert f == pytest.approx(-math.log(partition_closed(c, beta)) / beta, rel=1e-13)
     # Z_closed underflows to 0 here; F stays finite
     assert partition_closed(C03, 2000.0) == 0.0
-    assert math.isfinite(thermo_closed_point(C03, 2000.0).F)
+    assert np.isfinite(thermo_closed_point(C03, 2000.0).F).all()
 
 
 def test_corrected_mean_energy_matches_engine():
@@ -383,15 +383,17 @@ def test_corrected_heat_capacity_matches_engine():
 
 @pytest.mark.parametrize("tr", ["verbatim", "corrected"])
 def test_closed_point_equals_single_closed_functions(tr):
-    # one _xargs per point, bit for bit the five single routes
+    # one _xargs per point, its entry of tr bit for bit the five single routes
+    j = TRANSCRIPTIONS.index(tr)
     for c in (C01, C03, C09):
         for beta in (0.1, 1.0, 8.0, 800.0):
-            pt = thermo_closed_point(c, beta, tr)
+            pt = thermo_closed_point(c, beta)
             singles = (partition_closed(c, beta), mean_energy_closed(c, beta, tr),
                        heat_capacity_closed(c, beta, tr),
                        entropy_closed(c, beta, tr), -log_partition_closed(c, beta) / beta)
             # verbatim forms may overflow to inf or nan, which equal themselves here
-            assert np.array_equal([pt.Z, pt.U, pt.C, pt.S, pt.F], singles, equal_nan=True)
+            assert np.array_equal([pt.Z[j], pt.U[j], pt.C[j], pt.S[j], pt.F[j]], singles,
+                                  equal_nan=True)
 
 
 #: the audit grid and two betas where verbatim forms overflow
@@ -412,9 +414,11 @@ _CLOSED_FORMS = {
 def test_closed_forms_over_beta_equal_their_points(tr):
     # a beta array runs the float call's arithmetic elementwise: each element
     # is bit for bit its float call (nan equals nan here), through the
-    # verbatim forms' overflow at beta = 800 and 2000
+    # verbatim forms' overflow at beta = 800 and 2000; a closed point holds
+    # the entry of tr at j on its trailing axis
+    j = TRANSCRIPTIONS.index(tr)
     for c in (C01, C03, C09):
-        curve = thermo_closed_point(c, _CURVE_BETAS, tr)
+        curve = thermo_closed_point(c, _CURVE_BETAS)
         assert np.array_equal(curve.beta, _CURVE_BETAS) and curve.method == "closed"
         for name, form in _CLOSED_FORMS.items():
             column = form(c, _CURVE_BETAS, tr)
@@ -422,11 +426,11 @@ def test_closed_forms_over_beta_equal_their_points(tr):
             assert all(type(v) is float for v in points)
             assert np.array_equal(column, points, equal_nan=True), (c, name)
             if name != "lnZ":
-                assert np.array_equal(getattr(curve, name), column, equal_nan=True)
+                assert np.array_equal(getattr(curve, name)[:, j], column, equal_nan=True)
         for beta in (0.5, 2000.0):
-            pt = thermo_closed_point(c, beta, tr)
-            assert pt.beta == beta
-            assert all(type(getattr(pt, qn)) is float for qn in "ZUCSF")
+            pt = thermo_closed_point(c, beta)
+            assert type(pt.beta) is float and pt.beta == beta
+            assert all(getattr(pt, qn).shape == (2,) for qn in "ZUCSF")
     # the verbatim overflow is kept: inf, not an exception
     assert math.isinf(heat_capacity_closed(C03, np.array([2000.0]), "verbatim")[0])
     assert math.isinf(mean_energy_closed(C09, 2000.0, "verbatim"))
@@ -457,10 +461,7 @@ def test_closed_routes_make_one_kernel_call_per_curve(tr, monkeypatch):
             assert _CLOSED_FORMS[qn](c, _CURVE_BETAS[:3], tr).shape == (3,)
             assert calls == {"erfcx": 1, "erf": erf_calls[qn]}, (qn, c)
         calls.update(erfcx=0, erf=0)
-        thermo_closed_point(c, _CURVE_BETAS[:3], tr)
-        assert calls == {"erfcx": 1, "erf": 1}
-        calls.update(erfcx=0, erf=0)
-        thermo_closed_point(c, _CURVE_BETAS[:3], TRANSCRIPTIONS)
+        thermo_closed_point(c, _CURVE_BETAS[:3])
         assert calls == {"erfcx": 1, "erf": 1}
 
 
@@ -498,11 +499,12 @@ def test_singular_limit_is_scale_free():
     p = OscillatorParams.si(alpha=0.5, omega=1e-10)
     c = coefficients(p)
     assert c.b < thermo.B_MIN and abs(c.b / c.a - 1.0) < 1e-9
-    closed = thermo_closed_point(c, 1.0 / c.a, "corrected")
+    closed = thermo_closed_point(c, 1.0 / c.a)
     oracle = thermo_quadrature(c, 1.0 / c.a, "quad01")
     for qn in "ZUCSF":
         want = getattr(oracle, qn)
-        assert abs(getattr(closed, qn) - want) <= 1e-13 * abs(want), qn
+        assert abs(getattr(closed, qn)[TRANSCRIPTIONS.index("corrected")] - want) \
+            <= 1e-13 * abs(want), qn
     assert math.isfinite(superstat_partition_closed(c, 1.0 / c.a, 0.5, "corrected"))
     with pytest.raises(SingularLimit, match=r"b/a=2\.894e-19 <= B_MIN=1\.000e-08"):
         partition_closed(coefficients(OscillatorParams.si(alpha=0.5)), 1e20)
@@ -721,13 +723,12 @@ def test_routes_scale_c_and_s_by_kb_and_nothing_else():
     values["beta"] = np.array([0.5, 1.0, 2.0]) / c.a
     kernels = {
         "thermo": {"sum": lambda s: thermo_sum_engine(s.c, s.beta),
-                   "closed": lambda s: thermo_closed_point(s.c, s.beta, s.transcription),
+                   "closed": lambda s: thermo_closed_point(s.c, s.beta),
                    "quad01": lambda s: thermo_quadrature(s.c, s.beta, "quad01", s.tol),
                    "quadinf": lambda s: thermo_quadrature(s.c, s.beta, "quadinf", s.tol)},
         "superstat": {"engine": lambda s: superstat_thermo(s.c, s.beta, s.q),
                       "quadinf": lambda s: superstat_quadrature(s.c, s.beta, s.q, s.tol),
-                      "closed": lambda s: superstat_closed_point(s.c, s.beta, s.q,
-                                                                 s.transcription)}}
+                      "closed": lambda s: superstat_closed_point(s.c, s.beta, s.q)}}
     closed = {"C": lambda s: heat_capacity_closed(s.c, s.beta, s.transcription),
               "S": lambda s: entropy_closed(s.c, s.beta, s.transcription),
               "Cs": lambda s: heat_capacity_superstat_closed(s.c, s.beta, s.q, s.transcription),

@@ -1,6 +1,7 @@
 """The maintenance scripts under tools/."""
 
 import importlib.util
+import json
 import math
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from pdmosc import OscillatorParams, coefficients
+from pdmosc import OscillatorParams, coefficients, routes
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -103,3 +104,39 @@ def test_spectrum_oracle_levels_are_the_ladders():
             fit = oracle.ladder_fit(levels)
             assert np.allclose(fit, (c.energy(0), lin, c.b), rtol=0.0, atol=1e-8), (alpha, fit)
     assert oracle.main(["1.5"]) == 2
+
+
+def test_cli_snapshot_is_reproducible_and_covers_the_route_table(tmp_path):
+    # run from the checkout root, two runs write the same bytes; every
+    # ROUTES key is swept and every POINTS pair is a point, the closed ones
+    # in both transcriptions
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path in paths:
+        res = subprocess.run([sys.executable, str(TOOLS / "cli_snapshot.py"), str(path)],
+                             cwd=TOOLS.parent, capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    records = json.loads(paths[0].read_text())
+    assert {tuple(r) for r in records} == {("argv", "exit", "stdout", "stderr")}
+
+    def flag(argv, name):
+        return argv[argv.index(name) + 1] if name in argv else None
+
+    swept = {(r["argv"][1], flag(r["argv"], "--method"), flag(r["argv"], "--units"),
+              flag(r["argv"], "--transcription"))
+             for r in records if r["argv"][0] == "sweep" and r["exit"] == 0}
+    pointed = {("thermo" if flag(r["argv"], "--q") is None else "superstat",
+                flag(r["argv"], "--method"), flag(r["argv"], "--transcription"))
+               for r in records if r["argv"][0] == "point" and r["exit"] == 0}
+    both = ("verbatim", "corrected")
+    for quantity, method in routes.ROUTES:
+        for units in routes.UNITS:
+            for tr in both if method == "closed" else (None,):
+                assert (quantity, method, units, tr) in swept, (quantity, method, units, tr)
+    for family, methods in routes.POINTS.items():
+        for method in methods:
+            for tr in both if method == "closed" else (None,):
+                assert (family, method, tr) in pointed, (family, method, tr)
+    exits = {tuple(r["argv"]): r["exit"] for r in records}
+    assert exits[("point", "--alpha", "0.3", "--beta=-1")] == 2
+    assert exits[("sweep", "Energy", "--vary", "n", "--range", "0,9007199254740993")] == 2

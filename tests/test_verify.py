@@ -181,13 +181,13 @@ def test_audit_grid_calls_each_route_once(alphas, basis, monkeypatch, capsys):
 
     counted(thermo, "thermo_quadrature", lambda a: (a["range_"],))
     counted(thermo, "thermo_sum_engine", lambda a: ())
-    counted(thermo, "thermo_closed_point", lambda a: (a["transcription"],))
+    counted(thermo, "thermo_closed_point", lambda a: ())
     counted(superstat, "superstat_thermo", lambda a: ())
-    counted(superstat, "superstat_closed_point", lambda a: (a["transcription"],))
+    counted(superstat, "superstat_closed_point", lambda a: ())
     oracle = ("thermo_quadrature", "quad01") if basis == "closed" else ("thermo_sum_engine",)
-    # one closed call per family, for both transcriptions
-    four = sorted([oracle, ("thermo_closed_point", TRANSCRIPTIONS), ("superstat_thermo",),
-                   ("superstat_closed_point", TRANSCRIPTIONS)])
+    # one closed call per family, which holds both transcriptions
+    four = sorted([oracle, ("thermo_closed_point",), ("superstat_thermo",),
+                   ("superstat_closed_point",)])
     audit_columns(params_grid=alphas, beta_grid=DEFAULT_BETAS[::8], q_grid=(0.0, 0.5),
                   oracle_basis=basis)
     assert sorted(calls) == four
@@ -214,18 +214,19 @@ def _audit_states(alphas) -> dict[str, routes.State]:
 
 @pytest.mark.parametrize("family", ["thermo", "superstat"])
 def test_closed_point_of_both_transcriptions_is_its_one_name_points(family):
-    # the pair forms the transcription-free pieces once; each field's
-    # trailing entry j is bit for bit the point of TRANSCRIPTIONS[j], on the
-    # audit's grids and at a float point (repr tells nan and -0.0 apart)
+    # the closed point forms the transcription-free pieces once; each field's
+    # trailing entry j is bit for bit the single-quantity closed function of
+    # TRANSCRIPTIONS[j] (its ROUTES entry), on the audit's grids and at a
+    # float point (repr tells nan and -0.0 apart)
     closed = routes.POINTS[family]["closed"]
     point = routes.State(coefficients(OscillatorParams(alpha=0.3)), beta=2.0, q=0.5)
     for s in (_audit_states(DEFAULT_ALPHAS)[family], point):
-        pair = closed(s._replace(transcription=TRANSCRIPTIONS))
+        pair = closed(s)
+        assert pair.method == "closed"
         for j, tr in enumerate(TRANSCRIPTIONS):
-            one = closed(s._replace(transcription=tr))
-            assert repr(pair.beta) == repr(one.beta) and pair.method == one.method
             for qn in routes.FIELDS[family]:
-                field, want = getattr(pair, qn), np.asarray(getattr(one, qn))
+                field = getattr(pair, qn)
+                want = np.asarray(routes.ROUTES[(qn, "closed")](s._replace(transcription=tr)))
                 assert field.shape == want.shape + (2,)
                 assert repr(field[..., j].tolist()) == repr(want.tolist()), (qn, tr)
 
@@ -236,17 +237,11 @@ def test_closed_point_of_both_transcriptions_raises_where_one_name_does(family):
     singular = {"alphas": (0.1, 0.0), "point": 0.0}  # alpha = 0: b = 0 <= B_MIN
     for s in (_audit_states(singular["alphas"])[family],
               routes.State(coefficients(OscillatorParams(alpha=singular["point"])), beta=2.0)):
-        for tr in TRANSCRIPTIONS + (TRANSCRIPTIONS,):
-            with pytest.raises(SingularLimit):
-                closed(s._replace(transcription=tr))
+        with pytest.raises(SingularLimit):
+            closed(s)
     s = _audit_states(DEFAULT_ALPHAS)[family]
-    for tr in TRANSCRIPTIONS + (TRANSCRIPTIONS,):
-        with pytest.raises(ValueError, match="beta must be positive"):
-            closed(s._replace(beta=-s.beta, transcription=tr))
-    # only the pair itself, in its order, or one name
-    for tr in ("typo", TRANSCRIPTIONS[::-1], TRANSCRIPTIONS[:1], list(TRANSCRIPTIONS)):
-        with pytest.raises(ValueError, match="transcription must be"):
-            closed(s._replace(transcription=tr))
+    with pytest.raises(ValueError, match="beta must be positive"):
+        closed(s._replace(beta=-s.beta))
 
 
 def test_csv_rendering():
